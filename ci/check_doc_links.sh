@@ -6,7 +6,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-refs=$(grep -rhoE '[A-Za-z0-9_][A-Za-z0-9_./-]*\.md' \
+# An optional leading dot keeps dot-directory paths (`.github/...`) whole.
+refs=$(grep -rhoE '\.?[A-Za-z0-9_][A-Za-z0-9_./-]*\.md' \
     README.md ROADMAP.md CHANGES.md docs src examples \
     $(find crates -name '*.rs' -path '*/src/*') \
     | sort -u)

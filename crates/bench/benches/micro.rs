@@ -7,10 +7,11 @@ use std::hint::black_box;
 
 use agb_core::{
     AdaptationConfig, AdaptiveNode, BuffAd, CongestionConfig, CongestionEstimator, Event,
-    EventBuffer, EventIdBuffer, GossipConfig, GossipProtocol, LpbcastNode, MinBuffConfig,
-    MinBuffEstimator, TokenBucket,
+    EventBuffer, EventIdBuffer, FrameProtocol, GossipConfig, GossipFrame, LpbcastNode,
+    MinBuffConfig, MinBuffEstimator, TokenBucket,
 };
 use agb_membership::FullView;
+use agb_runtime::wire::{decode_frame, encode_frame};
 use agb_types::{DetRng, EventId, NodeId, Payload, TimeMs};
 use rand::SeedableRng;
 
@@ -107,7 +108,7 @@ fn bench_estimators(c: &mut Criterion) {
 }
 
 fn bench_wire(c: &mut Criterion) {
-    let msg = agb_core::GossipMessage {
+    let frame = GossipFrame::plain(agb_core::GossipMessage {
         sender: NodeId::new(3),
         sample_period: 17,
         min_buffs: vec![BuffAd {
@@ -116,13 +117,13 @@ fn bench_wire(c: &mut Criterion) {
         }],
         events: (0..90).map(|s| ev(2, s, 3)).collect(),
         membership: Default::default(),
-    };
-    c.bench_function("wire_encode_90_events", |b| {
-        b.iter(|| black_box(agb_runtime::wire::encode(&msg).len()));
     });
-    let bytes = agb_runtime::wire::encode(&msg);
+    c.bench_function("wire_encode_90_events", |b| {
+        b.iter(|| black_box(encode_frame(&frame).len()));
+    });
+    let bytes = encode_frame(&frame);
     c.bench_function("wire_decode_90_events", |b| {
-        b.iter(|| black_box(agb_runtime::wire::decode(&bytes).unwrap().events.len()));
+        b.iter(|| black_box(decode_frame(&bytes).unwrap().sender()));
     });
 }
 
@@ -163,7 +164,7 @@ fn bench_protocol_round(c: &mut Criterion) {
                         ev(2, seq * 100 + i, 2)
                     })
                     .collect();
-                agb_core::GossipMessage {
+                GossipFrame::plain(agb_core::GossipMessage {
                     sender: NodeId::new(2),
                     sample_period: 0,
                     min_buffs: vec![BuffAd {
@@ -172,10 +173,10 @@ fn bench_protocol_round(c: &mut Criterion) {
                     }],
                     events: events.into(),
                     membership: Default::default(),
-                }
+                })
             },
-            |msg| {
-                node.on_receive(NodeId::new(2), msg, TimeMs::ZERO);
+            |frame| {
+                node.on_receive(NodeId::new(2), frame, TimeMs::ZERO);
                 node.drain_events();
             },
             BatchSize::SmallInput,

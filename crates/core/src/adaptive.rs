@@ -25,19 +25,19 @@ use agb_types::{DetRng, DurationMs, Ewma, NodeId, Payload, TimeMs};
 
 use crate::config::{AdaptationConfig, GossipConfig};
 use crate::congestion::CongestionEstimator;
-use crate::header::GossipMessage;
+use crate::header::GossipFrame;
 use crate::lpbcast::LpbcastNode;
 use crate::minbuff::MinBuffEstimator;
 use crate::rate::RateController;
 use crate::token_bucket::TokenBucket;
-use crate::traits::{GossipProtocol, OfferOutcome, ProtocolEvent};
+use crate::traits::{FrameProtocol, OfferOutcome, ProtocolEvent};
 
 /// The adaptive gossip broadcast state machine (lpbcast + Figure 5).
 ///
 /// # Example
 ///
 /// ```
-/// use agb_core::{AdaptationConfig, AdaptiveNode, GossipConfig, GossipProtocol};
+/// use agb_core::{AdaptationConfig, AdaptiveNode, FrameProtocol, GossipConfig, GossipFrame};
 /// use agb_membership::FullView;
 /// use agb_types::{DetRng, NodeId, Payload, TimeMs};
 /// use rand::SeedableRng;
@@ -52,7 +52,10 @@ use crate::traits::{GossipProtocol, OfferOutcome, ProtocolEvent};
 /// node.offer(Payload::from_static(b"hi"), TimeMs::ZERO);
 /// let out = node.on_round(TimeMs::from_secs(1));
 /// // Outgoing messages carry the adaptive header.
-/// assert!(out.iter().all(|(_, m)| m.is_adaptive()));
+/// assert!(out.iter().all(|(_, frame)| matches!(
+///     frame,
+///     GossipFrame::Gossip { msg, .. } if msg.is_adaptive()
+/// )));
 /// ```
 #[derive(Debug)]
 pub struct AdaptiveNode<S> {
@@ -162,7 +165,7 @@ impl<S: GossipMembership> AdaptiveNode<S> {
     }
 }
 
-impl<S: GossipMembership> GossipProtocol for AdaptiveNode<S> {
+impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
     fn node_id(&self) -> NodeId {
         self.inner.node_id()
     }
@@ -181,7 +184,7 @@ impl<S: GossipMembership> GossipProtocol for AdaptiveNode<S> {
         }
     }
 
-    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         // 1. Sample-period bookkeeping (Figure 5(a), local clock).
         if self.min_buff.on_tick(now) {
             self.out_events.push(ProtocolEvent::PeriodRollover {
@@ -216,18 +219,28 @@ impl<S: GossipMembership> GossipProtocol for AdaptiveNode<S> {
         }
 
         // 5. Base-protocol round (ages, GC, emission), then stamp the
-        //    adaptive header on every outgoing message.
-        let mut out = self.inner.run_round(now);
+        //    adaptive header on the message in every outgoing frame.
+        let mut out = self.inner.on_round(now);
         self.sync_removals();
         let (period, ads) = self.min_buff.advertisement();
-        for (_, msg) in &mut out {
-            msg.sample_period = period;
-            msg.min_buffs = ads.clone();
+        for (_, frame) in &mut out {
+            if let GossipFrame::Gossip { msg, .. } = frame {
+                msg.sample_period = period;
+                msg.min_buffs = ads.clone();
+            }
         }
         out
     }
 
-    fn on_receive(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) {
+    fn on_receive(
+        &mut self,
+        from: NodeId,
+        frame: GossipFrame,
+        now: TimeMs,
+    ) -> Vec<(NodeId, GossipFrame)> {
+        let GossipFrame::Gossip { msg, .. } = frame else {
+            return Vec::new();
+        };
         // Figure 5(a): fold the sender's advertisement into the period
         // estimate (adopting a later period if the sender is ahead).
         if msg.is_adaptive() {
@@ -251,12 +264,7 @@ impl<S: GossipMembership> GossipProtocol for AdaptiveNode<S> {
             self.min_buff.estimate() as usize,
             overflowed,
         );
-    }
-
-    fn drain_events(&mut self) -> Vec<ProtocolEvent> {
-        let mut events = Vec::new();
-        self.drain_events_into(&mut events);
-        events
+        Vec::new()
     }
 
     fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
@@ -306,7 +314,7 @@ impl<S: GossipMembership> GossipProtocol for AdaptiveNode<S> {
         self.inner.membership_view()
     }
 
-    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         self.inner.leave(now)
     }
 
@@ -336,6 +344,7 @@ mod tests {
     use super::*;
     use crate::config::{CongestionConfig, MinBuffConfig, RateConfig};
     use crate::event::Event;
+    use crate::header::GossipMessage;
     use crate::minbuff::BuffAd;
     use agb_membership::FullView;
     use agb_types::EventId;
@@ -355,8 +364,8 @@ mod tests {
         adaptive(id, GossipConfig::default(), AdaptationConfig::default())
     }
 
-    fn remote_msg(period: u64, min: u32, events: Vec<Event>) -> GossipMessage {
-        GossipMessage {
+    fn remote_msg(period: u64, min: u32, events: Vec<Event>) -> GossipFrame {
+        GossipFrame::plain(GossipMessage {
             sender: NodeId::new(7),
             sample_period: period,
             min_buffs: vec![BuffAd {
@@ -365,7 +374,7 @@ mod tests {
             }],
             events: events.into(),
             membership: Default::default(),
-        }
+        })
     }
 
     #[test]
@@ -374,7 +383,8 @@ mod tests {
         n.offer(Payload::new(), TimeMs::ZERO);
         let out = n.on_round(TimeMs::from_secs(1));
         assert!(!out.is_empty());
-        for (_, msg) in &out {
+        for (_, frame) in &out {
+            let msg = frame.expect_plain_gossip();
             assert!(msg.is_adaptive());
             assert_eq!(msg.min_buff(), Some(90));
         }
@@ -388,7 +398,7 @@ mod tests {
         assert_eq!(n.min_buff_estimate(), 45);
         // And re-advertises the learned minimum.
         let out = n.on_round(TimeMs::from_secs(1));
-        assert_eq!(out[0].1.min_buff(), Some(45));
+        assert_eq!(out[0].1.expect_plain_gossip().min_buff(), Some(45));
     }
 
     #[test]
@@ -505,7 +515,7 @@ mod tests {
         assert_eq!(n.buffer_capacity(), 45);
         assert_eq!(n.min_buff_estimate(), 45);
         let out = n.on_round(TimeMs::from_secs(1));
-        assert_eq!(out[0].1.min_buff(), Some(45));
+        assert_eq!(out[0].1.expect_plain_gossip().min_buff(), Some(45));
     }
 
     #[test]
@@ -568,7 +578,7 @@ mod tests {
             events: Default::default(),
             membership: Default::default(),
         };
-        n.on_receive(NodeId::new(3), baseline, TimeMs::ZERO);
+        n.on_receive(NodeId::new(3), GossipFrame::plain(baseline), TimeMs::ZERO);
         assert_eq!(n.min_buff_estimate(), 90);
     }
 

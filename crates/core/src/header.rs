@@ -1,5 +1,5 @@
-//! The gossip message exchanged between nodes, and the framed wire
-//! vocabulary of the pull-based recovery layer (`agb-recovery`).
+//! The frames nodes exchange: gossip messages, and the pull frames of the
+//! recovery layer (`agb-recovery`).
 
 use agb_membership::MembershipDigest;
 use agb_types::{EventId, NodeId};
@@ -127,11 +127,11 @@ impl Retransmission {
     }
 }
 
-/// One frame on the wire when the recovery layer is active.
+/// One frame on the wire: the only unit protocol nodes exchange.
 ///
 /// The recovery mechanism adds exactly one piggybacked digest to each
-/// data message and two *pull* frame kinds; harnesses that run without
-/// recovery only ever see [`GossipFrame::Gossip`] with `ihave: None`.
+/// data message and two *pull* frame kinds; nodes that run without
+/// recovery only ever emit [`GossipFrame::Gossip`] with `ihave: None`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GossipFrame {
     /// A regular gossip data message, with an optional piggybacked
@@ -177,12 +177,6 @@ impl GossipFrame {
         }
     }
 
-    /// Whether this frame belongs to the recovery control plane (rather
-    /// than regular gossip data traffic).
-    pub fn is_recovery_control(&self) -> bool {
-        matches!(self, GossipFrame::Graft(_) | GossipFrame::Retransmit(_))
-    }
-
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> usize {
         1 + match self {
@@ -191,6 +185,17 @@ impl GossipFrame {
             }
             GossipFrame::Graft(g) => g.wire_size(),
             GossipFrame::Retransmit(r) => r.wire_size(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl GossipFrame {
+    /// The message of a plain gossip frame, as the core flavors emit it.
+    pub(crate) fn expect_plain_gossip(&self) -> &GossipMessage {
+        match self {
+            GossipFrame::Gossip { msg, ihave: None } => msg,
+            other => panic!("expected a plain gossip frame, got {other:?}"),
         }
     }
 }
@@ -241,21 +246,18 @@ mod tests {
     fn frame_sender_and_kind() {
         let gossip = GossipFrame::plain(base());
         assert_eq!(gossip.sender(), NodeId::new(0));
-        assert!(!gossip.is_recovery_control());
 
         let graft = GossipFrame::Graft(GraftRequest {
             sender: NodeId::new(4),
             ids: vec![EventId::new(NodeId::new(1), 9)],
         });
         assert_eq!(graft.sender(), NodeId::new(4));
-        assert!(graft.is_recovery_control());
 
         let retransmit = GossipFrame::Retransmit(Retransmission {
             sender: NodeId::new(5),
             events: vec![],
         });
         assert_eq!(retransmit.sender(), NodeId::new(5));
-        assert!(retransmit.is_recovery_control());
     }
 
     #[test]

@@ -19,14 +19,16 @@
 //!   grafted onto *other* gossip algorithms, as §5 of the paper suggests.
 //!
 //! Both protocols are **sans-IO state machines** behind the
-//! [`GossipProtocol`] trait: the deterministic simulator (`agb-sim` +
-//! `agb-workload`) and the threaded socket runtime (`agb-runtime`) drive
-//! exactly the same code.
+//! [`FrameProtocol`] trait, exchanging [`GossipFrame`]s: the deterministic
+//! simulator (`agb-sim` + `agb-workload`), the threaded socket runtime
+//! (`agb-runtime`) and the Maelstrom adapter drive exactly the same code,
+//! and so do the other flavors (agb-topology's routing node) and the
+//! recovery wrapper (agb-recovery).
 //!
 //! # Quickstart
 //!
 //! ```
-//! use agb_core::{AdaptationConfig, AdaptiveNode, GossipConfig, GossipProtocol, ProtocolEvent};
+//! use agb_core::{AdaptationConfig, AdaptiveNode, FrameProtocol, GossipConfig, ProtocolEvent};
 //! use agb_membership::FullView;
 //! use agb_types::{DetRng, NodeId, Payload, TimeMs};
 //! use rand::SeedableRng;
@@ -42,9 +44,10 @@
 //! let (mut a, mut b) = (mk(0), mk(1));
 //!
 //! a.offer(Payload::from_static(b"hello"), TimeMs::ZERO);
-//! for (to, msg) in a.on_round(TimeMs::from_secs(1)) {
+//! for (to, frame) in a.on_round(TimeMs::from_secs(1)) {
 //!     assert_eq!(to, NodeId::new(1));
-//!     b.on_receive(NodeId::new(0), msg, TimeMs::from_secs(1));
+//!     let replies = b.on_receive(NodeId::new(0), frame, TimeMs::from_secs(1));
+//!     assert!(replies.is_empty()); // plain gossip needs no answer
 //! }
 //! let delivered = b.drain_events().into_iter().any(|e| matches!(
 //!     e,
@@ -76,8 +79,8 @@ pub use congestion::CongestionEstimator;
 pub use event::{Event, EventList};
 pub use header::{GossipFrame, GossipMessage, GraftRequest, IHaveDigest, Retransmission};
 pub use ids::EventIdBuffer;
-pub use lpbcast::{LpbcastNode, ReceiveReport};
+pub use lpbcast::LpbcastNode;
 pub use minbuff::{BuffAd, KSmallestSet, MinBuffEstimator};
 pub use rate::{RateChange, RateChangeReason, RateController};
 pub use token_bucket::TokenBucket;
-pub use traits::{FrameProtocol, GossipProtocol, OfferOutcome, ProtocolEvent};
+pub use traits::{FrameProtocol, OfferOutcome, ProtocolEvent};

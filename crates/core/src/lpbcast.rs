@@ -12,28 +12,16 @@
 
 use std::collections::VecDeque;
 
-use agb_membership::GossipMembership;
+use agb_membership::{GossipMembership, MembershipDigest};
 use agb_types::{DetRng, DurationMs, EventId, NodeId, Payload, TimeMs};
 
 use crate::buffer::{EventBuffer, PurgedEvent};
 use crate::config::GossipConfig;
 use crate::event::Event;
-use crate::header::GossipMessage;
+use crate::header::{GossipFrame, GossipMessage};
 use crate::ids::EventIdBuffer;
 use crate::token_bucket::TokenBucket;
-use crate::traits::{GossipProtocol, OfferOutcome, ProtocolEvent};
-
-/// What happened while ingesting one gossip message (consumed by the
-/// adaptive wrapper's congestion accounting).
-#[derive(Debug, Clone, Default)]
-pub struct ReceiveReport {
-    /// Events newly stored (and delivered) from this message.
-    pub newly_stored: usize,
-    /// Duplicate events whose age was max-merged.
-    pub duplicates: usize,
-    /// Events evicted by overflow while storing this message.
-    pub purged: Vec<PurgedEvent>,
-}
+use crate::traits::{FrameProtocol, OfferOutcome, ProtocolEvent};
 
 /// The lpbcast state machine of Figure 1.
 ///
@@ -42,7 +30,7 @@ pub struct ReceiveReport {
 /// # Example
 ///
 /// ```
-/// use agb_core::{GossipConfig, GossipProtocol, LpbcastNode};
+/// use agb_core::{FrameProtocol, GossipConfig, LpbcastNode};
 /// use agb_membership::FullView;
 /// use agb_types::{DetRng, NodeId, Payload, TimeMs};
 /// use rand::SeedableRng;
@@ -130,7 +118,8 @@ impl<S: GossipMembership> LpbcastNode<S> {
     }
 
     /// Every event removed from the buffer since the last call (consumed
-    /// by the adaptive wrapper's congestion accounting).
+    /// by the adaptive wrapper's congestion accounting). A drain discards
+    /// whatever is left, so an unwrapped node holds no purge backlog.
     pub fn take_removals(&mut self) -> Vec<PurgedEvent> {
         std::mem::take(&mut self.removals)
     }
@@ -166,10 +155,8 @@ impl<S: GossipMembership> LpbcastNode<S> {
         }
     }
 
-    /// Ingests a gossip message, returning what changed (Figure 1 receive
-    /// handler).
-    pub fn receive(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) -> ReceiveReport {
-        let mut report = ReceiveReport::default();
+    /// Ingests a gossip message (Figure 1 receive handler).
+    pub fn receive(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) {
         self.membership
             .observe_gossip(from, &msg.membership, &mut self.rng);
         for event in &msg.events {
@@ -183,36 +170,18 @@ impl<S: GossipMembership> LpbcastNode<S> {
             // order additionally suppresses a redundant re-delivery of
             // an event that is demonstrably still buffered.
             if self.events.merge_age(event.id(), event.age()) {
-                report.duplicates += 1;
                 continue;
             }
             if self.ids.insert(event.id()) {
-                report.newly_stored += 1;
                 self.out_events.push(ProtocolEvent::Delivered {
                     event: event.clone(),
                     from,
                     at: now,
                 });
                 let purged = self.events.insert(event.clone());
-                report.purged.extend(purged.iter().cloned());
                 self.record_purges(purged, now);
-            } else {
-                report.duplicates += 1;
             }
         }
-        report
-    }
-
-    /// Runs the periodic part of Figure 1: age updates, age-cap garbage
-    /// collection, admission of throttled messages, and gossip emission.
-    pub fn run_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
-        self.round += 1;
-        self.membership.on_round();
-        self.events.increment_ages();
-        let expired = self.events.purge_age_cap(self.config.age_cap);
-        self.record_purges(expired, now);
-        self.admit_pending(now);
-        self.emit(now)
     }
 
     fn admit_pending(&mut self, now: TimeMs) {
@@ -238,35 +207,40 @@ impl<S: GossipMembership> LpbcastNode<S> {
         }
     }
 
-    fn emit(&mut self, _now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+    /// Sends one gossip frame to each of `F` sampled peers; all frames
+    /// share one buffer snapshot, and `digest` supplies each frame's
+    /// membership digest.
+    fn gossip_to_sample(
+        &mut self,
+        mut digest: impl FnMut(&S, &mut DetRng) -> MembershipDigest,
+    ) -> Vec<(NodeId, GossipFrame)> {
         let targets = self
             .membership
             .sample(&mut self.rng, self.config.fanout, self.id);
         if targets.is_empty() {
             return Vec::new();
         }
-        // One shared snapshot backs all F outgoing copies.
         let events = self.events.snapshot_shared();
         targets
             .into_iter()
             .map(|t| {
-                let membership = self.membership.make_digest(&mut self.rng);
+                let membership = digest(&self.membership, &mut self.rng);
                 (
                     t,
-                    GossipMessage {
+                    GossipFrame::plain(GossipMessage {
                         sender: self.id,
                         sample_period: 0,
                         min_buffs: Vec::new(),
                         events: events.clone(),
                         membership,
-                    },
+                    }),
                 )
             })
             .collect()
     }
 }
 
-impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
+impl<S: GossipMembership> FrameProtocol for LpbcastNode<S> {
     fn node_id(&self) -> NodeId {
         self.id
     }
@@ -292,19 +266,34 @@ impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
         }
     }
 
-    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
-        self.run_round(now)
+    /// The periodic part of Figure 1: age updates, age-cap garbage
+    /// collection, admission of throttled messages, and gossip emission.
+    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
+        self.round += 1;
+        self.membership.on_round();
+        self.events.increment_ages();
+        let expired = self.events.purge_age_cap(self.config.age_cap);
+        self.record_purges(expired, now);
+        self.admit_pending(now);
+        self.gossip_to_sample(|membership, rng| membership.make_digest(rng))
     }
 
-    fn on_receive(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) {
-        self.receive(from, msg, now);
-    }
-
-    fn drain_events(&mut self) -> Vec<ProtocolEvent> {
-        std::mem::take(&mut self.out_events)
+    fn on_receive(
+        &mut self,
+        from: NodeId,
+        frame: GossipFrame,
+        now: TimeMs,
+    ) -> Vec<(NodeId, GossipFrame)> {
+        if let GossipFrame::Gossip { msg, .. } = frame {
+            self.receive(from, msg, now);
+        }
+        Vec::new()
     }
 
     fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
+        // The purges were reported as `Dropped` events; only a wrapper
+        // that takes them between drains needs the raw records.
+        self.removals.clear();
         out.append(&mut self.out_events);
     }
 
@@ -337,36 +326,15 @@ impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
         self.membership.view()
     }
 
-    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         let _ = now;
-        let targets = self
-            .membership
-            .sample(&mut self.rng, self.config.fanout, self.id);
-        if targets.is_empty() {
-            return Vec::new();
-        }
         // The farewell flushes the remaining buffer (a leaver must not take
         // undisseminated events with it) and carries the node's own
         // TTL-bounded unsubscription instead of the usual digest;
         // receivers drop the leaver from their views and keep propagating
         // the removal until the rumor's TTL runs out.
-        let events = self.events.snapshot_shared();
         let farewell = self.membership.make_leave_digest();
-        targets
-            .into_iter()
-            .map(|t| {
-                (
-                    t,
-                    GossipMessage {
-                        sender: self.id,
-                        sample_period: 0,
-                        min_buffs: Vec::new(),
-                        events: events.clone(),
-                        membership: farewell.clone(),
-                    },
-                )
-            })
-            .collect()
+        self.gossip_to_sample(|_, _| farewell.clone())
     }
 
     fn evict_peer(&mut self, node: NodeId) {
@@ -456,7 +424,8 @@ mod tests {
         n.broadcast_now(Payload::new(), TimeMs::ZERO);
         let out = n.on_round(TimeMs::from_secs(1));
         assert_eq!(out.len(), 4);
-        for (target, msg) in &out {
+        for (target, frame) in &out {
+            let msg = frame.expect_plain_gossip();
             assert_ne!(*target, NodeId::new(0));
             assert_eq!(msg.events.len(), 2);
             assert_eq!(msg.sender, NodeId::new(0));
@@ -471,21 +440,19 @@ mod tests {
         n.on_round(TimeMs::from_secs(1));
         n.on_round(TimeMs::from_secs(2));
         let out = n.on_round(TimeMs::from_secs(3));
-        assert_eq!(out[0].1.events[0].age(), 3);
+        assert_eq!(out[0].1.expect_plain_gossip().events[0].age(), 3);
     }
 
     #[test]
     fn receive_delivers_new_suppresses_duplicates() {
         let mut n = default_node(1);
         let e = Event::with_age(EventId::new(NodeId::new(2), 0), 2, Payload::new());
-        let report = n.receive(NodeId::new(2), msg_with(vec![e.clone()]), TimeMs::ZERO);
-        assert_eq!(report.newly_stored, 1);
-        assert_eq!(report.duplicates, 0);
+        n.receive(NodeId::new(2), msg_with(vec![e.clone()]), TimeMs::ZERO);
         // Same event again: duplicate, age merged.
         let mut older = e.clone();
         older.merge_age(5);
-        let report = n.receive(NodeId::new(3), msg_with(vec![older]), TimeMs::ZERO);
-        assert_eq!(report.duplicates, 1);
+        n.receive(NodeId::new(3), msg_with(vec![older]), TimeMs::ZERO);
+        assert_eq!(n.buffer_len(), 1);
         let delivered: Vec<_> = n
             .drain_events()
             .into_iter()
@@ -533,7 +500,7 @@ mod tests {
             ]),
             TimeMs::ZERO,
         );
-        let report = n.receive(
+        n.receive(
             NodeId::new(3),
             msg_with(vec![Event::with_age(
                 EventId::new(NodeId::new(3), 0),
@@ -542,9 +509,34 @@ mod tests {
             )]),
             TimeMs::ZERO,
         );
-        assert_eq!(report.purged.len(), 1);
-        assert_eq!(report.purged[0].age, 6);
-        assert_eq!(n.take_removals().len(), 1);
+        let removals = n.take_removals();
+        assert_eq!(removals.len(), 1);
+        assert_eq!(
+            (removals[0].age, removals[0].reason),
+            (6, PurgeReason::Overflow)
+        );
+    }
+
+    #[test]
+    fn drain_discards_the_purge_backlog() {
+        // An unwrapped node has nobody taking its removals: the drain
+        // that reports them as `Dropped` events must also forget them.
+        let mut cfg = GossipConfig::default();
+        cfg.age_cap = 2;
+        let mut n = node(0, cfg);
+        let mut events = Vec::new();
+        for s in 1..=200 {
+            let now = TimeMs::from_secs(s);
+            n.offer(Payload::new(), now);
+            n.on_round(now);
+            n.drain_events_into(&mut events);
+        }
+        let dropped = events
+            .iter()
+            .filter(|e| matches!(e, ProtocolEvent::Dropped { .. }))
+            .count();
+        assert!(dropped > 190, "{dropped} purges reported");
+        assert!(n.take_removals().is_empty());
     }
 
     #[test]
@@ -659,9 +651,10 @@ mod tests {
             DetRng::seed_from_u64(1),
         );
         n.broadcast_now(Payload::from_static(b"x"), TimeMs::ZERO);
-        let out = GossipProtocol::leave(&mut n, TimeMs::from_secs(1));
+        let out = n.leave(TimeMs::from_secs(1));
         assert_eq!(out.len(), 4, "farewell goes to F peers");
-        for (_, msg) in &out {
+        for (_, frame) in &out {
+            let msg = frame.expect_plain_gossip();
             assert_eq!(msg.events.len(), 1, "buffer flushed into farewell");
             assert_eq!(msg.membership.unsubs.len(), 1);
             assert_eq!(msg.membership.unsubs[0].node, NodeId::new(0));
@@ -686,13 +679,13 @@ mod tests {
             view,
             DetRng::seed_from_u64(1),
         );
-        assert!(GossipProtocol::membership_view(&n).contains(&NodeId::new(2)));
-        GossipProtocol::evict_peer(&mut n, NodeId::new(2));
-        assert!(!GossipProtocol::membership_view(&n).contains(&NodeId::new(2)));
+        assert!(n.membership_view().contains(&NodeId::new(2)));
+        n.evict_peer(NodeId::new(2));
+        assert!(!n.membership_view().contains(&NodeId::new(2)));
         // Full views are static: eviction is a no-op there.
         let mut full = default_node(0);
-        GossipProtocol::evict_peer(&mut full, NodeId::new(2));
-        assert!(GossipProtocol::membership_view(&full).contains(&NodeId::new(2)));
+        full.evict_peer(NodeId::new(2));
+        assert!(full.membership_view().contains(&NodeId::new(2)));
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! The protocol abstraction shared by the baseline and adaptive nodes.
+//! The protocol abstraction shared by every gossip flavor.
 //!
-//! Both [`LpbcastNode`](crate::LpbcastNode) and
-//! [`AdaptiveNode`](crate::AdaptiveNode) are *sans-IO state machines*: they
-//! never touch sockets or clocks, they only transform
-//! `(now, input) -> outgoing messages + protocol events`. The simulator and
-//! the threaded runtime both drive them through this trait, which is how the
-//! reproduction keeps the paper's "simulation predicts the implementation"
-//! property.
+//! [`LpbcastNode`](crate::LpbcastNode), [`AdaptiveNode`](crate::AdaptiveNode)
+//! and the flavors in other crates are *sans-IO state machines*: they never
+//! touch sockets or clocks, they only transform
+//! `(now, input) -> outgoing frames + protocol events`. The simulator, the
+//! threaded runtime and the Maelstrom adapter all drive them through
+//! [`FrameProtocol`], which is how the reproduction keeps the paper's
+//! "simulation predicts the implementation" property.
 
 use agb_types::{DurationMs, EventId, NodeId, Payload, TimeMs};
 
 use crate::buffer::PurgeReason;
 use crate::event::Event;
-use crate::header::{GossipFrame, GossipMessage};
+use crate::header::GossipFrame;
 use crate::rate::RateChangeReason;
 
 /// Result of offering a message to the broadcast primitive.
@@ -143,17 +143,26 @@ pub enum ProtocolEvent {
     },
 }
 
-/// A gossip broadcast protocol node as a pure state machine.
+/// A gossip broadcast protocol node as a pure, frame-level state machine.
+///
+/// Every flavor implements this one trait: [`LpbcastNode`](crate::LpbcastNode),
+/// [`AdaptiveNode`](crate::AdaptiveNode), agb-topology's `RoutingNode` and
+/// agb-recovery's `RecoverableNode`. A node exchanges only
+/// [`GossipFrame`]s. Plain flavors emit [`GossipFrame::plain`] gossip,
+/// act on gossip frames, and answer recovery frames (`Graft`,
+/// `Retransmit`) with nothing; the recovery wrapper adds the pull plane.
 ///
 /// The driving harness must:
-/// 1. call [`on_round`](GossipProtocol::on_round) every
-///    [`gossip_period`](GossipProtocol::gossip_period) and transmit the
-///    returned messages;
-/// 2. call [`on_receive`](GossipProtocol::on_receive) for every message
-///    received from the network;
-/// 3. periodically [`drain_events`](GossipProtocol::drain_events) and hand
-///    them to the application/metrics.
-pub trait GossipProtocol {
+/// 1. call [`on_round`](FrameProtocol::on_round) every
+///    [`gossip_period`](FrameProtocol::gossip_period) and transmit the
+///    returned frames;
+/// 2. call [`on_receive`](FrameProtocol::on_receive) for every frame
+///    received from the network and transmit the returned replies (pull
+///    requests and retransmissions are request/response traffic, not
+///    periodic gossip);
+/// 3. periodically [`drain_events_into`](FrameProtocol::drain_events_into)
+///    and hand the events to the application/metrics.
+pub trait FrameProtocol {
     /// This node's identity.
     fn node_id(&self) -> NodeId;
 
@@ -162,21 +171,30 @@ pub trait GossipProtocol {
     fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome;
 
     /// Runs one gossip round: ages, garbage collection, throttle
-    /// bookkeeping, adaptation, and emission of gossip messages.
-    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)>;
+    /// bookkeeping, adaptation, and emission of gossip frames (plus any
+    /// due recovery retries).
+    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)>;
 
-    /// Ingests one gossip message from the network.
-    fn on_receive(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs);
+    /// Ingests one frame; returns immediate reply frames (empty for plain
+    /// protocols).
+    fn on_receive(
+        &mut self,
+        from: NodeId,
+        frame: GossipFrame,
+        now: TimeMs,
+    ) -> Vec<(NodeId, GossipFrame)>;
+
+    /// Drains the protocol events accumulated since the last drain into a
+    /// reusable buffer (the harness hot path: one scratch vector instead
+    /// of an allocation per handler invocation). Appends without clearing
+    /// `out`.
+    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>);
 
     /// Takes the protocol events accumulated since the last drain.
-    fn drain_events(&mut self) -> Vec<ProtocolEvent>;
-
-    /// Drains accumulated protocol events into a reusable buffer (the
-    /// harness hot path: one scratch vector instead of an allocation per
-    /// handler invocation). Appends without clearing `out`.
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
-        let mut events = self.drain_events();
-        out.append(&mut events);
+    fn drain_events(&mut self) -> Vec<ProtocolEvent> {
+        let mut events = Vec::new();
+        self.drain_events_into(&mut events);
+        events
     }
 
     /// Resizes the event buffer at runtime (the Figure 9 experiment).
@@ -188,7 +206,7 @@ pub trait GossipProtocol {
     /// Current event-buffer occupancy.
     fn buffer_len(&self) -> usize;
 
-    /// The current allowed sending rate in msgs/s: `Some` for adaptive
+    /// The current allowed sending rate in msgs/s: `Some` for throttled
     /// nodes, `None` for the unthrottled baseline.
     fn allowed_rate(&self) -> Option<f64>;
 
@@ -219,12 +237,12 @@ pub trait GossipProtocol {
         Vec::new()
     }
 
-    /// Gracefully leaves the group: returns farewell messages that flush
+    /// Gracefully leaves the group: returns farewell frames that flush
     /// the node's buffered events and carry its own unsubscription, so
     /// partial views across the group drop it through normal digest
     /// propagation (lpbcast's unsubscribe path). The harness must transmit
-    /// the messages and then stop driving the node.
-    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+    /// the frames and then stop driving the node.
+    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         let _ = now;
         Vec::new()
     }
@@ -242,200 +260,6 @@ pub trait GossipProtocol {
     /// reports nothing.
     fn mem_breakdown(&self) -> Vec<(&'static str, agb_profile::MemUsage)> {
         Vec::new()
-    }
-}
-
-/// A gossip node driven at the *frame* level: regular gossip messages plus
-/// the recovery layer's pull frames ([`GossipFrame`]).
-///
-/// This is the interface the harnesses (simulator cluster, threaded
-/// runtime) actually drive. Every [`GossipProtocol`] is a `FrameProtocol`
-/// through the blanket impl below (recovery frames are ignored, outgoing
-/// messages carry no digest); `agb-recovery`'s `RecoverableNode` wraps any
-/// `GossipProtocol` and implements this trait with the full pull-based
-/// anti-entropy behavior.
-///
-/// Unlike [`GossipProtocol::on_receive`],
-/// [`on_receive`](FrameProtocol::on_receive) may return immediate reply
-/// frames: pull requests and retransmissions are request/response traffic,
-/// not periodic gossip.
-pub trait FrameProtocol {
-    /// This node's identity.
-    fn node_id(&self) -> NodeId;
-
-    /// Offers an application message for broadcast.
-    fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome;
-
-    /// Runs one gossip round, emitting data frames (and any due recovery
-    /// retries).
-    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)>;
-
-    /// Ingests one frame; returns immediate reply frames (empty for plain
-    /// protocols).
-    fn on_receive(
-        &mut self,
-        from: NodeId,
-        frame: GossipFrame,
-        now: TimeMs,
-    ) -> Vec<(NodeId, GossipFrame)>;
-
-    /// Takes the protocol events accumulated since the last drain.
-    fn drain_events(&mut self) -> Vec<ProtocolEvent>;
-
-    /// Drains accumulated protocol events into a reusable buffer;
-    /// appends without clearing `out`.
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
-        let mut events = self.drain_events();
-        out.append(&mut events);
-    }
-
-    /// Resizes the event buffer at runtime.
-    fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs);
-
-    /// Current event-buffer capacity.
-    fn buffer_capacity(&self) -> usize;
-
-    /// Current event-buffer occupancy.
-    fn buffer_len(&self) -> usize;
-
-    /// The current allowed sending rate in msgs/s, if throttled.
-    fn allowed_rate(&self) -> Option<f64>;
-
-    /// Messages waiting behind the throttle.
-    fn pending_len(&self) -> usize;
-
-    /// The configured gossip period `T`.
-    fn gossip_period(&self) -> DurationMs;
-
-    /// The current congestion signal `avgAge` (adaptive nodes only).
-    fn avg_age(&self) -> Option<f64> {
-        None
-    }
-
-    /// The current smoothed token level `avgTokens` (adaptive nodes only).
-    fn avg_tokens(&self) -> Option<f64> {
-        None
-    }
-
-    /// The current group-minimum-buffer estimate (adaptive nodes only).
-    fn min_buff_estimate(&self) -> Option<u32> {
-        None
-    }
-
-    /// Snapshot of the node's current membership view.
-    fn membership_view(&self) -> Vec<NodeId> {
-        Vec::new()
-    }
-
-    /// Gracefully leaves the group (see [`GossipProtocol::leave`]); the
-    /// returned frames must be transmitted before the node stops.
-    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
-        let _ = now;
-        Vec::new()
-    }
-
-    /// Evicts a peer believed dead from the membership view.
-    fn evict_peer(&mut self, node: NodeId) {
-        let _ = node;
-    }
-
-    /// Estimated resident memory per subsystem (see
-    /// [`GossipProtocol::mem_breakdown`]).
-    fn mem_breakdown(&self) -> Vec<(&'static str, agb_profile::MemUsage)> {
-        Vec::new()
-    }
-}
-
-impl<P: GossipProtocol> FrameProtocol for P {
-    fn node_id(&self) -> NodeId {
-        GossipProtocol::node_id(self)
-    }
-
-    fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
-        GossipProtocol::offer(self, payload, now)
-    }
-
-    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
-        GossipProtocol::on_round(self, now)
-            .into_iter()
-            .map(|(to, msg)| (to, GossipFrame::plain(msg)))
-            .collect()
-    }
-
-    fn on_receive(
-        &mut self,
-        from: NodeId,
-        frame: GossipFrame,
-        now: TimeMs,
-    ) -> Vec<(NodeId, GossipFrame)> {
-        if let GossipFrame::Gossip { msg, .. } = frame {
-            GossipProtocol::on_receive(self, from, msg, now);
-        }
-        // Plain protocols ignore recovery control frames.
-        Vec::new()
-    }
-
-    fn drain_events(&mut self) -> Vec<ProtocolEvent> {
-        GossipProtocol::drain_events(self)
-    }
-
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
-        GossipProtocol::drain_events_into(self, out);
-    }
-
-    fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {
-        GossipProtocol::set_buffer_capacity(self, capacity, now);
-    }
-
-    fn buffer_capacity(&self) -> usize {
-        GossipProtocol::buffer_capacity(self)
-    }
-
-    fn buffer_len(&self) -> usize {
-        GossipProtocol::buffer_len(self)
-    }
-
-    fn allowed_rate(&self) -> Option<f64> {
-        GossipProtocol::allowed_rate(self)
-    }
-
-    fn pending_len(&self) -> usize {
-        GossipProtocol::pending_len(self)
-    }
-
-    fn gossip_period(&self) -> DurationMs {
-        GossipProtocol::gossip_period(self)
-    }
-
-    fn avg_age(&self) -> Option<f64> {
-        GossipProtocol::avg_age(self)
-    }
-
-    fn avg_tokens(&self) -> Option<f64> {
-        GossipProtocol::avg_tokens(self)
-    }
-
-    fn min_buff_estimate(&self) -> Option<u32> {
-        GossipProtocol::min_buff_estimate(self)
-    }
-
-    fn membership_view(&self) -> Vec<NodeId> {
-        GossipProtocol::membership_view(self)
-    }
-
-    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
-        GossipProtocol::leave(self, now)
-            .into_iter()
-            .map(|(to, msg)| (to, GossipFrame::plain(msg)))
-            .collect()
-    }
-
-    fn evict_peer(&mut self, node: NodeId) {
-        GossipProtocol::evict_peer(self, node);
-    }
-
-    fn mem_breakdown(&self) -> Vec<(&'static str, agb_profile::MemUsage)> {
-        GossipProtocol::mem_breakdown(self)
     }
 }
 

@@ -8,11 +8,11 @@
 //! layer, in the spirit of deterministic pull gossip (Haeupler 2012) and
 //! tunable push/pull trade-offs (De Florio & Blondia 2015):
 //!
-//! * [`RecoverableNode`] wraps **any** [`GossipProtocol`] node (baseline
-//!   `LpbcastNode` or `AdaptiveNode`) and implements
-//!   [`FrameProtocol`](agb_core::FrameProtocol), the frame-level driving
-//!   interface shared by the simulator and the threaded runtime;
-//! * outgoing gossip piggybacks compact `IHave` digests of recently-seen
+//! * [`RecoverableNode`] wraps **any** plain [`FrameProtocol`] node
+//!   (`LpbcastNode`, `AdaptiveNode` or agb-topology's `RoutingNode`) and
+//!   implements the same frame-level driving interface that the
+//!   simulator, the threaded runtime and the Maelstrom adapter share;
+//! * outgoing gossip frames piggyback compact `IHave` digests of recently-seen
 //!   event ids (reusing [`EventIdBuffer`](agb_core::EventIdBuffer));
 //! * receivers detect gaps, issue `Graft` pull requests to the
 //!   advertiser, and retry round-robin across advertisers with bounded
@@ -25,7 +25,7 @@
 //! `ProtocolEvent::Recovery*` events and aggregated by
 //! `agb_metrics::RecoveryStats`.
 //!
-//! [`GossipProtocol`]: agb_core::GossipProtocol
+//! [`FrameProtocol`]: agb_core::FrameProtocol
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

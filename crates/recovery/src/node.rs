@@ -1,11 +1,11 @@
-//! The recovery wrapper: any [`GossipProtocol`] node plus pull-based
+//! The recovery wrapper: any plain [`FrameProtocol`] node plus pull-based
 //! anti-entropy.
 
 use std::collections::VecDeque;
 
 use agb_core::{
-    Event, EventIdBuffer, FrameProtocol, GossipFrame, GossipMessage, GossipProtocol, GraftRequest,
-    IHaveDigest, OfferOutcome, ProtocolEvent, Retransmission,
+    Event, EventIdBuffer, FrameProtocol, GossipFrame, GossipMessage, GraftRequest, IHaveDigest,
+    OfferOutcome, ProtocolEvent, Retransmission,
 };
 use agb_membership::MembershipDigest;
 use agb_types::{DurationMs, EventId, NodeId, Payload, TimeMs};
@@ -16,10 +16,11 @@ use crate::missing::MissingTracker;
 
 /// A gossip node composed with the pull-based recovery layer.
 ///
-/// Wraps any [`GossipProtocol`] — `LpbcastNode` and `AdaptiveNode` alike —
-/// and implements [`FrameProtocol`]:
+/// Wraps any plain [`FrameProtocol`] — `LpbcastNode`, `AdaptiveNode` and
+/// `RoutingNode` alike, which answer recovery frames with nothing — and
+/// implements the same trait with the pull plane added:
 ///
-/// * every outgoing gossip message piggybacks an [`IHaveDigest`] drawn
+/// * every outgoing gossip frame piggybacks an [`IHaveDigest`] drawn
 ///   from a rotating window of recently-seen event ids (reusing
 ///   [`EventIdBuffer`] for the seen set);
 /// * incoming digests are checked against the seen set; fresh gaps are
@@ -77,7 +78,7 @@ pub struct RecoverableNode<P> {
     sync_scratch: Vec<ProtocolEvent>,
 }
 
-impl<P: GossipProtocol> RecoverableNode<P> {
+impl<P: FrameProtocol> RecoverableNode<P> {
     /// Wraps `inner` with the recovery layer.
     ///
     /// # Panics
@@ -268,6 +269,13 @@ impl<P: GossipProtocol> RecoverableNode<P> {
         vec![(request.sender, GossipFrame::Retransmit(reply))]
     }
 
+    /// Hands a gossip message to the wrapped node's receive path. A plain
+    /// flavor answers nothing: the pull plane is this layer's.
+    fn feed_inner(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) {
+        let replies = self.inner.on_receive(from, GossipFrame::plain(msg), now);
+        debug_assert!(replies.is_empty(), "the wrapped node must be plain");
+    }
+
     /// Ingests a retransmission: unseen events flow through the wrapped
     /// node's normal receive path (delivery, buffering, re-dissemination).
     fn absorb_retransmission(&mut self, from: NodeId, retransmission: Retransmission, now: TimeMs) {
@@ -297,7 +305,7 @@ impl<P: GossipProtocol> RecoverableNode<P> {
             events: fresh.into(),
             membership: MembershipDigest::default(),
         };
-        self.inner.on_receive(from, synthesized, now);
+        self.feed_inner(from, synthesized, now);
         let mut delivered = Vec::new();
         self.sync_collect_delivered(Some(&mut delivered));
         // A tracked gap counts as recovered only if the inner node actually
@@ -321,7 +329,7 @@ impl<P: GossipProtocol> RecoverableNode<P> {
     }
 }
 
-impl<P: GossipProtocol> FrameProtocol for RecoverableNode<P> {
+impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
     fn node_id(&self) -> NodeId {
         self.inner.node_id()
     }
@@ -339,21 +347,14 @@ impl<P: GossipProtocol> FrameProtocol for RecoverableNode<P> {
         self.cache.on_round();
         self.prune_window();
 
-        let msgs = self.inner.on_round(now);
+        let mut out = self.inner.on_round(now);
         self.sync();
         let digest = self.digest();
-        let mut out: Vec<(NodeId, GossipFrame)> = msgs
-            .into_iter()
-            .map(|(to, msg)| {
-                (
-                    to,
-                    GossipFrame::Gossip {
-                        msg,
-                        ihave: Some(digest.clone()),
-                    },
-                )
-            })
-            .collect();
+        for (_, frame) in &mut out {
+            if let GossipFrame::Gossip { ihave, .. } = frame {
+                *ihave = Some(digest.clone());
+            }
+        }
         out.extend(self.poll_grafts(now));
         out
     }
@@ -366,7 +367,7 @@ impl<P: GossipProtocol> FrameProtocol for RecoverableNode<P> {
     ) -> Vec<(NodeId, GossipFrame)> {
         match frame {
             GossipFrame::Gossip { msg, ihave } => {
-                self.inner.on_receive(from, msg, now);
+                self.feed_inner(from, msg, now);
                 self.sync();
                 if let Some(digest) = ihave {
                     for id in digest.ids {
@@ -385,11 +386,6 @@ impl<P: GossipProtocol> FrameProtocol for RecoverableNode<P> {
                 Vec::new()
             }
         }
-    }
-
-    fn drain_events(&mut self) -> Vec<ProtocolEvent> {
-        self.sync();
-        std::mem::take(&mut self.out_events)
     }
 
     fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
@@ -423,38 +419,36 @@ impl<P: GossipProtocol> FrameProtocol for RecoverableNode<P> {
     }
 
     fn avg_age(&self) -> Option<f64> {
-        GossipProtocol::avg_age(&self.inner)
+        self.inner.avg_age()
     }
 
     fn avg_tokens(&self) -> Option<f64> {
-        GossipProtocol::avg_tokens(&self.inner)
+        self.inner.avg_tokens()
     }
 
     fn min_buff_estimate(&self) -> Option<u32> {
-        GossipProtocol::min_buff_estimate(&self.inner)
+        self.inner.min_buff_estimate()
     }
 
     fn membership_view(&self) -> Vec<NodeId> {
-        GossipProtocol::membership_view(&self.inner)
+        self.inner.membership_view()
     }
 
     fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
-        let msgs = GossipProtocol::leave(&mut self.inner, now);
+        // Farewell frames pass through without a digest: the leaver will
+        // not be around to serve grafts.
+        let farewells = self.inner.leave(now);
         self.sync();
-        // Farewell frames advertise nothing: the leaver will not be around
-        // to serve grafts.
-        msgs.into_iter()
-            .map(|(to, msg)| (to, GossipFrame::plain(msg)))
-            .collect()
+        farewells
     }
 
     fn evict_peer(&mut self, node: NodeId) {
-        GossipProtocol::evict_peer(&mut self.inner, node);
+        self.inner.evict_peer(node);
     }
 
     fn mem_breakdown(&self) -> Vec<(&'static str, agb_profile::MemUsage)> {
         use agb_profile::{MemReport, MemUsage};
-        let mut rows = GossipProtocol::mem_breakdown(&self.inner);
+        let mut rows = self.inner.mem_breakdown();
         rows.push(("retransmission_cache", self.cache.mem_usage()));
         rows.push(("missing_tracker", self.missing.mem_usage()));
         rows.push(("recovery_seen_ids", self.seen.mem_usage()));
@@ -472,7 +466,7 @@ impl<P: GossipProtocol> FrameProtocol for RecoverableNode<P> {
 /// Boxes a protocol node for frame-level driving, wrapping it in the
 /// recovery layer when configured — the one place the sim cluster and the
 /// threaded runtime share for recovery wiring.
-pub fn boxed_frame_protocol<P: GossipProtocol + Send + 'static>(
+pub fn boxed_frame_protocol<P: FrameProtocol + Send + 'static>(
     node: P,
     recovery: Option<RecoveryConfig>,
 ) -> Box<dyn FrameProtocol + Send> {

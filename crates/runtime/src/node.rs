@@ -345,12 +345,6 @@ fn send_raw<T: Transport>(
     }
 }
 
-/// An empty gossip frame used as an explicit heartbeat (see
-/// [`GossipFrame::heartbeat`]).
-fn heartbeat_frame(sender: NodeId) -> GossipFrame {
-    GossipFrame::heartbeat(sender)
-}
-
 /// Spawns the node's event loop on a dedicated OS thread.
 ///
 /// The loop multiplexes: datagram reception (bounded waits), the periodic
@@ -618,7 +612,7 @@ fn node_loop<T: Transport>(
                         runtime.telemetry.on_heartbeat();
                         egress.enqueue(
                             hb,
-                            heartbeat_frame(id),
+                            GossipFrame::heartbeat(id),
                             at,
                             &mut runtime.probe,
                             &runtime.telemetry,

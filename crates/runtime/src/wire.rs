@@ -1,9 +1,12 @@
-//! Binary wire codec for gossip messages.
+//! Binary wire codec for gossip frames.
 //!
-//! A small hand-rolled format (little-endian, length-prefixed) — the
-//! messages have a dozen fields, which does not justify pulling a
-//! serialization framework. The format is versioned with a magic byte so
-//! incompatible peers fail loudly instead of mis-decoding.
+//! A small hand-rolled format (little-endian, length-prefixed) — frames
+//! have a dozen fields, which does not justify pulling a serialization
+//! framework. Every datagram is one sealed [`GossipFrame`]: a magic byte,
+//! a tag, the tag's body and a checksum trailer. A gossip frame's body
+//! embeds the gossip message, which opens with its own magic byte. Both
+//! bytes version the format, so incompatible peers fail loudly instead of
+//! mis-decoding.
 
 use agb_core::{
     BuffAd, Event, GossipFrame, GossipMessage, GraftRequest, IHaveDigest, Retransmission,
@@ -12,11 +15,12 @@ use agb_membership::{MembershipDigest, Unsubscription};
 use agb_types::{EventId, NodeId, Payload};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Codec version magic; bump on format changes.
+/// Magic byte opening the gossip message inside a gossip frame; bump on
+/// format changes.
 const MAGIC: u8 = 0xA7;
 
-/// Frame-codec magic (recovery-capable framing); distinct from [`MAGIC`]
-/// so plain-message peers fail loudly instead of mis-decoding.
+/// Frame magic; distinct from [`MAGIC`] so a datagram holding a bare
+/// message body fails loudly instead of mis-decoding.
 const FRAME_MAGIC: u8 = 0xA8;
 
 /// Frame tag: gossip data message (optionally with piggybacked digest).
@@ -34,6 +38,15 @@ const TAG_RETRANSMIT: u8 = 2;
 /// corrupt frames are counted and dropped, never misdelivered.
 const CHECKSUM_LEN: usize = 4;
 
+/// Wire bytes of one event besides its payload: origin, sequence number,
+/// age and payload length.
+const EVENT_HEADER: usize = 4 + 8 + 4 + 4;
+
+/// Encoded length of one event.
+fn event_len(event: &Event) -> usize {
+    EVENT_HEADER + event.payload().len()
+}
+
 /// Checksum of a frame's pre-trailer bytes.
 fn frame_checksum(bytes: &[u8]) -> u32 {
     agb_types::fnv1a(bytes) as u32
@@ -43,6 +56,14 @@ fn frame_checksum(bytes: &[u8]) -> u32 {
 fn seal_frame(buf: &mut BytesMut) {
     let sum = frame_checksum(buf);
     buf.put_u32_le(sum);
+}
+
+/// One datagram: the frame `write` puts into a fresh buffer, sealed.
+fn sealed(capacity: usize, write: impl FnOnce(&mut BytesMut)) -> Bytes {
+    let mut buf = BytesMut::with_capacity(capacity);
+    write(&mut buf);
+    seal_frame(&mut buf);
+    buf.freeze()
 }
 
 /// Decoding failure.
@@ -72,41 +93,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Serializes a gossip message.
-///
-/// # Example
-///
-/// ```
-/// use agb_core::GossipMessage;
-/// use agb_runtime::wire::{decode, encode};
-/// use agb_types::NodeId;
-///
-/// let msg = GossipMessage {
-///     sender: NodeId::new(1),
-///     sample_period: 9,
-///     min_buffs: vec![],
-///     events: Default::default(),
-///     membership: Default::default(),
-/// };
-/// let bytes = encode(&msg);
-/// assert_eq!(decode(&bytes).unwrap(), msg);
-/// ```
-pub fn encode(msg: &GossipMessage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + msg.wire_size());
-    encode_to(msg, &mut buf);
-    buf.freeze()
-}
-
-/// Serializes a gossip message by appending to a reusable buffer
-/// (byte-identical to [`encode`], without the per-call allocation).
-///
-/// Pair with [`agb_types::BytePool`] to amortise encode buffers across
-/// frames; see [`FrameEncoder`] for the pooled front-end.
-pub fn encode_into(msg: &GossipMessage, out: &mut Vec<u8>) {
-    encode_to(msg, out);
-}
-
-fn encode_to<B: BufMut>(msg: &GossipMessage, buf: &mut B) {
+/// Writes a gossip message body carrying `events` (the message's own
+/// list, or one fragment of it).
+fn put_message<B: BufMut>(buf: &mut B, msg: &GossipMessage, events: &[Event]) {
     buf.put_u8(MAGIC);
     buf.put_u32_le(msg.sender.as_u32());
     buf.put_u64_le(msg.sample_period);
@@ -124,7 +113,14 @@ fn encode_to<B: BufMut>(msg: &GossipMessage, buf: &mut B) {
         buf.put_u32_le(u.node.as_u32());
         buf.put_u32_le(u.ttl);
     }
-    put_events(buf, &msg.events);
+    put_events(buf, events);
+}
+
+/// Encoded length of `msg`'s body without its events.
+fn message_overhead(msg: &GossipMessage) -> usize {
+    let mut probe = Vec::new();
+    put_message(&mut probe, msg, &[]);
+    probe.len()
 }
 
 fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
@@ -135,31 +131,9 @@ fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
     }
 }
 
-/// Deserializes a gossip message.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on truncated input, bad magic byte, or
-/// implausible lengths.
-pub fn decode(bytes: &[u8]) -> Result<GossipMessage, WireError> {
-    decode_with(bytes, &mut None)
-}
-
-/// Deserializes a gossip message, interning event payloads through the
-/// given [`agb_types::PayloadInterner`] so repeated identical payloads
-/// share one allocation (value-identical to [`decode`]).
-///
-/// # Errors
-///
-/// Same failure modes as [`decode`].
-pub fn decode_interned(
-    bytes: &[u8],
-    interner: &mut agb_types::PayloadInterner,
-) -> Result<GossipMessage, WireError> {
-    decode_with(bytes, &mut Some(interner))
-}
-
-fn decode_with(
+/// Reads a gossip message body, interning event payloads when an
+/// interner is given.
+fn get_message(
     bytes: &[u8],
     interner: &mut Option<&mut agb_types::PayloadInterner>,
 ) -> Result<GossipMessage, WireError> {
@@ -256,13 +230,13 @@ fn get_events_with(
 ) -> Result<Vec<Event>, WireError> {
     need(buf, 4)?;
     let n_events = buf.get_u32_le() as usize;
-    // Each event needs at least 20 bytes: reject absurd counts early.
-    if n_events > buf.remaining() / 20 + 1 {
+    // Each event needs at least its header: reject absurd counts early.
+    if n_events > buf.remaining() / EVENT_HEADER + 1 {
         return Err(WireError::BadLength);
     }
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
-        need(buf, 4 + 8 + 4 + 4)?;
+        need(buf, EVENT_HEADER)?;
         let origin = NodeId::new(buf.get_u32_le());
         let seq = buf.get_u64_le();
         let age = buf.get_u32_le();
@@ -280,9 +254,9 @@ fn get_events_with(
 
 /// Serializes a recovery-capable frame ([`GossipFrame`]).
 ///
-/// Gossip frames embed the [`encode`]d message body unchanged, prefixed by
-/// the optional piggybacked digest; graft and retransmission frames are
-/// the recovery layer's pull traffic.
+/// A gossip frame carries the optional piggybacked digest, then the gossip
+/// message body; graft and retransmission frames are the recovery layer's
+/// pull traffic.
 ///
 /// # Example
 ///
@@ -298,10 +272,9 @@ fn get_events_with(
 /// assert_eq!(decode_frame(&encode_frame(&frame)).unwrap(), frame);
 /// ```
 pub fn encode_frame(frame: &GossipFrame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + CHECKSUM_LEN + frame.wire_size());
-    encode_frame_to(frame, &mut buf);
-    seal_frame(&mut buf);
-    buf.freeze()
+    sealed(8 + CHECKSUM_LEN + frame.wire_size(), |buf| {
+        encode_frame_to(frame, buf)
+    })
 }
 
 /// Serializes a recovery-capable frame by appending to a reusable buffer
@@ -314,30 +287,49 @@ pub fn encode_frame_into(frame: &GossipFrame, out: &mut Vec<u8>) {
 }
 
 fn encode_frame_to<B: BufMut>(frame: &GossipFrame, buf: &mut B) {
-    buf.put_u8(FRAME_MAGIC);
     match frame {
         GossipFrame::Gossip { msg, ihave } => {
-            buf.put_u8(TAG_GOSSIP);
-            match ihave {
-                Some(digest) => {
-                    buf.put_u8(1);
-                    put_event_ids(buf, &digest.ids);
-                }
-                None => buf.put_u8(0),
-            }
-            encode_to(msg, buf);
+            let digest = ihave.as_ref().map(|d| d.ids.as_slice());
+            put_gossip(buf, msg, &msg.events, digest);
         }
         GossipFrame::Graft(graft) => {
+            buf.put_u8(FRAME_MAGIC);
             buf.put_u8(TAG_GRAFT);
             buf.put_u32_le(graft.sender.as_u32());
             put_event_ids(buf, &graft.ids);
         }
         GossipFrame::Retransmit(retransmission) => {
-            buf.put_u8(TAG_RETRANSMIT);
-            buf.put_u32_le(retransmission.sender.as_u32());
-            put_events(buf, &retransmission.events);
+            put_retransmit(buf, retransmission.sender, &retransmission.events);
         }
     }
+}
+
+/// Writes an unsealed gossip frame whose message carries `events`, with
+/// `digest` piggybacked when given.
+fn put_gossip<B: BufMut>(
+    buf: &mut B,
+    msg: &GossipMessage,
+    events: &[Event],
+    digest: Option<&[EventId]>,
+) {
+    buf.put_u8(FRAME_MAGIC);
+    buf.put_u8(TAG_GOSSIP);
+    match digest {
+        Some(ids) => {
+            buf.put_u8(1);
+            put_event_ids(buf, ids);
+        }
+        None => buf.put_u8(0),
+    }
+    put_message(buf, msg, events);
+}
+
+/// Writes an unsealed retransmission frame carrying `events`.
+fn put_retransmit<B: BufMut>(buf: &mut B, sender: NodeId, events: &[Event]) {
+    buf.put_u8(FRAME_MAGIC);
+    buf.put_u8(TAG_RETRANSMIT);
+    buf.put_u32_le(sender.as_u32());
+    put_events(buf, events);
 }
 
 /// A pooled frame encoder: encodes every frame into a recycled scratch
@@ -390,24 +382,12 @@ impl FrameEncoder {
         bytes
     }
 
-    /// Encodes a plain message through the pool; byte-identical to
-    /// [`encode`].
-    pub fn encode_message(&mut self, msg: &GossipMessage) -> Bytes {
-        let mut buf = self.pool.take();
-        encode_to(msg, &mut buf);
-        let bytes = Bytes::copy_from_slice(&buf);
-        self.pool.put(buf);
-        bytes
-    }
-
     /// Splits a frame into datagrams like [`split_frame_for_datagram`],
     /// encoding through the pool.
     ///
     /// The common case — the frame fits in one datagram — takes a pooled
     /// fast path with zero buffer churn. Oversized frames fall back to
-    /// the legacy splitter; fragment boundaries can then differ from the
-    /// fast path (never from the legacy function), but the decoded
-    /// content and the `max_bytes` bound are identical either way.
+    /// [`split_frame_for_datagram`].
     pub fn split_for_datagram(&mut self, frame: &GossipFrame, max_bytes: usize) -> Vec<Bytes> {
         // wire_size() is an approximation, so it only gates the trial
         // encode when the frame is clearly oversized — never the
@@ -436,8 +416,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<GossipFrame, WireError> {
     decode_frame_with(bytes, &mut None)
 }
 
-/// Deserializes a recovery-capable frame, interning event payloads (see
-/// [`decode_interned`]; value-identical to [`decode_frame`]).
+/// Deserializes a recovery-capable frame, interning event payloads
+/// through the given [`agb_types::PayloadInterner`] so repeated identical
+/// payloads share one allocation (value-identical to [`decode_frame`]).
 ///
 /// # Errors
 ///
@@ -480,7 +461,7 @@ fn decode_frame_with(
                 }),
                 other => return Err(WireError::BadMagic(other)),
             };
-            let msg = decode_with(buf, interner)?;
+            let msg = get_message(buf, interner)?;
             Ok(GossipFrame::Gossip { msg, ihave })
         }
         TAG_GRAFT => {
@@ -503,8 +484,17 @@ fn decode_frame_with(
 /// digest flag + checksum trailer.
 const GOSSIP_FRAME_OVERHEAD: usize = 3 + CHECKSUM_LEN;
 
+/// Retransmission frame bytes besides its events: magic + tag + sender +
+/// event count + checksum trailer.
+const RETRANSMIT_FRAME_OVERHEAD: usize = 2 + 4 + 4 + CHECKSUM_LEN;
+
 /// Splits a frame into datagrams no larger than `max_bytes` where
-/// possible, partitioning event lists ([`split_for_datagram`] semantics).
+/// possible, partitioning event lists. Every gossip fragment repeats the
+/// message header and membership digest — semantically safe, since
+/// duplicate suppression and min-merging are idempotent. Fragments always
+/// carry at least one event, so a single oversized event still goes out
+/// alone.
+///
 /// The piggybacked digest travels with the first gossip fragment only —
 /// its size is reserved out of that budget, so fragments respect
 /// `max_bytes` even with large digests (an oversized digest falls back to
@@ -522,22 +512,16 @@ pub fn split_frame_for_datagram(frame: &GossipFrame, max_bytes: usize) -> Vec<By
             } else {
                 GOSSIP_FRAME_OVERHEAD
             };
-            let fragments = split_for_datagram(msg, max_bytes.saturating_sub(reserve));
-            let mut out = Vec::with_capacity(fragments.len() + 1);
-            for (i, fragment) in fragments.iter().enumerate() {
-                let mut buf = BytesMut::with_capacity(8 + reserve + fragment.len());
-                buf.put_u8(FRAME_MAGIC);
-                buf.put_u8(TAG_GOSSIP);
-                match ihave {
-                    Some(digest) if piggyback && i == 0 => {
-                        buf.put_u8(1);
-                        put_event_ids(&mut buf, &digest.ids);
-                    }
-                    _ => buf.put_u8(0),
-                }
-                buf.put_slice(fragment);
-                seal_frame(&mut buf);
-                out.push(buf.freeze());
+            let overhead = message_overhead(msg);
+            let chunks = chunk_events(&msg.events, overhead, max_bytes.saturating_sub(reserve));
+            let mut out = Vec::with_capacity(chunks.len() + 1);
+            for (i, events) in chunks.into_iter().enumerate() {
+                let digest = match ihave {
+                    Some(digest) if piggyback && i == 0 => Some(digest.ids.as_slice()),
+                    _ => None,
+                };
+                let size = reserve + overhead + events.iter().map(event_len).sum::<usize>();
+                out.push(sealed(size, |buf| put_gossip(buf, msg, events, digest)));
             }
             if let (Some(digest), false) = (ihave, piggyback) {
                 if !digest.ids.is_empty() {
@@ -548,35 +532,37 @@ pub fn split_frame_for_datagram(frame: &GossipFrame, max_bytes: usize) -> Vec<By
         }
         GossipFrame::Graft(_) => vec![encode_frame(frame)],
         GossipFrame::Retransmit(retransmission) => {
-            let encoded = encode_frame(frame);
-            if encoded.len() <= max_bytes || retransmission.events.len() <= 1 {
-                return vec![encoded];
-            }
-            let overhead = 2 + 4 + 4 + CHECKSUM_LEN;
-            let mut out = Vec::new();
-            let mut chunk: Vec<Event> = Vec::new();
-            let mut used = overhead;
-            for event in &retransmission.events {
-                let cost = 20 + event.payload().len();
-                if !chunk.is_empty() && used + cost > max_bytes {
-                    out.push(encode_frame(&GossipFrame::Retransmit(Retransmission {
-                        sender: retransmission.sender,
-                        events: std::mem::take(&mut chunk),
-                    })));
-                    used = overhead;
-                }
-                chunk.push(event.clone());
-                used += cost;
-            }
-            if !chunk.is_empty() {
-                out.push(encode_frame(&GossipFrame::Retransmit(Retransmission {
-                    sender: retransmission.sender,
-                    events: chunk,
-                })));
-            }
-            out
+            chunk_events(&retransmission.events, RETRANSMIT_FRAME_OVERHEAD, max_bytes)
+                .into_iter()
+                .map(|events| {
+                    let size =
+                        RETRANSMIT_FRAME_OVERHEAD + events.iter().map(event_len).sum::<usize>();
+                    sealed(size, |buf| {
+                        put_retransmit(buf, retransmission.sender, events)
+                    })
+                })
+                .collect()
         }
     }
+}
+
+/// Partitions `events` into consecutive runs whose encoding fits
+/// `max_bytes` after `overhead` bytes of envelope. Every run holds at least
+/// one event, so an oversized event goes out alone; an empty list is one
+/// empty run.
+fn chunk_events(events: &[Event], overhead: usize, max_bytes: usize) -> Vec<&[Event]> {
+    let mut chunks = Vec::new();
+    let (mut start, mut used) = (0, overhead);
+    for (i, event) in events.iter().enumerate() {
+        let cost = event_len(event);
+        if i > start && used + cost > max_bytes {
+            chunks.push(&events[start..i]);
+            (start, used) = (i, overhead);
+        }
+        used += cost;
+    }
+    chunks.push(&events[start..]);
+    chunks
 }
 
 /// Ships a digest too large to piggyback in dedicated event-less gossip
@@ -592,68 +578,17 @@ fn split_digest_frames(sender: NodeId, digest: &IHaveDigest, max_bytes: usize) -
         events: agb_core::EventList::new(),
         membership: MembershipDigest::default(),
     };
-    let encoded_header = encode(&header);
-    let base = GOSSIP_FRAME_OVERHEAD + encoded_header.len() + 2;
+    let base = GOSSIP_FRAME_OVERHEAD + message_overhead(&header) + 2;
     let per_chunk = (max_bytes.saturating_sub(base) / 12).max(1);
     digest
         .ids
         .chunks(per_chunk)
         .map(|ids| {
-            let mut buf = BytesMut::with_capacity(base + 12 * ids.len());
-            buf.put_u8(FRAME_MAGIC);
-            buf.put_u8(TAG_GOSSIP);
-            buf.put_u8(1);
-            put_event_ids(&mut buf, ids);
-            buf.put_slice(&encoded_header);
-            seal_frame(&mut buf);
-            buf.freeze()
+            sealed(base + 12 * ids.len(), |buf| {
+                put_gossip(buf, &header, &[], Some(ids))
+            })
         })
         .collect()
-}
-
-/// Splits a message into fragments no larger than `max_bytes` on the wire
-/// by partitioning its event list. Header and membership information is
-/// replicated in every fragment — semantically safe, since duplicate
-/// suppression and min-merging are idempotent.
-///
-/// Fragments always carry at least one event, so a single oversized event
-/// (payload near the datagram limit) still goes out alone.
-pub fn split_for_datagram(msg: &GossipMessage, max_bytes: usize) -> Vec<Bytes> {
-    let encoded = encode(msg);
-    if encoded.len() <= max_bytes || msg.events.len() <= 1 {
-        return vec![encoded];
-    }
-    let mut out = Vec::new();
-    let header = GossipMessage {
-        sender: msg.sender,
-        sample_period: msg.sample_period,
-        min_buffs: msg.min_buffs.clone(),
-        events: agb_core::EventList::new(),
-        membership: msg.membership.clone(),
-    };
-    let overhead = encode(&header).len();
-    let mut chunk_events: Vec<Event> = Vec::new();
-    let flush = |events: &mut Vec<Event>, out: &mut Vec<Bytes>| {
-        let chunk = GossipMessage {
-            events: std::mem::take(events).into(),
-            ..header.clone()
-        };
-        out.push(encode(&chunk));
-    };
-    let mut used = overhead;
-    for event in &msg.events {
-        let cost = 20 + event.payload().len();
-        if !chunk_events.is_empty() && used + cost > max_bytes {
-            flush(&mut chunk_events, &mut out);
-            used = overhead;
-        }
-        chunk_events.push(event.clone());
-        used += cost;
-    }
-    if !chunk_events.is_empty() {
-        flush(&mut chunk_events, &mut out);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -693,90 +628,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let msg = sample_msg();
-        let decoded = decode(&encode(&msg)).unwrap();
-        assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn roundtrip_empty_message() {
-        let msg = GossipMessage {
-            sender: NodeId::new(0),
-            sample_period: 0,
-            min_buffs: vec![],
-            events: Default::default(),
-            membership: MembershipDigest::default(),
-        };
-        assert_eq!(decode(&encode(&msg)).unwrap(), msg);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let mut bytes = encode(&sample_msg()).to_vec();
-        bytes[0] = 0x00;
-        assert_eq!(decode(&bytes), Err(WireError::BadMagic(0)));
-    }
-
-    #[test]
-    fn rejects_truncation_at_every_length() {
-        let bytes = encode(&sample_msg());
-        for cut in 0..bytes.len() {
-            let r = decode(&bytes[..cut]);
-            assert!(r.is_err(), "decoding a {cut}-byte prefix must fail");
-        }
-    }
-
-    #[test]
-    fn rejects_absurd_event_count() {
-        let msg = GossipMessage {
-            sender: NodeId::new(0),
-            sample_period: 0,
-            min_buffs: vec![],
-            events: Default::default(),
-            membership: MembershipDigest::default(),
-        };
-        let mut bytes = encode(&msg).to_vec();
-        // Patch the trailing event-count u32 to a huge value.
-        let n = bytes.len();
-        bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode(&bytes), Err(WireError::BadLength));
-    }
-
-    #[test]
-    fn split_respects_size_and_preserves_events() {
-        let mut msg = sample_msg();
-        msg.events = (0..100)
-            .map(|s| {
-                Event::with_age(
-                    EventId::new(NodeId::new(1), s),
-                    1,
-                    Payload::from_static(b"0123456789abcdef"),
-                )
-            })
-            .collect();
-        let frags = split_for_datagram(&msg, 512);
-        assert!(frags.len() > 1);
-        let mut recovered = Vec::new();
-        for f in &frags {
-            assert!(f.len() <= 512, "fragment of {} bytes", f.len());
-            let m = decode(f).unwrap();
-            assert_eq!(m.sender, msg.sender);
-            assert_eq!(m.sample_period, msg.sample_period);
-            assert_eq!(m.min_buffs, msg.min_buffs);
-            recovered.extend(m.events);
-        }
-        assert_eq!(recovered, msg.events);
-    }
-
-    #[test]
-    fn split_keeps_small_message_whole() {
-        let msg = sample_msg();
-        let frags = split_for_datagram(&msg, 64 * 1024);
-        assert_eq!(frags.len(), 1);
-    }
-
     fn sample_digest() -> IHaveDigest {
         IHaveDigest {
             ids: vec![
@@ -809,18 +660,38 @@ mod tests {
     }
 
     #[test]
-    fn frame_codec_rejects_plain_message_magic() {
-        let bytes = encode(&sample_msg());
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(WireError::BadMagic(MAGIC))
-        ));
-        // And vice versa: frames are not plain messages.
-        let frame_bytes = encode_frame(&GossipFrame::plain(sample_msg()));
-        assert!(matches!(
-            decode(&frame_bytes),
-            Err(WireError::BadMagic(FRAME_MAGIC))
-        ));
+    fn frame_codec_rejects_a_bare_message_body() {
+        // A datagram holding only a message body opens with the body's
+        // magic, not the frame's.
+        let mut body = Vec::new();
+        put_message(&mut body, &sample_msg(), &sample_msg().events);
+        assert_eq!(body[0], MAGIC);
+        assert_eq!(decode_frame(&body), Err(WireError::BadMagic(MAGIC)));
+    }
+
+    #[test]
+    fn sealed_frame_with_absurd_event_count_is_bad_length() {
+        // The count guard still protects gossip and retransmit frames
+        // whose checksum is intact.
+        let gossip = GossipFrame::plain(GossipMessage {
+            events: Default::default(),
+            ..sample_msg()
+        });
+        let retransmit = GossipFrame::Retransmit(Retransmission {
+            sender: NodeId::new(4),
+            events: vec![],
+        });
+        for frame in [gossip, retransmit] {
+            let mut bytes = encode_frame(&frame).to_vec();
+            // The event count is the last field before the trailer.
+            let count_at = bytes.len() - CHECKSUM_LEN - 4;
+            bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            bytes.truncate(count_at + 4);
+            let mut resealed = BytesMut::new();
+            resealed.put_slice(&bytes);
+            seal_frame(&mut resealed);
+            assert_eq!(decode_frame(&resealed), Err(WireError::BadLength));
+        }
     }
 
     #[test]

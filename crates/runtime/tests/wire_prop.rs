@@ -1,11 +1,14 @@
-//! Property-based tests of the wire codec: arbitrary messages round-trip,
+//! Property-based tests of the frame codec: arbitrary frames round-trip,
 //! arbitrary bytes never panic the decoder, fragmentation preserves
-//! content.
+//! content and respects the datagram bound.
 
-use agb_core::{BuffAd, Event, GossipMessage};
+use agb_core::{BuffAd, Event, GossipFrame, GossipMessage};
 use agb_membership::{MembershipDigest, Unsubscription};
-use agb_runtime::wire::{decode, encode, split_for_datagram};
+use agb_runtime::wire::{
+    decode_frame, decode_frame_interned, encode_frame, split_frame_for_datagram, FrameEncoder,
+};
 use agb_types::{EventId, NodeId, Payload};
+use bytes::Bytes;
 use proptest::prelude::*;
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -59,52 +62,8 @@ fn arb_message() -> impl Strategy<Value = GossipMessage> {
         )
 }
 
-proptest! {
-    #[test]
-    fn roundtrip_is_identity(msg in arb_message()) {
-        let decoded = decode(&encode(&msg)).expect("roundtrip");
-        prop_assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode(&bytes); // must return Err, not panic
-    }
-
-    #[test]
-    fn truncation_always_errors(msg in arb_message(), cut_frac in 0.0f64..1.0) {
-        let bytes = encode(&msg);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        if cut < bytes.len() {
-            prop_assert!(decode(&bytes[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn fragmentation_preserves_events(msg in arb_message(), max in 128usize..2048) {
-        let frags = split_for_datagram(&msg, max);
-        prop_assert!(!frags.is_empty());
-        let mut events = Vec::new();
-        for f in &frags {
-            let m = decode(f).expect("fragment decodes");
-            prop_assert_eq!(m.sender, msg.sender);
-            prop_assert_eq!(m.sample_period, msg.sample_period);
-            prop_assert_eq!(&m.min_buffs, &msg.min_buffs);
-            events.extend(m.events);
-        }
-        prop_assert_eq!(events, msg.events);
-        // Fragments respect the bound unless a single event exceeds it.
-        for f in &frags {
-            if f.len() > max {
-                let m = decode(f).expect("fragment decodes");
-                prop_assert_eq!(m.events.len(), 1, "only oversized singletons may exceed max");
-            }
-        }
-    }
-}
-
-fn arb_frame() -> impl Strategy<Value = agb_core::GossipFrame> {
-    use agb_core::{GossipFrame, GraftRequest, IHaveDigest, Retransmission};
+fn arb_frame() -> impl Strategy<Value = GossipFrame> {
+    use agb_core::{GraftRequest, IHaveDigest, Retransmission};
     (
         arb_message(),
         proptest::option::of(proptest::collection::vec((0u32..64, 0u64..10_000), 0..32)),
@@ -136,10 +95,35 @@ fn arb_frame() -> impl Strategy<Value = agb_core::GossipFrame> {
         })
 }
 
+/// The events a frame carries (none for a graft).
+fn frame_events(frame: &GossipFrame) -> Vec<Event> {
+    match frame {
+        GossipFrame::Gossip { msg, .. } => msg.events.as_slice().to_vec(),
+        GossipFrame::Retransmit(r) => r.events.clone(),
+        GossipFrame::Graft(_) => vec![],
+    }
+}
+
+/// Checks a frame's datagrams: together they carry the frame's events in
+/// order, and only a fragment holding at most one event (or a graft,
+/// which goes out whole) may exceed `max`.
+fn check_fragments(frame: &GossipFrame, frags: &[Bytes], max: usize) {
+    prop_assert!(!frags.is_empty());
+    let mut events = Vec::new();
+    for f in frags {
+        let decoded = decode_frame(f).expect("fragment decodes");
+        let carried = frame_events(&decoded);
+        if f.len() > max && !matches!(decoded, GossipFrame::Graft(_)) {
+            prop_assert!(carried.len() <= 1, "only singletons may exceed max");
+        }
+        events.extend(carried);
+    }
+    prop_assert_eq!(events, frame_events(frame));
+}
+
 proptest! {
     #[test]
     fn frame_roundtrip_is_identity(frame in arb_frame()) {
-        use agb_runtime::wire::{decode_frame, encode_frame};
         let decoded = decode_frame(&encode_frame(&frame)).expect("roundtrip");
         prop_assert_eq!(decoded, frame);
     }
@@ -148,51 +132,29 @@ proptest! {
     fn frame_decoder_never_panics_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let _ = agb_runtime::wire::decode_frame(&bytes); // must return Err, not panic
+        let _ = decode_frame(&bytes); // must return Err, not panic
     }
 
     #[test]
     fn frame_fragmentation_preserves_events(frame in arb_frame(), max in 128usize..2048) {
-        use agb_core::GossipFrame;
-        use agb_runtime::wire::{decode_frame, split_frame_for_datagram};
-        let frags = split_frame_for_datagram(&frame, max);
-        prop_assert!(!frags.is_empty());
-        let mut events = Vec::new();
-        for f in &frags {
-            match decode_frame(f).expect("fragment decodes") {
-                GossipFrame::Gossip { msg, .. } => events.extend(msg.events),
-                GossipFrame::Retransmit(r) => events.extend(r.events),
-                GossipFrame::Graft(_) => {}
-            }
-        }
-        let original: Vec<_> = match &frame {
-            GossipFrame::Gossip { msg, .. } => msg.events.as_slice().to_vec(),
-            GossipFrame::Retransmit(r) => r.events.clone(),
-            GossipFrame::Graft(_) => vec![],
-        };
-        prop_assert_eq!(events, original);
+        check_fragments(&frame, &split_frame_for_datagram(&frame, max), max);
     }
 }
 
 // The pooled/interned codec paths must be indistinguishable from the
-// legacy ones: pooled encoding byte-for-byte, interned decoding
+// plain ones: pooled encoding byte-for-byte, interned decoding
 // value-for-value, across arbitrary messages and frames.
 proptest! {
     #[test]
     fn pooled_encode_matches_legacy_byte_for_byte(
         msgs in proptest::collection::vec(arb_message(), 1..6),
     ) {
-        use agb_runtime::wire::FrameEncoder;
         let mut encoder = FrameEncoder::default();
         // Sequential reuse of the same pooled buffer must never leak
         // state between frames.
         for msg in &msgs {
-            prop_assert_eq!(encoder.encode_message(msg), encode(msg));
-            let frame = agb_core::GossipFrame::plain(msg.clone());
-            prop_assert_eq!(
-                encoder.encode(&frame),
-                agb_runtime::wire::encode_frame(&frame)
-            );
+            let frame = GossipFrame::plain(msg.clone());
+            prop_assert_eq!(encoder.encode(&frame), encode_frame(&frame));
         }
     }
 
@@ -200,7 +162,6 @@ proptest! {
     fn pooled_frame_encode_matches_legacy_byte_for_byte(
         frames in proptest::collection::vec(arb_frame(), 1..6),
     ) {
-        use agb_runtime::wire::{encode_frame, FrameEncoder};
         let mut encoder = FrameEncoder::default();
         for frame in &frames {
             prop_assert_eq!(encoder.encode(frame), encode_frame(frame));
@@ -208,48 +169,20 @@ proptest! {
     }
 
     #[test]
-    fn interned_decode_matches_legacy(msg in arb_message()) {
-        use agb_runtime::wire::decode_interned;
-        let bytes = encode(&msg);
-        let mut interner = agb_types::PayloadInterner::new(1024);
-        let interned = decode_interned(&bytes, &mut interner).expect("decodes");
-        let legacy = decode(&bytes).expect("decodes");
-        prop_assert_eq!(&interned, &legacy);
-        // Decoding the same bytes again serves payloads from the intern
-        // table and still matches.
-        let again = decode_interned(&bytes, &mut interner).expect("decodes");
-        prop_assert_eq!(again, legacy);
-    }
-
-    #[test]
     fn interned_frame_decode_matches_legacy(frame in arb_frame()) {
-        use agb_runtime::wire::{decode_frame, decode_frame_interned, encode_frame};
         let bytes = encode_frame(&frame);
         let mut interner = agb_types::PayloadInterner::new(1024);
         let interned = decode_frame_interned(&bytes, &mut interner).expect("decodes");
-        prop_assert_eq!(interned, decode_frame(&bytes).expect("decodes"));
+        prop_assert_eq!(&interned, &decode_frame(&bytes).expect("decodes"));
+        // Decoding the same bytes again serves payloads from the intern
+        // table and still matches.
+        let again = decode_frame_interned(&bytes, &mut interner).expect("decodes");
+        prop_assert_eq!(again, interned);
     }
 
     #[test]
     fn pooled_split_respects_bound_and_content(frame in arb_frame(), max in 128usize..2048) {
-        use agb_core::GossipFrame;
-        use agb_runtime::wire::{decode_frame, FrameEncoder};
         let mut encoder = FrameEncoder::default();
-        let frags = encoder.split_for_datagram(&frame, max);
-        prop_assert!(!frags.is_empty());
-        let mut events = Vec::new();
-        for f in &frags {
-            match decode_frame(f).expect("fragment decodes") {
-                GossipFrame::Gossip { msg, .. } => events.extend(msg.events),
-                GossipFrame::Retransmit(r) => events.extend(r.events),
-                GossipFrame::Graft(_) => {}
-            }
-        }
-        let original: Vec<_> = match &frame {
-            GossipFrame::Gossip { msg, .. } => msg.events.as_slice().to_vec(),
-            GossipFrame::Retransmit(r) => r.events.clone(),
-            GossipFrame::Graft(_) => vec![],
-        };
-        prop_assert_eq!(events, original);
+        check_fragments(&frame, &encoder.split_for_datagram(&frame, max), max);
     }
 }

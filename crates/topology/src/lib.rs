@@ -18,16 +18,17 @@
 //! * everyone else relays with probability
 //!   [`relay_probability`](RoutingConfig::relay_probability).
 //!
-//! The node is a plain [`GossipProtocol`](agb_core::GossipProtocol), so it
-//! composes with everything the other flavors do: locality-biased samplers
-//! from `agb-membership`, the pull-based recovery wrapper from
-//! `agb-recovery` (through the blanket `FrameProtocol` impl), the
-//! simulator, the trace probe, and the Maelstrom adapter.
+//! The node is a plain [`FrameProtocol`](agb_core::FrameProtocol): it
+//! emits plain gossip frames and answers recovery frames with nothing. So
+//! it composes with everything the other flavors do: locality-biased
+//! samplers from `agb-membership`, the pull-based recovery wrapper from
+//! `agb-recovery`, the simulator, the trace probe, and the Maelstrom
+//! adapter.
 //!
 //! # Example
 //!
 //! ```
-//! use agb_core::GossipProtocol;
+//! use agb_core::FrameProtocol;
 //! use agb_membership::{FullView, LocalitySampler};
 //! use agb_topology::{RoutingConfig, RoutingNode};
 //! use agb_types::topology::Topology;

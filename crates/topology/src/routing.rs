@@ -3,10 +3,10 @@
 use std::collections::VecDeque;
 
 use agb_core::{
-    Event, EventIdBuffer, EventList, GossipMessage, GossipProtocol, OfferOutcome, ProtocolEvent,
-    PurgeReason,
+    Event, EventIdBuffer, EventList, FrameProtocol, GossipFrame, GossipMessage, OfferOutcome,
+    ProtocolEvent, PurgeReason,
 };
-use agb_membership::GossipMembership;
+use agb_membership::{GossipMembership, MembershipDigest};
 use agb_types::{bernoulli, DetRng, DurationMs, EventId, NodeId, Payload, TimeMs};
 
 use crate::config::RoutingConfig;
@@ -190,9 +190,65 @@ impl<S: GossipMembership> RoutingNode<S> {
         }
     }
 
-    /// Runs the periodic part: age increments, emission, and retirement of
+    fn emit(&mut self) -> Vec<(NodeId, GossipFrame)> {
+        // One digest probes whether there is anything to say at all: a
+        // routing node with an empty relay buffer and no membership news
+        // stays silent — that silence is the flavor's whole overhead story.
+        let digest = self.membership.make_digest(&mut self.rng);
+        if self.relay.is_empty() && digest.is_empty() {
+            return Vec::new();
+        }
+        // The digest is shared across the F copies (unlike lpbcast's
+        // per-target draws): relay traffic is already rare enough that
+        // re-sampling buys nothing.
+        self.relay_to_sample(&digest)
+    }
+
+    /// Sends the relay buffer to `F` sampled peers, one gossip frame each,
+    /// all carrying `digest`.
+    fn relay_to_sample(&mut self, digest: &MembershipDigest) -> Vec<(NodeId, GossipFrame)> {
+        let targets = self
+            .membership
+            .sample(&mut self.rng, self.config.fanout, self.id);
+        if targets.is_empty() {
+            return Vec::new();
+        }
+        let events: EventList = self
+            .relay
+            .iter()
+            .map(|s| s.event.clone())
+            .collect::<Vec<_>>()
+            .into();
+        targets
+            .into_iter()
+            .map(|t| {
+                (
+                    t,
+                    GossipFrame::plain(GossipMessage {
+                        sender: self.id,
+                        sample_period: 0,
+                        min_buffs: Vec::new(),
+                        events: events.clone(),
+                        membership: digest.clone(),
+                    }),
+                )
+            })
+            .collect()
+    }
+}
+
+impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
+    fn node_id(&self) -> NodeId {
+        self.id
+    }
+
+    fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
+        OfferOutcome::Admitted(self.broadcast_now(payload, now))
+    }
+
+    /// The periodic part: age increments, emission, and retirement of
     /// rumors whose relay budget ran out.
-    pub fn run_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         self.round += 1;
         self.membership.on_round();
         for slot in &mut self.relay {
@@ -222,66 +278,16 @@ impl<S: GossipMembership> RoutingNode<S> {
         out
     }
 
-    fn emit(&mut self) -> Vec<(NodeId, GossipMessage)> {
-        // One digest probes whether there is anything to say at all: a
-        // routing node with an empty relay buffer and no membership news
-        // stays silent — that silence is the flavor's whole overhead story.
-        let digest = self.membership.make_digest(&mut self.rng);
-        if self.relay.is_empty() && digest.is_empty() {
-            return Vec::new();
+    fn on_receive(
+        &mut self,
+        from: NodeId,
+        frame: GossipFrame,
+        now: TimeMs,
+    ) -> Vec<(NodeId, GossipFrame)> {
+        if let GossipFrame::Gossip { msg, .. } = frame {
+            self.receive(from, msg, now);
         }
-        let targets = self
-            .membership
-            .sample(&mut self.rng, self.config.fanout, self.id);
-        if targets.is_empty() {
-            return Vec::new();
-        }
-        let events: EventList = self
-            .relay
-            .iter()
-            .map(|s| s.event.clone())
-            .collect::<Vec<_>>()
-            .into();
-        targets
-            .into_iter()
-            .map(|t| {
-                (
-                    t,
-                    GossipMessage {
-                        sender: self.id,
-                        sample_period: 0,
-                        min_buffs: Vec::new(),
-                        events: events.clone(),
-                        // The digest is shared across the F copies (unlike
-                        // lpbcast's per-target draws): relay traffic is
-                        // already rare enough that re-sampling buys nothing.
-                        membership: digest.clone(),
-                    },
-                )
-            })
-            .collect()
-    }
-}
-
-impl<S: GossipMembership> GossipProtocol for RoutingNode<S> {
-    fn node_id(&self) -> NodeId {
-        self.id
-    }
-
-    fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
-        OfferOutcome::Admitted(self.broadcast_now(payload, now))
-    }
-
-    fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
-        self.run_round(now)
-    }
-
-    fn on_receive(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) {
-        self.receive(from, msg, now);
-    }
-
-    fn drain_events(&mut self) -> Vec<ProtocolEvent> {
-        std::mem::take(&mut self.out_events)
+        Vec::new()
     }
 
     fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
@@ -317,37 +323,11 @@ impl<S: GossipMembership> GossipProtocol for RoutingNode<S> {
         self.membership.view()
     }
 
-    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+    fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         let _ = now;
-        let targets = self
-            .membership
-            .sample(&mut self.rng, self.config.fanout, self.id);
-        if targets.is_empty() {
-            return Vec::new();
-        }
         // Flush whatever is still in flight and announce the departure.
-        let events: EventList = self
-            .relay
-            .iter()
-            .map(|s| s.event.clone())
-            .collect::<Vec<_>>()
-            .into();
         let farewell = self.membership.make_leave_digest();
-        targets
-            .into_iter()
-            .map(|t| {
-                (
-                    t,
-                    GossipMessage {
-                        sender: self.id,
-                        sample_period: 0,
-                        min_buffs: Vec::new(),
-                        events: events.clone(),
-                        membership: farewell.clone(),
-                    },
-                )
-            })
-            .collect()
+        self.relay_to_sample(&farewell)
     }
 
     fn evict_peer(&mut self, node: NodeId) {
@@ -406,6 +386,14 @@ mod tests {
         }
     }
 
+    /// The events of a plain gossip frame.
+    fn relayed(frame: &GossipFrame) -> &[Event] {
+        match frame {
+            GossipFrame::Gossip { msg, ihave: None } => msg.events.as_slice(),
+            other => panic!("expected a plain gossip frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn origin_relays_own_rumor_then_retires_it() {
         let mut cfg = RoutingConfig::default();
@@ -415,8 +403,8 @@ mod tests {
         assert_eq!(n.buffer_len(), 1);
         let out = n.on_round(TimeMs::from_secs(1));
         assert_eq!(out.len(), 4, "fanout copies");
-        assert_eq!(out[0].1.events.len(), 1);
-        assert_eq!(out[0].1.events.as_slice()[0].age(), 1);
+        assert_eq!(relayed(&out[0].1).len(), 1);
+        assert_eq!(relayed(&out[0].1)[0].age(), 1);
         // Second emission, then the budget is spent.
         assert_eq!(n.on_round(TimeMs::from_secs(2)).len(), 4);
         assert_eq!(n.buffer_len(), 0);
@@ -528,13 +516,24 @@ mod tests {
 
     #[test]
     fn composes_with_recovery_wrapper() {
-        use agb_core::FrameProtocol;
-        let mut n = node(0, RoutingConfig::default(), 8);
-        n.broadcast_now(Payload::new(), TimeMs::ZERO);
-        // Through the blanket impl the node speaks frames, which is all
-        // the recovery wrapper needs.
-        let frames = FrameProtocol::on_round(&mut n, TimeMs::from_secs(1));
+        use agb_recovery::{RecoverableNode, RecoveryConfig};
+        let inner = node(0, RoutingConfig::default(), 8);
+        let mut n = RecoverableNode::new(inner, RecoveryConfig::default());
+        n.offer(Payload::new(), TimeMs::ZERO);
+        let frames = n.on_round(TimeMs::from_secs(1));
         assert_eq!(frames.len(), 4);
+        // Each relay frame keeps its rumor and gains the wrapper's digest.
+        for (_, frame) in &frames {
+            let GossipFrame::Gossip {
+                msg,
+                ihave: Some(digest),
+            } = frame
+            else {
+                panic!("expected a gossip frame with a digest, got {frame:?}");
+            };
+            assert_eq!(msg.events.len(), 1);
+            assert_eq!(digest.ids, vec![EventId::new(NodeId::new(0), 0)]);
+        }
     }
 
     #[test]
@@ -557,24 +556,24 @@ mod tests {
     fn leave_flushes_relay_buffer() {
         let mut n = node(0, RoutingConfig::default(), 8);
         n.broadcast_now(Payload::new(), TimeMs::ZERO);
-        let out = GossipProtocol::leave(&mut n, TimeMs::from_secs(1));
+        let out = n.leave(TimeMs::from_secs(1));
         assert_eq!(out.len(), 4);
-        for (_, msg) in &out {
-            assert_eq!(msg.events.len(), 1);
+        for (_, frame) in &out {
+            assert_eq!(relayed(frame).len(), 1);
         }
     }
 
     #[test]
     fn accessors_and_trait_plumbing() {
         let mut n = node(0, RoutingConfig::default(), 5);
-        assert_eq!(GossipProtocol::node_id(&n), NodeId::new(0));
+        assert_eq!(n.node_id(), NodeId::new(0));
         assert_eq!(n.degree(), 5);
         n.set_degree(2);
         assert_eq!(n.degree(), 2);
         assert_eq!(n.allowed_rate(), None);
         assert_eq!(n.pending_len(), 0);
         assert_eq!(n.gossip_period(), DurationMs::from_secs(1));
-        assert_eq!(GossipProtocol::membership_view(&n).len(), 8);
+        assert_eq!(n.membership_view().len(), 8);
         assert!(matches!(
             n.offer(Payload::new(), TimeMs::ZERO),
             OfferOutcome::Admitted(_)
@@ -583,7 +582,7 @@ mod tests {
         assert_eq!(n.config().fanout, 4);
         assert_eq!(n.membership().members().len(), 8);
         n.membership_mut();
-        GossipProtocol::evict_peer(&mut n, NodeId::new(3));
+        n.evict_peer(NodeId::new(3));
     }
 
     #[test]
@@ -604,8 +603,8 @@ mod tests {
                     Payload::new(),
                 );
                 n.receive(NodeId::new(1), msg_with(vec![e]), TimeMs::from_secs(s));
-                for (to, msg) in n.on_round(TimeMs::from_secs(s + 1)) {
-                    log.push((to, msg.events.len()));
+                for (to, frame) in n.on_round(TimeMs::from_secs(s + 1)) {
+                    log.push((to, relayed(&frame).len()));
                 }
             }
             log

@@ -11,7 +11,7 @@
 //!
 //! Flags (all optional):
 //!
-//! * `--protocol lpbcast|adaptive|adaptive-recovery` (default
+//! * `--protocol lpbcast|adaptive|adaptive-recovery|routing` (default
 //!   `adaptive-recovery`) — the gossip stack behind the adapter;
 //! * `--workload broadcast|g-counter|unique-ids` (default `broadcast`)
 //!   — decides the `read_ok` reply shape;
@@ -79,7 +79,7 @@ fn main() {
             other => {
                 eprintln!("unknown flag `{other}`");
                 eprintln!(
-                    "usage: maelstrom_node [--protocol lpbcast|adaptive|adaptive-recovery] \
+                    "usage: maelstrom_node [--protocol lpbcast|adaptive|adaptive-recovery|routing] \
                      [--workload broadcast|g-counter|unique-ids] [--seed N] [--period-ms N]"
                 );
                 std::process::exit(2);

@@ -219,6 +219,19 @@ impl PhiDetector {
         None
     }
 
+    /// Restarts the silence clock of every monitored peer not already
+    /// evicted. Call when this node comes back from its own outage: the
+    /// gap it could not listen through says nothing about its peers, so
+    /// neither the next [`check`](Self::check) nor the next sample may
+    /// count it.
+    pub fn resume(&mut self, now: TimeMs) {
+        for state in self.peers.values_mut() {
+            if state.state != SuspicionState::Evicted {
+                state.last = now;
+            }
+        }
+    }
+
     /// Current suspicion level of `peer`: 0 when fresh or unmonitored.
     pub fn phi(&self, peer: NodeId, now: TimeMs) -> f64 {
         let Some(state) = self.peers.get(&peer) else {
@@ -366,6 +379,25 @@ mod tests {
         assert_eq!(d.state(NodeId::new(1)), SuspicionState::Alive);
         // Fresh grace period: too few samples to judge.
         assert!(d.check(t(80_000)).is_empty());
+    }
+
+    #[test]
+    fn resume_forgives_the_own_outage_but_not_an_eviction() {
+        let mut d = detector(&[1, 2]);
+        steady(&mut d, 1, 20_000);
+        steady(&mut d, 2, 10_000);
+        assert!(d.check(t(20_000)).contains(&Verdict::Evict(NodeId::new(2))));
+        // This node is down from 20 s to 80 s; peer 1 was not silent.
+        d.resume(t(80_000));
+        assert!(d.check(t(80_000)).is_empty());
+        assert!(d.observe(NodeId::new(1), t(81_000)).is_none());
+        assert!(d.check(t(81_500)).is_empty());
+        // An already evicted peer stays evicted until it speaks.
+        assert_eq!(d.state(NodeId::new(2)), SuspicionState::Evicted);
+        assert_eq!(
+            d.observe(NodeId::new(2), t(81_000)),
+            Some(Verdict::Rejoin(NodeId::new(2)))
+        );
     }
 
     #[test]

@@ -391,10 +391,10 @@ pub fn run_workload(config: &HarnessConfig) -> WorkloadReport {
         locality_escape: config.locality_escape,
         regions: config.regions.clone(),
     };
-    let period = match config.flavor {
-        Flavor::Routing => config.routing.gossip_period,
-        _ => config.gossip.gossip_period,
-    };
+    let period = config
+        .flavor
+        .algorithm(config.routing)
+        .round_period(&config.gossip);
     let nodes: Vec<HarnessNode> = roster
         .iter()
         .map(|me| HarnessNode {

@@ -6,9 +6,10 @@
 //! transmit. The `init` handshake bootstraps membership (the roster maps
 //! onto dense [`NodeId`]s by sorted position), `topology` optionally
 //! re-seeds a partial view from the neighbour hints, client RPCs
-//! (`broadcast`, `add`, `generate`, `read`) bridge onto the wrapped
-//! [`FrameProtocol`], and inter-node `gossip` payloads carry the
-//! protocol's own [`GossipFrame`](agb_core::GossipFrame) wire bytes.
+//! (`broadcast`, `add`, `generate`, `read`) become inputs of the node's
+//! [`NodeShell`], and inter-node `gossip` payloads
+//! carry the protocol's own [`GossipFrame`](agb_core::GossipFrame) wire
+//! bytes.
 //! Timers are driven by the
 //! virtual-time `tick` payload, so the same adapter runs under the
 //! deterministic in-process harness and — fed wall-clock ticks — as a
@@ -17,13 +18,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use agb_core::{
-    AdaptationConfig, AdaptiveNode, FrameProtocol, GossipConfig, LpbcastNode, ProtocolEvent,
-};
-use agb_membership::{FullView, LocalitySampler, PartialView, PartialViewConfig};
-use agb_recovery::{boxed_frame_protocol, RecoveryConfig};
+use agb_core::{AdaptationConfig, GossipConfig, ProtocolEvent};
+use agb_membership::{FullView, PartialView, PartialViewConfig, PeerSampler};
+use agb_node::{Algorithm, Input, NodeShell, Outgoing, Overlay, StackSpec};
+use agb_recovery::RecoveryConfig;
 use agb_runtime::wire::{decode_frame, encode_frame};
-use agb_topology::{RoutingConfig, RoutingNode};
+use agb_topology::RoutingConfig;
 use agb_trace::{TraceConfig, TraceCounts, TraceProbe};
 use agb_types::{DetRng, NodeId, Payload as AppPayload, SeedSequence, TimeMs};
 
@@ -66,10 +66,13 @@ impl Flavor {
         }
     }
 
-    fn recovery(self, config: &RecoveryConfig) -> Option<RecoveryConfig> {
+    /// The protocol this flavor runs, with `routing` parameters for
+    /// [`Flavor::Routing`].
+    pub(crate) fn algorithm(self, routing: RoutingConfig) -> Algorithm {
         match self {
-            Flavor::AdaptiveRecovery => Some(config.clone()),
-            _ => None,
+            Flavor::Lpbcast => Algorithm::Lpbcast,
+            Flavor::Adaptive | Flavor::AdaptiveRecovery => Algorithm::Adaptive,
+            Flavor::Routing => Algorithm::Routing(routing),
         }
     }
 }
@@ -186,15 +189,13 @@ fn roster_key(id: &str) -> (usize, &str) {
 /// The initialized part of the node.
 struct Running {
     me: String,
-    my_id: NodeId,
     /// Sorted roster; position = dense [`NodeId`].
     roster: Vec<String>,
     now: TimeMs,
-    protocol: Box<dyn FrameProtocol + Send>,
-    /// Maps protocol events and frames onto the trace taxonomy; the
-    /// records are tallied into [`MaelstromNode::trace_counts`] and
-    /// discarded (counts only — no ring buffer behind a line protocol).
-    probe: TraceProbe,
+    /// The protocol behind a trace probe, whose records are tallied into
+    /// [`MaelstromNode::trace_counts`] and discarded (counts only — no
+    /// ring buffer behind a line protocol).
+    shell: NodeShell<TraceProbe>,
     /// Broadcast-workload deliveries (sorted, deduplicated).
     seen: BTreeSet<i64>,
     /// Grow-only counter: sum of all delivered `add` deltas.
@@ -246,7 +247,7 @@ impl MaelstromNode {
 
     /// This node's dense id, once initialized.
     pub fn node_index(&self) -> Option<NodeId> {
-        self.state.as_ref().map(|r| r.my_id)
+        self.state.as_ref().map(|r| r.shell.protocol().node_id())
     }
 
     /// Broadcast values delivered so far (ascending).
@@ -336,18 +337,12 @@ impl MaelstromNode {
                     }];
                 };
                 let my_id = NodeId::new(my_id as u32);
-                let protocol = make_protocol(&self.config, my_id, roster.len(), None);
-                let mut probe = TraceProbe::new(TraceConfig::enabled(), my_id);
-                if let Some(regions) = &self.config.regions {
-                    probe.set_regions(Arc::from(regions.clone()));
-                }
+                let shell = make_shell(&self.config, my_id, roster.len(), None);
                 self.state = Some(Running {
                     me: node_id,
-                    my_id,
                     roster,
                     now: TimeMs::ZERO,
-                    protocol,
-                    probe,
+                    shell,
                     seen: BTreeSet::new(),
                     counter: 0,
                     generated: 0,
@@ -366,17 +361,14 @@ impl MaelstromNode {
                         // rebuilding after traffic would drop buffered
                         // events and the delivery-dedup history (acked
                         // offers lost, later copies double-delivered).
-                        let fresh = r.protocol.buffer_len() == 0
-                            && r.protocol.pending_len() == 0
+                        let p = r.shell.protocol();
+                        let fresh = p.buffer_len() == 0
+                            && p.pending_len() == 0
                             && r.seen.is_empty()
                             && r.counter == 0;
                         if fresh {
-                            r.protocol = make_protocol(
-                                &self.config,
-                                r.my_id,
-                                r.roster.len(),
-                                Some(contacts),
-                            );
+                            let id = p.node_id();
+                            r.shell = make_shell(&self.config, id, r.roster.len(), Some(contacts));
                         }
                     }
                 }
@@ -385,9 +377,8 @@ impl MaelstromNode {
             Payload::Broadcast { message } => {
                 let mut out = Vec::new();
                 if let Some(r) = self.state.as_mut() {
-                    let now = r.now;
-                    r.protocol.offer(app_payload(TAG_BROADCAST, message), now);
-                    Self::pump(r, &mut self.trace, None);
+                    let offer = Input::Offer(app_payload(TAG_BROADCAST, message));
+                    Self::step(r, &mut self.trace, offer);
                     out.push(self.reply(&src, msg_id, Payload::BroadcastOk));
                 }
                 out
@@ -395,9 +386,8 @@ impl MaelstromNode {
             Payload::Add { delta } => {
                 let mut out = Vec::new();
                 if let Some(r) = self.state.as_mut() {
-                    let now = r.now;
-                    r.protocol.offer(app_payload(TAG_ADD, delta), now);
-                    Self::pump(r, &mut self.trace, None);
+                    let offer = Input::Offer(app_payload(TAG_ADD, delta));
+                    Self::step(r, &mut self.trace, offer);
                     out.push(self.reply(&src, msg_id, Payload::AddOk));
                 }
                 out
@@ -434,10 +424,7 @@ impl MaelstromNode {
                     self.proto_errors += 1;
                     return Vec::new();
                 };
-                let now = r.now;
-                r.probe.on_message(&frame);
-                let replies = r.protocol.on_receive(from, frame, now);
-                Self::pump(r, &mut self.trace, Some(from));
+                let replies = Self::step(r, &mut self.trace, Input::Frame { from, frame });
                 self.frames_out(replies)
             }
             Payload::Tick { now } => {
@@ -445,15 +432,7 @@ impl MaelstromNode {
                     return Vec::new();
                 };
                 r.now = r.now.max(TimeMs::from_millis(now));
-                let now = r.now;
-                let out = r.protocol.on_round(now);
-                r.probe.on_round(
-                    now,
-                    &out,
-                    r.protocol.buffer_len(),
-                    r.protocol.buffer_capacity(),
-                );
-                Self::pump(r, &mut self.trace, None);
+                let out = Self::step(r, &mut self.trace, Input::Round);
                 self.frames_out(out)
             }
             // Acks and errors terminate at this node.
@@ -479,19 +458,16 @@ impl MaelstromNode {
         (!contacts.is_empty()).then_some(contacts)
     }
 
-    /// Drains protocol events into application state and the trace
-    /// tally. `from` marks the events as produced by a datagram from
-    /// that peer, enabling the probe's duplicate detection.
-    fn pump(r: &mut Running, counts: &mut TraceCounts, from: Option<NodeId>) {
-        let events = r.protocol.drain_events();
-        r.probe.on_events(&events);
-        if let Some(from) = from {
-            r.probe.on_received(r.now, from, &events);
-        }
-        for record in r.probe.drain_pending() {
+    /// Feeds one input to the shell at the node's clock, folds the
+    /// drained events into application state and the trace tally, and
+    /// returns the frames to send.
+    fn step(r: &mut Running, counts: &mut TraceCounts, input: Input) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        r.shell.step(r.now, input, &mut out);
+        for record in r.shell.observer_mut().drain_pending() {
             counts.observe(&record.kind);
         }
-        for event in events {
+        for event in r.shell.events() {
             if let ProtocolEvent::Delivered { event, .. } = event {
                 match decode_app(event.payload()) {
                     Some((TAG_BROADCAST, value)) => {
@@ -504,6 +480,8 @@ impl MaelstromNode {
                 }
             }
         }
+        r.shell.clear_events();
+        out
     }
 
     fn reply(&mut self, to: &str, in_reply_to: Option<u64>, payload: Payload) -> Message {
@@ -524,7 +502,7 @@ impl MaelstromNode {
     }
 
     /// Wraps outgoing protocol frames as `gossip` line messages.
-    fn frames_out(&self, frames: Vec<(NodeId, agb_core::GossipFrame)>) -> Vec<Message> {
+    fn frames_out(&self, frames: Vec<Outgoing>) -> Vec<Message> {
         let Some(r) = self.state.as_ref() else {
             return Vec::new();
         };
@@ -545,106 +523,55 @@ impl MaelstromNode {
     }
 }
 
-/// Builds the protocol state machine behind one Maelstrom node.
+/// Builds the shell behind one Maelstrom node: its protocol under an
+/// always-on trace probe (armed with the region map, if any).
 ///
 /// `hints` carries this node's neighbour contacts when a `topology`
 /// message re-seeds the protocol; `None` builds the `init`-time view
 /// (full, or bootstrap-sampled partial when [`NodeConfig::partial_view`]
 /// is set). For [`Flavor::Routing`] the hints double as the overlay:
 /// they set the rescue-rule degree and feed the locality-biased sampler.
-fn make_protocol(
+fn make_shell(
     config: &NodeConfig,
     id: NodeId,
     n: usize,
     hints: Option<Vec<NodeId>>,
-) -> Box<dyn FrameProtocol + Send> {
+) -> NodeShell<TraceProbe> {
+    let mut probe = TraceProbe::new(TraceConfig::enabled(), id);
+    if let Some(regions) = &config.regions {
+        probe.set_regions(Arc::from(regions.clone()));
+    }
     let seeds = SeedSequence::new(config.seed);
     let stream = u64::from(id.as_u32());
     let proto_rng: DetRng = seeds.rng_for("maelstrom-protocol", stream);
-    let recovery = config.flavor.recovery(&config.recovery);
-    let partial = config.partial_view.map(|pv| {
-        let contacts = hints.clone().unwrap_or_else(|| {
-            // Bootstrap a partial view from a deterministic contact
-            // sample, as the harness join service would.
-            use agb_membership::PeerSampler;
-            let mut boot: DetRng = seeds.rng_for("maelstrom-bootstrap", stream);
-            let full = FullView::new(n);
-            full.sample(&mut boot, pv.max_view.min(8), id)
-        });
-        (pv, contacts)
+    let algorithm = config.flavor.algorithm(config.routing);
+    let spec = StackSpec {
+        algorithm: &algorithm,
+        gossip: config.gossip.clone(),
+        adaptation: &config.adaptation,
+        recovery: (config.flavor == Flavor::AdaptiveRecovery).then(|| config.recovery.clone()),
+    };
+    // Routing always biases towards the hints; before they arrive the
+    // neighbour list is empty, so draws stay plain uniform.
+    let overlay = (config.flavor == Flavor::Routing).then(|| Overlay {
+        neighbors: hints.clone().unwrap_or_default(),
+        escape: Some(config.locality_escape),
     });
-    match (config.flavor, partial) {
-        (Flavor::Lpbcast, None) => boxed_frame_protocol(
-            LpbcastNode::new(id, config.gossip.clone(), FullView::new(n), proto_rng),
-            recovery,
-        ),
-        (Flavor::Lpbcast, Some((pv, contacts))) => {
+    let protocol = match config.partial_view {
+        None => spec.build(id, n, FullView::new(n), overlay, proto_rng),
+        Some(pv) => {
+            let contacts = hints.unwrap_or_else(|| {
+                // Bootstrap a partial view from a deterministic contact
+                // sample, as the harness join service would.
+                let mut boot: DetRng = seeds.rng_for("maelstrom-bootstrap", stream);
+                FullView::new(n).sample(&mut boot, pv.max_view.min(8), id)
+            });
             let mut boot: DetRng = seeds.rng_for("maelstrom-view", stream);
             let view = PartialView::with_initial_peers(id, pv, contacts, &mut boot);
-            boxed_frame_protocol(
-                LpbcastNode::new(id, config.gossip.clone(), view, proto_rng),
-                recovery,
-            )
+            spec.build(id, n, view, overlay, proto_rng)
         }
-        (Flavor::Adaptive | Flavor::AdaptiveRecovery, None) => boxed_frame_protocol(
-            AdaptiveNode::new(
-                id,
-                config.gossip.clone(),
-                config.adaptation.clone(),
-                FullView::new(n),
-                proto_rng,
-            ),
-            recovery,
-        ),
-        (Flavor::Adaptive | Flavor::AdaptiveRecovery, Some((pv, contacts))) => {
-            let mut boot: DetRng = seeds.rng_for("maelstrom-view", stream);
-            let view = PartialView::with_initial_peers(id, pv, contacts, &mut boot);
-            boxed_frame_protocol(
-                AdaptiveNode::new(
-                    id,
-                    config.gossip.clone(),
-                    config.adaptation.clone(),
-                    view,
-                    proto_rng,
-                ),
-                recovery,
-            )
-        }
-        (Flavor::Routing, partial) => {
-            // Before hints arrive the overlay is the whole group (degree
-            // n-1, pure probabilistic relay); the hints shrink it. An
-            // empty neighbour list makes the LocalitySampler delegate to
-            // plain uniform draws.
-            let neighbours = hints.unwrap_or_default();
-            let degree = if neighbours.is_empty() {
-                n.saturating_sub(1)
-            } else {
-                neighbours.len()
-            };
-            let escape = config.locality_escape;
-            match partial {
-                Some((pv, contacts)) => {
-                    let mut boot: DetRng = seeds.rng_for("maelstrom-view", stream);
-                    let view = LocalitySampler::new(
-                        PartialView::with_initial_peers(id, pv, contacts, &mut boot),
-                        neighbours,
-                        escape,
-                    );
-                    boxed_frame_protocol(
-                        RoutingNode::new(id, config.routing, view, degree, proto_rng),
-                        recovery,
-                    )
-                }
-                None => {
-                    let view = LocalitySampler::new(FullView::new(n), neighbours, escape);
-                    boxed_frame_protocol(
-                        RoutingNode::new(id, config.routing, view, degree, proto_rng),
-                        recovery,
-                    )
-                }
-            }
-        }
-    }
+    };
+    NodeShell::new(protocol, None, n, probe)
 }
 
 #[cfg(test)]

@@ -1,0 +1,378 @@
+//! The one sans-IO node shell and the observer vocabulary it speaks.
+
+use agb_core::{FrameProtocol, GossipFrame, ProtocolEvent};
+use agb_failure::{ring_monitors, ring_successors, DetectorConfig, PhiDetector, Verdict};
+use agb_types::{NodeId, Payload, TimeMs};
+
+/// A frame to send, addressed to a peer.
+pub type Outgoing = (NodeId, GossipFrame);
+
+/// Node lifecycle transitions, matching the `kind` label of
+/// `agb_lifecycle_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LifecycleKind {
+    /// Crash-stop (state kept).
+    Crash,
+    /// Resume after a crash.
+    Recover,
+    /// Restart with state loss.
+    Restart,
+    /// Graceful leave.
+    Leave,
+}
+
+/// Egress priority classes, highest shed-resistance last: under
+/// overload a driver's egress queue sheds `App` first, then `Recovery`;
+/// `Control` frames (membership, graft requests) go last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShedClass {
+    /// Regular gossip data frames.
+    App,
+    /// Retransmissions and recovery replies.
+    Recovery,
+    /// Membership and graft-request frames.
+    Control,
+}
+
+impl ShedClass {
+    /// The class of `frame`: graft requests steer recovery (control),
+    /// retransmissions repair gaps (recovery), regular gossip carries
+    /// the app payload.
+    pub fn of(frame: &GossipFrame) -> Self {
+        match frame {
+            GossipFrame::Gossip { .. } => ShedClass::App,
+            GossipFrame::Retransmit(_) => ShedClass::Recovery,
+            GossipFrame::Graft(_) => ShedClass::Control,
+        }
+    }
+
+    /// The trace-record class byte (0 = app, 1 = recovery, 2 = control).
+    pub fn as_u8(self) -> u8 {
+        match self {
+            ShedClass::App => 0,
+            ShedClass::Recovery => 1,
+            ShedClass::Control => 2,
+        }
+    }
+}
+
+/// A sink for the facts a [`NodeShell`] observes. Every method defaults
+/// to a no-op, so a sink implements only what it records.
+#[allow(unused_variables)]
+pub trait NodeObserver {
+    /// Whether this sink records anything. The shell skips computing
+    /// observation-only arguments (buffer occupancy, view size) when not.
+    fn enabled(&self) -> bool {
+        true
+    }
+    /// A gossip round emitted `frames` and left the buffer at
+    /// `buffer_len` of `buffer_capacity`.
+    fn on_round(
+        &mut self,
+        at: TimeMs,
+        frames: &[Outgoing],
+        buffer_len: usize,
+        buffer_capacity: usize,
+    ) {
+    }
+    /// A heartbeat went to a ring successor the round's gossip missed.
+    fn on_heartbeat(&mut self, at: TimeMs, to: NodeId) {}
+    /// The failure detector first suspected `peer`.
+    fn on_suspect(&mut self, at: TimeMs, peer: NodeId) {}
+    /// The failure detector condemned `peer`, and the node evicted it.
+    fn on_detector_evict(&mut self, at: TimeMs, peer: NodeId) {}
+    /// An evicted `peer` spoke again and was welcomed back.
+    fn on_rejoin(&mut self, at: TimeMs, peer: NodeId) {}
+    /// A frame is about to be handed to the protocol.
+    fn on_message(&mut self, frame: &GossipFrame) {}
+    /// The frame begun by [`on_message`](Self::on_message), sent by
+    /// `from`, has been handled; `events` are all the events drained
+    /// since the driver last cleared them, ending with this frame's.
+    fn on_received(&mut self, at: TimeMs, from: NodeId, events: &[ProtocolEvent]) {}
+    /// Protocol events drained after one input.
+    fn on_events(&mut self, events: &[ProtocolEvent]) {}
+    /// The blocked application refused `n` offers (congestion drops).
+    fn on_refused(&mut self, at: TimeMs, n: u64) {}
+    /// Frames sent outside the round path (leave farewells).
+    fn on_frames(&mut self, at: TimeMs, frames: &[Outgoing]) {}
+    /// The membership view now holds `view_size` peers.
+    fn on_view_change(&mut self, at: TimeMs, view_size: usize) {}
+    /// This node crashed, recovered, restarted or left.
+    fn on_lifecycle(&mut self, at: TimeMs, kind: LifecycleKind) {}
+    /// A driver's overloaded egress queue shed one frame of `class`.
+    fn on_shed(&mut self, at: TimeMs, class: ShedClass) {}
+}
+
+/// No observer: records nothing.
+impl NodeObserver for () {
+    fn enabled(&self) -> bool {
+        false
+    }
+}
+
+/// Forwards each listed [`NodeObserver`] method to both halves of a pair.
+macro_rules! forward_to_both {
+    ($($name:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        fn $name(&mut self, $($arg: $ty),*) {
+            self.0.$name($($arg),*);
+            self.1.$name($($arg),*);
+        }
+    )*};
+}
+
+/// Two sinks observing the same facts, first `A` then `B`.
+impl<A: NodeObserver, B: NodeObserver> NodeObserver for (A, B) {
+    fn enabled(&self) -> bool {
+        self.0.enabled() || self.1.enabled()
+    }
+    forward_to_both! {
+        on_round(at: TimeMs, frames: &[Outgoing], len: usize, capacity: usize);
+        on_heartbeat(at: TimeMs, to: NodeId);
+        on_suspect(at: TimeMs, peer: NodeId);
+        on_detector_evict(at: TimeMs, peer: NodeId);
+        on_rejoin(at: TimeMs, peer: NodeId);
+        on_message(frame: &GossipFrame);
+        on_received(at: TimeMs, from: NodeId, events: &[ProtocolEvent]);
+        on_events(events: &[ProtocolEvent]);
+        on_refused(at: TimeMs, n: u64);
+        on_frames(at: TimeMs, frames: &[Outgoing]);
+        on_view_change(at: TimeMs, view_size: usize);
+        on_lifecycle(at: TimeMs, kind: LifecycleKind);
+        on_shed(at: TimeMs, class: ShedClass);
+    }
+}
+
+/// One input to a [`NodeShell`].
+pub enum Input {
+    /// The gossip-round timer fired.
+    Round,
+    /// A decoded frame arrived from `from`.
+    Frame {
+        /// The transport-level sender.
+        from: NodeId,
+        /// The frame.
+        frame: GossipFrame,
+    },
+    /// The local application offers a payload for broadcast.
+    Offer(Payload),
+    /// The blocked application refused this many offers.
+    Refused(u64),
+    /// Graceful leave: emit farewell frames.
+    Leave,
+    /// Drop a peer from the membership view (a scripted eviction).
+    Evict(NodeId),
+    /// Resize the event buffer.
+    Resize(usize),
+    /// Crash-stop, state kept.
+    Crash,
+    /// Resume after a crash, state intact.
+    Recover,
+    /// Restart with state loss: the freshly built protocol replaces the
+    /// old one.
+    Restart(Box<dyn FrameProtocol + Send>),
+    /// A restart through contact nodes: like [`Input::Restart`], and the
+    /// new view size is observed.
+    Join(Box<dyn FrameProtocol + Send>),
+}
+
+/// The failure-detection plane of one node.
+struct Liveness {
+    detector: PhiDetector,
+    /// Ring successors owed a heartbeat whenever a round's gossip does
+    /// not cover them.
+    heartbeats: Vec<NodeId>,
+}
+
+/// One node's protocol, failure detector and observer behind a single
+/// [`step`](Self::step).
+///
+/// The shell is sans-IO: a driver feeds it inputs with their timestamps
+/// and transmits the frames it returns. Drivers keep only their own I/O
+/// (timers, sockets, line protocols) and read the node's protocol
+/// events back with [`events`](Self::events).
+pub struct NodeShell<O> {
+    protocol: Box<dyn FrameProtocol + Send>,
+    liveness: Option<Liveness>,
+    observer: O,
+    /// Events drained since the driver last cleared them.
+    events: Vec<ProtocolEvent>,
+}
+
+impl<O: NodeObserver> NodeShell<O> {
+    /// Wraps `protocol`, a node of an `n_nodes` group. With a `detector`
+    /// configuration the node watches its id-ring predecessors and owes
+    /// heartbeats to its successors.
+    pub fn new(
+        protocol: Box<dyn FrameProtocol + Send>,
+        detector: Option<&DetectorConfig>,
+        n_nodes: usize,
+        observer: O,
+    ) -> Self {
+        let id = protocol.node_id();
+        let liveness = detector.map(|dc| Liveness {
+            detector: PhiDetector::new(
+                dc.clone(),
+                ring_monitors(id, n_nodes, dc.monitors),
+                TimeMs::ZERO,
+            ),
+            heartbeats: if dc.heartbeat {
+                ring_successors(id, n_nodes, dc.monitors)
+            } else {
+                Vec::new()
+            },
+        });
+        NodeShell {
+            protocol,
+            liveness,
+            observer,
+            events: Vec::new(),
+        }
+    }
+
+    /// The protocol state machine.
+    pub fn protocol(&self) -> &dyn FrameProtocol {
+        self.protocol.as_ref()
+    }
+
+    /// The observer.
+    pub fn observer(&self) -> &O {
+        &self.observer
+    }
+
+    /// Mutable access to the observer (drivers drain buffered records and
+    /// report their own I/O facts through it).
+    pub fn observer_mut(&mut self) -> &mut O {
+        &mut self.observer
+    }
+
+    /// Protocol events drained since the last [`clear_events`](Self::clear_events).
+    pub fn events(&self) -> &[ProtocolEvent] {
+        &self.events
+    }
+
+    /// Forgets the drained events once the driver has consumed them.
+    pub fn clear_events(&mut self) {
+        self.events.clear();
+    }
+
+    /// Handles one input at `now`, appending the frames to send to `out`
+    /// in send order: a round's heartbeats come before its gossip, and a
+    /// frame's replies keep the protocol's order.
+    pub fn step(&mut self, now: TimeMs, input: Input, out: &mut Vec<Outgoing>) {
+        let start = self.events.len();
+        match input {
+            Input::Round => self.round(now, out),
+            Input::Frame { from, frame } => {
+                self.observer.on_message(&frame);
+                // Every arrival doubles as a liveness sample.
+                let verdict = self
+                    .liveness
+                    .as_mut()
+                    .and_then(|l| l.detector.observe(from, now));
+                if let Some(Verdict::Rejoin(peer)) = verdict {
+                    self.observer.on_rejoin(now, peer);
+                }
+                append(out, self.protocol.on_receive(from, frame, now));
+                self.drain(start);
+                self.observer.on_received(now, from, &self.events);
+                return;
+            }
+            Input::Offer(payload) => {
+                self.protocol.offer(payload, now);
+            }
+            Input::Refused(n) => self.observer.on_refused(now, n),
+            Input::Leave => {
+                let farewells = self.protocol.leave(now);
+                self.observer.on_frames(now, &farewells);
+                self.observer.on_lifecycle(now, LifecycleKind::Leave);
+                append(out, farewells);
+            }
+            Input::Evict(peer) => {
+                self.protocol.evict_peer(peer);
+                self.drain(start);
+                self.view_changed(now);
+                return;
+            }
+            Input::Resize(capacity) => self.protocol.set_buffer_capacity(capacity, now),
+            Input::Crash => self.observer.on_lifecycle(now, LifecycleKind::Crash),
+            Input::Recover => {
+                // The outage was this node's, not its peers' silence.
+                if let Some(l) = self.liveness.as_mut() {
+                    l.detector.resume(now);
+                }
+                self.observer.on_lifecycle(now, LifecycleKind::Recover);
+            }
+            Input::Restart(protocol) => {
+                self.protocol = protocol;
+                self.observer.on_lifecycle(now, LifecycleKind::Restart);
+            }
+            Input::Join(protocol) => {
+                self.protocol = protocol;
+                self.observer.on_lifecycle(now, LifecycleKind::Restart);
+                self.view_changed(now);
+            }
+        }
+        self.drain(start);
+    }
+
+    fn round(&mut self, now: TimeMs, out: &mut Vec<Outgoing>) {
+        let frames = self.protocol.on_round(now);
+        if self.observer.enabled() {
+            let (len, capacity) = (self.protocol.buffer_len(), self.protocol.buffer_capacity());
+            self.observer.on_round(now, &frames, len, capacity);
+        }
+        let Some(l) = self.liveness.as_mut() else {
+            append(out, frames);
+            return;
+        };
+        // Heartbeat fallback: ring successors the regular gossip does not
+        // cover this round still get an empty liveness frame, keeping
+        // their detectors' sample streams regular.
+        let me = self.protocol.node_id();
+        for &hb in &l.heartbeats {
+            if !frames.iter().any(|&(to, _)| to == hb) {
+                self.observer.on_heartbeat(now, hb);
+                out.push((hb, GossipFrame::heartbeat(me)));
+            }
+        }
+        append(out, frames);
+        // Judge monitored peers once per round; an eviction takes the
+        // same path a scripted one does.
+        for verdict in l.detector.check(now) {
+            match verdict {
+                Verdict::Suspect(peer) => self.observer.on_suspect(now, peer),
+                Verdict::Evict(peer) => {
+                    self.protocol.evict_peer(peer);
+                    self.observer.on_detector_evict(now, peer);
+                }
+                Verdict::Rejoin(peer) => self.observer.on_rejoin(now, peer),
+            }
+        }
+    }
+
+    /// Drains the protocol's events and shows the new ones to the
+    /// observer.
+    fn drain(&mut self, start: usize) {
+        self.protocol.drain_events_into(&mut self.events);
+        if self.events.len() > start {
+            self.observer.on_events(&self.events[start..]);
+        }
+    }
+
+    fn view_changed(&mut self, now: TimeMs) {
+        if self.observer.enabled() {
+            let size = self.protocol.membership_view().len();
+            self.observer.on_view_change(now, size);
+        }
+    }
+}
+
+/// Moves `frames` onto the end of `out`, reusing `frames`' allocation
+/// when `out` is still empty.
+fn append(out: &mut Vec<Outgoing>, mut frames: Vec<Outgoing>) {
+    if out.is_empty() {
+        *out = frames;
+    } else {
+        out.append(&mut frames);
+    }
+}

@@ -38,4 +38,4 @@ mod node;
 pub use cache::RetransmissionCache;
 pub use config::RecoveryConfig;
 pub use missing::{DueGraft, MissingTracker};
-pub use node::{boxed_frame_protocol, RecoverableNode};
+pub use node::RecoverableNode;

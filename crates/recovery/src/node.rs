@@ -463,19 +463,6 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
     }
 }
 
-/// Boxes a protocol node for frame-level driving, wrapping it in the
-/// recovery layer when configured — the one place the sim cluster and the
-/// threaded runtime share for recovery wiring.
-pub fn boxed_frame_protocol<P: FrameProtocol + Send + 'static>(
-    node: P,
-    recovery: Option<RecoveryConfig>,
-) -> Box<dyn FrameProtocol + Send> {
-    match recovery {
-        Some(config) => Box::new(RecoverableNode::new(node, config)),
-        None => Box::new(node),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

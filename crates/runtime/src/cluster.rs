@@ -7,21 +7,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use agb_core::{AdaptationConfig, AdaptiveNode, FrameProtocol, GossipConfig, LpbcastNode};
-use agb_failure::{
-    ring_monitors, ring_successors, AdversaryConfig, ByteAdversary, DetectorConfig, PhiDetector,
-};
+use agb_core::{AdaptationConfig, FrameProtocol, GossipConfig};
+use agb_failure::{AdversaryConfig, ByteAdversary, DetectorConfig};
 use agb_membership::FullView;
 use agb_metrics::MetricsCollector;
+use agb_node::{Algorithm, Input, NodeShell, StackSpec};
 use agb_profile::ProfileConfig;
-use agb_recovery::{boxed_frame_protocol, RecoveryConfig};
+use agb_recovery::RecoveryConfig;
 use agb_telemetry::{Registry, TelemetryConfig, TelemetryServer};
 use agb_trace::{Recorder, TraceConfig, TraceProbe, TraceSummary};
 use agb_types::{DetRng, DurationMs, NodeId, Payload, SeedSequence, TimeMs};
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 
-use crate::node::{spawn_node, Command, NodeHandle, NodeRuntime};
+use crate::node::{spawn_node, NodeHandle, NodeRuntime};
 use crate::telemetry::NodeTelemetry;
 use crate::transport::{ChannelTransport, Transport, UdpTransport};
 
@@ -136,26 +135,78 @@ fn build_protocol(
     id: NodeId,
     rng: DetRng,
 ) -> Box<dyn FrameProtocol + Send> {
-    if config.adaptive {
-        boxed_frame_protocol(
-            AdaptiveNode::new(
-                id,
-                config.gossip.clone(),
-                config.adaptation.clone(),
-                FullView::new(config.n_nodes),
-                rng,
-            ),
-            config.recovery.clone(),
-        )
+    let algorithm = if config.adaptive {
+        Algorithm::Adaptive
     } else {
-        boxed_frame_protocol(
-            LpbcastNode::new(
-                id,
-                config.gossip.clone(),
-                FullView::new(config.n_nodes),
-                rng,
-            ),
-            config.recovery.clone(),
+        Algorithm::Lpbcast
+    };
+    let spec = StackSpec {
+        algorithm: &algorithm,
+        gossip: config.gossip.clone(),
+        adaptation: &config.adaptation,
+        recovery: config.recovery.clone(),
+    };
+    spec.build(id, config.n_nodes, FullView::new(config.n_nodes), None, rng)
+}
+
+/// What every node of one cluster shares when its thread is spawned.
+struct Spawner<'a> {
+    config: &'a RuntimeClusterConfig,
+    seeds: SeedSequence,
+    metrics: &'a Arc<Mutex<MetricsCollector>>,
+    trace: &'a Option<Arc<Mutex<Recorder>>>,
+    registries: &'a [Arc<Registry>],
+    shutdown: &'a Arc<AtomicBool>,
+    epoch: Instant,
+    per_sender: f64,
+    payload: Payload,
+}
+
+impl Spawner<'_> {
+    fn spawn_all<T: Transport>(&self, transports: Vec<T>) -> Vec<NodeHandle> {
+        let nodes = transports.into_iter().enumerate();
+        nodes.map(|(i, t)| self.spawn(i, t)).collect()
+    }
+
+    fn spawn<T: Transport>(&self, i: usize, transport: T) -> NodeHandle {
+        let (config, seeds) = (self.config, &self.seeds);
+        let id = NodeId::new(i as u32);
+        let rng: DetRng = seeds.rng_for("runtime-node", i as u64);
+        let protocol = build_protocol(config, id, rng);
+        let is_sender = i < config.n_senders && self.per_sender > 0.0;
+        if is_sender && config.adaptive {
+            self.metrics
+                .lock()
+                .set_initial_rate(id, config.adaptation.initial_rate);
+        }
+        let telemetry = self
+            .registries
+            .get(i)
+            .map(|r| NodeTelemetry::new(r, id, self.epoch))
+            .unwrap_or_else(NodeTelemetry::disabled);
+        let observer = (TraceProbe::new(config.trace, id), telemetry);
+        let (tx, rx) = unbounded();
+        spawn_node(
+            id,
+            NodeRuntime {
+                shell: NodeShell::new(protocol, config.detector.as_ref(), config.n_nodes, observer),
+                offered_rate: if is_sender { self.per_sender } else { 0.0 },
+                payload: self.payload.clone(),
+                max_backlog: 2,
+                loss: config.loss,
+                loss_rng: seeds.rng_for("runtime-loss", i as u64),
+                adversary: config.adversary.clone().map(ByteAdversary::new),
+                adversary_rng: seeds.rng_for("runtime-adversary", i as u64),
+                egress_capacity: config.egress_capacity,
+                profile: config.profile.enabled,
+            },
+            transport,
+            Arc::clone(self.metrics),
+            self.trace.clone(),
+            self.epoch,
+            Arc::clone(self.shutdown),
+            rx,
+            tx,
         )
     }
 }
@@ -173,6 +224,11 @@ pub struct RuntimeCluster {
     servers: Vec<TelemetryServer>,
     /// UDP socket addresses by node (empty for the channel transport).
     node_addrs: Vec<SocketAddr>,
+    /// The configuration restarts rebuild protocols from.
+    config: RuntimeClusterConfig,
+    /// Next restart epoch per node: each restart draws a fresh RNG
+    /// stream, so a restarted node does not replay its randomness.
+    restarts: Vec<AtomicU64>,
 }
 
 impl RuntimeCluster {
@@ -228,49 +284,28 @@ impl RuntimeCluster {
             Vec::new()
         };
 
-        let mut handles = Vec::with_capacity(config.n_nodes);
+        let spawner = Spawner {
+            config: &config,
+            seeds,
+            metrics: &metrics,
+            trace: &trace,
+            registries: &registries,
+            shutdown: &shutdown,
+            epoch,
+            per_sender,
+            payload,
+        };
         let mut node_addrs = Vec::new();
-        match config.transport {
+        let handles = match config.transport {
             TransportKind::Udp => {
                 let transports = UdpTransport::bind_cluster_on(config.bind_addr, config.n_nodes)?;
                 if let Some(first) = transports.first() {
                     node_addrs = first.peer_addrs().to_vec();
                 }
-                for (i, t) in transports.into_iter().enumerate() {
-                    handles.push(Self::spawn_one(
-                        &config,
-                        i,
-                        t,
-                        &metrics,
-                        &trace,
-                        epoch,
-                        &shutdown,
-                        &seeds,
-                        per_sender,
-                        &payload,
-                        &registries,
-                    ));
-                }
+                spawner.spawn_all(transports)
             }
-            TransportKind::Channel => {
-                let transports = ChannelTransport::cluster(config.n_nodes);
-                for (i, t) in transports.into_iter().enumerate() {
-                    handles.push(Self::spawn_one(
-                        &config,
-                        i,
-                        t,
-                        &metrics,
-                        &trace,
-                        epoch,
-                        &shutdown,
-                        &seeds,
-                        per_sender,
-                        &payload,
-                        &registries,
-                    ));
-                }
-            }
-        }
+            TransportKind::Channel => spawner.spawn_all(ChannelTransport::cluster(config.n_nodes)),
+        };
         Ok(RuntimeCluster {
             handles,
             metrics,
@@ -280,81 +315,9 @@ impl RuntimeCluster {
             registries,
             servers,
             node_addrs,
+            restarts: (0..config.n_nodes).map(|_| AtomicU64::new(1)).collect(),
+            config,
         })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_one<T: Transport>(
-        config: &RuntimeClusterConfig,
-        i: usize,
-        transport: T,
-        metrics: &Arc<Mutex<MetricsCollector>>,
-        trace: &Option<Arc<Mutex<Recorder>>>,
-        epoch: Instant,
-        shutdown: &Arc<AtomicBool>,
-        seeds: &SeedSequence,
-        per_sender: f64,
-        payload: &Payload,
-        registries: &[Arc<Registry>],
-    ) -> NodeHandle {
-        let id = NodeId::new(i as u32);
-        let rng: DetRng = seeds.rng_for("runtime-node", i as u64);
-        let protocol = build_protocol(config, id, rng);
-        let is_sender = i < config.n_senders && per_sender > 0.0;
-        if is_sender && config.adaptive {
-            metrics
-                .lock()
-                .set_initial_rate(id, config.adaptation.initial_rate);
-        }
-        // Restart-with-state-loss factory: fresh RNG stream per rebuild so
-        // a restarted node does not replay its pre-crash randomness.
-        let rebuild_config = config.clone();
-        let rebuild_seeds = *seeds;
-        let rebuild_epoch = Arc::new(AtomicU64::new(1));
-        let rebuild: Box<dyn Fn() -> Box<dyn FrameProtocol + Send> + Send> = Box::new(move || {
-            let e = rebuild_epoch.fetch_add(1, Ordering::Relaxed);
-            let rng: DetRng = rebuild_seeds.rng_for("runtime-restart", i as u64 + (e << 32));
-            build_protocol(&rebuild_config, id, rng)
-        });
-        let (tx, rx) = unbounded();
-        spawn_node(
-            id,
-            NodeRuntime {
-                protocol,
-                offered_rate: if is_sender { per_sender } else { 0.0 },
-                payload: payload.clone(),
-                max_backlog: 2,
-                rebuild: Some(rebuild),
-                probe: TraceProbe::new(config.trace, id),
-                telemetry: registries
-                    .get(i)
-                    .map(|r| NodeTelemetry::new(r, id, epoch))
-                    .unwrap_or_else(NodeTelemetry::disabled),
-                loss: config.loss,
-                loss_rng: seeds.rng_for("runtime-loss", i as u64),
-                detector: config.detector.clone().map(|dc| {
-                    let monitored = ring_monitors(id, config.n_nodes, dc.monitors);
-                    PhiDetector::new(dc, monitored, TimeMs::from_millis(0))
-                }),
-                heartbeat_targets: config
-                    .detector
-                    .as_ref()
-                    .filter(|dc| dc.heartbeat)
-                    .map(|dc| ring_successors(id, config.n_nodes, dc.monitors))
-                    .unwrap_or_default(),
-                adversary: config.adversary.clone().map(ByteAdversary::new),
-                adversary_rng: seeds.rng_for("runtime-adversary", i as u64),
-                egress_capacity: config.egress_capacity,
-                profile: config.profile.enabled,
-            },
-            transport,
-            Arc::clone(metrics),
-            trace.clone(),
-            epoch,
-            Arc::clone(shutdown),
-            rx,
-            tx,
-        )
     }
 
     /// Number of node threads.
@@ -390,12 +353,12 @@ impl RuntimeCluster {
 
     /// Offers one payload at `node`.
     pub fn offer(&self, node: NodeId, payload: Payload) -> bool {
-        self.handles[node.index()].command(Command::Offer(payload))
+        self.handles[node.index()].command(Input::Offer(payload))
     }
 
     /// Resizes the event buffer of one node.
     pub fn resize(&self, node: NodeId, capacity: usize) -> bool {
-        self.handles[node.index()].command(Command::Resize(capacity))
+        self.handles[node.index()].command(Input::Resize(capacity))
     }
 
     /// Resizes a group of nodes.
@@ -411,7 +374,7 @@ impl RuntimeCluster {
         self.metrics
             .lock()
             .record_membership(node, self.elapsed(), false);
-        self.handles[node.index()].command(Command::Crash)
+        self.handles[node.index()].command(Input::Crash)
     }
 
     /// Recovers a crashed node, state intact.
@@ -419,7 +382,7 @@ impl RuntimeCluster {
         self.metrics
             .lock()
             .record_membership(node, self.elapsed(), true);
-        self.handles[node.index()].command(Command::Recover)
+        self.handles[node.index()].command(Input::Recover)
     }
 
     /// Restarts one node with state loss (fresh protocol state machine).
@@ -427,7 +390,11 @@ impl RuntimeCluster {
         self.metrics
             .lock()
             .record_membership(node, self.elapsed(), true);
-        self.handles[node.index()].command(Command::Restart)
+        let epoch = self.restarts[node.index()].fetch_add(1, Ordering::Relaxed);
+        let seeds = SeedSequence::new(self.config.seed);
+        let rng: DetRng = seeds.rng_for("runtime-restart", node.index() as u64 + (epoch << 32));
+        let protocol = build_protocol(&self.config, node, rng);
+        self.handles[node.index()].command(Input::Restart(protocol))
     }
 
     /// Gracefully removes one node: farewell frames, then silence.
@@ -435,7 +402,7 @@ impl RuntimeCluster {
         self.metrics
             .lock()
             .record_membership(node, self.elapsed(), false);
-        self.handles[node.index()].command(Command::Leave)
+        self.handles[node.index()].command(Input::Leave)
     }
 
     /// Lets the cluster run for `d` of wall-clock time.

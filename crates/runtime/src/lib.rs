@@ -34,6 +34,6 @@ mod transport;
 pub mod wire;
 
 pub use cluster::{RuntimeCluster, RuntimeClusterConfig, TransportKind};
-pub use node::{Command, NodeHandle, NodeRuntime};
-pub use telemetry::{read_stamp, stamp_payload, LifecycleKind, NodeTelemetry, STAMP_LEN};
+pub use node::{NodeHandle, NodeRuntime, RuntimeObserver};
+pub use telemetry::{read_stamp, stamp_payload, NodeTelemetry, STAMP_LEN};
 pub use transport::{ChannelTransport, Transport, TransportError, UdpTransport, MAX_DATAGRAM};

@@ -6,89 +6,60 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use agb_core::{FrameProtocol, GossipFrame};
-use agb_failure::{ByteAdversary, Mutation, PhiDetector, Verdict};
+use agb_core::GossipFrame;
+use agb_failure::{ByteAdversary, Mutation};
 use agb_metrics::MetricsCollector;
+use agb_node::{Input, NodeObserver, NodeShell, Outgoing, ShedClass};
 use agb_trace::{Recorder, TraceProbe, TraceSink};
 use agb_types::{bernoulli, DetRng, NodeId, Payload, TimeMs};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::telemetry::{stamp_payload, LifecycleKind, NodeTelemetry, ShedClass};
+use crate::telemetry::{stamp_payload, NodeTelemetry};
 use crate::transport::{RecvOutcome, Transport, TransportError, MAX_DATAGRAM};
 use crate::wire;
-
-/// Control-plane commands accepted by a running node.
-#[derive(Debug)]
-pub enum Command {
-    /// Offer a payload for broadcast.
-    Offer(Payload),
-    /// Resize the event buffer (the Figure 9 runtime experiment).
-    Resize(usize),
-    /// Crash-stop: the node stops gossiping, receiving and offering, but
-    /// keeps its state for a later [`Command::Recover`].
-    Crash,
-    /// Resume after a [`Command::Crash`], state intact.
-    Recover,
-    /// Restart with state loss: the protocol state machine is rebuilt from
-    /// the node's factory (see [`NodeRuntime::rebuild`]) and the node
-    /// resumes. Falls back to [`Command::Recover`] when no factory is
-    /// installed.
-    Restart,
-    /// Graceful leave: emit farewell frames (flushing the buffer and, with
-    /// partial views, propagating the unsubscription), then go silent.
-    Leave,
-}
 
 /// Handle to a spawned node thread.
 pub struct NodeHandle {
     /// The node's identity.
     pub node: NodeId,
-    pub(crate) cmd_tx: Sender<Command>,
+    pub(crate) cmd_tx: Sender<Input>,
     pub(crate) join: JoinHandle<()>,
 }
 
 impl NodeHandle {
-    /// Sends a control command; returns `false` if the node has stopped.
-    pub fn command(&self, cmd: Command) -> bool {
-        self.cmd_tx.send(cmd).is_ok()
+    /// Hands the node a control input (an offer, a resize or a lifecycle
+    /// transition); returns `false` if the node has stopped. Offers to a
+    /// crashed or departed node are dropped.
+    pub fn command(&self, input: Input) -> bool {
+        self.cmd_tx.send(input).is_ok()
     }
 }
 
+/// What a runtime node reports to: the causal-trace probe and the
+/// wall-clock telemetry handles. A disabled probe or telemetry instance
+/// records nothing, and paced offers are latency-stamped only under
+/// telemetry.
+pub type RuntimeObserver = (TraceProbe, NodeTelemetry);
+
 /// Parameters for one node thread.
 pub struct NodeRuntime {
-    /// The protocol state machine to drive (plain or recovery-wrapped).
-    pub protocol: Box<dyn FrameProtocol + Send>,
+    /// The node's protocol (plain or recovery-wrapped), its optional
+    /// failure detector, and its observers.
+    pub shell: NodeShell<RuntimeObserver>,
     /// Offered load in msgs/s (0 = pure receiver), constant pacing.
     pub offered_rate: f64,
     /// Payload attached to offered messages.
     pub payload: Payload,
     /// Blocking-application backlog bound.
     pub max_backlog: usize,
-    /// Factory rebuilding the protocol from scratch, used by
-    /// [`Command::Restart`] to model restart-with-state-loss.
-    pub rebuild: Option<Box<dyn Fn() -> Box<dyn FrameProtocol + Send> + Send>>,
-    /// Causal-trace probe. A disabled probe records nothing and the loop
-    /// takes none of the tracing branches.
-    pub probe: TraceProbe,
-    /// Wall-clock telemetry handles. A disabled instance records nothing
-    /// and paced offers are not latency-stamped.
-    pub telemetry: NodeTelemetry,
     /// Sender-side injected datagram loss probability in `[0, 1)` — a
     /// deterministic harness for exercising the recovery plane over real
     /// transports.
     pub loss: f64,
     /// RNG stream driving the loss draws.
     pub loss_rng: DetRng,
-    /// φ-accrual failure detector (`None` = detection plane off). Fed
-    /// by every decoded frame; verdicts drive `evict_peer` on the
-    /// protocol.
-    pub detector: Option<PhiDetector>,
-    /// Ring successors owed a heartbeat whenever a round's regular
-    /// gossip does not cover them (empty when the detection plane is
-    /// off; see [`agb_failure::ring_successors`]).
-    pub heartbeat_targets: Vec<NodeId>,
     /// Egress byte adversary harness (`None` = clean wire): mutates
     /// encoded datagrams before they reach the transport.
     pub adversary: Option<ByteAdversary>,
@@ -112,17 +83,6 @@ const RETRY_BASE: Duration = Duration::from_millis(10);
 const RETRY_CAP: Duration = Duration::from_millis(160);
 /// Default egress bound when the caller passes 0.
 const DEFAULT_EGRESS_CAPACITY: usize = 1024;
-
-/// The egress priority class of a frame: graft requests steer recovery
-/// (control), retransmissions repair gaps (recovery), regular gossip
-/// carries the app payload and is shed first under overload.
-fn frame_class(frame: &GossipFrame) -> ShedClass {
-    match frame {
-        GossipFrame::Gossip { .. } => ShedClass::App,
-        GossipFrame::Retransmit(_) => ShedClass::Recovery,
-        GossipFrame::Graft(_) => ShedClass::Control,
-    }
-}
 
 /// A frame awaiting a backed-off resend after an I/O send failure.
 struct Retry {
@@ -182,6 +142,20 @@ impl Egress {
         }
     }
 
+    /// Queues every frame of `out` and transmits them.
+    fn send_all<T: Transport>(
+        &mut self,
+        out: &mut Vec<Outgoing>,
+        at: TimeMs,
+        observer: &mut RuntimeObserver,
+        transport: &T,
+    ) {
+        for (to, frame) in out.drain(..) {
+            self.enqueue(to, frame, at, observer);
+        }
+        self.flush(transport, &observer.1);
+    }
+
     /// Queues one frame, shedding under overload: the victim is the
     /// oldest frame of the lowest-priority backlogged class at or below
     /// the incoming class — an app frame arriving into a queue full of
@@ -191,23 +165,20 @@ impl Egress {
         to: NodeId,
         frame: GossipFrame,
         at: TimeMs,
-        probe: &mut TraceProbe,
-        telemetry: &NodeTelemetry,
+        observer: &mut RuntimeObserver,
     ) {
         const CLASSES: [ShedClass; 3] = [ShedClass::App, ShedClass::Recovery, ShedClass::Control];
-        let class = frame_class(&frame);
+        let class = ShedClass::of(&frame);
         let idx = class.as_u8() as usize;
         let total: usize = self.queues.iter().map(VecDeque::len).sum();
         if total >= self.capacity {
             match (0..=idx).find(|&i| !self.queues[i].is_empty()) {
                 Some(victim) => {
                     self.queues[victim].pop_front();
-                    probe.on_sheds(at, victim as u8, 1);
-                    telemetry.on_shed(CLASSES[victim]);
+                    observer.on_shed(at, CLASSES[victim]);
                 }
                 None => {
-                    probe.on_sheds(at, class.as_u8(), 1);
-                    telemetry.on_shed(class);
+                    observer.on_shed(at, class);
                     return;
                 }
             }
@@ -360,8 +331,8 @@ pub fn spawn_node<T: Transport>(
     trace: Option<Arc<Mutex<Recorder>>>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
-    cmd_rx: Receiver<Command>,
-    cmd_tx: Sender<Command>,
+    cmd_rx: Receiver<Input>,
+    cmd_tx: Sender<Input>,
 ) -> NodeHandle {
     let join = std::thread::Builder::new()
         .name(format!("agb-node-{}", id.index()))
@@ -387,9 +358,10 @@ fn node_loop<T: Transport>(
     trace: Option<Arc<Mutex<Recorder>>>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
-    cmd_rx: Receiver<Command>,
+    cmd_rx: Receiver<Input>,
 ) {
-    let period = runtime.protocol.gossip_period().to_std();
+    let shell = &mut runtime.shell;
+    let period = shell.protocol().gossip_period().to_std();
     // Stagger rounds by node index to avoid synchronized bursts, like the
     // unsynchronized processes of the paper's testbed.
     let phase = period.mul_f64((id.index() % 16) as f64 / 16.0);
@@ -404,7 +376,7 @@ fn node_loop<T: Transport>(
     let now_ms = |at: Instant| TimeMs::from_millis(at.duration_since(epoch).as_millis() as u64);
     // The send side: priority queues + shedding + retries + the
     // loss/adversary harnesses (owns the pooled frame encoder).
-    let profiling = runtime.profile && runtime.telemetry.enabled();
+    let profiling = runtime.profile && shell.observer().1.enabled();
     let mut egress = Egress::new(
         runtime.egress_capacity,
         profiling,
@@ -424,70 +396,38 @@ fn node_loop<T: Transport>(
     // prior iteration (including its bounded recv wait) into the
     // loop-iteration histogram.
     let mut iter_started: Option<Instant> = None;
+    let mut out = Vec::new();
 
     while !shutdown.load(Ordering::Relaxed) {
         if profiling {
             let woke = Instant::now();
             if let Some(t0) = iter_started {
-                runtime
-                    .telemetry
-                    .on_loop_iteration(woke.duration_since(t0).as_secs_f64());
+                let secs = woke.duration_since(t0).as_secs_f64();
+                shell.observer().1.on_loop_iteration(secs);
             }
             iter_started = Some(woke);
         }
 
         // 0. Release due reorder hold-backs and backed-off retries.
-        egress.pump(&transport, &runtime.telemetry);
+        egress.pump(&transport, &shell.observer().1);
 
-        // 1. Control commands.
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            let now = now_ms(Instant::now());
-            match cmd {
-                Command::Offer(payload) => {
-                    if !down {
-                        runtime.protocol.offer(payload, now);
-                    }
-                }
-                Command::Resize(cap) => {
-                    runtime.protocol.set_buffer_capacity(cap, now);
-                }
-                Command::Crash => {
-                    runtime.probe.on_crash(now);
-                    runtime.telemetry.on_lifecycle(LifecycleKind::Crash);
-                    down = true;
-                }
-                Command::Recover => {
-                    runtime.probe.on_restart(now);
-                    runtime.telemetry.on_lifecycle(LifecycleKind::Recover);
+        // 1. Control inputs.
+        while let Ok(input) = cmd_rx.try_recv() {
+            match input {
+                Input::Offer(_) if down => continue,
+                Input::Crash | Input::Leave => down = true,
+                Input::Recover | Input::Restart(_) => {
                     down = false;
                     next_round = Instant::now() + period;
                     if let Some(gap) = offer_gap {
                         next_offer = Some(Instant::now() + gap);
                     }
                 }
-                Command::Restart => {
-                    if let Some(rebuild) = &runtime.rebuild {
-                        runtime.protocol = rebuild();
-                    }
-                    runtime.probe.on_restart(now);
-                    runtime.telemetry.on_lifecycle(LifecycleKind::Restart);
-                    down = false;
-                    next_round = Instant::now() + period;
-                    if let Some(gap) = offer_gap {
-                        next_offer = Some(Instant::now() + gap);
-                    }
-                }
-                Command::Leave => {
-                    let farewells = runtime.protocol.leave(now);
-                    runtime.probe.observe_frames(now, &farewells);
-                    runtime.telemetry.on_lifecycle(LifecycleKind::Leave);
-                    for (to, frame) in farewells {
-                        egress.enqueue(to, frame, now, &mut runtime.probe, &runtime.telemetry);
-                    }
-                    egress.flush(&transport, &runtime.telemetry);
-                    down = true;
-                }
+                _ => {}
             }
+            let now = now_ms(Instant::now());
+            shell.step(now, input, &mut out);
+            egress.send_all(&mut out, now, shell.observer_mut(), &transport);
         }
 
         if down {
@@ -495,34 +435,31 @@ fn node_loop<T: Transport>(
             // node are lost, not queued) and the command channel
             // responsive.
             if let RecvOutcome::Closed = transport.recv_outcome(Duration::from_millis(5)) {
-                runtime.telemetry.on_recv_closed();
+                shell.observer().1.on_recv_closed();
                 break;
             }
             continue;
         }
 
-        // 2. Paced local offers (blocking-application semantics: skip when
-        //    the protocol backlog is full).
+        // 2. Paced local offers (blocking-application semantics: refuse
+        //    when the protocol backlog is full).
         if let (Some(gap), Some(next)) = (offer_gap, next_offer) {
             let mut at = next;
             while at <= Instant::now() {
-                if runtime.protocol.pending_len() < runtime.max_backlog.max(1) {
+                let input = if shell.protocol().pending_len() < runtime.max_backlog.max(1) {
                     // Under telemetry, stamp the send time into the payload
                     // so the delivering node can measure end-to-end latency.
-                    let payload = if runtime.telemetry.enabled() {
+                    let payload = if shell.observer().1.enabled() {
                         stamp_payload(&runtime.payload, epoch)
                             .unwrap_or_else(|| runtime.payload.clone())
                     } else {
                         runtime.payload.clone()
                     };
-                    runtime.protocol.offer(payload, now_ms(at));
+                    Input::Offer(payload)
                 } else {
-                    // Blocking application refused an offer: a congestion
-                    // drop in the trace taxonomy.
-                    runtime.probe.on_congestion_drops(now_ms(at), 1);
-                    runtime.telemetry.on_offer_refused();
-                    runtime.telemetry.on_congestion_drop();
-                }
+                    Input::Refused(1)
+                };
+                shell.step(now_ms(at), input, &mut out);
                 at += gap;
             }
             next_offer = Some(at);
@@ -530,55 +467,29 @@ fn node_loop<T: Transport>(
 
         // 3. Receive until the next round deadline (bounded slice so
         //    commands stay responsive).
-        let now_instant = Instant::now();
-        let until_round = next_round.saturating_duration_since(now_instant);
-        let slice = until_round.min(Duration::from_millis(5));
-        match transport.recv_outcome(slice) {
+        let until_round = next_round.saturating_duration_since(Instant::now());
+        match transport.recv_outcome(until_round.min(Duration::from_millis(5))) {
             RecvOutcome::Datagram(bytes) => {
                 match wire::decode_frame_interned(&bytes, &mut interner) {
                     Ok(frame) => {
-                        let from = frame.sender();
-                        runtime.probe.on_message(&frame);
-                        runtime.telemetry.on_received(&frame, bytes.len());
+                        shell.observer().1.on_received(&frame, bytes.len());
                         let at = now_ms(Instant::now());
-                        // Every decoded frame is an arrival sample for the
-                        // detector — gossip piggybacks the liveness signal.
-                        if let Some(det) = runtime.detector.as_mut() {
-                            if let Some(Verdict::Rejoin(peer)) = det.observe(from, at) {
-                                runtime.probe.on_rejoin(at, peer);
-                            }
-                        }
-                        let replies = runtime.protocol.on_receive(from, frame, at);
-                        for (to, reply) in replies {
-                            egress.enqueue(to, reply, at, &mut runtime.probe, &runtime.telemetry);
-                        }
-                        egress.flush(&transport, &runtime.telemetry);
-                        if runtime.probe.enabled() {
-                            // Drain per datagram so the probe can attribute the
-                            // events (and detect duplicates) to this sender.
-                            let events = runtime.protocol.drain_events();
-                            runtime.probe.on_events(&events);
-                            runtime.probe.on_received(at, from, &events);
-                            runtime.telemetry.on_events(&events);
-                            if !events.is_empty() {
-                                metrics.lock().on_events(id, &events);
-                            }
-                        }
+                        let from = frame.sender();
+                        shell.step(at, Input::Frame { from, frame }, &mut out);
+                        egress.send_all(&mut out, at, shell.observer_mut(), &transport);
                     }
-                    Err(_) => {
-                        // Corrupt datagram: drop, like the network would — but
-                        // count it, unlike the network. The checksum trailer
-                        // guarantees this path never misdelivers an
-                        // adversary-mangled frame.
-                        runtime.telemetry.on_decode_error();
-                    }
+                    // Corrupt datagram: drop, like the network would — but
+                    // count it, unlike the network. The checksum trailer
+                    // guarantees this path never misdelivers an
+                    // adversary-mangled frame.
+                    Err(_) => shell.observer().1.on_decode_error(),
                 }
             }
             RecvOutcome::Timeout => {}
             RecvOutcome::Closed => {
                 // Terminal transport teardown: no peer can reach this
                 // node again, so the loop ends.
-                runtime.telemetry.on_recv_closed();
+                shell.observer().1.on_recv_closed();
                 break;
             }
         }
@@ -586,90 +497,29 @@ fn node_loop<T: Transport>(
         // 4. Gossip round.
         if Instant::now() >= next_round {
             let at = now_ms(next_round);
-            let out = runtime.protocol.on_round(at);
-            if runtime.probe.enabled() {
-                runtime.probe.on_round(
-                    at,
-                    &out,
-                    runtime.protocol.buffer_len(),
-                    runtime.protocol.buffer_capacity(),
-                );
-            }
-            if runtime.telemetry.enabled() {
-                runtime.telemetry.on_round(
-                    runtime.protocol.buffer_len(),
-                    runtime.protocol.buffer_capacity(),
-                );
-            }
-            // Heartbeat fallback: ring successors the regular gossip did
-            // not cover this round still get an (empty) liveness frame,
-            // so their detectors keep seeing ~one arrival per period.
-            if !runtime.heartbeat_targets.is_empty() {
-                for i in 0..runtime.heartbeat_targets.len() {
-                    let hb = runtime.heartbeat_targets[i];
-                    if !out.iter().any(|&(to, _)| to == hb) {
-                        runtime.probe.on_heartbeat(at, hb);
-                        runtime.telemetry.on_heartbeat();
-                        egress.enqueue(
-                            hb,
-                            GossipFrame::heartbeat(id),
-                            at,
-                            &mut runtime.probe,
-                            &runtime.telemetry,
-                        );
-                    }
-                }
-            }
-            for (to, frame) in out {
-                egress.enqueue(to, frame, at, &mut runtime.probe, &runtime.telemetry);
-            }
-            egress.flush(&transport, &runtime.telemetry);
-            // Judge the monitored peers once per round; eviction removes
-            // the condemned peer from this node's view through the same
-            // path a scripted eviction uses.
-            if let Some(det) = runtime.detector.as_mut() {
-                for verdict in det.check(at) {
-                    match verdict {
-                        Verdict::Suspect(peer) => {
-                            runtime.probe.on_suspect(at, peer);
-                            runtime.telemetry.on_suspect();
-                        }
-                        Verdict::Evict(peer) => {
-                            runtime.protocol.evict_peer(peer);
-                            runtime.probe.on_detector_evict(at, peer);
-                            runtime.telemetry.on_detector_evict();
-                        }
-                        Verdict::Rejoin(peer) => {
-                            runtime.probe.on_rejoin(at, peer);
-                        }
-                    }
-                }
-            }
+            shell.step(at, Input::Round, &mut out);
+            egress.send_all(&mut out, at, shell.observer_mut(), &transport);
             next_round += period;
         }
 
-        // 5. Drain protocol events into the shared collector, and flush
-        //    any buffered trace records into the shared recorder.
-        let events = runtime.protocol.drain_events();
-        if !events.is_empty() {
-            runtime.probe.on_events(&events);
-            runtime.telemetry.on_events(&events);
-            let mut m = metrics.lock();
-            m.on_events(id, &events);
+        // 5. Hand the iteration's protocol events to the shared
+        //    collector, and flush buffered trace records into the
+        //    shared recorder.
+        if !shell.events().is_empty() {
+            metrics.lock().on_events(id, shell.events());
+            shell.clear_events();
         }
-        if runtime.telemetry.enabled() {
-            runtime
-                .telemetry
-                .set_queue_depth(cmd_rx.len() + runtime.protocol.pending_len());
-        }
-        if runtime.probe.pending_len() > 0 {
+        let backlog = cmd_rx.len() + shell.protocol().pending_len();
+        let (probe, telemetry) = shell.observer_mut();
+        telemetry.set_queue_depth(backlog);
+        if probe.pending_len() > 0 {
             if let Some(recorder) = &trace {
                 let mut r = recorder.lock();
-                for record in runtime.probe.drain_pending() {
+                for record in probe.drain_pending() {
                     r.record(record);
                 }
             } else {
-                runtime.probe.drain_pending().for_each(drop);
+                probe.drain_pending().for_each(drop);
             }
         }
     }
@@ -707,21 +557,18 @@ mod tests {
                 FullView::new(n),
                 DetRng::seed_from_u64(i as u64),
             ));
+            let probe = TraceProbe::new(agb_trace::TraceConfig::disabled(), id);
+            let observer = (probe, NodeTelemetry::disabled());
             let (tx, rx) = unbounded();
             handles.push(spawn_node(
                 id,
                 NodeRuntime {
-                    protocol,
+                    shell: NodeShell::new(protocol, None, n, observer),
                     offered_rate: 0.0,
                     payload: Payload::new(),
                     max_backlog: 2,
-                    rebuild: None,
-                    probe: TraceProbe::new(agb_trace::TraceConfig::disabled(), id),
-                    telemetry: NodeTelemetry::disabled(),
                     loss: 0.0,
                     loss_rng: DetRng::seed_from_u64(0),
-                    detector: None,
-                    heartbeat_targets: vec![],
                     adversary: None,
                     adversary_rng: DetRng::seed_from_u64(0),
                     egress_capacity: 0,
@@ -737,7 +584,7 @@ mod tests {
             ));
         }
 
-        assert!(handles[0].command(Command::Offer(Payload::from_static(b"hi"))));
+        assert!(handles[0].command(Input::Offer(Payload::from_static(b"hi"))));
         std::thread::sleep(Duration::from_millis(400));
         shutdown.store(true, Ordering::Relaxed);
         for h in handles {

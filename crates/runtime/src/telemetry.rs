@@ -10,10 +10,11 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use agb_core::{GossipFrame, ProtocolEvent, PurgeReason};
+use agb_node::{LifecycleKind, NodeObserver, Outgoing, ShedClass};
 use agb_telemetry::{
     dwell_seconds_bounds, latency_seconds_bounds, names, Counter, Gauge, Registry, WallHistogram,
 };
-use agb_types::{NodeId, Payload};
+use agb_types::{NodeId, Payload, TimeMs};
 
 use crate::transport::TransportError;
 
@@ -87,6 +88,7 @@ struct Cells {
     lifecycle_recover: Counter,
     lifecycle_restart: Counter,
     lifecycle_leave: Counter,
+    lifecycle_rejoin: Counter,
     rounds: Counter,
     offers_refused: Counter,
     suspicions: Counter,
@@ -118,148 +120,76 @@ impl NodeTelemetry {
     pub fn new(registry: &Registry, node: NodeId, epoch: Instant) -> Self {
         let node_s = node.index().to_string();
         let n = node_s.as_str();
-        let counter =
-            |name, help, labels: &[(&'static str, &str)]| registry.counter(name, help, labels);
         let by_node: &[(&'static str, &str)] = &[("node", n)];
+        let counter = |name, help| registry.counter(name, help, by_node);
+        let labeled = |name, help, label: (&'static str, &str)| {
+            registry.counter(name, help, &[("node", n), label])
+        };
+        let sent = |v| {
+            labeled(
+                names::MESSAGES_SENT,
+                names::help::MESSAGES_SENT,
+                ("kind", v),
+            )
+        };
+        let received = |v| {
+            labeled(
+                names::MESSAGES_RECEIVED,
+                names::help::MESSAGES_RECEIVED,
+                ("kind", v),
+            )
+        };
+        let send_error = |v| labeled(names::SEND_ERRORS, names::help::SEND_ERRORS, ("cause", v));
+        let dropped = |v| labeled(names::DROPS, names::help::DROPS, ("cause", v));
+        let recovery = |v| {
+            labeled(
+                names::RECOVERY_EVENTS,
+                names::help::RECOVERY_EVENTS,
+                ("kind", v),
+            )
+        };
+        let lifecycle = |v| labeled(names::LIFECYCLE, names::help::LIFECYCLE, ("kind", v));
+        let shed = |v| labeled(names::SHEDS, names::help::SHEDS, ("class", v));
         let cells = Cells {
             epoch,
-            sent_gossip: counter(
-                names::MESSAGES_SENT,
-                names::help::MESSAGES_SENT,
-                &[("node", n), ("kind", "gossip")],
-            ),
-            sent_graft: counter(
-                names::MESSAGES_SENT,
-                names::help::MESSAGES_SENT,
-                &[("node", n), ("kind", "graft")],
-            ),
-            sent_retransmit: counter(
-                names::MESSAGES_SENT,
-                names::help::MESSAGES_SENT,
-                &[("node", n), ("kind", "retransmit")],
-            ),
-            received_gossip: counter(
-                names::MESSAGES_RECEIVED,
-                names::help::MESSAGES_RECEIVED,
-                &[("node", n), ("kind", "gossip")],
-            ),
-            received_graft: counter(
-                names::MESSAGES_RECEIVED,
-                names::help::MESSAGES_RECEIVED,
-                &[("node", n), ("kind", "graft")],
-            ),
-            received_retransmit: counter(
-                names::MESSAGES_RECEIVED,
-                names::help::MESSAGES_RECEIVED,
-                &[("node", n), ("kind", "retransmit")],
-            ),
-            bytes_sent: counter(names::BYTES_SENT, names::help::BYTES_SENT, by_node),
-            bytes_received: counter(names::BYTES_RECEIVED, names::help::BYTES_RECEIVED, by_node),
-            send_err_io: counter(
-                names::SEND_ERRORS,
-                names::help::SEND_ERRORS,
-                &[("node", n), ("cause", "io")],
-            ),
-            send_err_oversize: counter(
-                names::SEND_ERRORS,
-                names::help::SEND_ERRORS,
-                &[("node", n), ("cause", "oversize")],
-            ),
-            send_err_unknown: counter(
-                names::SEND_ERRORS,
-                names::help::SEND_ERRORS,
-                &[("node", n), ("cause", "unknown_peer")],
-            ),
-            decode_errors: counter(names::DECODE_ERRORS, names::help::DECODE_ERRORS, by_node),
-            loss_injected: counter(names::LOSS_INJECTED, names::help::LOSS_INJECTED, by_node),
-            publishes: counter(names::PUBLISHES, names::help::PUBLISHES, by_node),
-            deliveries: counter(names::DELIVERIES, names::help::DELIVERIES, by_node),
-            drops_age: counter(
-                names::DROPS,
-                names::help::DROPS,
-                &[("node", n), ("cause", "age")],
-            ),
-            drops_size: counter(
-                names::DROPS,
-                names::help::DROPS,
-                &[("node", n), ("cause", "size")],
-            ),
-            drops_congestion: counter(
-                names::DROPS,
-                names::help::DROPS,
-                &[("node", n), ("cause", "congestion")],
-            ),
-            rec_graft: counter(
-                names::RECOVERY_EVENTS,
-                names::help::RECOVERY_EVENTS,
-                &[("node", n), ("kind", "graft")],
-            ),
-            rec_retransmit: counter(
-                names::RECOVERY_EVENTS,
-                names::help::RECOVERY_EVENTS,
-                &[("node", n), ("kind", "retransmit")],
-            ),
-            rec_recovered: counter(
-                names::RECOVERY_EVENTS,
-                names::help::RECOVERY_EVENTS,
-                &[("node", n), ("kind", "recovered")],
-            ),
-            rec_duplicate: counter(
-                names::RECOVERY_EVENTS,
-                names::help::RECOVERY_EVENTS,
-                &[("node", n), ("kind", "duplicate")],
-            ),
-            rec_abandoned: counter(
-                names::RECOVERY_EVENTS,
-                names::help::RECOVERY_EVENTS,
-                &[("node", n), ("kind", "abandoned")],
-            ),
-            lifecycle_crash: counter(
-                names::LIFECYCLE,
-                names::help::LIFECYCLE,
-                &[("node", n), ("kind", "crash")],
-            ),
-            lifecycle_recover: counter(
-                names::LIFECYCLE,
-                names::help::LIFECYCLE,
-                &[("node", n), ("kind", "recover")],
-            ),
-            lifecycle_restart: counter(
-                names::LIFECYCLE,
-                names::help::LIFECYCLE,
-                &[("node", n), ("kind", "restart")],
-            ),
-            lifecycle_leave: counter(
-                names::LIFECYCLE,
-                names::help::LIFECYCLE,
-                &[("node", n), ("kind", "leave")],
-            ),
-            rounds: counter(names::ROUNDS, names::help::ROUNDS, by_node),
-            offers_refused: counter(names::OFFERS_REFUSED, names::help::OFFERS_REFUSED, by_node),
-            suspicions: counter(names::SUSPICIONS, names::help::SUSPICIONS, by_node),
-            detector_evictions: counter(
-                names::DETECTOR_EVICTIONS,
-                names::help::DETECTOR_EVICTIONS,
-                by_node,
-            ),
-            heartbeats: counter(names::HEARTBEATS, names::help::HEARTBEATS, by_node),
-            shed_app: counter(
-                names::SHEDS,
-                names::help::SHEDS,
-                &[("node", n), ("class", "app")],
-            ),
-            shed_recovery: counter(
-                names::SHEDS,
-                names::help::SHEDS,
-                &[("node", n), ("class", "recovery")],
-            ),
-            shed_control: counter(
-                names::SHEDS,
-                names::help::SHEDS,
-                &[("node", n), ("class", "control")],
-            ),
-            send_retries: counter(names::SEND_RETRIES, names::help::SEND_RETRIES, by_node),
-            recv_closed: counter(names::RECV_CLOSED, names::help::RECV_CLOSED, by_node),
+            sent_gossip: sent("gossip"),
+            sent_graft: sent("graft"),
+            sent_retransmit: sent("retransmit"),
+            received_gossip: received("gossip"),
+            received_graft: received("graft"),
+            received_retransmit: received("retransmit"),
+            bytes_sent: counter(names::BYTES_SENT, names::help::BYTES_SENT),
+            bytes_received: counter(names::BYTES_RECEIVED, names::help::BYTES_RECEIVED),
+            send_err_io: send_error("io"),
+            send_err_oversize: send_error("oversize"),
+            send_err_unknown: send_error("unknown_peer"),
+            decode_errors: counter(names::DECODE_ERRORS, names::help::DECODE_ERRORS),
+            loss_injected: counter(names::LOSS_INJECTED, names::help::LOSS_INJECTED),
+            publishes: counter(names::PUBLISHES, names::help::PUBLISHES),
+            deliveries: counter(names::DELIVERIES, names::help::DELIVERIES),
+            drops_age: dropped("age"),
+            drops_size: dropped("size"),
+            drops_congestion: dropped("congestion"),
+            rec_graft: recovery("graft"),
+            rec_retransmit: recovery("retransmit"),
+            rec_recovered: recovery("recovered"),
+            rec_duplicate: recovery("duplicate"),
+            rec_abandoned: recovery("abandoned"),
+            lifecycle_crash: lifecycle("crash"),
+            lifecycle_recover: lifecycle("recover"),
+            lifecycle_restart: lifecycle("restart"),
+            lifecycle_leave: lifecycle("leave"),
+            lifecycle_rejoin: lifecycle("rejoin"),
+            rounds: counter(names::ROUNDS, names::help::ROUNDS),
+            offers_refused: counter(names::OFFERS_REFUSED, names::help::OFFERS_REFUSED),
+            suspicions: counter(names::SUSPICIONS, names::help::SUSPICIONS),
+            detector_evictions: counter(names::DETECTOR_EVICTIONS, names::help::DETECTOR_EVICTIONS),
+            heartbeats: counter(names::HEARTBEATS, names::help::HEARTBEATS),
+            shed_app: shed("app"),
+            shed_recovery: shed("recovery"),
+            shed_control: shed("control"),
+            send_retries: counter(names::SEND_RETRIES, names::help::SEND_RETRIES),
+            recv_closed: counter(names::RECV_CLOSED, names::help::RECV_CLOSED),
             delivery_latency: registry.histogram(
                 names::DELIVERY_LATENCY_SECONDS,
                 names::help::DELIVERY_LATENCY_SECONDS,
@@ -306,12 +236,6 @@ impl NodeTelemetry {
         NodeTelemetry {
             inner: Some(Box::new(cells)),
         }
-    }
-
-    /// Whether recording is active (disabled instances skip payload
-    /// stamping too).
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// One fragment was accepted by the transport.
@@ -363,34 +287,6 @@ impl NodeTelemetry {
         }
     }
 
-    /// One gossip round ran; snapshots buffer occupancy.
-    pub fn on_round(&self, buffer_len: usize, buffer_capacity: usize) {
-        if let Some(c) = &self.inner {
-            c.rounds.inc();
-            c.buffer_events.set(buffer_len as i64);
-            c.buffer_capacity.set(buffer_capacity as i64);
-        }
-    }
-
-    /// A paced offer was refused by the blocking-application backlog.
-    pub fn on_offer_refused(&self) {
-        if let Some(c) = &self.inner {
-            c.offers_refused.inc();
-        }
-    }
-
-    /// A lifecycle command was processed.
-    pub fn on_lifecycle(&self, kind: LifecycleKind) {
-        if let Some(c) = &self.inner {
-            match kind {
-                LifecycleKind::Crash => c.lifecycle_crash.inc(),
-                LifecycleKind::Recover => c.lifecycle_recover.inc(),
-                LifecycleKind::Restart => c.lifecycle_restart.inc(),
-                LifecycleKind::Leave => c.lifecycle_leave.inc(),
-            }
-        }
-    }
-
     /// Updates the node-loop backlog gauge.
     pub fn set_queue_depth(&self, depth: usize) {
         if let Some(c) = &self.inner {
@@ -398,10 +294,82 @@ impl NodeTelemetry {
         }
     }
 
+    /// One full node-loop iteration completed (wake to sleep), in
+    /// seconds.
+    pub fn on_loop_iteration(&self, secs: f64) {
+        if let Some(c) = &self.inner {
+            c.loop_iteration.observe(secs);
+        }
+    }
+
+    /// One frame left the egress queue for the transport after dwelling
+    /// `secs` seconds since enqueue.
+    pub fn on_egress_dwell(&self, secs: f64) {
+        if let Some(c) = &self.inner {
+            c.egress_dwell.observe(secs);
+        }
+    }
+
+    /// A recovery-class frame was re-sent after a backed-off retry.
+    pub fn on_send_retry(&self) {
+        if let Some(c) = &self.inner {
+            c.send_retries.inc();
+        }
+    }
+
+    /// The transport reported terminal teardown to the node loop.
+    pub fn on_recv_closed(&self) {
+        if let Some(c) = &self.inner {
+            c.recv_closed.inc();
+        }
+    }
+}
+
+/// The telemetry plane counts the shell's facts; frames and trace
+/// detail stay with the trace probe.
+impl NodeObserver for NodeTelemetry {
+    /// Whether recording is active (disabled instances skip payload
+    /// stamping too).
+    fn enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    fn on_round(&mut self, _at: TimeMs, _frames: &[Outgoing], len: usize, capacity: usize) {
+        if let Some(c) = &self.inner {
+            c.rounds.inc();
+            c.buffer_events.set(len as i64);
+            c.buffer_capacity.set(capacity as i64);
+        }
+    }
+
+    fn on_heartbeat(&mut self, _at: TimeMs, _to: NodeId) {
+        if let Some(c) = &self.inner {
+            c.heartbeats.inc();
+        }
+    }
+
+    fn on_suspect(&mut self, _at: TimeMs, _peer: NodeId) {
+        if let Some(c) = &self.inner {
+            c.suspicions.inc();
+        }
+    }
+
+    fn on_detector_evict(&mut self, _at: TimeMs, _peer: NodeId) {
+        if let Some(c) = &self.inner {
+            c.detector_evictions.inc();
+        }
+    }
+
+    fn on_rejoin(&mut self, _at: TimeMs, _peer: NodeId) {
+        if let Some(c) = &self.inner {
+            c.lifecycle_rejoin.inc();
+        }
+    }
+
     /// Folds drained protocol events: deliveries (with end-to-end latency
     /// when the payload carries a stamp), drops by cause, the recovery
     /// plane, and graft→recovered wall-clock round trips.
-    pub fn on_events(&mut self, events: &[ProtocolEvent]) {
+    fn on_events(&mut self, events: &[ProtocolEvent]) {
         let Some(c) = &mut self.inner else {
             return;
         };
@@ -441,54 +409,27 @@ impl NodeTelemetry {
         }
     }
 
-    /// One full node-loop iteration completed (wake to sleep), in
-    /// seconds.
-    pub fn on_loop_iteration(&self, secs: f64) {
+    /// Refused offers count both as refusals and as congestion drops,
+    /// matching the trace taxonomy.
+    fn on_refused(&mut self, _at: TimeMs, n: u64) {
         if let Some(c) = &self.inner {
-            c.loop_iteration.observe(secs);
+            c.offers_refused.add(n);
+            c.drops_congestion.add(n);
         }
     }
 
-    /// One frame left the egress queue for the transport after dwelling
-    /// `secs` seconds since enqueue.
-    pub fn on_egress_dwell(&self, secs: f64) {
+    fn on_lifecycle(&mut self, _at: TimeMs, kind: LifecycleKind) {
         if let Some(c) = &self.inner {
-            c.egress_dwell.observe(secs);
+            match kind {
+                LifecycleKind::Crash => c.lifecycle_crash.inc(),
+                LifecycleKind::Recover => c.lifecycle_recover.inc(),
+                LifecycleKind::Restart => c.lifecycle_restart.inc(),
+                LifecycleKind::Leave => c.lifecycle_leave.inc(),
+            }
         }
     }
 
-    /// A throttled offer was refused at the node loop (counted as a
-    /// congestion drop, matching the trace taxonomy).
-    pub fn on_congestion_drop(&self) {
-        if let Some(c) = &self.inner {
-            c.drops_congestion.inc();
-        }
-    }
-
-    /// The φ-accrual detector first suspected a peer.
-    pub fn on_suspect(&self) {
-        if let Some(c) = &self.inner {
-            c.suspicions.inc();
-        }
-    }
-
-    /// The detector condemned a peer and this node evicted it.
-    pub fn on_detector_evict(&self) {
-        if let Some(c) = &self.inner {
-            c.detector_evictions.inc();
-        }
-    }
-
-    /// An explicit heartbeat was sent to a ring successor that gossip
-    /// did not cover this round.
-    pub fn on_heartbeat(&self) {
-        if let Some(c) = &self.inner {
-            c.heartbeats.inc();
-        }
-    }
-
-    /// An overloaded egress queue shed a frame of the given class.
-    pub fn on_shed(&self, class: ShedClass) {
+    fn on_shed(&mut self, _at: TimeMs, class: ShedClass) {
         if let Some(c) = &self.inner {
             match class {
                 ShedClass::App => c.shed_app.inc(),
@@ -497,67 +438,6 @@ impl NodeTelemetry {
             }
         }
     }
-
-    /// A recovery-class frame was re-sent after a backed-off retry.
-    pub fn on_send_retry(&self) {
-        if let Some(c) = &self.inner {
-            c.send_retries.inc();
-        }
-    }
-
-    /// The transport reported terminal teardown to the node loop.
-    pub fn on_recv_closed(&self) {
-        if let Some(c) = &self.inner {
-            c.recv_closed.inc();
-        }
-    }
-}
-
-/// Egress priority classes, highest shed-resistance last: under
-/// overload the queue sheds `App` first, then `Recovery`; `Control`
-/// frames (membership, graft requests) go last.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedClass {
-    /// Regular gossip data frames.
-    App,
-    /// Retransmissions and recovery replies.
-    Recovery,
-    /// Membership and graft-request frames.
-    Control,
-}
-
-impl ShedClass {
-    /// Stable lowercase label (metric `class` label, trace class byte).
-    pub fn label(self) -> &'static str {
-        match self {
-            ShedClass::App => "app",
-            ShedClass::Recovery => "recovery",
-            ShedClass::Control => "control",
-        }
-    }
-
-    /// The trace-record class byte (0 = app, 1 = recovery, 2 = control).
-    pub fn as_u8(self) -> u8 {
-        match self {
-            ShedClass::App => 0,
-            ShedClass::Recovery => 1,
-            ShedClass::Control => 2,
-        }
-    }
-}
-
-/// Lifecycle transition kinds, matching the `kind` label of
-/// `agb_lifecycle_total`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifecycleKind {
-    /// Crash-stop (state kept).
-    Crash,
-    /// Resume after a crash.
-    Recover,
-    /// Restart with state loss.
-    Restart,
-    /// Graceful leave.
-    Leave,
 }
 
 #[cfg(test)]
@@ -585,7 +465,8 @@ mod tests {
         let mut t = NodeTelemetry::disabled();
         assert!(!t.enabled());
         t.on_decode_error();
-        t.on_round(3, 10);
+        t.on_round(TimeMs::ZERO, &[], 3, 10);
+        t.on_rejoin(TimeMs::ZERO, NodeId::new(1));
         t.on_events(&[]);
         t.set_queue_depth(5);
     }

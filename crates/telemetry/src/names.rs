@@ -24,7 +24,7 @@
 //! | [`RECOVERY_EVENTS`] | counter | `node`, `kind` | recovery plane (`ihave`/`graft`/`retransmit`/`recovered`/`duplicate`/`abandoned`) |
 //! | [`VIEW_CHANGES`] | counter | `node` | membership-view size changes |
 //! | [`CROSS_PARTITION_MSGS`] | counter | `node` | gossip frames sent across a topology-region boundary |
-//! | [`LIFECYCLE`] | counter | `node`, `kind` | `crash`/`restart`/`recover`/`leave` commands |
+//! | [`LIFECYCLE`] | counter | `node`, `kind` | `crash`/`restart`/`recover`/`leave` transitions and detector `rejoin`s |
 //! | [`ROUNDS`] | counter | `node` | gossip rounds executed |
 //! | [`OFFERS_REFUSED`] | counter | `node` | offers refused by the blocking-application backlog |
 //! | [`DELIVERY_LATENCY_SECONDS`] | histogram | `node` | publish → delivery, end to end wall clock |

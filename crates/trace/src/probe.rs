@@ -1,9 +1,9 @@
 //! The harness-side trace producer.
 //!
-//! A [`TraceProbe`] sits next to one protocol node inside a driving
-//! harness (simulator cluster node, runtime node loop, Maelstrom
-//! adapter) and turns what the harness already observes — outgoing
-//! frames, drained [`ProtocolEvent`]s, lifecycle actions — into
+//! A [`TraceProbe`] observes one node shell ([`NodeObserver`]) in any
+//! driving harness (simulator cluster node, runtime node loop, Maelstrom
+//! adapter) and turns what the shell reports — outgoing frames, drained
+//! [`ProtocolEvent`]s, detector verdicts, lifecycle transitions — into
 //! [`TraceRecord`]s. Records accumulate in a local buffer so nodes can
 //! stay `Send` and be driven on worker threads; the harness drains the
 //! buffer into a shared [`TraceSink`](crate::TraceSink) at its canonical
@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use agb_core::{GossipFrame, ProtocolEvent, PurgeReason};
+use agb_node::{LifecycleKind, NodeObserver, Outgoing, ShedClass};
 use agb_types::{EventId, NodeId, TimeMs};
 
 use crate::config::TraceConfig;
@@ -65,11 +66,6 @@ impl TraceProbe {
         self.regions.as_ref()
     }
 
-    /// Whether this probe records anything at all.
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
-    }
-
     /// The probe's sampling/ring configuration.
     pub fn config(&self) -> &TraceConfig {
         &self.config
@@ -100,15 +96,22 @@ impl TraceProbe {
             kind,
         });
     }
+}
+
+/// The probe records every fact the node shell reports.
+impl NodeObserver for TraceProbe {
+    /// Whether this probe records anything at all.
+    fn enabled(&self) -> bool {
+        self.config.enabled
+    }
 
     /// Observes one completed gossip round: the frames the protocol
     /// emitted (relay copies and piggybacked `IHave` digests) plus a
-    /// buffer-occupancy snapshot. Call after `on_round`, passing the
-    /// returned frames and the post-round buffer state.
-    pub fn on_round(
+    /// buffer-occupancy snapshot.
+    fn on_round(
         &mut self,
         at: TimeMs,
-        frames: &[(NodeId, GossipFrame)],
+        frames: &[Outgoing],
         buffer_len: usize,
         buffer_capacity: usize,
     ) {
@@ -116,7 +119,7 @@ impl TraceProbe {
             return;
         }
         self.round += 1;
-        self.observe_frames(at, frames);
+        self.on_frames(at, frames);
         self.push(
             at,
             TraceKind::BufferOccupancy {
@@ -131,7 +134,7 @@ impl TraceProbe {
     /// `Relay`/`IHave` records; `Graft`/`Retransmit` frames are skipped
     /// here because the richer [`ProtocolEvent`]s
     /// (`RecoveryRequested`/`RecoveryServed`) already cover them.
-    pub fn observe_frames(&mut self, at: TimeMs, frames: &[(NodeId, GossipFrame)]) {
+    fn on_frames(&mut self, at: TimeMs, frames: &[Outgoing]) {
         if !self.config.enabled {
             return;
         }
@@ -179,7 +182,7 @@ impl TraceProbe {
     /// ids so [`on_received`](Self::on_received) can tell first
     /// deliveries from redundant arrivals. Call before handing the frame
     /// to the protocol.
-    pub fn on_message(&mut self, frame: &GossipFrame) {
+    fn on_message(&mut self, frame: &GossipFrame) {
         if !self.config.enabled {
             return;
         }
@@ -194,13 +197,9 @@ impl TraceProbe {
     }
 
     /// Finishes observing the frame begun by [`on_message`](Self::on_message)
-    /// (`from` = its sender): flags every incoming sampled id the
-    /// protocol did *not* deliver as a redundant arrival. `events` must
-    /// be the protocol events drained for exactly this handler
-    /// invocation — the same slice passed to
-    /// [`on_events`](Self::on_events), which this method does *not*
-    /// call.
-    pub fn on_received(&mut self, at: TimeMs, from: NodeId, events: &[ProtocolEvent]) {
+    /// (`from` = its sender): flags every incoming sampled id that none
+    /// of `events` delivered as a redundant arrival.
+    fn on_received(&mut self, at: TimeMs, from: NodeId, events: &[ProtocolEvent]) {
         if !self.config.enabled {
             return;
         }
@@ -219,11 +218,8 @@ impl TraceProbe {
     }
 
     /// Maps drained [`ProtocolEvent`]s into trace records (admissions,
-    /// deliveries, buffer drops, recovery traffic). Call once per
-    /// handler invocation with that invocation's drained events; inside
-    /// a receive handler, follow with [`on_received`](Self::on_received) on the same slice
-    /// to detect duplicates.
-    pub fn on_events(&mut self, events: &[ProtocolEvent]) {
+    /// deliveries, buffer drops, recovery traffic).
+    fn on_events(&mut self, events: &[ProtocolEvent]) {
         if !self.config.enabled {
             return;
         }
@@ -310,7 +306,7 @@ impl TraceProbe {
 
     /// Records sender-side throttle suppressions (offers refused because
     /// the backlog was full): `n` congestion drops at `at`.
-    pub fn on_congestion_drops(&mut self, at: TimeMs, n: u64) {
+    fn on_refused(&mut self, at: TimeMs, n: u64) {
         if !self.config.enabled {
             return;
         }
@@ -326,24 +322,26 @@ impl TraceProbe {
         }
     }
 
-    /// Records a crash of this node (state lost).
-    pub fn on_crash(&mut self, at: TimeMs) {
-        if self.config.enabled {
-            self.push(at, TraceKind::Crash);
+    /// Records crashes and restarts; a restart resets the round counter,
+    /// since the restarted protocol starts its rounds from scratch. A
+    /// recover leaves no record, and a leave shows as its farewell
+    /// frames.
+    fn on_lifecycle(&mut self, at: TimeMs, kind: LifecycleKind) {
+        if !self.config.enabled {
+            return;
         }
-    }
-
-    /// Records a restart of this node. Resets the round counter — the
-    /// restarted protocol starts its rounds from scratch.
-    pub fn on_restart(&mut self, at: TimeMs) {
-        if self.config.enabled {
-            self.round = 0;
-            self.push(at, TraceKind::Restart);
+        match kind {
+            LifecycleKind::Crash => self.push(at, TraceKind::Crash),
+            LifecycleKind::Restart => {
+                self.round = 0;
+                self.push(at, TraceKind::Restart);
+            }
+            LifecycleKind::Recover | LifecycleKind::Leave => {}
         }
     }
 
     /// Records a membership-view size change.
-    pub fn on_view_change(&mut self, at: TimeMs, view_size: usize) {
+    fn on_view_change(&mut self, at: TimeMs, view_size: usize) {
         if self.config.enabled {
             self.push(
                 at,
@@ -355,14 +353,14 @@ impl TraceProbe {
     }
 
     /// Records the φ-accrual detector first suspecting `peer`.
-    pub fn on_suspect(&mut self, at: TimeMs, peer: NodeId) {
+    fn on_suspect(&mut self, at: TimeMs, peer: NodeId) {
         if self.config.enabled {
             self.push(at, TraceKind::Suspect { peer });
         }
     }
 
     /// Records the detector condemning `peer` and this node evicting it.
-    pub fn on_detector_evict(&mut self, at: TimeMs, peer: NodeId) {
+    fn on_detector_evict(&mut self, at: TimeMs, peer: NodeId) {
         if self.config.enabled {
             self.push(at, TraceKind::DetectorEvict { peer });
         }
@@ -370,26 +368,27 @@ impl TraceProbe {
 
     /// Records an explicit heartbeat sent to a ring successor that
     /// regular gossip did not cover this round.
-    pub fn on_heartbeat(&mut self, at: TimeMs, to: NodeId) {
+    fn on_heartbeat(&mut self, at: TimeMs, to: NodeId) {
         if self.config.enabled {
             self.push(at, TraceKind::Heartbeat { to });
         }
     }
 
-    /// Records `n` frames shed by an overloaded queue in the given
-    /// priority class (0 = app, 1 = recovery, 2 = control).
-    pub fn on_sheds(&mut self, at: TimeMs, class: u8, n: u64) {
-        if !self.config.enabled {
-            return;
-        }
-        for _ in 0..n {
-            self.push(at, TraceKind::Shed { class });
+    /// Records one frame shed by an overloaded egress queue.
+    fn on_shed(&mut self, at: TimeMs, class: ShedClass) {
+        if self.config.enabled {
+            self.push(
+                at,
+                TraceKind::Shed {
+                    class: class.as_u8(),
+                },
+            );
         }
     }
 
     /// Records a previously evicted `peer` being readmitted on fresh
     /// traffic.
-    pub fn on_rejoin(&mut self, at: TimeMs, peer: NodeId) {
+    fn on_rejoin(&mut self, at: TimeMs, peer: NodeId) {
         if self.config.enabled {
             self.push(at, TraceKind::Rejoin { peer });
         }
@@ -429,7 +428,7 @@ mod tests {
             id: id(0, 0),
             at: TimeMs::ZERO,
         }]);
-        p.on_crash(TimeMs::ZERO);
+        p.on_lifecycle(TimeMs::ZERO, LifecycleKind::Crash);
         assert_eq!(p.pending_len(), 0);
     }
 
@@ -488,7 +487,7 @@ mod tests {
             1,
             10,
         );
-        p.on_crash(TimeMs::ZERO);
+        p.on_lifecycle(TimeMs::ZERO, LifecycleKind::Crash);
         let recs: Vec<TraceRecord> = p.drain_pending().collect();
         // The relay was sampled out; occupancy and crash survive.
         assert_eq!(recs.len(), 2);
@@ -529,8 +528,8 @@ mod tests {
         let mut p = TraceProbe::new(TraceConfig::enabled(), NodeId::new(0));
         p.on_round(TimeMs::from_secs(1), &[], 0, 10);
         p.on_round(TimeMs::from_secs(2), &[], 0, 10);
-        p.on_crash(TimeMs::from_secs(3));
-        p.on_restart(TimeMs::from_secs(4));
+        p.on_lifecycle(TimeMs::from_secs(3), LifecycleKind::Crash);
+        p.on_lifecycle(TimeMs::from_secs(4), LifecycleKind::Restart);
         p.on_round(TimeMs::from_secs(5), &[], 0, 10);
         let rounds: Vec<u32> = p.drain_pending().map(|r| r.round).collect();
         assert_eq!(rounds, vec![1, 2, 2, 0, 1]);

@@ -4,45 +4,22 @@ use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use agb_core::{
-    AdaptationConfig, AdaptiveNode, FrameProtocol, GossipConfig, GossipFrame, LpbcastNode,
-};
-use agb_failure::{ring_monitors, ring_successors, DetectorConfig, PhiDetector, Verdict};
-use agb_membership::{
-    FullView, GossipMembership, LocalitySampler, PartialView, PartialViewConfig, PeerSampler,
-};
+use agb_core::{AdaptationConfig, FrameProtocol, GossipConfig, GossipFrame};
+use agb_failure::DetectorConfig;
+use agb_membership::{FullView, PartialView, PartialViewConfig, PeerSampler};
 use agb_metrics::MetricsCollector;
+use agb_node::{Algorithm, Input, NodeShell, Overlay, StackSpec};
 use agb_profile::{MemReport, MemTable, ProfileConfig, Profiler, ProfilerSnapshot};
-use agb_recovery::{boxed_frame_protocol, RecoveryConfig};
+use agb_recovery::RecoveryConfig;
 use agb_sim::{
     NetStats, NetworkConfig, Partition, SimCtx, SimNode, Simulation, SimulationBuilder, TimerId,
 };
-use agb_topology::{RoutingConfig, RoutingNode};
 use agb_trace::{Recorder, TraceConfig, TraceProbe, TraceSink, TraceSummary};
 use agb_types::{DetRng, DurationMs, NodeId, Payload, SeedSequence, TimeMs, Topology};
 use rand::RngExt;
 
 use crate::schedule::{ChurnEvent, ChurnSchedule, ResizeSchedule};
 use crate::senders::{SenderModel, SenderProcess};
-
-/// Which protocol the cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Algorithm {
-    /// Baseline lpbcast, unthrottled input (the paper's comparison runs).
-    Lpbcast,
-    /// Baseline lpbcast with the static token bucket of Figure 3, at the
-    /// given per-sender rate (msgs/s).
-    LpbcastStatic {
-        /// Static per-sender rate limit, msgs/s.
-        rate_per_sender: f64,
-    },
-    /// The adaptive protocol of Figure 5.
-    Adaptive,
-    /// GOSSIP3-style probabilistic forwarding (`agb-topology`): each rumor
-    /// is relayed a bounded number of rounds with a degree- and age-aware
-    /// relay gamble, instead of reshipping the whole buffer every round.
-    Routing(RoutingConfig),
-}
 
 /// Which membership service nodes use.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,12 +106,13 @@ pub struct ClusterConfig {
     pub trace: TraceConfig,
     /// Overlay topology hint (`None`: flat group, no locality structure).
     /// Must match `n_nodes` when set. It feeds three planes: the
-    /// [`LocalitySampler`] wrap selected by
+    /// [`LocalitySampler`](agb_membership::LocalitySampler) wrap selected by
     /// [`Self::locality_escape`], per-node overlay degrees for
     /// [`Algorithm::Routing`], and — when tracing is enabled — the region
     /// map that arms the probes' cross-partition counter.
     pub topology: Option<Topology>,
-    /// Wrap every node's membership view in a [`LocalitySampler`] with
+    /// Wrap every node's membership view in a
+    /// [`LocalitySampler`](agb_membership::LocalitySampler) with
     /// this uniform-escape probability (requires [`Self::topology`]).
     /// `None` keeps plain uniform sampling.
     pub locality_escape: Option<f64>,
@@ -214,194 +192,103 @@ impl ClusterConfig {
         contacts: Option<Vec<NodeId>>,
     ) -> Box<dyn FrameProtocol + Send> {
         let seeds = SeedSequence::new(self.seed);
-        let i = u64::from(id.as_u32());
         let mut gossip = self.gossip.clone();
         if let Some(&(_, cap)) = self.buffer_overrides.iter().find(|&&(n, _)| n == id) {
             gossip.max_events = cap;
-        }
-        if let Algorithm::LpbcastStatic { rate_per_sender } = self.algorithm {
-            gossip.static_rate = Some(rate_per_sender);
         }
         let (proto_label, boot_label) = if epoch == 0 {
             ("protocol", "bootstrap")
         } else {
             ("protocol-restart", "bootstrap-restart")
         };
-        let stream = i + (epoch << 32);
+        let stream = u64::from(id.as_u32()) + (epoch << 32);
+        let spec = StackSpec {
+            algorithm: &self.algorithm,
+            gossip,
+            adaptation: &self.adaptation,
+            recovery: self.recovery.clone(),
+        };
+        // The topology sets the routing degree; with a `locality_escape`
+        // it also biases the view towards the node's neighbours.
+        let overlay = self.topology.as_ref().map(|t| Overlay {
+            neighbors: t.neighbors(id).to_vec(),
+            escape: self.locality_escape,
+        });
+        let n = self.n_nodes;
         let proto_rng: DetRng = seeds.rng_for(proto_label, stream);
-        let recovery = self.recovery.clone();
         match &self.membership {
-            MembershipKind::Full => {
-                self.wrap_locality(id, gossip, FullView::new(self.n_nodes), proto_rng, recovery)
-            }
+            MembershipKind::Full => spec.build(id, n, FullView::new(n), overlay, proto_rng),
             MembershipKind::Partial(pv) => {
                 let mut boot_rng: DetRng = seeds.rng_for(boot_label, stream);
-                let view = match contacts {
-                    Some(c) => PartialView::with_initial_peers(id, *pv, c, &mut boot_rng),
-                    None => bootstrap_view(id, self.n_nodes, *pv, &mut boot_rng),
-                };
-                self.wrap_locality(id, gossip, view, proto_rng, recovery)
+                // Without contacts, seed the view with a handful of random
+                // ones, as a join service would.
+                let contacts = contacts.unwrap_or_else(|| {
+                    FullView::new(n).sample(&mut boot_rng, pv.max_view.min(8), id)
+                });
+                let view = PartialView::with_initial_peers(id, *pv, contacts, &mut boot_rng);
+                spec.build(id, n, view, overlay, proto_rng)
             }
         }
     }
 
-    /// Applies the topology plane to a freshly built membership view:
-    /// with a topology and a `locality_escape`, the view gets the
-    /// neighbour-biased [`LocalitySampler`] wrap; otherwise it is used
-    /// as-is (draw-identical to the pre-topology builds).
-    fn wrap_locality<S>(
-        &self,
-        id: NodeId,
-        gossip: GossipConfig,
-        view: S,
-        proto_rng: DetRng,
-        recovery: Option<RecoveryConfig>,
-    ) -> Box<dyn FrameProtocol + Send>
-    where
-        S: GossipMembership + Send + 'static,
-    {
-        match (&self.topology, self.locality_escape) {
-            (Some(topo), Some(escape)) => {
-                let sampler = LocalitySampler::new(view, topo.neighbors(id).to_vec(), escape);
-                self.finish_protocol(id, gossip, sampler, proto_rng, recovery)
-            }
-            _ => self.finish_protocol(id, gossip, view, proto_rng, recovery),
-        }
-    }
-
-    /// Builds the selected algorithm over an assembled membership view
-    /// and composes the optional recovery layer on top.
-    fn finish_protocol<S>(
-        &self,
-        id: NodeId,
-        gossip: GossipConfig,
-        view: S,
-        proto_rng: DetRng,
-        recovery: Option<RecoveryConfig>,
-    ) -> Box<dyn FrameProtocol + Send>
-    where
-        S: GossipMembership + Send + 'static,
-    {
-        match &self.algorithm {
-            Algorithm::Adaptive => boxed_frame_protocol(
-                AdaptiveNode::new(id, gossip, self.adaptation.clone(), view, proto_rng),
-                recovery,
-            ),
-            Algorithm::Routing(rc) => {
-                // Without a topology the overlay is the full group, so the
-                // degree is n-1 (the rescue rule then never fires for
-                // groups above the threshold — pure probabilistic relay).
-                let degree = self
-                    .topology
-                    .as_ref()
-                    .map_or(self.n_nodes.saturating_sub(1), |t| t.degree(id));
-                boxed_frame_protocol(RoutingNode::new(id, *rc, view, degree, proto_rng), recovery)
-            }
-            Algorithm::Lpbcast | Algorithm::LpbcastStatic { .. } => {
-                boxed_frame_protocol(LpbcastNode::new(id, gossip, view, proto_rng), recovery)
-            }
-        }
-    }
-
-    /// The gossip-round period actually driving the round timers —
-    /// [`RoutingConfig::gossip_period`] for the routing flavor, the base
-    /// [`GossipConfig::gossip_period`] otherwise.
+    /// The gossip-round period actually driving the round timers.
     pub fn round_period(&self) -> DurationMs {
-        match self.algorithm {
-            Algorithm::Routing(rc) => rc.gossip_period,
-            _ => self.gossip.gossip_period,
-        }
+        self.algorithm.round_period(&self.gossip)
     }
 }
 
 const ROUND: TimerId = TimerId(1);
 const ARRIVAL: TimerId = TimerId(2);
 
-/// One simulated host: a protocol state machine plus (optionally) a sender
-/// application, draining its protocol events into the shared collector.
+/// One simulated host: a [`NodeShell`] plus (optionally) a sender
+/// application.
 ///
-/// Nodes are driven at the frame level ([`FrameProtocol`]) so the same
-/// cluster hosts plain protocols and recovery-wrapped ones.
+/// The shell's protocol events and trace records stay buffered in the
+/// node, which holds no handle to the shared collector or recorder (so
+/// it stays `Send` for the sharded engine). The engine's post-event hook
+/// flushes them at the merge barrier, in canonical event order — the
+/// order the single-threaded engine produces.
 pub struct ClusterNode {
-    protocol: Box<dyn FrameProtocol + Send>,
+    shell: NodeShell<TraceProbe>,
     sender: Option<SenderProcess>,
     payload: Payload,
     period: DurationMs,
     phase: DurationMs,
-    /// Protocol events drained after every handler invocation. The node
-    /// holds no handle to the shared collector (keeping it `Send` for
-    /// the sharded engine); the engine's post-event hook flushes this
-    /// buffer into the collector at the merge barrier, in canonical
-    /// event order — the same order the single-threaded engine feeds it.
-    pending_events: Vec<agb_core::ProtocolEvent>,
-    /// Per-node trace producer (`agb-trace`). Buffers records locally —
-    /// like `pending_events` — so the node stays `Send`; the post-event
-    /// hook drains it into the shared recorder in canonical order.
-    probe: TraceProbe,
-    /// φ-accrual failure detector (`None` = detection plane off). Fed by
-    /// every frame arrival; verdicts drain at round boundaries.
-    detector: Option<PhiDetector>,
-    /// Ring successors owed a heartbeat whenever a round's regular gossip
-    /// does not cover them (empty when the detection plane is off).
-    heartbeat_targets: Vec<NodeId>,
 }
 
 impl ClusterNode {
-    fn drain(&mut self) {
-        let start = self.pending_events.len();
-        self.protocol.drain_events_into(&mut self.pending_events);
-        if self.probe.enabled() {
-            self.probe.on_events(&self.pending_events[start..]);
+    /// Feeds one input and sends what the shell emits.
+    fn step(&mut self, input: Input, ctx: &mut SimCtx<'_, GossipFrame>) {
+        let mut out = Vec::new();
+        self.shell.step(ctx.now(), input, &mut out);
+        for (to, frame) in out {
+            ctx.send(to, frame);
         }
     }
 
-    /// Flushes buffered protocol events into the shared collector
-    /// (called by the engine hook on the driving thread).
-    pub(crate) fn flush_metrics(&mut self, collector: &mut MetricsCollector) {
-        if self.pending_events.is_empty() {
-            return;
-        }
-        collector.on_events(self.protocol.node_id(), &self.pending_events);
-        self.pending_events.clear();
+    /// Feeds one input that sends nothing (a scheduled control).
+    fn control(&mut self, now: TimeMs, input: Input) {
+        self.shell.step(now, input, &mut Vec::new());
     }
 
-    /// Flushes buffered trace records into the shared recorder (called
-    /// by the engine hook on the driving thread, in canonical order).
-    pub(crate) fn flush_trace(&mut self, recorder: &mut Recorder) {
-        for record in self.probe.drain_pending() {
-            recorder.record(record);
+    /// Flushes buffered protocol events into the shared collector and
+    /// trace records into the shared recorder, if tracing (called by the
+    /// engine hook on the driving thread, in canonical order).
+    fn flush(&mut self, collector: &mut MetricsCollector, recorder: Option<&mut Recorder>) {
+        if !self.shell.events().is_empty() {
+            collector.on_events(self.shell.protocol().node_id(), self.shell.events());
+            self.shell.clear_events();
+        }
+        if let Some(recorder) = recorder {
+            for record in self.shell.observer_mut().drain_pending() {
+                recorder.record(record);
+            }
         }
     }
 
     /// The wrapped protocol (for inspection by tests and scenario hooks).
     pub fn protocol(&self) -> &dyn FrameProtocol {
-        self.protocol.as_ref()
-    }
-
-    /// Resizes the protocol's buffer and accounts the purges.
-    pub fn resize(&mut self, capacity: usize, now: TimeMs) {
-        self.protocol.set_buffer_capacity(capacity, now);
-        self.drain();
-    }
-
-    /// Replaces the protocol state machine (restart with state loss / join).
-    pub fn replace_protocol(&mut self, protocol: Box<dyn FrameProtocol + Send>) {
-        self.protocol = protocol;
-    }
-
-    /// Evicts a suspected-dead peer from the protocol's membership view.
-    pub fn evict_peer(&mut self, dead: NodeId) {
-        self.protocol.evict_peer(dead);
-        self.drain();
-    }
-
-    /// Offers `count` payloads at once (a sender burst storm), bypassing
-    /// the paced sender process but not the protocol's own throttle.
-    pub fn burst(&mut self, count: usize, now: TimeMs) {
-        for _ in 0..count {
-            self.protocol.offer(self.payload.clone(), now);
-        }
-        self.drain();
+        self.shell.protocol()
     }
 
     /// Offers arrivals suppressed by the blocked application so far.
@@ -422,100 +309,38 @@ impl SimNode for ClusterNode {
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut SimCtx<'_, GossipFrame>) {
+        let now = ctx.now();
         match timer {
             ROUND => {
-                let out = self.protocol.on_round(ctx.now());
-                if self.probe.enabled() {
-                    self.probe.on_round(
-                        ctx.now(),
-                        &out,
-                        self.protocol.buffer_len(),
-                        self.protocol.buffer_capacity(),
-                    );
-                }
-                // Heartbeat fallback: ring successors the regular gossip
-                // does not cover this round still get an (empty) liveness
-                // frame, keeping their detectors' sample streams regular.
-                if !self.heartbeat_targets.is_empty() {
-                    let me = self.protocol.node_id();
-                    for idx in 0..self.heartbeat_targets.len() {
-                        let hb = self.heartbeat_targets[idx];
-                        if !out.iter().any(|&(to, _)| to == hb) {
-                            self.probe.on_heartbeat(ctx.now(), hb);
-                            ctx.send(hb, GossipFrame::heartbeat(me));
-                        }
-                    }
-                }
-                for (to, msg) in out {
-                    ctx.send(to, msg);
-                }
-                // Judge monitored peers once per round; eviction removes
-                // the condemned peer through the same path a scripted
-                // eviction uses.
-                if let Some(det) = self.detector.as_mut() {
-                    for verdict in det.check(ctx.now()) {
-                        match verdict {
-                            Verdict::Suspect(peer) => self.probe.on_suspect(ctx.now(), peer),
-                            Verdict::Evict(peer) => {
-                                self.protocol.evict_peer(peer);
-                                self.probe.on_detector_evict(ctx.now(), peer);
-                            }
-                            Verdict::Rejoin(peer) => self.probe.on_rejoin(ctx.now(), peer),
-                        }
-                    }
-                }
+                self.step(Input::Round, ctx);
                 // Keep the sender alive across crash/recover cycles: the
                 // one-shot ARRIVAL timer dies while the node is down, so
                 // the (periodic, self-resuming) round re-arms it.
                 if let Some(sender) = &self.sender {
-                    let delay = sender.next_at().since(ctx.now());
-                    ctx.set_timer(ARRIVAL, delay);
+                    ctx.set_timer(ARRIVAL, sender.next_at().since(now));
                 }
-                self.drain();
             }
             ARRIVAL => {
-                let now = ctx.now();
-                if let Some(sender) = &mut self.sender {
-                    let before = sender.suppressed();
-                    let backlog = self.protocol.pending_len();
-                    let offers = sender.poll(now, backlog);
-                    for _ in 0..offers {
-                        self.protocol.offer(self.payload.clone(), now);
-                    }
-                    let refused = sender.suppressed() - before;
-                    if refused > 0 {
-                        self.probe.on_congestion_drops(now, refused);
-                    }
-                    let delay = sender.next_at().since(now);
-                    ctx.set_timer(ARRIVAL, delay);
+                let Some(sender) = &mut self.sender else {
+                    return;
+                };
+                let before = sender.suppressed();
+                let offers = sender.poll(now, self.shell.protocol().pending_len());
+                let refused = sender.suppressed() - before;
+                ctx.set_timer(ARRIVAL, sender.next_at().since(now));
+                if refused > 0 {
+                    self.control(now, Input::Refused(refused));
                 }
-                self.drain();
+                for _ in 0..offers {
+                    self.control(now, Input::Offer(self.payload.clone()));
+                }
             }
             _ => {}
         }
     }
 
     fn on_message(&mut self, from: NodeId, frame: GossipFrame, ctx: &mut SimCtx<'_, GossipFrame>) {
-        self.probe.on_message(&frame);
-        // Every arrival doubles as a liveness sample for the detector;
-        // an evicted peer speaking again is welcomed back.
-        if let Some(det) = self.detector.as_mut() {
-            if let Some(Verdict::Rejoin(peer)) = det.observe(from, ctx.now()) {
-                self.probe.on_rejoin(ctx.now(), peer);
-            }
-        }
-        let replies = self.protocol.on_receive(from, frame, ctx.now());
-        for (to, reply) in replies {
-            ctx.send(to, reply);
-        }
-        self.drain();
-        if self.probe.enabled() {
-            // `pending_events` holds exactly this invocation's events
-            // (the hook flushed after the previous one): any incoming id
-            // not delivered by them arrived redundantly.
-            self.probe
-                .on_received(ctx.now(), from, &self.pending_events);
-        }
+        self.step(Input::Frame { from, frame }, ctx);
     }
 }
 
@@ -635,26 +460,12 @@ impl GossipCluster {
             if let Some(r) = &regions {
                 probe.set_regions(Arc::clone(r));
             }
-            let detector = config.detector.clone().map(|dc| {
-                let monitored = ring_monitors(id, config.n_nodes, dc.monitors);
-                PhiDetector::new(dc, monitored, TimeMs::ZERO)
-            });
-            let heartbeat_targets = config
-                .detector
-                .as_ref()
-                .filter(|dc| dc.heartbeat)
-                .map(|dc| ring_successors(id, config.n_nodes, dc.monitors))
-                .unwrap_or_default();
             nodes.push(ClusterNode {
-                protocol,
+                shell: NodeShell::new(protocol, config.detector.as_ref(), config.n_nodes, probe),
                 sender,
                 payload: payload.clone(),
                 period,
                 phase,
-                pending_events: Vec::new(),
-                probe,
-                detector,
-                heartbeat_targets,
             });
         }
 
@@ -675,10 +486,8 @@ impl GossipCluster {
         let hook_metrics = Rc::clone(&metrics);
         let hook_trace = trace.clone();
         sim.set_post_event_hook(Box::new(move |node: &mut ClusterNode| {
-            node.flush_metrics(&mut hook_metrics.borrow_mut());
-            if let Some(recorder) = &hook_trace {
-                node.flush_trace(&mut recorder.borrow_mut());
-            }
+            let mut recorder = hook_trace.as_ref().map(|r| r.borrow_mut());
+            node.flush(&mut hook_metrics.borrow_mut(), recorder.as_deref_mut());
         }));
 
         GossipCluster {
@@ -798,8 +607,9 @@ impl GossipCluster {
 
     /// Schedules a buffer resize for one node.
     pub fn schedule_resize(&mut self, at: TimeMs, node: NodeId, capacity: usize) {
-        self.sim
-            .schedule_node_control(at, node, move |n, now| n.resize(capacity, now));
+        self.sim.schedule_node_control(at, node, move |n, now| {
+            n.control(now, Input::Resize(capacity));
+        });
     }
 
     /// Schedules every event of a resize schedule.
@@ -824,14 +634,10 @@ impl GossipCluster {
     /// [`schedule_recover`](Self::schedule_recover).
     pub fn schedule_crash(&mut self, at: TimeMs, node: NodeId) {
         self.metrics.borrow_mut().record_membership(node, at, false);
-        if self.config.trace.enabled {
-            // Scheduled before the crash at the same instant, so the
-            // record lands while the node is still up. Controls are
-            // barrier events on the driving thread — no sends, no RNG —
-            // so engine results are unchanged.
-            self.sim
-                .schedule_node_control(at, node, |n, now| n.probe.on_crash(now));
-        }
+        // Controls are barrier events on the driving thread — no sends,
+        // no RNG — so engine results are unchanged.
+        self.sim
+            .schedule_node_control(at, node, |n, now| n.control(now, Input::Crash));
         self.sim.schedule_crash(at, node);
     }
 
@@ -839,6 +645,8 @@ impl GossipCluster {
     pub fn schedule_recover(&mut self, at: TimeMs, node: NodeId) {
         self.metrics.borrow_mut().record_membership(node, at, true);
         self.sim.schedule_recover(at, node);
+        self.sim
+            .schedule_node_control(at, node, |n, now| n.control(now, Input::Recover));
     }
 
     /// Schedules a *restart with state loss* at `at`: the node comes back
@@ -850,8 +658,7 @@ impl GossipCluster {
         self.metrics.borrow_mut().record_membership(node, at, true);
         let protocol = self.config.make_protocol(node, epoch, None);
         self.sim.schedule_restart(at, node, move |n, now| {
-            n.replace_protocol(protocol);
-            n.probe.on_restart(now);
+            n.control(now, Input::Restart(protocol));
         });
     }
 
@@ -864,12 +671,7 @@ impl GossipCluster {
         self.metrics.borrow_mut().record_membership(node, at, true);
         let protocol = self.config.make_protocol(node, epoch, Some(contacts));
         self.sim.schedule_restart(at, node, move |n, now| {
-            n.replace_protocol(protocol);
-            if n.probe.enabled() {
-                n.probe.on_restart(now);
-                n.probe
-                    .on_view_change(now, n.protocol.membership_view().len());
-            }
+            n.control(now, Input::Join(protocol));
         });
     }
 
@@ -878,15 +680,8 @@ impl GossipCluster {
     /// partial views) and then goes down for good.
     pub fn schedule_leave(&mut self, at: TimeMs, node: NodeId) {
         self.metrics.borrow_mut().record_membership(node, at, false);
-        self.sim.schedule_node_action(at, node, |n, ctx| {
-            let now = ctx.now();
-            let farewells = n.protocol.leave(now);
-            n.probe.observe_frames(now, &farewells);
-            for (to, frame) in farewells {
-                ctx.send(to, frame);
-            }
-            n.drain();
-        });
+        self.sim
+            .schedule_node_action(at, node, |n, ctx| n.step(Input::Leave, ctx));
         // Same instant, scheduled after the action: farewell first, then
         // silence.
         self.sim.schedule_crash(at, node);
@@ -898,19 +693,18 @@ impl GossipCluster {
     /// scenarios.
     pub fn schedule_evict(&mut self, at: TimeMs, at_node: NodeId, dead: NodeId) {
         self.sim.schedule_node_control(at, at_node, move |n, now| {
-            n.evict_peer(dead);
-            if n.probe.enabled() {
-                n.probe
-                    .on_view_change(now, n.protocol.membership_view().len());
-            }
+            n.control(now, Input::Evict(dead));
         });
     }
 
     /// Schedules a sender burst storm: `count` messages offered at once at
     /// `node` at time `at`.
     pub fn schedule_burst(&mut self, at: TimeMs, node: NodeId, count: usize) {
-        self.sim
-            .schedule_node_control(at, node, move |n, now| n.burst(count, now));
+        self.sim.schedule_node_control(at, node, move |n, now| {
+            for _ in 0..count {
+                n.control(now, Input::Offer(n.payload.clone()));
+            }
+        });
     }
 
     /// Schedules a mutation of the live network configuration (partitions
@@ -987,22 +781,10 @@ impl GossipCluster {
     }
 }
 
-fn bootstrap_view(
-    id: NodeId,
-    n_nodes: usize,
-    config: PartialViewConfig,
-    rng: &mut DetRng,
-) -> PartialView {
-    // Seed each partial view with a handful of random contacts, as a join
-    // service would.
-    let full = FullView::new(n_nodes);
-    let contacts = full.sample(rng, config.max_view.min(8), id);
-    PartialView::with_initial_peers(id, config, contacts, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agb_topology::RoutingConfig;
 
     fn small_config(algorithm: Algorithm) -> ClusterConfig {
         let mut c = ClusterConfig::new(16, 7);

@@ -39,6 +39,7 @@ pub mod pubsub;
 mod schedule;
 mod senders;
 
-pub use cluster::{Algorithm, ClusterConfig, GossipCluster, MembershipKind, PhaseModel};
+pub use agb_node::Algorithm;
+pub use cluster::{ClusterConfig, GossipCluster, MembershipKind, PhaseModel};
 pub use schedule::{ChurnEvent, ChurnSchedule, ResizeEvent, ResizeSchedule};
 pub use senders::{SenderModel, SenderProcess};

@@ -16,7 +16,8 @@ use agb_core::{AdaptationConfig, GossipConfig};
 use agb_metrics::MetricsCollector;
 use agb_types::{DurationMs, NodeId, TimeMs, TopicId};
 
-use crate::cluster::{Algorithm, ClusterConfig, GossipCluster};
+use crate::cluster::{ClusterConfig, GossipCluster};
+use crate::Algorithm;
 
 /// One topic and its subscriber set (global node ids).
 #[derive(Debug, Clone, PartialEq, Eq)]

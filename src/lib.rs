@@ -20,6 +20,7 @@
 //! | [`membership`] | `agb-membership` | full & partial (lpbcast) peer sampling, join/leave/eviction dynamics |
 //! | [`recovery`] | `agb-recovery` | pull-based anti-entropy: `IHave` digests, `Graft` pulls, bounded retransmission cache |
 //! | [`topology`] | `agb-topology` | GOSSIP3-style probabilistic forwarding over structured overlays (with locality-biased sampling from [`membership`]) |
+//! | [`node`] | `agb-node` | one protocol stack builder and the sans-IO node shell (protocol, failure detector, observer) every execution surface runs |
 //! | [`chaos`] | `agb-chaos` | scripted churn & fault injection: crash/restart/join/leave, partitions, link faults, burst storms |
 //! | [`maelstrom`] | `agb-maelstrom` | Maelstrom line protocol, node adapter, deterministic workload harness + checker |
 //! | [`sim`] | `agb-sim` | deterministic discrete-event network simulator |
@@ -331,6 +332,7 @@ pub use agb_experiments as experiments;
 pub use agb_maelstrom as maelstrom;
 pub use agb_membership as membership;
 pub use agb_metrics as metrics;
+pub use agb_node as node;
 pub use agb_perf as perf;
 pub use agb_profile as profile;
 pub use agb_recovery as recovery;

@@ -56,8 +56,7 @@ struct Slot {
 /// buf.insert(Event::with_age(id(1), 1, Payload::new()));
 /// let purged = buf.insert(Event::with_age(id(2), 3, Payload::new()));
 /// // Overflow evicts the highest-age event (age 5).
-/// assert_eq!(purged.len(), 1);
-/// assert_eq!(purged[0].age, 5);
+/// assert_eq!(purged.map(|p| p.age), Some(5));
 /// assert_eq!(buf.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -89,7 +88,11 @@ impl EventBuffer {
     /// current occupancy, the overflow victims are returned.
     pub fn set_capacity(&mut self, capacity: usize) -> Vec<PurgedEvent> {
         self.capacity = capacity;
-        self.evict_overflow()
+        let mut purged = Vec::new();
+        while self.slots.len() > self.capacity {
+            purged.push(self.evict_one());
+        }
+        purged
     }
 
     /// Number of buffered events.
@@ -108,14 +111,15 @@ impl EventBuffer {
     }
 
     /// Inserts a new event; if the buffer overflows, evicts the oldest
-    /// (highest-age) events and returns them.
+    /// (highest-age) event and returns it. The buffer never holds more
+    /// than its capacity, so one insert displaces at most one event.
     ///
     /// Inserting an id that is already buffered max-merges the age instead
     /// (duplicate handling of Figure 1).
-    pub fn insert(&mut self, event: Event) -> Vec<PurgedEvent> {
+    pub fn insert(&mut self, event: Event) -> Option<PurgedEvent> {
         if let Some(slot) = self.slots.get_mut(&event.id()) {
             slot.event.merge_age(event.age());
-            return Vec::new();
+            return None;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -126,7 +130,11 @@ impl EventBuffer {
                 inserted: seq,
             },
         );
-        self.evict_overflow()
+        if self.slots.len() > self.capacity {
+            Some(self.evict_one())
+        } else {
+            None
+        }
     }
 
     /// Max-merges the age of a buffered duplicate; returns whether the id
@@ -173,32 +181,28 @@ impl EventBuffer {
         purged
     }
 
-    fn evict_overflow(&mut self) -> Vec<PurgedEvent> {
-        let mut purged = Vec::new();
-        while self.slots.len() > self.capacity {
-            // Victim: highest age, FIFO (earliest insertion) among equal
-            // ages, then smallest id — the age-based purging heuristic
-            // with a fully deterministic tiebreak.
-            let victim = self
-                .slots
-                .iter()
-                .max_by(|(ida, a), (idb, b)| {
-                    a.event
-                        .age()
-                        .cmp(&b.event.age())
-                        .then_with(|| b.inserted.cmp(&a.inserted))
-                        .then_with(|| idb.cmp(ida))
-                })
-                .map(|(&id, _)| id)
-                .expect("non-empty: len > capacity >= 0");
-            let slot = self.slots.remove(&victim).expect("victim present");
-            purged.push(PurgedEvent {
-                id: victim,
-                age: slot.event.age(),
-                reason: PurgeReason::Overflow,
-            });
+    /// Evicts the overflow victim: highest age, FIFO (earliest insertion)
+    /// among equal ages, then smallest id — the age-based purging
+    /// heuristic with a fully deterministic tiebreak.
+    fn evict_one(&mut self) -> PurgedEvent {
+        let victim = self
+            .slots
+            .iter()
+            .max_by(|(ida, a), (idb, b)| {
+                a.event
+                    .age()
+                    .cmp(&b.event.age())
+                    .then_with(|| b.inserted.cmp(&a.inserted))
+                    .then_with(|| idb.cmp(ida))
+            })
+            .map(|(&id, _)| id)
+            .expect("non-empty: len > capacity >= 0");
+        let slot = self.slots.remove(&victim).expect("victim present");
+        PurgedEvent {
+            id: victim,
+            age: slot.event.age(),
+            reason: PurgeReason::Overflow,
         }
-        purged
     }
 
     /// The ages of the `count` events that would be evicted if the capacity
@@ -304,9 +308,9 @@ mod tests {
     #[test]
     fn insert_within_capacity_never_purges() {
         let mut buf = EventBuffer::new(3);
-        assert!(buf.insert(ev(0, 0)).is_empty());
-        assert!(buf.insert(ev(1, 0)).is_empty());
-        assert!(buf.insert(ev(2, 0)).is_empty());
+        assert!(buf.insert(ev(0, 0)).is_none());
+        assert!(buf.insert(ev(1, 0)).is_none());
+        assert!(buf.insert(ev(2, 0)).is_none());
         assert_eq!(buf.len(), 3);
         assert!(!buf.is_empty());
     }
@@ -316,10 +320,9 @@ mod tests {
         let mut buf = EventBuffer::new(2);
         buf.insert(ev(0, 2));
         buf.insert(ev(1, 9));
-        let purged = buf.insert(ev(2, 0));
-        assert_eq!(purged.len(), 1);
-        assert_eq!(purged[0].age, 9);
-        assert_eq!(purged[0].reason, PurgeReason::Overflow);
+        let purged = buf.insert(ev(2, 0)).expect("overflow victim");
+        assert_eq!(purged.age, 9);
+        assert_eq!(purged.reason, PurgeReason::Overflow);
         assert!(buf.contains(EventId::new(NodeId::new(0), 0)));
         assert!(buf.contains(EventId::new(NodeId::new(0), 2)));
     }
@@ -329,9 +332,9 @@ mod tests {
         let mut buf = EventBuffer::new(2);
         buf.insert(ev(0, 5)); // inserted first
         buf.insert(ev(1, 5));
-        let purged = buf.insert(ev(2, 0));
+        let purged = buf.insert(ev(2, 0)).expect("overflow victim");
         // Equal ages: the earlier-inserted one goes first.
-        assert_eq!(purged[0].id, EventId::new(NodeId::new(0), 0));
+        assert_eq!(purged.id, EventId::new(NodeId::new(0), 0));
     }
 
     #[test]
@@ -339,7 +342,7 @@ mod tests {
         let mut buf = EventBuffer::new(2);
         buf.insert(ev(0, 1));
         let purged = buf.insert(ev(0, 6));
-        assert!(purged.is_empty());
+        assert!(purged.is_none());
         assert_eq!(buf.len(), 1);
         let snap = buf.snapshot();
         assert_eq!(snap[0].age(), 6);
@@ -445,7 +448,7 @@ mod tests {
     fn zero_capacity_buffer_rejects_everything() {
         let mut buf = EventBuffer::new(0);
         let purged = buf.insert(ev(0, 2));
-        assert_eq!(purged.len(), 1);
+        assert_eq!(purged.map(|p| p.age), Some(2));
         assert!(buf.is_empty());
     }
 }

@@ -117,11 +117,13 @@ impl<S: GossipMembership> LpbcastNode<S> {
         &mut self.membership
     }
 
-    /// Every event removed from the buffer since the last call (consumed
-    /// by the adaptive wrapper's congestion accounting). A drain discards
-    /// whatever is left, so an unwrapped node holds no purge backlog.
-    pub fn take_removals(&mut self) -> Vec<PurgedEvent> {
-        std::mem::take(&mut self.removals)
+    /// Drains every event removed from the buffer since the last call
+    /// (consumed by the adaptive wrapper's congestion accounting) in
+    /// place, keeping the vector's storage for the next frame. A drain
+    /// discards whatever is left, so an unwrapped node holds no purge
+    /// backlog.
+    pub fn take_removals(&mut self) -> std::vec::Drain<'_, PurgedEvent> {
+        self.removals.drain(..)
     }
 
     /// Broadcasts unconditionally (no throttle): assigns the next sequence
@@ -143,7 +145,7 @@ impl<S: GossipMembership> LpbcastNode<S> {
         id
     }
 
-    fn record_purges(&mut self, purged: Vec<PurgedEvent>, now: TimeMs) {
+    fn record_purges(&mut self, purged: impl IntoIterator<Item = PurgedEvent>, now: TimeMs) {
         for p in purged {
             self.removals.push(p);
             self.out_events.push(ProtocolEvent::Dropped {
@@ -348,7 +350,6 @@ impl<S: GossipMembership> FrameProtocol for LpbcastNode<S> {
             .iter()
             .map(|p| (p.len() + std::mem::size_of::<Payload>()) as u64)
             .sum();
-        let view = self.membership.view_size() as u64;
         vec![
             ("event_buffer", self.events.mem_usage()),
             ("event_ids", self.ids.mem_usage()),
@@ -356,10 +357,7 @@ impl<S: GossipMembership> FrameProtocol for LpbcastNode<S> {
                 "pending_offers",
                 MemUsage::new(pending_bytes, self.pending.len() as u64),
             ),
-            (
-                "membership_view",
-                MemUsage::new(view * std::mem::size_of::<NodeId>() as u64, view),
-            ),
+            ("membership_view", self.membership.mem_usage()),
         ]
     }
 }
@@ -509,7 +507,7 @@ mod tests {
             )]),
             TimeMs::ZERO,
         );
-        let removals = n.take_removals();
+        let removals: Vec<PurgedEvent> = n.take_removals().collect();
         assert_eq!(removals.len(), 1);
         assert_eq!(
             (removals[0].age, removals[0].reason),
@@ -536,7 +534,7 @@ mod tests {
             .filter(|e| matches!(e, ProtocolEvent::Dropped { .. }))
             .count();
         assert!(dropped > 190, "{dropped} purges reported");
-        assert!(n.take_removals().is_empty());
+        assert_eq!(n.take_removals().len(), 0);
     }
 
     #[test]
@@ -686,6 +684,31 @@ mod tests {
         let mut full = default_node(0);
         full.evict_peer(NodeId::new(2));
         assert!(full.membership_view().contains(&NodeId::new(2)));
+    }
+
+    #[test]
+    fn membership_row_is_the_views_own_report() {
+        // A partial view also holds its subscription buffer: the row must
+        // count it, not just `view_size` node ids.
+        use agb_membership::{PartialView, PartialViewConfig};
+        use agb_profile::{MemReport, MemUsage};
+        let view = PartialView::new(NodeId::new(0), PartialViewConfig::default());
+        let mut n = LpbcastNode::new(
+            NodeId::new(0),
+            GossipConfig::default(),
+            view,
+            DetRng::seed_from_u64(1),
+        );
+        let mut msg = msg_with(Vec::new());
+        msg.membership.subs = vec![NodeId::new(2), NodeId::new(3)];
+        n.receive(NodeId::new(7), msg, TimeMs::ZERO);
+        let row = n
+            .mem_breakdown()
+            .into_iter()
+            .find(|(label, _)| *label == "membership_view")
+            .map(|(_, usage)| usage);
+        assert_eq!(row, Some(n.membership().mem_usage()));
+        assert_eq!(row, Some(MemUsage::new(20, 5)));
     }
 
     #[test]

@@ -1,16 +1,61 @@
 //! Property-based tests of the protocol building blocks.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use agb_core::{
     BuffAd, Event, EventBuffer, EventIdBuffer, KSmallestSet, MinBuffConfig, MinBuffEstimator,
     PurgeReason, TokenBucket,
 };
-use agb_types::{DurationMs, EventId, NodeId, Payload, TimeMs};
+use agb_types::{DurationMs, EventId, FastHashSet, NodeId, Payload, TimeMs};
 use proptest::prelude::*;
 
 fn ev(origin: u32, seq: u64, age: u32) -> Event {
     Event::with_age(EventId::new(NodeId::new(origin), seq), age, Payload::new())
+}
+
+/// The reference id history: a hash set beside the FIFO queue that
+/// decides eviction.
+struct ModelIds {
+    capacity: usize,
+    order: VecDeque<EventId>,
+    set: FastHashSet<EventId>,
+}
+
+impl ModelIds {
+    fn new(capacity: usize) -> Self {
+        ModelIds {
+            capacity,
+            order: VecDeque::new(),
+            set: FastHashSet::default(),
+        }
+    }
+
+    fn insert(&mut self, id: EventId) -> bool {
+        if self.capacity == 0 {
+            return true;
+        }
+        if !self.set.insert(id) {
+            return false;
+        }
+        self.order.push_back(id);
+        while self.order.len() > self.capacity {
+            let old = self.order.pop_front().expect("over capacity");
+            self.set.remove(&old);
+        }
+        true
+    }
+}
+
+/// Sequence numbers near 0, on the edges of 64-seq blocks, 2^40 apart,
+/// and at `u64::MAX`.
+fn edge_seq() -> impl Strategy<Value = u64> {
+    (0u8..5, 0u64..130, 1u64..4).prop_map(|(class, s, k)| match class {
+        0 => s % 8,
+        1 => 61 + s % 7,
+        2 => 126 + s % 5,
+        3 => (k << 40) + s,
+        _ => u64::MAX - s,
+    })
 }
 
 proptest! {
@@ -41,7 +86,7 @@ proptest! {
             let was_new = !buf.contains(incoming.id());
             let purged = buf.insert(incoming);
             if was_new {
-                for p in &purged {
+                if let Some(p) = purged {
                     prop_assert_eq!(p.reason, PurgeReason::Overflow);
                     prop_assert!(p.age >= max_before.min(p.age));
                     prop_assert!(p.age == max_before || p.age == age.max(max_before));
@@ -97,6 +142,31 @@ proptest! {
         }
         for &seq in &model {
             prop_assert!(buf.contains(EventId::new(NodeId::new(0), seq)));
+        }
+    }
+
+    /// The block-bitset id history answers every `insert`, `contains`
+    /// and `len` exactly as a hash set beside the FIFO queue does.
+    #[test]
+    fn id_buffer_matches_hash_set_model(
+        capacity in 0usize..=64,
+        ops in proptest::collection::vec((any::<bool>(), 0u32..4, edge_seq()), 0..401),
+    ) {
+        let mut buf = EventIdBuffer::new(capacity);
+        let mut model = ModelIds::new(capacity);
+        let mut touched = Vec::new();
+        for (insert, origin, seq) in ops {
+            let id = EventId::new(NodeId::new(origin), seq);
+            touched.push(id);
+            if insert {
+                prop_assert_eq!(buf.insert(id), model.insert(id), "insert {}", id);
+            } else {
+                prop_assert_eq!(buf.contains(id), model.set.contains(&id), "contains {}", id);
+            }
+            prop_assert_eq!(buf.len(), model.order.len());
+        }
+        for id in touched {
+            prop_assert_eq!(buf.contains(id), model.set.contains(&id), "final contains {}", id);
         }
     }
 

@@ -26,48 +26,22 @@ use crate::sampler::PeerSampler;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullView {
-    members: Vec<NodeId>,
-    /// Whether `members[i] == NodeId::new(i)` for every slot, making the
-    /// exclude position an O(1) lookup on the sampling hot path.
-    canonical: bool,
+    /// The group size: member `i` is `NodeId::new(i)`, so the view holds
+    /// nothing else.
+    size: usize,
 }
 
 impl FullView {
     /// Creates a view over nodes `0..size`.
     pub fn new(size: usize) -> Self {
-        FullView {
-            members: (0..size as u32).map(NodeId::new).collect(),
-            canonical: true,
-        }
-    }
-
-    /// Creates a view over an explicit member list.
-    pub fn from_members(members: Vec<NodeId>) -> Self {
-        let canonical = members.iter().enumerate().all(|(i, m)| m.index() == i);
-        FullView { members, canonical }
-    }
-
-    /// The member list.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    fn position_of(&self, node: NodeId) -> Option<usize> {
-        if self.canonical {
-            let i = node.index();
-            (i < self.members.len()).then_some(i)
-        } else {
-            self.members.iter().position(|&m| m == node)
-        }
+        FullView { size }
     }
 }
 
 impl agb_profile::MemReport for FullView {
+    /// Nothing per member is resident: the view is just its size.
     fn mem_usage(&self) -> agb_profile::MemUsage {
-        agb_profile::MemUsage::new(
-            (self.members.len() * std::mem::size_of::<NodeId>()) as u64,
-            self.members.len() as u64,
-        )
+        agb_profile::MemUsage::default()
     }
 }
 
@@ -77,17 +51,13 @@ impl PeerSampler for FullView {
         // candidate list here made every simulated round O(N²) in the
         // group size. Instead, sample indices from the (virtual) list
         // with the excluded slot spliced out.
-        let n = self.members.len();
-        let excl = self.position_of(exclude);
-        let candidates = n - usize::from(excl.is_some());
+        let excl = exclude.index();
+        let candidates = self.size - usize::from(self.contains(exclude));
         if candidates == 0 || fanout == 0 {
             return Vec::new();
         }
         let amount = fanout.min(candidates);
-        let pick = |i: usize| match excl {
-            Some(p) if i >= p => self.members[i + 1],
-            _ => self.members[i],
-        };
+        let pick = |i: usize| NodeId::new((i + usize::from(i >= excl)) as u32);
         index::sample(rng, candidates, amount)
             .iter()
             .map(pick)
@@ -95,15 +65,15 @@ impl PeerSampler for FullView {
     }
 
     fn contains(&self, node: NodeId) -> bool {
-        self.members.contains(&node)
+        node.index() < self.size
     }
 
     fn view_size(&self) -> usize {
-        self.members.len()
+        self.size
     }
 
     fn view(&self) -> Vec<NodeId> {
-        self.members.clone()
+        (0..self.size as u32).map(NodeId::new).collect()
     }
 }
 
@@ -162,14 +132,8 @@ mod tests {
             vec![NodeId::new(1)]
         );
         assert!(pair.sample(&mut rng, 0, NodeId::new(0)).is_empty());
-    }
-
-    #[test]
-    fn from_members_and_contains() {
-        let view = FullView::from_members(vec![NodeId::new(5), NodeId::new(9)]);
-        assert!(view.contains(NodeId::new(5)));
-        assert!(!view.contains(NodeId::new(1)));
-        assert_eq!(view.members(), &[NodeId::new(5), NodeId::new(9)]);
-        assert_eq!(view.view().len(), 2);
+        assert!(pair.contains(NodeId::new(1)));
+        assert!(!pair.contains(NodeId::new(2)), "an id >= n is not a member");
+        assert_eq!(pair.view(), vec![NodeId::new(0), NodeId::new(1)]);
     }
 }

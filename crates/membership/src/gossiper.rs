@@ -11,8 +11,10 @@ use crate::sampler::PeerSampler;
 /// piggybacked on gossip messages.
 ///
 /// [`FullView`] uses the default no-op implementations (closed group);
-/// [`PartialView`] implements real lpbcast subscription gossip.
-pub trait GossipMembership: PeerSampler {
+/// [`PartialView`] implements real lpbcast subscription gossip. Every
+/// implementation reports its own resident footprint, which protocols
+/// forward as their `membership_view` memory row.
+pub trait GossipMembership: PeerSampler + agb_profile::MemReport {
     /// Builds the digest to attach to an outgoing gossip message.
     fn make_digest(&self, rng: &mut DetRng) -> MembershipDigest {
         let _ = rng;

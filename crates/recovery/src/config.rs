@@ -25,8 +25,9 @@ pub struct RecoveryConfig {
     /// (rotating coverage: each round advertises a different slice).
     pub ihave_window: usize,
     /// How many seen ids are remembered for gap detection (the recovery
-    /// layer's own `EventIdBuffer`; ids are 16 bytes, so this can be much
-    /// larger than the event buffer).
+    /// layer's own `EventIdBuffer`). Each id costs 16 B in the FIFO queue
+    /// plus one 24 B entry per 64-seq block of one origin, so this can be
+    /// much larger than the event buffer.
     pub seen_capacity: usize,
     /// Retransmission-cache capacity in events — the cache's own resource
     /// bound, purged FIFO independently of the gossip buffer.

@@ -348,13 +348,7 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
                 MemUsage::new(relay_bytes, self.relay.len() as u64),
             ),
             ("event_ids", self.ids.mem_usage()),
-            (
-                "membership_view",
-                MemUsage::new(
-                    (self.membership.view_size() * std::mem::size_of::<NodeId>()) as u64,
-                    self.membership.view_size() as u64,
-                ),
-            ),
+            ("membership_view", self.membership.mem_usage()),
         ]
     }
 }
@@ -362,7 +356,7 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agb_membership::{FullView, LocalitySampler};
+    use agb_membership::{FullView, LocalitySampler, PeerSampler};
     use agb_types::topology::Topology;
     use rand::SeedableRng;
 
@@ -580,7 +574,7 @@ mod tests {
         ));
         assert_eq!(n.round(), 0);
         assert_eq!(n.config().fanout, 4);
-        assert_eq!(n.membership().members().len(), 8);
+        assert_eq!(n.membership().view_size(), 8);
         n.membership_mut();
         n.evict_peer(NodeId::new(3));
     }

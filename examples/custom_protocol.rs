@@ -69,7 +69,7 @@ impl FloodNode {
         self.min_buff.on_receive(msg.period, &msg.min_buffs);
         let mut overflowed = false;
         for e in msg.events {
-            for purged in self.buffer.insert(e) {
+            if let Some(purged) = self.buffer.insert(e) {
                 overflowed = true;
                 self.congestion.on_purged(&purged);
             }
@@ -101,7 +101,7 @@ impl FloodNode {
         if self.bucket.try_acquire(now) {
             let id = EventId::new(self.id, self.next_seq);
             self.next_seq += 1;
-            for purged in self.buffer.insert(Event::new(id, Payload::new())) {
+            if let Some(purged) = self.buffer.insert(Event::new(id, Payload::new())) {
                 self.congestion.on_purged(&purged);
             }
             true

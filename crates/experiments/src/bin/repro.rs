@@ -1,31 +1,76 @@
 //! Command-line reproduction driver: `repro <experiment> [seed]`.
 //!
 //! Experiments: `fig2`, `fig4`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig9-runtime`, `ablation`, `recovery`, `churn`, `maelstrom`,
-//! `trace`, `telemetry`, `topology`, `resilience`, `profile`, `perf`,
-//! `all`, plus the CI gate
+//! `fig9-runtime`, `ablation`, `recovery`, `perf`, the committed reports
+//! `churn`, `maelstrom`, `trace`, `telemetry`, `topology`, `resilience`
+//! and `profile`, and `all`; plus `verify`, which replays every committed
+//! report, and the CI gate
 //! `perf-check <current.json> <baseline.json> [tolerance]`.
 //! Set `AGB_QUICK=1` for short runs (`AGB_QUICK=0` explicitly disables).
+//! Malformed arguments print the usage and exit 2.
 
-use agb_experiments::{
-    ablation, churn, fig2, fig4, fig6, fig7, fig8, fig9, maelstrom, profile, recovery, resilience,
-    telemetry, topology, trace,
-};
+use std::path::Path;
+use std::process::{exit, Command};
+use std::str::FromStr;
+use std::time::Instant;
+
+use agb_experiments::churn::ChurnReport;
+use agb_experiments::profile::ProfileReport;
+use agb_experiments::report::{compare_json, first_difference, Report, WallClock};
+use agb_experiments::resilience::ResilienceReport;
+use agb_experiments::telemetry::TelemetryReport;
+use agb_experiments::topology::TopologyReport;
+use agb_experiments::trace::TraceReport;
+use agb_experiments::{ablation, fig2, fig4, fig6, fig7, fig8, fig9, recovery};
+use agb_maelstrom::MaelstromSummary;
 
 // The perf harness reports allocations-per-round; the counting
 // allocator is opt-in per binary (see agb_perf::alloc).
 #[global_allocator]
 static ALLOC: agb_perf::alloc::CountingAllocator = agb_perf::alloc::CountingAllocator;
 
+/// One committed report, erased to what dispatch and `verify` need.
+struct Entry {
+    name: &'static str,
+    file: &'static str,
+    wall_clock: WallClock,
+    repro: fn(u64),
+}
+
+const fn entry<R: Report>() -> Entry {
+    Entry {
+        name: R::NAME,
+        file: R::FILE,
+        wall_clock: R::WALL_CLOCK,
+        repro: repro::<R>,
+    }
+}
+
+/// Every report with a committed seed-42 file, in `all` order.
+const REPORTS: [Entry; 7] = [
+    entry::<ChurnReport>(),
+    entry::<MaelstromSummary>(),
+    entry::<TraceReport>(),
+    entry::<TelemetryReport>(),
+    entry::<TopologyReport>(),
+    entry::<ResilienceReport>(),
+    entry::<ProfileReport>(),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let what = args.get(1).map(String::as_str).unwrap_or("all");
-    if what == "perf-check" {
-        run_perf_check(&args[2..]);
-        return;
+    match what {
+        "perf-check" => return run_perf_check(&args[2..]),
+        "verify" if args.len() > 2 => usage("`repro verify` takes no arguments"),
+        "verify" => return verify(),
+        _ if args.len() > 3 => usage("too many arguments"),
+        _ => {}
     }
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(42);
-
+    let seed: u64 = parse_arg(&args, 2, "seed", 42);
+    if let Some(report) = REPORTS.iter().find(|r| r.name == what) {
+        return (report.repro)(seed);
+    }
     match what {
         "fig2" => run_fig2(seed),
         "fig4" => run_fig4(seed),
@@ -36,13 +81,6 @@ fn main() {
         "fig9-runtime" => run_fig9_runtime(seed),
         "ablation" => run_ablation(seed),
         "recovery" => run_recovery(seed),
-        "churn" => run_churn(seed),
-        "maelstrom" => run_maelstrom(seed),
-        "trace" => run_trace(seed),
-        "telemetry" => run_telemetry(seed),
-        "topology" => run_topology(seed),
-        "resilience" => run_resilience(seed),
-        "profile" => run_profile(seed),
         "perf" => run_perf(seed),
         "all" => {
             run_fig2(seed);
@@ -57,21 +95,153 @@ fn main() {
             run_fig9(seed);
             run_ablation(seed);
             run_recovery(seed);
-            run_churn(seed);
-            run_maelstrom(seed);
-            run_trace(seed);
-            run_telemetry(seed);
-            run_topology(seed);
-            run_resilience(seed);
-            run_profile(seed);
+            for report in &REPORTS {
+                (report.repro)(seed);
+            }
         }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            eprintln!("usage: repro [fig2|fig4|fig6|fig7|fig8|fig9|fig9-runtime|ablation|recovery|churn|maelstrom|trace|telemetry|topology|resilience|profile|perf|all] [seed]");
-            eprintln!("       repro perf-check <current.json> <baseline.json> [tolerance]");
-            std::process::exit(2);
+        other => usage(&format!("unknown experiment `{other}`")),
+    }
+}
+
+/// Prints `problem` and the usage, and exits 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("repro: {problem}");
+    eprintln!("usage: repro [fig2|fig4|fig6|fig7|fig8|fig9|fig9-runtime|ablation|recovery|churn|maelstrom|trace|telemetry|topology|resilience|profile|perf|all] [seed]");
+    eprintln!("       repro verify");
+    eprintln!("       repro perf-check <current.json> <baseline.json> [tolerance]");
+    exit(2);
+}
+
+/// The argument at `index` parsed as a `what`, or `default` when absent.
+fn parse_arg<T: FromStr>(args: &[String], index: usize, what: &str, default: T) -> T {
+    match args.get(index) {
+        None => default,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("invalid {what} `{s}`"))),
+    }
+}
+
+/// `repro <name> [seed]` for a committed report: prints its tables and
+/// failure lines, writes its JSON into the working directory, prints its
+/// digest, and exits 1 when a claim failed.
+fn repro<R: Report>(seed: u64) {
+    let report = R::run(seed).unwrap_or_else(|e| {
+        eprintln!("{} failed: {e}", R::NAME);
+        exit(1);
+    });
+    for table in report.tables() {
+        print!("{table}");
+    }
+    let failures = report.failures();
+    for failure in &failures {
+        println!("  FAILED {failure}");
+    }
+    if let Err(e) = std::fs::write(R::FILE, report.to_json().pretty()) {
+        eprintln!("cannot write {}: {e}", R::FILE);
+        exit(1);
+    }
+    println!("  {} report written to {}", R::NAME, R::FILE);
+    println!("  {} digest: {:#018x}", R::NAME, report.digest());
+    if !failures.is_empty() {
+        exit(1);
+    }
+}
+
+/// `AGB_THREADS` of each `verify` replay, and its directory.
+const REPLAYS: [(&str, &str); 4] = [("1", "k1"), ("1", "k1-again"), ("2", "k2"), ("4", "k4")];
+
+/// `repro verify`: replays every committed report at seed 42 in quick
+/// mode, once per [`REPLAYS`] entry, each in a fresh directory under
+/// `target/verify/`, and prints one PASS or FAIL row per report. Run it
+/// from the repo root, where the committed files are. Exits 1 when any
+/// report fails.
+fn verify() {
+    let exe = std::env::current_exe().unwrap_or_else(|e| {
+        eprintln!("verify: cannot locate the repro binary: {e}");
+        exit(1);
+    });
+    println!(
+        "# repro verify: seed 42, AGB_QUICK=1, AGB_THREADS 1, 1, 2, 4, runs under target/verify/"
+    );
+    let mut failed = false;
+    for report in &REPORTS {
+        let started = Instant::now();
+        match replay(report, &exe) {
+            Ok(digest) => println!(
+                "  {:<10}  PASS  {digest}  {:.1} s",
+                report.name,
+                started.elapsed().as_secs_f64()
+            ),
+            Err(why) => {
+                println!("  {:<10}  FAIL  {why}", report.name);
+                failed = true;
+            }
         }
     }
+    if failed {
+        exit(1);
+    }
+}
+
+/// Replays one report and returns its digest. It fails unless every run
+/// exits 0, prints the same digest line and writes the same JSON outside
+/// the wall-clock keys; reports without wall-clock tables must also
+/// print the same output; and the JSON must equal the committed file.
+fn replay(report: &Entry, exe: &Path) -> Result<String, String> {
+    let root = Path::new("target/verify").join(report.name);
+    let _ = std::fs::remove_dir_all(&root);
+    let digest_prefix = format!("{} digest: ", report.name);
+    let mut first: Option<(std::path::PathBuf, String, String)> = None;
+    let mut json = String::new();
+    for (threads, dir) in REPLAYS {
+        let dir = root.join(dir);
+        let run = format!("the AGB_THREADS={threads} run in {}", dir.display());
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        let out = Command::new(exe)
+            .args([report.name, "42"])
+            .current_dir(&dir)
+            .env("AGB_QUICK", "1")
+            .env("AGB_THREADS", threads)
+            .output()
+            .map_err(|e| format!("cannot start {run}: {e}"))?;
+        let _ = std::fs::write(dir.join("stdout.txt"), &out.stdout);
+        let _ = std::fs::write(dir.join("stderr.txt"), &out.stderr);
+        if !out.status.success() {
+            return Err(format!("{run} exited with {}", out.status));
+        }
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let digest = stdout
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix(digest_prefix.as_str()))
+            .ok_or_else(|| format!("{run} printed no digest"))?
+            .to_string();
+        let json_path = dir.join(report.file);
+        json = std::fs::read_to_string(&json_path)
+            .map_err(|e| format!("{run} wrote no {}: {e}", report.file))?;
+        let Some((first_json, first_stdout, first_digest)) = &first else {
+            first = Some((json_path, stdout, digest));
+            continue;
+        };
+        if digest != *first_digest {
+            return Err(format!(
+                "{run} printed digest {digest}, the first run {first_digest}"
+            ));
+        }
+        compare_json(&json, first_json, report.wall_clock.json_keys)
+            .map_err(|e| format!("{run} wrote other JSON than the first run: {e}"))?;
+        if let Some(diff) =
+            first_difference(&stdout, first_stdout).filter(|_| !report.wall_clock.tables)
+        {
+            return Err(format!(
+                "{run} printed other output than the first run: {diff}"
+            ));
+        }
+    }
+    compare_json(&json, Path::new(report.file), report.wall_clock.json_keys)
+        .map_err(|e| format!("the replay differs from the committed {}: {e}", report.file))?;
+    Ok(first.expect("replays ran").2)
 }
 
 fn run_perf(seed: u64) {
@@ -81,30 +251,29 @@ fn run_perf(seed: u64) {
     let json = report.to_json().pretty();
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
+        exit(1);
     }
     print!("{}", report.human_summary());
     println!("  bench JSON written to {out_path}");
 }
 
 fn run_perf_check(args: &[String]) {
-    let (Some(current), Some(baseline)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: repro perf-check <current.json> <baseline.json> [tolerance]");
-        std::process::exit(2);
+    let (Some(current), Some(baseline), 2..=3) = (args.first(), args.get(1), args.len()) else {
+        usage("perf-check takes <current.json> <baseline.json> [tolerance]");
     };
-    let tolerance: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.25);
+    let tolerance: f64 = parse_arg(args, 2, "tolerance", 0.25);
     match agb_perf::compare_files(current, baseline, tolerance) {
         Ok(comparison) => {
             print!("{}", comparison.table());
             print_baseline_refresh_hint(baseline);
             if !comparison.passed() {
-                std::process::exit(1);
+                exit(1);
             }
         }
         Err(e) => {
             eprintln!("perf-check: {e}");
             print_baseline_refresh_hint(baseline);
-            std::process::exit(1);
+            exit(1);
         }
     }
 }
@@ -181,177 +350,4 @@ fn run_ablation(seed: u64) {
 fn run_recovery(seed: u64) {
     let rows = recovery::run(seed);
     print!("{}", recovery::table(&rows));
-}
-
-fn run_maelstrom(seed: u64) {
-    let summary = maelstrom::run(seed);
-    print!("{}", maelstrom::table(&summary));
-    for failure in maelstrom::failures(&summary) {
-        println!("  FAILED {failure}");
-    }
-    let out_path =
-        std::env::var("AGB_MAELSTROM_OUT").unwrap_or_else(|_| String::from("MAELSTROM.json"));
-    let json = summary.to_json().pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  maelstrom report written to {out_path}");
-    // Stable digest of the whole suite: the CI smoke job replays the
-    // same seed and compares this line verbatim.
-    println!("  maelstrom summary digest: {:#018x}", summary.digest);
-    if !summary.passed() {
-        std::process::exit(1);
-    }
-}
-
-fn run_trace(seed: u64) {
-    let report = trace::run(seed);
-    print!("{}", trace::table_overview(&report));
-    print!("{}", trace::table_drops(&report));
-    print!("{}", trace::table_recovery(&report));
-    for run in &report.runs {
-        print!("{}", trace::table_latency(run));
-    }
-    for failure in trace::failures(&report) {
-        println!("  FAILED {failure}");
-    }
-    let out_path = std::env::var("AGB_TRACE_OUT").unwrap_or_else(|_| String::from("TRACE.json"));
-    let json = report.to_json().pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  trace report written to {out_path}");
-    // Stable digest of the whole report: the CI smoke job replays the
-    // same seed (at several thread counts) and compares this line.
-    println!("  trace summary digest: {:#018x}", report.digest);
-    if !report.passed() {
-        std::process::exit(1);
-    }
-}
-
-fn run_topology(seed: u64) {
-    let report = topology::run(seed);
-    print!("{}", topology::table_overview(&report));
-    for failure in topology::failures(&report) {
-        println!("  FAILED {failure}");
-    }
-    let out_path =
-        std::env::var("AGB_TOPOLOGY_OUT").unwrap_or_else(|_| String::from("TOPOLOGY.json"));
-    let json = report.to_json().pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  topology report written to {out_path}");
-    // Stable digest of the whole report: the CI smoke job replays the
-    // same seed (at several thread counts) and compares this line.
-    println!("  topology summary digest: {:#018x}", report.digest);
-    if !report.passed() {
-        std::process::exit(1);
-    }
-}
-
-fn run_resilience(seed: u64) {
-    let report = resilience::run(seed);
-    print!("{}", resilience::table_overview(&report));
-    for failure in resilience::failures(&report) {
-        println!("  FAILED {failure}");
-    }
-    let out_path =
-        std::env::var("AGB_RESILIENCE_OUT").unwrap_or_else(|_| String::from("RESILIENCE.json"));
-    let json = report.to_json().pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  resilience report written to {out_path}");
-    // Stable digest of the whole report: the CI smoke job replays the
-    // same seed (at several thread counts) and compares this line.
-    println!("  resilience summary digest: {:#018x}", report.digest);
-    if !report.passed() {
-        std::process::exit(1);
-    }
-}
-
-fn run_profile(seed: u64) {
-    let report = profile::run(seed);
-    print!("{}", profile::table_phases(&report));
-    print!("{}", profile::table_memory(&report));
-    for failure in profile::failures(&report) {
-        println!("  FAILED {failure}");
-    }
-    let out_path =
-        std::env::var("AGB_PROFILE_OUT").unwrap_or_else(|_| String::from("PROFILE.json"));
-    let json = report.to_json().pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  profile report written to {out_path}");
-    // Collapsed stacks for inferno-style flamegraph renderers
-    // (wall-clock: never committed, never digested).
-    if let Ok(flame_path) = std::env::var("AGB_PROFILE_FLAME_OUT") {
-        if let Err(e) = std::fs::write(&flame_path, report.collapsed()) {
-            eprintln!("cannot write {flame_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("  collapsed stacks written to {flame_path}");
-    }
-    // Stable digest of the deterministic subset: the CI smoke job
-    // replays the same seed (at several thread counts) and compares
-    // this line.
-    println!("  profile digest: {:#018x}", report.digest);
-    if !report.passed() {
-        std::process::exit(1);
-    }
-}
-
-fn run_telemetry(seed: u64) {
-    let report = match telemetry::run(seed) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("telemetry runtime leg failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", telemetry::table_liveops(&report));
-    print!("{}", telemetry::table_slo(&report));
-    print!("{}", telemetry::table_sim(&report));
-    for failure in telemetry::failures(&report) {
-        println!("  FAILED {failure}");
-    }
-    let out_path =
-        std::env::var("AGB_TELEMETRY_OUT").unwrap_or_else(|_| String::from("TELEMETRY.json"));
-    let json = report.to_json().pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  telemetry report written to {out_path}");
-    // The reproducible subset (sim leg only): the CI smoke job runs the
-    // same seed twice and diffs this file byte for byte.
-    if let Ok(repro_path) = std::env::var("AGB_TELEMETRY_REPRO_OUT") {
-        let repro_json = report.repro_json().pretty();
-        if let Err(e) = std::fs::write(&repro_path, &repro_json) {
-            eprintln!("cannot write {repro_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("  reproducible subset written to {repro_path}");
-    }
-    // Stable digest of the reproducible subset; the wall-clock leg's
-    // numbers intentionally never feed it.
-    println!("  telemetry repro digest: {:#018x}", report.repro_digest);
-    if !report.passed() {
-        std::process::exit(1);
-    }
-}
-
-fn run_churn(seed: u64) {
-    let rows = churn::run(seed);
-    print!("{}", churn::table(&rows));
-    // Stable digest of the whole sweep: the CI smoke job replays the same
-    // seed and compares this line verbatim.
-    println!("  churn summary hash: {:#018x}", churn::summary_hash(&rows));
 }

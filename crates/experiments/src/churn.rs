@@ -17,10 +17,14 @@ use agb_chaos::{ChaosCluster, ChaosSummary, ChurnProfile};
 use agb_membership::PartialViewConfig;
 use agb_metrics::Table;
 use agb_recovery::RecoveryConfig;
-use agb_types::DurationMs;
+use agb_types::{json::Json, DurationMs};
 use agb_workload::{Algorithm, ClusterConfig, MembershipKind};
 
 use crate::common::{paper_adaptation, quick_mode, Windows};
+use crate::report::Report;
+
+/// Schema identifier written into `CHURN.json`.
+pub const CHURN_SCHEMA: &str = "agb-churn/v1";
 
 /// Group size of the churn sweep.
 pub const CHURN_NODES: usize = 40;
@@ -174,72 +178,132 @@ pub fn run_cell(variant: Variant, crashes_per_min: f64, seed: u64) -> ChurnCell 
     ChurnCell { variant, summary }
 }
 
-/// Runs the full sweep.
-pub fn run(seed: u64) -> Vec<ChurnRow> {
-    CHURN_RATES
-        .iter()
-        .map(|&rate| ChurnRow {
-            crashes_per_min: rate,
-            cells: Variant::ALL
-                .iter()
-                .map(|&v| run_cell(v, rate, seed))
-                .collect(),
+/// The whole report behind `repro churn` and `CHURN.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChurnReport {
+    /// The experiment seed.
+    pub seed: u64,
+    /// Whether quick mode sized the sweep.
+    pub quick: bool,
+    /// One row per crash rate, in [`CHURN_RATES`] order.
+    pub rows: Vec<ChurnRow>,
+}
+
+impl Report for ChurnReport {
+    const NAME: &'static str = "churn";
+    const FILE: &'static str = "CHURN.json";
+
+    /// Runs the full sweep.
+    fn run(seed: u64) -> std::io::Result<Self> {
+        let rows = CHURN_RATES
+            .iter()
+            .map(|&rate| ChurnRow {
+                crashes_per_min: rate,
+                cells: Variant::ALL
+                    .iter()
+                    .map(|&v| run_cell(v, rate, seed))
+                    .collect(),
+            })
+            .collect();
+        Ok(ChurnReport {
+            seed,
+            quick: quick_mode(),
+            rows,
         })
-        .collect()
-}
-
-/// Formats the sweep as a table.
-pub fn table(rows: &[ChurnRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Churn: delivery among correct nodes vs crash rate \
-             (n = {CHURN_NODES}, partial views, loss = {CHURN_LOSS}, \
-             fanout = {CHURN_FANOUT}, age cap = {CHURN_AGE_CAP})"
-        ),
-        &[
-            "crashes/min",
-            "correct delivery static (%)",
-            "correct delivery adaptive (%)",
-            "correct delivery adpt+rec (%)",
-            "atomic adpt+rec (%)",
-            "recovered events",
-            "mean catch-up (ms)",
-            "mean view convergence (ms)",
-        ],
-    );
-    for r in rows {
-        let by = |v: Variant| {
-            r.cells
-                .iter()
-                .find(|c| c.variant == v)
-                .expect("all variants present")
-                .summary
-        };
-        let rec = by(Variant::AdaptiveRecovery);
-        t.row_f64(&[
-            r.crashes_per_min,
-            by(Variant::Static).correct.avg_receiver_fraction * 100.0,
-            by(Variant::Adaptive).correct.avg_receiver_fraction * 100.0,
-            rec.correct.avg_receiver_fraction * 100.0,
-            rec.correct.atomic_fraction * 100.0,
-            rec.recovered as f64,
-            rec.mean_catch_up_ms.unwrap_or(0.0),
-            rec.mean_convergence_ms.unwrap_or(0.0),
-        ]);
     }
-    t
-}
 
-/// A stable digest over the whole sweep, used by the CI smoke job to
-/// assert that a fixed seed reproduces byte-identical results.
-pub fn summary_hash(rows: &[ChurnRow]) -> u64 {
-    let mut bytes = Vec::with_capacity(rows.len() * Variant::ALL.len() * 8);
-    for row in rows {
-        for cell in &row.cells {
-            bytes.extend_from_slice(&cell.summary.digest().to_le_bytes());
+    /// The sweep as one table.
+    fn tables(&self) -> Vec<Table> {
+        let mut t = Table::new(
+            format!(
+                "Churn: delivery among correct nodes vs crash rate \
+                 (n = {CHURN_NODES}, partial views, loss = {CHURN_LOSS}, \
+                 fanout = {CHURN_FANOUT}, age cap = {CHURN_AGE_CAP})"
+            ),
+            &[
+                "crashes/min",
+                "correct delivery static (%)",
+                "correct delivery adaptive (%)",
+                "correct delivery adpt+rec (%)",
+                "atomic adpt+rec (%)",
+                "recovered events",
+                "mean catch-up (ms)",
+                "mean view convergence (ms)",
+            ],
+        );
+        for r in &self.rows {
+            let by = |v: Variant| {
+                r.cells
+                    .iter()
+                    .find(|c| c.variant == v)
+                    .expect("all variants present")
+                    .summary
+            };
+            let rec = by(Variant::AdaptiveRecovery);
+            t.row_f64(&[
+                r.crashes_per_min,
+                by(Variant::Static).correct.avg_receiver_fraction * 100.0,
+                by(Variant::Adaptive).correct.avg_receiver_fraction * 100.0,
+                rec.correct.avg_receiver_fraction * 100.0,
+                rec.correct.atomic_fraction * 100.0,
+                rec.recovered as f64,
+                rec.mean_catch_up_ms.unwrap_or(0.0),
+                rec.mean_convergence_ms.unwrap_or(0.0),
+            ]);
         }
+        vec![t]
     }
-    agb_types::fnv1a(&bytes)
+
+    /// The sweep measures and asserts nothing beyond its numbers.
+    fn failures(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    /// The machine-readable report (schema [`CHURN_SCHEMA`]): one object
+    /// per crash rate × variant with the numbers the table prints and the
+    /// cell's [`ChaosSummary::digest`].
+    fn to_json(&self) -> Json {
+        let ms = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
+        let cells = self.rows.iter().flat_map(|row| {
+            row.cells.iter().map(move |cell| {
+                let s = &cell.summary;
+                Json::obj([
+                    ("crashes_per_min", Json::Num(row.crashes_per_min)),
+                    ("variant", Json::from(cell.variant.label())),
+                    (
+                        "correct_avg_receiver_fraction",
+                        Json::Num(s.correct.avg_receiver_fraction),
+                    ),
+                    (
+                        "correct_atomic_fraction",
+                        Json::Num(s.correct.atomic_fraction),
+                    ),
+                    ("recovered", Json::from(s.recovered)),
+                    ("mean_catch_up_ms", ms(s.mean_catch_up_ms)),
+                    ("mean_convergence_ms", ms(s.mean_convergence_ms)),
+                    ("digest", Json::Str(format!("{:#018x}", s.digest()))),
+                ])
+            })
+        });
+        Json::obj([
+            ("schema", Json::from(CHURN_SCHEMA)),
+            ("seed", Json::from(self.seed)),
+            ("quick", Json::Bool(self.quick)),
+            ("cells", Json::Arr(cells.collect())),
+            ("digest", Json::Str(format!("{:#018x}", self.digest()))),
+        ])
+    }
+
+    /// FNV fold of every cell's [`ChaosSummary::digest`], in sweep order.
+    fn digest(&self) -> u64 {
+        let mut bytes = Vec::with_capacity(self.rows.len() * Variant::ALL.len() * 8);
+        for row in &self.rows {
+            for cell in &row.cells {
+                bytes.extend_from_slice(&cell.summary.digest().to_le_bytes());
+            }
+        }
+        agb_types::fnv1a(&bytes)
+    }
 }
 
 #[cfg(test)]
@@ -269,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_hash_is_order_sensitive() {
+    fn digest_is_order_sensitive_and_in_the_json() {
         let cell = |d: f64| ChurnCell {
             variant: Variant::Static,
             summary: ChaosSummary {
@@ -293,15 +357,25 @@ mod tests {
                 checksum: 7,
             },
         };
-        let a = vec![ChurnRow {
-            crashes_per_min: 0.0,
-            cells: vec![cell(0.5), cell(0.9)],
-        }];
-        let b = vec![ChurnRow {
-            crashes_per_min: 0.0,
-            cells: vec![cell(0.9), cell(0.5)],
-        }];
-        assert_ne!(summary_hash(&a), summary_hash(&b));
-        assert_eq!(summary_hash(&a), summary_hash(&a));
+        let report = |cells| ChurnReport {
+            seed: 0,
+            quick: true,
+            rows: vec![ChurnRow {
+                crashes_per_min: 0.0,
+                cells,
+            }],
+        };
+        let a = report(vec![cell(0.5), cell(0.9)]);
+        let b = report(vec![cell(0.9), cell(0.5)]);
+        assert_ne!(a.digest(), b.digest());
+        assert_eq!(a.digest(), a.clone().digest());
+        // The JSON carries the fold and one object per cell.
+        let json = a.to_json();
+        assert_eq!(json.get("schema").unwrap().as_str(), Some(CHURN_SCHEMA));
+        assert_eq!(
+            json.get("digest").unwrap().as_str(),
+            Some(format!("{:#018x}", a.digest()).as_str())
+        );
+        assert_eq!(json.get("cells").unwrap().as_arr().unwrap().len(), 2);
     }
 }

@@ -11,7 +11,7 @@
 //! | [`fig9`] | Fig. 9(a,b) | dynamic buffer resize time series, sim + threaded runtime |
 //! | [`ablation`] | §3.4 | parameter sensitivity (γ, W, α, δ) |
 //! | [`recovery`] | — (beyond the paper) | atomicity under loss × buffer, pull-based recovery on/off |
-//! | [`churn`] | — (beyond the paper) | delivery among correct nodes under scripted churn (`agb-chaos`) |
+//! | [`churn`] | — (beyond the paper) | delivery among correct nodes under scripted churn (`agb-chaos`), `CHURN.json` |
 //! | [`maelstrom`] | — (beyond the paper) | Maelstrom-style workloads (broadcast / unique-ids / g-counter) over the line protocol (`agb-maelstrom`) |
 //! | [`trace`] | — (beyond the paper) | causal dissemination tracing dashboard + `TRACE.json` (`agb-trace`) |
 //! | [`telemetry`] | — (beyond the paper) | live wall-clock telemetry plane: scraped runtime cluster + SLO report + deterministic bridge leg, `TELEMETRY.json` (`agb-telemetry`) |
@@ -21,7 +21,10 @@
 //!
 //! Every harness returns plain data and a formatted [`agb_metrics::Table`],
 //! and is invoked both by the `repro` binary and by the `agb-bench` bench
-//! targets. Set `AGB_QUICK=1` for CI-sized runs.
+//! targets. The seven reports with a committed seed-42 file (churn,
+//! maelstrom, trace, telemetry, topology, resilience, profile) implement
+//! [`report::Report`], which `repro <name>` and `repro verify` drive.
+//! Set `AGB_QUICK=1` for CI-sized runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +42,7 @@ pub mod fig9;
 pub mod maelstrom;
 pub mod profile;
 pub mod recovery;
+pub mod report;
 pub mod resilience;
 pub mod telemetry;
 pub mod topology;

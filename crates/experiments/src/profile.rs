@@ -12,12 +12,12 @@
 //!
 //! Output splits along the PR 7 wall-clock/determinism line:
 //!
-//! * The **tables** (phase percentages, shard balance, nanoseconds) are
-//!   wall-clock — they vary run to run and never feed a digest.
+//! * The **phase table** (phase percentages, shard balance, nanoseconds)
+//!   is wall-clock — it varies run to run and never feeds a digest.
 //! * **`PROFILE.json`** carries only the deterministic subset — engine
 //!   checksums, message/event counts, and the memory table (entry-count
-//!   arithmetic, identical at any `AGB_THREADS`) — and its digest is
-//!   replayed by CI at several thread counts.
+//!   arithmetic, identical at any `AGB_THREADS`) — and `repro verify`
+//!   replays it at several thread counts.
 //! * An optional **collapsed-stack** file (`AGB_PROFILE_FLAME_OUT`)
 //!   holds `leg;engine;phase count` lines for inferno-style flamegraph
 //!   renderers.
@@ -30,6 +30,7 @@ use agb_types::{fnv1a, json::Json, DurationMs, TimeMs};
 use agb_workload::{Algorithm, ClusterConfig, GossipCluster, PhaseModel};
 
 use crate::common::quick_mode;
+use crate::report::{Report, WallClock};
 
 /// Scale points: quick mode profiles 1k and 10k nodes; full mode adds
 /// 50k.
@@ -130,15 +131,215 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Whether every leg kept parity, delivered traffic, recorded phase
-    /// time, and attributed memory.
-    pub fn passed(&self) -> bool {
-        self.runs.iter().all(|r| {
-            r.parity()
-                && r.deliveries > 0
-                && r.snapshot.phase(Phase::ShardExec).total_ns > 0
-                && r.mem.total().bytes > 0
-        })
+    /// Inferno-compatible collapsed-stack text across all legs, each
+    /// leg's phases rooted under its label (`n10000;engine;merge 812`).
+    pub fn collapsed(&self) -> String {
+        let mut out = String::new();
+        for r in &self.runs {
+            for line in r.snapshot.collapsed().lines() {
+                out.push_str(&r.label);
+                out.push(';');
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+}
+
+/// Folds the deterministic subset — never wall-clock nanoseconds.
+fn digest(runs: &[ProfileRun]) -> u64 {
+    let mut buf = Vec::new();
+    for r in runs {
+        buf.extend_from_slice(&fnv1a(r.label.as_bytes()).to_le_bytes());
+        buf.extend_from_slice(&(r.n_nodes as u64).to_le_bytes());
+        buf.extend_from_slice(&r.engine_checksum.to_le_bytes());
+        buf.extend_from_slice(&r.unprofiled_checksum.to_le_bytes());
+        buf.extend_from_slice(&r.sends.to_le_bytes());
+        buf.extend_from_slice(&r.deliveries.to_le_bytes());
+        buf.extend_from_slice(&r.events_processed.to_le_bytes());
+        for (label, u) in r.mem.rows() {
+            buf.extend_from_slice(&fnv1a(label.as_bytes()).to_le_bytes());
+            buf.extend_from_slice(&u.bytes.to_le_bytes());
+            buf.extend_from_slice(&u.entries.to_le_bytes());
+        }
+    }
+    fnv1a(&buf)
+}
+
+/// Column headers: `metric` plus one column per leg.
+fn headers(report: &ProfileReport) -> Vec<&str> {
+    let mut h = vec!["metric"];
+    h.extend(report.runs.iter().map(|r| r.label.as_str()));
+    h
+}
+
+impl Report for ProfileReport {
+    const NAME: &'static str = "profile";
+    const FILE: &'static str = "PROFILE.json";
+    /// The phase table: shares of engine time, nanoseconds, shard balance
+    /// and allocation counts vary run to run. The JSON carries none of it.
+    const WALL_CLOCK: WallClock = WallClock {
+        json_keys: &[],
+        tables: true,
+    };
+
+    /// Runs the profiled legs plus their unprofiled parity re-runs, and
+    /// writes the collapsed stacks to `AGB_PROFILE_FLAME_OUT` when it is set.
+    fn run(seed: u64) -> std::io::Result<Self> {
+        let quick = quick_mode();
+        let horizon = TimeMs::ZERO + DurationMs::from_secs(1).mul_f64(rounds(quick) as f64);
+        let mut runs = Vec::new();
+        for n in scale_points(quick) {
+            let mut profiled = GossipCluster::build(profile_cluster(n, true, seed));
+            if let Some(p) = profiled.profiler_mut() {
+                // Allocation attribution rides on the repro binary's
+                // counting allocator; a plain fn pointer, so wiring it is
+                // harmless when the allocator is absent (counts stay 0).
+                p.set_alloc_counter(agb_perf::alloc::allocation_count);
+            }
+            profiled.run_until(horizon);
+            let stats = profiled.sim_stats();
+            let snapshot = profiled
+                .profiler_snapshot()
+                .expect("profiling enabled on this leg");
+            let mem = profiled.mem_table();
+
+            let mut plain = GossipCluster::build(profile_cluster(n, false, seed));
+            plain.run_until(horizon);
+
+            runs.push(ProfileRun {
+                label: format!("n{n}"),
+                n_nodes: n,
+                snapshot,
+                mem,
+                engine_checksum: stats.checksum,
+                unprofiled_checksum: plain.sim_stats().checksum,
+                sends: stats.sends,
+                deliveries: stats.deliveries,
+                events_processed: profiled.events_processed(),
+            });
+        }
+        let digest = digest(&runs);
+        let report = ProfileReport {
+            seed,
+            quick,
+            runs,
+            digest,
+        };
+        // Collapsed stacks for inferno-style flamegraph renderers
+        // (wall-clock: never committed, never digested).
+        if let Ok(path) = std::env::var("AGB_PROFILE_FLAME_OUT") {
+            std::fs::write(&path, report.collapsed())
+                .map_err(|e| std::io::Error::new(e.kind(), format!("cannot write {path}: {e}")))?;
+        }
+        Ok(report)
+    }
+
+    /// The where-does-the-round-go table (wall-clock), then the
+    /// memory-attribution table (deterministic).
+    fn tables(&self) -> Vec<Table> {
+        // Per-phase share of top-level engine time, plus shard balance, one
+        // column per scale point.
+        let phases = {
+            let mut t = Table::new(
+                "Profile: where does the round go (share of engine time)",
+                &headers(self),
+            );
+            for &phase in PHASES.iter() {
+                let name = if phase.nested() {
+                    format!("  \u{21b3} {}", phase.label())
+                } else {
+                    phase.label().to_string()
+                };
+                let mut cells = vec![name];
+                cells.extend(
+                    self.runs
+                        .iter()
+                        .map(|r| format!("{:.1}%", r.phase_fraction(phase) * 100.0)),
+                );
+                t.row(&cells);
+            }
+            let mut total = vec!["engine total (ms)".to_string()];
+            total.extend(
+                self.runs
+                    .iter()
+                    .map(|r| format!("{:.1}", r.snapshot.top_level_total_ns() as f64 / 1e6)),
+            );
+            t.row(&total);
+            let mut balance = vec!["shard balance (mean max/min)".to_string()];
+            balance.extend(self.runs.iter().map(|r| {
+                r.snapshot
+                    .mean_balance_ratio
+                    .map_or_else(|| "-".to_string(), |v| format!("{v:.2}x"))
+            }));
+            t.row(&balance);
+            let mut allocs = vec!["allocs attributed".to_string()];
+            allocs.extend(self.runs.iter().map(|r| {
+                let total: u64 = r.snapshot.phases.iter().map(|s| s.allocs).sum();
+                total.to_string()
+            }));
+            t.row(&allocs);
+            t
+        };
+        // Estimated resident bytes per node by subsystem, one column per
+        // scale point.
+        let memory = {
+            let mut t = Table::new(
+                "Profile: resident bytes per node by subsystem (deterministic)",
+                &headers(self),
+            );
+            // Union of subsystem labels across legs, already sorted per leg.
+            let mut labels: Vec<&str> = Vec::new();
+            for r in &self.runs {
+                for (label, _) in r.mem.rows() {
+                    if !labels.contains(&label.as_str()) {
+                        labels.push(label);
+                    }
+                }
+            }
+            labels.sort_unstable();
+            for label in labels {
+                let mut cells = vec![label.to_string()];
+                cells.extend(self.runs.iter().map(|r| {
+                    r.mem.rows().iter().find(|(l, _)| l == label).map_or_else(
+                        || "-".to_string(),
+                        |(_, u)| (u.bytes / r.mem.nodes()).to_string(),
+                    )
+                }));
+                t.row(&cells);
+            }
+            let mut total = vec!["total".to_string()];
+            total.extend(self.runs.iter().map(|r| r.mem.bytes_per_node().to_string()));
+            t.row(&total);
+            t
+        };
+        vec![phases, memory]
+    }
+
+    /// A leg fails when profiling moved its engine checksum, or it
+    /// delivered nothing, recorded no shard-exec time or attributed no
+    /// memory.
+    fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for r in &self.runs {
+            if !r.parity() {
+                out.push(format!(
+                    "{}: engine checksum diverged under profiling ({:#018x} profiled vs {:#018x} plain)",
+                    r.label, r.engine_checksum, r.unprofiled_checksum
+                ));
+            }
+            if r.deliveries == 0 {
+                out.push(format!("{}: no deliveries", r.label));
+            }
+            if r.snapshot.phase(Phase::ShardExec).total_ns == 0 {
+                out.push(format!("{}: no shard-exec time recorded", r.label));
+            }
+            if r.mem.total().bytes == 0 {
+                out.push(format!("{}: no memory attributed", r.label));
+            }
+        }
+        out
     }
 
     /// The machine-readable report (schema [`PROFILE_SCHEMA`]).
@@ -147,7 +348,7 @@ impl ProfileReport {
     /// wall-clock nanoseconds, so the file is bit-identical across
     /// machines, runs, and thread counts and can be committed for the
     /// canonical seed.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj([
             ("schema", Json::from(PROFILE_SCHEMA)),
             ("seed", Json::from(self.seed)),
@@ -201,198 +402,9 @@ impl ProfileReport {
         ])
     }
 
-    /// Inferno-compatible collapsed-stack text across all legs, each
-    /// leg's phases rooted under its label (`n10000;engine;merge 812`).
-    pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for r in &self.runs {
-            for line in r.snapshot.collapsed().lines() {
-                out.push_str(&r.label);
-                out.push(';');
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        out
+    fn digest(&self) -> u64 {
+        self.digest
     }
-}
-
-/// Runs the profiled legs plus their unprofiled parity re-runs.
-pub fn run(seed: u64) -> ProfileReport {
-    let quick = quick_mode();
-    let horizon = TimeMs::ZERO + DurationMs::from_secs(1).mul_f64(rounds(quick) as f64);
-    let mut runs = Vec::new();
-    for n in scale_points(quick) {
-        let mut profiled = GossipCluster::build(profile_cluster(n, true, seed));
-        if let Some(p) = profiled.profiler_mut() {
-            // Allocation attribution rides on the repro binary's
-            // counting allocator; a plain fn pointer, so wiring it is
-            // harmless when the allocator is absent (counts stay 0).
-            p.set_alloc_counter(agb_perf::alloc::allocation_count);
-        }
-        profiled.run_until(horizon);
-        let stats = profiled.sim_stats();
-        let snapshot = profiled
-            .profiler_snapshot()
-            .expect("profiling enabled on this leg");
-        let mem = profiled.mem_table();
-
-        let mut plain = GossipCluster::build(profile_cluster(n, false, seed));
-        plain.run_until(horizon);
-
-        runs.push(ProfileRun {
-            label: format!("n{n}"),
-            n_nodes: n,
-            snapshot,
-            mem,
-            engine_checksum: stats.checksum,
-            unprofiled_checksum: plain.sim_stats().checksum,
-            sends: stats.sends,
-            deliveries: stats.deliveries,
-            events_processed: profiled.events_processed(),
-        });
-    }
-    let digest = digest(&runs);
-    ProfileReport {
-        seed,
-        quick,
-        runs,
-        digest,
-    }
-}
-
-/// Folds the deterministic subset — never wall-clock nanoseconds.
-fn digest(runs: &[ProfileRun]) -> u64 {
-    let mut buf = Vec::new();
-    for r in runs {
-        buf.extend_from_slice(&fnv1a(r.label.as_bytes()).to_le_bytes());
-        buf.extend_from_slice(&(r.n_nodes as u64).to_le_bytes());
-        buf.extend_from_slice(&r.engine_checksum.to_le_bytes());
-        buf.extend_from_slice(&r.unprofiled_checksum.to_le_bytes());
-        buf.extend_from_slice(&r.sends.to_le_bytes());
-        buf.extend_from_slice(&r.deliveries.to_le_bytes());
-        buf.extend_from_slice(&r.events_processed.to_le_bytes());
-        for (label, u) in r.mem.rows() {
-            buf.extend_from_slice(&fnv1a(label.as_bytes()).to_le_bytes());
-            buf.extend_from_slice(&u.bytes.to_le_bytes());
-            buf.extend_from_slice(&u.entries.to_le_bytes());
-        }
-    }
-    fnv1a(&buf)
-}
-
-/// Column headers: `metric` plus one column per leg.
-fn headers(report: &ProfileReport) -> Vec<&str> {
-    let mut h = vec!["metric"];
-    h.extend(report.runs.iter().map(|r| r.label.as_str()));
-    h
-}
-
-/// The where-does-the-round-go table: per-phase share of top-level
-/// engine time, plus shard balance, one column per scale point.
-pub fn table_phases(report: &ProfileReport) -> Table {
-    let mut t = Table::new(
-        "Profile: where does the round go (share of engine time)",
-        &headers(report),
-    );
-    for &phase in PHASES.iter() {
-        let name = if phase.nested() {
-            format!("  \u{21b3} {}", phase.label())
-        } else {
-            phase.label().to_string()
-        };
-        let mut cells = vec![name];
-        cells.extend(
-            report
-                .runs
-                .iter()
-                .map(|r| format!("{:.1}%", r.phase_fraction(phase) * 100.0)),
-        );
-        t.row(&cells);
-    }
-    let mut total = vec!["engine total (ms)".to_string()];
-    total.extend(
-        report
-            .runs
-            .iter()
-            .map(|r| format!("{:.1}", r.snapshot.top_level_total_ns() as f64 / 1e6)),
-    );
-    t.row(&total);
-    let mut balance = vec!["shard balance (mean max/min)".to_string()];
-    balance.extend(report.runs.iter().map(|r| {
-        r.snapshot
-            .mean_balance_ratio
-            .map_or_else(|| "-".to_string(), |v| format!("{v:.2}x"))
-    }));
-    t.row(&balance);
-    let mut allocs = vec!["allocs attributed".to_string()];
-    allocs.extend(report.runs.iter().map(|r| {
-        let total: u64 = r.snapshot.phases.iter().map(|s| s.allocs).sum();
-        total.to_string()
-    }));
-    t.row(&allocs);
-    t
-}
-
-/// The memory-attribution table: estimated resident bytes per node by
-/// subsystem, one column per scale point.
-pub fn table_memory(report: &ProfileReport) -> Table {
-    let mut t = Table::new(
-        "Profile: resident bytes per node by subsystem (deterministic)",
-        &headers(report),
-    );
-    // Union of subsystem labels across legs, already sorted per leg.
-    let mut labels: Vec<&str> = Vec::new();
-    for r in &report.runs {
-        for (label, _) in r.mem.rows() {
-            if !labels.contains(&label.as_str()) {
-                labels.push(label);
-            }
-        }
-    }
-    labels.sort_unstable();
-    for label in labels {
-        let mut cells = vec![label.to_string()];
-        cells.extend(report.runs.iter().map(|r| {
-            r.mem.rows().iter().find(|(l, _)| l == label).map_or_else(
-                || "-".to_string(),
-                |(_, u)| (u.bytes / r.mem.nodes()).to_string(),
-            )
-        }));
-        t.row(&cells);
-    }
-    let mut total = vec!["total".to_string()];
-    total.extend(
-        report
-            .runs
-            .iter()
-            .map(|r| r.mem.bytes_per_node().to_string()),
-    );
-    t.row(&total);
-    t
-}
-
-/// Human-readable failure lines (empty when [`ProfileReport::passed`]).
-pub fn failures(report: &ProfileReport) -> Vec<String> {
-    let mut out = Vec::new();
-    for r in &report.runs {
-        if !r.parity() {
-            out.push(format!(
-                "{}: engine checksum diverged under profiling ({:#018x} profiled vs {:#018x} plain)",
-                r.label, r.engine_checksum, r.unprofiled_checksum
-            ));
-        }
-        if r.deliveries == 0 {
-            out.push(format!("{}: no deliveries", r.label));
-        }
-        if r.snapshot.phase(Phase::ShardExec).total_ns == 0 {
-            out.push(format!("{}: no shard-exec time recorded", r.label));
-        }
-        if r.mem.total().bytes == 0 {
-            out.push(format!("{}: no memory attributed", r.label));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -400,7 +412,7 @@ mod tests {
     use super::*;
 
     /// A miniature leg exercising the full pipeline without the 1k/10k
-    /// scale (those run under `repro profile` and the CI smoke job).
+    /// scale (those run under `repro profile` and `repro verify`).
     fn tiny_report(seed: u64) -> ProfileReport {
         let horizon = TimeMs::from_secs(6);
         let mut profiled = GossipCluster::build(profile_cluster(48, true, seed));
@@ -431,7 +443,7 @@ mod tests {
     #[test]
     fn profiled_leg_keeps_parity_and_attributes_costs() {
         let report = tiny_report(5);
-        assert!(report.passed(), "failures: {:?}", failures(&report));
+        assert_eq!(report.failures(), Vec::<String>::new());
         let r = &report.runs[0];
         assert!(r.phase_fraction(Phase::ShardExec) > 0.0);
         assert!(r.mem.bytes_per_node() > 0);
@@ -460,10 +472,11 @@ mod tests {
     #[test]
     fn tables_and_flame_render() {
         let report = tiny_report(11);
-        let phases = table_phases(&report).to_string();
+        let tables = report.tables();
+        let phases = tables[0].to_string();
         assert!(phases.contains("shard_exec"));
         assert!(phases.contains("engine total (ms)"));
-        let mem = table_memory(&report).to_string();
+        let mem = tables[1].to_string();
         assert!(mem.contains("event_buffer"));
         assert!(mem.contains("total"));
         let flame = report.collapsed();

@@ -14,7 +14,7 @@
 //! | `churn-scripted` | 10% | — | crashes + restarts | scripted (oracle evicts 2 s after each crash) |
 //! | `churn-detector` | 10% | — | crashes + restarts | φ-accrual detector (no script) |
 //!
-//! The headline claims checked by [`ResilienceReport::passed`] mirror the
+//! The headline claims checked by its [`Report::failures`] mirror the
 //! acceptance criteria of the failure-detection PR:
 //!
 //! 1. detector-driven eviction matches or beats the scripted oracle on
@@ -29,18 +29,19 @@
 //! The report is written as `RESILIENCE.json` (schema
 //! [`RESILIENCE_SCHEMA`]) with a stable digest; because verdicts ride on
 //! virtual time in canonical order, the digest is bit-identical at every
-//! engine thread count (`AGB_THREADS`), which CI replays.
+//! engine thread count (`AGB_THREADS`), which `repro verify` replays.
 
 use agb_chaos::{ChaosCluster, ChaosSchedule, ChaosSummary, ChurnProfile};
 use agb_failure::{AdversaryConfig, DetectorConfig};
 use agb_membership::PartialViewConfig;
-use agb_metrics::{format_f64, Table};
+use agb_metrics::Table;
 use agb_recovery::RecoveryConfig;
 use agb_trace::{TraceConfig, TraceSummary};
 use agb_types::{fnv1a, json::Json, DurationMs, NodeId, TimeMs};
 use agb_workload::{Algorithm, ClusterConfig, MembershipKind};
 
 use crate::common::{paper_adaptation, quick_mode, Windows};
+use crate::report::{metric_row, Report};
 
 /// Schema tag of `RESILIENCE.json`.
 pub const RESILIENCE_SCHEMA: &str = "agb-resilience-report/v1";
@@ -289,26 +290,6 @@ impl ResilienceReport {
     pub fn leg(&self, label: &str) -> Option<&ResilienceLeg> {
         self.legs.iter().find(|l| l.spec.label == label)
     }
-
-    /// Whether the headline claims hold (see [`failures`]).
-    pub fn passed(&self) -> bool {
-        failures(self).is_empty()
-    }
-
-    /// The machine-readable report (schema [`RESILIENCE_SCHEMA`]).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::from(RESILIENCE_SCHEMA)),
-            ("seed", Json::from(self.seed)),
-            ("quick", Json::Bool(self.quick)),
-            ("n_nodes", Json::from(self.n_nodes)),
-            (
-                "legs",
-                Json::Arr(self.legs.iter().map(ResilienceLeg::to_json).collect()),
-            ),
-            ("digest", Json::Str(format!("{:#018x}", self.digest))),
-        ])
-    }
 }
 
 /// Runs one leg: builds the cluster, compiles the schedule, measures.
@@ -332,159 +313,176 @@ pub fn run_leg(spec: LegSpec, seed: u64) -> ResilienceLeg {
     }
 }
 
-/// Runs the full grid.
-pub fn run(seed: u64) -> ResilienceReport {
-    let legs: Vec<ResilienceLeg> = legs().iter().map(|&spec| run_leg(spec, seed)).collect();
-    let mut buf = Vec::with_capacity(legs.len() * 16);
-    for leg in &legs {
-        buf.extend_from_slice(&leg.summary.digest().to_le_bytes());
-        buf.extend_from_slice(&leg.trace.stable_digest.to_le_bytes());
-    }
-    ResilienceReport {
-        seed,
-        quick: quick_mode(),
-        n_nodes: RES_NODES,
-        legs,
-        digest: fnv1a(&buf),
-    }
-}
+impl Report for ResilienceReport {
+    const NAME: &'static str = "resilience";
+    const FILE: &'static str = "RESILIENCE.json";
 
-/// Appends one row: a metric name and one value per leg.
-fn metric_row(t: &mut Table, name: &str, values: impl Iterator<Item = f64>) {
-    let mut cells = vec![name.to_string()];
-    cells.extend(values.map(format_f64));
-    t.row(&cells);
-}
-
-/// The headline dashboard: one column per leg.
-pub fn table_overview(report: &ResilienceReport) -> Table {
-    let mut headers = vec!["metric"];
-    headers.extend(report.legs.iter().map(|l| l.spec.label));
-    let mut t = Table::new(
-        format!(
-            "Resilience: φ-accrual detection + wire adversary + churn \
-             (n = {}, loss = {RES_LOSS}, corruption = {RES_CORRUPTION}, \
-             {RES_CRASHES_PER_MIN} crashes/min)",
-            report.n_nodes
-        ),
-        &headers,
-    );
-    let legs = &report.legs;
-    metric_row(
-        &mut t,
-        "atomic fraction (correct)",
-        legs.iter().map(|l| l.summary.correct.atomic_fraction),
-    );
-    metric_row(
-        &mut t,
-        "avg receiver fraction (correct)",
-        legs.iter().map(|l| l.summary.correct.avg_receiver_fraction),
-    );
-    metric_row(
-        &mut t,
-        "messages measured",
-        legs.iter().map(|l| l.summary.correct.messages as f64),
-    );
-    metric_row(
-        &mut t,
-        "recovered events",
-        legs.iter().map(|l| l.summary.recovered as f64),
-    );
-    metric_row(
-        &mut t,
-        "heartbeats",
-        legs.iter().map(|l| l.trace.counts.heartbeats as f64),
-    );
-    metric_row(
-        &mut t,
-        "suspicions",
-        legs.iter().map(|l| l.trace.counts.suspects as f64),
-    );
-    metric_row(
-        &mut t,
-        "detector evictions",
-        legs.iter().map(|l| l.trace.counts.detector_evicts as f64),
-    );
-    metric_row(
-        &mut t,
-        "rejoins",
-        legs.iter().map(|l| l.trace.counts.rejoins as f64),
-    );
-    metric_row(
-        &mut t,
-        "corrupted frames",
-        legs.iter().map(|l| l.corrupted_frames as f64),
-    );
-    t
-}
-
-/// Human-readable failure lines (empty when [`ResilienceReport::passed`]).
-pub fn failures(report: &ResilienceReport) -> Vec<String> {
-    let mut out = Vec::new();
-    for leg in &report.legs {
-        let label = leg.spec.label;
-        if leg.summary.correct.messages == 0 {
-            out.push(format!("{label}: no messages measured"));
+    /// Runs the full grid.
+    fn run(seed: u64) -> std::io::Result<Self> {
+        let legs: Vec<ResilienceLeg> = legs().iter().map(|&spec| run_leg(spec, seed)).collect();
+        let mut buf = Vec::with_capacity(legs.len() * 16);
+        for leg in &legs {
+            buf.extend_from_slice(&leg.summary.digest().to_le_bytes());
+            buf.extend_from_slice(&leg.trace.stable_digest.to_le_bytes());
         }
-        // Gate 3a: dissemination survives the fault regime. Churn legs
-        // are judged on correct-node delivery, fault-only legs on raw.
-        let (fraction, floor) = if leg.spec.crashes_per_min > 0.0 {
-            (leg.summary.correct.avg_receiver_fraction, 0.85)
-        } else {
-            (leg.summary.raw.avg_receiver_fraction, 0.90)
-        };
-        if fraction < floor {
-            out.push(format!(
-                "{label}: dissemination collapsed (receiver fraction {fraction:.3} < {floor})"
-            ));
-        }
-        // Gate 3b: the adversary fired exactly where configured.
-        if leg.spec.corruption > 0.0 && leg.corrupted_frames == 0 {
-            out.push(format!("{label}: byte adversary never fired"));
-        }
-        if leg.spec.corruption == 0.0 && leg.corrupted_frames > 0 {
-            out.push(format!(
-                "{label}: {} corrupted frames leaked into an adversary-free leg",
-                leg.corrupted_frames
-            ));
-        }
-        // The detection plane must actually be live wherever it is on.
-        if leg.spec.detector && leg.trace.counts.heartbeats == 0 {
-            out.push(format!("{label}: detector on but no heartbeats traced"));
-        }
+        Ok(ResilienceReport {
+            seed,
+            quick: quick_mode(),
+            n_nodes: RES_NODES,
+            legs,
+            digest: fnv1a(&buf),
+        })
     }
-    // Gate 2: zero false positives on the fault-free leg.
-    if let Some(nofault) = report.leg("no-fault") {
-        let c = &nofault.trace.counts;
-        if c.detector_evicts > 0 || c.suspects > 0 {
-            out.push(format!(
-                "no-fault: false positives ({} suspicions, {} evictions)",
-                c.suspects, c.detector_evicts
-            ));
-        }
-    } else {
-        out.push("no-fault leg missing".into());
+
+    /// The headline dashboard: one column per leg.
+    fn tables(&self) -> Vec<Table> {
+        let mut headers = vec!["metric"];
+        headers.extend(self.legs.iter().map(|l| l.spec.label));
+        let mut t = Table::new(
+            format!(
+                "Resilience: φ-accrual detection + wire adversary + churn \
+                 (n = {}, loss = {RES_LOSS}, corruption = {RES_CORRUPTION}, \
+                 {RES_CRASHES_PER_MIN} crashes/min)",
+                self.n_nodes
+            ),
+            &headers,
+        );
+        let legs = &self.legs;
+        metric_row(
+            &mut t,
+            "atomic fraction (correct)",
+            legs.iter().map(|l| l.summary.correct.atomic_fraction),
+        );
+        metric_row(
+            &mut t,
+            "avg receiver fraction (correct)",
+            legs.iter().map(|l| l.summary.correct.avg_receiver_fraction),
+        );
+        metric_row(
+            &mut t,
+            "messages measured",
+            legs.iter().map(|l| l.summary.correct.messages as f64),
+        );
+        metric_row(
+            &mut t,
+            "recovered events",
+            legs.iter().map(|l| l.summary.recovered as f64),
+        );
+        metric_row(
+            &mut t,
+            "heartbeats",
+            legs.iter().map(|l| l.trace.counts.heartbeats as f64),
+        );
+        metric_row(
+            &mut t,
+            "suspicions",
+            legs.iter().map(|l| l.trace.counts.suspects as f64),
+        );
+        metric_row(
+            &mut t,
+            "detector evictions",
+            legs.iter().map(|l| l.trace.counts.detector_evicts as f64),
+        );
+        metric_row(
+            &mut t,
+            "rejoins",
+            legs.iter().map(|l| l.trace.counts.rejoins as f64),
+        );
+        metric_row(
+            &mut t,
+            "corrupted frames",
+            legs.iter().map(|l| l.corrupted_frames as f64),
+        );
+        vec![t]
     }
-    // Gate 1: the detector matches or beats the scripted oracle.
-    match (report.leg("churn-detector"), report.leg("churn-scripted")) {
-        (Some(det), Some(scripted)) => {
-            if det.trace.counts.detector_evicts == 0 {
-                out.push("churn-detector: detector never evicted a crashed node".into());
+
+    /// The headline claims of the module docs, plus per-leg liveness.
+    fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for leg in &self.legs {
+            let label = leg.spec.label;
+            if leg.summary.correct.messages == 0 {
+                out.push(format!("{label}: no messages measured"));
             }
-            let (d, s) = (
-                det.summary.correct.atomic_fraction,
-                scripted.summary.correct.atomic_fraction,
-            );
-            if d < s {
+            // Gate 3a: dissemination survives the fault regime. Churn legs
+            // are judged on correct-node delivery, fault-only legs on raw.
+            let (fraction, floor) = if leg.spec.crashes_per_min > 0.0 {
+                (leg.summary.correct.avg_receiver_fraction, 0.85)
+            } else {
+                (leg.summary.raw.avg_receiver_fraction, 0.90)
+            };
+            if fraction < floor {
                 out.push(format!(
-                    "churn: detector-driven eviction lost to the scripted oracle \
-                     (atomicity {d:.4} < {s:.4})"
+                    "{label}: dissemination collapsed (receiver fraction {fraction:.3} < {floor})"
                 ));
             }
+            // Gate 3b: the adversary fired exactly where configured.
+            if leg.spec.corruption > 0.0 && leg.corrupted_frames == 0 {
+                out.push(format!("{label}: byte adversary never fired"));
+            }
+            if leg.spec.corruption == 0.0 && leg.corrupted_frames > 0 {
+                out.push(format!(
+                    "{label}: {} corrupted frames leaked into an adversary-free leg",
+                    leg.corrupted_frames
+                ));
+            }
+            // The detection plane must actually be live wherever it is on.
+            if leg.spec.detector && leg.trace.counts.heartbeats == 0 {
+                out.push(format!("{label}: detector on but no heartbeats traced"));
+            }
         }
-        _ => out.push("churn legs missing".into()),
+        // Gate 2: zero false positives on the fault-free leg.
+        if let Some(nofault) = self.leg("no-fault") {
+            let c = &nofault.trace.counts;
+            if c.detector_evicts > 0 || c.suspects > 0 {
+                out.push(format!(
+                    "no-fault: false positives ({} suspicions, {} evictions)",
+                    c.suspects, c.detector_evicts
+                ));
+            }
+        } else {
+            out.push("no-fault leg missing".into());
+        }
+        // Gate 1: the detector matches or beats the scripted oracle.
+        match (self.leg("churn-detector"), self.leg("churn-scripted")) {
+            (Some(det), Some(scripted)) => {
+                if det.trace.counts.detector_evicts == 0 {
+                    out.push("churn-detector: detector never evicted a crashed node".into());
+                }
+                let (d, s) = (
+                    det.summary.correct.atomic_fraction,
+                    scripted.summary.correct.atomic_fraction,
+                );
+                if d < s {
+                    out.push(format!(
+                        "churn: detector-driven eviction lost to the scripted oracle \
+                         (atomicity {d:.4} < {s:.4})"
+                    ));
+                }
+            }
+            _ => out.push("churn legs missing".into()),
+        }
+        out
     }
-    out
+
+    /// The machine-readable report (schema [`RESILIENCE_SCHEMA`]).
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("schema", Json::from(RESILIENCE_SCHEMA)),
+            ("seed", Json::from(self.seed)),
+            ("quick", Json::Bool(self.quick)),
+            ("n_nodes", Json::from(self.n_nodes)),
+            (
+                "legs",
+                Json::Arr(self.legs.iter().map(ResilienceLeg::to_json).collect()),
+            ),
+            ("digest", Json::Str(format!("{:#018x}", self.digest))),
+        ])
+    }
+
+    fn digest(&self) -> u64 {
+        self.digest
+    }
 }
 
 #[cfg(test)]
@@ -512,9 +510,9 @@ mod tests {
 
     #[test]
     fn report_meets_the_headline_claims() {
-        let report = run(42);
+        let report = ResilienceReport::run(42).unwrap();
         assert_eq!(report.legs.len(), 6);
-        assert!(report.passed(), "failures: {:?}", failures(&report));
+        assert_eq!(report.failures(), Vec::<String>::new());
         // The JSON round-trips and carries the schema + digest.
         let json = report.to_json();
         assert_eq!(
@@ -527,7 +525,7 @@ mod tests {
             Some(format!("{:#018x}", report.digest).as_str())
         );
         // The table renders one column per leg.
-        let overview = table_overview(&report).to_string();
+        let overview = report.tables()[0].to_string();
         assert!(overview.contains("churn-detector"));
         assert!(overview.contains("detector evictions"));
     }

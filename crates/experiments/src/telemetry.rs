@@ -16,13 +16,13 @@
 //!   [`TraceCounts`] folded through
 //!   [`fold_trace_counts`] into the same metric names and rendered as
 //!   Prometheus text. That exposition is byte-identical across runs and
-//!   thread counts — it is the reproducible subset CI diffs, together
-//!   with the trace's timestamp-shift-invariant `stable_digest`.
+//!   thread counts, and so is the trace's timestamp-shift-invariant
+//!   `stable_digest`; both feed the repro digest.
 //!
 //! The report renders a live-ops dashboard (traffic, loss, drops,
 //! recovery, SLO quantiles) and machine-readable `TELEMETRY.json`
-//! (schema [`TELEMETRY_SCHEMA`]); `AGB_TELEMETRY_REPRO_OUT` additionally
-//! writes just the reproducible subset for CI double-run diffing.
+//! (schema [`TELEMETRY_SCHEMA`]). Its `runtime` object is wall-clock;
+//! `repro verify` compares everything else byte for byte.
 
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Duration;
@@ -39,6 +39,7 @@ use agb_types::{fnv1a, json::Json, DurationMs};
 use agb_workload::{Algorithm, GossipCluster};
 
 use crate::common::quick_mode;
+use crate::report::{Report, WallClock};
 use crate::trace::{horizon, trace_cluster};
 
 /// Schema identifier written into `TELEMETRY.json`.
@@ -122,7 +123,7 @@ pub struct SimLeg {
     /// Timestamp-shift-invariant digest of the trace summary.
     pub stable_digest: u64,
     /// The counts folded through the bridge and rendered as Prometheus
-    /// text — byte-identical across runs; the CI-diffable subset.
+    /// text — byte-identical across runs.
     pub exposition: String,
 }
 
@@ -140,99 +141,6 @@ pub struct TelemetryReport {
     /// Stable FNV digest over the reproducible subset (the sim leg's
     /// exposition text and stable trace digest).
     pub repro_digest: u64,
-}
-
-impl TelemetryReport {
-    /// Whether both legs produced the evidence the experiment is after.
-    pub fn passed(&self) -> bool {
-        failures(self).is_empty()
-    }
-
-    /// The machine-readable report (schema [`TELEMETRY_SCHEMA`]).
-    pub fn to_json(&self) -> Json {
-        let s = &self.runtime.snapshot;
-        let latency = self
-            .runtime
-            .latency_slo()
-            .map(|q| Json::Arr(q.iter().map(|&v| Json::Num(v)).collect()))
-            .unwrap_or(Json::Null);
-        Json::obj([
-            ("schema", Json::from(TELEMETRY_SCHEMA)),
-            ("seed", Json::from(self.seed)),
-            ("quick", Json::Bool(self.quick)),
-            (
-                "runtime",
-                Json::obj([
-                    // Wall-clock: informative, not comparable across runs.
-                    ("wall_clock", Json::Bool(true)),
-                    ("n_nodes", Json::from(self.runtime.n_nodes)),
-                    ("loss", Json::Num(self.runtime.loss)),
-                    ("scraped_endpoints", Json::from(self.runtime.scraped)),
-                    ("mid_run_series", Json::from(self.runtime.mid_run_series)),
-                    (
-                        "messages_sent",
-                        Json::from(s.counter_sum(names::MESSAGES_SENT)),
-                    ),
-                    (
-                        "messages_received",
-                        Json::from(s.counter_sum(names::MESSAGES_RECEIVED)),
-                    ),
-                    ("publishes", Json::from(s.counter_sum(names::PUBLISHES))),
-                    ("deliveries", Json::from(s.counter_sum(names::DELIVERIES))),
-                    (
-                        "loss_injected",
-                        Json::from(s.counter_sum(names::LOSS_INJECTED)),
-                    ),
-                    ("send_errors", Json::from(s.counter_sum(names::SEND_ERRORS))),
-                    ("drops", Json::from(s.counter_sum(names::DROPS))),
-                    (
-                        "recovery_events",
-                        Json::from(s.counter_sum(names::RECOVERY_EVENTS)),
-                    ),
-                    ("rounds", Json::from(s.counter_sum(names::ROUNDS))),
-                    ("delivery_latency_slo_seconds", latency),
-                ]),
-            ),
-            (
-                "sim",
-                Json::obj([
-                    ("label", Json::from(self.sim.label)),
-                    ("counts", self.sim.counts.to_json()),
-                    (
-                        "stable_digest",
-                        Json::Str(format!("{:#018x}", self.sim.stable_digest)),
-                    ),
-                    ("exposition", Json::Str(self.sim.exposition.clone())),
-                ]),
-            ),
-            (
-                "repro_digest",
-                Json::Str(format!("{:#018x}", self.repro_digest)),
-            ),
-        ])
-    }
-
-    /// Just the reproducible subset: everything here is byte-identical
-    /// across runs at the same seed (and every `AGB_THREADS` setting),
-    /// so CI diffs this file between double runs.
-    pub fn repro_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::from(TELEMETRY_SCHEMA)),
-            ("seed", Json::from(self.seed)),
-            ("quick", Json::Bool(self.quick)),
-            ("sim_label", Json::from(self.sim.label)),
-            ("sim_counts", self.sim.counts.to_json()),
-            (
-                "sim_stable_digest",
-                Json::Str(format!("{:#018x}", self.sim.stable_digest)),
-            ),
-            ("exposition", Json::Str(self.sim.exposition.clone())),
-            (
-                "repro_digest",
-                Json::Str(format!("{:#018x}", self.repro_digest)),
-            ),
-        ])
-    }
 }
 
 /// Runs the wall-clock runtime leg: sustained publish traffic under
@@ -304,155 +212,236 @@ pub fn run_sim_leg(seed: u64) -> SimLeg {
     }
 }
 
-/// Runs both legs and assembles the report.
-///
-/// # Errors
-///
-/// Propagates socket errors from the runtime leg.
-pub fn run(seed: u64) -> std::io::Result<TelemetryReport> {
-    let runtime = run_runtime_leg(seed)?;
-    let sim = run_sim_leg(seed);
-    let mut buf = sim.exposition.clone().into_bytes();
-    buf.extend_from_slice(&sim.stable_digest.to_le_bytes());
-    let repro_digest = fnv1a(&buf);
-    Ok(TelemetryReport {
-        seed,
-        quick: quick_mode(),
-        runtime,
-        sim,
-        repro_digest,
-    })
-}
+impl Report for TelemetryReport {
+    const NAME: &'static str = "telemetry";
+    const FILE: &'static str = "TELEMETRY.json";
+    /// The runtime leg: its `runtime` JSON object and the live-ops and
+    /// SLO tables.
+    const WALL_CLOCK: WallClock = WallClock {
+        json_keys: &["runtime"],
+        tables: true,
+    };
 
-fn count_row(t: &mut Table, s: &Snapshot, label: &str, name: &str) {
-    t.row(&[label.to_string(), s.counter_sum(name).to_string()]);
-}
+    /// Runs both legs and assembles the report.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors from the runtime leg.
+    fn run(seed: u64) -> std::io::Result<Self> {
+        let runtime = run_runtime_leg(seed)?;
+        let sim = run_sim_leg(seed);
+        let mut buf = sim.exposition.clone().into_bytes();
+        buf.extend_from_slice(&sim.stable_digest.to_le_bytes());
+        let repro_digest = fnv1a(&buf);
+        Ok(TelemetryReport {
+            seed,
+            quick: quick_mode(),
+            runtime,
+            sim,
+            repro_digest,
+        })
+    }
 
-/// The live-ops dashboard: cluster-wide traffic, loss, drop, and
-/// recovery totals off the merged end-of-run snapshot.
-pub fn table_liveops(report: &TelemetryReport) -> Table {
-    let s = &report.runtime.snapshot;
-    let mut t = Table::new(
-        format!(
-            "Telemetry: live cluster totals ({} nodes over UDP, {:.0}% injected loss, \
-             {} endpoints scraped mid-run)",
-            report.runtime.n_nodes,
-            report.runtime.loss * 100.0,
-            report.runtime.scraped
-        ),
-        &["metric", "total"],
-    );
-    count_row(&mut t, s, names::MESSAGES_SENT, names::MESSAGES_SENT);
-    count_row(
-        &mut t,
-        s,
-        names::MESSAGES_RECEIVED,
-        names::MESSAGES_RECEIVED,
-    );
-    count_row(&mut t, s, names::BYTES_SENT, names::BYTES_SENT);
-    count_row(&mut t, s, names::LOSS_INJECTED, names::LOSS_INJECTED);
-    count_row(&mut t, s, names::SEND_ERRORS, names::SEND_ERRORS);
-    count_row(&mut t, s, names::PUBLISHES, names::PUBLISHES);
-    count_row(&mut t, s, names::DELIVERIES, names::DELIVERIES);
-    count_row(&mut t, s, names::DUPLICATES, names::DUPLICATES);
-    count_row(&mut t, s, names::DROPS, names::DROPS);
-    count_row(&mut t, s, names::RECOVERY_EVENTS, names::RECOVERY_EVENTS);
-    count_row(&mut t, s, names::ROUNDS, names::ROUNDS);
-    t
-}
-
-/// The latency SLO report: cluster-wide quantiles off the merged
-/// histograms (delivery latency and recovery RTT).
-pub fn table_slo(report: &TelemetryReport) -> Table {
-    let s = &report.runtime.snapshot;
-    let mut t = Table::new(
-        "Telemetry: wall-clock SLO report (merged log-bucketed histograms)",
-        &[
-            "histogram",
-            "count",
-            "mean (ms)",
-            "p50",
-            "p90",
-            "p99",
-            "p999 (ms)",
-        ],
-    );
-    for name in [names::DELIVERY_LATENCY_SECONDS, names::RECOVERY_RTT_SECONDS] {
-        let Some(h) = s.histogram_merged(name) else {
-            t.row(&[
-                name.to_string(),
-                "0".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-            continue;
+    /// The live-ops dashboard and the SLO report (both wall-clock), then
+    /// the deterministic sim leg.
+    fn tables(&self) -> Vec<Table> {
+        // Cluster-wide traffic, loss, drop, and recovery totals off the
+        // merged end-of-run snapshot.
+        let liveops = {
+            let s = &self.runtime.snapshot;
+            let mut t = Table::new(
+                format!(
+                    "Telemetry: live cluster totals ({} nodes over UDP, {:.0}% injected loss, \
+                     {} endpoints scraped mid-run)",
+                    self.runtime.n_nodes,
+                    self.runtime.loss * 100.0,
+                    self.runtime.scraped
+                ),
+                &["metric", "total"],
+            );
+            for name in [
+                names::MESSAGES_SENT,
+                names::MESSAGES_RECEIVED,
+                names::BYTES_SENT,
+                names::LOSS_INJECTED,
+                names::SEND_ERRORS,
+                names::PUBLISHES,
+                names::DELIVERIES,
+                names::DUPLICATES,
+                names::DROPS,
+                names::RECOVERY_EVENTS,
+                names::ROUNDS,
+            ] {
+                t.row(&[name.to_string(), s.counter_sum(name).to_string()]);
+            }
+            t
         };
-        let ms = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format_f64(x * 1_000.0));
-        t.row(&[
-            name.to_string(),
-            h.count.to_string(),
-            ms(h.mean()),
-            ms(h.quantile(0.5)),
-            ms(h.quantile(0.9)),
-            ms(h.quantile(0.99)),
-            ms(h.quantile(0.999)),
-        ]);
+        // Cluster-wide quantiles off the merged histograms (delivery latency
+        // and recovery RTT).
+        let slo = {
+            let s = &self.runtime.snapshot;
+            let mut t = Table::new(
+                "Telemetry: wall-clock SLO report (merged log-bucketed histograms)",
+                &[
+                    "histogram",
+                    "count",
+                    "mean (ms)",
+                    "p50",
+                    "p90",
+                    "p99",
+                    "p999 (ms)",
+                ],
+            );
+            for name in [names::DELIVERY_LATENCY_SECONDS, names::RECOVERY_RTT_SECONDS] {
+                let Some(h) = s.histogram_merged(name) else {
+                    t.row(&[
+                        name.to_string(),
+                        "0".into(),
+                        "-".into(),
+                        "-".into(),
+                        "-".into(),
+                        "-".into(),
+                        "-".into(),
+                    ]);
+                    continue;
+                };
+                let ms =
+                    |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format_f64(x * 1_000.0));
+                t.row(&[
+                    name.to_string(),
+                    h.count.to_string(),
+                    ms(h.mean()),
+                    ms(h.quantile(0.5)),
+                    ms(h.quantile(0.9)),
+                    ms(h.quantile(0.99)),
+                    ms(h.quantile(0.999)),
+                ]);
+            }
+            t
+        };
+        // The deterministic twin: the sim leg's counters as folded through
+        // the bridge — same metric names as the live plane, reproducible
+        // values.
+        let sim = {
+            let mut t = Table::new(
+                format!(
+                    "Telemetry: deterministic sim leg ({}) through the bridge",
+                    self.sim.label
+                ),
+                &["metric", "labels", "value"],
+            );
+            let parsed = parse_text(&self.sim.exposition);
+            for ((name, labels), value) in &parsed.counters {
+                let rendered: Vec<String> =
+                    labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                t.row(&[name.clone(), rendered.join(","), value.to_string()]);
+            }
+            t
+        };
+        vec![liveops, slo, sim]
     }
-    t
-}
 
-/// The deterministic twin: the sim leg's counters as folded through the
-/// bridge — same metric names as the live plane, reproducible values.
-pub fn table_sim(report: &TelemetryReport) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Telemetry: deterministic sim leg ({}) through the bridge",
-            report.sim.label
-        ),
-        &["metric", "labels", "value"],
-    );
-    let parsed = parse_text(&report.sim.exposition);
-    for ((name, labels), value) in &parsed.counters {
-        let rendered: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        t.row(&[name.clone(), rendered.join(","), value.to_string()]);
+    /// Either leg fails when it produced none of the evidence the
+    /// experiment is after.
+    fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        let r = &self.runtime;
+        let s = &r.snapshot;
+        if r.scraped < r.n_nodes {
+            out.push(format!(
+                "runtime: only {}/{} endpoints answered the mid-run scrape",
+                r.scraped, r.n_nodes
+            ));
+        }
+        if r.mid_run_series == 0 {
+            out.push("runtime: mid-run scrape carried no series".into());
+        }
+        if s.counter_sum(names::DELIVERIES) == 0 {
+            out.push("runtime: no deliveries recorded".into());
+        }
+        if s.counter_sum(names::LOSS_INJECTED) == 0 {
+            out.push("runtime: injected loss never fired".into());
+        }
+        match s.histogram_merged(names::DELIVERY_LATENCY_SECONDS) {
+            Some(h) if h.count > 0 => {}
+            _ => out.push("runtime: delivery-latency histogram is empty".into()),
+        }
+        if self.sim.counts.delivers == 0 {
+            out.push("sim: no deliveries traced".into());
+        }
+        if !self.sim.exposition.contains(names::DELIVERIES) {
+            out.push("sim: bridge exposition is missing the shared vocabulary".into());
+        }
+        out
     }
-    t
-}
 
-/// Human-readable failure lines (empty when [`TelemetryReport::passed`]).
-pub fn failures(report: &TelemetryReport) -> Vec<String> {
-    let mut out = Vec::new();
-    let r = &report.runtime;
-    let s = &r.snapshot;
-    if r.scraped < r.n_nodes {
-        out.push(format!(
-            "runtime: only {}/{} endpoints answered the mid-run scrape",
-            r.scraped, r.n_nodes
-        ));
+    /// The machine-readable report (schema [`TELEMETRY_SCHEMA`]).
+    fn to_json(&self) -> Json {
+        let s = &self.runtime.snapshot;
+        let latency = self
+            .runtime
+            .latency_slo()
+            .map(|q| Json::Arr(q.iter().map(|&v| Json::Num(v)).collect()))
+            .unwrap_or(Json::Null);
+        Json::obj([
+            ("schema", Json::from(TELEMETRY_SCHEMA)),
+            ("seed", Json::from(self.seed)),
+            ("quick", Json::Bool(self.quick)),
+            (
+                "runtime",
+                Json::obj([
+                    // Wall-clock: informative, not comparable across runs.
+                    ("wall_clock", Json::Bool(true)),
+                    ("n_nodes", Json::from(self.runtime.n_nodes)),
+                    ("loss", Json::Num(self.runtime.loss)),
+                    ("scraped_endpoints", Json::from(self.runtime.scraped)),
+                    ("mid_run_series", Json::from(self.runtime.mid_run_series)),
+                    (
+                        "messages_sent",
+                        Json::from(s.counter_sum(names::MESSAGES_SENT)),
+                    ),
+                    (
+                        "messages_received",
+                        Json::from(s.counter_sum(names::MESSAGES_RECEIVED)),
+                    ),
+                    ("publishes", Json::from(s.counter_sum(names::PUBLISHES))),
+                    ("deliveries", Json::from(s.counter_sum(names::DELIVERIES))),
+                    (
+                        "loss_injected",
+                        Json::from(s.counter_sum(names::LOSS_INJECTED)),
+                    ),
+                    ("send_errors", Json::from(s.counter_sum(names::SEND_ERRORS))),
+                    ("drops", Json::from(s.counter_sum(names::DROPS))),
+                    (
+                        "recovery_events",
+                        Json::from(s.counter_sum(names::RECOVERY_EVENTS)),
+                    ),
+                    ("rounds", Json::from(s.counter_sum(names::ROUNDS))),
+                    ("delivery_latency_slo_seconds", latency),
+                ]),
+            ),
+            (
+                "sim",
+                Json::obj([
+                    ("label", Json::from(self.sim.label)),
+                    ("counts", self.sim.counts.to_json()),
+                    (
+                        "stable_digest",
+                        Json::Str(format!("{:#018x}", self.sim.stable_digest)),
+                    ),
+                    ("exposition", Json::Str(self.sim.exposition.clone())),
+                ]),
+            ),
+            (
+                "repro_digest",
+                Json::Str(format!("{:#018x}", self.repro_digest)),
+            ),
+        ])
     }
-    if r.mid_run_series == 0 {
-        out.push("runtime: mid-run scrape carried no series".into());
+
+    fn digest(&self) -> u64 {
+        self.repro_digest
     }
-    if s.counter_sum(names::DELIVERIES) == 0 {
-        out.push("runtime: no deliveries recorded".into());
-    }
-    if s.counter_sum(names::LOSS_INJECTED) == 0 {
-        out.push("runtime: injected loss never fired".into());
-    }
-    match s.histogram_merged(names::DELIVERY_LATENCY_SECONDS) {
-        Some(h) if h.count > 0 => {}
-        _ => out.push("runtime: delivery-latency histogram is empty".into()),
-    }
-    if report.sim.counts.delivers == 0 {
-        out.push("sim: no deliveries traced".into());
-    }
-    if !report.sim.exposition.contains(names::DELIVERIES) {
-        out.push("sim: bridge exposition is missing the shared vocabulary".into());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -482,8 +471,8 @@ mod tests {
 
     #[test]
     fn full_report_round_trips_and_diffs_clean() {
-        let report = run(9).expect("runtime leg starts");
-        assert!(report.passed(), "failures: {:?}", failures(&report));
+        let report = TelemetryReport::run(9).expect("runtime leg starts");
+        assert_eq!(report.failures(), Vec::<String>::new());
         let json = report.to_json();
         assert_eq!(json.get("schema").unwrap().as_str(), Some(TELEMETRY_SCHEMA));
         let parsed = Json::parse(&json.pretty()).unwrap();
@@ -496,12 +485,11 @@ mod tests {
         let again = run_sim_leg(9);
         assert_eq!(again.exposition, report.sim.exposition);
         // Dashboard tables render.
-        assert!(table_liveops(&report)
-            .to_string()
-            .contains("agb_deliveries_total"));
-        assert!(table_slo(&report)
+        let tables = report.tables();
+        assert!(tables[0].to_string().contains("agb_deliveries_total"));
+        assert!(tables[1]
             .to_string()
             .contains("agb_delivery_latency_seconds"));
-        assert!(table_sim(&report).to_string().contains("surface=sim"));
+        assert!(tables[2].to_string().contains("surface=sim"));
     }
 }

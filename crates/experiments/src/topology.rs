@@ -15,7 +15,7 @@
 //! Every leg runs with full trace capture, so the report can account
 //! cross-region frames (the cost locality bias exists to cut) next to
 //! atomicity and per-delivery overhead. The headline claims checked by
-//! [`TopologyReport::passed`]:
+//! its [`Report::failures`]:
 //!
 //! 1. locality bias cuts the cross-region traffic fraction versus
 //!    uniform sampling, on both shapes;
@@ -25,9 +25,10 @@
 //!    uniform lpbcast.
 //!
 //! The report is written as `TOPOLOGY.json` (schema [`TOPOLOGY_SCHEMA`])
-//! with a stable digest that CI replays at several engine thread counts.
+//! with a stable digest that `repro verify` replays at several engine
+//! thread counts.
 
-use agb_metrics::{format_f64, Table};
+use agb_metrics::Table;
 use agb_sim::NetworkConfig;
 use agb_topology::RoutingConfig;
 use agb_trace::{TraceConfig, TraceSummary};
@@ -35,6 +36,7 @@ use agb_types::{fnv1a, json::Json, DurationMs, Topology};
 use agb_workload::{Algorithm, ClusterConfig, GossipCluster};
 
 use crate::common::{measure, quick_mode, RunOutcome, Windows};
+use crate::report::{metric_row, Report};
 
 /// Schema tag of `TOPOLOGY.json`.
 pub const TOPOLOGY_SCHEMA: &str = "agb-topology-report/v1";
@@ -233,14 +235,182 @@ impl TopologyReport {
             .iter()
             .find(|l| l.topo == topo && l.flavor == flavor)
     }
+}
 
-    /// Whether the headline claims hold (see [`failures`]).
-    pub fn passed(&self) -> bool {
-        failures(self).is_empty()
+impl Report for TopologyReport {
+    const NAME: &'static str = "topology";
+    const FILE: &'static str = "TOPOLOGY.json";
+
+    /// Runs the shape × flavor sweep.
+    fn run(seed: u64) -> std::io::Result<Self> {
+        let windows = topology_windows();
+        let mut legs = Vec::new();
+        for topo in shapes() {
+            let shape = topo.label();
+            for flavor in flavors() {
+                let mut cluster =
+                    GossipCluster::build(topology_cluster(topo.clone(), flavor, seed));
+                cluster.run_until(windows.total());
+                let outcome = measure(&cluster, windows);
+                let summary = cluster
+                    .trace_summary(&format!("{shape}/{flavor}"))
+                    .expect("tracing enabled");
+                let stats = cluster.sim_stats();
+                legs.push(TopologyLeg {
+                    topo: shape,
+                    flavor,
+                    outcome,
+                    summary,
+                    engine_checksum: stats.checksum,
+                    frames: stats.sends,
+                });
+            }
+        }
+        let mut buf = Vec::with_capacity(legs.len() * 16);
+        for leg in &legs {
+            buf.extend_from_slice(&leg.summary.stable_digest.to_le_bytes());
+            buf.extend_from_slice(&leg.engine_checksum.to_le_bytes());
+        }
+        Ok(TopologyReport {
+            seed,
+            quick: quick_mode(),
+            n_nodes: n_nodes(),
+            legs,
+            digest: fnv1a(&buf),
+        })
+    }
+
+    /// The headline dashboard: one column per shape/flavor leg.
+    fn tables(&self) -> Vec<Table> {
+        let labels: Vec<String> = self.legs.iter().map(TopologyLeg::label).collect();
+        let mut headers = vec!["metric"];
+        headers.extend(labels.iter().map(String::as_str));
+        let mut t = Table::new(
+            format!(
+                "Topology: locality bias and probabilistic forwarding \
+                 ({} nodes per shape, fanout {TOPOLOGY_FANOUT}, escape {TOPOLOGY_ESCAPE})",
+                self.n_nodes
+            ),
+            &headers,
+        );
+        let legs = &self.legs;
+        metric_row(
+            &mut t,
+            "atomic fraction",
+            legs.iter().map(|l| l.outcome.atomic_fraction),
+        );
+        metric_row(
+            &mut t,
+            "avg receiver fraction",
+            legs.iter().map(|l| l.outcome.avg_receiver_fraction),
+        );
+        metric_row(
+            &mut t,
+            "messages measured",
+            legs.iter().map(|l| l.outcome.messages as f64),
+        );
+        metric_row(
+            &mut t,
+            "relays",
+            legs.iter().map(|l| l.summary.counts.relays as f64),
+        );
+        metric_row(
+            &mut t,
+            "delivers",
+            legs.iter().map(|l| l.summary.counts.delivers as f64),
+        );
+        metric_row(
+            &mut t,
+            "relays / delivery",
+            legs.iter().map(TopologyLeg::relays_per_delivery),
+        );
+        metric_row(
+            &mut t,
+            "frames / delivery",
+            legs.iter().map(TopologyLeg::frames_per_delivery),
+        );
+        metric_row(
+            &mut t,
+            "cross-region frames",
+            legs.iter()
+                .map(|l| l.summary.counts.cross_partition_msgs as f64),
+        );
+        metric_row(
+            &mut t,
+            "cross-region fraction",
+            legs.iter().map(TopologyLeg::cross_fraction),
+        );
+        metric_row(
+            &mut t,
+            "latency p50 (rounds)",
+            legs.iter()
+                .map(|l| l.summary.latency.quantile(0.5).unwrap_or(f64::NAN)),
+        );
+        metric_row(
+            &mut t,
+            "latency p99 (rounds)",
+            legs.iter()
+                .map(|l| l.summary.latency.quantile(0.99).unwrap_or(f64::NAN)),
+        );
+        vec![t]
+    }
+
+    /// The headline claims of the module docs, plus per-leg liveness.
+    fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for leg in &self.legs {
+            if leg.outcome.messages == 0 {
+                out.push(format!("{}: no messages measured", leg.label()));
+            }
+            if leg.summary.counts.delivers == 0 {
+                out.push(format!("{}: no deliveries traced", leg.label()));
+            }
+            if leg.outcome.avg_receiver_fraction < 0.9 {
+                out.push(format!(
+                    "{}: dissemination collapsed (avg receiver fraction {:.3})",
+                    leg.label(),
+                    leg.outcome.avg_receiver_fraction
+                ));
+            }
+        }
+        for topo in shapes() {
+            let shape = topo.label();
+            let (Some(uniform), Some(biased), Some(routing)) = (
+                self.leg(shape, "uniform"),
+                self.leg(shape, "biased"),
+                self.leg(shape, "routing"),
+            ) else {
+                out.push(format!("{shape}: missing legs"));
+                continue;
+            };
+            if biased.cross_fraction() >= uniform.cross_fraction() {
+                out.push(format!(
+                    "{shape}: locality bias did not cut cross-region traffic \
+                     (biased {:.3} vs uniform {:.3})",
+                    biased.cross_fraction(),
+                    uniform.cross_fraction()
+                ));
+            }
+            if routing.relays_per_delivery() >= uniform.relays_per_delivery() {
+                out.push(format!(
+                    "{shape}: probabilistic forwarding did not cut relays/delivery \
+                     (routing {:.2} vs uniform {:.2})",
+                    routing.relays_per_delivery(),
+                    uniform.relays_per_delivery()
+                ));
+            }
+            if shape == "clustered" && routing.outcome.atomic_fraction < 0.99 {
+                out.push(format!(
+                    "{shape}: routing atomicity {:.4} below the 0.99 gate",
+                    routing.outcome.atomic_fraction
+                ));
+            }
+        }
+        out
     }
 
     /// The machine-readable report (schema [`TOPOLOGY_SCHEMA`]).
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj([
             ("schema", Json::from(TOPOLOGY_SCHEMA)),
             ("seed", Json::from(self.seed)),
@@ -253,180 +423,10 @@ impl TopologyReport {
             ("digest", Json::Str(format!("{:#018x}", self.digest))),
         ])
     }
-}
 
-/// Runs the shape × flavor sweep.
-pub fn run(seed: u64) -> TopologyReport {
-    let windows = topology_windows();
-    let mut legs = Vec::new();
-    for topo in shapes() {
-        let shape = topo.label();
-        for flavor in flavors() {
-            let mut cluster = GossipCluster::build(topology_cluster(topo.clone(), flavor, seed));
-            cluster.run_until(windows.total());
-            let outcome = measure(&cluster, windows);
-            let summary = cluster
-                .trace_summary(&format!("{shape}/{flavor}"))
-                .expect("tracing enabled");
-            let stats = cluster.sim_stats();
-            legs.push(TopologyLeg {
-                topo: shape,
-                flavor,
-                outcome,
-                summary,
-                engine_checksum: stats.checksum,
-                frames: stats.sends,
-            });
-        }
+    fn digest(&self) -> u64 {
+        self.digest
     }
-    let mut buf = Vec::with_capacity(legs.len() * 16);
-    for leg in &legs {
-        buf.extend_from_slice(&leg.summary.stable_digest.to_le_bytes());
-        buf.extend_from_slice(&leg.engine_checksum.to_le_bytes());
-    }
-    TopologyReport {
-        seed,
-        quick: quick_mode(),
-        n_nodes: n_nodes(),
-        legs,
-        digest: fnv1a(&buf),
-    }
-}
-
-/// Appends one row: a metric name and one value per leg.
-fn metric_row(t: &mut Table, name: &str, values: impl Iterator<Item = f64>) {
-    let mut cells = vec![name.to_string()];
-    cells.extend(values.map(format_f64));
-    t.row(&cells);
-}
-
-/// The headline dashboard: one column per shape/flavor leg.
-pub fn table_overview(report: &TopologyReport) -> Table {
-    let labels: Vec<String> = report.legs.iter().map(TopologyLeg::label).collect();
-    let mut headers = vec!["metric"];
-    headers.extend(labels.iter().map(String::as_str));
-    let mut t = Table::new(
-        format!(
-            "Topology: locality bias and probabilistic forwarding \
-             ({} nodes per shape, fanout {TOPOLOGY_FANOUT}, escape {TOPOLOGY_ESCAPE})",
-            report.n_nodes
-        ),
-        &headers,
-    );
-    let legs = &report.legs;
-    metric_row(
-        &mut t,
-        "atomic fraction",
-        legs.iter().map(|l| l.outcome.atomic_fraction),
-    );
-    metric_row(
-        &mut t,
-        "avg receiver fraction",
-        legs.iter().map(|l| l.outcome.avg_receiver_fraction),
-    );
-    metric_row(
-        &mut t,
-        "messages measured",
-        legs.iter().map(|l| l.outcome.messages as f64),
-    );
-    metric_row(
-        &mut t,
-        "relays",
-        legs.iter().map(|l| l.summary.counts.relays as f64),
-    );
-    metric_row(
-        &mut t,
-        "delivers",
-        legs.iter().map(|l| l.summary.counts.delivers as f64),
-    );
-    metric_row(
-        &mut t,
-        "relays / delivery",
-        legs.iter().map(TopologyLeg::relays_per_delivery),
-    );
-    metric_row(
-        &mut t,
-        "frames / delivery",
-        legs.iter().map(TopologyLeg::frames_per_delivery),
-    );
-    metric_row(
-        &mut t,
-        "cross-region frames",
-        legs.iter()
-            .map(|l| l.summary.counts.cross_partition_msgs as f64),
-    );
-    metric_row(
-        &mut t,
-        "cross-region fraction",
-        legs.iter().map(TopologyLeg::cross_fraction),
-    );
-    metric_row(
-        &mut t,
-        "latency p50 (rounds)",
-        legs.iter()
-            .map(|l| l.summary.latency.quantile(0.5).unwrap_or(f64::NAN)),
-    );
-    metric_row(
-        &mut t,
-        "latency p99 (rounds)",
-        legs.iter()
-            .map(|l| l.summary.latency.quantile(0.99).unwrap_or(f64::NAN)),
-    );
-    t
-}
-
-/// Human-readable failure lines (empty when [`TopologyReport::passed`]).
-pub fn failures(report: &TopologyReport) -> Vec<String> {
-    let mut out = Vec::new();
-    for leg in &report.legs {
-        if leg.outcome.messages == 0 {
-            out.push(format!("{}: no messages measured", leg.label()));
-        }
-        if leg.summary.counts.delivers == 0 {
-            out.push(format!("{}: no deliveries traced", leg.label()));
-        }
-        if leg.outcome.avg_receiver_fraction < 0.9 {
-            out.push(format!(
-                "{}: dissemination collapsed (avg receiver fraction {:.3})",
-                leg.label(),
-                leg.outcome.avg_receiver_fraction
-            ));
-        }
-    }
-    for topo in shapes() {
-        let shape = topo.label();
-        let (Some(uniform), Some(biased), Some(routing)) = (
-            report.leg(shape, "uniform"),
-            report.leg(shape, "biased"),
-            report.leg(shape, "routing"),
-        ) else {
-            out.push(format!("{shape}: missing legs"));
-            continue;
-        };
-        if biased.cross_fraction() >= uniform.cross_fraction() {
-            out.push(format!(
-                "{shape}: locality bias did not cut cross-region traffic \
-                 (biased {:.3} vs uniform {:.3})",
-                biased.cross_fraction(),
-                uniform.cross_fraction()
-            ));
-        }
-        if routing.relays_per_delivery() >= uniform.relays_per_delivery() {
-            out.push(format!(
-                "{shape}: probabilistic forwarding did not cut relays/delivery \
-                 (routing {:.2} vs uniform {:.2})",
-                routing.relays_per_delivery(),
-                uniform.relays_per_delivery()
-            ));
-        }
-        if shape == "clustered" && routing.outcome.atomic_fraction < 0.99 {
-            out.push(format!(
-                "{shape}: routing atomicity {:.4} below the 0.99 gate",
-                routing.outcome.atomic_fraction
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -460,9 +460,9 @@ mod tests {
 
     #[test]
     fn report_meets_the_headline_claims() {
-        let report = run(42);
+        let report = TopologyReport::run(42).unwrap();
         assert_eq!(report.legs.len(), 6);
-        assert!(report.passed(), "failures: {:?}", failures(&report));
+        assert_eq!(report.failures(), Vec::<String>::new());
         // Cross-region accounting is live on every leg.
         for leg in &report.legs {
             assert!(
@@ -480,7 +480,7 @@ mod tests {
             Some(format!("{:#018x}", report.digest).as_str())
         );
         // The table renders one column per leg.
-        let overview = table_overview(&report).to_string();
+        let overview = report.tables()[0].to_string();
         assert!(overview.contains("clustered/routing"));
         assert!(overview.contains("relays / delivery"));
     }

@@ -7,13 +7,13 @@
 //! text dashboard — counts, delivery-latency and hop histograms,
 //! dissemination-tree statistics, the drop taxonomy, and the
 //! recovery-repair table — and as machine-readable `TRACE.json` (schema
-//! [`agb_trace::TRACE_SCHEMA`]) whose digest CI replays and compares at
-//! every engine thread count.
+//! [`agb_trace::TRACE_SCHEMA`]) whose digest `repro verify` replays at
+//! several engine thread counts.
 //!
 //! Every leg is also re-run with tracing *disabled* and the engine
 //! determinism checksums compared: capture must be a pure observer.
 
-use agb_metrics::{format_f64, Table};
+use agb_metrics::Table;
 use agb_recovery::RecoveryConfig;
 use agb_sim::Partition;
 use agb_trace::{TraceConfig, TraceSummary, TRACE_SCHEMA};
@@ -21,6 +21,7 @@ use agb_types::{fnv1a, json::Json, DurationMs, NodeId, TimeMs};
 use agb_workload::{Algorithm, ClusterConfig, GossipCluster};
 
 use crate::common::quick_mode;
+use crate::report::{metric_row, Report};
 
 /// Independent per-message loss probability of the scenario.
 pub const TRACE_LOSS: f64 = 0.10;
@@ -127,16 +128,236 @@ pub struct TraceReport {
     pub digest: u64,
 }
 
-impl TraceReport {
-    /// Whether every leg delivered traffic and kept checksum parity.
-    pub fn passed(&self) -> bool {
-        self.runs
-            .iter()
-            .all(|r| r.parity() && r.summary.counts.delivers > 0)
+/// Column headers: `metric` plus one column per protocol leg.
+fn headers(report: &TraceReport) -> Vec<&str> {
+    let mut h = vec!["metric"];
+    h.extend(report.runs.iter().map(|r| r.label));
+    h
+}
+
+impl Report for TraceReport {
+    const NAME: &'static str = "trace";
+    const FILE: &'static str = "TRACE.json";
+
+    /// Runs the three traced legs plus their untraced parity re-runs.
+    fn run(seed: u64) -> std::io::Result<Self> {
+        let horizon = horizon();
+        let mut runs = Vec::new();
+        for (label, algorithm, with_recovery) in protocols() {
+            let mut traced =
+                GossipCluster::build(trace_cluster(algorithm, with_recovery, true, seed));
+            traced.run_until(horizon);
+            let summary = traced.trace_summary(label).expect("tracing enabled");
+            let engine_checksum = traced.sim_stats().checksum;
+            let mut plain =
+                GossipCluster::build(trace_cluster(algorithm, with_recovery, false, seed));
+            plain.run_until(horizon);
+            runs.push(TraceRun {
+                label,
+                summary,
+                engine_checksum,
+                untraced_checksum: plain.sim_stats().checksum,
+            });
+        }
+        let mut buf = Vec::with_capacity(runs.len() * 16);
+        for r in &runs {
+            buf.extend_from_slice(&r.summary.digest.to_le_bytes());
+            buf.extend_from_slice(&r.engine_checksum.to_le_bytes());
+        }
+        Ok(TraceReport {
+            seed,
+            quick: quick_mode(),
+            n_nodes: n_nodes(),
+            runs,
+            digest: fnv1a(&buf),
+        })
+    }
+
+    /// The overview, drop-taxonomy and recovery-repair dashboards, then
+    /// one delivery-latency histogram per leg.
+    fn tables(&self) -> Vec<Table> {
+        let runs = &self.runs;
+        // Dissemination counts, latency and hop quantiles, and tree
+        // statistics, one column per protocol.
+        let mut overview = Table::new(
+            format!(
+                "Trace: dissemination under {:.0}% loss + partition ({} nodes, fanout {TRACE_FANOUT}, \
+                 buffer {TRACE_BUFFER}, age cap {TRACE_AGE_CAP})",
+                TRACE_LOSS * 100.0,
+                self.n_nodes
+            ),
+            &headers(self),
+        );
+        let t = &mut overview;
+        metric_row(
+            t,
+            "publishes",
+            runs.iter().map(|r| r.summary.counts.publishes as f64),
+        );
+        metric_row(
+            t,
+            "relays",
+            runs.iter().map(|r| r.summary.counts.relays as f64),
+        );
+        metric_row(
+            t,
+            "delivers",
+            runs.iter().map(|r| r.summary.counts.delivers as f64),
+        );
+        metric_row(
+            t,
+            "duplicates",
+            runs.iter().map(|r| r.summary.counts.duplicates as f64),
+        );
+        metric_row(
+            t,
+            "redundancy ratio",
+            runs.iter().map(|r| r.summary.tree.redundancy),
+        );
+        metric_row(
+            t,
+            "latency p50 (rounds)",
+            runs.iter()
+                .map(|r| r.summary.latency.quantile(0.5).unwrap_or(f64::NAN)),
+        );
+        metric_row(
+            t,
+            "latency p99 (rounds)",
+            runs.iter()
+                .map(|r| r.summary.latency.quantile(0.99).unwrap_or(f64::NAN)),
+        );
+        metric_row(
+            t,
+            "hops p50",
+            runs.iter()
+                .map(|r| r.summary.hops.quantile(0.5).unwrap_or(f64::NAN)),
+        );
+        metric_row(
+            t,
+            "hops max",
+            runs.iter()
+                .map(|r| r.summary.hops.max().unwrap_or(f64::NAN)),
+        );
+        metric_row(
+            t,
+            "tree mean depth",
+            runs.iter().map(|r| r.summary.tree.mean_depth),
+        );
+        metric_row(
+            t,
+            "tree max depth",
+            runs.iter().map(|r| r.summary.tree.max_depth as f64),
+        );
+        metric_row(
+            t,
+            "mean buffer occupancy",
+            runs.iter()
+                .map(|r| r.summary.occupancy.mean().unwrap_or(f64::NAN)),
+        );
+
+        // The drop taxonomy: why events left buffers early.
+        let mut drops = Table::new("Trace: drop taxonomy", &headers(self));
+        let t = &mut drops;
+        metric_row(
+            t,
+            "age drops",
+            runs.iter().map(|r| r.summary.counts.drops_age as f64),
+        );
+        metric_row(
+            t,
+            "size drops",
+            runs.iter().map(|r| r.summary.counts.drops_size as f64),
+        );
+        metric_row(
+            t,
+            "congestion drops",
+            runs.iter()
+                .map(|r| r.summary.counts.drops_congestion as f64),
+        );
+
+        // Graft/retransmit round trips and their measured RTTs
+        // (all-zero columns on the push-only legs).
+        let mut recovery = Table::new("Trace: recovery repair", &headers(self));
+        let t = &mut recovery;
+        metric_row(
+            t,
+            "ihave digests",
+            runs.iter().map(|r| r.summary.counts.ihaves as f64),
+        );
+        metric_row(
+            t,
+            "grafts",
+            runs.iter().map(|r| r.summary.counts.grafts as f64),
+        );
+        metric_row(
+            t,
+            "retransmits",
+            runs.iter().map(|r| r.summary.counts.retransmits as f64),
+        );
+        metric_row(
+            t,
+            "recovered",
+            runs.iter().map(|r| r.summary.counts.recovered as f64),
+        );
+        metric_row(
+            t,
+            "recovery duplicates",
+            runs.iter()
+                .map(|r| r.summary.counts.recovery_duplicates as f64),
+        );
+        metric_row(
+            t,
+            "abandoned",
+            runs.iter()
+                .map(|r| r.summary.counts.recovery_abandoned as f64),
+        );
+        metric_row(
+            t,
+            "repair RTT p50 (ms)",
+            runs.iter()
+                .map(|r| r.summary.recovery_rtt.quantile(0.5).unwrap_or(f64::NAN)),
+        );
+        metric_row(
+            t,
+            "repair RTT p99 (ms)",
+            runs.iter()
+                .map(|r| r.summary.recovery_rtt.quantile(0.99).unwrap_or(f64::NAN)),
+        );
+
+        let mut tables = vec![overview, drops, recovery];
+        for run in runs {
+            let mut t = Table::new(
+                format!("Trace: delivery latency (rounds) — {}", run.label),
+                &["bucket", "deliveries"],
+            );
+            for (bucket, count) in run.summary.latency.rows() {
+                t.row(&[bucket, count.to_string()]);
+            }
+            tables.push(t);
+        }
+        tables
+    }
+
+    /// A leg fails when tracing moved its engine checksum or it traced
+    /// no deliveries.
+    fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for r in &self.runs {
+            if !r.parity() {
+                out.push(format!(
+                    "{}: engine checksum diverged under tracing ({:#018x} traced vs {:#018x} untraced)",
+                    r.label, r.engine_checksum, r.untraced_checksum
+                ));
+            }
+            if r.summary.counts.delivers == 0 {
+                out.push(format!("{}: no deliveries traced", r.label));
+            }
+        }
+        out
     }
 
     /// The machine-readable report (schema [`TRACE_SCHEMA`]).
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj([
             ("schema", Json::from(TRACE_SCHEMA)),
             ("seed", Json::from(self.seed)),
@@ -163,237 +384,10 @@ impl TraceReport {
             ("digest", Json::Str(format!("{:#018x}", self.digest))),
         ])
     }
-}
 
-/// Runs the three traced legs plus their untraced parity re-runs.
-pub fn run(seed: u64) -> TraceReport {
-    let horizon = horizon();
-    let mut runs = Vec::new();
-    for (label, algorithm, with_recovery) in protocols() {
-        let mut traced = GossipCluster::build(trace_cluster(algorithm, with_recovery, true, seed));
-        traced.run_until(horizon);
-        let summary = traced.trace_summary(label).expect("tracing enabled");
-        let engine_checksum = traced.sim_stats().checksum;
-        let mut plain = GossipCluster::build(trace_cluster(algorithm, with_recovery, false, seed));
-        plain.run_until(horizon);
-        runs.push(TraceRun {
-            label,
-            summary,
-            engine_checksum,
-            untraced_checksum: plain.sim_stats().checksum,
-        });
+    fn digest(&self) -> u64 {
+        self.digest
     }
-    let mut buf = Vec::with_capacity(runs.len() * 16);
-    for r in &runs {
-        buf.extend_from_slice(&r.summary.digest.to_le_bytes());
-        buf.extend_from_slice(&r.engine_checksum.to_le_bytes());
-    }
-    TraceReport {
-        seed,
-        quick: quick_mode(),
-        n_nodes: n_nodes(),
-        runs,
-        digest: fnv1a(&buf),
-    }
-}
-
-/// Column headers: `metric` plus one column per protocol leg.
-fn headers(report: &TraceReport) -> Vec<&str> {
-    let mut h = vec!["metric"];
-    h.extend(report.runs.iter().map(|r| r.label));
-    h
-}
-
-/// Appends one row: a metric name and one value per leg.
-fn metric_row(t: &mut Table, name: &str, values: impl Iterator<Item = f64>) {
-    let mut cells = vec![name.to_string()];
-    cells.extend(values.map(format_f64));
-    t.row(&cells);
-}
-
-/// The headline dashboard: dissemination counts, latency and hop
-/// quantiles, and tree statistics, one column per protocol.
-pub fn table_overview(report: &TraceReport) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Trace: dissemination under {:.0}% loss + partition ({} nodes, fanout {TRACE_FANOUT}, \
-             buffer {TRACE_BUFFER}, age cap {TRACE_AGE_CAP})",
-            TRACE_LOSS * 100.0,
-            report.n_nodes
-        ),
-        &headers(report),
-    );
-    let runs = &report.runs;
-    metric_row(
-        &mut t,
-        "publishes",
-        runs.iter().map(|r| r.summary.counts.publishes as f64),
-    );
-    metric_row(
-        &mut t,
-        "relays",
-        runs.iter().map(|r| r.summary.counts.relays as f64),
-    );
-    metric_row(
-        &mut t,
-        "delivers",
-        runs.iter().map(|r| r.summary.counts.delivers as f64),
-    );
-    metric_row(
-        &mut t,
-        "duplicates",
-        runs.iter().map(|r| r.summary.counts.duplicates as f64),
-    );
-    metric_row(
-        &mut t,
-        "redundancy ratio",
-        runs.iter().map(|r| r.summary.tree.redundancy),
-    );
-    metric_row(
-        &mut t,
-        "latency p50 (rounds)",
-        runs.iter()
-            .map(|r| r.summary.latency.quantile(0.5).unwrap_or(f64::NAN)),
-    );
-    metric_row(
-        &mut t,
-        "latency p99 (rounds)",
-        runs.iter()
-            .map(|r| r.summary.latency.quantile(0.99).unwrap_or(f64::NAN)),
-    );
-    metric_row(
-        &mut t,
-        "hops p50",
-        runs.iter()
-            .map(|r| r.summary.hops.quantile(0.5).unwrap_or(f64::NAN)),
-    );
-    metric_row(
-        &mut t,
-        "hops max",
-        runs.iter()
-            .map(|r| r.summary.hops.max().unwrap_or(f64::NAN)),
-    );
-    metric_row(
-        &mut t,
-        "tree mean depth",
-        runs.iter().map(|r| r.summary.tree.mean_depth),
-    );
-    metric_row(
-        &mut t,
-        "tree max depth",
-        runs.iter().map(|r| r.summary.tree.max_depth as f64),
-    );
-    metric_row(
-        &mut t,
-        "mean buffer occupancy",
-        runs.iter()
-            .map(|r| r.summary.occupancy.mean().unwrap_or(f64::NAN)),
-    );
-    t
-}
-
-/// The drop taxonomy: why events left buffers early, per protocol.
-pub fn table_drops(report: &TraceReport) -> Table {
-    let mut t = Table::new("Trace: drop taxonomy", &headers(report));
-    let runs = &report.runs;
-    metric_row(
-        &mut t,
-        "age drops",
-        runs.iter().map(|r| r.summary.counts.drops_age as f64),
-    );
-    metric_row(
-        &mut t,
-        "size drops",
-        runs.iter().map(|r| r.summary.counts.drops_size as f64),
-    );
-    metric_row(
-        &mut t,
-        "congestion drops",
-        runs.iter()
-            .map(|r| r.summary.counts.drops_congestion as f64),
-    );
-    t
-}
-
-/// The recovery-repair table: graft/retransmit round trips and their
-/// measured RTTs (all-zero columns on the push-only legs).
-pub fn table_recovery(report: &TraceReport) -> Table {
-    let mut t = Table::new("Trace: recovery repair", &headers(report));
-    let runs = &report.runs;
-    metric_row(
-        &mut t,
-        "ihave digests",
-        runs.iter().map(|r| r.summary.counts.ihaves as f64),
-    );
-    metric_row(
-        &mut t,
-        "grafts",
-        runs.iter().map(|r| r.summary.counts.grafts as f64),
-    );
-    metric_row(
-        &mut t,
-        "retransmits",
-        runs.iter().map(|r| r.summary.counts.retransmits as f64),
-    );
-    metric_row(
-        &mut t,
-        "recovered",
-        runs.iter().map(|r| r.summary.counts.recovered as f64),
-    );
-    metric_row(
-        &mut t,
-        "recovery duplicates",
-        runs.iter()
-            .map(|r| r.summary.counts.recovery_duplicates as f64),
-    );
-    metric_row(
-        &mut t,
-        "abandoned",
-        runs.iter()
-            .map(|r| r.summary.counts.recovery_abandoned as f64),
-    );
-    metric_row(
-        &mut t,
-        "repair RTT p50 (ms)",
-        runs.iter()
-            .map(|r| r.summary.recovery_rtt.quantile(0.5).unwrap_or(f64::NAN)),
-    );
-    metric_row(
-        &mut t,
-        "repair RTT p99 (ms)",
-        runs.iter()
-            .map(|r| r.summary.recovery_rtt.quantile(0.99).unwrap_or(f64::NAN)),
-    );
-    t
-}
-
-/// One leg's delivery-latency histogram as a bucket table.
-pub fn table_latency(run: &TraceRun) -> Table {
-    let mut t = Table::new(
-        format!("Trace: delivery latency (rounds) — {}", run.label),
-        &["bucket", "deliveries"],
-    );
-    for (bucket, count) in run.summary.latency.rows() {
-        t.row(&[bucket, count.to_string()]);
-    }
-    t
-}
-
-/// Human-readable failure lines (empty when [`TraceReport::passed`]).
-pub fn failures(report: &TraceReport) -> Vec<String> {
-    let mut out = Vec::new();
-    for r in &report.runs {
-        if !r.parity() {
-            out.push(format!(
-                "{}: engine checksum diverged under tracing ({:#018x} traced vs {:#018x} untraced)",
-                r.label, r.engine_checksum, r.untraced_checksum
-            ));
-        }
-        if r.summary.counts.delivers == 0 {
-            out.push(format!("{}: no deliveries traced", r.label));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -418,9 +412,9 @@ mod tests {
 
     #[test]
     fn report_has_parity_taxonomy_and_stable_digest() {
-        let report = run(7);
+        let report = TraceReport::run(7).unwrap();
         assert_eq!(report.runs.len(), 3);
-        assert!(report.passed(), "failures: {:?}", failures(&report));
+        assert_eq!(report.failures(), Vec::<String>::new());
         let recovery = &report.runs[2].summary;
         assert!(
             recovery.counts.recovered > 0,
@@ -435,11 +429,13 @@ mod tests {
             parsed.get("digest").unwrap().as_str(),
             Some(format!("{:#018x}", report.digest).as_str())
         );
-        // Tables render one column per protocol.
-        let overview = table_overview(&report).to_string();
-        assert!(overview.contains("adaptive+recovery"));
-        assert!(table_drops(&report).to_string().contains("age drops"));
-        assert!(table_recovery(&report).to_string().contains("grafts"));
-        assert!(!table_latency(&report.runs[0]).is_empty());
+        // Tables render one column per protocol, then one latency
+        // histogram per leg.
+        let tables = report.tables();
+        assert_eq!(tables.len(), 6);
+        assert!(tables[0].to_string().contains("adaptive+recovery"));
+        assert!(tables[1].to_string().contains("age drops"));
+        assert!(tables[2].to_string().contains("grafts"));
+        assert!(!tables[3].is_empty());
     }
 }

@@ -4,14 +4,13 @@
 //! `fig9-runtime`, `ablation`, `recovery`, `perf`, the committed reports
 //! `churn`, `maelstrom`, `trace`, `telemetry`, `topology`, `resilience`
 //! and `profile`, and `all`; plus `verify`, which replays every committed
-//! report, and the CI gate
-//! `perf-check <current.json> <baseline.json> [tolerance]`.
+//! report, and the CI benchmark gate
+//! `perf-check <base-benchmark-bin> <change-benchmark-bin>`.
 //! Set `AGB_QUICK=1` for short runs (`AGB_QUICK=0` explicitly disables).
 //! Malformed arguments print the usage and exit 2.
 
 use std::path::Path;
 use std::process::{exit, Command};
-use std::str::FromStr;
 use std::time::Instant;
 
 use agb_experiments::churn::ChurnReport;
@@ -67,7 +66,12 @@ fn main() {
         _ if args.len() > 3 => usage("too many arguments"),
         _ => {}
     }
-    let seed: u64 = parse_arg(&args, 2, "seed", 42);
+    let seed: u64 = match args.get(2) {
+        None => 42,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("invalid seed `{s}`"))),
+    };
     if let Some(report) = REPORTS.iter().find(|r| r.name == what) {
         return (report.repro)(seed);
     }
@@ -108,18 +112,8 @@ fn usage(problem: &str) -> ! {
     eprintln!("repro: {problem}");
     eprintln!("usage: repro [fig2|fig4|fig6|fig7|fig8|fig9|fig9-runtime|ablation|recovery|churn|maelstrom|trace|telemetry|topology|resilience|profile|perf|all] [seed]");
     eprintln!("       repro verify");
-    eprintln!("       repro perf-check <current.json> <baseline.json> [tolerance]");
+    eprintln!("       repro perf-check <base-benchmark-bin> <change-benchmark-bin>");
     exit(2);
-}
-
-/// The argument at `index` parsed as a `what`, or `default` when absent.
-fn parse_arg<T: FromStr>(args: &[String], index: usize, what: &str, default: T) -> T {
-    match args.get(index) {
-        None => default,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| usage(&format!("invalid {what} `{s}`"))),
-    }
 }
 
 /// `repro <name> [seed]` for a committed report: prints its tables and
@@ -244,48 +238,43 @@ fn replay(report: &Entry, exe: &Path) -> Result<String, String> {
     Ok(first.expect("replays ran").2)
 }
 
+/// `repro perf [seed]`: the scale sweep, written to `target/perf.json`.
 fn run_perf(seed: u64) {
     let report = agb_perf::PerfReport::run(seed);
-    let out_path =
-        std::env::var("AGB_BENCH_OUT").unwrap_or_else(|_| String::from("BENCH_PR4.json"));
-    let json = report.to_json().pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
+    let out_path = Path::new("target/perf.json");
+    let written = std::fs::create_dir_all("target")
+        .and_then(|()| std::fs::write(out_path, report.to_json().pretty()));
+    if let Err(e) = written {
+        eprintln!("cannot write {}: {e}", out_path.display());
         exit(1);
     }
     print!("{}", report.human_summary());
-    println!("  bench JSON written to {out_path}");
+    println!("  bench JSON written to {}", out_path.display());
 }
 
+/// `repro perf-check <base-bin> <change-bin>`: the benchmark gate (see
+/// `agb_perf::compare`), reading `BENCHMARK.json` from the working
+/// directory. Exits 1 on a regression or a failed run.
 fn run_perf_check(args: &[String]) {
-    let (Some(current), Some(baseline), 2..=3) = (args.first(), args.get(1), args.len()) else {
-        usage("perf-check takes <current.json> <baseline.json> [tolerance]");
+    let [base, change] = args else {
+        usage("perf-check takes <base-benchmark-bin> <change-benchmark-bin>");
     };
-    let tolerance: f64 = parse_arg(args, 2, "tolerance", 0.25);
-    match agb_perf::compare_files(current, baseline, tolerance) {
-        Ok(comparison) => {
-            print!("{}", comparison.table());
-            print_baseline_refresh_hint(baseline);
-            if !comparison.passed() {
-                exit(1);
-            }
+    for bin in [base, change] {
+        if !Path::new(bin).is_file() {
+            usage(&format!("no benchmark binary at `{bin}`"));
         }
+    }
+    let gate = std::fs::read_to_string("BENCHMARK.json")
+        .map_err(|e| format!("cannot read BENCHMARK.json (run from the repo root): {e}"))
+        .and_then(|text| agb_perf::compare::run_gate(&text, base.as_ref(), change.as_ref()));
+    match gate {
+        Ok(true) => {}
+        Ok(false) => exit(1),
         Err(e) => {
             eprintln!("perf-check: {e}");
-            print_baseline_refresh_hint(baseline);
             exit(1);
         }
     }
-}
-
-/// The exact command that regenerates the committed baseline (schema
-/// `agb-perf/v2`), printed with every gate run so a stale or
-/// legacy-schema baseline is a copy-paste away from fresh.
-fn print_baseline_refresh_hint(baseline: &str) {
-    println!(
-        "  baseline refresh: AGB_QUICK=1 AGB_THREADS=1 AGB_BENCH_OUT={baseline} \
-         cargo run --release -p agb-experiments --bin repro -- perf 42"
-    );
 }
 
 fn run_fig2(seed: u64) {
@@ -345,6 +334,8 @@ fn run_fig9_runtime(seed: u64) {
 fn run_ablation(seed: u64) {
     let rows = ablation::run(seed);
     print!("{}", ablation::table(&rows));
+    let rows = ablation::flow_control_comparison(seed);
+    print!("{}", ablation::flow_control_table(&rows));
 }
 
 fn run_recovery(seed: u64) {

@@ -28,7 +28,7 @@ pub const ATOMICITY_THRESHOLD: f64 = 0.95;
 /// Critical age measured by the Figure 4 calibration on this simulator's
 /// default configuration: the mean overflow-drop age at the congestion
 /// knee is 3.68 ± 0.02 hops *independent of buffer size* (run
-/// `cargo bench -p agb-bench --bench fig4`). The paper measured 5.3 hops
+/// `repro fig4`). The paper measured 5.3 hops
 /// on its configuration — the constancy, not the constant, is the result.
 pub const CRITICAL_AGE: f64 = 3.7;
 /// Low-age mark `L` ≈ the critical age (§3.4: close to `a_crit` for quick

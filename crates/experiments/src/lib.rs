@@ -20,10 +20,10 @@
 //! | [`resilience`] | — (beyond the paper) | φ-accrual failure detection + wire-level byte adversary under loss × corruption × churn, `RESILIENCE.json` (`agb-failure`) |
 //!
 //! Every harness returns plain data and a formatted [`agb_metrics::Table`],
-//! and is invoked both by the `repro` binary and by the `agb-bench` bench
-//! targets. The seven reports with a committed seed-42 file (churn,
-//! maelstrom, trace, telemetry, topology, resilience, profile) implement
-//! [`report::Report`], which `repro <name>` and `repro verify` drive.
+//! and is invoked by the `repro` binary. The seven reports with a
+//! committed seed-42 file (churn, maelstrom, trace, telemetry, topology,
+//! resilience, profile) implement [`report::Report`], which
+//! `repro <name>` and `repro verify` drive.
 //! Set `AGB_QUICK=1` for CI-sized runs.
 
 #![forbid(unsafe_code)]

@@ -21,9 +21,18 @@ fn an_unparsable_seed_is_a_usage_error() {
 }
 
 #[test]
-fn an_unparsable_tolerance_is_a_usage_error() {
+fn perf_check_with_one_binary_is_a_usage_error() {
+    assert_eq!(repro(&["perf-check", env!("CARGO_BIN_EXE_repro")]), Some(2));
+}
+
+#[test]
+fn perf_check_with_a_missing_binary_is_a_usage_error() {
     assert_eq!(
-        repro(&["perf-check", "cur.json", "base.json", "0,5"]),
+        repro(&[
+            "perf-check",
+            env!("CARGO_BIN_EXE_repro"),
+            "no/such/benchmark-binary"
+        ]),
         Some(2)
     );
 }

@@ -30,15 +30,7 @@ use crate::json::Json;
 /// per node (`peak_resident_bytes_per_node`). The *measured* throughput
 /// run stays profiler-off; the attribution run doubles as an overhead
 /// guard by asserting its engine checksum equals the unprofiled run's.
-/// The CI gate still parses `v2` and `v1` baselines (see `compare`).
 pub const SCHEMA: &str = "agb-perf/v3";
-
-/// The `v2` schema identifier (threads/speedup), accepted read-only by
-/// the gate.
-pub const SCHEMA_V2: &str = "agb-perf/v2";
-
-/// The original schema identifier, accepted read-only by the gate.
-pub const SCHEMA_V1: &str = "agb-perf/v1";
 
 /// Scale points of the sweep: quick mode stops at 10k nodes, full mode
 /// adds 50k and 100k.
@@ -394,7 +386,7 @@ pub fn run_encode_bench(seed: u64, quick: bool) -> EncodeResult {
     }
 }
 
-/// The complete bench report (`BENCH_PR4.json`).
+/// The complete bench report (`target/perf.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Experiment seed.

@@ -5,20 +5,21 @@
 //! * [`harness`] — runs full adaptive-gossip rounds at 1k / 5k / 10k
 //!   (and 50k / 100k in full mode) nodes, with and without the recovery
 //!   layer, at the `AGB_THREADS` engine shard count, and produces a
-//!   machine-readable bench report (`BENCH_PR4.json`, schema
+//!   machine-readable bench report (`target/perf.json`, schema
 //!   `agb-perf/v3`) alongside a human summary. Invoked as
-//!   `repro perf [seed]`. At `K > 1` each scenario is re-measured at
-//!   `K = 1` for the `speedup` column, with checksum equality asserted.
+//!   `repro perf [seed]`; no gate reads it. At `K > 1` each scenario is
+//!   re-measured at `K = 1` for the `speedup` column, with checksum
+//!   equality asserted.
 //!   Every scenario is then re-run with the `agb-profile` profiler
 //!   attached for cost attribution (per-phase totals, shard balance,
 //!   resident bytes per node); the timed run stays profiler-off, and
 //!   the attribution run must reproduce its checksum exactly.
-//! * [`compare`](mod@compare) — the CI regression gate: diff a fresh report against a
-//!   committed baseline (`ci/perf-baseline.json`) with a throughput
-//!   tolerance, printing a delta table; parses `v2` and legacy `v1`
-//!   baselines (new `v3` fields print as informational notes, never
-//!   gate). Invoked as
-//!   `repro perf-check <current> <baseline> [tolerance]`.
+//! * [`compare`](mod@compare) — the CI benchmark gate: runs the
+//!   repository benchmark built at a change and at its base in
+//!   alternating pairs on one machine, and judges every end-to-end metric
+//!   against its `BENCHMARK.json` bound; a regression prints the
+//!   per-layer metrics of one traced pair. Invoked as
+//!   `repro perf-check <base-benchmark-bin> <change-benchmark-bin>`.
 //! * [`alloc`] — a counting global allocator (opt-in per binary; the
 //!   `repro` driver installs it) powering the allocations-per-round
 //!   metric, the most sensitive canary for hot-path allocation
@@ -86,8 +87,7 @@ pub mod harness;
 
 pub use agb_types::json;
 pub use agb_types::json::Json;
-pub use compare::{compare, compare_files, Comparison, Delta};
 pub use harness::{
     harness_threads, quick_mode, run_encode_bench, run_scenario, run_scenario_at, scale_points,
-    EncodeResult, PerfReport, ScenarioResult, ScenarioSpec, SCHEMA, SCHEMA_V1, SCHEMA_V2,
+    EncodeResult, PerfReport, ScenarioResult, ScenarioSpec, SCHEMA,
 };

@@ -58,16 +58,14 @@ fn bench_json_emission_is_byte_identical() {
 }
 
 #[test]
-fn committed_baseline_still_parses() {
-    // The committed CI baseline is the real compatibility surface: it must
-    // parse through the relocated model without loss.
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../ci/perf-baseline.json"
-    ))
-    .expect("ci/perf-baseline.json readable");
-    let parsed = Json::parse(&text).expect("baseline parses");
-    assert!(parsed.get("schema").is_some());
+fn committed_benchmark_json_parses() {
+    // `BENCHMARK.json` is the file the CI gate reads: it must parse
+    // through the relocated model without loss.
+    let text =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json"))
+            .expect("BENCHMARK.json readable");
+    let parsed = Json::parse(&text).expect("BENCHMARK.json parses");
+    assert!(parsed.get("workloads").is_some());
     // Re-emission is canonical: parse(pretty(parse(x))) == parse(x).
     assert_eq!(Json::parse(&parsed.pretty()).unwrap(), parsed);
 }

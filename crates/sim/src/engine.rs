@@ -29,7 +29,6 @@ use crate::queue::EventQueue;
 use crate::shard::{
     exec_events, invoke_on, BatchEvent, DeferredPush, EffectCursor, Lane, LaneScratch, TimerSlots,
 };
-use crate::trace::Tracer;
 
 /// Protocol-defined timer identifier.
 ///
@@ -362,7 +361,6 @@ impl SimulationBuilder {
             timer_gen: vec![0; n],
             down,
             stats: NetStats::default(),
-            tracer: None,
             started: false,
             events_processed: 0,
             threads: self.threads,
@@ -418,7 +416,6 @@ pub struct Simulation<N: SimNode> {
     timer_gen: Vec<u64>,
     down: Vec<bool>,
     stats: NetStats,
-    tracer: Option<Box<dyn Tracer>>,
     started: bool,
     events_processed: u64,
     /// Shard/worker count for `run_until_sharded`.
@@ -488,14 +485,6 @@ impl<N: SimNode> Simulation<N> {
     /// Frames destroyed by the byte adversary so far.
     pub fn network_corrupted(&self) -> u64 {
         self.net.corrupted()
-    }
-
-    /// Installs a tracer receiving every engine event.
-    ///
-    /// Tracing works at any thread count: trace records are buffered with
-    /// the other execution effects and replayed in canonical order.
-    pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracer = Some(tracer);
     }
 
     /// Installs a callback invoked after every node-handler invocation
@@ -798,7 +787,6 @@ impl<N: SimNode> Simulation<N> {
                 config,
                 now: self.now,
                 n_total: n,
-                tracing: self.tracer.is_some(),
                 profiling: self.profiler.is_some(),
             };
             exec_events(
@@ -823,7 +811,7 @@ impl<N: SimNode> Simulation<N> {
         self.scratch.inline = inline;
     }
 
-    /// Merges buffered effects into the queue/stats/tracer in canonical
+    /// Merges buffered effects into the queue and stats in canonical
     /// order: event `i`'s effects before event `i+1`'s, each event's
     /// effects in generation order, the post-event hook after each
     /// invoked event.
@@ -863,12 +851,6 @@ impl<N: SimNode> Simulation<N> {
             while cur.mixes < mark.mixes as usize {
                 self.stats.mix(buf.mixes[cur.mixes]);
                 cur.mixes += 1;
-            }
-            while cur.traces < mark.traces as usize {
-                if let Some(tracer) = self.tracer.as_deref_mut() {
-                    tracer.record(buf.traces[cur.traces]);
-                }
-                cur.traces += 1;
             }
             if mark.invoked {
                 if let Some(hook) = self.hook.as_mut() {
@@ -962,7 +944,6 @@ impl<N: SimNode> Simulation<N> {
                 config,
                 now: self.now,
                 n_total: n,
-                tracing: self.tracer.is_some(),
                 profiling: self.profiler.is_some(),
             };
             invoke_on(
@@ -1112,7 +1093,6 @@ where
         }
 
         let now = self.now;
-        let tracing = self.tracer.is_some();
         let profiling = self.profiler.is_some();
         let exec_token = self.profiler.as_ref().map(|p| p.enter(Phase::ShardExec));
         {
@@ -1143,7 +1123,6 @@ where
                     config,
                     now,
                     n_total: n,
-                    tracing,
                     profiling,
                 });
             }
@@ -1524,7 +1503,6 @@ mod tests {
 mod sharded_tests {
     use super::*;
     use crate::network::LatencyModel;
-    use crate::trace::CountingTracer;
 
     /// A chatty node: every tick it fans messages out to a deterministic
     /// set of peers; receipts are folded into a running digest so any
@@ -1661,17 +1639,6 @@ mod sharded_tests {
         for k in [2usize, 4, 8] {
             assert_eq!(run(k), expected, "K={k} diverged under control barriers");
         }
-    }
-
-    #[test]
-    fn sharded_tracing_replays_in_canonical_order() {
-        let run = |k: usize| {
-            let mut sim = chatty_sim(3, 16, k, false);
-            sim.set_tracer(Box::new(CountingTracer::default()));
-            sim.run_until_sharded(TimeMs::from_millis(200));
-            sim.stats()
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

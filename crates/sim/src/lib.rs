@@ -54,7 +54,6 @@ mod engine;
 pub mod network;
 mod queue;
 mod shard;
-mod trace;
 
 pub use engine::{
     threads_from_env, NetStats, SimCtx, SimNode, Simulation, SimulationBuilder, TimerId,
@@ -62,4 +61,3 @@ pub use engine::{
 pub use network::{
     AdversaryWindow, LatencyModel, LinkFault, NetworkConfig, NetworkModel, Partition, RouteOutcome,
 };
-pub use trace::{CountingTracer, NoopTracer, TraceEvent, Tracer};

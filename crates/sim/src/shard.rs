@@ -3,12 +3,12 @@
 //! The engine processes each virtual instant as a *batch*: every
 //! same-timestamp `Deliver`/`Timer` event currently queued is lifted out
 //! of the future event list, executed against per-node state, and the
-//! resulting effects (queue insertions, checksum mixes, trace records,
-//! counters) are buffered in an [`EffectBuf`] instead of applied
-//! immediately. The buffered effects are then merged back **in canonical
-//! order** — the order the events were popped, each event's effects in
-//! generation order — which makes the observable outcome independent of
-//! *who* executed an event.
+//! resulting effects (queue insertions, checksum mixes, counters) are
+//! buffered in an [`EffectBuf`] instead of applied immediately. The
+//! buffered effects are then merged back **in canonical order** — the
+//! order the events were popped, each event's effects in generation
+//! order — which makes the observable outcome independent of *who*
+//! executed an event.
 //!
 //! That independence is the whole trick: a batch can be split across
 //! worker threads by node ownership ([`agb_types::ShardMap`] ranges, one
@@ -22,7 +22,6 @@ use agb_types::{DetRng, NodeId, TimeMs};
 
 use crate::engine::{SimCtx, SimNode, TimerId, TimerKind, TimerRequest, TimerSlot};
 use crate::network::{route_decision, NetworkConfig, RouteOutcome};
-use crate::trace::TraceEvent;
 
 /// Armed timers of one node.
 pub(crate) type TimerSlots = Vec<(TimerId, TimerSlot)>;
@@ -100,7 +99,6 @@ pub(crate) struct Counts {
 pub(crate) struct EffectMark {
     pub pushes: u32,
     pub mixes: u32,
-    pub traces: u32,
     /// Whether a node handler actually ran (stale timers and deliveries
     /// to downed nodes do not invoke).
     pub invoked: bool,
@@ -114,7 +112,6 @@ pub(crate) struct EffectMark {
 pub(crate) struct EffectBuf<M> {
     pub pushes: Vec<DeferredPush<M>>,
     pub mixes: Vec<[u64; 4]>,
-    pub traces: Vec<TraceEvent>,
     pub marks: Vec<EffectMark>,
     pub counts: Counts,
     /// Wall nanoseconds spent routing outbox sends (profiling only —
@@ -128,7 +125,6 @@ impl<M> Default for EffectBuf<M> {
         EffectBuf {
             pushes: Vec::new(),
             mixes: Vec::new(),
-            traces: Vec::new(),
             marks: Vec::new(),
             counts: Counts::default(),
             route_ns: 0,
@@ -142,7 +138,6 @@ impl<M> EffectBuf<M> {
         self.marks.push(EffectMark {
             pushes: self.pushes.len() as u32,
             mixes: self.mixes.len() as u32,
-            traces: self.traces.len() as u32,
             invoked,
         });
     }
@@ -151,7 +146,6 @@ impl<M> EffectBuf<M> {
     pub(crate) fn clear(&mut self) {
         self.pushes.clear();
         self.mixes.clear();
-        self.traces.clear();
         self.marks.clear();
         self.counts = Counts::default();
         self.route_ns = 0;
@@ -163,7 +157,6 @@ impl<M> EffectBuf<M> {
 pub(crate) struct EffectCursor {
     pub pushes: usize,
     pub mixes: usize,
-    pub traces: usize,
     pub marks: usize,
 }
 
@@ -184,8 +177,6 @@ pub(crate) struct Lane<'a, N: SimNode> {
     pub now: TimeMs,
     /// Total node count (for addressing asserts).
     pub n_total: usize,
-    /// Whether a tracer is installed (effects record trace events).
-    pub tracing: bool,
     /// Whether a profiler is attached (routing time is measured).
     pub profiling: bool,
 }
@@ -217,13 +208,6 @@ pub(crate) fn exec_events<N: SimNode>(
                     lane.now.as_millis(),
                     0,
                 ]);
-                if lane.tracing {
-                    buf.traces.push(TraceEvent::Deliver {
-                        from,
-                        to,
-                        at: lane.now,
-                    });
-                }
                 invoke_on(
                     lane,
                     to,
@@ -268,13 +252,6 @@ pub(crate) fn exec_events<N: SimNode>(
                     u64::from(timer.0),
                     lane.now.as_millis(),
                 ]);
-                if lane.tracing {
-                    buf.traces.push(TraceEvent::Timer {
-                        node,
-                        timer: timer.0,
-                        at: lane.now,
-                    });
-                }
                 invoke_on(
                     lane,
                     node,
@@ -357,14 +334,6 @@ pub(crate) fn invoke_on<N: SimNode>(
             lane.now.as_millis(),
             deliver_at.map_or(u64::MAX, TimeMs::as_millis),
         ]);
-        if lane.tracing {
-            buf.traces.push(TraceEvent::Send {
-                from: id,
-                to,
-                at: lane.now,
-                deliver_at,
-            });
-        }
         match routed {
             RouteOutcome::Deliver(lat) => buf.pushes.push(DeferredPush::Deliver {
                 at: lane.now + lat,
@@ -374,7 +343,7 @@ pub(crate) fn invoke_on<N: SimNode>(
             }),
             RouteOutcome::Duplicate(first, second) => {
                 // The adversary's extra copy gets its own checksum mix
-                // entry and trace record, so the determinism digest still
+                // entry, so the determinism digest still
                 // covers every queue insertion one-for-one.
                 let copy_at = lane.now + second;
                 buf.mixes.push([
@@ -383,14 +352,6 @@ pub(crate) fn invoke_on<N: SimNode>(
                     lane.now.as_millis(),
                     copy_at.as_millis(),
                 ]);
-                if lane.tracing {
-                    buf.traces.push(TraceEvent::Send {
-                        from: id,
-                        to,
-                        at: lane.now,
-                        deliver_at: Some(copy_at),
-                    });
-                }
                 buf.pushes.push(DeferredPush::Deliver {
                     at: lane.now + first,
                     from: id,

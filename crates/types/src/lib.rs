@@ -46,7 +46,7 @@ pub use id::{EventId, GroupId, NodeId, TopicId};
 pub use pool::{BytePool, PayloadInterner};
 pub use rng::{bernoulli, fnv1a, fork_seed, DetRng, SeedSequence};
 pub use shard::ShardMap;
-pub use stats::{Ewma, MinWindow, RunningStats, SlidingWindow, WelfordStats};
+pub use stats::{Ewma, RunningStats};
 pub use time::{DurationMs, TimeMs};
 pub use topology::Topology;
 

@@ -1,8 +1,5 @@
 //! Small statistics primitives shared by the estimators and the metrics
-//! layer: exponentially weighted moving averages, windowed minima, running
-//! means and sliding windows.
-
-use std::collections::VecDeque;
+//! layer: exponentially weighted moving averages and running means.
 
 /// Exponentially weighted moving average, the `avgAge`/`avgTokens` smoother
 /// of the paper's Figure 5(b).
@@ -72,93 +69,6 @@ impl Ewma {
     /// The configured weight `α`.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-}
-
-/// Minimum over the last `w` completed periods plus the current one —
-/// the `minBuff ← min(minBuff_s, …, minBuff_{s-W+1})` window of Figure 5(a).
-///
-/// # Example
-///
-/// ```
-/// use agb_types::MinWindow;
-/// let mut w = MinWindow::new(2);
-/// w.push(50);
-/// w.push(40);
-/// w.push(90);
-/// // window of size 2: {40, 90}
-/// assert_eq!(w.min(), Some(40));
-/// w.push(95);
-/// // window: {90, 95}
-/// assert_eq!(w.min(), Some(90));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MinWindow {
-    window: usize,
-    values: VecDeque<u64>,
-}
-
-impl MinWindow {
-    /// Creates a window covering the most recent `window` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "MinWindow requires window >= 1");
-        MinWindow {
-            window,
-            values: VecDeque::with_capacity(window),
-        }
-    }
-
-    /// Pushes the value for a newly completed period, evicting the oldest
-    /// period if the window is full.
-    pub fn push(&mut self, value: u64) {
-        if self.values.len() == self.window {
-            self.values.pop_front();
-        }
-        self.values.push_back(value);
-    }
-
-    /// Replaces the most recent value (used while a period is still open and
-    /// lower estimates keep arriving).
-    pub fn update_latest(&mut self, value: u64) {
-        if let Some(last) = self.values.back_mut() {
-            *last = value;
-        } else {
-            self.values.push_back(value);
-        }
-    }
-
-    /// Minimum over the window, or `None` if empty.
-    pub fn min(&self) -> Option<u64> {
-        self.values.iter().copied().min()
-    }
-
-    /// Most recent value, or `None` if empty.
-    pub fn latest(&self) -> Option<u64> {
-        self.values.back().copied()
-    }
-
-    /// Number of values currently stored (≤ window).
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no values have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The configured window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Removes all values.
-    pub fn clear(&mut self) {
-        self.values.clear();
     }
 }
 
@@ -240,165 +150,6 @@ impl RunningStats {
     }
 }
 
-/// Numerically stable mean/variance accumulator (Welford's algorithm).
-///
-/// Used for confidence reporting in the experiment harness.
-///
-/// # Example
-///
-/// ```
-/// use agb_types::WelfordStats;
-/// let mut s = WelfordStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_stddev() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WelfordStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl WelfordStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        WelfordStats::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, sample: f64) {
-        self.count += 1;
-        let delta = sample - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (sample - self.mean);
-    }
-
-    /// Mean of the samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Population variance (0 if fewer than 1 sample).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (0 if fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_stddev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-}
-
-/// Fixed-capacity sliding window of recent samples with O(1) mean.
-///
-/// The rate metrics use this to report load over the trailing few gossip
-/// rounds, mirroring the paper's time-series plots.
-///
-/// # Example
-///
-/// ```
-/// use agb_types::SlidingWindow;
-/// let mut w = SlidingWindow::new(3);
-/// w.push(1.0);
-/// w.push(2.0);
-/// w.push(3.0);
-/// w.push(4.0); // evicts 1.0
-/// assert_eq!(w.mean(), 3.0);
-/// assert_eq!(w.len(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlidingWindow {
-    capacity: usize,
-    values: VecDeque<f64>,
-    sum: f64,
-}
-
-impl SlidingWindow {
-    /// Creates a window holding at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "SlidingWindow requires capacity >= 1");
-        SlidingWindow {
-            capacity,
-            values: VecDeque::with_capacity(capacity),
-            sum: 0.0,
-        }
-    }
-
-    /// Pushes a sample, evicting the oldest when full.
-    pub fn push(&mut self, sample: f64) {
-        if self.values.len() == self.capacity {
-            if let Some(old) = self.values.pop_front() {
-                self.sum -= old;
-            }
-        }
-        self.values.push_back(sample);
-        self.sum += sample;
-    }
-
-    /// Mean of the stored samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.sum / self.values.len() as f64
-        }
-    }
-
-    /// Number of stored samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Whether the window is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.values.len() == self.capacity
-    }
-
-    /// Iterates over stored samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,44 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn min_window_evicts_oldest() {
-        let mut w = MinWindow::new(3);
-        for v in [10, 5, 8, 9] {
-            w.push(v);
-        }
-        // window = {5, 8, 9}
-        assert_eq!(w.min(), Some(5));
-        w.push(20);
-        // window = {8, 9, 20}
-        assert_eq!(w.min(), Some(8));
-        assert_eq!(w.latest(), Some(20));
-        assert_eq!(w.len(), 3);
-    }
-
-    #[test]
-    fn min_window_update_latest() {
-        let mut w = MinWindow::new(2);
-        w.push(100);
-        w.update_latest(60);
-        assert_eq!(w.min(), Some(60));
-        w.update_latest(80);
-        assert_eq!(w.min(), Some(80));
-        let mut empty = MinWindow::new(2);
-        empty.update_latest(5);
-        assert_eq!(empty.min(), Some(5));
-    }
-
-    #[test]
-    fn min_window_clear() {
-        let mut w = MinWindow::new(2);
-        w.push(1);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.min(), None);
-        assert_eq!(w.window(), 2);
-    }
-
-    #[test]
     fn running_stats_basics() {
         let mut s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
@@ -496,43 +209,5 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), 3.0);
         assert_eq!(a.max(), Some(5.0));
-    }
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [1.5, 2.5, 0.5, 9.0, -3.0, 4.0];
-        let mut w = WelfordStats::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.population_variance() - var).abs() < 1e-12);
-        assert_eq!(w.count(), xs.len() as u64);
-    }
-
-    #[test]
-    fn welford_degenerate_cases() {
-        let mut w = WelfordStats::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
-        w.push(4.0);
-        assert_eq!(w.sample_variance(), 0.0);
-        assert_eq!(w.population_variance(), 0.0);
-    }
-
-    #[test]
-    fn sliding_window_mean_tracks_eviction() {
-        let mut w = SlidingWindow::new(2);
-        w.push(10.0);
-        assert!(!w.is_full());
-        w.push(20.0);
-        assert!(w.is_full());
-        assert_eq!(w.mean(), 15.0);
-        w.push(40.0);
-        assert_eq!(w.mean(), 30.0);
-        let collected: Vec<f64> = w.iter().collect();
-        assert_eq!(collected, vec![20.0, 40.0]);
     }
 }

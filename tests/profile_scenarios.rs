@@ -144,8 +144,8 @@ fn n10000_per_node_resident_bytes_stay_bounded() {
 }
 
 /// Two identical profiled runs agree on checksum and memory table —
-/// the property the committed `PROFILE.json` reference and the CI
-/// profile-smoke job rely on.
+/// the property the committed `PROFILE.json` reference and its replay
+/// by `repro verify` rely on.
 #[test]
 fn profile_attribution_is_reproducible() {
     let run = || {

@@ -92,8 +92,8 @@ proptest! {
 }
 
 /// Two identical traced runs produce byte-identical `TraceSummary`
-/// JSON — the property the committed `TRACE.json` reference and the CI
-/// trace-smoke job rely on.
+/// JSON — the property the committed `TRACE.json` reference and its
+/// replay by `repro verify` rely on.
 #[test]
 fn trace_summary_json_is_reproducible() {
     let run = || {

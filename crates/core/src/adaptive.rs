@@ -60,7 +60,6 @@ use crate::traits::{FrameProtocol, OfferOutcome, ProtocolEvent};
 #[derive(Debug)]
 pub struct AdaptiveNode<S> {
     inner: LpbcastNode<S>,
-    config: AdaptationConfig,
     min_buff: MinBuffEstimator,
     congestion: CongestionEstimator,
     controller: RateController,
@@ -103,7 +102,6 @@ impl<S: GossipMembership> AdaptiveNode<S> {
         let avg_tokens = Ewma::new(adaptation.token_alpha, 0.0);
         AdaptiveNode {
             inner,
-            config: adaptation,
             min_buff,
             congestion,
             controller,
@@ -113,11 +111,6 @@ impl<S: GossipMembership> AdaptiveNode<S> {
             rng,
             out_events: Vec::new(),
         }
-    }
-
-    /// The adaptation configuration in force.
-    pub fn adaptation_config(&self) -> &AdaptationConfig {
-        &self.config
     }
 
     /// The wrapped baseline node.

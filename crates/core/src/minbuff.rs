@@ -69,13 +69,6 @@ impl KSmallestSet {
         self.entries.truncate(self.track);
     }
 
-    /// Folds a batch of advertisements in.
-    pub fn merge_all<'a>(&mut self, ads: impl IntoIterator<Item = &'a BuffAd>) {
-        for ad in ads {
-            self.merge(*ad);
-        }
-    }
-
     /// The tracked entries, ascending by capacity.
     pub fn entries(&self) -> &[BuffAd] {
         &self.entries

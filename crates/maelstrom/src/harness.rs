@@ -480,7 +480,7 @@ pub fn run_workload(config: &HarnessConfig) -> WorkloadReport {
         }
     }
 
-    sim.run_until_sharded(config.read_at + DurationMs::from_millis(10));
+    sim.run_until(config.read_at + DurationMs::from_millis(10));
 
     check(config, &mut sim, &ops, &correct)
 }

@@ -80,11 +80,6 @@ impl<S> LocalitySampler<S> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped view.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// The topology neighbour list the bias draws from.
     pub fn neighbors(&self) -> &[NodeId] {
         &self.neighbors

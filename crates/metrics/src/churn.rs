@@ -10,7 +10,7 @@
 //! [`CatchUpTracker`] measures how quickly a restarted node resumes
 //! delivering (and, with the recovery layer, repairing) events.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use agb_types::{DurationMs, NodeId, TimeMs};
 
@@ -39,7 +39,7 @@ pub struct MembershipTimeline {
     n_nodes: usize,
     /// Transition lists per node, time-ordered: `(at, up)`. Nodes with no
     /// entry are up for the whole run.
-    transitions: HashMap<NodeId, Vec<(TimeMs, bool)>>,
+    transitions: BTreeMap<NodeId, Vec<(TimeMs, bool)>>,
 }
 
 impl MembershipTimeline {
@@ -47,7 +47,7 @@ impl MembershipTimeline {
     pub fn new(n_nodes: usize) -> Self {
         MembershipTimeline {
             n_nodes,
-            transitions: HashMap::new(),
+            transitions: BTreeMap::new(),
         }
     }
 

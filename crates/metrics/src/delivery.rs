@@ -1,6 +1,6 @@
 //! Per-message delivery tracking and atomicity.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use agb_types::{EventId, FastHashMap, NodeId, TimeMs};
 
@@ -258,7 +258,7 @@ impl DeliveryTracker {
         bin: agb_types::DurationMs,
     ) -> Vec<(TimeMs, AtomicityReport)> {
         let bin_ms = bin.as_millis().max(1);
-        let mut bins: HashMap<u64, (usize, f64, usize)> = HashMap::new();
+        let mut bins: BTreeMap<u64, (usize, f64, usize)> = BTreeMap::new();
         for rec in self.records.values() {
             let Some(t) = rec.admitted_at.or(rec.first_delivery) else {
                 continue;
@@ -272,8 +272,7 @@ impl DeliveryTracker {
                 entry.2 += 1;
             }
         }
-        let mut out: Vec<(TimeMs, AtomicityReport)> = bins
-            .into_iter()
+        bins.into_iter()
             .map(|(b, (messages, frac_sum, atomic))| {
                 (
                     TimeMs::from_millis(b * bin_ms),
@@ -284,9 +283,7 @@ impl DeliveryTracker {
                     },
                 )
             })
-            .collect();
-        out.sort_by_key(|&(t, _)| t);
-        out
+            .collect()
     }
 
     /// Atomicity measured **among correct nodes**: for each message, the

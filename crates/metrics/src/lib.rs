@@ -12,8 +12,6 @@
 //! * **rates** ([`RateMeter`], [`AllowedRateTracker`]) — admitted input,
 //!   delivered output and the adaptive controller's allowed rate over time
 //!   (Fig. 6, 7(a,b), 9(a));
-//! * **time series** ([`TimeSeries`]) — binned aggregation for the
-//!   time-axis plots;
 //! * **recovery** ([`RecoveryStats`]) — graft/retransmission counters and
 //!   the `recovery_overhead` series of the pull-based repair layer
 //!   (`agb-recovery`);
@@ -36,7 +34,6 @@ mod drop_age;
 mod rates;
 mod recovery;
 mod report;
-mod series;
 
 pub use churn::{CatchUpRecord, CatchUpTracker, MembershipTimeline};
 pub use collector::MetricsCollector;
@@ -45,4 +42,3 @@ pub use drop_age::DropAgeStats;
 pub use rates::{AllowedRateTracker, RateMeter};
 pub use recovery::RecoveryStats;
 pub use report::{format_f64, Table};
-pub use series::TimeSeries;

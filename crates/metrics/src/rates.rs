@@ -1,6 +1,6 @@
 //! Throughput meters and the allowed-rate step tracker.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use agb_types::{DurationMs, FastHashMap, NodeId, TimeMs};
 
@@ -119,9 +119,10 @@ impl RateMeter {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AllowedRateTracker {
-    // Per node: change points (time, new rate), kept sorted by insertion
-    // (events arrive in time order from the harness).
-    steps: HashMap<NodeId, Vec<(TimeMs, f64)>>,
+    // Per node, in node order so the aggregate sums its f64 rates in one
+    // reproducible order: change points (time, new rate), kept sorted by
+    // insertion (events arrive in time order from the harness).
+    steps: BTreeMap<NodeId, Vec<(TimeMs, f64)>>,
 }
 
 impl AllowedRateTracker {
@@ -160,7 +161,7 @@ impl AllowedRateTracker {
             .map_or(0.0, |&(_, r)| r)
     }
 
-    /// Sum of all nodes' rates in effect at `t`.
+    /// Sum of all nodes' rates in effect at `t`, added in node order.
     pub fn aggregate_at(&self, t: TimeMs) -> f64 {
         self.steps.keys().map(|&n| self.rate_at(n, t)).sum()
     }
@@ -239,6 +240,28 @@ mod tests {
                 (TimeMs::from_secs(10), 4.5),
             ]
         );
+    }
+
+    #[test]
+    fn aggregate_adds_rates_in_node_order() {
+        // f64 addition is not associative: 1e16 + 1.0 rounds back to
+        // 1e16, while nine 1.0s added first survive. Only ascending node
+        // order gives the expected bits, whatever order nodes registered
+        // in, in every tracker instance.
+        let rates = [1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        let expected = rates.iter().fold(0.0, |sum, r| sum + r);
+        for _ in 0..32 {
+            let mut t = AllowedRateTracker::new();
+            for (i, &rate) in rates.iter().enumerate().rev() {
+                t.set_initial(NodeId::new(i as u32), rate);
+            }
+            assert_eq!(
+                t.aggregate_at(TimeMs::ZERO).to_bits(),
+                expected.to_bits(),
+                "{} != {expected}",
+                t.aggregate_at(TimeMs::ZERO)
+            );
+        }
     }
 
     #[test]

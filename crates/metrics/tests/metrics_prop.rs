@@ -1,6 +1,6 @@
 //! Property-based tests of the metrics layer.
 
-use agb_metrics::{DeliveryTracker, RateMeter, TimeSeries};
+use agb_metrics::{DeliveryTracker, RateMeter};
 use agb_types::{DurationMs, EventId, NodeId, TimeMs};
 use proptest::prelude::*;
 
@@ -65,25 +65,5 @@ proptest! {
             .map(|&(_, rate)| rate * bin_ms as f64 / 1000.0)
             .sum();
         prop_assert!((from_series - events.len() as f64).abs() < 1e-6);
-    }
-
-    /// TimeSeries per-bin means lie within the range of their samples.
-    #[test]
-    fn time_series_means_in_range(
-        bin_ms in 1u64..5_000,
-        samples in proptest::collection::vec((0u64..50_000, -1e3f64..1e3), 1..100),
-    ) {
-        let mut s = TimeSeries::new(DurationMs::from_millis(bin_ms));
-        for &(t, v) in &samples {
-            s.push(TimeMs::from_millis(t), v);
-        }
-        prop_assert_eq!(s.sample_count(), samples.len() as u64);
-        let (lo, hi) = samples.iter().fold(
-            (f64::INFINITY, f64::NEG_INFINITY),
-            |(lo, hi), &(_, v)| (lo.min(v), hi.max(v)),
-        );
-        for (_, mean) in s.bins() {
-            prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
-        }
     }
 }

@@ -22,10 +22,8 @@
 //! use agb_profile::{MemTable, MemUsage, Phase, Profiler};
 //!
 //! let mut profiler = Profiler::new();
-//! {
-//!     let mut scope = profiler.scope(Phase::Merge);
-//!     scope.set_items(42); // merged 42 effects
-//! }
+//! let token = profiler.enter(Phase::Merge);
+//! profiler.exit(token, 42); // merged 42 effects
 //! let snapshot = profiler.snapshot();
 //! assert_eq!(snapshot.phase(Phase::Merge).items, 42);
 //!
@@ -43,7 +41,7 @@ mod profiler;
 
 pub use mem::{MemReport, MemTable, MemUsage};
 pub use phase::{Phase, PHASES};
-pub use profiler::{PhaseStat, PhaseToken, ProfileConfig, Profiler, ProfilerSnapshot, ScopedTimer};
+pub use profiler::{PhaseStat, PhaseToken, ProfileConfig, Profiler, ProfilerSnapshot};
 
 /// Schema identifier stamped into PROFILE.json.
 pub const PROFILE_SCHEMA: &str = "agb-profile/v1";

@@ -60,9 +60,8 @@ impl PhaseAcc {
 
 /// An open phase scope returned by [`Profiler::enter`].
 ///
-/// The engine uses explicit enter/exit tokens because its hot loops
-/// split borrows in ways that make a lifetime-carrying guard awkward;
-/// [`ScopedTimer`] wraps the same pair for RAII call sites.
+/// Explicit enter/exit tokens rather than a guard: the engine's hot loops
+/// split borrows in ways that make a lifetime-carrying guard awkward.
 #[derive(Debug)]
 pub struct PhaseToken {
     phase: Phase,
@@ -135,16 +134,6 @@ impl Profiler {
         self.phases[token.phase.index()].record(ns, items, allocs);
     }
 
-    /// RAII scope: records the phase when the guard drops (1 item).
-    pub fn scope(&mut self, phase: Phase) -> ScopedTimer<'_> {
-        let token = self.enter(phase);
-        ScopedTimer {
-            profiler: self,
-            token: Some(token),
-            items: 1,
-        }
-    }
-
     /// Attributes externally measured nanoseconds to a phase (used to
     /// harvest routing / codec time accumulated in per-shard effect
     /// buffers, where the profiler itself is not reachable).
@@ -207,30 +196,6 @@ impl Profiler {
             } else {
                 Some(self.worst_ratio)
             },
-        }
-    }
-}
-
-/// RAII phase guard from [`Profiler::scope`].
-#[derive(Debug)]
-pub struct ScopedTimer<'a> {
-    profiler: &'a mut Profiler,
-    token: Option<PhaseToken>,
-    items: u64,
-}
-
-impl ScopedTimer<'_> {
-    /// Overrides the item count attributed when the scope closes
-    /// (defaults to 1).
-    pub fn set_items(&mut self, items: u64) {
-        self.items = items;
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.profiler.exit(token, self.items);
         }
     }
 }
@@ -327,18 +292,6 @@ mod tests {
         assert_eq!(merge.count, 1);
         assert_eq!(merge.items, 7);
         assert_eq!(merge.buckets.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let mut p = Profiler::new();
-        {
-            let mut s = p.scope(Phase::Encode);
-            s.set_items(3);
-        }
-        let snap = p.snapshot();
-        assert_eq!(snap.phase(Phase::Encode).count, 1);
-        assert_eq!(snap.phase(Phase::Encode).items, 3);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use agb_core::{AdaptationConfig, FrameProtocol, GossipConfig};
@@ -17,10 +17,8 @@ use agb_recovery::RecoveryConfig;
 use agb_telemetry::{Registry, TelemetryConfig, TelemetryServer};
 use agb_trace::{Recorder, TraceConfig, TraceProbe, TraceSummary};
 use agb_types::{DetRng, DurationMs, NodeId, Payload, SeedSequence, TimeMs};
-use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
 
-use crate::node::{spawn_node, NodeHandle, NodeRuntime};
+use crate::node::{lock, spawn_node, NodeHandle, NodeRuntime};
 use crate::telemetry::NodeTelemetry;
 use crate::transport::{ChannelTransport, Transport, UdpTransport};
 
@@ -175,9 +173,7 @@ impl Spawner<'_> {
         let protocol = build_protocol(config, id, rng);
         let is_sender = i < config.n_senders && self.per_sender > 0.0;
         if is_sender && config.adaptive {
-            self.metrics
-                .lock()
-                .set_initial_rate(id, config.adaptation.initial_rate);
+            lock(self.metrics).set_initial_rate(id, config.adaptation.initial_rate);
         }
         let telemetry = self
             .registries
@@ -185,7 +181,6 @@ impl Spawner<'_> {
             .map(|r| NodeTelemetry::new(r, id, self.epoch))
             .unwrap_or_else(NodeTelemetry::disabled);
         let observer = (TraceProbe::new(config.trace, id), telemetry);
-        let (tx, rx) = unbounded();
         spawn_node(
             id,
             NodeRuntime {
@@ -205,8 +200,6 @@ impl Spawner<'_> {
             self.trace.clone(),
             self.epoch,
             Arc::clone(self.shutdown),
-            rx,
-            tx,
         )
     }
 }
@@ -371,25 +364,19 @@ impl RuntimeCluster {
     /// Crash-stops one node (state kept); returns `false` if it already
     /// exited.
     pub fn crash(&self, node: NodeId) -> bool {
-        self.metrics
-            .lock()
-            .record_membership(node, self.elapsed(), false);
+        lock(&self.metrics).record_membership(node, self.elapsed(), false);
         self.handles[node.index()].command(Input::Crash)
     }
 
     /// Recovers a crashed node, state intact.
     pub fn recover(&self, node: NodeId) -> bool {
-        self.metrics
-            .lock()
-            .record_membership(node, self.elapsed(), true);
+        lock(&self.metrics).record_membership(node, self.elapsed(), true);
         self.handles[node.index()].command(Input::Recover)
     }
 
     /// Restarts one node with state loss (fresh protocol state machine).
     pub fn restart(&self, node: NodeId) -> bool {
-        self.metrics
-            .lock()
-            .record_membership(node, self.elapsed(), true);
+        lock(&self.metrics).record_membership(node, self.elapsed(), true);
         let epoch = self.restarts[node.index()].fetch_add(1, Ordering::Relaxed);
         let seeds = SeedSequence::new(self.config.seed);
         let rng: DetRng = seeds.rng_for("runtime-restart", node.index() as u64 + (epoch << 32));
@@ -399,9 +386,7 @@ impl RuntimeCluster {
 
     /// Gracefully removes one node: farewell frames, then silence.
     pub fn leave(&self, node: NodeId) -> bool {
-        self.metrics
-            .lock()
-            .record_membership(node, self.elapsed(), false);
+        lock(&self.metrics).record_membership(node, self.elapsed(), false);
         self.handles[node.index()].command(Input::Leave)
     }
 
@@ -412,7 +397,7 @@ impl RuntimeCluster {
 
     /// A snapshot of the collected metrics.
     pub fn metrics_snapshot(&self) -> MetricsCollector {
-        self.metrics.lock().clone()
+        lock(&self.metrics).clone()
     }
 
     /// An aggregate trace summary (`None` unless tracing was enabled in
@@ -425,7 +410,7 @@ impl RuntimeCluster {
     pub fn trace_summary(&self, label: &str) -> Option<TraceSummary> {
         self.trace
             .as_ref()
-            .map(|recorder| recorder.lock().summary(label).mark_wall_clock())
+            .map(|recorder| lock(recorder).summary(label).mark_wall_clock())
     }
 
     /// Stops all node threads and returns the final metrics.
@@ -434,9 +419,10 @@ impl RuntimeCluster {
         for h in self.handles {
             let _ = h.join.join();
         }
-        Arc::try_unwrap(self.metrics)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone())
+        match Arc::try_unwrap(self.metrics) {
+            Ok(metrics) => metrics.into_inner().unwrap_or_else(PoisonError::into_inner),
+            Err(metrics) => lock(&metrics).clone(),
+        }
     }
 }
 

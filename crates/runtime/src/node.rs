@@ -1,8 +1,9 @@
 //! The per-node runtime thread.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -13,18 +14,75 @@ use agb_node::{Input, NodeObserver, NodeShell, Outgoing, ShedClass};
 use agb_trace::{Recorder, TraceProbe, TraceSink};
 use agb_types::{bernoulli, DetRng, NodeId, Payload, TimeMs};
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::telemetry::{stamp_payload, NodeTelemetry};
 use crate::transport::{RecvOutcome, Transport, TransportError, MAX_DATAGRAM};
 use crate::wire;
 
+/// Locks `mutex`, taking the guard even if a node thread panicked while
+/// holding it: the collector and recorder only accumulate, so `stop()`
+/// and the snapshots still report what was collected.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The sending half of a node's command queue. `std`'s channel reports
+/// no length, so both halves count the queued commands for the
+/// `agb_event_queue_depth` gauge.
+struct CommandSender {
+    tx: Sender<Input>,
+    queued: Arc<AtomicUsize>,
+}
+
+/// The node thread's half of its command queue.
+struct CommandReceiver {
+    rx: Receiver<Input>,
+    queued: Arc<AtomicUsize>,
+}
+
+/// A node's command queue.
+fn command_queue() -> (CommandSender, CommandReceiver) {
+    let (tx, rx) = mpsc::channel();
+    let queued = Arc::new(AtomicUsize::new(0));
+    let receiver = CommandReceiver {
+        rx,
+        queued: Arc::clone(&queued),
+    };
+    (CommandSender { tx, queued }, receiver)
+}
+
+impl CommandSender {
+    /// Queues `input`; `false` if the receiving node has stopped.
+    fn send(&self, input: Input) -> bool {
+        // Counted before the send, so the receiver never counts below 0.
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        let sent = self.tx.send(input).is_ok();
+        if !sent {
+            self.queued.fetch_sub(1, Ordering::Relaxed);
+        }
+        sent
+    }
+}
+
+impl CommandReceiver {
+    /// The oldest queued command, without waiting.
+    fn try_recv(&self) -> Option<Input> {
+        let input = self.rx.try_recv().ok()?;
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        Some(input)
+    }
+
+    /// Commands queued and not yet received.
+    fn len(&self) -> usize {
+        self.queued.load(Ordering::Relaxed)
+    }
+}
+
 /// Handle to a spawned node thread.
 pub struct NodeHandle {
     /// The node's identity.
     pub node: NodeId,
-    pub(crate) cmd_tx: Sender<Input>,
+    commands: CommandSender,
     pub(crate) join: JoinHandle<()>,
 }
 
@@ -33,7 +91,7 @@ impl NodeHandle {
     /// transition); returns `false` if the node has stopped. Offers to a
     /// crashed or departed node are dropped.
     pub fn command(&self, input: Input) -> bool {
-        self.cmd_tx.send(input).is_ok()
+        self.commands.send(input)
     }
 }
 
@@ -322,7 +380,6 @@ fn send_raw<T: Transport>(
 /// gossip round at the protocol's configured period, control commands, and
 /// constant-rate local offers. All protocol events are drained into the
 /// shared collector.
-#[allow(clippy::too_many_arguments)] // the node's full wiring, spelled out
 pub fn spawn_node<T: Transport>(
     id: NodeId,
     runtime: NodeRuntime,
@@ -331,9 +388,8 @@ pub fn spawn_node<T: Transport>(
     trace: Option<Arc<Mutex<Recorder>>>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
-    cmd_rx: Receiver<Input>,
-    cmd_tx: Sender<Input>,
 ) -> NodeHandle {
+    let (commands, cmd_rx) = command_queue();
     let join = std::thread::Builder::new()
         .name(format!("agb-node-{}", id.index()))
         .spawn(move || {
@@ -344,12 +400,12 @@ pub fn spawn_node<T: Transport>(
         .expect("spawn node thread");
     NodeHandle {
         node: id,
-        cmd_tx,
+        commands,
         join,
     }
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors spawn_node's wiring
+#[allow(clippy::too_many_arguments)] // the node's full wiring, spelled out
 fn node_loop<T: Transport>(
     id: NodeId,
     mut runtime: NodeRuntime,
@@ -358,7 +414,7 @@ fn node_loop<T: Transport>(
     trace: Option<Arc<Mutex<Recorder>>>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
-    cmd_rx: Receiver<Input>,
+    cmd_rx: CommandReceiver,
 ) {
     let shell = &mut runtime.shell;
     let period = shell.protocol().gossip_period().to_std();
@@ -412,7 +468,7 @@ fn node_loop<T: Transport>(
         egress.pump(&transport, &shell.observer().1);
 
         // 1. Control inputs.
-        while let Ok(input) = cmd_rx.try_recv() {
+        while let Some(input) = cmd_rx.try_recv() {
             match input {
                 Input::Offer(_) if down => continue,
                 Input::Crash | Input::Leave => down = true,
@@ -506,7 +562,7 @@ fn node_loop<T: Transport>(
         //    collector, and flush buffered trace records into the
         //    shared recorder.
         if !shell.events().is_empty() {
-            metrics.lock().on_events(id, shell.events());
+            lock(&metrics).on_events(id, shell.events());
             shell.clear_events();
         }
         let backlog = cmd_rx.len() + shell.protocol().pending_len();
@@ -514,7 +570,7 @@ fn node_loop<T: Transport>(
         telemetry.set_queue_depth(backlog);
         if probe.pending_len() > 0 {
             if let Some(recorder) = &trace {
-                let mut r = recorder.lock();
+                let mut r = lock(recorder);
                 for record in probe.drain_pending() {
                     r.record(record);
                 }
@@ -532,8 +588,25 @@ mod tests {
     use agb_core::{GossipConfig, LpbcastNode};
     use agb_membership::FullView;
     use agb_types::{DetRng, DurationMs};
-    use crossbeam::channel::unbounded;
     use rand::SeedableRng;
+
+    #[test]
+    fn command_queue_counts_queued_commands() {
+        let (tx, rx) = command_queue();
+        assert_eq!(rx.len(), 0);
+        assert!(tx.send(Input::Round));
+        assert!(tx.send(Input::Resize(7)));
+        assert_eq!(rx.len(), 2);
+        assert!(matches!(rx.try_recv(), Some(Input::Round)));
+        assert_eq!(rx.len(), 1);
+        assert!(matches!(rx.try_recv(), Some(Input::Resize(7))));
+        assert!(rx.try_recv().is_none());
+        assert_eq!(rx.len(), 0);
+        // A send to a stopped node is refused and leaves no count behind.
+        drop(rx);
+        assert!(!tx.send(Input::Round));
+        assert_eq!(tx.queued.load(Ordering::Relaxed), 0);
+    }
 
     #[test]
     fn two_nodes_exchange_a_broadcast() {
@@ -559,7 +632,6 @@ mod tests {
             ));
             let probe = TraceProbe::new(agb_trace::TraceConfig::disabled(), id);
             let observer = (probe, NodeTelemetry::disabled());
-            let (tx, rx) = unbounded();
             handles.push(spawn_node(
                 id,
                 NodeRuntime {
@@ -579,8 +651,6 @@ mod tests {
                 None,
                 epoch,
                 Arc::clone(&shutdown),
-                rx,
-                tx,
             ));
         }
 
@@ -590,7 +660,7 @@ mod tests {
         for h in handles {
             h.join.join().unwrap();
         }
-        let m = metrics.lock();
+        let m = lock(&metrics);
         let report = m.deliveries().atomicity(0.95, None);
         assert_eq!(report.messages, 1);
         assert_eq!(report.avg_receiver_fraction, 1.0, "both nodes deliver");

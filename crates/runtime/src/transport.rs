@@ -6,18 +6,18 @@
 //!   the paper's 60 workstations on an Ethernet LAN; binds loopback by
 //!   default, any local interface via
 //!   [`bind_cluster_on`](UdpTransport::bind_cluster_on);
-//! * [`ChannelTransport`] — in-process crossbeam channels, for fast tests
+//! * [`ChannelTransport`] — in-process `std` channels, for fast tests
 //!   and CI environments without network access.
 
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use agb_types::NodeId;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 /// Why a datagram could not be handed to the transport.
 ///
@@ -251,7 +251,7 @@ impl Transport for UdpTransport {
 }
 
 /// In-process channel transport.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChannelTransport {
     rx: Receiver<Bytes>,
     txs: Arc<Vec<Sender<Bytes>>>,
@@ -263,7 +263,7 @@ impl ChannelTransport {
         let mut txs = Vec::with_capacity(n_nodes);
         let mut rxs = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = mpsc::channel();
             txs.push(tx);
             rxs.push(rx);
         }
@@ -303,7 +303,7 @@ impl Transport for ChannelTransport {
         match self.rx.recv_timeout(timeout) {
             Ok(b) => RecvOutcome::Datagram(b),
             // Every transport shares one sender table (self-send
-            // included), so crossbeam's `Disconnected` can never fire
+            // included), so the channel's `Disconnected` can never fire
             // while this receiver is alive. Teardown is detected through
             // the table's reference count instead: when this transport
             // holds the last reference, every peer that could have sent

@@ -13,13 +13,14 @@
 //! batches and always run on the calling thread.
 //!
 //! Because the merge order is canonical, a batch may be executed by one
-//! thread or sharded across `K` worker threads
-//! ([`Simulation::run_until_sharded`], `K` from
-//! [`SimulationBuilder::threads`] / [`threads_from_env`]) with
-//! bit-identical results: same delivery order, same RNG draws (network
-//! randomness is a stream per sending node), same
-//! [`NetStats::checksum`]. The single-threaded path is the oracle the
-//! sharded path is tested against.
+//! thread or sharded across `K` scoped worker threads with bit-identical
+//! results: same delivery order, same RNG draws (network randomness is a
+//! stream per sending node), same [`NetStats::checksum`].
+//! [`Simulation::run_until`] is the one run path: it fans a batch out
+//! when `K > 1` ([`SimulationBuilder::threads`] / [`threads_from_env`])
+//! and the batch reaches the parallel threshold, and runs it inline
+//! otherwise. `K = 1` runs every batch inline; it is the oracle the
+//! sharded execution is tested against.
 
 use agb_profile::{MemUsage, Phase, ProfileConfig, Profiler, ProfilerSnapshot};
 use agb_types::{DetRng, DurationMs, NodeId, SeedSequence, ShardMap, TimeMs};
@@ -27,7 +28,8 @@ use agb_types::{DetRng, DurationMs, NodeId, SeedSequence, ShardMap, TimeMs};
 use crate::network::{NetworkConfig, NetworkModel};
 use crate::queue::EventQueue;
 use crate::shard::{
-    exec_events, invoke_on, BatchEvent, DeferredPush, EffectCursor, Lane, LaneScratch, TimerSlots,
+    exec_events, exec_shard, invoke_on, BatchEvent, DeferredPush, EffectCursor, Lane, LaneScratch,
+    TimerSlots,
 };
 
 /// Protocol-defined timer identifier.
@@ -42,8 +44,8 @@ pub struct TimerId(pub u32);
 ///
 /// All methods receive a [`SimCtx`] through which the node sends messages
 /// and manages timers; nodes must not hold any other channel to the outside
-/// world, which is what makes runs reproducible (and, when the node type is
-/// `Send`, lets the sharded engine execute handlers on worker threads).
+/// world, which is what makes runs reproducible and lets the engine
+/// execute handlers on worker threads.
 pub trait SimNode {
     /// The message type exchanged between nodes. `Clone` lets the
     /// network's byte adversary deliver duplicated copies.
@@ -172,8 +174,6 @@ impl<'a, M> SimCtx<'a, M> {
 
 /// A scheduled control action against one node.
 type NodeControlFn<N> = Box<dyn FnOnce(&mut N, TimeMs)>;
-/// A scheduled control action against the whole node slice.
-type GlobalControlFn<N> = Box<dyn FnOnce(&mut [N], TimeMs)>;
 /// A scheduled action against one node *with network access* (may send
 /// messages and manage timers through the context).
 type NodeActionFn<N, M> = Box<dyn FnOnce(&mut N, &mut SimCtx<'_, M>)>;
@@ -197,9 +197,6 @@ enum EventKind<N: SimNode> {
     NodeControl {
         node: NodeId,
         f: NodeControlFn<N>,
-    },
-    GlobalControl {
-        f: GlobalControlFn<N>,
     },
     NodeAction {
         node: NodeId,
@@ -305,8 +302,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the shard/worker-thread count used by
-    /// [`Simulation::run_until_sharded`] (clamped to at least 1).
+    /// Sets the shard/worker-thread count `K` that
+    /// [`Simulation::run_until`] fans large batches out to (clamped to at
+    /// least 1; `K = 1` runs every batch on the calling thread).
     ///
     /// The thread count never affects results — only wall-clock time.
     pub fn threads(mut self, k: usize) -> Self {
@@ -418,7 +416,7 @@ pub struct Simulation<N: SimNode> {
     stats: NetStats,
     started: bool,
     events_processed: u64,
-    /// Shard/worker count for `run_until_sharded`.
+    /// Shard/worker count `K` for `run_until`.
     threads: usize,
     /// Smallest batch worth fanning out to workers.
     par_threshold: usize,
@@ -457,15 +455,6 @@ impl<N: SimNode> Simulation<N> {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node (for inspection/configuration between runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// Iterates over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.iter()
@@ -474,17 +463,6 @@ impl<N: SimNode> Simulation<N> {
     /// Engine statistics so far.
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// Messages dropped by the network model (loss, partitions, link
-    /// faults or adversary destruction — excludes drops at downed nodes).
-    pub fn network_drops(&self) -> u64 {
-        self.net.dropped()
-    }
-
-    /// Frames destroyed by the byte adversary so far.
-    pub fn network_corrupted(&self) -> u64 {
-        self.net.corrupted()
     }
 
     /// Installs a callback invoked after every node-handler invocation
@@ -499,14 +477,6 @@ impl<N: SimNode> Simulation<N> {
     /// ordering.
     pub fn set_post_event_hook(&mut self, hook: Box<dyn FnMut(&mut N)>) {
         self.hook = Some(hook);
-    }
-
-    /// Attaches a fresh profiler from this point on (no-op if one is
-    /// already attached). Results never depend on profiling.
-    pub fn enable_profiler(&mut self) {
-        if self.profiler.is_none() {
-            self.profiler = Some(Box::new(Profiler::new()));
-        }
     }
 
     /// Mutable access to the attached profiler, if any (e.g. to wire
@@ -532,23 +502,11 @@ impl<N: SimNode> Simulation<N> {
         self.threads
     }
 
-    /// Reconfigures the shard/worker-thread count (clamped to at least 1).
-    ///
-    /// Results never depend on this value.
-    pub fn set_threads(&mut self, k: usize) {
-        self.threads = k.max(1);
-    }
-
     /// Lowers/raises the smallest batch that is fanned out to worker
     /// threads (default 128). Intended for tests that want tiny clusters
     /// to exercise the worker path; results never depend on this value.
     pub fn set_parallel_threshold(&mut self, min_batch: usize) {
         self.par_threshold = min_batch.max(1);
-    }
-
-    /// Replaces the network configuration from this point in virtual time.
-    pub fn set_network(&mut self, config: NetworkConfig) {
-        self.net.set_config(config);
     }
 
     /// Schedules a closure to run against one node at virtual time `at`.
@@ -569,12 +527,6 @@ impl<N: SimNode> Simulation<N> {
                 f: Box::new(f),
             },
         );
-    }
-
-    /// Schedules a closure to run against all nodes at virtual time `at`.
-    pub fn schedule_control(&mut self, at: TimeMs, f: impl FnOnce(&mut [N], TimeMs) + 'static) {
-        self.queue
-            .push(at, EventKind::GlobalControl { f: Box::new(f) });
     }
 
     /// Schedules a crash: from `at` on, the node receives no messages and
@@ -647,40 +599,6 @@ impl<N: SimNode> Simulation<N> {
         self.down[node.index()]
     }
 
-    /// Runs the simulation until virtual time `t` (inclusive), then sets the
-    /// clock to `t`.
-    ///
-    /// Always executes on the calling thread; see
-    /// [`run_until_sharded`](Self::run_until_sharded) for the
-    /// multi-threaded path (identical results).
-    pub fn run_until(&mut self, t: TimeMs) {
-        self.ensure_started();
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            self.process_instant_inline(next);
-        }
-        self.now = self.now.max(t);
-    }
-
-    /// Runs for a further `d` of virtual time.
-    pub fn run_for(&mut self, d: DurationMs) {
-        let target = self.now + d;
-        self.run_until(target);
-    }
-
-    /// Processes a single event, returning its virtual time, or `None` if
-    /// the future event list is empty.
-    pub fn step(&mut self) -> Option<TimeMs> {
-        self.ensure_started();
-        if self.queue.is_empty() {
-            return None;
-        }
-        self.step_one();
-        Some(self.now)
-    }
-
     /// Total events processed.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -719,26 +637,6 @@ impl<N: SimNode> Simulation<N> {
         }
     }
 
-    /// Processes every event at instant `t` on the calling thread.
-    fn process_instant_inline(&mut self, t: TimeMs) {
-        self.now = self.now.max(t);
-        loop {
-            self.collect_run(t);
-            if !self.scratch.batch_events.is_empty() {
-                self.exec_batch_inline();
-                continue;
-            }
-            match self.queue.peek_time() {
-                Some(at) if at == t => {
-                    let scheduled = self.queue.pop().expect("peeked event");
-                    self.events_processed += 1;
-                    self.exec_control(scheduled.item);
-                }
-                _ => break,
-            }
-        }
-    }
-
     /// Pops the maximal run of consecutive `Deliver`/`Timer` events at
     /// instant `t` into the batch scratch, stopping at the first control
     /// event (a barrier) or time change.
@@ -749,8 +647,7 @@ impl<N: SimNode> Simulation<N> {
             if at != t || !matches!(item, EventKind::Deliver { .. } | EventKind::Timer { .. }) {
                 break;
             }
-            let scheduled = self.queue.pop().expect("peeked event");
-            let ev = match scheduled.item {
+            let ev = match self.queue.pop().expect("peeked event") {
                 EventKind::Deliver { from, to, msg } => BatchEvent::Deliver { from, to, msg },
                 EventKind::Timer { node, timer, gen } => BatchEvent::Timer { node, timer, gen },
                 _ => unreachable!("peek said batchable"),
@@ -904,10 +801,6 @@ impl<N: SimNode> Simulation<N> {
                 f(&mut self.nodes[node.index()], self.now);
                 self.run_hook(node);
             }
-            EventKind::GlobalControl { f } => {
-                f(&mut self.nodes, self.now);
-                self.run_hook_all();
-            }
             EventKind::NodeAction { node, f } => {
                 self.invoke_with(node, |n, ctx| f(n, ctx));
             }
@@ -965,41 +858,6 @@ impl<N: SimNode> Simulation<N> {
             hook(&mut self.nodes[node.index()]);
         }
     }
-
-    fn run_hook_all(&mut self) {
-        if let Some(hook) = self.hook.as_mut() {
-            for n in self.nodes.iter_mut() {
-                hook(n);
-            }
-        }
-    }
-
-    fn step_one(&mut self) {
-        let Some(scheduled) = self.queue.pop() else {
-            return;
-        };
-        self.now = self.now.max(scheduled.at);
-        match scheduled.item {
-            EventKind::Deliver { from, to, msg } => {
-                self.scratch.targets.push(to);
-                self.scratch
-                    .batch_events
-                    .push(BatchEvent::Deliver { from, to, msg });
-                self.exec_batch_inline();
-            }
-            EventKind::Timer { node, timer, gen } => {
-                self.scratch.targets.push(node);
-                self.scratch
-                    .batch_events
-                    .push(BatchEvent::Timer { node, timer, gen });
-                self.exec_batch_inline();
-            }
-            other => {
-                self.events_processed += 1;
-                self.exec_control(other);
-            }
-        }
-    }
 }
 
 impl<N> Simulation<N>
@@ -1007,44 +865,49 @@ where
     N: SimNode + Send,
     N::Msg: Send,
 {
-    /// Runs the simulation until virtual time `t` (inclusive) using the
-    /// configured shard count ([`SimulationBuilder::threads`] /
-    /// [`Simulation::set_threads`]).
+    /// Runs the simulation until virtual time `t` (inclusive), then sets the
+    /// clock to `t`.
     ///
-    /// Produces results bit-identical to [`run_until`](Self::run_until)
-    /// at every thread count: batches are merged in canonical order and
-    /// network randomness is a stream per sending node, so neither
-    /// delivery order nor RNG draws depend on `K`.
-    pub fn run_until_sharded(&mut self, t: TimeMs) {
-        if self.threads <= 1 {
-            self.run_until(t);
-            return;
-        }
+    /// A batch of at least the parallel threshold (see
+    /// [`set_parallel_threshold`](Self::set_parallel_threshold)) is
+    /// sharded across the configured `K` worker threads
+    /// ([`SimulationBuilder::threads`]) when `K > 1`; every other batch
+    /// runs inline on the calling thread. Results are bit-identical at
+    /// every `K`: batches are merged in canonical order and network
+    /// randomness is a stream per sending node, so neither delivery order
+    /// nor RNG draws depend on who executed an event.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, with its original payload, a panic from a node handler
+    /// on any thread.
+    pub fn run_until(&mut self, t: TimeMs) {
         self.ensure_started();
         while let Some(next) = self.queue.peek_time() {
             if next > t {
                 break;
             }
-            self.process_instant_sharded(next);
+            self.process_instant(next);
         }
         self.now = self.now.max(t);
     }
 
-    /// Runs for a further `d` of virtual time, sharded (see
-    /// [`run_until_sharded`](Self::run_until_sharded)).
-    pub fn run_for_sharded(&mut self, d: DurationMs) {
+    /// Runs for a further `d` of virtual time (see
+    /// [`run_until`](Self::run_until)).
+    pub fn run_for(&mut self, d: DurationMs) {
         let target = self.now + d;
-        self.run_until_sharded(target);
+        self.run_until(target);
     }
 
     /// Processes every event at instant `t`, fanning large batches out
     /// to worker threads.
-    fn process_instant_sharded(&mut self, t: TimeMs) {
+    fn process_instant(&mut self, t: TimeMs) {
         self.now = self.now.max(t);
         loop {
             self.collect_run(t);
-            if !self.scratch.batch_events.is_empty() {
-                if self.scratch.batch_events.len() >= self.par_threshold && self.nodes.len() >= 2 {
+            let batch = self.scratch.batch_events.len();
+            if batch > 0 {
+                if self.threads > 1 && batch >= self.par_threshold {
                     self.exec_batch_parallel();
                 } else {
                     self.exec_batch_inline();
@@ -1053,9 +916,9 @@ where
             }
             match self.queue.peek_time() {
                 Some(at) if at == t => {
-                    let scheduled = self.queue.pop().expect("peeked event");
+                    let control = self.queue.pop().expect("peeked event");
                     self.events_processed += 1;
-                    self.exec_control(scheduled.item);
+                    self.exec_control(control);
                 }
                 _ => break,
             }
@@ -1127,39 +990,16 @@ where
                 });
             }
 
-            let outcome = crossbeam::thread::scope(|scope| {
-                let mut pairs = lanes.into_iter().zip(workers.iter_mut().take(k));
+            std::thread::scope(|scope| {
+                let mut pairs = lanes.into_iter().zip(workers.iter_mut());
                 let first = pairs.next();
-                let mut handles = Vec::with_capacity(k - 1);
-                for (mut lane, worker) in pairs {
-                    handles.push(scope.spawn(move |_| {
-                        let t0 = profiling.then(std::time::Instant::now);
-                        exec_events(
-                            &mut lane,
-                            &mut worker.events,
-                            &mut worker.outbox,
-                            &mut worker.timer_reqs,
-                            &mut worker.buf,
-                        );
-                        if let Some(t0) = t0 {
-                            worker.busy_ns = t0.elapsed().as_nanos() as u64;
-                        }
-                    }));
-                }
+                let handles: Vec<_> = pairs
+                    .map(|(mut lane, worker)| scope.spawn(move || exec_shard(&mut lane, worker)))
+                    .collect();
                 // Shard 0 executes on the calling thread while the
                 // workers run.
                 if let Some((mut lane, worker)) = first {
-                    let t0 = profiling.then(std::time::Instant::now);
-                    exec_events(
-                        &mut lane,
-                        &mut worker.events,
-                        &mut worker.outbox,
-                        &mut worker.timer_reqs,
-                        &mut worker.buf,
-                    );
-                    if let Some(t0) = t0 {
-                        worker.busy_ns = t0.elapsed().as_nanos() as u64;
-                    }
+                    exec_shard(&mut lane, worker);
                 }
                 for handle in handles {
                     if let Err(payload) = handle.join() {
@@ -1167,9 +1007,6 @@ where
                     }
                 }
             });
-            if let Err(payload) = outcome {
-                std::panic::resume_unwind(payload);
-            }
         }
 
         if let Some(token) = exec_token {
@@ -1398,19 +1235,6 @@ mod tests {
     }
 
     #[test]
-    fn global_control_sees_all_nodes() {
-        let mut sim = build(5);
-        sim.schedule_control(TimeMs::from_millis(50), |nodes, _| {
-            for n in nodes.iter_mut() {
-                n.fires += 100;
-            }
-        });
-        sim.run_until(TimeMs::from_millis(50));
-        assert_eq!(sim.node(NodeId::new(0)).fires, 100);
-        assert_eq!(sim.node(NodeId::new(1)).fires, 100);
-    }
-
-    #[test]
     fn one_shot_timer_fires_once_and_cancel_works() {
         struct OneShot {
             fired: u32,
@@ -1456,14 +1280,6 @@ mod tests {
             sim.node(NodeId::new(0)).fired_at,
             vec![TimeMs::from_millis(40)]
         );
-    }
-
-    #[test]
-    fn step_processes_single_event() {
-        let mut sim = build(9);
-        let t = sim.step();
-        assert_eq!(t, Some(TimeMs::from_millis(100)));
-        assert!(sim.events_processed() >= 1);
     }
 
     #[test]
@@ -1592,12 +1408,12 @@ mod sharded_tests {
     fn sharded_matches_inline_oracle_across_thread_counts() {
         for lossy in [false, true] {
             let mut oracle = chatty_sim(11, 37, 1, lossy);
-            oracle.run_until_sharded(TimeMs::from_millis(500));
+            oracle.run_until(TimeMs::from_millis(500));
             let expected = fingerprint(&oracle);
             assert!(expected.0.deliveries > 0);
             for k in [2usize, 3, 4, 8] {
                 let mut sim = chatty_sim(11, 37, k, lossy);
-                sim.run_until_sharded(TimeMs::from_millis(500));
+                sim.run_until(TimeMs::from_millis(500));
                 assert_eq!(
                     fingerprint(&sim),
                     expected,
@@ -1608,12 +1424,38 @@ mod sharded_tests {
     }
 
     #[test]
-    fn sharded_matches_plain_run_until() {
-        let mut a = chatty_sim(5, 20, 4, true);
-        a.run_until_sharded(TimeMs::from_millis(300));
-        let mut b = chatty_sim(5, 20, 4, true);
-        b.run_until(TimeMs::from_millis(300));
-        assert_eq!(fingerprint(&a), fingerprint(&b));
+    fn worker_panic_reaches_the_caller_with_its_payload() {
+        use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+        use std::thread::ThreadId;
+
+        /// Node 1 panics on its first timer fire, reporting whether it
+        /// ran off the calling thread.
+        struct Faulty {
+            caller: ThreadId,
+        }
+        impl SimNode for Faulty {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut SimCtx<'_, ()>) {
+                ctx.set_timer(TICK, DurationMs::from_millis(10));
+            }
+            fn on_timer(&mut self, _t: TimerId, ctx: &mut SimCtx<'_, ()>) {
+                if ctx.self_id() == NodeId::new(1) {
+                    let on_worker = std::thread::current().id() != self.caller;
+                    panic_any(("node 1 handler", on_worker));
+                }
+            }
+        }
+        let caller = std::thread::current().id();
+        let mut sim = SimulationBuilder::new(3)
+            .threads(2)
+            .build(vec![Faulty { caller }, Faulty { caller }]);
+        sim.set_parallel_threshold(1);
+        let payload = catch_unwind(AssertUnwindSafe(|| sim.run_until(TimeMs::from_secs(1))))
+            .expect_err("the worker's panic propagates");
+        let payload = payload
+            .downcast_ref::<(&str, bool)>()
+            .expect("the handler's own payload, not a generic scope panic");
+        assert_eq!(*payload, ("node 1 handler", true), "raised on a worker");
     }
 
     #[test]
@@ -1632,7 +1474,7 @@ mod sharded_tests {
             sim.schedule_network_control(TimeMs::from_millis(300), |config, _| {
                 config.loss = 0.3;
             });
-            sim.run_until_sharded(TimeMs::from_millis(450));
+            sim.run_until(TimeMs::from_millis(450));
             fingerprint(&sim)
         };
         let expected = run(1);
@@ -1652,7 +1494,7 @@ mod sharded_tests {
             sim.set_post_event_hook(Box::new(move |node: &mut Chatty| {
                 sink.borrow_mut().push((node.n, node.digest));
             }));
-            sim.run_until_sharded(TimeMs::from_millis(120));
+            sim.run_until(TimeMs::from_millis(120));
             drop(sim); // releases the hook's clone of the log
             Rc::try_unwrap(log).map(RefCell::into_inner).unwrap()
         };
@@ -1680,11 +1522,11 @@ mod sharded_tests {
                 .profile(ProfileConfig::enabled())
                 .build(nodes);
             sim.set_parallel_threshold(2);
-            sim.run_until_sharded(TimeMs::from_millis(300));
+            sim.run_until(TimeMs::from_millis(300));
             sim
         };
         let mut plain = chatty_sim(21, 24, 1, false);
-        plain.run_until_sharded(TimeMs::from_millis(300));
+        plain.run_until(TimeMs::from_millis(300));
         assert!(plain.profiler_snapshot().is_none());
 
         for k in [1usize, 4] {

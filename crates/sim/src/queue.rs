@@ -14,13 +14,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use agb_types::TimeMs;
 
-/// An entry popped from the future event list.
-#[derive(Debug)]
-pub(crate) struct Scheduled<E> {
-    pub at: TimeMs,
-    pub item: E,
-}
-
 /// Time-bucketed future event list with FIFO tie-breaking.
 ///
 /// Insertion order as the tie-break makes simultaneous events
@@ -50,15 +43,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event (FIFO among equal times).
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
+    pub fn pop(&mut self) -> Option<E> {
         let mut entry = self.buckets.first_entry()?;
-        let at = *entry.key();
         let item = entry.get_mut().pop_front().expect("buckets are non-empty");
         if entry.get().is_empty() {
             entry.remove();
         }
         self.len -= 1;
-        Some(Scheduled { at, item })
+        Some(item)
     }
 
     /// Time of the earliest event without removing it.
@@ -92,10 +84,6 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Estimated resident bytes: queued items plus per-bucket container
     /// overhead (`VecDeque` header + B-tree slot). A `size_of`
     /// estimate, deterministic by construction.
@@ -117,9 +105,9 @@ mod tests {
         q.push(TimeMs::from_millis(30), "c");
         q.push(TimeMs::from_millis(10), "a");
         q.push(TimeMs::from_millis(20), "b");
-        assert_eq!(q.pop().unwrap().item, "a");
-        assert_eq!(q.pop().unwrap().item, "b");
-        assert_eq!(q.pop().unwrap().item, "c");
+        assert_eq!(q.pop().unwrap(), "a");
+        assert_eq!(q.pop().unwrap(), "b");
+        assert_eq!(q.pop().unwrap(), "c");
         assert!(q.pop().is_none());
     }
 
@@ -131,7 +119,7 @@ mod tests {
             q.push(t, i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop().unwrap().item, i);
+            assert_eq!(q.pop().unwrap(), i);
         }
     }
 
@@ -143,7 +131,6 @@ mod tests {
         q.push(TimeMs::from_millis(3), ());
         assert_eq!(q.peek_time(), Some(TimeMs::from_millis(3)));
         assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
         q.pop();
         assert_eq!(q.peek_time(), Some(TimeMs::from_millis(7)));
     }
@@ -153,12 +140,12 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(TimeMs::from_millis(10), 1);
         q.push(TimeMs::from_millis(5), 0);
-        assert_eq!(q.pop().unwrap().item, 0);
+        assert_eq!(q.pop().unwrap(), 0);
         q.push(TimeMs::from_millis(8), 2);
         q.push(TimeMs::from_millis(8), 3);
-        assert_eq!(q.pop().unwrap().item, 2);
-        assert_eq!(q.pop().unwrap().item, 3);
-        assert_eq!(q.pop().unwrap().item, 1);
+        assert_eq!(q.pop().unwrap(), 2);
+        assert_eq!(q.pop().unwrap(), 3);
+        assert_eq!(q.pop().unwrap(), 1);
     }
 
     #[test]
@@ -170,7 +157,7 @@ mod tests {
         for _ in 0..10 {
             q.pop();
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peak_len(), 10);
     }
 
@@ -200,15 +187,6 @@ mod tests {
         assert_eq!(at, TimeMs::from_millis(3));
         assert_eq!(*item, "a");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().item, "a");
-    }
-
-    #[test]
-    fn scheduled_carries_time_of_bucket() {
-        let mut q = EventQueue::new();
-        q.push(TimeMs::from_millis(42), "x");
-        let s = q.pop().unwrap();
-        assert_eq!(s.at, TimeMs::from_millis(42));
-        assert_eq!(s.item, "x");
+        assert_eq!(q.pop().unwrap(), "a");
     }
 }

@@ -181,6 +181,22 @@ pub(crate) struct Lane<'a, N: SimNode> {
     pub profiling: bool,
 }
 
+/// Executes one shard's share of a parallel batch (see [`exec_events`]),
+/// recording its busy time when profiling.
+pub(crate) fn exec_shard<N: SimNode>(lane: &mut Lane<'_, N>, worker: &mut LaneScratch<N::Msg>) {
+    let t0 = lane.profiling.then(Instant::now);
+    exec_events(
+        lane,
+        &mut worker.events,
+        &mut worker.outbox,
+        &mut worker.timer_reqs,
+        &mut worker.buf,
+    );
+    if let Some(t0) = t0 {
+        worker.busy_ns = t0.elapsed().as_nanos() as u64;
+    }
+}
+
 /// Executes a run of batch events against one lane, buffering all
 /// effects.
 ///

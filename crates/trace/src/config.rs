@@ -1,7 +1,5 @@
-//! Tracing configuration: the on/off switch, deterministic event-id
-//! sampling, and the raw-record ring capacity.
-
-use agb_types::{fnv1a, EventId};
+//! Tracing configuration: the on/off switch and the raw-record ring
+//! capacity.
 
 /// Configuration for a tracing run.
 ///
@@ -9,45 +7,21 @@ use agb_types::{fnv1a, EventId};
 /// unconditionally and pay only an `enabled` branch per handler
 /// invocation when tracing is off.
 ///
-/// # Sampling
-///
-/// At n10000 every event generates thousands of per-copy records; full
-/// tracing would dominate the run. [`sample_one_in`](Self::sample_one_in)
-/// keeps tracing viable at scale by restricting *per-event-id* records
-/// (Publish/Relay/Deliver/Duplicate/recovery repairs and id-carrying
-/// drops) to a deterministic subset of event ids: an id is traced iff
-/// `fnv1a(origin, seq) % k == 0`. The subset is a pure function of the
-/// id — never of arrival order, node, or thread count — so sampled
-/// traces stay bit-identical across `AGB_THREADS` settings and runs.
-/// Records that carry no event id (view changes, crash/restart, buffer
-/// occupancy, graft/retransmit round-trip summaries) are always recorded
-/// while tracing is enabled.
-///
 /// # Example
 ///
 /// ```
 /// use agb_trace::TraceConfig;
-/// use agb_types::{EventId, NodeId};
 ///
-/// let all = TraceConfig::enabled();
-/// assert!(all.traces(EventId::new(NodeId::new(3), 17)));
-///
-/// let sampled = TraceConfig::enabled().with_sample_one_in(4);
-/// let traced = (0..100)
-///     .filter(|&seq| sampled.traces(EventId::new(NodeId::new(0), seq)))
-///     .count();
-/// assert!(traced > 0 && traced < 100);
-///
-/// assert!(!TraceConfig::disabled().traces(EventId::new(NodeId::new(0), 0)));
+/// assert!(TraceConfig::enabled().enabled);
+/// assert!(!TraceConfig::default().enabled);
+/// let big = TraceConfig::enabled().with_ring_capacity(1 << 20);
+/// assert_eq!(big.ring_capacity, 1 << 20);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch. When `false`, probes emit nothing and the recorder
     /// is never consulted.
     pub enabled: bool,
-    /// Trace only event ids whose hash falls in a `1/k` bucket
-    /// (see type-level docs). `0` and `1` both mean "trace every id".
-    pub sample_one_in: u64,
     /// Maximum raw [`TraceRecord`](crate::TraceRecord)s retained by the
     /// ring buffer; older records are evicted first (aggregates —
     /// histograms, counts, trees, the digest — still see every record).
@@ -55,20 +29,18 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Default ring capacity: enough for a full 60-node paper-scale run,
-    /// small enough to be irrelevant at n10000 with sampling on.
+    /// Default ring capacity: enough for a full 60-node paper-scale run.
     pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
     /// Tracing off (the default; zero overhead beyond one branch).
     pub fn disabled() -> Self {
         TraceConfig {
             enabled: false,
-            sample_one_in: 1,
             ring_capacity: Self::DEFAULT_RING_CAPACITY,
         }
     }
 
-    /// Tracing on, every event id traced, default ring capacity.
+    /// Tracing on, default ring capacity.
     pub fn enabled() -> Self {
         TraceConfig {
             enabled: true,
@@ -76,31 +48,10 @@ impl TraceConfig {
         }
     }
 
-    /// Returns this config with event-id sampling set to one-in-`k`.
-    pub fn with_sample_one_in(mut self, k: u64) -> Self {
-        self.sample_one_in = k;
-        self
-    }
-
     /// Returns this config with the raw-record ring capacity set.
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
         self
-    }
-
-    /// Whether per-event records for `id` should be traced under this
-    /// config. Deterministic: depends only on the config and the id.
-    pub fn traces(&self, id: EventId) -> bool {
-        self.enabled
-            && (self.sample_one_in <= 1 || sample_key(id).is_multiple_of(self.sample_one_in))
-    }
-
-    /// The sampling hash key for an event id: FNV-1a over its origin and
-    /// sequence number. `traces(id)` holds iff
-    /// `sample_key(id) % sample_one_in == 0` — exposed so tests can
-    /// enumerate the exact subset a sampling rate selects.
-    pub fn sample_key(id: EventId) -> u64 {
-        sample_key(id)
     }
 }
 
@@ -110,53 +61,12 @@ impl Default for TraceConfig {
     }
 }
 
-/// The sampling hash key for an event id: FNV-1a over its origin and
-/// sequence number. Exposed so tests can enumerate the exact subset
-/// `sample_one_in(k)` selects.
-pub(crate) fn sample_key(id: EventId) -> u64 {
-    let mut bytes = [0u8; 12];
-    bytes[..4].copy_from_slice(&id.origin().as_u32().to_le_bytes());
-    bytes[4..].copy_from_slice(&id.seq().to_le_bytes());
-    fnv1a(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agb_types::NodeId;
 
     #[test]
     fn default_is_disabled() {
-        let c = TraceConfig::default();
-        assert!(!c.enabled);
-        assert!(!c.traces(EventId::new(NodeId::new(0), 0)));
-    }
-
-    #[test]
-    fn sample_one_in_one_traces_everything() {
-        let c = TraceConfig::enabled();
-        for seq in 0..256 {
-            assert!(c.traces(EventId::new(NodeId::new(seq as u32 % 7), seq)));
-        }
-    }
-
-    #[test]
-    fn sampling_is_a_pure_function_of_the_id() {
-        let c = TraceConfig::enabled().with_sample_one_in(3);
-        let id = EventId::new(NodeId::new(5), 99);
-        let first = c.traces(id);
-        for _ in 0..10 {
-            assert_eq!(c.traces(id), first);
-        }
-    }
-
-    #[test]
-    fn sampling_matches_the_hash_bucket_exactly() {
-        let k = 5;
-        let c = TraceConfig::enabled().with_sample_one_in(k);
-        for seq in 0..512 {
-            let id = EventId::new(NodeId::new(2), seq);
-            assert_eq!(c.traces(id), sample_key(id).is_multiple_of(k), "{id}");
-        }
+        assert!(!TraceConfig::default().enabled);
     }
 }

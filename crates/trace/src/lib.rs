@@ -24,9 +24,6 @@
 //!   merge point (the same post-event-hook path `agb-metrics` uses).
 //!   With the deterministic sharded engine this makes the trace stream —
 //!   and therefore the digest — bit-identical at every `AGB_THREADS`.
-//! * [`TraceConfig::sample_one_in`] — deterministic event-id sampling so
-//!   tracing stays viable at n10000: the traced subset is a pure
-//!   function of the event id, never of arrival order or thread count.
 //! * [`TraceSummary`] — the post-run report (schema `agb-trace/v1`),
 //!   JSON-serializable with a stable digest for CI replay comparison.
 //!

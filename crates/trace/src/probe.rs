@@ -30,7 +30,7 @@ pub struct TraceProbe {
     config: TraceConfig,
     node: NodeId,
     round: u32,
-    /// Incoming sampled event ids of the frame currently being handled,
+    /// Incoming event ids of the frame currently being handled,
     /// used to detect redundant arrivals (scratch; cleared per message).
     incoming: Vec<(EventId, u32)>,
     /// Topology region per dense node id, shared across a harness's
@@ -66,7 +66,7 @@ impl TraceProbe {
         self.regions.as_ref()
     }
 
-    /// The probe's sampling/ring configuration.
+    /// The probe's configuration.
     pub fn config(&self) -> &TraceConfig {
         &self.config
     }
@@ -84,11 +84,6 @@ impl TraceProbe {
     }
 
     fn push(&mut self, at: TimeMs, kind: TraceKind) {
-        if let Some(id) = kind.event_id() {
-            if !self.config.traces(id) {
-                return;
-            }
-        }
         self.pending.push(TraceRecord {
             node: self.node,
             at,
@@ -178,7 +173,7 @@ impl NodeObserver for TraceProbe {
         }
     }
 
-    /// Starts observing one incoming frame: remembers its sampled event
+    /// Starts observing one incoming frame: remembers its event
     /// ids so [`on_received`](Self::on_received) can tell first
     /// deliveries from redundant arrivals. Call before handing the frame
     /// to the protocol.
@@ -189,15 +184,13 @@ impl NodeObserver for TraceProbe {
         self.incoming.clear();
         if let GossipFrame::Gossip { msg, .. } = frame {
             for event in &msg.events {
-                if self.config.traces(event.id()) {
-                    self.incoming.push((event.id(), event.age()));
-                }
+                self.incoming.push((event.id(), event.age()));
             }
         }
     }
 
     /// Finishes observing the frame begun by [`on_message`](Self::on_message)
-    /// (`from` = its sender): flags every incoming sampled id that none
+    /// (`from` = its sender): flags every incoming id that none
     /// of `events` delivered as a redundant arrival.
     fn on_received(&mut self, at: TimeMs, from: NodeId, events: &[ProtocolEvent]) {
         if !self.config.enabled {
@@ -475,24 +468,6 @@ mod tests {
         assert!(
             matches!(recs[1].kind, TraceKind::Duplicate { id, from } if id == stale && from == NodeId::new(1))
         );
-    }
-
-    #[test]
-    fn sampling_filters_id_bearing_records_only() {
-        let config = TraceConfig::enabled().with_sample_one_in(u64::MAX);
-        let mut p = TraceProbe::new(config, NodeId::new(0));
-        p.on_round(
-            TimeMs::ZERO,
-            &[(NodeId::new(1), gossip_frame(0, &[id(0, 0)]))],
-            1,
-            10,
-        );
-        p.on_lifecycle(TimeMs::ZERO, LifecycleKind::Crash);
-        let recs: Vec<TraceRecord> = p.drain_pending().collect();
-        // The relay was sampled out; occupancy and crash survive.
-        assert_eq!(recs.len(), 2);
-        assert!(matches!(recs[0].kind, TraceKind::BufferOccupancy { .. }));
-        assert!(matches!(recs[1].kind, TraceKind::Crash));
     }
 
     #[test]

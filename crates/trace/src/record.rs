@@ -36,11 +36,6 @@ impl DropCause {
 }
 
 /// What happened, as observed at one node.
-///
-/// Per-event-id kinds (everything carrying an `id`) are subject to
-/// [`TraceConfig::sample_one_in`](crate::TraceConfig::sample_one_in);
-/// node-lifecycle and round-trip kinds are always recorded while tracing
-/// is enabled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceKind {
     /// A locally offered message was admitted into the gossip buffer at
@@ -198,8 +193,7 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// The event id this record is about, if it carries one (the
-    /// sampling unit).
+    /// The event id this record is about, if it carries one.
     pub fn event_id(&self) -> Option<EventId> {
         match self {
             TraceKind::Publish { id }

@@ -47,38 +47,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifier of a broadcast group.
-///
-/// The motivating publish/subscribe application of the paper maps each
-/// information type (topic) to a broadcast group; a node may belong to
-/// several groups and must split its buffer resources between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct GroupId(u32);
-
-impl GroupId {
-    /// Creates a group identifier.
-    pub const fn new(v: u32) -> Self {
-        GroupId(v)
-    }
-
-    /// Returns the raw value.
-    pub const fn as_u32(self) -> u32 {
-        self.0
-    }
-}
-
-impl From<u32> for GroupId {
-    fn from(v: u32) -> Self {
-        GroupId(v)
-    }
-}
-
-impl fmt::Display for GroupId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "g{}", self.0)
-    }
-}
-
 /// Identifier of a publish/subscribe topic.
 ///
 /// Topics are mapped onto broadcast groups by the workload layer
@@ -193,21 +161,18 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(format!("{}", NodeId::new(9)), "n9");
-        assert_eq!(format!("{}", GroupId::new(3)), "g3");
         assert_eq!(format!("{}", TopicId::new(5)), "t5");
         assert_eq!(format!("{}", EventId::new(NodeId::new(1), 2)), "n1#2");
     }
 
     #[test]
-    fn group_and_topic_roundtrip() {
-        assert_eq!(GroupId::from(7).as_u32(), 7);
+    fn topic_roundtrip() {
         assert_eq!(TopicId::from(8).as_u32(), 8);
     }
 
     #[test]
     fn defaults_are_zero() {
         assert_eq!(NodeId::default(), NodeId::new(0));
-        assert_eq!(GroupId::default(), GroupId::new(0));
         assert_eq!(TopicId::default(), TopicId::new(0));
     }
 }

@@ -1,8 +1,9 @@
 //! Shared primitive types for the adaptive gossip broadcast workspace.
 //!
 //! This crate holds the small vocabulary types used by every other crate in
-//! the workspace: node/group identifiers, virtual time, message payloads,
-//! deterministic random-number helpers and windowed statistics.
+//! the workspace: node, topic and event identifiers, virtual time, message
+//! payloads, deterministic random-number helpers, and EWMA and running
+//! statistics.
 //!
 //! The types are deliberately dependency-light so that the protocol crate
 //! ([`agb-core`]), the simulator ([`agb-sim`]) and the threaded runtime
@@ -42,7 +43,7 @@ pub mod topology;
 pub use env::{env_flag, env_usize, parse_flag};
 pub use error::{ConfigError, ConfigResult};
 pub use fasthash::{FastHashMap, FastHashSet, FastHashState, FastHasher};
-pub use id::{EventId, GroupId, NodeId, TopicId};
+pub use id::{EventId, NodeId, TopicId};
 pub use pool::{BytePool, PayloadInterner};
 pub use rng::{bernoulli, fnv1a, fork_seed, DetRng, SeedSequence};
 pub use shard::ShardMap;

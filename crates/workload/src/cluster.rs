@@ -513,12 +513,12 @@ impl GossipCluster {
     /// shard count ([`ClusterConfig::threads`]); results are identical
     /// at every thread count.
     pub fn run_until(&mut self, t: TimeMs) {
-        self.sim.run_until_sharded(t);
+        self.sim.run_until(t);
     }
 
     /// Runs the simulation for a further `d`.
     pub fn run_for(&mut self, d: DurationMs) {
-        self.sim.run_for_sharded(d);
+        self.sim.run_for(d);
     }
 
     /// The configured shard/worker-thread count.
@@ -1065,33 +1065,6 @@ mod tests {
         let k4 = run(4);
         assert_eq!(k1.digest, k4.digest);
         assert_eq!(k1, k4);
-    }
-
-    #[test]
-    fn sampling_traces_exactly_the_deterministic_subset() {
-        let run = |k: u64| {
-            let mut config = small_config(Algorithm::Lpbcast);
-            config.trace = TraceConfig::enabled().with_sample_one_in(k);
-            let mut c = GossipCluster::build(config);
-            c.run_until(TimeMs::from_secs(20));
-            let trace = c.trace().unwrap();
-            trace
-                .trees()
-                .per_event()
-                .iter()
-                .map(|s| s.id)
-                .collect::<Vec<_>>()
-        };
-        let all = run(1);
-        let sampled = run(3);
-        let expected: Vec<_> = all
-            .iter()
-            .copied()
-            .filter(|&id| TraceConfig::sample_key(id).is_multiple_of(3))
-            .collect();
-        assert!(!all.is_empty());
-        assert!(sampled.len() < all.len(), "sampling must thin the trace");
-        assert_eq!(sampled, expected);
     }
 
     #[test]

@@ -229,7 +229,6 @@ pub fn run_runtime(config: &Fig9Config) -> std::io::Result<Fig9RuntimeResult> {
         transport: TransportKind::Udp,
         metrics_bin: DurationMs::from_millis(1_000 / u64::from(scale)),
         recovery: None,
-        trace: agb_trace::TraceConfig::disabled(),
         bind_addr: std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
         loss: 0.0,
         telemetry: agb_telemetry::TelemetryConfig::disabled(),

@@ -77,7 +77,6 @@ pub fn runtime_config(seed: u64) -> RuntimeClusterConfig {
         transport: TransportKind::Udp,
         metrics_bin: DurationMs::from_millis(250),
         recovery: Some(RecoveryConfig::default()),
-        trace: agb_trace::TraceConfig::disabled(),
         bind_addr: IpAddr::V4(Ipv4Addr::LOCALHOST),
         loss: TELEMETRY_LOSS,
         telemetry: TelemetryConfig::serving(),
@@ -267,7 +266,6 @@ impl Report for TelemetryReport {
                 names::SEND_ERRORS,
                 names::PUBLISHES,
                 names::DELIVERIES,
-                names::DUPLICATES,
                 names::DROPS,
                 names::RECOVERY_EVENTS,
                 names::ROUNDS,

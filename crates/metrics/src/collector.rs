@@ -40,7 +40,7 @@ pub struct MetricsCollector {
 
 impl MetricsCollector {
     /// Creates a collector for an `n_nodes` group with the given time-bin
-    /// width for rate/series queries.
+    /// width for windowed rate and drop-age queries.
     pub fn new(n_nodes: usize, bin: DurationMs) -> Self {
         MetricsCollector {
             n_nodes,
@@ -49,7 +49,7 @@ impl MetricsCollector {
             admitted: RateMeter::new(bin),
             delivered: RateMeter::new(bin),
             allowed: AllowedRateTracker::new(),
-            recovery: RecoveryStats::new(bin),
+            recovery: RecoveryStats::default(),
             timeline: MembershipTimeline::new(n_nodes),
             catch_up: CatchUpTracker::default(),
         }
@@ -90,13 +90,11 @@ impl MetricsCollector {
                 self.allowed.on_change(node, *new, *at);
             }
             ProtocolEvent::PeriodRollover { .. } => {}
-            ProtocolEvent::RecoveryRequested { ids, at, .. } => {
-                self.recovery.on_requested(*ids, *at);
+            ProtocolEvent::RecoveryRequested { ids, .. } => {
+                self.recovery.on_requested(*ids);
             }
-            ProtocolEvent::RecoveryServed {
-                events, missed, at, ..
-            } => {
-                self.recovery.on_served(*events, *missed, *at);
+            ProtocolEvent::RecoveryServed { events, .. } => {
+                self.recovery.on_served(*events);
             }
             ProtocolEvent::Recovered { at, .. } => {
                 self.recovery.on_recovered();
@@ -277,8 +275,10 @@ mod tests {
                 at: TimeMs::ZERO,
             },
         );
+        // Age-cap removals are end of life, not congestion: only the
+        // overflow drop counts.
         assert_eq!(m.drop_ages().mean_overflow_age(), Some(3.0));
-        assert_eq!(m.drop_ages().mean_age_cap_age(), Some(11.0));
+        assert_eq!(m.drop_ages().overflow_count(), 1);
     }
 
     #[test]

@@ -5,8 +5,9 @@ use agb_types::FastHashMap;
 use agb_core::PurgeReason;
 use agb_types::{DurationMs, RunningStats, TimeMs};
 
-/// Accumulates the ages of purged events, split by purge reason, globally
-/// and per time bin.
+/// Accumulates the ages of overflow (congestion) drops, globally and per
+/// time bin. Age-cap removals are the end of an event's life, not
+/// congestion, so they are not counted.
 ///
 /// The paper's §2.3 observation — the average overflow-drop age at the
 /// congestion knee is a buffer-size-independent constant — is checked by
@@ -23,7 +24,7 @@ use agb_types::{DurationMs, RunningStats, TimeMs};
 /// let mut d = DropAgeStats::new(DurationMs::from_secs(10));
 /// d.record(5, PurgeReason::Overflow, TimeMs::from_secs(1));
 /// d.record(7, PurgeReason::Overflow, TimeMs::from_secs(2));
-/// d.record(11, PurgeReason::AgeCap, TimeMs::from_secs(3));
+/// d.record(11, PurgeReason::AgeCap, TimeMs::from_secs(3)); // not congestion
 /// assert_eq!(d.mean_overflow_age(), Some(6.0));
 /// assert_eq!(d.overflow_count(), 2);
 /// ```
@@ -31,34 +32,29 @@ use agb_types::{DurationMs, RunningStats, TimeMs};
 pub struct DropAgeStats {
     bin: DurationMs,
     overflow: RunningStats,
-    age_cap: RunningStats,
     overflow_bins: FastHashMap<u64, RunningStats>,
 }
 
 impl DropAgeStats {
-    /// Creates a collector with the given time-bin width for series
+    /// Creates a collector with the given time-bin width for windowed
     /// queries.
     pub fn new(bin: DurationMs) -> Self {
         DropAgeStats {
             bin,
             overflow: RunningStats::new(),
-            age_cap: RunningStats::new(),
             overflow_bins: FastHashMap::default(),
         }
     }
 
-    /// Records one purge.
+    /// Records one purge; only overflow drops count.
     pub fn record(&mut self, age: u32, reason: PurgeReason, at: TimeMs) {
-        match reason {
-            PurgeReason::Overflow => {
-                self.overflow.push(f64::from(age));
-                let b = at.as_millis() / self.bin.as_millis().max(1);
-                self.overflow_bins
-                    .entry(b)
-                    .or_default()
-                    .push(f64::from(age));
-            }
-            PurgeReason::AgeCap => self.age_cap.push(f64::from(age)),
+        if reason == PurgeReason::Overflow {
+            self.overflow.push(f64::from(age));
+            let b = at.as_millis() / self.bin.as_millis().max(1);
+            self.overflow_bins
+                .entry(b)
+                .or_default()
+                .push(f64::from(age));
         }
     }
 
@@ -67,19 +63,9 @@ impl DropAgeStats {
         (self.overflow.count() > 0).then(|| self.overflow.mean())
     }
 
-    /// Mean age of age-cap (end-of-life) removals, `None` if none occurred.
-    pub fn mean_age_cap_age(&self) -> Option<f64> {
-        (self.age_cap.count() > 0).then(|| self.age_cap.mean())
-    }
-
     /// Number of overflow drops.
     pub fn overflow_count(&self) -> u64 {
         self.overflow.count()
-    }
-
-    /// Number of age-cap removals.
-    pub fn age_cap_count(&self) -> u64 {
-        self.age_cap.count()
     }
 
     /// Mean overflow drop age over bins starting within `[from, to)`.
@@ -94,18 +80,6 @@ impl DropAgeStats {
         }
         (acc.count() > 0).then(|| acc.mean())
     }
-
-    /// Per-bin mean overflow drop age, in time order.
-    pub fn overflow_series(&self) -> Vec<(TimeMs, f64)> {
-        let bin_ms = self.bin.as_millis().max(1);
-        let mut out: Vec<(TimeMs, f64)> = self
-            .overflow_bins
-            .iter()
-            .map(|(&b, s)| (TimeMs::from_millis(b * bin_ms), s.mean()))
-            .collect();
-        out.sort_by_key(|&(t, _)| t);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -113,33 +87,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn separates_reasons() {
+    fn counts_overflow_drops_only() {
         let mut d = DropAgeStats::new(DurationMs::from_secs(1));
         d.record(4, PurgeReason::Overflow, TimeMs::ZERO);
         d.record(10, PurgeReason::AgeCap, TimeMs::ZERO);
         assert_eq!(d.mean_overflow_age(), Some(4.0));
-        assert_eq!(d.mean_age_cap_age(), Some(10.0));
         assert_eq!(d.overflow_count(), 1);
-        assert_eq!(d.age_cap_count(), 1);
     }
 
     #[test]
     fn empty_means_are_none() {
         let d = DropAgeStats::new(DurationMs::from_secs(1));
         assert_eq!(d.mean_overflow_age(), None);
-        assert_eq!(d.mean_age_cap_age(), None);
-        assert!(d.overflow_series().is_empty());
+        assert_eq!(
+            d.mean_overflow_age_in(TimeMs::ZERO, TimeMs::from_secs(9)),
+            None
+        );
     }
 
     #[test]
-    fn series_bins_in_time_order() {
+    fn windowed_mean_reads_the_bins_starting_inside() {
         let mut d = DropAgeStats::new(DurationMs::from_secs(10));
         d.record(2, PurgeReason::Overflow, TimeMs::from_secs(25));
         d.record(4, PurgeReason::Overflow, TimeMs::from_secs(26));
         d.record(8, PurgeReason::Overflow, TimeMs::from_secs(5));
-        let series = d.overflow_series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0], (TimeMs::ZERO, 8.0));
-        assert_eq!(series[1], (TimeMs::from_secs(20), 3.0));
+        let window =
+            |from, to| d.mean_overflow_age_in(TimeMs::from_secs(from), TimeMs::from_secs(to));
+        assert_eq!(window(0, 10), Some(8.0));
+        assert_eq!(window(10, 20), None);
+        assert_eq!(window(20, 30), Some(3.0));
     }
 }

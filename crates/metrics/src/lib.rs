@@ -13,7 +13,7 @@
 //!   delivered output and the adaptive controller's allowed rate over time
 //!   (Fig. 6, 7(a,b), 9(a));
 //! * **recovery** ([`RecoveryStats`]) — graft/retransmission counters and
-//!   the `recovery_overhead` series of the pull-based repair layer
+//!   the repair cost per delivery of the pull-based repair layer
 //!   (`agb-recovery`);
 //! * **churn** ([`MembershipTimeline`], [`CatchUpTracker`]) — per-node
 //!   up/down intervals, delivery ratios among *correct* nodes, and

@@ -19,9 +19,8 @@ use agb_types::{DurationMs, FastHashMap, NodeId, TimeMs};
 /// }
 /// assert_eq!(m.total(), 3);
 /// // 2 events in [0,1s), 1 in [1s,2s).
-/// let series = m.series();
-/// assert_eq!(series[0].1, 2.0);
-/// assert_eq!(series[1].1, 1.0);
+/// assert_eq!(m.rate_in(TimeMs::ZERO, TimeMs::from_secs(1)), 2.0);
+/// assert_eq!(m.rate_in(TimeMs::from_secs(1), TimeMs::from_secs(2)), 1.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RateMeter {
@@ -47,14 +46,9 @@ impl RateMeter {
 
     /// Records one occurrence at `at`.
     pub fn record(&mut self, at: TimeMs) {
-        self.record_n(at, 1);
-    }
-
-    /// Records `n` occurrences at `at`.
-    pub fn record_n(&mut self, at: TimeMs, n: u64) {
         let b = at.as_millis() / self.bin.as_millis();
-        *self.bins.entry(b).or_default() += n;
-        self.total += n;
+        *self.bins.entry(b).or_default() += 1;
+        self.total += 1;
     }
 
     /// Total occurrences recorded.
@@ -78,26 +72,6 @@ impl RateMeter {
             .map(|(_, &c)| c)
             .sum();
         count as f64 / to.since(from).as_secs_f64()
-    }
-
-    /// `(bin_start, rate per second)` series in time order; empty bins
-    /// between occupied ones are reported as zero.
-    pub fn series(&self) -> Vec<(TimeMs, f64)> {
-        if self.bins.is_empty() {
-            return Vec::new();
-        }
-        let bin_ms = self.bin.as_millis();
-        let lo = *self.bins.keys().min().expect("non-empty");
-        let hi = *self.bins.keys().max().expect("non-empty");
-        (lo..=hi)
-            .map(|b| {
-                let count = self.bins.get(&b).copied().unwrap_or(0);
-                (
-                    TimeMs::from_millis(b * bin_ms),
-                    count as f64 / self.bin.as_secs_f64(),
-                )
-            })
-            .collect()
     }
 }
 
@@ -178,11 +152,6 @@ impl AllowedRateTracker {
         }
         out
     }
-
-    /// Nodes with at least one recorded rate.
-    pub fn node_count(&self) -> usize {
-        self.steps.len()
-    }
 }
 
 #[cfg(test)]
@@ -196,23 +165,12 @@ mod tests {
             m.record(TimeMs::from_secs(s));
         }
         // Bin [0,2s): 2 events -> 1/s. Bin [2s,4s): 3 events -> 1.5/s.
-        let series = m.series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].1, 1.0);
-        assert_eq!(series[1].1, 1.5);
+        let rate = |from, to| m.rate_in(TimeMs::from_secs(from), TimeMs::from_secs(to));
+        assert_eq!(rate(0, 2), 1.0);
+        assert_eq!(rate(2, 4), 1.5);
+        assert_eq!(rate(4, 6), 0.0);
         assert_eq!(m.total(), 5);
-        assert_eq!(m.rate_in(TimeMs::ZERO, TimeMs::from_secs(4)), 1.25);
-    }
-
-    #[test]
-    fn rate_meter_fills_gaps_with_zero() {
-        let mut m = RateMeter::new(DurationMs::from_secs(1));
-        m.record(TimeMs::ZERO);
-        m.record(TimeMs::from_secs(3));
-        let series = m.series();
-        assert_eq!(series.len(), 4);
-        assert_eq!(series[1].1, 0.0);
-        assert_eq!(series[2].1, 0.0);
+        assert_eq!(rate(0, 4), 1.25);
     }
 
     #[test]
@@ -230,7 +188,6 @@ mod tests {
         t.on_change(NodeId::new(0), 1.5, TimeMs::from_secs(10));
         assert_eq!(t.aggregate_at(TimeMs::from_secs(5)), 6.0);
         assert_eq!(t.aggregate_at(TimeMs::from_secs(10)), 4.5);
-        assert_eq!(t.node_count(), 2);
         let series = t.aggregate_series(DurationMs::from_secs(5), TimeMs::from_secs(10));
         assert_eq!(
             series,

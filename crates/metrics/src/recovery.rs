@@ -1,68 +1,41 @@
 //! Aggregates of the pull-based recovery layer (`agb-recovery`).
 
-use agb_types::{DurationMs, TimeMs};
-
-use crate::rates::RateMeter;
-
-/// Counters and overhead series for the recovery control plane, fed from
-/// the `ProtocolEvent::Recovery*` events.
+/// Counters for the recovery control plane, fed from the
+/// `ProtocolEvent::Recovery*` events.
 ///
 /// "Overhead" counts recovery *control messages* (graft requests sent plus
 /// retransmissions served): the traffic the pull layer adds on top of
 /// regular gossip. [`overhead_ratio`](RecoveryStats::overhead_ratio)
 /// normalizes it against deliveries so experiments can report repair cost
 /// per useful delivery.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryStats {
     requests: u64,
     requested_ids: u64,
     serves: u64,
     served_events: u64,
-    cache_misses: u64,
     recovered: u64,
     duplicates: u64,
     abandoned: u64,
     /// Frames actually put on the wire (grafts + non-empty serves);
     /// empty-handed serves send nothing and count nothing here.
     control_messages: u64,
-    overhead: RateMeter,
 }
 
 impl RecoveryStats {
-    /// Creates empty stats with the given time-bin width for the overhead
-    /// series.
-    pub fn new(bin: DurationMs) -> Self {
-        RecoveryStats {
-            requests: 0,
-            requested_ids: 0,
-            serves: 0,
-            served_events: 0,
-            cache_misses: 0,
-            recovered: 0,
-            duplicates: 0,
-            abandoned: 0,
-            control_messages: 0,
-            overhead: RateMeter::new(bin),
-        }
-    }
-
     /// Records a sent graft request carrying `ids` missing ids.
-    pub fn on_requested(&mut self, ids: usize, at: TimeMs) {
+    pub fn on_requested(&mut self, ids: usize) {
         self.requests += 1;
         self.requested_ids += ids as u64;
         self.control_messages += 1;
-        self.overhead.record(at);
     }
 
-    /// Records a served graft: `events` retransmitted, `missed` ids not in
-    /// cache.
-    pub fn on_served(&mut self, events: usize, missed: usize, at: TimeMs) {
+    /// Records a served graft that retransmitted `events` events.
+    pub fn on_served(&mut self, events: usize) {
         self.serves += 1;
         self.served_events += events as u64;
-        self.cache_misses += missed as u64;
         if events > 0 {
             self.control_messages += 1;
-            self.overhead.record(at);
         }
     }
 
@@ -101,11 +74,6 @@ impl RecoveryStats {
         self.served_events
     }
 
-    /// Requested ids that had already left the responder's cache.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
-    }
-
     /// Events delivered through retransmission that were tracked missing.
     pub fn recovered(&self) -> u64 {
         self.recovered
@@ -122,27 +90,9 @@ impl RecoveryStats {
         self.abandoned
     }
 
-    /// The `recovery_overhead` series: recovery control messages per
-    /// second, binned.
-    pub fn overhead_series(&self) -> Vec<(TimeMs, f64)> {
-        self.overhead.series()
-    }
-
-    /// Recovery control messages per second within `[from, to)`.
-    pub fn overhead_rate_in(&self, from: TimeMs, to: TimeMs) -> f64 {
-        self.overhead.rate_in(from, to)
-    }
-
-    /// Recovery control frames actually sent (grafts + non-empty
-    /// retransmissions).
-    pub fn control_messages(&self) -> u64 {
-        self.control_messages
-    }
-
     /// Recovery control messages per delivered message — the headline
     /// repair-cost number (`deliveries` from the collector's meter).
-    /// Consistent with [`overhead_series`](RecoveryStats::overhead_series):
-    /// empty-handed serves send no frame and cost nothing.
+    /// Empty-handed serves send no frame and cost nothing.
     pub fn overhead_ratio(&self, deliveries: u64) -> f64 {
         if deliveries == 0 {
             return 0.0;
@@ -157,11 +107,11 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut s = RecoveryStats::new(DurationMs::from_secs(1));
-        s.on_requested(3, TimeMs::ZERO);
-        s.on_requested(2, TimeMs::from_millis(100));
-        s.on_served(2, 1, TimeMs::from_millis(200));
-        s.on_served(0, 2, TimeMs::from_millis(300));
+        let mut s = RecoveryStats::default();
+        s.on_requested(3);
+        s.on_requested(2);
+        s.on_served(2);
+        s.on_served(0);
         s.on_recovered();
         s.on_duplicate();
         s.on_abandoned();
@@ -169,7 +119,6 @@ mod tests {
         assert_eq!(s.requested_ids(), 5);
         assert_eq!(s.serves(), 2);
         assert_eq!(s.served_events(), 2);
-        assert_eq!(s.cache_misses(), 3);
         assert_eq!(s.recovered(), 1);
         assert_eq!(s.duplicates(), 1);
         assert_eq!(s.abandoned(), 1);
@@ -177,24 +126,19 @@ mod tests {
 
     #[test]
     fn overhead_counts_control_messages() {
-        let mut s = RecoveryStats::new(DurationMs::from_secs(1));
-        s.on_requested(1, TimeMs::from_millis(100));
-        s.on_served(1, 0, TimeMs::from_millis(200));
+        let mut s = RecoveryStats::default();
+        s.on_requested(1);
+        s.on_served(1);
         // Empty-handed serves send no frame, so they add no overhead.
-        s.on_served(0, 1, TimeMs::from_millis(300));
-        let series = s.overhead_series();
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].1, 2.0);
-        assert_eq!(s.overhead_rate_in(TimeMs::ZERO, TimeMs::from_secs(1)), 2.0);
-        // The ratio counts on-wire frames only (1 graft + 1 non-empty
-        // serve), matching the series.
-        assert_eq!(s.control_messages(), 2);
+        s.on_served(0);
+        // The ratio counts on-wire frames only: 1 graft + 1 non-empty
+        // serve.
         assert_eq!(s.overhead_ratio(4), 0.5);
     }
 
     #[test]
     fn ratio_handles_zero_deliveries() {
-        let s = RecoveryStats::new(DurationMs::from_secs(1));
+        let s = RecoveryStats::default();
         assert_eq!(s.overhead_ratio(0), 0.0);
     }
 }

@@ -14,9 +14,10 @@
 //!   returns the frames to send — the `step(event) -> outputs` shape of
 //!   a Maelstrom node. Drivers keep only their own I/O.
 //!
-//! The shell is generic over its observer, so the simulator's hot path
-//! (the trace probe of `agb-trace`) pays no dynamic dispatch; the
-//! runtime pairs the probe with its telemetry as `(A, B)`.
+//! The shell is generic over its observer, so no surface pays dynamic
+//! dispatch on its hot path. Each surface has one observer: the trace
+//! probe of `agb-trace` in the simulator and the Maelstrom adapter, and
+//! the runtime's telemetry handles in the threaded runtime.
 //!
 //! # Example
 //!

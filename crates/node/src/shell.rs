@@ -110,38 +110,6 @@ impl NodeObserver for () {
     }
 }
 
-/// Forwards each listed [`NodeObserver`] method to both halves of a pair.
-macro_rules! forward_to_both {
-    ($($name:ident($($arg:ident: $ty:ty),*);)*) => {$(
-        fn $name(&mut self, $($arg: $ty),*) {
-            self.0.$name($($arg),*);
-            self.1.$name($($arg),*);
-        }
-    )*};
-}
-
-/// Two sinks observing the same facts, first `A` then `B`.
-impl<A: NodeObserver, B: NodeObserver> NodeObserver for (A, B) {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-    forward_to_both! {
-        on_round(at: TimeMs, frames: &[Outgoing], len: usize, capacity: usize);
-        on_heartbeat(at: TimeMs, to: NodeId);
-        on_suspect(at: TimeMs, peer: NodeId);
-        on_detector_evict(at: TimeMs, peer: NodeId);
-        on_rejoin(at: TimeMs, peer: NodeId);
-        on_message(frame: &GossipFrame);
-        on_received(at: TimeMs, from: NodeId, events: &[ProtocolEvent]);
-        on_events(events: &[ProtocolEvent]);
-        on_refused(at: TimeMs, n: u64);
-        on_frames(at: TimeMs, frames: &[Outgoing]);
-        on_view_change(at: TimeMs, view_size: usize);
-        on_lifecycle(at: TimeMs, kind: LifecycleKind);
-        on_shed(at: TimeMs, class: ShedClass);
-    }
-}
-
 /// One input to a [`NodeShell`].
 pub enum Input {
     /// The gossip-round timer fired.

@@ -562,7 +562,7 @@ impl PerfReport {
         }
         for s in &self.scenarios {
             // Percentages are of the *top-level* total — nested phases
-            // (route/encode/decode inside shard_exec) would otherwise be
+            // (route inside shard_exec) would otherwise be
             // double-counted in the denominator.
             let total: u64 = PHASES
                 .iter()

@@ -5,8 +5,8 @@
 /// Phases partition where an engine instant's wall-clock time goes:
 /// lifting the event batch off the queue, executing handlers (serially
 /// or across shards), merging buffered effects back in canonical order,
-/// executing control events, and the cross-cutting routing / codec work
-/// accumulated inside handler execution.
+/// executing control events, and the routing work accumulated inside
+/// handler execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Popping the maximal Deliver/Timer run off the event queue.
@@ -22,21 +22,15 @@ pub enum Phase {
     /// Network routing + per-send RNG draws inside handler execution
     /// (sub-phase of [`Phase::ShardExec`], measured via effect buffers).
     Route,
-    /// Frame encoding (wire serialization).
-    Encode,
-    /// Frame decoding (wire deserialization).
-    Decode,
 }
 
 /// All phases, in reporting order.
-pub const PHASES: [Phase; 7] = [
+pub const PHASES: [Phase; 5] = [
     Phase::BatchLift,
     Phase::ShardExec,
     Phase::Merge,
     Phase::Control,
     Phase::Route,
-    Phase::Encode,
-    Phase::Decode,
 ];
 
 impl Phase {
@@ -49,8 +43,6 @@ impl Phase {
             Phase::Merge => "merge",
             Phase::Control => "control",
             Phase::Route => "route",
-            Phase::Encode => "encode",
-            Phase::Decode => "decode",
         }
     }
 
@@ -62,8 +54,6 @@ impl Phase {
             Phase::Merge => 2,
             Phase::Control => 3,
             Phase::Route => 4,
-            Phase::Encode => 5,
-            Phase::Decode => 6,
         }
     }
 
@@ -71,7 +61,7 @@ impl Phase {
     /// [`Phase::ShardExec`] (affects collapsed-stack frames and keeps
     /// phase percentages from double-counting).
     pub fn nested(self) -> bool {
-        matches!(self, Phase::Route | Phase::Encode | Phase::Decode)
+        self == Phase::Route
     }
 }
 
@@ -91,8 +81,6 @@ mod tests {
     #[test]
     fn nested_phases_are_the_handler_subphases() {
         assert!(Phase::Route.nested());
-        assert!(Phase::Encode.nested());
-        assert!(Phase::Decode.nested());
         assert!(!Phase::ShardExec.nested());
         assert!(!Phase::Merge.nested());
     }

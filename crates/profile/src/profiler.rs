@@ -11,10 +11,6 @@ use std::time::Instant;
 
 use crate::phase::{Phase, PHASES};
 
-/// Number of log2 nanosecond buckets per phase histogram (covers
-/// 1 ns .. ~4 s in powers of two).
-const NS_BUCKETS: usize = 32;
-
 /// Whether profiling is requested for a run.
 ///
 /// A plain on/off toggle kept as a struct so future knobs (sampling
@@ -44,7 +40,6 @@ struct PhaseAcc {
     count: u64,
     items: u64,
     allocs: u64,
-    buckets: [u64; NS_BUCKETS],
 }
 
 impl PhaseAcc {
@@ -53,8 +48,6 @@ impl PhaseAcc {
         self.count += 1;
         self.items += items;
         self.allocs += allocs;
-        let b = (u64::BITS - ns.leading_zeros()) as usize;
-        self.buckets[b.min(NS_BUCKETS - 1)] += 1;
     }
 }
 
@@ -135,7 +128,7 @@ impl Profiler {
     }
 
     /// Attributes externally measured nanoseconds to a phase (used to
-    /// harvest routing / codec time accumulated in per-shard effect
+    /// harvest routing time accumulated in per-shard effect
     /// buffers, where the profiler itself is not reachable).
     pub fn add_ns(&mut self, phase: Phase, ns: u64, items: u64) {
         if ns > 0 || items > 0 {
@@ -180,7 +173,6 @@ impl Profiler {
                         count: acc.count,
                         items: acc.items,
                         allocs: acc.allocs,
-                        buckets: acc.buckets.to_vec(),
                     }
                 })
                 .collect(),
@@ -213,8 +205,6 @@ pub struct PhaseStat {
     pub items: u64,
     /// Allocations attributed (0 unless an alloc counter is wired).
     pub allocs: u64,
-    /// log2-nanosecond duration histogram.
-    pub buckets: Vec<u64>,
 }
 
 /// Frozen profiler state: phase totals plus shard balance.
@@ -291,7 +281,6 @@ mod tests {
         let merge = snap.phase(Phase::Merge);
         assert_eq!(merge.count, 1);
         assert_eq!(merge.items, 7);
-        assert_eq!(merge.buckets.iter().sum::<u64>(), 1);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use agb_node::{Algorithm, Input, NodeShell, StackSpec};
 use agb_profile::ProfileConfig;
 use agb_recovery::RecoveryConfig;
 use agb_telemetry::{Registry, TelemetryConfig, TelemetryServer};
-use agb_trace::{Recorder, TraceConfig, TraceProbe, TraceSummary};
 use agb_types::{DetRng, DurationMs, NodeId, Payload, SeedSequence, TimeMs};
 
 use crate::node::{lock, spawn_node, NodeHandle, NodeRuntime};
@@ -59,11 +58,6 @@ pub struct RuntimeClusterConfig {
     /// Pull-based recovery layer (`agb-recovery`): `Some` wraps every
     /// node in a `RecoverableNode`.
     pub recovery: Option<RecoveryConfig>,
-    /// Causal-trace capture (`agb-trace`). Unlike the simulator, records
-    /// carry wall-clock timestamps relative to the cluster epoch, so the
-    /// digest is not reproducible across runs — use the counters and
-    /// histograms, not the digest, when asserting on threaded runs.
-    pub trace: TraceConfig,
     /// Interface address the UDP transports bind (loopback by default;
     /// a real interface address takes the cluster onto a LAN). Ports are
     /// always OS-assigned — read the chosen ones back with
@@ -114,7 +108,6 @@ impl RuntimeClusterConfig {
             transport: TransportKind::Channel,
             metrics_bin: DurationMs::from_millis(250),
             recovery: None,
-            trace: TraceConfig::disabled(),
             bind_addr: IpAddr::V4(Ipv4Addr::LOCALHOST),
             loss: 0.0,
             telemetry: TelemetryConfig::disabled(),
@@ -152,7 +145,6 @@ struct Spawner<'a> {
     config: &'a RuntimeClusterConfig,
     seeds: SeedSequence,
     metrics: &'a Arc<Mutex<MetricsCollector>>,
-    trace: &'a Option<Arc<Mutex<Recorder>>>,
     registries: &'a [Arc<Registry>],
     shutdown: &'a Arc<AtomicBool>,
     epoch: Instant,
@@ -175,12 +167,11 @@ impl Spawner<'_> {
         if is_sender && config.adaptive {
             lock(self.metrics).set_initial_rate(id, config.adaptation.initial_rate);
         }
-        let telemetry = self
+        let observer = self
             .registries
             .get(i)
             .map(|r| NodeTelemetry::new(r, id, self.epoch))
             .unwrap_or_else(NodeTelemetry::disabled);
-        let observer = (TraceProbe::new(config.trace, id), telemetry);
         spawn_node(
             id,
             NodeRuntime {
@@ -197,7 +188,6 @@ impl Spawner<'_> {
             },
             transport,
             Arc::clone(self.metrics),
-            self.trace.clone(),
             self.epoch,
             Arc::clone(self.shutdown),
         )
@@ -208,7 +198,6 @@ impl Spawner<'_> {
 pub struct RuntimeCluster {
     handles: Vec<NodeHandle>,
     metrics: Arc<Mutex<MetricsCollector>>,
-    trace: Option<Arc<Mutex<Recorder>>>,
     shutdown: Arc<AtomicBool>,
     epoch: Instant,
     /// Per-node metric registries (empty when telemetry is disabled).
@@ -246,11 +235,6 @@ impl RuntimeCluster {
         )));
         let shutdown = Arc::new(AtomicBool::new(false));
         let epoch = Instant::now();
-        let trace = config.trace.enabled.then(|| {
-            Arc::new(Mutex::new(
-                Recorder::new(config.trace).with_round(config.gossip.gossip_period),
-            ))
-        });
         let seeds = SeedSequence::new(config.seed);
         let per_sender = if config.n_senders == 0 {
             0.0
@@ -281,7 +265,6 @@ impl RuntimeCluster {
             config: &config,
             seeds,
             metrics: &metrics,
-            trace: &trace,
             registries: &registries,
             shutdown: &shutdown,
             epoch,
@@ -302,7 +285,6 @@ impl RuntimeCluster {
         Ok(RuntimeCluster {
             handles,
             metrics,
-            trace,
             shutdown,
             epoch,
             registries,
@@ -400,19 +382,6 @@ impl RuntimeCluster {
         lock(&self.metrics).clone()
     }
 
-    /// An aggregate trace summary (`None` unless tracing was enabled in
-    /// the configuration). Timestamps are wall-clock milliseconds since
-    /// the cluster epoch, so the summary is marked
-    /// [`wall_clock`](TraceSummary::wall_clock) and its full `digest`
-    /// varies run to run; compare
-    /// [`stable_digest`](TraceSummary::stable_digest) (counters,
-    /// histograms, tree statistics) across runs instead.
-    pub fn trace_summary(&self, label: &str) -> Option<TraceSummary> {
-        self.trace
-            .as_ref()
-            .map(|recorder| lock(recorder).summary(label).mark_wall_clock())
-    }
-
     /// Stops all node threads and returns the final metrics.
     pub fn stop(self) -> MetricsCollector {
         self.shutdown.store(true, Ordering::Relaxed);
@@ -429,6 +398,16 @@ impl RuntimeCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agb_telemetry::{names, Snapshot};
+
+    /// Every node's registry merged into one cluster-wide snapshot.
+    fn merged_telemetry(cluster: &RuntimeCluster) -> Snapshot {
+        let mut merged = Snapshot::default();
+        for r in cluster.telemetry_registries() {
+            assert!(merged.merge(&r.snapshot()));
+        }
+        merged
+    }
 
     #[test]
     fn channel_cluster_with_recovery_disseminates() {
@@ -530,40 +509,26 @@ mod tests {
     }
 
     #[test]
-    fn traced_cluster_records_dissemination() {
+    fn telemetry_counts_crash_and_restart() {
         let mut config = RuntimeClusterConfig::quick(8, 11);
         config.offered_rate = 20.0;
-        config.trace = TraceConfig::enabled();
+        config.telemetry = TelemetryConfig::recording();
         let cluster = RuntimeCluster::start(config).unwrap();
-        cluster.run_for(Duration::from_millis(600));
+        cluster.run_for(Duration::from_millis(300));
         assert!(cluster.crash(NodeId::new(7)));
         cluster.run_for(Duration::from_millis(200));
         assert!(cluster.restart(NodeId::new(7)));
-        cluster.run_for(Duration::from_millis(400));
-        let summary = cluster.trace_summary("runtime").expect("tracing enabled");
-        assert!(summary.wall_clock, "runtime traces are wall-clock-timed");
-        assert!(summary.counts.publishes > 0, "senders publish");
-        assert!(summary.counts.relays > 0, "rounds relay");
-        assert!(summary.counts.delivers > 0, "receivers deliver");
-        assert_eq!(summary.counts.crashes, 1);
-        assert_eq!(summary.counts.restarts, 1);
-        assert!(summary.occupancy.count() > 0, "rounds snapshot occupancy");
-        assert!(summary.tree.events > 0, "trees observed events");
+        cluster.run_for(Duration::from_millis(200));
+        let merged = merged_telemetry(&cluster);
         let _ = cluster.stop();
-    }
-
-    #[test]
-    fn untraced_cluster_has_no_summary() {
-        let config = RuntimeClusterConfig::quick(2, 12);
-        let cluster = RuntimeCluster::start(config).unwrap();
-        cluster.run_for(Duration::from_millis(100));
-        assert!(cluster.trace_summary("runtime").is_none());
-        let _ = cluster.stop();
+        let lifecycle = |kind| merged.counter(names::LIFECYCLE, &[("kind", kind), ("node", "7")]);
+        assert_eq!(lifecycle("crash"), Some(1));
+        assert_eq!(lifecycle("restart"), Some(1));
     }
 
     #[test]
     fn telemetry_cluster_records_and_serves() {
-        use agb_telemetry::{names, scrape, Snapshot};
+        use agb_telemetry::scrape;
 
         let mut config = RuntimeClusterConfig::quick(4, 7);
         config.offered_rate = 20.0;
@@ -580,10 +545,7 @@ mod tests {
         assert!(body.contains("agb_rounds_total{node=\"0\"}"));
 
         // Merge every node's registry into the cluster-wide snapshot.
-        let mut merged = Snapshot::default();
-        for r in cluster.telemetry_registries() {
-            assert!(merged.merge(&r.snapshot()));
-        }
+        let merged = merged_telemetry(&cluster);
         assert!(
             merged.counter_sum(names::MESSAGES_SENT) > 0,
             "gossip flowed"
@@ -606,18 +568,13 @@ mod tests {
 
     #[test]
     fn profiled_cluster_records_loop_and_dwell_histograms() {
-        use agb_telemetry::{names, Snapshot};
-
         let mut config = RuntimeClusterConfig::quick(4, 23);
         config.offered_rate = 20.0;
         config.telemetry = TelemetryConfig::recording();
         config.profile = ProfileConfig::enabled();
         let cluster = RuntimeCluster::start(config).unwrap();
         cluster.run_for(Duration::from_millis(600));
-        let mut merged = Snapshot::default();
-        for r in cluster.telemetry_registries() {
-            assert!(merged.merge(&r.snapshot()));
-        }
+        let merged = merged_telemetry(&cluster);
         let _ = cluster.stop();
         let iter = merged
             .histogram_merged(names::LOOP_ITERATION_SECONDS)
@@ -638,10 +595,7 @@ mod tests {
         config.telemetry = TelemetryConfig::recording();
         let cluster = RuntimeCluster::start(config).unwrap();
         cluster.run_for(Duration::from_millis(200));
-        let mut merged = Snapshot::default();
-        for r in cluster.telemetry_registries() {
-            assert!(merged.merge(&r.snapshot()));
-        }
+        let merged = merged_telemetry(&cluster);
         let _ = cluster.stop();
         let iter = merged
             .histogram_merged(names::LOOP_ITERATION_SECONDS)
@@ -651,8 +605,6 @@ mod tests {
 
     #[test]
     fn injected_loss_is_counted_and_recovery_repairs() {
-        use agb_telemetry::{names, Snapshot};
-
         let mut config = RuntimeClusterConfig::quick(6, 9);
         config.offered_rate = 30.0;
         config.loss = 0.25;
@@ -664,10 +616,7 @@ mod tests {
             "recording mode starts no servers"
         );
         cluster.run_for(Duration::from_millis(1_200));
-        let mut merged = Snapshot::default();
-        for r in cluster.telemetry_registries() {
-            assert!(merged.merge(&r.snapshot()));
-        }
+        let merged = merged_telemetry(&cluster);
         let _ = cluster.stop();
         assert!(
             merged.counter_sum(names::LOSS_INJECTED) > 0,
@@ -683,7 +632,7 @@ mod tests {
     fn detector_evicts_a_crashed_peer() {
         let mut config = RuntimeClusterConfig::quick(6, 17);
         config.offered_rate = 10.0;
-        config.trace = TraceConfig::enabled();
+        config.telemetry = TelemetryConfig::recording();
         config.detector = Some(DetectorConfig::default());
         let cluster = RuntimeCluster::start(config).unwrap();
         // Let the detectors learn the healthy inter-arrival rhythm first.
@@ -691,18 +640,18 @@ mod tests {
         assert!(cluster.crash(NodeId::new(5)));
         // ~18 silent gossip periods: far past the evict-φ threshold.
         cluster.run_for(Duration::from_millis(900));
-        let summary = cluster.trace_summary("detector").expect("tracing enabled");
+        let merged = merged_telemetry(&cluster);
         let _ = cluster.stop();
         assert!(
-            summary.counts.heartbeats > 0,
+            merged.counter_sum(names::HEARTBEATS) > 0,
             "heartbeat fallback keeps monitored links sampled"
         );
         assert!(
-            summary.counts.suspects > 0,
+            merged.counter_sum(names::SUSPICIONS) > 0,
             "the silent peer crosses the suspicion threshold"
         );
         assert!(
-            summary.counts.detector_evicts > 0,
+            merged.counter_sum(names::DETECTOR_EVICTIONS) > 0,
             "the silent peer is evicted through the protocol path"
         );
     }
@@ -711,22 +660,21 @@ mod tests {
     fn detector_has_no_false_positives_on_a_healthy_cluster() {
         let mut config = RuntimeClusterConfig::quick(6, 23);
         config.offered_rate = 10.0;
-        config.trace = TraceConfig::enabled();
+        config.telemetry = TelemetryConfig::recording();
         config.detector = Some(DetectorConfig::default());
         let cluster = RuntimeCluster::start(config).unwrap();
         cluster.run_for(Duration::from_millis(1_200));
-        let summary = cluster.trace_summary("healthy").expect("tracing enabled");
+        let merged = merged_telemetry(&cluster);
         let _ = cluster.stop();
         assert_eq!(
-            summary.counts.detector_evicts, 0,
+            merged.counter_sum(names::DETECTOR_EVICTIONS),
+            0,
             "no evictions without a fault"
         );
     }
 
     #[test]
     fn byte_adversary_is_survived_and_counted() {
-        use agb_telemetry::{names, Snapshot};
-
         let mut config = RuntimeClusterConfig::quick(6, 31);
         config.offered_rate = 30.0;
         config.recovery = Some(RecoveryConfig::default());
@@ -740,10 +688,7 @@ mod tests {
         });
         let cluster = RuntimeCluster::start(config).unwrap();
         cluster.run_for(Duration::from_millis(1_500));
-        let mut merged = Snapshot::default();
-        for r in cluster.telemetry_registries() {
-            assert!(merged.merge(&r.snapshot()));
-        }
+        let merged = merged_telemetry(&cluster);
         let metrics = cluster.stop();
         // Destructive faults landed and were rejected at decode, never
         // misdelivered — and dissemination still finished.

@@ -34,6 +34,5 @@ mod transport;
 pub mod wire;
 
 pub use cluster::{RuntimeCluster, RuntimeClusterConfig, TransportKind};
-pub use node::{NodeHandle, NodeRuntime, RuntimeObserver};
 pub use telemetry::{read_stamp, stamp_payload, NodeTelemetry, STAMP_LEN};
 pub use transport::{ChannelTransport, Transport, TransportError, UdpTransport, MAX_DATAGRAM};

@@ -11,7 +11,6 @@ use agb_core::GossipFrame;
 use agb_failure::{ByteAdversary, Mutation};
 use agb_metrics::MetricsCollector;
 use agb_node::{Input, NodeObserver, NodeShell, Outgoing, ShedClass};
-use agb_trace::{Recorder, TraceProbe, TraceSink};
 use agb_types::{bernoulli, DetRng, NodeId, Payload, TimeMs};
 use bytes::Bytes;
 
@@ -20,8 +19,8 @@ use crate::transport::{RecvOutcome, Transport, TransportError, MAX_DATAGRAM};
 use crate::wire;
 
 /// Locks `mutex`, taking the guard even if a node thread panicked while
-/// holding it: the collector and recorder only accumulate, so `stop()`
-/// and the snapshots still report what was collected.
+/// holding it: the collector only accumulates, so `stop()` and the
+/// snapshots still report what was collected.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -79,9 +78,7 @@ impl CommandReceiver {
 }
 
 /// Handle to a spawned node thread.
-pub struct NodeHandle {
-    /// The node's identity.
-    pub node: NodeId,
+pub(crate) struct NodeHandle {
     commands: CommandSender,
     pub(crate) join: JoinHandle<()>,
 }
@@ -90,22 +87,18 @@ impl NodeHandle {
     /// Hands the node a control input (an offer, a resize or a lifecycle
     /// transition); returns `false` if the node has stopped. Offers to a
     /// crashed or departed node are dropped.
-    pub fn command(&self, input: Input) -> bool {
+    pub(crate) fn command(&self, input: Input) -> bool {
         self.commands.send(input)
     }
 }
 
-/// What a runtime node reports to: the causal-trace probe and the
-/// wall-clock telemetry handles. A disabled probe or telemetry instance
-/// records nothing, and paced offers are latency-stamped only under
-/// telemetry.
-pub type RuntimeObserver = (TraceProbe, NodeTelemetry);
-
 /// Parameters for one node thread.
-pub struct NodeRuntime {
+pub(crate) struct NodeRuntime {
     /// The node's protocol (plain or recovery-wrapped), its optional
-    /// failure detector, and its observers.
-    pub shell: NodeShell<RuntimeObserver>,
+    /// failure detector, and its telemetry handles. A disabled telemetry
+    /// instance records nothing, and paced offers are latency-stamped
+    /// only under telemetry.
+    pub shell: NodeShell<NodeTelemetry>,
     /// Offered load in msgs/s (0 = pure receiver), constant pacing.
     pub offered_rate: f64,
     /// Payload attached to offered messages.
@@ -205,13 +198,13 @@ impl Egress {
         &mut self,
         out: &mut Vec<Outgoing>,
         at: TimeMs,
-        observer: &mut RuntimeObserver,
+        telemetry: &mut NodeTelemetry,
         transport: &T,
     ) {
         for (to, frame) in out.drain(..) {
-            self.enqueue(to, frame, at, observer);
+            self.enqueue(to, frame, at, telemetry);
         }
-        self.flush(transport, &observer.1);
+        self.flush(transport, telemetry);
     }
 
     /// Queues one frame, shedding under overload: the victim is the
@@ -223,7 +216,7 @@ impl Egress {
         to: NodeId,
         frame: GossipFrame,
         at: TimeMs,
-        observer: &mut RuntimeObserver,
+        telemetry: &mut NodeTelemetry,
     ) {
         const CLASSES: [ShedClass; 3] = [ShedClass::App, ShedClass::Recovery, ShedClass::Control];
         let class = ShedClass::of(&frame);
@@ -233,10 +226,10 @@ impl Egress {
             match (0..=idx).find(|&i| !self.queues[i].is_empty()) {
                 Some(victim) => {
                     self.queues[victim].pop_front();
-                    observer.on_shed(at, CLASSES[victim]);
+                    telemetry.on_shed(at, CLASSES[victim]);
                 }
                 None => {
-                    observer.on_shed(at, class);
+                    telemetry.on_shed(at, class);
                     return;
                 }
             }
@@ -380,38 +373,27 @@ fn send_raw<T: Transport>(
 /// gossip round at the protocol's configured period, control commands, and
 /// constant-rate local offers. All protocol events are drained into the
 /// shared collector.
-pub fn spawn_node<T: Transport>(
+pub(crate) fn spawn_node<T: Transport>(
     id: NodeId,
     runtime: NodeRuntime,
     transport: T,
     metrics: Arc<Mutex<MetricsCollector>>,
-    trace: Option<Arc<Mutex<Recorder>>>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
 ) -> NodeHandle {
     let (commands, cmd_rx) = command_queue();
     let join = std::thread::Builder::new()
         .name(format!("agb-node-{}", id.index()))
-        .spawn(move || {
-            node_loop(
-                id, runtime, transport, metrics, trace, epoch, shutdown, cmd_rx,
-            )
-        })
+        .spawn(move || node_loop(id, runtime, transport, metrics, epoch, shutdown, cmd_rx))
         .expect("spawn node thread");
-    NodeHandle {
-        node: id,
-        commands,
-        join,
-    }
+    NodeHandle { commands, join }
 }
 
-#[allow(clippy::too_many_arguments)] // the node's full wiring, spelled out
 fn node_loop<T: Transport>(
     id: NodeId,
     mut runtime: NodeRuntime,
     transport: T,
     metrics: Arc<Mutex<MetricsCollector>>,
-    trace: Option<Arc<Mutex<Recorder>>>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
     cmd_rx: CommandReceiver,
@@ -432,7 +414,7 @@ fn node_loop<T: Transport>(
     let now_ms = |at: Instant| TimeMs::from_millis(at.duration_since(epoch).as_millis() as u64);
     // The send side: priority queues + shedding + retries + the
     // loss/adversary harnesses (owns the pooled frame encoder).
-    let profiling = runtime.profile && shell.observer().1.enabled();
+    let profiling = runtime.profile && shell.observer().enabled();
     let mut egress = Egress::new(
         runtime.egress_capacity,
         profiling,
@@ -459,13 +441,13 @@ fn node_loop<T: Transport>(
             let woke = Instant::now();
             if let Some(t0) = iter_started {
                 let secs = woke.duration_since(t0).as_secs_f64();
-                shell.observer().1.on_loop_iteration(secs);
+                shell.observer().on_loop_iteration(secs);
             }
             iter_started = Some(woke);
         }
 
         // 0. Release due reorder hold-backs and backed-off retries.
-        egress.pump(&transport, &shell.observer().1);
+        egress.pump(&transport, shell.observer());
 
         // 1. Control inputs.
         while let Some(input) = cmd_rx.try_recv() {
@@ -491,7 +473,7 @@ fn node_loop<T: Transport>(
             // node are lost, not queued) and the command channel
             // responsive.
             if let RecvOutcome::Closed = transport.recv_outcome(Duration::from_millis(5)) {
-                shell.observer().1.on_recv_closed();
+                shell.observer().on_recv_closed();
                 break;
             }
             continue;
@@ -505,7 +487,7 @@ fn node_loop<T: Transport>(
                 let input = if shell.protocol().pending_len() < runtime.max_backlog.max(1) {
                     // Under telemetry, stamp the send time into the payload
                     // so the delivering node can measure end-to-end latency.
-                    let payload = if shell.observer().1.enabled() {
+                    let payload = if shell.observer().enabled() {
                         stamp_payload(&runtime.payload, epoch)
                             .unwrap_or_else(|| runtime.payload.clone())
                     } else {
@@ -528,7 +510,7 @@ fn node_loop<T: Transport>(
             RecvOutcome::Datagram(bytes) => {
                 match wire::decode_frame_interned(&bytes, &mut interner) {
                     Ok(frame) => {
-                        shell.observer().1.on_received(&frame, bytes.len());
+                        shell.observer().on_received(&frame, bytes.len());
                         let at = now_ms(Instant::now());
                         let from = frame.sender();
                         shell.step(at, Input::Frame { from, frame }, &mut out);
@@ -538,14 +520,14 @@ fn node_loop<T: Transport>(
                     // count it, unlike the network. The checksum trailer
                     // guarantees this path never misdelivers an
                     // adversary-mangled frame.
-                    Err(_) => shell.observer().1.on_decode_error(),
+                    Err(_) => shell.observer().on_decode_error(),
                 }
             }
             RecvOutcome::Timeout => {}
             RecvOutcome::Closed => {
                 // Terminal transport teardown: no peer can reach this
                 // node again, so the loop ends.
-                shell.observer().1.on_recv_closed();
+                shell.observer().on_recv_closed();
                 break;
             }
         }
@@ -559,25 +541,13 @@ fn node_loop<T: Transport>(
         }
 
         // 5. Hand the iteration's protocol events to the shared
-        //    collector, and flush buffered trace records into the
-        //    shared recorder.
+        //    collector.
         if !shell.events().is_empty() {
             lock(&metrics).on_events(id, shell.events());
             shell.clear_events();
         }
         let backlog = cmd_rx.len() + shell.protocol().pending_len();
-        let (probe, telemetry) = shell.observer_mut();
-        telemetry.set_queue_depth(backlog);
-        if probe.pending_len() > 0 {
-            if let Some(recorder) = &trace {
-                let mut r = lock(recorder);
-                for record in probe.drain_pending() {
-                    r.record(record);
-                }
-            } else {
-                probe.drain_pending().for_each(drop);
-            }
-        }
+        shell.observer().set_queue_depth(backlog);
     }
 }
 
@@ -630,12 +600,10 @@ mod tests {
                 FullView::new(n),
                 DetRng::seed_from_u64(i as u64),
             ));
-            let probe = TraceProbe::new(agb_trace::TraceConfig::disabled(), id);
-            let observer = (probe, NodeTelemetry::disabled());
             handles.push(spawn_node(
                 id,
                 NodeRuntime {
-                    shell: NodeShell::new(protocol, None, n, observer),
+                    shell: NodeShell::new(protocol, None, n, NodeTelemetry::disabled()),
                     offered_rate: 0.0,
                     payload: Payload::new(),
                     max_backlog: 2,
@@ -648,7 +616,6 @@ mod tests {
                 },
                 transport,
                 Arc::clone(&metrics),
-                None,
                 epoch,
                 Arc::clone(&shutdown),
             ));

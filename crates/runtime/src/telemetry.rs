@@ -325,8 +325,8 @@ impl NodeTelemetry {
     }
 }
 
-/// The telemetry plane counts the shell's facts; frames and trace
-/// detail stay with the trace probe.
+/// The runtime node's one observer: the telemetry plane counts the
+/// shell's facts.
 impl NodeObserver for NodeTelemetry {
     /// Whether recording is active (disabled instances skip payload
     /// stamping too).
@@ -418,13 +418,18 @@ impl NodeObserver for NodeTelemetry {
         }
     }
 
+    /// A crash or restart also forgets the open graft round trips: a
+    /// repair after it must not be timed from a request sent before.
     fn on_lifecycle(&mut self, _at: TimeMs, kind: LifecycleKind) {
-        if let Some(c) = &self.inner {
+        if let Some(c) = &mut self.inner {
             match kind {
                 LifecycleKind::Crash => c.lifecycle_crash.inc(),
                 LifecycleKind::Recover => c.lifecycle_recover.inc(),
                 LifecycleKind::Restart => c.lifecycle_restart.inc(),
                 LifecycleKind::Leave => c.lifecycle_leave.inc(),
+            }
+            if matches!(kind, LifecycleKind::Crash | LifecycleKind::Restart) {
+                c.outstanding.clear();
             }
         }
     }
@@ -559,6 +564,36 @@ mod tests {
             ),
             Some(2)
         );
+    }
+
+    #[test]
+    fn recovery_rtt_forgets_grafts_sent_before_a_crash_or_restart() {
+        use agb_types::{EventId, TimeMs};
+        use LifecycleKind::{Crash, Recover, Restart};
+
+        for outage in [&[Crash, Recover][..], &[Restart]] {
+            let registry = Registry::new();
+            let mut t = NodeTelemetry::new(&registry, NodeId::new(0), Instant::now());
+            let peer = NodeId::new(7);
+            t.on_events(&[ProtocolEvent::RecoveryRequested {
+                to: peer,
+                ids: 1,
+                at: TimeMs::ZERO,
+            }]);
+            for &kind in outage {
+                t.on_lifecycle(TimeMs::from_millis(5), kind);
+            }
+            t.on_events(&[ProtocolEvent::Recovered {
+                id: EventId::new(NodeId::new(1), 4),
+                from: peer,
+                at: TimeMs::from_millis(60),
+            }]);
+            let rtt = registry
+                .snapshot()
+                .histogram_merged(names::RECOVERY_RTT_SECONDS)
+                .unwrap();
+            assert_eq!(rtt.count, 0, "{outage:?}: the outage is not a round trip");
+        }
     }
 
     #[test]

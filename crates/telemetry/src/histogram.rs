@@ -33,13 +33,6 @@ pub fn dwell_seconds_bounds() -> Vec<f64> {
     log_bounds(1e-6, 4.0, 12)
 }
 
-/// Bucket bounds for byte-sized measurements (frame sizes, queue
-/// bytes): 64 B to ~16 MiB in powers of four. Byte histograms need a
-/// dimensionless integer scale, not a seconds scale.
-pub fn bytes_bounds() -> Vec<f64> {
-    log_bounds(64.0, 4.0, 10)
-}
-
 /// A lock-free fixed-bound histogram for wall-clock measurements.
 ///
 /// Buckets are `(-inf, b0], (b0, b1], …, (b_{n-1}, +inf)` over bounds
@@ -112,11 +105,6 @@ impl WallHistogram {
         }
     }
 
-    /// The bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.inner.bounds
-    }
-
     /// A point-in-time copy of the counters. Taken cell by cell while
     /// writers run, so the cells may straddle a sample — each cell is
     /// individually consistent and monotone across snapshots, which is
@@ -151,16 +139,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot over the given bounds.
-    pub fn empty(bounds: &[f64]) -> Self {
-        HistogramSnapshot {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
     /// Element-wise sum with another snapshot over identical bounds —
     /// per-node histograms fold into the cluster-wide distribution.
     /// Returns `false` (and changes nothing) on a bounds mismatch.
@@ -234,14 +212,10 @@ mod tests {
         let idx = dwell.iter().position(|&b| 20e-6 <= b).unwrap();
         assert!(idx > 0, "a 20 µs sample resolves past the first bucket");
         assert!(20e-6 < latency_seconds_bounds()[0]);
-        let bytes = bytes_bounds();
-        assert!(bytes[0] >= 64.0 && *bytes.last().unwrap() > 1e7);
-        // All presets are valid strictly-ascending histogram bounds.
-        for preset in [dwell, bytes] {
-            let h = WallHistogram::new(&preset);
-            h.observe(100.0);
-            assert_eq!(h.snapshot().count, 1);
-        }
+        // The preset is a valid strictly-ascending histogram bound set.
+        let h = WallHistogram::new(&dwell);
+        h.observe(100.0);
+        assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]
@@ -310,6 +284,7 @@ mod tests {
         assert_eq!(p90, 1.0);
         assert_eq!(p99, 4.0);
         assert_eq!(p999, 8.0);
-        assert_eq!(HistogramSnapshot::empty(&[1.0]).quantile(0.5), None);
+        let empty = WallHistogram::new(&[1.0]).snapshot();
+        assert_eq!(empty.quantile(0.5), None);
     }
 }

@@ -70,8 +70,7 @@ pub use bridge::fold_trace_counts;
 pub use config::TelemetryConfig;
 pub use expose::{scrape, TelemetryServer};
 pub use histogram::{
-    bytes_bounds, dwell_seconds_bounds, latency_seconds_bounds, log_bounds, HistogramSnapshot,
-    WallHistogram,
+    dwell_seconds_bounds, latency_seconds_bounds, log_bounds, HistogramSnapshot, WallHistogram,
 };
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;

@@ -45,9 +45,8 @@
 //! ([`latency_seconds_bounds`](crate::latency_seconds_bounds) for
 //! ms-scale end-to-end paths,
 //! [`dwell_seconds_bounds`](crate::dwell_seconds_bounds) for µs-scale
-//! loop and queue internals,
-//! [`bytes_bounds`](crate::bytes_bounds) for sizes) — one uniform
-//! bound set cannot resolve scales three orders of magnitude apart.
+//! loop and queue internals) — one uniform bound set cannot resolve
+//! scales three orders of magnitude apart.
 
 /// `agb_messages_sent_total{node,kind}`.
 pub const MESSAGES_SENT: &str = "agb_messages_sent_total";

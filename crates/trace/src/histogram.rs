@@ -128,16 +128,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// The bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (`bounds().len() + 1` entries; last = overflow).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Rows for a dashboard table: `(bucket label, count)` for every
     /// non-empty bucket.
     pub fn rows(&self) -> Vec<(String, u64)> {
@@ -210,7 +200,7 @@ mod tests {
         h.observe(1.5);
         h.observe(2.0);
         h.observe(9.0);
-        assert_eq!(h.bucket_counts(), &[2, 2, 1]);
+        assert_eq!(h.counts, [2, 2, 1]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), Some(0.5));
         assert_eq!(h.max(), Some(9.0));

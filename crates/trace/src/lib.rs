@@ -48,4 +48,4 @@ pub use probe::TraceProbe;
 pub use record::{DropCause, TraceKind, TraceRecord, TraceSink};
 pub use recorder::{Recorder, TraceCounts};
 pub use summary::{TraceSummary, TRACE_SCHEMA};
-pub use tree::{EventTreeSummary, TreeBuilder, TreeStats};
+pub use tree::{TreeBuilder, TreeStats};

@@ -1,15 +1,14 @@
 //! The harness-side trace producer.
 //!
-//! A [`TraceProbe`] observes one node shell ([`NodeObserver`]) in any
-//! driving harness (simulator cluster node, runtime node loop, Maelstrom
-//! adapter) and turns what the shell reports — outgoing frames, drained
-//! [`ProtocolEvent`]s, detector verdicts, lifecycle transitions — into
-//! [`TraceRecord`]s. Records accumulate in a local buffer so nodes can
-//! stay `Send` and be driven on worker threads; the harness drains the
-//! buffer into a shared [`TraceSink`](crate::TraceSink) at its canonical
-//! merge point (the simulator's post-event hook, the runtime's metrics
-//! flush), which is what keeps the trace stream deterministic under
-//! sharded execution.
+//! A [`TraceProbe`] observes one node shell ([`NodeObserver`]) in a
+//! deterministic driving harness (the simulator's cluster node or the
+//! Maelstrom adapter) and turns what the shell reports — outgoing
+//! frames, drained [`ProtocolEvent`]s, detector verdicts, lifecycle
+//! transitions — into [`TraceRecord`]s. Records accumulate in a local
+//! buffer so nodes can stay `Send` and be driven on worker threads; the
+//! harness drains the buffer into a shared [`TraceSink`](crate::TraceSink)
+//! at its canonical merge point (the simulator's post-event hook), which
+//! is what keeps the trace stream deterministic under sharded execution.
 //!
 //! The probe is purely observational: it never touches protocol state,
 //! draws randomness, or sends messages, so engine results are identical
@@ -59,21 +58,6 @@ impl TraceProbe {
     /// inter-region link cost). Out-of-range ids count as region 0.
     pub fn set_regions(&mut self, regions: Arc<[u32]>) {
         self.regions = Some(regions);
-    }
-
-    /// The region map, if cross-partition accounting is armed.
-    pub fn regions(&self) -> Option<&Arc<[u32]>> {
-        self.regions.as_ref()
-    }
-
-    /// The probe's configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
-    /// Buffered records awaiting a flush.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Drains buffered records in observation order. The harness must
@@ -422,7 +406,7 @@ mod tests {
             at: TimeMs::ZERO,
         }]);
         p.on_lifecycle(TimeMs::ZERO, LifecycleKind::Crash);
-        assert_eq!(p.pending_len(), 0);
+        assert_eq!(p.drain_pending().count(), 0);
     }
 
     #[test]
@@ -475,7 +459,6 @@ mod tests {
         let mut p = TraceProbe::new(TraceConfig::enabled(), NodeId::new(0));
         // Nodes 0-1 in region 0, node 2 in region 1.
         p.set_regions(Arc::from(vec![0u32, 0, 1]));
-        assert!(p.regions().is_some());
         let frames = vec![
             (NodeId::new(1), gossip_frame(0, &[id(0, 0)])), // intra-region
             (NodeId::new(2), gossip_frame(0, &[id(0, 0)])), // cross-region

@@ -269,7 +269,8 @@ impl TraceKind {
 pub struct TraceRecord {
     /// The observing node.
     pub node: NodeId,
-    /// Virtual (simulator) or wall-clock (runtime) time of observation.
+    /// Time of observation on the driver's clock: virtual in the
+    /// simulator, the tick clock in the Maelstrom adapter.
     pub at: TimeMs,
     /// The observing node's gossip-round counter at observation time
     /// (0 before the first round).

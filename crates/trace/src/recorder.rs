@@ -530,7 +530,7 @@ mod tests {
         assert_eq!(r.records().count(), 2);
         assert_eq!(r.evicted(), 3);
         assert_eq!(r.counts().publishes, 5);
-        assert_eq!(r.trees().event_count(), 5);
+        assert_eq!(r.trees().stats().events, 5);
         let retained: Vec<u64> = r
             .records()
             .filter_map(|rec| rec.kind.event_id())

@@ -36,37 +36,21 @@ pub struct TraceSummary {
     pub records_retained: usize,
     /// Raw records evicted from the ring (aggregates still saw them).
     pub records_evicted: u64,
-    /// Whether the trace's timestamps came from a wall clock (the
-    /// threaded runtime) rather than simulated time. Wall-clock traces
-    /// carry real scheduling jitter, so their [`digest`](Self::digest)
-    /// is **not** comparable across runs — compare
-    /// [`stable_digest`](Self::stable_digest) instead.
-    pub wall_clock: bool,
     /// Full FNV-1a digest: the recorder's streaming record digest
     /// (which mixes every record's absolute timestamp) folded with
     /// every aggregate. Identical traces yield identical digests
-    /// across runs and `AGB_THREADS` settings — but only when
-    /// timestamps are deterministic (`wall_clock == false`).
+    /// across runs and `AGB_THREADS` settings.
     pub digest: u64,
     /// Timestamp-shift-invariant FNV-1a digest over the aggregates
     /// only: counts, the four histograms (whose observations are all
     /// time *differences* or sizes), and tree statistics. Two traces
     /// of the same behavior whose records differ only by when the
-    /// clock started yield the same `stable_digest`. This is the
-    /// digest CI compares for wall-clock runs.
+    /// clock started yield the same `stable_digest`. The telemetry and
+    /// resilience reports fold this digest into their own.
     pub stable_digest: u64,
 }
 
 impl TraceSummary {
-    /// Marks this summary as wall-clock-timed (see
-    /// [`wall_clock`](Self::wall_clock)). The threaded runtime calls
-    /// this; simulation traces stay at the default `false`.
-    #[must_use]
-    pub fn mark_wall_clock(mut self) -> Self {
-        self.wall_clock = true;
-        self
-    }
-
     /// JSON form (stable key order; the digests are hex strings because
     /// JSON numbers lose u64 precision).
     pub fn to_json(&self) -> Json {
@@ -85,7 +69,6 @@ impl TraceSummary {
             ("tree", self.tree.to_json()),
             ("records_retained", Json::from(self.records_retained)),
             ("records_evicted", Json::from(self.records_evicted)),
-            ("wall_clock", Json::Bool(self.wall_clock)),
             ("digest", Json::Str(format!("{:#018x}", self.digest))),
             (
                 "stable_digest",
@@ -131,7 +114,6 @@ impl Recorder {
             tree,
             records_retained: self.records().count(),
             records_evicted: self.evicted(),
-            wall_clock: false,
             digest,
             stable_digest,
         }
@@ -185,8 +167,10 @@ mod tests {
             j.get("tree").unwrap().get("deliveries").unwrap().as_u64(),
             Some(1)
         );
-        let digest = j.get("digest").unwrap().as_str().unwrap();
-        assert!(digest.starts_with("0x") && digest.len() == 18, "{digest}");
+        for key in ["digest", "stable_digest"] {
+            let hex = j.get(key).unwrap().as_str().unwrap();
+            assert!(hex.starts_with("0x") && hex.len() == 18, "{key}: {hex}");
+        }
     }
 
     #[test]
@@ -241,19 +225,6 @@ mod tests {
             kind: TraceKind::Crash,
         });
         assert_ne!(base.stable_digest, other.summary("x").stable_digest);
-    }
-
-    #[test]
-    fn wall_clock_marker_defaults_off_and_marks_on() {
-        let s = sample_recorder().summary("x");
-        assert!(!s.wall_clock);
-        assert_eq!(s.to_json().get("wall_clock"), Some(&Json::Bool(false)));
-        let marked = s.mark_wall_clock();
-        assert!(marked.wall_clock);
-        let j = marked.to_json();
-        assert_eq!(j.get("wall_clock"), Some(&Json::Bool(true)));
-        let stable = j.get("stable_digest").unwrap().as_str().unwrap();
-        assert!(stable.starts_with("0x") && stable.len() == 18, "{stable}");
     }
 
     #[test]

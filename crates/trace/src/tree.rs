@@ -35,23 +35,6 @@ struct EventTree {
     relays_by_node: FastHashMap<NodeId, u32>,
 }
 
-/// Per-event summary exposed for dashboards (sorted, deterministic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventTreeSummary {
-    /// The event.
-    pub id: EventId,
-    /// Spanning-tree size: nodes that delivered the event.
-    pub deliveries: u32,
-    /// Redundant arrivals.
-    pub duplicates: u32,
-    /// Deliveries repaired through recovery.
-    pub recovered: u32,
-    /// Spanning-tree depth (deepest delivery's hop count).
-    pub depth: u32,
-    /// Total relay copies sent for this event across all nodes.
-    pub relays: u32,
-}
-
 /// Aggregate dissemination-tree statistics over all traced events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeStats {
@@ -174,34 +157,10 @@ impl TreeBuilder {
         }
     }
 
-    /// Number of distinct event ids observed.
-    pub fn event_count(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Admission time of `id` at its origin, if a `Publish` was traced
     /// (the delivery-latency clock's zero).
     pub fn publish_at(&self, id: EventId) -> Option<TimeMs> {
         self.trees.get(&id).and_then(|t| t.publish_at)
-    }
-
-    /// Per-event summaries, sorted by event id (deterministic output
-    /// regardless of hash-map iteration order).
-    pub fn per_event(&self) -> Vec<EventTreeSummary> {
-        let mut out: Vec<EventTreeSummary> = self
-            .trees
-            .iter()
-            .map(|(&id, t)| EventTreeSummary {
-                id,
-                deliveries: t.deliveries,
-                duplicates: t.duplicates,
-                recovered: t.recovered,
-                depth: t.max_hops,
-                relays: t.relays_by_node.values().sum(),
-            })
-            .collect();
-        out.sort_unstable_by_key(|s| s.id);
-        out
     }
 
     /// Aggregate statistics over all traced events.
@@ -320,16 +279,6 @@ mod tests {
         assert_eq!(stats.recovered, 1);
         assert_eq!(stats.duplicates, 1);
         assert_eq!(stats.redundancy, 2.0);
-    }
-
-    #[test]
-    fn per_event_is_sorted_by_id() {
-        let mut b = TreeBuilder::new();
-        for n in [3u32, 1, 2] {
-            b.observe(&rec(n, TraceKind::Publish { id: id(n, 0) }));
-        }
-        let ids: Vec<EventId> = b.per_event().iter().map(|s| s.id).collect();
-        assert_eq!(ids, vec![id(1, 0), id(2, 0), id(3, 0)]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() {
     let snapshot = cluster.profiler_snapshot().expect("profiling enabled");
 
     // Where does the round go? Percentages over the top-level phases;
-    // route/encode/decode nest inside shard_exec.
+    // route nests inside shard_exec.
     let total = snapshot.top_level_total_ns().max(1);
     println!(
         "\nphase breakdown ({:.1} ms engine time):",

@@ -64,7 +64,7 @@
 //! `Some(RecoveryConfig::default())` and every node piggybacks `IHave`
 //! digests, pulls missing events with `Graft` requests, and serves them
 //! from a bounded retransmission cache. The repair cost is reported by
-//! `metrics().recovery()` and the `recovery_overhead` series:
+//! `metrics().recovery()` and `recovery_overhead_ratio()`:
 //!
 //! ```
 //! use adaptive_gossip::recovery::RecoveryConfig;

@@ -77,10 +77,6 @@ fn recovery_metrics_report_requests_and_overhead() {
         recovery.served_events() >= recovery.recovered(),
         "recoveries are served from caches"
     );
-    assert!(
-        !recovery.overhead_series().is_empty(),
-        "overhead series must be populated"
-    );
     let ratio = m.recovery_overhead_ratio();
     assert!(
         ratio > 0.0 && ratio < 1.0,

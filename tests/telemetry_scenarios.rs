@@ -1,19 +1,19 @@
 //! Acceptance scenarios for the wall-clock telemetry plane
-//! (`agb-telemetry`): a lossy UDP cluster stays scrapeable under load,
-//! the scraped series merge into sane cluster-wide aggregates, transport
-//! failure paths land in the shared vocabulary, and the trace/telemetry
-//! digest split holds (wall-clock summaries advertise themselves and
-//! keep a shift-invariant `stable_digest`).
+//! (`agb-telemetry`), the threaded runtime's one observation plane: a
+//! lossy UDP cluster stays scrapeable under load, the scraped series
+//! merge into sane cluster-wide aggregates, transport failure paths land
+//! in the shared vocabulary, and every node registers the series that
+//! the benchmark and the telemetry report read.
 
 use std::time::Duration;
 
+use adaptive_gossip::profile::ProfileConfig;
 use adaptive_gossip::recovery::RecoveryConfig;
 use adaptive_gossip::runtime::{
     ChannelTransport, RuntimeCluster, RuntimeClusterConfig, Transport, TransportError,
     TransportKind, MAX_DATAGRAM,
 };
 use adaptive_gossip::telemetry::{names, parse_text, scrape, Snapshot, TelemetryConfig};
-use adaptive_gossip::trace::TraceConfig;
 use adaptive_gossip::types::{NodeId, Payload};
 
 fn telemetry_cluster(seed: u64, n: usize) -> RuntimeClusterConfig {
@@ -97,24 +97,53 @@ fn transport_failures_map_onto_the_cause_vocabulary() {
         .expect("normal send");
 }
 
-/// A traced threaded run advertises its wall-clock timestamps and
-/// exposes the shift-invariant digest, so consumers know which digest
-/// to compare.
+/// Every node registers each series that the benchmark's
+/// `udp-loopback` workload (`benchmark/src/udp.rs`) and the `repro
+/// telemetry` report read, whether or not it has moved. A series that
+/// vanished would read as 0 through `Snapshot::counter_sum`, and a
+/// refused-offer count of 0 would look like an improvement.
 #[test]
-fn runtime_trace_summary_is_marked_wall_clock() {
-    let mut config = telemetry_cluster(72, 4);
-    config.trace = TraceConfig::enabled();
+fn every_node_registers_the_series_readers_depend_on() {
+    const COUNTERS: [&str; 13] = [
+        names::MESSAGES_SENT,
+        names::MESSAGES_RECEIVED,
+        names::BYTES_SENT,
+        names::SEND_ERRORS,
+        names::DECODE_ERRORS,
+        names::LOSS_INJECTED,
+        names::PUBLISHES,
+        names::DELIVERIES,
+        names::DROPS,
+        names::RECOVERY_EVENTS,
+        names::ROUNDS,
+        names::OFFERS_REFUSED,
+        names::SHEDS,
+    ];
+    const HISTOGRAMS: [&str; 4] = [
+        names::DELIVERY_LATENCY_SECONDS,
+        names::RECOVERY_RTT_SECONDS,
+        names::EGRESS_DWELL_SECONDS,
+        names::LOOP_ITERATION_SECONDS,
+    ];
+    let mut config = RuntimeClusterConfig::quick(3, 73);
+    config.telemetry = TelemetryConfig::recording();
+    config.profile = ProfileConfig::enabled();
     let cluster = RuntimeCluster::start(config).expect("start");
-    cluster.run_for(Duration::from_millis(400));
-    let summary = cluster.trace_summary("runtime").expect("tracing enabled");
+    let snapshots: Vec<Snapshot> = cluster
+        .telemetry_registries()
+        .iter()
+        .map(|r| r.snapshot())
+        .collect();
     let _ = cluster.stop();
-
-    assert!(summary.wall_clock, "threaded runs are wall-clock-timed");
-    let json = summary.to_json();
-    assert_eq!(json.get("wall_clock").and_then(|j| j.as_bool()), Some(true));
-    let stable = json
-        .get("stable_digest")
-        .and_then(|j| j.as_str())
-        .expect("stable digest serialized");
-    assert_eq!(stable, format!("{:#018x}", summary.stable_digest));
+    assert_eq!(snapshots.len(), 3, "one registry per node");
+    for (node, snap) in snapshots.iter().enumerate() {
+        for name in COUNTERS {
+            let registered = snap.counters.keys().any(|(n, _)| n == name);
+            assert!(registered, "node {node} registers no {name}");
+        }
+        for name in HISTOGRAMS {
+            let registered = snap.histograms.keys().any(|(n, _)| n == name);
+            assert!(registered, "node {node} registers no {name}");
+        }
+    }
 }

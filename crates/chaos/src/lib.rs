@@ -1,4 +1,5 @@
-//! Scripted churn and fault injection for gossip broadcast experiments.
+//! Scripted churn and fault injection for gossip broadcast experiments
+//! on the deterministic simulator.
 //!
 //! The paper's adaptive mechanism exists to keep gossip reliable in
 //! *perturbed* environments, yet its evaluation (and this reproduction's
@@ -14,13 +15,10 @@
 //!   latency/loss episodes, sender burst storms;
 //! * [`ChurnProfile`] — statistics-level scenario description compiled
 //!   into one concrete schedule per seed;
-//! * [`ChaosCluster`] — the simulator executor: compiles a schedule into
-//!   engine actions on an [`agb_workload::GossipCluster`], probes
-//!   membership views for convergence, and produces a [`ChaosSummary`]
-//!   with a stable digest for determinism assertions;
-//! * [`run_runtime_schedule`] — the threaded-runtime executor, replaying
-//!   lifecycle commands against a live
-//!   [`agb_runtime::RuntimeCluster`].
+//! * [`ChaosCluster`] — the executor: compiles a schedule into engine
+//!   actions on an [`agb_workload::GossipCluster`], probes membership
+//!   views for convergence, and produces a [`ChaosSummary`] with a
+//!   stable digest for determinism assertions.
 //!
 //! Churned nodes re-enter through the membership protocol itself
 //! (bootstrap contact + subscription gossip), not by construction; with
@@ -62,11 +60,9 @@
 #![warn(missing_docs)]
 
 mod profile;
-mod runtime;
 mod schedule;
 mod sim;
 
 pub use profile::ChurnProfile;
-pub use runtime::{run_runtime_schedule, RuntimeChaosReport};
 pub use schedule::{ChaosEvent, ChaosSchedule};
 pub use sim::{ChaosCluster, ChaosSummary, ConvergenceRecord};

@@ -1,7 +1,6 @@
 //! The declarative chaos vocabulary: one [`ChaosSchedule`] is a list of
-//! timed [`ChaosEvent`]s, validated against a group size and executed by
-//! the substrate drivers ([`crate::ChaosCluster`] for the simulator,
-//! [`crate::run_runtime_schedule`] for the threaded runtime).
+//! timed [`ChaosEvent`]s, validated against a group size and executed on
+//! the simulator by [`crate::ChaosCluster`].
 
 use agb_failure::AdversaryConfig;
 use agb_types::{DurationMs, NodeId, TimeMs};

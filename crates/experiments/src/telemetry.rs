@@ -1,29 +1,26 @@
 //! Observability experiment — `repro telemetry`: the live wall-clock
-//! telemetry plane exercised end to end, plus its deterministic twin.
+//! telemetry plane exercised end to end.
 //!
-//! Two legs share one metric vocabulary ([`agb_telemetry::names`]):
+//! A threaded [`RuntimeCluster`] runs over real UDP sockets with
+//! sender-side injected loss and pull-based recovery, every node serving
+//! `GET /metrics`. Mid-run, each endpoint is scraped over raw TCP and the
+//! per-node snapshots are merged; the end-of-run registries yield the
+//! live-ops totals and the cluster-wide delivery-latency SLO report
+//! (p50/p90/p99/p999 straight off the summed histogram buckets). Those
+//! numbers are wall-clock: they vary run to run, and prove the plane
+//! works, not that it reproduces.
 //!
-//! * **Runtime leg** — a threaded [`RuntimeCluster`] over real UDP
-//!   sockets with sender-side injected loss and pull-based recovery,
-//!   every node serving `GET /metrics`. Mid-run, each endpoint is
-//!   scraped over raw TCP, the per-node snapshots are merged, and the
-//!   end-of-run registries yield the cluster-wide delivery-latency SLO
-//!   report (p50/p90/p99/p999 straight off the summed histogram
-//!   buckets). Wall-clock numbers vary run to run; this leg proves the
-//!   plane works, not that it reproduces.
-//! * **Sim leg** — the deterministic traced simulation (the
-//!   `repro trace` scenario's adaptive+recovery leg), its
-//!   [`TraceCounts`] folded through
-//!   [`fold_trace_counts`] into the same metric names and rendered as
-//!   Prometheus text. That exposition is byte-identical across runs and
-//!   thread counts, and so is the trace's timestamp-shift-invariant
-//!   `stable_digest`; both feed the repro digest.
-//!
-//! The report renders a live-ops dashboard (traffic, loss, drops,
-//! recovery, SLO quantiles) and machine-readable `TELEMETRY.json`
-//! (schema [`TELEMETRY_SCHEMA`]). Its `runtime` object is wall-clock;
-//! `repro verify` compares everything else byte for byte.
+//! What does reproduce is the vocabulary. Every node registers all of
+//! its series before its thread starts, so the list of series the
+//! cluster exposes is a pure function of the code.
+//! `TELEMETRY.json` (schema [`TELEMETRY_SCHEMA`]) pins that list and an
+//! FNV digest over it; its `runtime` object is wall-clock, and
+//! `repro verify` compares everything else byte for byte. The pin
+//! matters because readers sum series by name through
+//! [`Snapshot::counter_sum`], where a series that vanished reads as 0
+//! instead of failing.
 
+use std::collections::BTreeSet;
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Duration;
 
@@ -31,19 +28,14 @@ use agb_core::{AdaptationConfig, GossipConfig};
 use agb_metrics::{format_f64, Table};
 use agb_recovery::RecoveryConfig;
 use agb_runtime::{RuntimeCluster, RuntimeClusterConfig, TransportKind};
-use agb_telemetry::{
-    fold_trace_counts, names, parse_text, scrape, Registry, Snapshot, TelemetryConfig,
-};
-use agb_trace::TraceCounts;
+use agb_telemetry::{names, parse_text, scrape, Snapshot, TelemetryConfig};
 use agb_types::{fnv1a, json::Json, DurationMs};
-use agb_workload::{Algorithm, GossipCluster};
 
 use crate::common::quick_mode;
 use crate::report::{Report, WallClock};
-use crate::trace::{horizon, trace_cluster};
 
 /// Schema identifier written into `TELEMETRY.json`.
-pub const TELEMETRY_SCHEMA: &str = "agb-telemetry/v1";
+pub const TELEMETRY_SCHEMA: &str = "agb-telemetry/v2";
 
 /// Sender-side injected datagram loss of the runtime leg.
 pub const TELEMETRY_LOSS: f64 = 0.15;
@@ -112,20 +104,6 @@ impl RuntimeLeg {
     }
 }
 
-/// What the deterministic sim leg produced.
-#[derive(Debug, Clone)]
-pub struct SimLeg {
-    /// Protocol label of the traced leg.
-    pub label: &'static str,
-    /// The simulation's per-kind trace counts.
-    pub counts: TraceCounts,
-    /// Timestamp-shift-invariant digest of the trace summary.
-    pub stable_digest: u64,
-    /// The counts folded through the bridge and rendered as Prometheus
-    /// text — byte-identical across runs.
-    pub exposition: String,
-}
-
 /// The whole report behind `repro telemetry` and `TELEMETRY.json`.
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
@@ -135,11 +113,36 @@ pub struct TelemetryReport {
     pub quick: bool,
     /// The wall-clock runtime leg.
     pub runtime: RuntimeLeg,
-    /// The deterministic sim leg.
-    pub sim: SimLeg,
-    /// Stable FNV digest over the reproducible subset (the sim leg's
-    /// exposition text and stable trace digest).
+    /// Every series the runtime leg's nodes registered, written
+    /// `name{label="value",…}` without the `node` label, sorted.
+    pub series: Vec<String>,
+    /// FNV digest over `series`, one per line.
     pub repro_digest: u64,
+}
+
+/// Every series in `snapshot`, written `name{label="value",…}` without
+/// the `node` label, sorted and de-duplicated: the cluster's metric
+/// vocabulary, whatever the group size.
+fn series_list(snapshot: &Snapshot) -> Vec<String> {
+    let ids = snapshot.counters.keys();
+    let ids = ids
+        .chain(snapshot.gauges.keys())
+        .chain(snapshot.histograms.keys());
+    let series: BTreeSet<String> = ids
+        .map(|(name, labels)| {
+            let labels: Vec<String> = labels
+                .iter()
+                .filter(|(k, _)| k != "node")
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .collect();
+            if labels.is_empty() {
+                name.clone()
+            } else {
+                format!("{name}{{{}}}", labels.join(","))
+            }
+        })
+        .collect();
+    series.into_iter().collect()
 }
 
 /// Runs the wall-clock runtime leg: sustained publish traffic under
@@ -190,27 +193,6 @@ pub fn run_runtime_leg(seed: u64) -> std::io::Result<RuntimeLeg> {
     })
 }
 
-/// Runs the deterministic sim leg and folds its counts through the
-/// bridge into rendered Prometheus text.
-pub fn run_sim_leg(seed: u64) -> SimLeg {
-    let label = "adaptive+recovery";
-    let mut cluster = GossipCluster::build(trace_cluster(Algorithm::Adaptive, true, true, seed));
-    cluster.run_until(horizon());
-    let summary = cluster.trace_summary(label).expect("tracing enabled");
-    let registry = Registry::new();
-    fold_trace_counts(
-        &registry,
-        &[("leg", label), ("surface", "sim")],
-        &summary.counts,
-    );
-    SimLeg {
-        label,
-        counts: summary.counts,
-        stable_digest: summary.stable_digest,
-        exposition: registry.render(),
-    }
-}
-
 impl Report for TelemetryReport {
     const NAME: &'static str = "telemetry";
     const FILE: &'static str = "TELEMETRY.json";
@@ -221,28 +203,25 @@ impl Report for TelemetryReport {
         tables: true,
     };
 
-    /// Runs both legs and assembles the report.
+    /// Runs the runtime leg and lists the series it registered.
     ///
     /// # Errors
     ///
     /// Propagates socket errors from the runtime leg.
     fn run(seed: u64) -> std::io::Result<Self> {
         let runtime = run_runtime_leg(seed)?;
-        let sim = run_sim_leg(seed);
-        let mut buf = sim.exposition.clone().into_bytes();
-        buf.extend_from_slice(&sim.stable_digest.to_le_bytes());
-        let repro_digest = fnv1a(&buf);
+        let series = series_list(&runtime.snapshot);
+        let repro_digest = fnv1a(series.join("\n").as_bytes());
         Ok(TelemetryReport {
             seed,
             quick: quick_mode(),
             runtime,
-            sim,
+            series,
             repro_digest,
         })
     }
 
-    /// The live-ops dashboard and the SLO report (both wall-clock), then
-    /// the deterministic sim leg.
+    /// The live-ops dashboard and the SLO report, both wall-clock.
     fn tables(&self) -> Vec<Table> {
         // Cluster-wide traffic, loss, drop, and recovery totals off the
         // merged end-of-run snapshot.
@@ -307,7 +286,7 @@ impl Report for TelemetryReport {
                     |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format_f64(x * 1_000.0));
                 t.row(&[
                     name.to_string(),
-                    h.count.to_string(),
+                    h.count().to_string(),
                     ms(h.mean()),
                     ms(h.quantile(0.5)),
                     ms(h.quantile(0.9)),
@@ -317,29 +296,10 @@ impl Report for TelemetryReport {
             }
             t
         };
-        // The deterministic twin: the sim leg's counters as folded through
-        // the bridge — same metric names as the live plane, reproducible
-        // values.
-        let sim = {
-            let mut t = Table::new(
-                format!(
-                    "Telemetry: deterministic sim leg ({}) through the bridge",
-                    self.sim.label
-                ),
-                &["metric", "labels", "value"],
-            );
-            let parsed = parse_text(&self.sim.exposition);
-            for ((name, labels), value) in &parsed.counters {
-                let rendered: Vec<String> =
-                    labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                t.row(&[name.clone(), rendered.join(","), value.to_string()]);
-            }
-            t
-        };
-        vec![liveops, slo, sim]
+        vec![liveops, slo]
     }
 
-    /// Either leg fails when it produced none of the evidence the
+    /// The runtime leg fails when it produced none of the evidence the
     /// experiment is after.
     fn failures(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -361,14 +321,8 @@ impl Report for TelemetryReport {
             out.push("runtime: injected loss never fired".into());
         }
         match s.histogram_merged(names::DELIVERY_LATENCY_SECONDS) {
-            Some(h) if h.count > 0 => {}
+            Some(h) if h.count() > 0 => {}
             _ => out.push("runtime: delivery-latency histogram is empty".into()),
-        }
-        if self.sim.counts.delivers == 0 {
-            out.push("sim: no deliveries traced".into());
-        }
-        if !self.sim.exposition.contains(names::DELIVERIES) {
-            out.push("sim: bridge exposition is missing the shared vocabulary".into());
         }
         out
     }
@@ -419,16 +373,8 @@ impl Report for TelemetryReport {
                 ]),
             ),
             (
-                "sim",
-                Json::obj([
-                    ("label", Json::from(self.sim.label)),
-                    ("counts", self.sim.counts.to_json()),
-                    (
-                        "stable_digest",
-                        Json::Str(format!("{:#018x}", self.sim.stable_digest)),
-                    ),
-                    ("exposition", Json::Str(self.sim.exposition.clone())),
-                ]),
+                "series",
+                Json::Arr(self.series.iter().map(|s| Json::from(s.as_str())).collect()),
             ),
             (
                 "repro_digest",
@@ -457,17 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_leg_is_reproducible_and_uses_shared_names() {
-        let a = run_sim_leg(5);
-        let b = run_sim_leg(5);
-        assert_eq!(a.exposition, b.exposition, "exposition must be stable");
-        assert_eq!(a.stable_digest, b.stable_digest);
-        assert!(a.counts.delivers > 0);
-        assert!(a.exposition.contains(names::DELIVERIES));
-        assert!(a.exposition.contains("surface=\"sim\""));
-    }
-
-    #[test]
     fn full_report_round_trips_and_diffs_clean() {
         let report = TelemetryReport::run(9).expect("runtime leg starts");
         assert_eq!(report.failures(), Vec::<String>::new());
@@ -478,16 +413,21 @@ mod tests {
             parsed.get("repro_digest").unwrap().as_str(),
             Some(format!("{:#018x}", report.repro_digest).as_str())
         );
-        // The reproducible subset really is reproducible: the sim leg
-        // re-run yields the identical repro JSON.
-        let again = run_sim_leg(9);
-        assert_eq!(again.exposition, report.sim.exposition);
+        // The series list is a pure function of the code: one node's
+        // telemetry, registered and never run, yields the same list.
+        let registry = agb_telemetry::Registry::new();
+        let node = agb_types::NodeId::new(0);
+        let _ = agb_runtime::NodeTelemetry::new(&registry, node, std::time::Instant::now());
+        assert_eq!(report.series, series_list(&registry.snapshot()));
+        assert!(report
+            .series
+            .contains(&"agb_drops_total{cause=\"age\"}".to_string()));
+        assert!(report.series.iter().all(|s| !s.contains("node=")));
         // Dashboard tables render.
         let tables = report.tables();
         assert!(tables[0].to_string().contains("agb_deliveries_total"));
         assert!(tables[1]
             .to_string()
             .contains("agb_delivery_latency_seconds"));
-        assert!(tables[2].to_string().contains("surface=sim"));
     }
 }

@@ -13,11 +13,11 @@
 //! Every leg is also re-run with tracing *disabled* and the engine
 //! determinism checksums compared: capture must be a pure observer.
 
-use agb_metrics::Table;
+use agb_metrics::{format_f64, Table};
 use agb_recovery::RecoveryConfig;
 use agb_sim::Partition;
 use agb_trace::{TraceConfig, TraceSummary, TRACE_SCHEMA};
-use agb_types::{fnv1a, json::Json, DurationMs, NodeId, TimeMs};
+use agb_types::{fnv1a, json::Json, DurationMs, Histogram, NodeId, TimeMs};
 use agb_workload::{Algorithm, ClusterConfig, GossipCluster};
 
 use crate::common::quick_mode;
@@ -47,7 +47,7 @@ pub fn n_nodes() -> usize {
 }
 
 /// Run horizon.
-pub fn horizon() -> TimeMs {
+fn horizon() -> TimeMs {
     TimeMs::from_secs(if quick_mode() { 60 } else { 90 })
 }
 
@@ -62,7 +62,7 @@ fn protocols() -> [(&'static str, Algorithm, bool); 3] {
 
 /// The cluster configuration of one leg. `traced` toggles capture; the
 /// engine results must not depend on it (checked by the parity leg).
-pub fn trace_cluster(
+fn trace_cluster(
     algorithm: Algorithm,
     with_recovery: bool,
     traced: bool,
@@ -330,7 +330,7 @@ impl Report for TraceReport {
                 format!("Trace: delivery latency (rounds) — {}", run.label),
                 &["bucket", "deliveries"],
             );
-            for (bucket, count) in run.summary.latency.rows() {
+            for (bucket, count) in bucket_rows(&run.summary.latency) {
                 t.row(&[bucket, count.to_string()]);
             }
             tables.push(t);
@@ -390,6 +390,17 @@ impl Report for TraceReport {
     }
 }
 
+/// `(bucket label, count)` for every non-empty bucket of `h`.
+fn bucket_rows(h: &Histogram) -> Vec<(String, u64)> {
+    let last = h.bounds().last().copied().unwrap_or(0.0);
+    let label = |idx| match h.bounds().get(idx) {
+        Some(&b) => format!("<= {}", format_f64(b)),
+        None => format!("> {}", format_f64(last)),
+    };
+    let rows = h.counts().iter().enumerate().filter(|&(_, &c)| c > 0);
+    rows.map(|(idx, &c)| (label(idx), c)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,6 +419,15 @@ mod tests {
                 .trace
                 .enabled
         );
+    }
+
+    #[test]
+    fn bucket_rows_label_overflow_and_skip_empty() {
+        let mut h = Histogram::new(&[1.0, 2.0]);
+        h.observe(0.5);
+        h.observe(5.0);
+        let rows = bucket_rows(&h);
+        assert_eq!(rows, [("<= 1".to_string(), 1), ("> 2".to_string(), 1)]);
     }
 
     #[test]

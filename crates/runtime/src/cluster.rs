@@ -558,7 +558,7 @@ mod tests {
         let lat = merged
             .histogram_merged(names::DELIVERY_LATENCY_SECONDS)
             .expect("stamped payloads measured end-to-end latency");
-        assert!(lat.count > 0, "latency samples recorded");
+        assert!(lat.count() > 0, "latency samples recorded");
         assert!(
             lat.quantile(0.5).unwrap() < 16.0,
             "p50 within the bucket range"
@@ -579,11 +579,11 @@ mod tests {
         let iter = merged
             .histogram_merged(names::LOOP_ITERATION_SECONDS)
             .expect("loop-iteration histogram registered");
-        assert!(iter.count > 0, "iterations recorded");
+        assert!(iter.count() > 0, "iterations recorded");
         let dwell = merged
             .histogram_merged(names::EGRESS_DWELL_SECONDS)
             .expect("egress-dwell histogram registered");
-        assert!(dwell.count > 0, "dwell samples recorded");
+        assert!(dwell.count() > 0, "dwell samples recorded");
         // The dwell preset resolves µs-scale samples: a healthy
         // channel-transport cluster flushes its egress queue within the
         // same loop iteration, far under one second at p50.
@@ -600,7 +600,7 @@ mod tests {
         let iter = merged
             .histogram_merged(names::LOOP_ITERATION_SECONDS)
             .expect("registered but unrecorded");
-        assert_eq!(iter.count, 0, "profile handle off records nothing");
+        assert_eq!(iter.count(), 0, "profile handle off records nothing");
     }
 
     #[test]

@@ -116,7 +116,10 @@ impl NodeTelemetry {
         NodeTelemetry { inner: None }
     }
 
-    /// Registers this node's series in `registry` and keeps the handles.
+    /// Registers every series of this node in `registry` and keeps the
+    /// handles. The cluster calls this before the node thread starts and
+    /// nothing registers later, so the series a node exposes are a pure
+    /// function of the code (`TELEMETRY.json` pins the list).
     pub fn new(registry: &Registry, node: NodeId, epoch: Instant) -> Self {
         let node_s = node.index().to_string();
         let n = node_s.as_str();
@@ -523,11 +526,11 @@ mod tests {
         let lat = snap
             .histogram_merged(names::DELIVERY_LATENCY_SECONDS)
             .unwrap();
-        assert_eq!(lat.count, 1);
+        assert_eq!(lat.count(), 1);
         assert!(
-            lat.sum >= 0.5,
+            lat.sum() >= 0.5,
             "observed ~0.5 s of latency, got {}",
-            lat.sum
+            lat.sum()
         );
     }
 
@@ -556,7 +559,7 @@ mod tests {
         }]);
         let snap = registry.snapshot();
         let rtt = snap.histogram_merged(names::RECOVERY_RTT_SECONDS).unwrap();
-        assert_eq!(rtt.count, 1);
+        assert_eq!(rtt.count(), 1);
         assert_eq!(
             snap.counter(
                 names::RECOVERY_EVENTS,
@@ -592,7 +595,7 @@ mod tests {
                 .snapshot()
                 .histogram_merged(names::RECOVERY_RTT_SECONDS)
                 .unwrap();
-            assert_eq!(rtt.count, 0, "{outage:?}: the outage is not a round trip");
+            assert_eq!(rtt.count(), 0, "{outage:?}: the outage is not a round trip");
         }
     }
 

@@ -3,6 +3,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use agb_types::Histogram;
+
 /// Generates `n` log-spaced bucket upper bounds: `start, start*factor,
 /// start*factor^2, …` — the standard shape for latency distributions,
 /// where relative error matters and the tail spans orders of magnitude.
@@ -35,14 +37,15 @@ pub fn dwell_seconds_bounds() -> Vec<f64> {
 
 /// A lock-free fixed-bound histogram for wall-clock measurements.
 ///
-/// Buckets are `(-inf, b0], (b0, b1], …, (b_{n-1}, +inf)` over bounds
-/// fixed at construction, like [`agb_trace::Histogram`] — fixed bounds
-/// are what make two histograms (two nodes, two scrapes, two runs)
-/// *mergeable* by summing counters, which is how cluster-wide
-/// p50/p99/p999 are computed from per-node scrapes. Unlike the trace
-/// histogram, every cell is an atomic: recording is one relaxed
-/// `fetch_add` per sample plus a CAS loop for the running sum, so nodes
-/// record on their hot loops without a lock.
+/// It buckets like the plain [`Histogram`] its
+/// [`snapshot`](WallHistogram::snapshot) returns, over bounds fixed at
+/// construction — fixed bounds are what make two histograms (two nodes,
+/// two scrapes, two runs) *mergeable* by summing counters, which is how
+/// cluster-wide p50/p99/p999 are computed from per-node scrapes. Unlike
+/// the plain histogram, every cell is an atomic: recording is one
+/// relaxed `fetch_add` per sample plus a CAS loop for the running sum,
+/// so nodes record on their hot loops without a lock. It keeps no
+/// minimum or maximum.
 #[derive(Debug, Clone)]
 pub struct WallHistogram {
     inner: Arc<Cells>,
@@ -83,12 +86,7 @@ impl WallHistogram {
             return;
         }
         let cells = &*self.inner;
-        let idx = cells
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(cells.bounds.len());
-        cells.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        cells.buckets[Histogram::bucket(&cells.bounds, value)].fetch_add(1, Ordering::Relaxed);
         cells.count.fetch_add(1, Ordering::Relaxed);
         let mut cur = cells.sum_bits.load(Ordering::Relaxed);
         loop {
@@ -109,84 +107,19 @@ impl WallHistogram {
     /// writers run, so the cells may straddle a sample — each cell is
     /// individually consistent and monotone across snapshots, which is
     /// the usual Prometheus scrape contract.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub fn snapshot(&self) -> Histogram {
         let cells = &*self.inner;
-        HistogramSnapshot {
-            bounds: cells.bounds.clone(),
-            counts: cells
+        Histogram::from_counts(
+            cells.bounds.clone(),
+            cells
                 .buckets
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            count: cells.count.load(Ordering::Relaxed),
-            sum: f64::from_bits(cells.sum_bits.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// An owned copy of a histogram's counters — what a scrape yields and
-/// what per-node results merge into.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Bucket upper bounds.
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts; `bounds.len() + 1` entries, last = overflow.
-    pub counts: Vec<u64>,
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: f64,
-}
-
-impl HistogramSnapshot {
-    /// Element-wise sum with another snapshot over identical bounds —
-    /// per-node histograms fold into the cluster-wide distribution.
-    /// Returns `false` (and changes nothing) on a bounds mismatch.
-    #[must_use]
-    pub fn merge(&mut self, other: &HistogramSnapshot) -> bool {
-        if self.bounds != other.bounds || self.counts.len() != other.counts.len() {
-            return false;
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        true
-    }
-
-    /// Exact mean of the recorded samples, if any.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Approximate `q`-quantile (`0.0..=1.0`): the upper bound of the
-    /// first bucket whose cumulative count reaches `q * count`; the
-    /// overflow bucket reports the last finite bound (the snapshot does
-    /// not carry a max).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.bounds[idx.min(self.bounds.len().saturating_sub(1))]);
-            }
-        }
-        self.bounds.last().copied()
-    }
-
-    /// The p50/p90/p99/p999 quantiles in one call (the SLO report row).
-    pub fn slo_quantiles(&self) -> Option<[f64; 4]> {
-        Some([
-            self.quantile(0.5)?,
-            self.quantile(0.9)?,
-            self.quantile(0.99)?,
-            self.quantile(0.999)?,
-        ])
+            cells.count.load(Ordering::Relaxed),
+            f64::from_bits(cells.sum_bits.load(Ordering::Relaxed)),
+        )
+        .expect("the cells were built over ascending bounds, one bucket more")
     }
 }
 
@@ -215,7 +148,7 @@ mod tests {
         // The preset is a valid strictly-ascending histogram bound set.
         let h = WallHistogram::new(&dwell);
         h.observe(100.0);
-        assert_eq!(h.snapshot().count, 1);
+        assert_eq!(h.snapshot().count(), 1);
     }
 
     #[test]
@@ -226,9 +159,9 @@ mod tests {
         }
         h.observe(f64::NAN);
         let s = h.snapshot();
-        assert_eq!(s.counts, vec![2, 2, 1]);
-        assert_eq!(s.count, 5);
-        assert!((s.sum - 14.0).abs() < 1e-9);
+        assert_eq!(s.counts(), vec![2, 2, 1]);
+        assert_eq!(s.count(), 5);
+        assert!((s.sum() - 14.0).abs() < 1e-9);
         assert_eq!(s.mean(), Some(2.8));
     }
 
@@ -246,26 +179,15 @@ mod tests {
             }
         });
         let s = h.snapshot();
-        assert_eq!(s.count, 40_000);
-        assert_eq!(s.counts.iter().sum::<u64>(), 40_000);
+        assert_eq!(s.count(), 40_000);
+        assert_eq!(s.counts().iter().sum::<u64>(), 40_000);
         // Sum survived the CAS races: 4 * sum over i of 0.0005*((i%7)+1).
         let expected: f64 = (0..40_000).map(|i| 0.0005 * ((i % 7 + 1) as f64)).sum();
-        assert!((s.sum - expected).abs() < 1e-6, "{} vs {expected}", s.sum);
-    }
-
-    #[test]
-    fn merge_requires_identical_bounds() {
-        let a = WallHistogram::new(&[1.0, 2.0]);
-        a.observe(0.5);
-        let b = WallHistogram::new(&[1.0, 2.0]);
-        b.observe(5.0);
-        let mut m = a.snapshot();
-        assert!(m.merge(&b.snapshot()));
-        assert_eq!(m.counts, vec![1, 0, 1]);
-        assert_eq!(m.count, 2);
-        let other = WallHistogram::new(&[1.0, 3.0]).snapshot();
-        assert!(!m.merge(&other));
-        assert_eq!(m.count, 2, "failed merge must not change anything");
+        assert!(
+            (s.sum() - expected).abs() < 1e-6,
+            "{} vs {expected}",
+            s.sum()
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! it did, after the fact. This crate is the other half of the
 //! observability story: what a **real, running** cluster is doing *right
 //! now*, over real sockets, under real schedulers — where timestamps are
-//! wall-clock and nothing is replayable. The pieces:
+//! wall-clock and nothing is replayable. Both planes bucket their
+//! distributions into the one plain [`Histogram`](agb_types::Histogram).
+//! The pieces:
 //!
 //! * [`Counter`] / [`Gauge`] / [`WallHistogram`] — lock-free metric
 //!   primitives. Counters and gauges are single atomics; histograms are
@@ -24,10 +26,7 @@
 //!   per-node snapshots into cluster-wide aggregates — log-bucketed
 //!   histograms merge exactly, so cluster-wide p50/p99/p999 come
 //!   straight off the summed buckets.
-//! * [`fold_trace_counts`] — the bridge from `agb-trace`'s
-//!   deterministic [`TraceCounts`](agb_trace::TraceCounts) into the same
-//!   metric vocabulary, so simulator runs and wall-clock runs report
-//!   under one set of names (see [`names`]).
+//! * [`names`] — the metric vocabulary every runtime node registers.
 //!
 //! # Example
 //!
@@ -57,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bridge;
 mod config;
 mod expose;
 mod histogram;
@@ -66,12 +64,9 @@ pub mod names;
 mod registry;
 mod text;
 
-pub use bridge::fold_trace_counts;
 pub use config::TelemetryConfig;
 pub use expose::{scrape, TelemetryServer};
-pub use histogram::{
-    dwell_seconds_bounds, latency_seconds_bounds, log_bounds, HistogramSnapshot, WallHistogram,
-};
+pub use histogram::{dwell_seconds_bounds, latency_seconds_bounds, log_bounds, WallHistogram};
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
 pub use text::{parse_text, SeriesId, Snapshot};

@@ -1,45 +1,40 @@
-//! The shared metric vocabulary.
+//! The runtime's metric vocabulary.
 //!
-//! One set of names serves every execution surface: the threaded
-//! runtime's live instrumentation registers these directly, and the
-//! [`fold_trace_counts`](crate::fold_trace_counts) bridge folds a
-//! deterministic simulation's [`TraceCounts`](agb_trace::TraceCounts)
-//! into the same names — so a Grafana board (or the `repro telemetry`
-//! dashboard) reads identically whichever surface produced the numbers.
+//! Each runtime node registers every series below when its telemetry is
+//! built, before the node thread starts, so every scrape of a node lists
+//! the whole table. `TELEMETRY.json` pins the resulting series list
+//! (every label but `node`), and `repro verify` fails when a series
+//! appears or vanishes.
 //!
 //! | Metric | Type | Labels | Meaning |
 //! |--------|------|--------|---------|
 //! | [`MESSAGES_SENT`] | counter | `node`, `kind` | frames handed to the transport (`gossip`/`graft`/`retransmit`) |
-//! | [`MESSAGES_RECEIVED`] | counter | `node`, `kind` | frames decoded off the transport |
+//! | [`MESSAGES_RECEIVED`] | counter | `node`, `kind` | frames decoded off the transport (`gossip`/`graft`/`retransmit`) |
 //! | [`BYTES_SENT`] | counter | `node` | datagram payload bytes sent |
 //! | [`BYTES_RECEIVED`] | counter | `node` | datagram payload bytes received |
 //! | [`SEND_ERRORS`] | counter | `node`, `cause` | transport send failures (`io`/`oversize`/`unknown_peer`) |
 //! | [`DECODE_ERRORS`] | counter | `node` | datagrams that failed frame decoding |
 //! | [`LOSS_INJECTED`] | counter | `node` | datagrams dropped by the injected-loss harness |
 //! | [`PUBLISHES`] | counter | `node` | locally admitted broadcasts |
-//! | [`RELAYS`] | counter | `node` | forwarded event copies |
 //! | [`DELIVERIES`] | counter | `node` | first deliveries to the application |
-//! | [`DUPLICATES`] | counter | `node` | redundant gossip arrivals |
 //! | [`DROPS`] | counter | `node`, `cause` | buffer/throttle drops (`age`/`size`/`congestion`) |
-//! | [`RECOVERY_EVENTS`] | counter | `node`, `kind` | recovery plane (`ihave`/`graft`/`retransmit`/`recovered`/`duplicate`/`abandoned`) |
-//! | [`VIEW_CHANGES`] | counter | `node` | membership-view size changes |
-//! | [`CROSS_PARTITION_MSGS`] | counter | `node` | gossip frames sent across a topology-region boundary |
-//! | [`LIFECYCLE`] | counter | `node`, `kind` | `crash`/`restart`/`recover`/`leave` transitions and detector `rejoin`s |
+//! | [`RECOVERY_EVENTS`] | counter | `node`, `kind` | recovery plane (`graft`/`retransmit`/`recovered`/`duplicate`/`abandoned`) |
+//! | [`LIFECYCLE`] | counter | `node`, `kind` | `crash`/`recover`/`restart`/`leave` transitions and detector `rejoin`s |
 //! | [`ROUNDS`] | counter | `node` | gossip rounds executed |
 //! | [`OFFERS_REFUSED`] | counter | `node` | offers refused by the blocking-application backlog |
-//! | [`DELIVERY_LATENCY_SECONDS`] | histogram | `node` | publish → delivery, end to end wall clock |
-//! | [`RECOVERY_RTT_SECONDS`] | histogram | `node` | `Graft` sent → event recovered |
-//! | [`BUFFER_EVENTS`] | gauge | `node` | event-buffer occupancy after the last round |
-//! | [`BUFFER_CAPACITY`] | gauge | `node` | event-buffer capacity |
-//! | [`EVENT_QUEUE_DEPTH`] | gauge | `node` | node-loop backlog (pending offers + queued commands) |
 //! | [`SUSPICIONS`] | counter | `node` | φ-accrual suspicion onsets |
 //! | [`DETECTOR_EVICTIONS`] | counter | `node` | detector-driven peer evictions |
 //! | [`HEARTBEATS`] | counter | `node` | explicit heartbeats sent (gossip did not cover the link) |
 //! | [`SHEDS`] | counter | `node`, `class` | frames shed by overloaded queues (`app`/`recovery`/`control`) |
 //! | [`SEND_RETRIES`] | counter | `node` | backed-off resends of recovery-class frames |
 //! | [`RECV_CLOSED`] | counter | `node` | transport teardown observations |
+//! | [`DELIVERY_LATENCY_SECONDS`] | histogram | `node` | publish → delivery, end to end wall clock |
+//! | [`RECOVERY_RTT_SECONDS`] | histogram | `node` | `Graft` sent → event recovered |
 //! | [`LOOP_ITERATION_SECONDS`] | histogram | `node` | one node-loop iteration, wake to sleep |
 //! | [`EGRESS_DWELL_SECONDS`] | histogram | `node` | egress-queue dwell, enqueue to transport hand-off |
+//! | [`BUFFER_EVENTS`] | gauge | `node` | event-buffer occupancy after the last round |
+//! | [`BUFFER_CAPACITY`] | gauge | `node` | event-buffer capacity |
+//! | [`EVENT_QUEUE_DEPTH`] | gauge | `node` | node-loop backlog (pending offers + queued commands) |
 //!
 //! Histograms use *per-metric* bucket presets
 //! ([`latency_seconds_bounds`](crate::latency_seconds_bounds) for
@@ -64,20 +59,12 @@ pub const DECODE_ERRORS: &str = "agb_decode_errors_total";
 pub const LOSS_INJECTED: &str = "agb_loss_injected_total";
 /// `agb_publishes_total{node}`.
 pub const PUBLISHES: &str = "agb_publishes_total";
-/// `agb_relays_total{node}`.
-pub const RELAYS: &str = "agb_relays_total";
 /// `agb_deliveries_total{node}`.
 pub const DELIVERIES: &str = "agb_deliveries_total";
-/// `agb_duplicates_total{node}`.
-pub const DUPLICATES: &str = "agb_duplicates_total";
 /// `agb_drops_total{node,cause}`.
 pub const DROPS: &str = "agb_drops_total";
 /// `agb_recovery_events_total{node,kind}`.
 pub const RECOVERY_EVENTS: &str = "agb_recovery_events_total";
-/// `agb_view_changes_total{node}`.
-pub const VIEW_CHANGES: &str = "agb_view_changes_total";
-/// `agb_cross_partition_msgs_total{node}`.
-pub const CROSS_PARTITION_MSGS: &str = "agb_cross_partition_msgs_total";
 /// `agb_lifecycle_total{node,kind}`.
 pub const LIFECYCLE: &str = "agb_lifecycle_total";
 /// `agb_rounds_total{node}`.
@@ -111,10 +98,8 @@ pub const LOOP_ITERATION_SECONDS: &str = "agb_loop_iteration_seconds";
 /// `agb_egress_dwell_seconds{node}` (histogram, dwell bounds).
 pub const EGRESS_DWELL_SECONDS: &str = "agb_egress_dwell_seconds";
 
-/// Help strings, one per metric name. Both the runtime instrumentation
-/// and the [`fold_trace_counts`](crate::fold_trace_counts) bridge
-/// register through these, so a metric family carries one description
-/// no matter which surface registered it first.
+/// Help strings, one per metric name, so every node registers a metric
+/// family with the same description.
 pub mod help {
     /// Help for [`MESSAGES_SENT`](super::MESSAGES_SENT).
     pub const MESSAGES_SENT: &str = "Frames handed to the transport, by kind";
@@ -132,20 +117,12 @@ pub mod help {
     pub const LOSS_INJECTED: &str = "Datagrams dropped by the injected-loss harness";
     /// Help for [`PUBLISHES`](super::PUBLISHES).
     pub const PUBLISHES: &str = "Broadcasts admitted at their origin";
-    /// Help for [`RELAYS`](super::RELAYS).
-    pub const RELAYS: &str = "Forwarded event copies";
     /// Help for [`DELIVERIES`](super::DELIVERIES).
     pub const DELIVERIES: &str = "First deliveries to the application";
-    /// Help for [`DUPLICATES`](super::DUPLICATES).
-    pub const DUPLICATES: &str = "Redundant gossip arrivals";
     /// Help for [`DROPS`](super::DROPS).
     pub const DROPS: &str = "Buffer and throttle drops by cause";
     /// Help for [`RECOVERY_EVENTS`](super::RECOVERY_EVENTS).
     pub const RECOVERY_EVENTS: &str = "Recovery-plane events by kind";
-    /// Help for [`VIEW_CHANGES`](super::VIEW_CHANGES).
-    pub const VIEW_CHANGES: &str = "Membership-view size changes";
-    /// Help for [`CROSS_PARTITION_MSGS`](super::CROSS_PARTITION_MSGS).
-    pub const CROSS_PARTITION_MSGS: &str = "Gossip frames sent across a topology-region boundary";
     /// Help for [`LIFECYCLE`](super::LIFECYCLE).
     pub const LIFECYCLE: &str = "Node lifecycle transitions by kind";
     /// Help for [`ROUNDS`](super::ROUNDS).

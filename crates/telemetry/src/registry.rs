@@ -189,10 +189,10 @@ impl Registry {
                 Metric::Histogram(h) => {
                     let s = h.snapshot();
                     let mut cumulative = 0u64;
-                    for (idx, &c) in s.counts.iter().enumerate() {
+                    for (idx, &c) in s.counts().iter().enumerate() {
                         cumulative += c;
-                        let le = if idx < s.bounds.len() {
-                            format_value(s.bounds[idx])
+                        let le = if idx < s.bounds().len() {
+                            format_value(s.bounds()[idx])
                         } else {
                             "+Inf".to_string()
                         };
@@ -207,13 +207,13 @@ impl Registry {
                         "{}_sum{} {}",
                         e.name,
                         label_set(&e.labels, None),
-                        format_value(s.sum)
+                        format_value(s.sum())
                     ));
                     family.2.push(format!(
                         "{}_count{} {}",
                         e.name,
                         label_set(&e.labels, None),
-                        s.count
+                        s.count()
                     ));
                 }
             }

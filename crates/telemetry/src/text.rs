@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::histogram::HistogramSnapshot;
+use agb_types::Histogram;
 
 /// Identity of one series: metric name plus sorted `(key, value)` label
 /// pairs (the `le` bucket label never appears here — it is structure,
@@ -23,7 +23,7 @@ pub struct Snapshot {
     /// Gauge series.
     pub gauges: BTreeMap<SeriesId, i64>,
     /// Histogram series.
-    pub histograms: BTreeMap<SeriesId, HistogramSnapshot>,
+    pub histograms: BTreeMap<SeriesId, Histogram>,
 }
 
 impl Snapshot {
@@ -74,8 +74,8 @@ impl Snapshot {
     /// Merges every histogram series with this name (across all label
     /// sets) into one distribution, or `None` if there is none or the
     /// bounds disagree.
-    pub fn histogram_merged(&self, name: &str) -> Option<HistogramSnapshot> {
-        let mut merged: Option<HistogramSnapshot> = None;
+    pub fn histogram_merged(&self, name: &str) -> Option<Histogram> {
+        let mut merged: Option<Histogram> = None;
         for ((n, _), h) in &self.histograms {
             if n != name {
                 continue;
@@ -204,15 +204,10 @@ pub fn parse_text(text: &str) -> Snapshot {
             prev = cum;
         }
         counts.push(inf.unwrap_or(count).saturating_sub(prev));
-        snap.histograms.insert(
-            id,
-            HistogramSnapshot {
-                bounds,
-                counts,
-                count,
-                sum,
-            },
-        );
+        // A malformed bucket set (two `le` labels for one bound) is skipped.
+        if let Some(h) = Histogram::from_counts(bounds, counts, count, sum) {
+            snap.histograms.insert(id, h);
+        }
     }
     snap
 }
@@ -301,8 +296,8 @@ mod tests {
         );
         assert_eq!(parsed.gauge("depth", &[("node", "0")]), Some(-3));
         let hs = parsed.histogram_merged("lat_seconds").unwrap();
-        assert_eq!(hs.count, 5);
-        assert_eq!(hs.counts.iter().sum::<u64>(), 5);
+        assert_eq!(hs.count(), 5);
+        assert_eq!(hs.counts().iter().sum::<u64>(), 5);
     }
 
     #[test]
@@ -322,8 +317,36 @@ mod tests {
         // Two distinct series survive; the merged histogram sums them.
         assert_eq!(cluster.histograms.len(), 2);
         let merged = cluster.histogram_merged("lat_seconds").unwrap();
-        assert_eq!(merged.count, 5);
-        assert_eq!(merged.counts, vec![5, 0, 0]);
+        assert_eq!(merged.count(), 5);
+        assert_eq!(merged.counts(), vec![5, 0, 0]);
+    }
+
+    #[test]
+    fn a_histogram_with_no_finite_bound_has_no_quantile() {
+        let snap = parse_text(
+            "# TYPE x_seconds histogram\n\
+             x_seconds_bucket{le=\"+Inf\"} 3\n\
+             x_seconds_sum 1.5\n\
+             x_seconds_count 3\n",
+        );
+        let h = snap.histogram_merged("x_seconds").unwrap();
+        assert!(h.bounds().is_empty());
+        assert_eq!(h.counts(), vec![3]);
+        assert_eq!(h.mean(), Some(0.5));
+        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.slo_quantiles(), None);
+    }
+
+    #[test]
+    fn a_histogram_with_a_repeated_bound_is_skipped() {
+        let snap = parse_text(
+            "# TYPE x_seconds histogram\n\
+             x_seconds_bucket{le=\"1\"} 1\n\
+             x_seconds_bucket{le=\"1.0\"} 2\n\
+             x_seconds_bucket{le=\"+Inf\"} 2\n\
+             x_seconds_count 2\n",
+        );
+        assert!(snap.histograms.is_empty());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! * [`TraceSink`] + [`Recorder`] — the consumer interface and its
 //!   standard implementation: a bounded ring of raw records plus
 //!   streaming aggregates (per-kind [`TraceCounts`], fixed-bucket
-//!   [`Histogram`]s for delivery latency in rounds, hops-to-delivery,
-//!   buffer occupancy and recovery RTT, and per-event-id dissemination
-//!   [`TreeBuilder`] stats), folded into an order-sensitive FNV digest.
+//!   [`Histogram`](agb_types::Histogram)s for delivery latency in
+//!   rounds, hops-to-delivery, buffer occupancy and recovery RTT, and
+//!   per-event-id dissemination [`TreeBuilder`] stats), folded into an
+//!   order-sensitive FNV digest.
 //! * [`TraceProbe`] — the harness-side producer: maps
 //!   [`ProtocolEvent`](agb_core::ProtocolEvent)s and observed
 //!   [`GossipFrame`](agb_core::GossipFrame)s into records, buffering
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod histogram;
 mod probe;
 mod record;
 mod recorder;
@@ -43,7 +43,6 @@ mod summary;
 mod tree;
 
 pub use config::TraceConfig;
-pub use histogram::Histogram;
 pub use probe::TraceProbe;
 pub use record::{DropCause, TraceKind, TraceRecord, TraceSink};
 pub use recorder::{Recorder, TraceCounts};

@@ -4,10 +4,9 @@
 use std::collections::VecDeque;
 
 use agb_types::json::Json;
-use agb_types::{DurationMs, FastHashMap, NodeId, TimeMs};
+use agb_types::{DurationMs, FastHashMap, Histogram, NodeId, TimeMs};
 
 use crate::config::TraceConfig;
-use crate::histogram::Histogram;
 use crate::record::{DropCause, TraceKind, TraceRecord, TraceSink};
 use crate::tree::TreeBuilder;
 
@@ -225,22 +224,12 @@ impl Recorder {
             ring: VecDeque::new(),
             evicted: 0,
             counts: TraceCounts::default(),
-            latency: Histogram::new(
-                "delivery_latency_rounds",
-                &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0],
-            ),
-            hops: Histogram::new(
-                "hops_to_delivery",
-                &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0],
-            ),
-            occupancy: Histogram::new(
-                "buffer_occupancy",
-                &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0],
-            ),
-            recovery_rtt: Histogram::new(
-                "recovery_rtt_ms",
-                &[50.0, 100.0, 200.0, 400.0, 800.0, 1_600.0, 3_200.0, 6_400.0],
-            ),
+            latency: Histogram::new(&[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0]),
+            hops: Histogram::new(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0]),
+            occupancy: Histogram::new(&[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0]),
+            recovery_rtt: Histogram::new(&[
+                50.0, 100.0, 200.0, 400.0, 800.0, 1_600.0, 3_200.0, 6_400.0,
+            ]),
             trees: TreeBuilder::new(),
             outstanding: FastHashMap::default(),
             digest: FNV_OFFSET,

@@ -2,8 +2,8 @@
 //! for `TRACE.json` (schema [`TRACE_SCHEMA`]).
 
 use agb_types::json::Json;
+use agb_types::Histogram;
 
-use crate::histogram::Histogram;
 use crate::recorder::{Recorder, TraceCounts, FNV_OFFSET, FNV_PRIME};
 use crate::tree::TreeStats;
 
@@ -45,8 +45,8 @@ pub struct TraceSummary {
     /// only: counts, the four histograms (whose observations are all
     /// time *differences* or sizes), and tree statistics. Two traces
     /// of the same behavior whose records differ only by when the
-    /// clock started yield the same `stable_digest`. The telemetry and
-    /// resilience reports fold this digest into their own.
+    /// clock started yield the same `stable_digest`. The topology and
+    /// resilience reports fold it into their own digests.
     pub stable_digest: u64,
 }
 
@@ -59,12 +59,15 @@ impl TraceSummary {
             ("counts", self.counts.to_json()),
             (
                 "histograms",
-                Json::obj([
-                    ("delivery_latency_rounds", self.latency.to_json()),
-                    ("hops_to_delivery", self.hops.to_json()),
-                    ("buffer_occupancy", self.occupancy.to_json()),
-                    ("recovery_rtt_ms", self.recovery_rtt.to_json()),
-                ]),
+                Json::obj(
+                    [
+                        ("delivery_latency_rounds", &self.latency),
+                        ("hops_to_delivery", &self.hops),
+                        ("buffer_occupancy", &self.occupancy),
+                        ("recovery_rtt_ms", &self.recovery_rtt),
+                    ]
+                    .map(|(name, h)| (name, histogram_json(name, h))),
+                ),
             ),
             ("tree", self.tree.to_json()),
             ("records_retained", Json::from(self.records_retained)),
@@ -95,10 +98,14 @@ impl Recorder {
                 digest = digest.wrapping_mul(FNV_PRIME);
             };
             self.counts().fold_digest(&mut mix);
-            self.latency().fold_digest(&mut mix);
-            self.hops().fold_digest(&mut mix);
-            self.occupancy().fold_digest(&mut mix);
-            self.recovery_rtt().fold_digest(&mut mix);
+            for h in [
+                self.latency(),
+                self.hops(),
+                self.occupancy(),
+                self.recovery_rtt(),
+            ] {
+                fold_histogram(h, &mut mix);
+            }
             tree.fold_digest(&mut mix);
             digest
         };
@@ -117,6 +124,40 @@ impl Recorder {
             digest,
             stable_digest,
         }
+    }
+}
+
+/// JSON form of one trace histogram: its name, bounds, per-bucket
+/// counts and the running aggregates.
+pub(crate) fn histogram_json(name: &str, h: &Histogram) -> Json {
+    let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
+    Json::obj([
+        ("name", Json::Str(name.to_string())),
+        (
+            "bounds",
+            Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect()),
+        ),
+        (
+            "counts",
+            Json::Arr(h.counts().iter().map(|&c| Json::from(c)).collect()),
+        ),
+        ("count", Json::from(h.count())),
+        ("sum", Json::Num(h.sum())),
+        ("mean", opt(h.mean())),
+        ("min", opt(h.min())),
+        ("max", opt(h.max())),
+        ("p50", opt(h.quantile(0.5))),
+        ("p99", opt(h.quantile(0.99))),
+    ])
+}
+
+/// Folds a histogram's counters into a digest accumulator, in bucket
+/// order.
+pub(crate) fn fold_histogram(h: &Histogram, mix: &mut impl FnMut(u64)) {
+    mix(h.count());
+    mix(h.sum().to_bits());
+    for &c in h.counts() {
+        mix(c);
     }
 }
 
@@ -171,6 +212,20 @@ mod tests {
             let hex = j.get(key).unwrap().as_str().unwrap();
             assert!(hex.starts_with("0x") && hex.len() == 18, "{key}: {hex}");
         }
+    }
+
+    #[test]
+    fn histogram_json_has_stable_shape() {
+        let mut h = Histogram::new(&[1.0]);
+        h.observe(0.5);
+        let j = histogram_json("latency_rounds", &h);
+        assert_eq!(j.get("name").unwrap().as_str(), Some("latency_rounds"));
+        assert_eq!(j.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(j.get("mean").unwrap().as_f64(), Some(0.5));
+        assert_eq!(j.get("min").unwrap().as_f64(), Some(0.5));
+        assert_eq!(j.get("p50").unwrap().as_f64(), Some(1.0));
+        let empty = histogram_json("latency_rounds", &Histogram::new(&[1.0]));
+        assert_eq!(empty.get("max"), Some(&Json::Null));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! fan-out distribution.
 
 use agb_types::json::Json;
-use agb_types::{EventId, FastHashMap, NodeId, TimeMs};
+use agb_types::{EventId, FastHashMap, Histogram, NodeId, TimeMs};
 
-use crate::histogram::Histogram;
 use crate::record::{TraceKind, TraceRecord};
+use crate::summary::{fold_histogram, histogram_json};
 
 /// Aggregated dissemination facts for one event id.
 #[derive(Debug, Clone, Default)]
@@ -76,7 +76,7 @@ impl TreeStats {
             ("mean_depth", Json::Num(self.mean_depth)),
             ("max_depth", Json::from(u64::from(self.max_depth))),
             ("redundancy", Json::Num(self.redundancy)),
-            ("fanout", self.fanout.to_json()),
+            ("fanout", histogram_json("relay_fanout", &self.fanout)),
         ])
     }
 
@@ -90,7 +90,7 @@ impl TreeStats {
         mix(self.relays);
         mix(u64::from(self.max_depth));
         mix(self.redundancy.to_bits());
-        self.fanout.fold_digest(mix);
+        fold_histogram(&self.fanout, mix);
     }
 }
 
@@ -176,7 +176,7 @@ impl TreeBuilder {
         let mut delivered_events = 0u64;
         let mut depth_sum = 0u64;
         let mut max_depth = 0u32;
-        let mut fanout = Histogram::new("relay_fanout", &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0]);
+        let mut fanout = Histogram::new(&[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0]);
         for t in self.trees.values() {
             deliveries += u64::from(t.deliveries);
             duplicates += u64::from(t.duplicates);

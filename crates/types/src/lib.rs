@@ -2,8 +2,8 @@
 //!
 //! This crate holds the small vocabulary types used by every other crate in
 //! the workspace: node, topic and event identifiers, virtual time, message
-//! payloads, deterministic random-number helpers, and EWMA and running
-//! statistics.
+//! payloads, deterministic random-number helpers, EWMA and running
+//! statistics, and the fixed-bound histogram every observation plane uses.
 //!
 //! The types are deliberately dependency-light so that the protocol crate
 //! ([`agb-core`]), the simulator ([`agb-sim`]) and the threaded runtime
@@ -31,6 +31,7 @@
 mod env;
 mod error;
 mod fasthash;
+mod histogram;
 mod id;
 pub mod json;
 mod pool;
@@ -43,6 +44,7 @@ pub mod topology;
 pub use env::{env_flag, env_usize, parse_flag};
 pub use error::{ConfigError, ConfigResult};
 pub use fasthash::{FastHashMap, FastHashSet, FastHashState, FastHasher};
+pub use histogram::Histogram;
 pub use id::{EventId, NodeId, TopicId};
 pub use pool::{BytePool, PayloadInterner};
 pub use rng::{bernoulli, fnv1a, fork_seed, DetRng, SeedSequence};

@@ -234,16 +234,6 @@ impl Topology {
         self.n_regions
     }
 
-    /// All nodes labelled with `region`, in id order.
-    pub fn region_members(&self, region: u32) -> Vec<NodeId> {
-        self.regions
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r == region)
-            .map(|(i, _)| NodeId::new(i as u32))
-            .collect()
-    }
-
     /// Whether every node is reachable from node 0 (BFS).
     pub fn is_connected(&self) -> bool {
         let n = self.len();
@@ -309,7 +299,8 @@ mod tests {
         assert_eq!(t.len(), 24);
         assert!(t.is_connected());
         assert_eq!(t.n_regions(), 4);
-        assert_eq!(t.region_members(2).len(), 6);
+        let in_region_2 = (0..24).filter(|&i| t.region_of(NodeId::new(i)) == 2);
+        assert_eq!(in_region_2.count(), 6);
         // Intra-cluster cliques: first member of cluster 0 reaches the
         // other five members.
         let n0 = t.neighbors(NodeId::new(0));

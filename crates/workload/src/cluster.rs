@@ -11,9 +11,7 @@ use agb_metrics::MetricsCollector;
 use agb_node::{Algorithm, Input, NodeShell, Overlay, StackSpec};
 use agb_profile::{MemReport, MemTable, ProfileConfig, Profiler, ProfilerSnapshot};
 use agb_recovery::RecoveryConfig;
-use agb_sim::{
-    NetStats, NetworkConfig, Partition, SimCtx, SimNode, Simulation, SimulationBuilder, TimerId,
-};
+use agb_sim::{NetStats, NetworkConfig, SimCtx, SimNode, Simulation, SimulationBuilder, TimerId};
 use agb_trace::{Recorder, TraceConfig, TraceProbe, TraceSink, TraceSummary};
 use agb_types::{DetRng, DurationMs, NodeId, Payload, SeedSequence, TimeMs, Topology};
 use rand::RngExt;
@@ -717,31 +715,6 @@ impl GossipCluster {
         self.sim.schedule_network_control(at, f);
     }
 
-    /// Schedules a clean partition isolating one topology region during
-    /// `[from, until)` — chaos aligned to the overlay's real fault
-    /// domains (a rack losing its uplink, a cluster dropping off the
-    /// backbone) instead of an arbitrary node split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster was built without a
-    /// [`topology`](ClusterConfig::topology).
-    pub fn schedule_region_partition(&mut self, from: TimeMs, until: TimeMs, region: u32) {
-        let topo = self
-            .config
-            .topology
-            .as_ref()
-            .expect("region partition requires a topology");
-        let side_a = topo.region_members(region);
-        self.schedule_network_control(from, move |net, _now| {
-            net.partitions.push(Partition {
-                side_a,
-                from,
-                until,
-            });
-        });
-    }
-
     /// Whether `node` is currently down (crashed, left, or not yet
     /// joined).
     pub fn is_down(&self, node: NodeId) -> bool {
@@ -1131,20 +1104,6 @@ mod tests {
         assert!(
             biased_cross < uniform_cross / 2,
             "bias must cut cross-region frames: biased {biased_cross}, uniform {uniform_cross}"
-        );
-    }
-
-    #[test]
-    fn region_partition_blocks_cross_region_traffic() {
-        let mut config = small_config(Algorithm::Lpbcast);
-        config.topology = Some(Topology::clustered(4, 4, 0, 9));
-        let mut cluster = GossipCluster::build(config);
-        let before = cluster.sim_stats().drops;
-        cluster.schedule_region_partition(TimeMs::from_secs(5), TimeMs::from_secs(20), 0);
-        cluster.run_until(TimeMs::from_secs(15));
-        assert!(
-            cluster.sim_stats().drops > before,
-            "partition must drop cross-region frames"
         );
     }
 

@@ -53,7 +53,11 @@ fn main() -> std::io::Result<()> {
         if let Some([p50, p90, p99, p999]) = latency.slo_quantiles() {
             println!(
                 "  delivery latency (s): p50 {:.3}  p90 {:.3}  p99 {:.3}  p99.9 {:.3}  (n={})",
-                p50, p90, p99, p999, latency.count
+                p50,
+                p90,
+                p99,
+                p999,
+                latency.count()
             );
         }
     }

@@ -54,7 +54,7 @@ fn main() {
             relays_per_delivery,
             dup_fraction * 100.0,
         );
-        let q = |h: &adaptive_gossip::trace::Histogram, p: f64| h.quantile(p).unwrap_or(f64::NAN);
+        let q = |h: &adaptive_gossip::types::Histogram, p: f64| h.quantile(p).unwrap_or(f64::NAN);
         println!(
             "  latency p50 {:.0} rounds, p99 {:.0} rounds  (recovered {:5}, \
              repair RTT p50 {:.0} ms)",

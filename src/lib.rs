@@ -94,7 +94,7 @@
 //! restarts with state loss, protocol-level joins and graceful leaves,
 //! failure-detector evictions, partitions, link-level latency/loss
 //! episodes and sender burst storms — executed against the simulator
-//! (`ChaosCluster`) or the threaded runtime (`run_runtime_schedule`).
+//! (`ChaosCluster`).
 //! Delivery is then measured **among correct nodes**
 //! ([`metrics`]' `MembershipTimeline`), alongside post-rejoin catch-up
 //! latency and membership re-convergence:
@@ -251,10 +251,9 @@
 //! ([`telemetry::names`]), serves them per node over a tiny std-only
 //! TCP responder, and parses scrapes back into typed snapshots whose
 //! log-bucketed histograms merge exactly — cluster-wide p99 latency
-//! straight off the summed buckets. The same vocabulary is fed by
-//! deterministic simulations through
-//! [`telemetry::fold_trace_counts`], so dashboards read identically
-//! whichever surface produced the numbers:
+//! straight off the summed buckets. Those histograms are the same plain
+//! [`types::Histogram`] the deterministic trace fills, and every runtime
+//! node registers the whole vocabulary before it starts:
 //!
 //! ```
 //! use adaptive_gossip::telemetry::{latency_seconds_bounds, parse_text, Registry};
@@ -279,8 +278,9 @@
 //! ```
 //!
 //! Run the live plane end to end with `repro telemetry` (lossy UDP
-//! cluster, mid-run scrapes, SLO quantiles, `TELEMETRY.json`), or the
-//! one-node scrape loop in `examples/telemetry_scrape.rs`.
+//! cluster, mid-run scrapes, SLO quantiles, and `TELEMETRY.json`, which
+//! pins the series list), or the one-node scrape loop in
+//! `examples/telemetry_scrape.rs`.
 //!
 //! ## Cost profiling
 //!

@@ -9,19 +9,19 @@
 //! * **Figure 5(b)** — a [`CongestionEstimator`] that, after every received
 //!   gossip message, accounts the ages of events a `minBuff`-sized buffer
 //!   would have dropped, maintaining the `avgAge` congestion signal;
-//! * **Figure 5(c)** — a [`RateController`] driving a [`TokenBucket`] that
-//!   throttles locally offered broadcasts, with `avgTokens` measuring how
-//!   much of the allowance the application actually uses.
+//! * **Figure 5(c)** — a [`RateController`] retuning the rate of the
+//!   wrapped node's own [`TokenBucket`] (Figure 3's throttle, installed
+//!   at construction), behind which locally offered broadcasts queue,
+//!   with `avgTokens` measuring how much of the allowance the
+//!   application actually uses.
 //!
 //! The node stores events using its **full local buffer** — only the
 //! congestion *accounting* pretends the buffer were `minBuff` — so nodes
 //! with spare memory still contribute their redundancy to the group
 //! (§3.2, validated by Figure 9's heterogeneous runs).
 
-use std::collections::VecDeque;
-
 use agb_membership::GossipMembership;
-use agb_types::{DetRng, DurationMs, Ewma, NodeId, Payload, TimeMs};
+use agb_types::{DetRng, DurationMs, EventId, Ewma, NodeId, Payload, TimeMs};
 
 use crate::config::{AdaptationConfig, GossipConfig};
 use crate::congestion::CongestionEstimator;
@@ -63,9 +63,7 @@ pub struct AdaptiveNode<S> {
     min_buff: MinBuffEstimator,
     congestion: CongestionEstimator,
     controller: RateController,
-    bucket: TokenBucket,
     avg_tokens: Ewma,
-    pending: VecDeque<Payload>,
     rng: DetRng,
     out_events: Vec<ProtocolEvent>,
 }
@@ -94,48 +92,32 @@ impl<S: GossipMembership> AdaptiveNode<S> {
         let capacity = gossip.max_events as u32;
         let inner_seed: u64 = rand::RngExt::random(&mut rng);
         let inner_rng = <DetRng as rand::SeedableRng>::seed_from_u64(inner_seed);
-        let inner = LpbcastNode::new(id, gossip, membership, inner_rng);
+        let mut inner = LpbcastNode::new(id, gossip, membership, inner_rng);
         let min_buff = MinBuffEstimator::new(id, capacity, adaptation.min_buff);
         let congestion = CongestionEstimator::new(adaptation.congestion);
         let controller = RateController::new(adaptation.initial_rate, adaptation.rate);
-        let bucket = TokenBucket::new(controller.rate(), adaptation.bucket_capacity, TimeMs::ZERO);
+        inner.install_bucket(TokenBucket::new(
+            controller.rate(),
+            adaptation.bucket_capacity,
+            TimeMs::ZERO,
+        ));
         let avg_tokens = Ewma::new(adaptation.token_alpha, 0.0);
         AdaptiveNode {
             inner,
             min_buff,
             congestion,
             controller,
-            bucket,
             avg_tokens,
-            pending: VecDeque::new(),
             rng,
             out_events: Vec::new(),
         }
     }
 
-    /// The wrapped baseline node.
-    pub fn inner(&self) -> &LpbcastNode<S> {
-        &self.inner
-    }
-
-    /// Current congestion signal `avgAge`.
-    pub fn avg_age(&self) -> f64 {
-        self.congestion.avg_age()
-    }
-
-    /// Current smoothed token level `avgTokens`.
-    pub fn avg_tokens(&self) -> f64 {
-        self.avg_tokens.value()
-    }
-
-    /// Current group-wide minimum-buffer estimate.
-    pub fn min_buff_estimate(&self) -> u32 {
-        self.min_buff.estimate()
-    }
-
-    /// Current sample period index `s`.
-    pub fn sample_period(&self) -> u64 {
-        self.min_buff.current_period()
+    /// The throttle this node installed in the one it wraps.
+    fn bucket(&mut self) -> &mut TokenBucket {
+        self.inner
+            .bucket_mut()
+            .expect("AdaptiveNode::new installs the bucket")
     }
 
     /// Routes real buffer removals into the congestion estimator; returns
@@ -148,14 +130,6 @@ impl<S: GossipMembership> AdaptiveNode<S> {
         }
         overflow
     }
-
-    fn admit_pending(&mut self, now: TimeMs) {
-        while !self.pending.is_empty() && self.bucket.try_acquire(now) {
-            let payload = self.pending.pop_front().expect("non-empty");
-            self.inner.broadcast_now(payload, now);
-            self.sync_removals();
-        }
-    }
 }
 
 impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
@@ -163,18 +137,14 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         self.inner.node_id()
     }
 
+    fn has_seen(&self, id: EventId) -> bool {
+        self.inner.has_seen(id)
+    }
+
     fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
-        // Tokens accrue continuously: drain older queued messages first so
-        // the queue empties at the allowed rate, not once per round.
-        self.admit_pending(now);
-        if self.pending.is_empty() && self.bucket.try_acquire(now) {
-            let id = self.inner.broadcast_now(payload, now);
-            self.sync_removals();
-            OfferOutcome::Admitted(id)
-        } else {
-            self.pending.push_back(payload);
-            OfferOutcome::Queued
-        }
+        let outcome = self.inner.offer(payload, now);
+        self.sync_removals();
+        outcome
     }
 
     fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
@@ -188,21 +158,25 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         }
 
         // 2. Admit queued broadcasts as tokens allow (Figure 3).
-        self.admit_pending(now);
+        self.inner.admit_pending(now);
+        self.sync_removals();
 
         // 3. Sample allowance usage after admissions (Figure 5(c)'s
         //    avgTokens: full bucket = unused allowance).
-        let tokens = self.bucket.tokens(now);
+        let tokens = self.bucket().tokens(now);
         self.avg_tokens.update(tokens);
 
-        // 4. Adjust the allowed rate (Figure 5(c)).
+        // 4. Adjust the allowed rate (Figure 5(c)). Retuning at `now`
+        //    refills nothing, so the base round's own admission below
+        //    finds no token step 2 did not.
+        let max_tokens = self.bucket().max_tokens();
         if let Some(change) = self.controller.adjust(
             self.congestion.avg_age(),
             self.avg_tokens.value(),
-            self.bucket.max_tokens(),
+            max_tokens,
             &mut self.rng,
         ) {
-            self.bucket.set_rate(change.new, now);
+            self.bucket().set_rate(change.new, now);
             self.out_events.push(ProtocolEvent::RateChanged {
                 old: change.old,
                 new: change.new,
@@ -284,7 +258,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
     }
 
     fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.inner.pending_len()
     }
 
     fn gossip_period(&self) -> DurationMs {
@@ -316,19 +290,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
     }
 
     fn mem_breakdown(&self) -> Vec<(&'static str, agb_profile::MemUsage)> {
-        // The adaptive layer's own throttle queue reports under the same
-        // label as the inner node's; the profiling table merges rows.
-        let mut rows = self.inner.mem_breakdown();
-        let pending_bytes: u64 = self
-            .pending
-            .iter()
-            .map(|p| (p.len() + std::mem::size_of::<Payload>()) as u64)
-            .sum();
-        rows.push((
-            "pending_offers",
-            agb_profile::MemUsage::new(pending_bytes, self.pending.len() as u64),
-        ));
-        rows
+        self.inner.mem_breakdown()
     }
 }
 
@@ -386,9 +348,9 @@ mod tests {
     #[test]
     fn learns_min_buff_from_peers() {
         let mut n = default_adaptive(0);
-        assert_eq!(n.min_buff_estimate(), 90);
+        assert_eq!(n.min_buff.estimate(), 90);
         n.on_receive(NodeId::new(7), remote_msg(0, 45, vec![]), TimeMs::ZERO);
-        assert_eq!(n.min_buff_estimate(), 45);
+        assert_eq!(n.min_buff.estimate(), 45);
         // And re-advertises the learned minimum.
         let out = n.on_round(TimeMs::from_secs(1));
         assert_eq!(out[0].1.expect_plain_gossip().min_buff(), Some(45));
@@ -445,7 +407,7 @@ mod tests {
             .map(|s| Event::with_age(EventId::new(NodeId::new(7), s), 1, Payload::new()))
             .collect();
         n.on_receive(NodeId::new(7), remote_msg(0, 2, events), TimeMs::ZERO);
-        assert!(n.avg_age() < 4.0);
+        assert!(n.congestion.avg_age() < 4.0);
         let before = n.allowed_rate().unwrap();
         n.on_round(TimeMs::from_secs(1));
         let after = n.allowed_rate().unwrap();
@@ -506,7 +468,7 @@ mod tests {
         let mut n = default_adaptive(0);
         n.set_buffer_capacity(45, TimeMs::ZERO);
         assert_eq!(n.buffer_capacity(), 45);
-        assert_eq!(n.min_buff_estimate(), 45);
+        assert_eq!(n.min_buff.estimate(), 45);
         let out = n.on_round(TimeMs::from_secs(1));
         assert_eq!(out[0].1.expect_plain_gossip().min_buff(), Some(45));
     }
@@ -529,14 +491,14 @@ mod tests {
             .filter(|e| matches!(e, ProtocolEvent::PeriodRollover { .. }))
             .count();
         assert_eq!(rollovers, 1);
-        assert_eq!(n.sample_period(), 1);
+        assert_eq!(n.min_buff.current_period(), 1);
     }
 
     #[test]
     fn adopts_later_period_from_message() {
         let mut n = default_adaptive(0);
         n.on_receive(NodeId::new(7), remote_msg(5, 60, vec![]), TimeMs::ZERO);
-        assert_eq!(n.sample_period(), 5);
+        assert_eq!(n.min_buff.current_period(), 5);
         let rolled = n
             .drain_events()
             .iter()
@@ -553,12 +515,12 @@ mod tests {
         };
         let mut n = adaptive(0, GossipConfig::default(), adapt);
         n.on_receive(NodeId::new(7), remote_msg(0, 45, vec![]), TimeMs::ZERO);
-        assert_eq!(n.min_buff_estimate(), 45);
+        assert_eq!(n.min_buff.estimate(), 45);
         // Periods 1 and 2 arrive with no 45-advertisement.
         n.on_receive(NodeId::new(7), remote_msg(1, 90, vec![]), TimeMs::ZERO);
-        assert_eq!(n.min_buff_estimate(), 45, "still within window");
+        assert_eq!(n.min_buff.estimate(), 45, "still within window");
         n.on_receive(NodeId::new(7), remote_msg(2, 90, vec![]), TimeMs::ZERO);
-        assert_eq!(n.min_buff_estimate(), 90, "stale minimum expired");
+        assert_eq!(n.min_buff.estimate(), 90, "stale minimum expired");
     }
 
     #[test]
@@ -572,7 +534,7 @@ mod tests {
             membership: Default::default(),
         };
         n.on_receive(NodeId::new(3), GossipFrame::plain(baseline), TimeMs::ZERO);
-        assert_eq!(n.min_buff_estimate(), 90);
+        assert_eq!(n.min_buff.estimate(), 90);
     }
 
     #[test]

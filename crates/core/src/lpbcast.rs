@@ -54,7 +54,6 @@ pub struct LpbcastNode<S> {
     events: EventBuffer,
     ids: EventIdBuffer,
     next_seq: u64,
-    round: u64,
     bucket: Option<TokenBucket>,
     pending: VecDeque<Payload>,
     out_events: Vec<ProtocolEvent>,
@@ -83,17 +82,11 @@ impl<S: GossipMembership> LpbcastNode<S> {
             membership,
             rng,
             next_seq: 0,
-            round: 0,
             bucket,
             pending: VecDeque::new(),
             out_events: Vec::new(),
             removals: Vec::new(),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &GossipConfig {
-        &self.config
     }
 
     /// Immutable view of the event buffer (used by the congestion
@@ -102,19 +95,20 @@ impl<S: GossipMembership> LpbcastNode<S> {
         &self.events
     }
 
-    /// Gossip rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// The membership service.
     pub fn membership(&self) -> &S {
         &self.membership
     }
 
-    /// Mutable membership access (e.g. to inject subscriptions).
-    pub fn membership_mut(&mut self) -> &mut S {
-        &mut self.membership
+    /// Installs `bucket` as the throttle on local offers: the adaptive
+    /// layer retunes this bucket's rate, and offers queue behind it here.
+    pub(crate) fn install_bucket(&mut self, bucket: TokenBucket) {
+        self.bucket = Some(bucket);
+    }
+
+    /// The throttle on local offers, if any.
+    pub(crate) fn bucket_mut(&mut self) -> Option<&mut TokenBucket> {
+        self.bucket.as_mut()
     }
 
     /// Drains every event removed from the buffer since the last call
@@ -186,7 +180,8 @@ impl<S: GossipMembership> LpbcastNode<S> {
         }
     }
 
-    fn admit_pending(&mut self, now: TimeMs) {
+    /// Broadcasts queued offers while the throttle has tokens.
+    pub(crate) fn admit_pending(&mut self, now: TimeMs) {
         if self.bucket.is_none() {
             // Unthrottled: pending is only populated when a bucket exists,
             // but drain defensively.
@@ -247,6 +242,12 @@ impl<S: GossipMembership> FrameProtocol for LpbcastNode<S> {
         self.id
     }
 
+    /// The two probes [`receive`](Self::receive) makes: the id history,
+    /// and the buffer, which can outlive an evicted id.
+    fn has_seen(&self, id: EventId) -> bool {
+        self.ids.contains(id) || self.events.contains(id)
+    }
+
     fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
         if self.bucket.is_none() {
             return OfferOutcome::Admitted(self.broadcast_now(payload, now));
@@ -271,7 +272,6 @@ impl<S: GossipMembership> FrameProtocol for LpbcastNode<S> {
     /// The periodic part of Figure 1: age updates, age-cap garbage
     /// collection, admission of throttled messages, and gossip emission.
     fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
-        self.round += 1;
         self.membership.on_round();
         self.events.increment_ages();
         let expired = self.events.purge_age_cap(self.config.age_cap);

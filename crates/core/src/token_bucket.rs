@@ -105,16 +105,6 @@ impl TokenBucket {
         self.refill(now);
         self.rate_per_sec = rate_per_sec;
     }
-
-    /// Adjusts the bucket size, clamping current tokens to it.
-    pub fn set_max_tokens(&mut self, max_tokens: f64) {
-        assert!(
-            max_tokens.is_finite() && max_tokens >= 1.0,
-            "max_tokens must be >= 1"
-        );
-        self.max_tokens = max_tokens;
-        self.tokens = self.tokens.min(max_tokens);
-    }
 }
 
 #[cfg(test)]
@@ -168,14 +158,6 @@ mod tests {
         b.set_rate(0.0, TimeMs::from_millis(500));
         assert_eq!(b.tokens(TimeMs::from_secs(10)), 5.0);
         assert_eq!(b.rate(), 0.0);
-    }
-
-    #[test]
-    fn set_max_clamps_tokens() {
-        let mut b = TokenBucket::new(1.0, 10.0, TimeMs::ZERO);
-        b.set_max_tokens(2.5);
-        assert_eq!(b.max_tokens(), 2.5);
-        assert_eq!(b.tokens(TimeMs::ZERO), 2.5);
     }
 
     #[test]

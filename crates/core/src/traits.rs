@@ -162,9 +162,23 @@ pub enum ProtocolEvent {
 ///    periodic gossip);
 /// 3. periodically [`drain_events_into`](FrameProtocol::drain_events_into)
 ///    and hand the events to the application/metrics.
+///
+/// A layer stacked on a node (the adaptive mechanism on lpbcast, the
+/// recovery wrapper on any flavor) asks the node it wraps for what that
+/// node already knows — its dedup history through
+/// [`has_seen`](FrameProtocol::has_seen), its buffer, its throttle —
+/// instead of keeping a copy of its own.
 pub trait FrameProtocol {
     /// This node's identity.
     fn node_id(&self) -> NodeId;
+
+    /// Whether a copy of `id` arriving now would be dropped as a
+    /// duplicate: the node delivered it (or broadcast it) and its
+    /// bounded history still remembers that. Once the history forgets an
+    /// id, this answers `false` again, so an advertisement of it reads as
+    /// a gap and a new copy is delivered again — the re-delivery
+    /// Figure 1 already accepts when `eventIds` evicts.
+    fn has_seen(&self, id: EventId) -> bool;
 
     /// Offers an application message for broadcast (Figure 3's
     /// `BROADCAST`).

@@ -1,6 +1,6 @@
 //! Property-based tests of the protocol building blocks.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use agb_core::{
     BuffAd, Event, EventBuffer, EventIdBuffer, KSmallestSet, MinBuffConfig, MinBuffEstimator,
@@ -212,7 +212,7 @@ proptest! {
         for w in entries.windows(2) {
             prop_assert!((w[0].capacity, w[0].node) <= (w[1].capacity, w[1].node));
         }
-        let nodes: HashSet<NodeId> = entries.iter().map(|e| e.node).collect();
+        let nodes: BTreeSet<NodeId> = entries.iter().map(|e| e.node).collect();
         prop_assert_eq!(nodes.len(), entries.len(), "duplicate node in set");
         // The smallest entry equals the global per-node minimum.
         if let Some(first) = entries.first() {

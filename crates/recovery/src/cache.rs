@@ -7,6 +7,10 @@
 //! (FIFO capacity bound plus a round-count age cap), deliberately
 //! decoupled from the gossip buffer so that serving retransmissions never
 //! competes with dissemination for buffer slots.
+//!
+//! The cache also decides what the node advertises: `IHave` digests are
+//! drawn from its FIFO ([`RetransmissionCache::advertise`]), so every
+//! advertised id is one a `Graft` can be served from.
 
 use std::collections::VecDeque;
 
@@ -44,6 +48,8 @@ pub struct RetransmissionCache {
     max_rounds: u32,
     slots: FastHashMap<EventId, CachedEvent>,
     order: VecDeque<EventId>,
+    /// Where the next [`advertise`](Self::advertise) slice starts.
+    cursor: usize,
     round: u64,
 }
 
@@ -58,6 +64,7 @@ impl RetransmissionCache {
             // nodes makes eager full-bound reservations prohibitive.
             slots: FastHashMap::default(),
             order: VecDeque::new(),
+            cursor: 0,
             round: 0,
         }
     }
@@ -86,6 +93,20 @@ impl RetransmissionCache {
     /// Looks up a cached event.
     pub fn get(&self, id: EventId) -> Option<&Event> {
         self.slots.get(&id).map(|c| &c.event)
+    }
+
+    /// The next `n` cached ids (fewer if fewer are cached), oldest
+    /// first, continuing where the previous call stopped and wrapping
+    /// around the FIFO, so successive digests cover the whole cache.
+    pub fn advertise(&mut self, n: usize) -> Vec<EventId> {
+        let len = self.order.len();
+        if len == 0 {
+            return Vec::new();
+        }
+        let start = self.cursor % len;
+        let take = n.min(len);
+        self.cursor = (start + take) % len;
+        (0..take).map(|i| self.order[(start + i) % len]).collect()
     }
 
     /// Advances the cache clock one gossip round and applies the age
@@ -183,6 +204,19 @@ mod tests {
         c.insert(ev(0));
         assert_eq!(c.len(), 1);
         assert_eq!(c.capacity(), 2);
+    }
+
+    #[test]
+    fn advertise_rotates_over_the_fifo() {
+        let mut c = RetransmissionCache::new(3, 100);
+        assert!(c.advertise(2).is_empty());
+        for s in 0..4 {
+            c.insert(ev(s)); // evicts ev(0)
+        }
+        let ids = |seqs: &[u64]| seqs.iter().map(|&s| ev(s).id()).collect::<Vec<_>>();
+        assert_eq!(c.advertise(2), ids(&[1, 2]));
+        assert_eq!(c.advertise(2), ids(&[3, 1]));
+        assert_eq!(c.advertise(5), ids(&[2, 3, 1]));
     }
 
     #[test]

@@ -19,18 +19,13 @@ use agb_types::{ConfigError, ConfigResult};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Maximum ids advertised per piggybacked `IHave` digest.
+    /// Maximum ids advertised per piggybacked `IHave` digest, drawn in
+    /// rotation from the retransmission cache (each round advertises the
+    /// next slice of it).
     pub digest_size: usize,
-    /// How many recently-seen ids the advertisement window retains
-    /// (rotating coverage: each round advertises a different slice).
-    pub ihave_window: usize,
-    /// How many seen ids are remembered for gap detection (the recovery
-    /// layer's own `EventIdBuffer`). Each id costs 16 B in the FIFO queue
-    /// plus one 24 B entry per 64-seq block of one origin, so this can be
-    /// much larger than the event buffer.
-    pub seen_capacity: usize,
     /// Retransmission-cache capacity in events — the cache's own resource
-    /// bound, purged FIFO independently of the gossip buffer.
+    /// bound, purged FIFO independently of the gossip buffer. It is also
+    /// the advertisement window: only cached ids are advertised.
     pub cache_capacity: usize,
     /// Rounds a cached event stays servable before the cache's age purge
     /// removes it.
@@ -53,8 +48,6 @@ impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
             digest_size: 32,
-            ihave_window: 256,
-            seen_capacity: 50_000,
             cache_capacity: 256,
             cache_rounds: 30,
             graft_timeout_rounds: 2,
@@ -93,18 +86,6 @@ impl RecoveryConfig {
             return Err(ConfigError::new(
                 "serve_budget_per_round",
                 "must be at most 4096",
-            ));
-        }
-        if self.ihave_window < self.digest_size {
-            return Err(ConfigError::new(
-                "ihave_window",
-                "must be at least digest_size",
-            ));
-        }
-        if self.seen_capacity < self.ihave_window {
-            return Err(ConfigError::new(
-                "seen_capacity",
-                "must be at least ihave_window (advertised ids must be recognizable)",
             ));
         }
         if self.cache_capacity == 0 {
@@ -158,8 +139,6 @@ mod tests {
 
         let mut c = RecoveryConfig::default();
         c.digest_size = 5000;
-        c.ihave_window = 5000;
-        c.seen_capacity = 50_000;
         assert_eq!(c.validate().unwrap_err().field(), "digest_size");
 
         let mut c = RecoveryConfig::default();
@@ -169,14 +148,6 @@ mod tests {
         let mut c = RecoveryConfig::default();
         c.serve_budget_per_round = 70_000;
         assert_eq!(c.validate().unwrap_err().field(), "serve_budget_per_round");
-
-        let mut c = RecoveryConfig::default();
-        c.ihave_window = c.digest_size - 1;
-        assert_eq!(c.validate().unwrap_err().field(), "ihave_window");
-
-        let mut c = RecoveryConfig::default();
-        c.seen_capacity = c.ihave_window - 1;
-        assert_eq!(c.validate().unwrap_err().field(), "seen_capacity");
 
         let mut c = RecoveryConfig::default();
         c.cache_capacity = 0;

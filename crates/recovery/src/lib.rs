@@ -12,14 +12,16 @@
 //!   (`LpbcastNode`, `AdaptiveNode` or agb-topology's `RoutingNode`) and
 //!   implements the same frame-level driving interface that the
 //!   simulator, the threaded runtime and the Maelstrom adapter share;
-//! * outgoing gossip frames piggyback compact `IHave` digests of recently-seen
-//!   event ids (reusing [`EventIdBuffer`](agb_core::EventIdBuffer));
-//! * receivers detect gaps, issue `Graft` pull requests to the
-//!   advertiser, and retry round-robin across advertisers with bounded
-//!   budgets;
-//! * [`RetransmissionCache`] serves grafts from a bounded store with its
-//!   own purge policy, so recovery traffic cannot itself cause the
-//!   congestion the adaptive mechanism exists to prevent.
+//! * outgoing gossip frames piggyback compact `IHave` digests drawn in
+//!   rotation from the [`RetransmissionCache`], so a node advertises only
+//!   what it can serve;
+//! * receivers detect gaps against the wrapped node's own dedup history
+//!   ([`has_seen`](agb_core::FrameProtocol::has_seen)), send `Graft`
+//!   pull requests to the advertiser, and retry round-robin across
+//!   advertisers with bounded budgets;
+//! * the cache serves grafts from a bounded store with its own purge
+//!   policy, so recovery traffic cannot itself cause the congestion the
+//!   adaptive mechanism exists to prevent.
 //!
 //! Everything recovery does is observable through the
 //! `ProtocolEvent::Recovery*` events and aggregated by

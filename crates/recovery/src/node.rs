@@ -1,14 +1,12 @@
 //! The recovery wrapper: any plain [`FrameProtocol`] node plus pull-based
 //! anti-entropy.
 
-use std::collections::VecDeque;
-
 use agb_core::{
-    Event, EventIdBuffer, FrameProtocol, GossipFrame, GossipMessage, GraftRequest, IHaveDigest,
-    OfferOutcome, ProtocolEvent, Retransmission,
+    Event, FrameProtocol, GossipFrame, GossipMessage, GraftRequest, IHaveDigest, OfferOutcome,
+    ProtocolEvent, Retransmission,
 };
 use agb_membership::MembershipDigest;
-use agb_types::{DurationMs, EventId, NodeId, Payload, TimeMs};
+use agb_types::{DurationMs, EventId, FastHashSet, NodeId, Payload, TimeMs};
 
 use crate::cache::RetransmissionCache;
 use crate::config::RecoveryConfig;
@@ -20,18 +18,21 @@ use crate::missing::MissingTracker;
 /// `RoutingNode` alike, which answer recovery frames with nothing — and
 /// implements the same trait with the pull plane added:
 ///
-/// * every outgoing gossip frame piggybacks an [`IHaveDigest`] drawn
-///   from a rotating window of recently-seen event ids (reusing
-///   [`EventIdBuffer`] for the seen set);
-/// * incoming digests are checked against the seen set; fresh gaps are
-///   pulled with [`GraftRequest`]s addressed to the advertiser, with
-///   per-round budgets, per-id retry/timeout bookkeeping, and advertiser
-///   round-robin on retry;
 /// * grafts are served from a bounded [`RetransmissionCache`] with its own
 ///   FIFO + round-age purge policy, so repair traffic can never occupy
 ///   gossip buffer slots or grow without bound;
+/// * every outgoing gossip frame piggybacks an [`IHaveDigest`] of the
+///   next slice of that cache, rotating round by round, so every
+///   advertised id is one this node can serve;
+/// * incoming digests are checked against the wrapped node's own dedup
+///   history ([`FrameProtocol::has_seen`]); fresh gaps are pulled with
+///   [`GraftRequest`]s addressed to the advertiser, with per-round
+///   budgets, per-id retry/timeout bookkeeping, and advertiser
+///   round-robin on retry;
 /// * recovered events are fed through the wrapped node's normal receive
-///   path, so they are delivered once, re-buffered, and re-disseminated.
+///   path, so they are delivered once, re-buffered, and re-disseminated;
+/// * a recovery frame that names one id more than once is read as if it
+///   named it once (the first occurrence wins).
 ///
 /// # Example
 ///
@@ -61,12 +62,6 @@ use crate::missing::MissingTracker;
 pub struct RecoverableNode<P> {
     inner: P,
     config: RecoveryConfig,
-    /// Ids this node has delivered (gap reference for incoming digests).
-    seen: EventIdBuffer,
-    /// Rotating advertisement window over the most recently seen ids,
-    /// tagged with the round they were first seen.
-    window: VecDeque<(EventId, u64)>,
-    advertise_cursor: usize,
     cache: RetransmissionCache,
     missing: MissingTracker,
     round: u64,
@@ -90,9 +85,6 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             .validate()
             .unwrap_or_else(|e| panic!("invalid RecoveryConfig: {e}"));
         RecoverableNode {
-            seen: EventIdBuffer::new(config.seen_capacity),
-            window: VecDeque::new(),
-            advertise_cursor: 0,
             cache: RetransmissionCache::new(config.cache_capacity, config.cache_rounds),
             missing: MissingTracker::with_capacity(config.max_missing),
             round: 0,
@@ -105,89 +97,25 @@ impl<P: FrameProtocol> RecoverableNode<P> {
         }
     }
 
-    /// The recovery configuration in force.
-    pub fn recovery_config(&self) -> &RecoveryConfig {
-        &self.config
-    }
-
-    /// The wrapped protocol node.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Events currently held by the retransmission cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Gaps currently tracked as missing.
     pub fn missing_len(&self) -> usize {
         self.missing.len()
     }
 
-    /// Absorbs the wrapped node's protocol events: newly delivered events
-    /// populate the seen set, the advertisement window and the
-    /// retransmission cache, and close any matching gap.
+    /// Absorbs the wrapped node's protocol events: a delivered event
+    /// enters the retransmission cache and closes any matching gap.
     fn sync(&mut self) {
-        self.sync_collect_delivered(None);
-    }
-
-    /// [`sync`](Self::sync), additionally recording delivered ids into
-    /// `delivered` when provided (used by the retransmission path to
-    /// confirm which recoveries the inner node actually delivered).
-    fn sync_collect_delivered(&mut self, mut delivered: Option<&mut Vec<EventId>>) {
         let mut drained = std::mem::take(&mut self.sync_scratch);
         drained.clear();
         self.inner.drain_events_into(&mut drained);
         for event in drained.drain(..) {
             if let ProtocolEvent::Delivered { event: ev, .. } = &event {
-                let id = ev.id();
-                if self.seen.insert(id) {
-                    self.window.push_back((id, self.round));
-                    while self.window.len() > self.config.ihave_window {
-                        self.window.pop_front();
-                    }
-                    self.cache.insert(ev.clone());
-                }
-                self.missing.resolve(id);
-                if let Some(out) = delivered.as_deref_mut() {
-                    out.push(id);
-                }
+                self.cache.insert(ev.clone());
+                self.missing.resolve(ev.id());
             }
             self.out_events.push(event);
         }
         self.sync_scratch = drained;
-    }
-
-    /// Drops window entries our own cache can no longer serve, keeping
-    /// advertisements honest: a graft lands at the advertiser, so only ids
-    /// within the cache's round horizon are worth advertising. Without
-    /// this, low-rate groups keep advertising unservable ids and trap
-    /// receivers in graft/abandon cycles.
-    fn prune_window(&mut self) {
-        let horizon = u64::from(self.config.cache_rounds);
-        while let Some(&(_, seen_at)) = self.window.front() {
-            if self.round.saturating_sub(seen_at) <= horizon {
-                break;
-            }
-            self.window.pop_front();
-        }
-    }
-
-    /// The rotating digest advertised this round.
-    fn digest(&mut self) -> IHaveDigest {
-        let len = self.window.len();
-        if len == 0 {
-            return IHaveDigest::default();
-        }
-        let take = self.config.digest_size.min(len);
-        let start = self.advertise_cursor % len;
-        let mut ids = Vec::with_capacity(take);
-        for i in 0..take {
-            ids.push(self.window[(start + i) % len].0);
-        }
-        self.advertise_cursor = (start + take) % len.max(1);
-        IHaveDigest { ids }
     }
 
     /// Emits due pull requests within the remaining round budget.
@@ -233,7 +161,8 @@ impl<P: FrameProtocol> RecoverableNode<P> {
     }
 
     /// Serves a pull request from the retransmission cache.
-    fn serve(&mut self, request: GraftRequest, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
+    fn serve(&mut self, mut request: GraftRequest, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
+        first_occurrences(&mut request.ids, |&id| id);
         let budget = self
             .config
             .serve_budget_per_round
@@ -277,19 +206,26 @@ impl<P: FrameProtocol> RecoverableNode<P> {
     }
 
     /// Ingests a retransmission: unseen events flow through the wrapped
-    /// node's normal receive path (delivery, buffering, re-dissemination).
-    fn absorb_retransmission(&mut self, from: NodeId, retransmission: Retransmission, now: TimeMs) {
+    /// node's normal receive path (delivery, buffering, re-dissemination),
+    /// which delivers every one of them; those that were missing count as
+    /// recovered.
+    fn absorb_retransmission(
+        &mut self,
+        from: NodeId,
+        mut retransmission: Retransmission,
+        now: TimeMs,
+    ) {
+        first_occurrences(&mut retransmission.events, Event::id);
         let mut fresh = Vec::new();
-        let mut candidates = Vec::new();
+        let mut recovered = Vec::new();
         for event in retransmission.events {
-            if self.seen.contains(event.id()) {
-                self.out_events.push(ProtocolEvent::RecoveryDuplicate {
-                    id: event.id(),
-                    at: now,
-                });
+            let id = event.id();
+            if self.inner.has_seen(id) {
+                self.out_events
+                    .push(ProtocolEvent::RecoveryDuplicate { id, at: now });
             } else {
-                if self.missing.contains(event.id()) {
-                    candidates.push(event.id());
+                if self.missing.contains(id) {
+                    recovered.push(id);
                 }
                 fresh.push(event);
             }
@@ -297,7 +233,6 @@ impl<P: FrameProtocol> RecoverableNode<P> {
         if fresh.is_empty() {
             return;
         }
-        let fed_ids: Vec<EventId> = fresh.iter().map(Event::id).collect();
         let synthesized = GossipMessage {
             sender: from,
             sample_period: 0,
@@ -306,32 +241,30 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             membership: MembershipDigest::default(),
         };
         self.feed_inner(from, synthesized, now);
-        let mut delivered = Vec::new();
-        self.sync_collect_delivered(Some(&mut delivered));
-        // A tracked gap counts as recovered only if the inner node actually
-        // delivered the copy; an id our (smaller) seen set forgot but the
-        // inner dedup buffer still knows is a duplicate, and its gap entry
-        // is closed so it is not re-pulled forever.
-        for id in candidates {
-            if delivered.contains(&id) {
-                self.out_events
-                    .push(ProtocolEvent::Recovered { id, from, at: now });
-            }
+        self.sync();
+        for id in recovered {
+            self.out_events
+                .push(ProtocolEvent::Recovered { id, from, at: now });
         }
-        for id in fed_ids {
-            if !delivered.contains(&id) {
-                self.seen.insert(id);
-                self.missing.resolve(id);
-                self.out_events
-                    .push(ProtocolEvent::RecoveryDuplicate { id, at: now });
-            }
-        }
+    }
+}
+
+/// Keeps the first occurrence of each id in `items`, in order: a peer's
+/// frame that names an id twice is served, delivered and counted once.
+fn first_occurrences<T>(items: &mut Vec<T>, id: impl Fn(&T) -> EventId) {
+    if items.len() > 1 {
+        let mut named = FastHashSet::default();
+        items.retain(|item| named.insert(id(item)));
     }
 }
 
 impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
     fn node_id(&self) -> NodeId {
         self.inner.node_id()
+    }
+
+    fn has_seen(&self, id: EventId) -> bool {
+        self.inner.has_seen(id)
     }
 
     fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
@@ -345,11 +278,12 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
         self.graft_ids_this_round = 0;
         self.served_events_this_round = 0;
         self.cache.on_round();
-        self.prune_window();
 
         let mut out = self.inner.on_round(now);
         self.sync();
-        let digest = self.digest();
+        let digest = IHaveDigest {
+            ids: self.cache.advertise(self.config.digest_size),
+        };
         for (_, frame) in &mut out {
             if let GossipFrame::Gossip { ihave, .. } = frame {
                 *ihave = Some(digest.clone());
@@ -371,7 +305,7 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
                 self.sync();
                 if let Some(digest) = ihave {
                     for id in digest.ids {
-                        if !self.seen.contains(id) {
+                        if !self.inner.has_seen(id) {
                             self.missing.note(id, from, self.round);
                         }
                     }
@@ -447,18 +381,10 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
     }
 
     fn mem_breakdown(&self) -> Vec<(&'static str, agb_profile::MemUsage)> {
-        use agb_profile::{MemReport, MemUsage};
+        use agb_profile::MemReport;
         let mut rows = self.inner.mem_breakdown();
         rows.push(("retransmission_cache", self.cache.mem_usage()));
         rows.push(("missing_tracker", self.missing.mem_usage()));
-        rows.push(("recovery_seen_ids", self.seen.mem_usage()));
-        rows.push((
-            "recovery_window",
-            MemUsage::new(
-                (self.window.len() * std::mem::size_of::<(EventId, u64)>()) as u64,
-                self.window.len() as u64,
-            ),
-        ));
         rows
     }
 }
@@ -724,7 +650,5 @@ mod tests {
         assert_eq!(FrameProtocol::avg_age(&n), None);
         n.set_buffer_capacity(30, TimeMs::ZERO);
         assert_eq!(n.buffer_capacity(), 30);
-        assert_eq!(n.recovery_config().digest_size, 32);
-        assert_eq!(n.cache_len(), 0);
     }
 }

@@ -1,0 +1,118 @@
+//! The advertisement contract of the recovery layer: every id a node
+//! names in a round's `IHave` digest is one a `Graft` sent that round is
+//! served, whatever the digest size, the cache bounds and the node's
+//! history of offers, receives and rounds.
+
+use agb_core::{
+    Event, FrameProtocol, GossipConfig, GossipFrame, GossipMessage, GraftRequest, LpbcastNode,
+    ProtocolEvent,
+};
+use agb_membership::FullView;
+use agb_recovery::{RecoverableNode, RecoveryConfig};
+use agb_types::{DetRng, DurationMs, EventId, NodeId, Payload, TimeMs};
+use proptest::prelude::*;
+use rand::SeedableRng;
+
+const PEER: NodeId = NodeId::new(1);
+const REQUESTER: NodeId = NodeId::new(2);
+
+/// A gossip frame from `PEER` carrying `count` events nobody has sent
+/// before, numbered from `*next`.
+fn fresh_gossip(next: &mut u64, count: usize) -> GossipFrame {
+    let events: Vec<Event> = (0..count)
+        .map(|_| {
+            let origin = NodeId::new(3 + (*next % 3) as u32);
+            let id = EventId::new(origin, *next / 3);
+            *next += 1;
+            Event::new(id, Payload::from_static(b"fresh"))
+        })
+        .collect();
+    GossipFrame::plain(GossipMessage {
+        sender: PEER,
+        sample_period: 0,
+        min_buffs: Vec::new(),
+        events: events.into(),
+        membership: Default::default(),
+    })
+}
+
+/// The digest piggybacked on a round's gossip frames.
+fn digest_of(out: &[(NodeId, GossipFrame)]) -> Vec<EventId> {
+    out.iter()
+        .find_map(|(_, frame)| match frame {
+            GossipFrame::Gossip { ihave: Some(d), .. } => Some(d.ids.clone()),
+            _ => None,
+        })
+        .expect("a round emits gossip frames carrying a digest")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Steps are `(kind, count)`: kind 0 offers `count` payloads, kind 1
+    /// receives a frame of `count` fresh events, kind 2 runs a round and
+    /// grafts that round's whole digest back.
+    #[test]
+    fn every_advertised_id_is_servable(
+        digest_size in 1usize..24,
+        cache_capacity in 1usize..40,
+        cache_rounds in 1u32..8,
+        steps in collection::vec((0u8..3, 1usize..6), 1..150),
+    ) {
+        let mut config = RecoveryConfig::default();
+        config.digest_size = digest_size;
+        config.cache_capacity = cache_capacity;
+        config.cache_rounds = cache_rounds;
+        config.serve_budget_per_round = digest_size;
+        let inner = LpbcastNode::new(
+            NodeId::new(0),
+            GossipConfig::default(),
+            FullView::new(8),
+            DetRng::seed_from_u64(1),
+        );
+        let mut node = RecoverableNode::new(inner, config);
+        let mut next = 0u64;
+        let mut now = TimeMs::ZERO;
+        for (kind, count) in steps {
+            match kind {
+                0 => {
+                    for _ in 0..count {
+                        node.offer(Payload::from_static(b"own"), now);
+                    }
+                }
+                1 => {
+                    node.on_receive(PEER, fresh_gossip(&mut next, count), now);
+                }
+                _ => {
+                    now += DurationMs::from_secs(1);
+                    let digest = digest_of(&node.on_round(now));
+                    prop_assert!(digest.len() <= digest_size);
+                    node.drain_events();
+                    if digest.is_empty() {
+                        continue;
+                    }
+                    let graft = GossipFrame::Graft(GraftRequest {
+                        sender: REQUESTER,
+                        ids: digest.clone(),
+                    });
+                    let replies = node.on_receive(REQUESTER, graft, now);
+                    prop_assert_eq!(replies.len(), 1);
+                    let GossipFrame::Retransmit(reply) = &replies[0].1 else {
+                        panic!("a graft is answered with a retransmission");
+                    };
+                    let served: Vec<EventId> = reply.events.iter().map(Event::id).collect();
+                    prop_assert_eq!(&served, &digest);
+                    let missed: Vec<usize> = node
+                        .drain_events()
+                        .iter()
+                        .filter_map(|e| match e {
+                            ProtocolEvent::RecoveryServed { missed, .. } => Some(*missed),
+                            _ => None,
+                        })
+                        .collect();
+                    prop_assert_eq!(missed, vec![0]);
+                }
+            }
+        }
+    }
+}

@@ -43,7 +43,6 @@ pub struct RoutingNode<S> {
     relay: VecDeque<RelaySlot>,
     ids: EventIdBuffer,
     next_seq: u64,
-    round: u64,
     out_events: Vec<ProtocolEvent>,
 }
 
@@ -73,40 +72,8 @@ impl<S: GossipMembership> RoutingNode<S> {
             rng,
             relay: VecDeque::new(),
             next_seq: 0,
-            round: 0,
             out_events: Vec::new(),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &RoutingConfig {
-        &self.config
-    }
-
-    /// The overlay degree used by the rescue rule.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
-    /// Updates the overlay degree (the Maelstrom adapter re-learns
-    /// neighbourhoods from topology messages).
-    pub fn set_degree(&mut self, degree: usize) {
-        self.degree = degree;
-    }
-
-    /// Gossip rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The membership service.
-    pub fn membership(&self) -> &S {
-        &self.membership
-    }
-
-    /// Mutable membership access.
-    pub fn membership_mut(&mut self) -> &mut S {
-        &mut self.membership
     }
 
     /// The forwarding gamble for a rumor received at `age` hops: `true` in
@@ -242,6 +209,10 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
         self.id
     }
 
+    fn has_seen(&self, id: EventId) -> bool {
+        self.ids.contains(id)
+    }
+
     fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
         OfferOutcome::Admitted(self.broadcast_now(payload, now))
     }
@@ -249,7 +220,6 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
     /// The periodic part: age increments, emission, and retirement of
     /// rumors whose relay budget ran out.
     fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
-        self.round += 1;
         self.membership.on_round();
         for slot in &mut self.relay {
             slot.event.increment_age();
@@ -356,7 +326,7 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agb_membership::{FullView, LocalitySampler, PeerSampler};
+    use agb_membership::{FullView, LocalitySampler};
     use agb_types::topology::Topology;
     use rand::SeedableRng;
 
@@ -561,9 +531,6 @@ mod tests {
     fn accessors_and_trait_plumbing() {
         let mut n = node(0, RoutingConfig::default(), 5);
         assert_eq!(n.node_id(), NodeId::new(0));
-        assert_eq!(n.degree(), 5);
-        n.set_degree(2);
-        assert_eq!(n.degree(), 2);
         assert_eq!(n.allowed_rate(), None);
         assert_eq!(n.pending_len(), 0);
         assert_eq!(n.gossip_period(), DurationMs::from_secs(1));
@@ -572,10 +539,6 @@ mod tests {
             n.offer(Payload::new(), TimeMs::ZERO),
             OfferOutcome::Admitted(_)
         ));
-        assert_eq!(n.round(), 0);
-        assert_eq!(n.config().fanout, 4);
-        assert_eq!(n.membership().view_size(), 8);
-        n.membership_mut();
         n.evict_peer(NodeId::new(3));
     }
 

@@ -1,11 +1,10 @@
 //! The bounded duplicate-suppression digest (`eventIds` in Figure 1).
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use agb_types::{EventId, FastHashMap, NodeId};
 
-/// FIFO-bounded set of already-seen event identifiers.
+/// Bounded set of already-seen event identifiers.
 ///
 /// Figure 1 garbage-collects `eventIds` by removing the *oldest* elements
 /// when the bound is exceeded; ids are much cheaper than events, so this
@@ -15,18 +14,20 @@ use agb_types::{EventId, FastHashMap, NodeId};
 ///
 /// # Layout and cost
 ///
-/// A FIFO queue of ids (16 B each) alone decides eviction. Lookups go to
-/// a map from `(origin, seq >> 6)` to a 64-bit word of seen bits: one
-/// 24 B entry per 64-seq block of one origin, removed when its last bit
-/// clears. The map never holds more entries than remembered ids,
-/// so the worst case — every id from a different origin or block — costs
-/// 40 B per id, what a hash set beside the queue costs.
+/// Lookups go to a map from `(origin, seq >> 6)` to a 64-bit word of seen
+/// bits: one 24 B entry per 64-seq block of one origin. A FIFO of block
+/// keys (16 B each) decides eviction: a key joins when its word turns
+/// non-zero, and once `capacity` ids are remembered each new id first
+/// forgets the lowest seq of the oldest block; a block leaves the map and
+/// the FIFO with its last bit. Each origin numbers its broadcasts 0, 1, 2,
+/// …, so the rule drops each origin's oldest id first, as Fig. 1 says (one
+/// origin's ids, arriving in order, leave in per-id FIFO order). The worst
+/// case — every id from a different origin or block — costs 40 B per id.
 ///
-/// The saving rests on one property: each origin numbers its broadcasts
-/// 0, 1, 2, …, so a node's window of ids packs into few blocks per
-/// origin. With `w` active origins, `n` remembered ids span at most about
-/// `n / 64 + w` blocks: close to 16.4 B per id once the window is much
-/// larger than `64 w` (every benchmark workload has at most 10 origins).
+/// The saving rests on that numbering: a node's window of ids packs into
+/// few blocks per origin. With `w` active origins, `n` remembered ids span
+/// at most about `n / 64 + w` blocks: under 1 B per id once the window is
+/// much larger than `64 w` (every benchmark workload has at most 10 origins).
 ///
 /// # Example
 ///
@@ -46,7 +47,9 @@ use agb_types::{EventId, FastHashMap, NodeId};
 #[derive(Debug, Clone)]
 pub struct EventIdBuffer {
     capacity: usize,
-    order: VecDeque<EventId>,
+    len: usize,
+    /// Keys of the non-empty blocks, in the order their words turned non-zero.
+    order: VecDeque<(NodeId, u64)>,
     /// Seen bits per 64-seq block; every stored word is non-zero.
     blocks: FastHashMap<(NodeId, u64), u64>,
 }
@@ -65,6 +68,7 @@ impl EventIdBuffer {
     pub fn new(capacity: usize) -> Self {
         EventIdBuffer {
             capacity,
+            len: 0,
             order: VecDeque::new(),
             blocks: FastHashMap::default(),
         }
@@ -76,23 +80,32 @@ impl EventIdBuffer {
         if self.capacity == 0 {
             return true; // Degenerate: remembers nothing, everything is new.
         }
+        if self.len == self.capacity {
+            if self.contains(id) {
+                return false;
+            }
+            let oldest = self.order[0];
+            let word = self
+                .blocks
+                .get_mut(&oldest)
+                .expect("queued blocks are mapped");
+            *word &= *word - 1; // forget its lowest seq
+            if *word == 0 {
+                self.blocks.remove(&oldest);
+                self.order.pop_front();
+            }
+            self.len -= 1;
+        }
         let (block, bit) = slot(id);
         let word = self.blocks.entry(block).or_insert(0);
         if *word & bit != 0 {
             return false;
         }
-        *word |= bit;
-        self.order.push_back(id);
-        if self.order.len() > self.capacity {
-            let old = self.order.pop_front().expect("over capacity");
-            let (block, bit) = slot(old);
-            if let Entry::Occupied(mut word) = self.blocks.entry(block) {
-                *word.get_mut() &= !bit;
-                if *word.get() == 0 {
-                    word.remove();
-                }
-            }
+        if *word == 0 {
+            self.order.push_back(block);
         }
+        *word |= bit;
+        self.len += 1;
         true
     }
 
@@ -104,12 +117,12 @@ impl EventIdBuffer {
 
     /// Number of remembered ids.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.len
     }
 
     /// Whether no ids are remembered.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len == 0
     }
 
     /// The configured bound.
@@ -121,9 +134,8 @@ impl EventIdBuffer {
 impl agb_profile::MemReport for EventIdBuffer {
     fn mem_usage(&self) -> agb_profile::MemUsage {
         use std::mem::size_of;
-        let fifo = self.order.len() * size_of::<EventId>();
-        let map = self.blocks.len() * (size_of::<(NodeId, u64)>() + size_of::<u64>());
-        agb_profile::MemUsage::new((fifo + map) as u64, self.order.len() as u64)
+        let per_block = 2 * size_of::<(NodeId, u64)>() + size_of::<u64>();
+        agb_profile::MemUsage::new((self.blocks.len() * per_block) as u64, self.len as u64)
     }
 }
 
@@ -159,6 +171,28 @@ mod tests {
     }
 
     #[test]
+    fn evicts_the_oldest_blocks_lowest_seq() {
+        let at = |origin, seq| EventId::new(NodeId::new(origin), seq);
+        let mut b = EventIdBuffer::new(3);
+        b.insert(at(1, 5));
+        b.insert(at(2, 0));
+        b.insert(at(1, 3)); // joins the oldest block
+        b.insert(at(3, 0)); // forgets (1, 3), its lowest seq
+        assert!(!b.contains(at(1, 3)) && b.contains(at(1, 5)));
+        b.insert(at(1, 4)); // forgets (1, 5) and its block; (1, 4) re-queues it
+        assert!(!b.contains(at(1, 5)) && b.contains(at(1, 4)));
+        assert_eq!(
+            b.order,
+            [
+                (NodeId::new(2), 0),
+                (NodeId::new(3), 0),
+                (NodeId::new(1), 0)
+            ]
+        );
+        assert_eq!(b.len(), 3);
+    }
+
+    #[test]
     fn evicted_id_reads_as_new_again() {
         let mut b = EventIdBuffer::new(1);
         b.insert(id(0));
@@ -191,7 +225,8 @@ mod tests {
     #[test]
     fn sequential_ids_share_blocks() {
         // Ten origins numbering their broadcasts 0, 1, 2, …: the window
-        // packs into about n / 64 + 10 blocks.
+        // packs into about n / 64 + 10 blocks, and the block FIFO holds
+        // one key per block, not one id per id.
         let capacity = 5_000;
         let mut b = EventIdBuffer::new(capacity);
         for seq in 0..2_000u64 {
@@ -202,6 +237,9 @@ mod tests {
         assert_eq!(b.len(), capacity);
         let blocks = b.blocks.len();
         assert!(blocks <= capacity / 64 + 2 * 10, "{blocks} blocks");
-        assert!(b.mem_usage().bytes <= 17 * capacity as u64);
+        let queued = b.order.len();
+        assert!(queued <= capacity / 64 + 2 * 10, "{queued} queued blocks");
+        let bytes = b.mem_usage().bytes;
+        assert!(bytes <= capacity as u64, "{bytes} B for {capacity} ids");
     }
 }

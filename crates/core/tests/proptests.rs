@@ -6,42 +6,59 @@ use agb_core::{
     BuffAd, Event, EventBuffer, EventIdBuffer, KSmallestSet, MinBuffConfig, MinBuffEstimator,
     PurgeReason, TokenBucket,
 };
-use agb_types::{DurationMs, EventId, FastHashSet, NodeId, Payload, TimeMs};
+use agb_types::{DurationMs, EventId, NodeId, Payload, TimeMs};
 use proptest::prelude::*;
 
 fn ev(origin: u32, seq: u64, age: u32) -> Event {
     Event::with_age(EventId::new(NodeId::new(origin), seq), age, Payload::new())
 }
 
-/// The reference id history: a hash set beside the FIFO queue that
-/// decides eviction.
+/// The reference id history, on plain collections: 64-seq blocks of one
+/// origin queue in the order their first remembered id arrived, and a
+/// full history forgets the oldest block's lowest seq before it takes a
+/// new id.
 struct ModelIds {
     capacity: usize,
-    order: VecDeque<EventId>,
-    set: FastHashSet<EventId>,
+    /// One remembered id per non-empty block, oldest block first.
+    blocks: VecDeque<EventId>,
+    set: BTreeSet<EventId>,
 }
 
 impl ModelIds {
     fn new(capacity: usize) -> Self {
         ModelIds {
             capacity,
-            order: VecDeque::new(),
-            set: FastHashSet::default(),
+            blocks: VecDeque::new(),
+            set: BTreeSet::new(),
         }
+    }
+
+    /// The remembered ids in `id`'s block, lowest seq first.
+    fn block_of(&self, id: EventId) -> impl Iterator<Item = EventId> + '_ {
+        let first = EventId::new(id.origin(), id.seq() & !63);
+        let last = EventId::new(id.origin(), id.seq() | 63);
+        self.set.range(first..=last).copied()
     }
 
     fn insert(&mut self, id: EventId) -> bool {
         if self.capacity == 0 {
             return true;
         }
-        if !self.set.insert(id) {
+        if self.set.contains(&id) {
             return false;
         }
-        self.order.push_back(id);
-        while self.order.len() > self.capacity {
-            let old = self.order.pop_front().expect("over capacity");
-            self.set.remove(&old);
+        if self.set.len() == self.capacity {
+            let oldest = self.blocks[0];
+            let victim = self.block_of(oldest).next().expect("a queued block");
+            self.set.remove(&victim);
+            if self.block_of(oldest).next().is_none() {
+                self.blocks.pop_front();
+            }
         }
+        if self.block_of(id).next().is_none() {
+            self.blocks.push_back(id);
+        }
+        self.set.insert(id);
         true
     }
 }
@@ -119,34 +136,27 @@ proptest! {
         prop_assert_eq!(predicted, actual);
     }
 
-    /// Duplicate suppression remembers at most `capacity` ids, FIFO.
+    /// Duplicate suppression remembers at most `capacity` ids, and
+    /// forgets them oldest block first, lowest seq first.
     #[test]
     fn id_buffer_bounded_and_exact(
         capacity in 1usize..50,
         ids in proptest::collection::vec(0u64..100, 0..200),
     ) {
         let mut buf = EventIdBuffer::new(capacity);
-        let mut model: Vec<u64> = Vec::new(); // insertion-ordered, unique
+        let mut model = ModelIds::new(capacity);
         for seq in ids {
             let id = EventId::new(NodeId::new(0), seq);
-            let was_new = buf.insert(id);
-            let model_new = !model.contains(&seq);
-            prop_assert_eq!(was_new, model_new);
-            if model_new {
-                model.push(seq);
-                if model.len() > capacity {
-                    model.remove(0);
-                }
-            }
+            prop_assert_eq!(buf.insert(id), model.insert(id));
             prop_assert!(buf.len() <= capacity);
         }
-        for &seq in &model {
-            prop_assert!(buf.contains(EventId::new(NodeId::new(0), seq)));
+        for &id in &model.set {
+            prop_assert!(buf.contains(id));
         }
     }
 
     /// The block-bitset id history answers every `insert`, `contains`
-    /// and `len` exactly as a hash set beside the FIFO queue does.
+    /// and `len` exactly as the reference model does.
     #[test]
     fn id_buffer_matches_hash_set_model(
         capacity in 0usize..=64,
@@ -163,7 +173,7 @@ proptest! {
             } else {
                 prop_assert_eq!(buf.contains(id), model.set.contains(&id), "contains {}", id);
             }
-            prop_assert_eq!(buf.len(), model.order.len());
+            prop_assert_eq!(buf.len(), model.set.len());
         }
         for id in touched {
             prop_assert_eq!(buf.contains(id), model.set.contains(&id), "final contains {}", id);

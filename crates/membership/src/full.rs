@@ -81,7 +81,7 @@ impl PeerSampler for FullView {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn sample_excludes_self_and_has_no_duplicates() {
@@ -102,7 +102,7 @@ mod tests {
     fn sample_is_roughly_uniform() {
         let view = FullView::new(10);
         let mut rng = DetRng::seed_from_u64(11);
-        let mut counts: HashMap<NodeId, u32> = HashMap::new();
+        let mut counts: BTreeMap<NodeId, u32> = BTreeMap::new();
         let trials = 30_000;
         for _ in 0..trials {
             for p in view.sample(&mut rng, 3, NodeId::new(0)) {

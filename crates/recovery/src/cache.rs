@@ -14,8 +14,6 @@
 
 use std::collections::VecDeque;
 
-use agb_types::FastHashMap;
-
 use agb_core::Event;
 use agb_types::EventId;
 
@@ -25,7 +23,13 @@ struct CachedEvent {
     cached_at_round: u64,
 }
 
-/// Bounded FIFO store of recently delivered events, indexed by id.
+/// Bounded FIFO store of recently delivered events.
+///
+/// The cache is one queue of its entries, oldest first, and a lookup
+/// scans it. At the configured bound (256 entries by default) a scan
+/// reads at most 12 KiB of contiguous entries, once per delivered event
+/// and once per grafted id; an id index beside the queue would about
+/// double the cache's bytes.
 ///
 /// # Example
 ///
@@ -46,8 +50,8 @@ struct CachedEvent {
 pub struct RetransmissionCache {
     capacity: usize,
     max_rounds: u32,
-    slots: FastHashMap<EventId, CachedEvent>,
-    order: VecDeque<EventId>,
+    /// Cached events, oldest first.
+    entries: VecDeque<CachedEvent>,
     /// Where the next [`advertise`](Self::advertise) slice starts.
     cursor: usize,
     round: u64,
@@ -62,8 +66,7 @@ impl RetransmissionCache {
             max_rounds,
             // Grown on demand: one cache per node at 10k+ simulated
             // nodes makes eager full-bound reservations prohibitive.
-            slots: FastHashMap::default(),
-            order: VecDeque::new(),
+            entries: VecDeque::new(),
             cursor: 0,
             round: 0,
         }
@@ -72,41 +75,40 @@ impl RetransmissionCache {
     /// Caches a delivered event. Duplicate ids refresh nothing (the first
     /// cached copy is as servable as any).
     pub fn insert(&mut self, event: Event) {
-        if self.capacity == 0 || self.slots.contains_key(&event.id()) {
+        if self.capacity == 0 || self.get(event.id()).is_some() {
             return;
         }
-        self.order.push_back(event.id());
-        self.slots.insert(
-            event.id(),
-            CachedEvent {
-                event,
-                cached_at_round: self.round,
-            },
-        );
-        while self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.slots.remove(&old);
-            }
+        if self.entries.len() == self.capacity {
+            self.entries.pop_front();
         }
+        self.entries.push_back(CachedEvent {
+            event,
+            cached_at_round: self.round,
+        });
     }
 
     /// Looks up a cached event.
     pub fn get(&self, id: EventId) -> Option<&Event> {
-        self.slots.get(&id).map(|c| &c.event)
+        self.entries
+            .iter()
+            .map(|c| &c.event)
+            .find(|event| event.id() == id)
     }
 
     /// The next `n` cached ids (fewer if fewer are cached), oldest
     /// first, continuing where the previous call stopped and wrapping
     /// around the FIFO, so successive digests cover the whole cache.
     pub fn advertise(&mut self, n: usize) -> Vec<EventId> {
-        let len = self.order.len();
+        let len = self.entries.len();
         if len == 0 {
             return Vec::new();
         }
         let start = self.cursor % len;
         let take = n.min(len);
         self.cursor = (start + take) % len;
-        (0..take).map(|i| self.order[(start + i) % len]).collect()
+        (0..take)
+            .map(|i| self.entries[(start + i) % len].event.id())
+            .collect()
     }
 
     /// Advances the cache clock one gossip round and applies the age
@@ -114,27 +116,23 @@ impl RetransmissionCache {
     pub fn on_round(&mut self) {
         self.round += 1;
         let max_rounds = u64::from(self.max_rounds);
-        while let Some(&front) = self.order.front() {
-            let expired = self
-                .slots
-                .get(&front)
-                .is_some_and(|c| self.round - c.cached_at_round > max_rounds);
-            if !expired {
-                break;
-            }
-            self.order.pop_front();
-            self.slots.remove(&front);
+        while self
+            .entries
+            .front()
+            .is_some_and(|c| self.round - c.cached_at_round > max_rounds)
+        {
+            self.entries.pop_front();
         }
     }
 
     /// Number of cached events.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.entries.is_empty()
     }
 
     /// The configured capacity bound.
@@ -145,19 +143,10 @@ impl RetransmissionCache {
 
 impl agb_profile::MemReport for RetransmissionCache {
     fn mem_usage(&self) -> agb_profile::MemUsage {
-        // Each cached event appears in the id-indexed slot map and the
-        // FIFO order queue; payload bytes are shared-buffer estimates.
-        let per_slot =
-            (2 * std::mem::size_of::<EventId>() + std::mem::size_of::<CachedEvent>() + 8) as u64;
-        let payloads: u64 = self
-            .slots
-            .values()
-            .map(|c| c.event.payload().len() as u64)
-            .sum();
-        agb_profile::MemUsage::new(
-            self.slots.len() as u64 * per_slot + payloads,
-            self.slots.len() as u64,
-        )
+        // Payload bytes are shared-buffer estimates.
+        let entries = self.entries.len() * std::mem::size_of::<CachedEvent>();
+        let payloads: usize = self.entries.iter().map(|c| c.event.payload().len()).sum();
+        agb_profile::MemUsage::new((entries + payloads) as u64, self.entries.len() as u64)
     }
 }
 

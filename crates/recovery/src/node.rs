@@ -31,6 +31,8 @@ use crate::missing::MissingTracker;
 ///   round-robin on retry;
 /// * recovered events are fed through the wrapped node's normal receive
 ///   path, so they are delivered once, re-buffered, and re-disseminated;
+/// * the wrapped node's protocol events drain straight into this layer's
+///   own event queue, where each delivery is cached as it is appended;
 /// * a recovery frame that names one id more than once is read as if it
 ///   named it once (the first occurrence wins).
 ///
@@ -68,9 +70,6 @@ pub struct RecoverableNode<P> {
     graft_ids_this_round: usize,
     served_events_this_round: usize,
     out_events: Vec<ProtocolEvent>,
-    /// Reusable buffer for draining the inner node's events on every
-    /// sync (once per receive/round — allocation-free at steady state).
-    sync_scratch: Vec<ProtocolEvent>,
 }
 
 impl<P: FrameProtocol> RecoverableNode<P> {
@@ -91,7 +90,6 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             graft_ids_this_round: 0,
             served_events_this_round: 0,
             out_events: Vec::new(),
-            sync_scratch: Vec::new(),
             inner,
             config,
         }
@@ -102,20 +100,18 @@ impl<P: FrameProtocol> RecoverableNode<P> {
         self.missing.len()
     }
 
-    /// Absorbs the wrapped node's protocol events: a delivered event
-    /// enters the retransmission cache and closes any matching gap.
+    /// Drains the wrapped node's protocol events into `out_events`: each
+    /// delivered event enters the retransmission cache and closes any
+    /// matching gap.
     fn sync(&mut self) {
-        let mut drained = std::mem::take(&mut self.sync_scratch);
-        drained.clear();
-        self.inner.drain_events_into(&mut drained);
-        for event in drained.drain(..) {
-            if let ProtocolEvent::Delivered { event: ev, .. } = &event {
-                self.cache.insert(ev.clone());
-                self.missing.resolve(ev.id());
+        let start = self.out_events.len();
+        self.inner.drain_events_into(&mut self.out_events);
+        for event in &self.out_events[start..] {
+            if let ProtocolEvent::Delivered { event, .. } = event {
+                self.cache.insert(event.clone());
+                self.missing.resolve(event.id());
             }
-            self.out_events.push(event);
         }
-        self.sync_scratch = drained;
     }
 
     /// Emits due pull requests within the remaining round budget.

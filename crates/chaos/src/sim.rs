@@ -8,7 +8,7 @@
 //! group re-converges around joins and restarts.
 
 use std::cell::Ref;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use agb_metrics::{AtomicityReport, MetricsCollector};
 use agb_sim::{AdversaryWindow, LinkFault, NetStats, Partition};
@@ -91,6 +91,9 @@ impl ChaosSummary {
     }
 }
 
+/// Virtual time between membership probes.
+const PROBE_EVERY: DurationMs = DurationMs::from_secs(1);
+
 struct Watch {
     node: NodeId,
     from: TimeMs,
@@ -100,10 +103,9 @@ struct Watch {
 ///
 /// Build it from the cluster configuration and the schedule, then drive
 /// virtual time with [`run_until`](Self::run_until); membership probes run
-/// automatically every [`probe_every`](Self::set_probe_every).
+/// automatically every second of virtual time.
 pub struct ChaosCluster {
     cluster: GossipCluster,
-    probe_every: DurationMs,
     watches: Vec<Watch>,
     convergence: Vec<ConvergenceRecord>,
     next_probe: TimeMs,
@@ -135,7 +137,7 @@ impl ChaosCluster {
         }
         let watch_views = matches!(config.membership, MembershipKind::Partial(_));
         let mut cluster = GossipCluster::build(config);
-        let mut epochs: HashMap<NodeId, u64> = HashMap::new();
+        let mut epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut watches = Vec::new();
         for event in schedule.events() {
             match event.clone() {
@@ -223,24 +225,17 @@ impl ChaosCluster {
         }
         ChaosCluster {
             cluster,
-            probe_every: DurationMs::from_secs(1),
             watches,
             convergence: Vec::new(),
             next_probe: TimeMs::ZERO,
         }
     }
 
-    /// Changes the membership-probe period (default 1 s of virtual time).
-    pub fn set_probe_every(&mut self, every: DurationMs) {
-        assert!(!every.is_zero(), "probe period must be non-zero");
-        self.probe_every = every;
-    }
-
     /// Runs until virtual time `t`, probing membership convergence along
     /// the way.
     pub fn run_until(&mut self, t: TimeMs) {
         while self.cluster.now() < t {
-            let step_to = (self.next_probe.max(self.cluster.now()) + self.probe_every).min(t);
+            let step_to = (self.next_probe.max(self.cluster.now()) + PROBE_EVERY).min(t);
             self.cluster.run_until(step_to);
             self.next_probe = step_to;
             self.probe();

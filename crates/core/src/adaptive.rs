@@ -65,7 +65,6 @@ pub struct AdaptiveNode<S> {
     controller: RateController,
     avg_tokens: Ewma,
     rng: DetRng,
-    out_events: Vec<ProtocolEvent>,
 }
 
 impl<S: GossipMembership> AdaptiveNode<S> {
@@ -109,7 +108,6 @@ impl<S: GossipMembership> AdaptiveNode<S> {
             controller,
             avg_tokens,
             rng,
-            out_events: Vec::new(),
         }
     }
 
@@ -150,7 +148,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
     fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         // 1. Sample-period bookkeeping (Figure 5(a), local clock).
         if self.min_buff.on_tick(now) {
-            self.out_events.push(ProtocolEvent::PeriodRollover {
+            self.inner.push_event(ProtocolEvent::PeriodRollover {
                 period: self.min_buff.current_period(),
                 estimate: self.min_buff.estimate(),
                 at: now,
@@ -177,7 +175,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
             &mut self.rng,
         ) {
             self.bucket().set_rate(change.new, now);
-            self.out_events.push(ProtocolEvent::RateChanged {
+            self.inner.push_event(ProtocolEvent::RateChanged {
                 old: change.old,
                 new: change.new,
                 reason: change.reason,
@@ -213,7 +211,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         if msg.is_adaptive() {
             let rolled = self.min_buff.on_receive(msg.sample_period, &msg.min_buffs);
             if rolled {
-                self.out_events.push(ProtocolEvent::PeriodRollover {
+                self.inner.push_event(ProtocolEvent::PeriodRollover {
                     period: self.min_buff.current_period(),
                     estimate: self.min_buff.estimate(),
                     at: now,
@@ -234,9 +232,10 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         Vec::new()
     }
 
+    /// The wrapped node's queue holds this layer's events too, pushed as
+    /// they happen, so the drain keeps occurrence order.
     fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
         self.inner.drain_events_into(out);
-        out.append(&mut self.out_events);
     }
 
     fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {
@@ -492,6 +491,33 @@ mod tests {
             .count();
         assert_eq!(rollovers, 1);
         assert_eq!(n.min_buff.current_period(), 1);
+    }
+
+    #[test]
+    fn rollover_drains_before_the_same_rounds_age_cap_drop() {
+        let mut n = default_adaptive(0);
+        let cap = GossipConfig::default().age_cap;
+        // An event at the age cap: the next round ages it past the cap.
+        let old = Event::with_age(EventId::new(NodeId::new(7), 0), cap, Payload::new());
+        n.on_receive(NodeId::new(7), remote_msg(0, 90, vec![old]), TimeMs::ZERO);
+        n.drain_events();
+        // The round at 6 s starts sample period 1 (step 1), then purges
+        // the capped event (step 5).
+        n.on_round(TimeMs::from_secs(6));
+        let events = n.drain_events();
+        let at = |pred: fn(&ProtocolEvent) -> bool| events.iter().position(pred);
+        let rollover = at(|e| matches!(e, ProtocolEvent::PeriodRollover { .. }));
+        let dropped = at(|e| {
+            matches!(
+                e,
+                ProtocolEvent::Dropped {
+                    reason: crate::buffer::PurgeReason::AgeCap,
+                    ..
+                }
+            )
+        });
+        assert!(rollover.is_some() && dropped.is_some(), "{events:?}");
+        assert!(rollover < dropped, "occurrence order: {events:?}");
     }
 
     #[test]

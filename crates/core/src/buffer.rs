@@ -249,26 +249,9 @@ impl EventBuffer {
             .collect()
     }
 
-    /// Snapshot of the buffered events (for gossip emission), in insertion
-    /// order for determinism.
-    pub fn snapshot(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        self.snapshot_into(&mut out);
-        out
-    }
-
-    /// Writes the insertion-ordered snapshot into a reusable buffer (the
-    /// per-round emission path; avoids allocating a fresh vector every
-    /// gossip round).
-    pub fn snapshot_into(&self, out: &mut Vec<Event>) {
-        out.clear();
-        let mut slots: Vec<&Slot> = self.slots.values().collect();
-        slots.sort_by_key(|s| s.inserted);
-        out.extend(slots.into_iter().map(|s| s.event.clone()));
-    }
-
-    /// The insertion-ordered snapshot as a shared [`EventList`](crate::EventList): one
-    /// allocation backs every gossip copy emitted this round.
+    /// Snapshot of the buffered events for gossip emission, in insertion
+    /// order for determinism, as a shared [`EventList`](crate::EventList):
+    /// one allocation backs every gossip copy emitted this round.
     pub fn snapshot_shared(&self) -> crate::event::EventList {
         let mut slots: Vec<&Slot> = self.slots.values().collect();
         slots.sort_by_key(|s| s.inserted);
@@ -344,7 +327,7 @@ mod tests {
         let purged = buf.insert(ev(0, 6));
         assert!(purged.is_none());
         assert_eq!(buf.len(), 1);
-        let snap = buf.snapshot();
+        let snap = buf.snapshot_shared();
         assert_eq!(snap[0].age(), 6);
     }
 
@@ -354,7 +337,7 @@ mod tests {
         buf.insert(ev(0, 1));
         assert!(buf.merge_age(EventId::new(NodeId::new(0), 0), 4));
         assert!(!buf.merge_age(EventId::new(NodeId::new(0), 99), 4));
-        assert_eq!(buf.snapshot()[0].age(), 4);
+        assert_eq!(buf.snapshot_shared()[0].age(), 4);
     }
 
     #[test]
@@ -440,7 +423,7 @@ mod tests {
         for seq in [3, 1, 2] {
             buf.insert(ev(seq, 0));
         }
-        let ids: Vec<u64> = buf.snapshot().iter().map(|e| e.id().seq()).collect();
+        let ids: Vec<u64> = buf.snapshot_shared().iter().map(|e| e.id().seq()).collect();
         assert_eq!(ids, vec![3, 1, 2]);
     }
 

@@ -36,8 +36,6 @@ pub struct CongestionEstimator {
     config: CongestionConfig,
     avg_age: Ewma,
     lost: agb_types::FastHashSet<EventId>,
-    drop_samples: u64,
-    relief_samples: u64,
 }
 
 impl CongestionEstimator {
@@ -49,8 +47,6 @@ impl CongestionEstimator {
             config,
             avg_age,
             lost: agb_types::FastHashSet::default(),
-            drop_samples: 0,
-            relief_samples: 0,
         }
     }
 
@@ -72,14 +68,12 @@ impl CongestionEstimator {
         if would.is_empty() {
             if self.config.no_drop_relief && !suppress_relief && buffer.len() <= min_buff {
                 self.avg_age.update(self.config.relief_age);
-                self.relief_samples += 1;
             }
             return;
         }
         for (id, age) in would {
             self.avg_age.update(f64::from(age));
             self.lost.insert(id);
-            self.drop_samples += 1;
         }
     }
 
@@ -97,7 +91,6 @@ impl CongestionEstimator {
         }
         if purged.reason == crate::buffer::PurgeReason::Overflow {
             self.avg_age.update(f64::from(purged.age));
-            self.drop_samples += 1;
         }
     }
 
@@ -105,16 +98,6 @@ impl CongestionEstimator {
     /// events.
     pub fn avg_age(&self) -> f64 {
         self.avg_age.value()
-    }
-
-    /// Number of would-drop age samples folded in.
-    pub fn drop_samples(&self) -> u64 {
-        self.drop_samples
-    }
-
-    /// Number of relief (no-drop) samples folded in.
-    pub fn relief_samples(&self) -> u64 {
-        self.relief_samples
     }
 
     /// Size of the already-counted set (diagnostics).
@@ -150,23 +133,23 @@ mod tests {
     fn starts_at_initial_age() {
         let est = CongestionEstimator::new(config(0.9));
         assert_eq!(est.avg_age(), 5.0);
-        assert_eq!(est.drop_samples(), 0);
     }
 
     #[test]
     fn counts_each_event_once() {
-        let mut est = CongestionEstimator::new(config(0.0));
+        let mut est = CongestionEstimator::new(config(0.5));
         let mut buf = EventBuffer::new(10);
         buf.insert(ev(0, 8));
         buf.insert(ev(1, 2));
         est.scan(&buf, 1, false);
-        assert_eq!(est.avg_age(), 8.0);
-        assert_eq!(est.drop_samples(), 1);
+        assert_eq!(est.avg_age(), 6.5);
         assert_eq!(est.lost_len(), 1);
         // Second scan with the same state: the age-8 event is already in
-        // `lost`, and the remaining single event fits in min_buff=1.
+        // `lost`, and the remaining single event fits in min_buff=1, so
+        // no sample moves the average.
         est.scan(&buf, 1, false);
-        assert_eq!(est.drop_samples(), 1);
+        assert_eq!(est.avg_age(), 6.5);
+        assert_eq!(est.lost_len(), 1);
     }
 
     #[test]
@@ -179,7 +162,7 @@ mod tests {
         // min_buff = 1 -> two would-drops: ages 9 then 4; with alpha=0 the
         // average ends at the last sample.
         est.scan(&buf, 1, false);
-        assert_eq!(est.drop_samples(), 2);
+        assert_eq!(est.lost_len(), 2);
         assert_eq!(est.avg_age(), 4.0);
     }
 
@@ -191,7 +174,7 @@ mod tests {
         buf.insert(ev(1, 2));
         est.scan(&buf, 1, false);
         assert_eq!(est.lost_len(), 1);
-        let samples = est.drop_samples();
+        assert_eq!(est.avg_age(), 8.0);
         // The event really leaves the buffer now: pruned from `lost`,
         // not double counted.
         est.on_purged(&crate::buffer::PurgedEvent {
@@ -200,7 +183,7 @@ mod tests {
             reason: crate::buffer::PurgeReason::Overflow,
         });
         assert_eq!(est.lost_len(), 0);
-        assert_eq!(est.drop_samples(), samples);
+        assert_eq!(est.avg_age(), 8.0);
     }
 
     #[test]
@@ -212,7 +195,6 @@ mod tests {
             reason: crate::buffer::PurgeReason::Overflow,
         });
         assert_eq!(est.avg_age(), 3.0);
-        assert_eq!(est.drop_samples(), 1);
     }
 
     #[test]
@@ -224,7 +206,6 @@ mod tests {
             reason: crate::buffer::PurgeReason::AgeCap,
         });
         assert_eq!(est.avg_age(), 5.0);
-        assert_eq!(est.drop_samples(), 0);
     }
 
     #[test]
@@ -238,7 +219,6 @@ mod tests {
         let buf = EventBuffer::new(10);
         est.scan(&buf, 5, true);
         assert_eq!(est.avg_age(), 2.0);
-        assert_eq!(est.relief_samples(), 0);
     }
 
     #[test]
@@ -254,8 +234,7 @@ mod tests {
         assert_eq!(est.avg_age(), 6.0);
         est.scan(&buf, 5, false);
         assert_eq!(est.avg_age(), 8.0);
-        assert_eq!(est.relief_samples(), 2);
-        assert_eq!(est.drop_samples(), 0);
+        assert_eq!(est.lost_len(), 0);
     }
 
     #[test]
@@ -264,7 +243,6 @@ mod tests {
         let buf = EventBuffer::new(10);
         est.scan(&buf, 5, false);
         assert_eq!(est.avg_age(), 5.0);
-        assert_eq!(est.relief_samples(), 0);
     }
 
     #[test]
@@ -286,7 +264,6 @@ mod tests {
         let before = est.avg_age();
         est.scan(&buf, 1, false); // nothing new, no relief
         assert_eq!(est.avg_age(), before);
-        assert_eq!(est.relief_samples(), 0);
     }
 
     #[test]

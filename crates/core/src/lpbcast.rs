@@ -120,6 +120,13 @@ impl<S: GossipMembership> LpbcastNode<S> {
         self.removals.drain(..)
     }
 
+    /// Queues an event a wrapping layer observed, after those this node
+    /// queued so far, so one drain reports the stack's events in
+    /// occurrence order.
+    pub(crate) fn push_event(&mut self, event: ProtocolEvent) {
+        self.out_events.push(event);
+    }
+
     /// Broadcasts unconditionally (no throttle): assigns the next sequence
     /// number, buffers, self-delivers.
     pub fn broadcast_now(&mut self, payload: Payload, now: TimeMs) -> EventId {
@@ -458,7 +465,7 @@ mod tests {
             .collect();
         assert_eq!(delivered.len(), 1, "duplicate must not be re-delivered");
         // Age was max-merged into the buffered copy.
-        assert_eq!(n.buffer().snapshot()[0].age(), 5);
+        assert_eq!(n.buffer().snapshot_shared()[0].age(), 5);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use agb_metrics::Table;
 use agb_types::{DurationMs, TimeMs};
-use agb_workload::{Algorithm, GossipCluster, ResizeSchedule};
+use agb_workload::{Algorithm, GossipCluster};
 
 use crate::common::{
     paper_cluster, quick_mode, ATOMICITY_THRESHOLD, MAX_RATE_SLOPE, N_NODES, N_SENDERS,
@@ -63,9 +63,9 @@ pub fn run_variant(variant: &Variant, seed: u64) -> AblationRow {
     );
     (variant.apply)(&mut cc.adaptation);
     let mut cluster = GossipCluster::build(cc);
-    let mut schedule = ResizeSchedule::new();
-    schedule.resize_group(scenario.t1, scenario.affected_nodes(), scenario.shrink_to);
-    cluster.apply_resizes(&schedule);
+    for node in scenario.affected_nodes() {
+        cluster.schedule_resize(scenario.t1, node, scenario.shrink_to);
+    }
     cluster.run_until(scenario.end);
 
     // Steady window: the second half of the post-shrink phase.
@@ -192,9 +192,9 @@ pub fn flow_control_comparison(seed: u64) -> Vec<FlowControlRow> {
         .map(|(label, algorithm)| {
             let cc = paper_cluster(algorithm, scenario.base_buffer, scenario.offered, seed);
             let mut cluster = GossipCluster::build(cc);
-            let mut schedule = ResizeSchedule::new();
-            schedule.resize_group(scenario.t1, scenario.affected_nodes(), scenario.shrink_to);
-            cluster.apply_resizes(&schedule);
+            for node in scenario.affected_nodes() {
+                cluster.schedule_resize(scenario.t1, node, scenario.shrink_to);
+            }
             cluster.run_until(scenario.end);
             let metrics = cluster.metrics();
             let settle = scenario.t1 + (scenario.end - scenario.t1) / 2;

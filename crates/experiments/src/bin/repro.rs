@@ -77,7 +77,9 @@ fn main() {
     }
     match what {
         "fig2" => run_fig2(seed),
-        "fig4" => run_fig4(seed),
+        "fig4" => {
+            run_fig4(seed);
+        }
         "fig6" => run_fig6(seed),
         "fig7" => run_fig7(seed),
         "fig8" => run_fig8(seed),
@@ -88,9 +90,9 @@ fn main() {
         "perf" => run_perf(seed),
         "all" => {
             run_fig2(seed);
-            run_fig4(seed);
-            run_fig6(seed);
+            let calibration = run_fig4(seed);
             let rows = fig7::run(seed);
+            print!("{}", fig6::table(&fig6::rows(&calibration, &rows)));
             print!("{}", fig7::table_input(&rows));
             print!("{}", fig7::table_output(&rows));
             print!("{}", fig7::table_drop_age(&rows));
@@ -282,14 +284,17 @@ fn run_fig2(seed: u64) {
     print!("{}", fig2::table(&rows));
 }
 
-fn run_fig4(seed: u64) {
+/// Runs and prints Figure 4, and returns its calibration for Figure 6.
+fn run_fig4(seed: u64) -> fig4::Fig4Result {
     let result = fig4::run(seed);
     print!("{}", fig4::table(&result));
     println!("  {}", fig4::summary(&result));
+    result
 }
 
+/// Figure 6 is built from Figure 4's calibration and Figure 7's rows.
 fn run_fig6(seed: u64) {
-    let rows = fig6::run(seed);
+    let rows = fig6::rows(&fig4::run(seed), &fig7::run(seed));
     print!("{}", fig6::table(&rows));
 }
 

@@ -5,14 +5,16 @@
 //! *allowed* rate that the adaptive mechanism converges to. Below the
 //! capacity crossover the allowed rate approximates the maximum; above it,
 //! the offered load is accepted.
+//!
+//! The figure runs nothing of its own: its maximum column is Figure 4's
+//! calibration and its adaptive runs are Figure 7's adaptive leg, so it
+//! is built from those two results.
 
 use agb_metrics::Table;
-use agb_workload::Algorithm;
 
-use crate::calibrate::{max_sustainable_rate, DEFAULT_CRITERION};
-use crate::common::{
-    paper_cluster, quick_mode, run_measured, RunOutcome, Windows, BUFFER_SWEEP, OFFERED_RATE,
-};
+use crate::common::{RunOutcome, OFFERED_RATE};
+use crate::fig4::Fig4Result;
+use crate::fig7::CompareRow;
 
 /// One row of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,26 +33,27 @@ pub struct Fig6Row {
     pub outcome: RunOutcome,
 }
 
-/// Runs the sweep: one adaptive run plus one calibration search per buffer
-/// size.
-pub fn run(seed: u64) -> Vec<Fig6Row> {
-    let windows = Windows::standard();
-    let tolerance = if quick_mode() { 2.0 } else { 1.0 };
-    BUFFER_SWEEP
+/// Builds the rows from Figure 4's calibration and Figure 7's rows, which
+/// cover the same buffer sweep at the same seed.
+///
+/// # Panics
+///
+/// Panics if the two results do not list the same buffer sizes in the
+/// same order.
+pub fn rows(fig4: &Fig4Result, fig7: &[CompareRow]) -> Vec<Fig6Row> {
+    assert_eq!(fig4.points.len(), fig7.len(), "one sweep for both figures");
+    fig4.points
         .iter()
-        .map(|&buffer| {
-            let cal = max_sustainable_rate(buffer, DEFAULT_CRITERION, tolerance, seed, windows);
-            let out = run_measured(
-                paper_cluster(Algorithm::Adaptive, buffer, OFFERED_RATE, seed),
-                windows,
-            );
+        .zip(fig7)
+        .map(|(cal, row)| {
+            assert_eq!(cal.buffer, row.buffer, "one sweep for both figures");
             Fig6Row {
-                buffer,
+                buffer: row.buffer,
                 offered: OFFERED_RATE,
-                allowed: out.mean_allowed,
-                input: out.input_rate,
+                allowed: row.adaptive.mean_allowed,
+                input: row.adaptive.input_rate,
                 maximum: cal.max_rate,
-                outcome: out,
+                outcome: row.adaptive,
             }
         })
         .collect()

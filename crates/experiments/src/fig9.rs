@@ -14,7 +14,7 @@
 
 use agb_metrics::Table;
 use agb_types::{DurationMs, NodeId, TimeMs};
-use agb_workload::{Algorithm, GossipCluster, ResizeSchedule};
+use agb_workload::{Algorithm, GossipCluster};
 
 use crate::common::{
     paper_cluster, quick_mode, ATOMICITY_THRESHOLD, MAX_RATE_SLOPE, N_NODES, N_SENDERS,
@@ -125,10 +125,12 @@ pub struct Fig9Result {
 fn build_cluster(config: &Fig9Config, algorithm: Algorithm) -> GossipCluster {
     let cc = paper_cluster(algorithm, config.base_buffer, config.offered, config.seed);
     let mut cluster = GossipCluster::build(cc);
-    let mut schedule = ResizeSchedule::new();
-    schedule.resize_group(config.t1, config.affected_nodes(), config.shrink_to);
-    schedule.resize_group(config.t2, config.affected_nodes(), config.grow_to);
-    cluster.apply_resizes(&schedule);
+    for node in config.affected_nodes() {
+        cluster.schedule_resize(config.t1, node, config.shrink_to);
+    }
+    for node in config.affected_nodes() {
+        cluster.schedule_resize(config.t2, node, config.grow_to);
+    }
     cluster
 }
 
@@ -234,7 +236,6 @@ pub fn run_runtime(config: &Fig9Config) -> std::io::Result<Fig9RuntimeResult> {
         telemetry: agb_telemetry::TelemetryConfig::disabled(),
         detector: None,
         adversary: None,
-        egress_capacity: 0,
         profile: agb_profile::ProfileConfig::disabled(),
     };
     let cluster = RuntimeCluster::start(rc)?;

@@ -74,7 +74,6 @@ pub fn runtime_config(seed: u64) -> RuntimeClusterConfig {
         telemetry: TelemetryConfig::serving(),
         detector: None,
         adversary: None,
-        egress_capacity: 0,
         profile: agb_profile::ProfileConfig::disabled(),
     }
 }

@@ -79,9 +79,6 @@ pub struct RuntimeClusterConfig {
     /// datagrams are mangled before they reach the transport, proving
     /// the hardened decode path panic-free over real sockets.
     pub adversary: Option<AdversaryConfig>,
-    /// Per-node egress queue bound in frames (`0` = default). Overflow
-    /// sheds in priority order: app before recovery before control.
-    pub egress_capacity: usize,
     /// Runtime profiling handle (`agb-profile`): when enabled (and
     /// telemetry is on), node loops record per-iteration wall time and
     /// egress-queue dwell into the telemetry registry as histograms, so
@@ -113,7 +110,6 @@ impl RuntimeClusterConfig {
             telemetry: TelemetryConfig::disabled(),
             detector: None,
             adversary: None,
-            egress_capacity: 0,
             profile: ProfileConfig::disabled(),
         }
     }
@@ -183,7 +179,6 @@ impl Spawner<'_> {
                 loss_rng: seeds.rng_for("runtime-loss", i as u64),
                 adversary: config.adversary.clone().map(ByteAdversary::new),
                 adversary_rng: seeds.rng_for("runtime-adversary", i as u64),
-                egress_capacity: config.egress_capacity,
                 profile: config.profile.enabled,
             },
             transport,

@@ -116,10 +116,6 @@ pub(crate) struct NodeRuntime {
     pub adversary: Option<ByteAdversary>,
     /// RNG stream driving the adversary's fault draws.
     pub adversary_rng: DetRng,
-    /// Bound on frames queued for transmission inside one loop
-    /// iteration; beyond it the egress queue sheds in priority order
-    /// (control > recovery > app).
-    pub egress_capacity: usize,
     /// Record node-loop iteration times and egress-queue dwell into the
     /// telemetry plane (requires telemetry; off = no extra clock reads
     /// on the loop).
@@ -132,8 +128,10 @@ const MAX_RETRIES: u32 = 4;
 const RETRY_BASE: Duration = Duration::from_millis(10);
 /// Backoff ceiling.
 const RETRY_CAP: Duration = Duration::from_millis(160);
-/// Default egress bound when the caller passes 0.
-const DEFAULT_EGRESS_CAPACITY: usize = 1024;
+/// Bound on frames queued for transmission inside one loop iteration;
+/// beyond it the egress queue sheds in priority order (control >
+/// recovery > app), so memory stays bounded under overload.
+const EGRESS_CAPACITY: usize = 1024;
 
 /// A frame awaiting a backed-off resend after an I/O send failure.
 struct Retry {
@@ -178,11 +176,7 @@ impl Egress {
         Egress {
             queues: Default::default(),
             profiling,
-            capacity: if capacity == 0 {
-                DEFAULT_EGRESS_CAPACITY
-            } else {
-                capacity
-            },
+            capacity,
             retries: Vec::new(),
             holdback: Vec::new(),
             encoder: wire::FrameEncoder::default(),
@@ -416,7 +410,7 @@ fn node_loop<T: Transport>(
     // loss/adversary harnesses (owns the pooled frame encoder).
     let profiling = runtime.profile && shell.observer().enabled();
     let mut egress = Egress::new(
-        runtime.egress_capacity,
+        EGRESS_CAPACITY,
         profiling,
         runtime.loss,
         runtime.loss_rng.clone(),
@@ -611,7 +605,6 @@ mod tests {
                     loss_rng: DetRng::seed_from_u64(0),
                     adversary: None,
                     adversary_rng: DetRng::seed_from_u64(0),
-                    egress_capacity: 0,
                     profile: false,
                 },
                 transport,
@@ -631,5 +624,97 @@ mod tests {
         let report = m.deliveries().atomicity(0.95, None);
         assert_eq!(report.messages, 1);
         assert_eq!(report.avg_receiver_fraction, 1.0, "both nodes deliver");
+    }
+
+    /// A frame of `class` tagged by its sender id.
+    fn tagged(class: ShedClass, tag: u32) -> GossipFrame {
+        let sender = NodeId::new(tag);
+        match class {
+            ShedClass::App => GossipFrame::heartbeat(sender),
+            ShedClass::Recovery => GossipFrame::Retransmit(agb_core::Retransmission {
+                sender,
+                events: Vec::new(),
+            }),
+            ShedClass::Control => GossipFrame::Graft(agb_core::GraftRequest {
+                sender,
+                ids: Vec::new(),
+            }),
+        }
+    }
+
+    fn enqueue_all(
+        egress: &mut Egress,
+        telemetry: &mut NodeTelemetry,
+        frames: &[(ShedClass, u32)],
+    ) {
+        for &(class, tag) in frames {
+            egress.enqueue(NodeId::new(1), tagged(class, tag), TimeMs::ZERO, telemetry);
+        }
+    }
+
+    /// Flushes `egress` from node 0 and returns what node 1 received, in
+    /// order.
+    fn flushed(
+        egress: &mut Egress,
+        telemetry: &NodeTelemetry,
+        transports: &[ChannelTransport],
+    ) -> Vec<(ShedClass, u32)> {
+        egress.flush(&transports[0], telemetry);
+        let mut got = Vec::new();
+        while let RecvOutcome::Datagram(bytes) = transports[1].recv_outcome(Duration::ZERO) {
+            let frame = wire::decode_frame(&bytes).expect("egress sends valid frames");
+            got.push((ShedClass::of(&frame), frame.sender().as_u32()));
+        }
+        got
+    }
+
+    #[test]
+    fn full_egress_sheds_the_lowest_class_and_flushes_the_highest_first() {
+        use agb_telemetry::{names, Registry};
+        use ShedClass::{App, Control, Recovery};
+
+        let registry = Registry::new();
+        let mut telemetry = NodeTelemetry::new(&registry, NodeId::new(0), Instant::now());
+        let transports = ChannelTransport::cluster(2);
+        let rng = || DetRng::seed_from_u64(0);
+        let mut egress = Egress::new(3, false, 0.0, rng(), None, rng());
+        let sheds = |class| {
+            let labels = [("class", class), ("node", "0")];
+            registry.snapshot().counter(names::SHEDS, &labels)
+        };
+
+        // An app frame at a queue full of app frames evicts the oldest.
+        enqueue_all(
+            &mut egress,
+            &mut telemetry,
+            &[(App, 1), (App, 2), (App, 3), (App, 4)],
+        );
+        // Recovery, then control, arriving at a full queue of app and
+        // recovery frames evict the oldest app frames (2, then 3).
+        enqueue_all(&mut egress, &mut telemetry, &[(Recovery, 5), (Control, 6)]);
+        assert_eq!(
+            flushed(&mut egress, &telemetry, &transports),
+            [(Control, 6), (Recovery, 5), (App, 4)],
+            "a flush sends control first, then recovery, then app"
+        );
+        assert_eq!(sheds("app"), Some(3));
+
+        // An app frame at a full queue of recovery and control frames
+        // sheds itself; recovery and control arrivals shed the lowest
+        // class queued.
+        let frames = [(Recovery, 7), (Control, 8), (Control, 9), (App, 10)];
+        enqueue_all(&mut egress, &mut telemetry, &frames);
+        enqueue_all(
+            &mut egress,
+            &mut telemetry,
+            &[(Recovery, 11), (Control, 12), (Control, 13)],
+        );
+        assert_eq!(
+            flushed(&mut egress, &telemetry, &transports),
+            [(Control, 9), (Control, 12), (Control, 13)]
+        );
+        assert_eq!(sheds("app"), Some(4));
+        assert_eq!(sheds("recovery"), Some(2));
+        assert_eq!(sheds("control"), Some(1));
     }
 }

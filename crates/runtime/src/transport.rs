@@ -3,14 +3,14 @@
 //! Two implementations behind one trait:
 //!
 //! * [`UdpTransport`] — one UDP socket per node, the moral equivalent of
-//!   the paper's 60 workstations on an Ethernet LAN; binds loopback by
-//!   default, any local interface via
-//!   [`bind_cluster_on`](UdpTransport::bind_cluster_on);
+//!   the paper's 60 workstations on an Ethernet LAN; binds any local
+//!   interface via [`bind_cluster_on`](UdpTransport::bind_cluster_on)
+//!   (the runtime cluster binds loopback by default);
 //! * [`ChannelTransport`] — in-process `std` channels, for fast tests
 //!   and CI environments without network access.
 
 use std::io;
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
+use std::net::{IpAddr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -106,17 +106,6 @@ pub trait Transport: Send + 'static {
     /// Waits up to `timeout` for one datagram, reporting whether a quiet
     /// wait can ever succeed again.
     fn recv_outcome(&self, timeout: Duration) -> RecvOutcome;
-
-    /// Waits up to `timeout` for one datagram ([`recv_outcome`]
-    /// flattened; `Closed` looks like a quiet timeout here).
-    ///
-    /// [`recv_outcome`]: Transport::recv_outcome
-    fn recv_timeout(&self, timeout: Duration) -> Option<Bytes> {
-        match self.recv_outcome(timeout) {
-            RecvOutcome::Datagram(b) => Some(b),
-            RecvOutcome::Timeout | RecvOutcome::Closed => None,
-        }
-    }
 }
 
 /// UDP-socket transport.
@@ -138,16 +127,6 @@ pub struct UdpTransport {
 pub const MAX_DATAGRAM: usize = 60 * 1024;
 
 impl UdpTransport {
-    /// Binds one socket per node on OS-assigned loopback ports and returns
-    /// the per-node transports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind/configuration failures.
-    pub fn bind_cluster(n_nodes: usize) -> io::Result<Vec<UdpTransport>> {
-        Self::bind_cluster_on(IpAddr::V4(Ipv4Addr::LOCALHOST), n_nodes)
-    }
-
     /// Binds one socket per node on `addr` (port OS-assigned) — loopback
     /// for single-host runs, a real interface address to take the cluster
     /// onto a LAN.
@@ -323,6 +302,16 @@ impl Transport for ChannelTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
+
+    fn loopback(n_nodes: usize) -> Vec<UdpTransport> {
+        UdpTransport::bind_cluster_on(IpAddr::V4(Ipv4Addr::LOCALHOST), n_nodes)
+            .expect("bind loopback")
+    }
+
+    fn datagram(bytes: &'static [u8]) -> RecvOutcome {
+        RecvOutcome::Datagram(Bytes::from_static(bytes))
+    }
 
     #[test]
     fn channel_transport_delivers() {
@@ -330,10 +319,13 @@ mod tests {
         cluster[0]
             .send(NodeId::new(2), Bytes::from_static(b"hello"))
             .unwrap();
-        let got = cluster[2].recv_timeout(Duration::from_millis(100));
-        assert_eq!(got, Some(Bytes::from_static(b"hello")));
+        let got = cluster[2].recv_outcome(Duration::from_millis(100));
+        assert_eq!(got, datagram(b"hello"));
         // Nothing for node 1.
-        assert_eq!(cluster[1].recv_timeout(Duration::from_millis(10)), None);
+        assert_eq!(
+            cluster[1].recv_outcome(Duration::from_millis(10)),
+            RecvOutcome::Timeout
+        );
     }
 
     #[test]
@@ -355,28 +347,33 @@ mod tests {
             if len == MAX_DATAGRAM + 1 && max == MAX_DATAGRAM));
         assert_eq!(err.cause_label(), "oversize");
         // Nothing partial arrived.
-        assert_eq!(channel[1].recv_timeout(Duration::from_millis(10)), None);
+        assert_eq!(
+            channel[1].recv_outcome(Duration::from_millis(10)),
+            RecvOutcome::Timeout
+        );
 
-        let udp = UdpTransport::bind_cluster(2).expect("bind loopback");
+        let udp = loopback(2);
         let err = udp[0].send(NodeId::new(1), big).unwrap_err();
         assert!(matches!(err, TransportError::Oversize { .. }));
-        assert_eq!(udp[1].recv_timeout(Duration::from_millis(20)), None);
+        assert_eq!(
+            udp[1].recv_outcome(Duration::from_millis(20)),
+            RecvOutcome::Timeout
+        );
     }
 
     #[test]
     fn udp_transport_roundtrip() {
-        let cluster = UdpTransport::bind_cluster(2).expect("bind loopback");
+        let cluster = loopback(2);
         cluster[0]
             .send(NodeId::new(1), Bytes::from_static(b"ping"))
             .unwrap();
-        let got = cluster[1].recv_timeout(Duration::from_millis(500));
-        assert_eq!(got, Some(Bytes::from_static(b"ping")));
+        let got = cluster[1].recv_outcome(Duration::from_millis(500));
+        assert_eq!(got, datagram(b"ping"));
     }
 
     #[test]
     fn udp_exposes_bound_addresses() {
-        let cluster = UdpTransport::bind_cluster_on(IpAddr::V4(Ipv4Addr::LOCALHOST), 3)
-            .expect("bind loopback");
+        let cluster = loopback(3);
         let addrs: Vec<SocketAddr> = cluster[0].peer_addrs().to_vec();
         assert_eq!(addrs.len(), 3);
         for (t, expect) in cluster.iter().zip(&addrs) {
@@ -387,37 +384,35 @@ mod tests {
 
     #[test]
     fn udp_recv_times_out_quietly() {
-        let cluster = UdpTransport::bind_cluster(1).expect("bind loopback");
-        let got = cluster[0].recv_timeout(Duration::from_millis(20));
-        assert_eq!(got, None);
-        // And the outcome API agrees: quiet, not closed.
+        let cluster = loopback(1);
+        // Quiet, not closed: UDP sockets have no peer lifetime.
         assert_eq!(
-            cluster[0].recv_outcome(Duration::from_millis(10)),
+            cluster[0].recv_outcome(Duration::from_millis(20)),
             RecvOutcome::Timeout
         );
     }
 
     #[test]
     fn udp_rearms_read_timeout_only_on_change() {
-        let cluster = UdpTransport::bind_cluster(1).expect("bind loopback");
+        let cluster = loopback(1);
         let t = &cluster[0];
         assert_eq!(t.rearm_count(), 0);
         for _ in 0..5 {
-            let _ = t.recv_timeout(Duration::from_millis(5));
+            let _ = t.recv_outcome(Duration::from_millis(5));
         }
         assert_eq!(t.rearm_count(), 1, "constant timeout arms exactly once");
-        let _ = t.recv_timeout(Duration::from_millis(9));
+        let _ = t.recv_outcome(Duration::from_millis(9));
         assert_eq!(t.rearm_count(), 2, "a new timeout re-arms");
-        let _ = t.recv_timeout(Duration::from_millis(5));
-        let _ = t.recv_timeout(Duration::from_millis(5));
+        let _ = t.recv_outcome(Duration::from_millis(5));
+        let _ = t.recv_outcome(Duration::from_millis(5));
         assert_eq!(
             t.rearm_count(),
             3,
             "returning to a prior timeout re-arms once"
         );
         // Sub-millisecond requests clamp to 1 ms and share one arming.
-        let _ = t.recv_timeout(Duration::ZERO);
-        let _ = t.recv_timeout(Duration::from_micros(10));
+        let _ = t.recv_outcome(Duration::ZERO);
+        let _ = t.recv_outcome(Duration::from_micros(10));
         assert_eq!(t.rearm_count(), 4);
     }
 
@@ -436,7 +431,5 @@ mod tests {
             receiver.recv_outcome(Duration::from_millis(5)),
             RecvOutcome::Closed
         );
-        // The flattened legacy view still reads None.
-        assert_eq!(receiver.recv_timeout(Duration::from_millis(5)), None);
     }
 }

@@ -8,9 +8,21 @@
 //! *batch*: they are lifted out of the queue together, executed against
 //! per-node state with all effects buffered, and the effects are merged
 //! back in canonical order (pop order; each event's effects in
-//! generation order). Scheduled control actions (crashes, restarts,
-//! network mutations, scenario closures) act as barriers: they split
-//! batches and always run on the calling thread.
+//! generation order). Scheduled control actions act as barriers: they
+//! split batches and always run on the calling thread:
+//!
+//! * [`Simulation::schedule_node_action`] runs a closure against one
+//!   node with a [`SimCtx`], so it may send and arm timers like any
+//!   handler;
+//! * [`Simulation::schedule_restart`] clears a node's timers, marks it
+//!   up and runs its closure and then its `on_start` in one invocation;
+//! * [`Simulation::schedule_crash`] / [`Simulation::schedule_recover`]
+//!   flip a node's down flag;
+//! * [`Simulation::schedule_network_control`] mutates the live
+//!   [`NetworkConfig`].
+//!
+//! The post-event hook runs once after every handler invocation, the
+//! node actions and restarts included.
 //!
 //! Because the merge order is canonical, a batch may be executed by one
 //! thread or sharded across `K` scoped worker threads with bit-identical
@@ -73,14 +85,12 @@ pub(crate) enum TimerKind {
     Periodic(DurationMs),
 }
 
+/// A timer armed during one handler invocation.
 #[derive(Debug)]
-pub(crate) enum TimerRequest {
-    Set {
-        timer: TimerId,
-        first_after: DurationMs,
-        kind: TimerKind,
-    },
-    Cancel(TimerId),
+pub(crate) struct TimerRequest {
+    pub(crate) timer: TimerId,
+    pub(crate) first_after: DurationMs,
+    pub(crate) kind: TimerKind,
 }
 
 /// Armed state of one timer id.
@@ -139,7 +149,7 @@ impl<'a, M> SimCtx<'a, M> {
     ///
     /// Re-arming an already armed timer id replaces it.
     pub fn set_timer(&mut self, timer: TimerId, after: DurationMs) {
-        self.timer_reqs.push(TimerRequest::Set {
+        self.timer_reqs.push(TimerRequest {
             timer,
             first_after: after,
             kind: TimerKind::Once,
@@ -159,23 +169,16 @@ impl<'a, M> SimCtx<'a, M> {
         period: DurationMs,
     ) {
         assert!(!period.is_zero(), "periodic timer period must be non-zero");
-        self.timer_reqs.push(TimerRequest::Set {
+        self.timer_reqs.push(TimerRequest {
             timer,
             first_after,
             kind: TimerKind::Periodic(period),
         });
     }
-
-    /// Cancels a timer; pending fires are suppressed.
-    pub fn cancel_timer(&mut self, timer: TimerId) {
-        self.timer_reqs.push(TimerRequest::Cancel(timer));
-    }
 }
 
-/// A scheduled control action against one node.
-type NodeControlFn<N> = Box<dyn FnOnce(&mut N, TimeMs)>;
-/// A scheduled action against one node *with network access* (may send
-/// messages and manage timers through the context).
+/// A scheduled action against one node (may send messages and arm
+/// timers through the context).
 type NodeActionFn<N, M> = Box<dyn FnOnce(&mut N, &mut SimCtx<'_, M>)>;
 /// A scheduled mutation of the live network configuration.
 type NetControlFn = Box<dyn FnOnce(&mut crate::network::NetworkConfig, TimeMs)>;
@@ -194,10 +197,6 @@ enum EventKind<N: SimNode> {
         timer: TimerId,
         gen: u64,
     },
-    NodeControl {
-        node: NodeId,
-        f: NodeControlFn<N>,
-    },
     NodeAction {
         node: NodeId,
         f: NodeActionFn<N, N::Msg>,
@@ -211,7 +210,7 @@ enum EventKind<N: SimNode> {
     },
     Restart {
         node: NodeId,
-        f: NodeControlFn<N>,
+        f: NodeActionFn<N, N::Msg>,
     },
 }
 
@@ -465,10 +464,10 @@ impl<N: SimNode> Simulation<N> {
         self.stats
     }
 
-    /// Installs a callback invoked after every node-handler invocation
-    /// (message delivery, timer fire, node action, restart/start), with
-    /// the invoked node, in canonical event order, always on the calling
-    /// thread.
+    /// Installs a callback invoked once after every node-handler
+    /// invocation (message delivery, timer fire, node action, start, and
+    /// a restart's closure with its `on_start`), with the invoked node, in
+    /// canonical event order, always on the calling thread.
     ///
     /// This is the bridge for state that nodes must publish to a shared,
     /// non-`Send` sink (e.g. the workload cluster's metrics collector):
@@ -509,26 +508,6 @@ impl<N: SimNode> Simulation<N> {
         self.par_threshold = min_batch.max(1);
     }
 
-    /// Schedules a closure to run against one node at virtual time `at`.
-    ///
-    /// Used by scenario schedules (e.g. "at t₁, shrink the buffers of nodes
-    /// 0..12"). Closures scheduled at the same instant run in scheduling
-    /// order.
-    pub fn schedule_node_control(
-        &mut self,
-        at: TimeMs,
-        node: NodeId,
-        f: impl FnOnce(&mut N, TimeMs) + 'static,
-    ) {
-        self.queue.push(
-            at,
-            EventKind::NodeControl {
-                node,
-                f: Box::new(f),
-            },
-        );
-    }
-
     /// Schedules a crash: from `at` on, the node receives no messages and
     /// its timers do not fire (periodic timers keep rescheduling silently so
     /// they resume on recovery).
@@ -544,14 +523,15 @@ impl<N: SimNode> Simulation<N> {
 
     /// Schedules a *restart with state loss* (or the first spawn of an
     /// [`initially_down`](SimulationBuilder::initially_down) node): at `at`
-    /// the node's pending timers are cleared, `f` runs to replace/reset its
-    /// state, the node is marked up, and its `on_start` is invoked so it
-    /// re-enters the system through its own bootstrap path.
+    /// the node's pending timers are cleared and the node is marked up;
+    /// then `f` runs to replace/reset its state and the node's `on_start`
+    /// follows in the same invocation, so it re-enters the system through
+    /// its own bootstrap path.
     pub fn schedule_restart(
         &mut self,
         at: TimeMs,
         node: NodeId,
-        f: impl FnOnce(&mut N, TimeMs) + 'static,
+        f: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg>) + 'static,
     ) {
         self.queue.push(
             at,
@@ -562,11 +542,11 @@ impl<N: SimNode> Simulation<N> {
         );
     }
 
-    /// Schedules a closure that runs against one node *with network
-    /// access*: unlike [`schedule_node_control`](Self::schedule_node_control),
-    /// the closure receives a [`SimCtx`] and may send messages and manage
-    /// timers (e.g. a graceful leave emitting farewell messages, or a
-    /// sender burst storm).
+    /// Schedules a closure that runs against one node at virtual time
+    /// `at` (e.g. "at t₁, shrink the buffers of nodes 0..12", or a
+    /// graceful leave emitting farewell messages). The closure receives a
+    /// [`SimCtx`] and may send messages and arm timers; closures scheduled
+    /// at the same instant run in scheduling order.
     pub fn schedule_node_action(
         &mut self,
         at: TimeMs,
@@ -764,7 +744,6 @@ impl<N: SimNode> Simulation<N> {
             self.stats.drops += c.drops;
             self.stats.timer_fires += c.timer_fires;
             self.stats.corrupted += c.corrupted;
-            self.net.add_counts(c.sends, c.net_dropped, c.corrupted);
             route_ns += lane.buf.route_ns;
             route_sends += c.sends;
             lane.buf.clear();
@@ -797,10 +776,6 @@ impl<N: SimNode> Simulation<N> {
             EventKind::Deliver { .. } | EventKind::Timer { .. } => {
                 unreachable!("batch events are collected into runs, not dispatched as controls")
             }
-            EventKind::NodeControl { node, f } => {
-                f(&mut self.nodes[node.index()], self.now);
-                self.run_hook(node);
-            }
             EventKind::NodeAction { node, f } => {
                 self.invoke_with(node, |n, ctx| f(n, ctx));
             }
@@ -813,8 +788,10 @@ impl<N: SimNode> Simulation<N> {
             EventKind::Restart { node, f } => {
                 self.timers[node.index()].clear();
                 self.down[node.index()] = false;
-                f(&mut self.nodes[node.index()], self.now);
-                self.invoke_with(node, |n, ctx| n.on_start(ctx));
+                self.invoke_with(node, |n, ctx| {
+                    f(n, ctx);
+                    n.on_start(ctx);
+                });
             }
         }
     }
@@ -851,12 +828,6 @@ impl<N: SimNode> Simulation<N> {
         }
         self.apply_run(std::slice::from_mut(&mut inline), &[id], &[]);
         self.scratch.inline = inline;
-    }
-
-    fn run_hook(&mut self, node: NodeId) {
-        if let Some(hook) = self.hook.as_mut() {
-            hook(&mut self.nodes[node.index()]);
-        }
     }
 }
 
@@ -1161,10 +1132,10 @@ mod tests {
     }
 
     #[test]
-    fn node_control_runs_at_scheduled_time() {
+    fn node_action_runs_at_scheduled_time() {
         let mut sim = build(5);
-        sim.schedule_node_control(TimeMs::from_millis(250), NodeId::new(0), |node, now| {
-            assert_eq!(now, TimeMs::from_millis(250));
+        sim.schedule_node_action(TimeMs::from_millis(250), NodeId::new(0), |node, ctx| {
+            assert_eq!(ctx.now(), TimeMs::from_millis(250));
             node.fires = 1000;
         });
         sim.run_until(TimeMs::from_millis(300));
@@ -1235,7 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_timer_fires_once_and_cancel_works() {
+    fn one_shot_timer_fires_once() {
         struct OneShot {
             fired: u32,
         }
@@ -1243,18 +1214,13 @@ mod tests {
             type Msg = ();
             fn on_start(&mut self, ctx: &mut SimCtx<'_, ()>) {
                 ctx.set_timer(TimerId(1), DurationMs::from_millis(10));
-                ctx.set_timer(TimerId(2), DurationMs::from_millis(20));
             }
-            fn on_timer(&mut self, timer: TimerId, ctx: &mut SimCtx<'_, ()>) {
+            fn on_timer(&mut self, timer: TimerId, _ctx: &mut SimCtx<'_, ()>) {
                 self.fired += timer.0;
-                if timer == TimerId(1) {
-                    ctx.cancel_timer(TimerId(2));
-                }
             }
         }
         let mut sim = SimulationBuilder::new(1).build(vec![OneShot { fired: 0 }]);
         sim.run_until(TimeMs::from_secs(1));
-        // Timer 2 cancelled by timer 1; only timer 1 fired.
         assert_eq!(sim.node(NodeId::new(0)).fired, 1);
     }
 

@@ -58,6 +58,4 @@ mod shard;
 pub use engine::{
     threads_from_env, NetStats, SimCtx, SimNode, Simulation, SimulationBuilder, TimerId,
 };
-pub use network::{
-    AdversaryWindow, LatencyModel, LinkFault, NetworkConfig, NetworkModel, Partition, RouteOutcome,
-};
+pub use network::{AdversaryWindow, LatencyModel, LinkFault, NetworkConfig, Partition};

@@ -224,7 +224,7 @@ impl NetworkConfig {
 
 /// The network's verdict on one routed message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteOutcome {
+pub(crate) enum RouteOutcome {
     /// Delivered after the given latency.
     Deliver(DurationMs),
     /// Delivered twice (adversary duplication), each copy after its own
@@ -240,7 +240,7 @@ pub enum RouteOutcome {
 
 impl RouteOutcome {
     /// The first delivery latency, if any copy is delivered.
-    pub fn latency(self) -> Option<DurationMs> {
+    pub(crate) fn latency(self) -> Option<DurationMs> {
         match self {
             RouteOutcome::Deliver(d) | RouteOutcome::Duplicate(d, _) => Some(d),
             RouteOutcome::Drop | RouteOutcome::Corrupt => None,
@@ -308,38 +308,30 @@ pub(crate) fn route_decision(
     }
 }
 
-/// Decides the fate of each message: dropped, or delivered after a latency.
+/// The network state the engine routes through: the live configuration
+/// and one deterministic RNG stream *per sending node*, all forked from a
+/// master seed drawn once at construction.
 ///
-/// The default implementation, [`NetworkModel::new`], combines a
-/// [`LatencyModel`], independent loss and partitions from [`NetworkConfig`].
-///
-/// Randomness is organized as one deterministic stream *per sending
-/// node*, all forked from a master seed drawn once at construction. A
-/// sender's loss/latency draws therefore depend only on its own send
+/// A sender's loss/latency draws therefore depend only on its own send
 /// sequence — never on how sends from different nodes interleave — which
-/// is what lets the sharded engine route traffic on worker threads and
-/// still reproduce the single-threaded run bit for bit.
+/// is what lets the sharded engine route traffic on worker threads (see
+/// [`route_decision`]) and still reproduce the single-threaded run bit
+/// for bit.
 #[derive(Debug)]
-pub struct NetworkModel {
+pub(crate) struct NetworkModel {
     config: NetworkConfig,
     master: u64,
     streams: Vec<DetRng>,
-    sent: u64,
-    dropped: u64,
-    corrupted: u64,
 }
 
 impl NetworkModel {
     /// Creates a model from configuration and a dedicated RNG stream
     /// (consumed as the master seed for the per-sender streams).
-    pub fn new(config: NetworkConfig, mut rng: DetRng) -> Self {
+    pub(crate) fn new(config: NetworkConfig, mut rng: DetRng) -> Self {
         NetworkModel {
             config,
             master: rng.random(),
             streams: Vec::new(),
-            sent: 0,
-            dropped: 0,
-            corrupted: 0,
         }
     }
 
@@ -360,69 +352,11 @@ impl NetworkModel {
         (&self.config, &mut self.streams)
     }
 
-    /// Folds per-worker routing counters back into the model.
-    pub(crate) fn add_counts(&mut self, sent: u64, dropped: u64, corrupted: u64) {
-        self.sent += sent;
-        self.dropped += dropped;
-        self.corrupted += corrupted;
-    }
-
-    /// Routes one message: `None` means the network dropped (or the
-    /// adversary destroyed) it, otherwise the latency of the first copy.
-    pub fn route(&mut self, from: NodeId, to: NodeId, now: TimeMs) -> Option<DurationMs> {
-        self.route_outcome(from, to, now).latency()
-    }
-
-    /// Routes one message, exposing the full verdict including adversary
-    /// duplication and corruption.
-    pub fn route_outcome(&mut self, from: NodeId, to: NodeId, now: TimeMs) -> RouteOutcome {
-        self.ensure_streams(from.index() + 1);
-        self.sent += 1;
-        let outcome = route_decision(&self.config, &mut self.streams[from.index()], from, to, now);
-        match outcome {
-            RouteOutcome::Drop => self.dropped += 1,
-            RouteOutcome::Corrupt => {
-                self.dropped += 1;
-                self.corrupted += 1;
-            }
-            RouteOutcome::Deliver(_) | RouteOutcome::Duplicate(_, _) => {}
-        }
-        outcome
-    }
-
-    /// Messages handed to the network so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Messages dropped by loss, partitions, or adversary destruction so
-    /// far (corrupted frames are a subset of this count).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Messages destroyed by the byte adversary (checksum-rejected at the
-    /// receiver) so far.
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
     /// Mutable access to the configuration (used by scheduled network
     /// controls: partitions healing early, link faults flapping, loss
     /// spikes).
-    pub fn config_mut(&mut self) -> &mut NetworkConfig {
+    pub(crate) fn config_mut(&mut self) -> &mut NetworkConfig {
         &mut self.config
-    }
-
-    /// Replaces the network configuration at runtime (used by failure
-    /// injection scenarios).
-    pub fn set_config(&mut self, config: NetworkConfig) {
-        self.config = config;
     }
 }
 
@@ -433,6 +367,27 @@ mod tests {
 
     fn rng() -> DetRng {
         DetRng::seed_from_u64(7)
+    }
+
+    /// Routes one message from `from` to `to` on `rng`, the sender's
+    /// stream.
+    fn route(
+        config: &NetworkConfig,
+        rng: &mut DetRng,
+        from: u32,
+        to: u32,
+        now: TimeMs,
+    ) -> RouteOutcome {
+        route_decision(config, rng, NodeId::new(from), NodeId::new(to), now)
+    }
+
+    /// The share of `n` messages 0 → 1 at `now` that the network drops.
+    fn drop_rate(config: &NetworkConfig, n: usize, now: TimeMs) -> f64 {
+        let mut r = rng();
+        let dropped = (0..n)
+            .filter(|_| route(config, &mut r, 0, 1, now) == RouteOutcome::Drop)
+            .count();
+        dropped as f64 / n as f64
     }
 
     #[test]
@@ -483,23 +438,19 @@ mod tests {
 
     #[test]
     fn perfect_network_never_drops() {
-        let mut net = NetworkModel::new(NetworkConfig::perfect(DurationMs::from_millis(1)), rng());
+        let config = NetworkConfig::perfect(DurationMs::from_millis(1));
+        let mut r = rng();
         for i in 0..100 {
-            let d = net.route(NodeId::new(i), NodeId::new(i + 1), TimeMs::ZERO);
-            assert_eq!(d, Some(DurationMs::from_millis(1)));
+            assert_eq!(
+                route(&config, &mut r, i, i + 1, TimeMs::ZERO),
+                RouteOutcome::Deliver(DurationMs::from_millis(1))
+            );
         }
-        assert_eq!(net.dropped(), 0);
-        assert_eq!(net.sent(), 100);
     }
 
     #[test]
     fn lossy_network_drops_roughly_p() {
-        let mut net = NetworkModel::new(NetworkConfig::lossy(0.3), rng());
-        let n = 20_000;
-        for _ in 0..n {
-            net.route(NodeId::new(0), NodeId::new(1), TimeMs::ZERO);
-        }
-        let rate = net.dropped() as f64 / n as f64;
+        let rate = drop_rate(&NetworkConfig::lossy(0.3), 20_000, TimeMs::ZERO);
         assert!((rate - 0.3).abs() < 0.02, "loss rate {rate}");
     }
 
@@ -534,16 +485,16 @@ mod tests {
             link_faults: vec![],
             adversaries: vec![],
         };
-        let mut net = NetworkModel::new(config, rng());
+        let mut r = rng();
         assert_eq!(
-            net.route(NodeId::new(0), NodeId::new(1), TimeMs::ZERO),
-            None
+            route(&config, &mut r, 0, 1, TimeMs::ZERO),
+            RouteOutcome::Drop
         );
-        assert!(net
-            .route(NodeId::new(1), NodeId::new(2), TimeMs::ZERO)
+        assert!(route(&config, &mut r, 1, 2, TimeMs::ZERO)
+            .latency()
             .is_some());
-        assert!(net
-            .route(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(1))
+        assert!(route(&config, &mut r, 0, 1, TimeMs::from_secs(1))
+            .latency()
             .is_some());
     }
 
@@ -562,25 +513,15 @@ mod tests {
             }],
             adversaries: vec![],
         };
-        let mut net = NetworkModel::new(config, rng());
+        let mut r = rng();
+        let mut latency =
+            |from, to, secs| route(&config, &mut r, from, to, TimeMs::from_secs(secs)).latency();
         // Outside the window or off the faulted node: base latency.
-        assert_eq!(
-            net.route(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(5)),
-            Some(DurationMs::from_millis(5))
-        );
-        assert_eq!(
-            net.route(NodeId::new(0), NodeId::new(2), TimeMs::from_secs(15)),
-            Some(DurationMs::from_millis(5))
-        );
+        assert_eq!(latency(0, 1, 5), Some(DurationMs::from_millis(5)));
+        assert_eq!(latency(0, 2, 15), Some(DurationMs::from_millis(5)));
         // Inside the window, touching the faulted node in either direction.
-        assert_eq!(
-            net.route(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(15)),
-            Some(DurationMs::from_millis(45))
-        );
-        assert_eq!(
-            net.route(NodeId::new(1), NodeId::new(2), TimeMs::from_secs(15)),
-            Some(DurationMs::from_millis(45))
-        );
+        assert_eq!(latency(0, 1, 15), Some(DurationMs::from_millis(45)));
+        assert_eq!(latency(1, 2, 15), Some(DurationMs::from_millis(45)));
     }
 
     #[test]
@@ -598,33 +539,8 @@ mod tests {
             }],
             adversaries: vec![],
         };
-        let mut net = NetworkModel::new(config, rng());
-        let n = 20_000;
-        for _ in 0..n {
-            net.route(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(1));
-        }
-        let rate = net.dropped() as f64 / n as f64;
+        let rate = drop_rate(&config, 20_000, TimeMs::from_secs(1));
         assert!((rate - 0.4).abs() < 0.02, "spike loss rate {rate}");
-    }
-
-    #[test]
-    fn set_config_takes_effect() {
-        let mut net = NetworkModel::new(NetworkConfig::perfect(DurationMs::ZERO), rng());
-        assert!(net
-            .route(NodeId::new(0), NodeId::new(1), TimeMs::ZERO)
-            .is_some());
-        net.set_config(NetworkConfig {
-            latency: LatencyModel::Constant(DurationMs::ZERO),
-            loss: 1.0,
-            partitions: vec![],
-            link_faults: vec![],
-            adversaries: vec![],
-        });
-        assert_eq!(
-            net.route(NodeId::new(0), NodeId::new(1), TimeMs::ZERO),
-            None
-        );
-        assert_eq!(net.config().loss, 1.0);
     }
 
     fn adversary_config(faults: AdversaryConfig, from: u64, until: u64) -> NetworkConfig {
@@ -648,21 +564,14 @@ mod tests {
             corrupt: 1.0,
             ..AdversaryConfig::default()
         };
-        let mut net = NetworkModel::new(adversary_config(faults, 10, 20), rng());
-        assert_eq!(
-            net.route_outcome(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(5)),
-            RouteOutcome::Deliver(DurationMs::from_millis(2))
-        );
-        assert_eq!(
-            net.route_outcome(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(15)),
-            RouteOutcome::Corrupt
-        );
-        assert_eq!(
-            net.route_outcome(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(20)),
-            RouteOutcome::Deliver(DurationMs::from_millis(2))
-        );
-        assert_eq!(net.corrupted(), 1);
-        assert_eq!(net.dropped(), 1);
+        let config = adversary_config(faults, 10, 20);
+        let mut r = rng();
+        let outcomes: Vec<RouteOutcome> = [5, 15, 20]
+            .into_iter()
+            .map(|secs| route(&config, &mut r, 0, 1, TimeMs::from_secs(secs)))
+            .collect();
+        let delivered = RouteOutcome::Deliver(DurationMs::from_millis(2));
+        assert_eq!(outcomes, [delivered, RouteOutcome::Corrupt, delivered]);
     }
 
     #[test]
@@ -671,16 +580,14 @@ mod tests {
             duplicate: 1.0,
             ..AdversaryConfig::default()
         };
-        let mut net = NetworkModel::new(adversary_config(faults, 0, 100), rng());
-        match net.route_outcome(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(1)) {
+        let config = adversary_config(faults, 0, 100);
+        match route(&config, &mut rng(), 0, 1, TimeMs::from_secs(1)) {
             RouteOutcome::Duplicate(a, b) => {
                 assert_eq!(a, DurationMs::from_millis(2));
                 assert_eq!(b, DurationMs::from_millis(2));
             }
             other => panic!("expected duplicate, got {other:?}"),
         }
-        assert_eq!(net.dropped(), 0);
-        assert_eq!(net.corrupted(), 0);
     }
 
     #[test]
@@ -690,8 +597,8 @@ mod tests {
             reorder_delay: DurationMs::from_millis(40),
             ..AdversaryConfig::default()
         };
-        let mut net = NetworkModel::new(adversary_config(faults, 0, 100), rng());
-        match net.route_outcome(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(1)) {
+        let config = adversary_config(faults, 0, 100);
+        match route(&config, &mut rng(), 0, 1, TimeMs::from_secs(1)) {
             RouteOutcome::Deliver(d) => {
                 assert!(d > DurationMs::from_millis(2));
                 assert!(d <= DurationMs::from_millis(42));
@@ -715,19 +622,14 @@ mod tests {
             }],
             ..adversary_config(AdversaryConfig::default(), 0, 0)
         };
-        let mut net = NetworkModel::new(config, rng());
+        let mut r = rng();
+        let now = TimeMs::from_secs(1);
         assert_eq!(
-            net.route_outcome(NodeId::new(0), NodeId::new(1), TimeMs::from_secs(1)),
+            route(&config, &mut r, 0, 1, now),
             RouteOutcome::Deliver(DurationMs::from_millis(2))
         );
-        assert_eq!(
-            net.route_outcome(NodeId::new(0), NodeId::new(3), TimeMs::from_secs(1)),
-            RouteOutcome::Corrupt
-        );
-        assert_eq!(
-            net.route_outcome(NodeId::new(3), NodeId::new(1), TimeMs::from_secs(1)),
-            RouteOutcome::Corrupt
-        );
+        assert_eq!(route(&config, &mut r, 0, 3, now), RouteOutcome::Corrupt);
+        assert_eq!(route(&config, &mut r, 3, 1, now), RouteOutcome::Corrupt);
     }
 
     #[test]
@@ -736,24 +638,22 @@ mod tests {
         // is active, so a config with a never-active window routes the
         // identical sequence as one with no adversary at all.
         let faults = AdversaryConfig::corrupting(0.5);
-        let mut plain = NetworkModel::new(NetworkConfig::lossy(0.2), rng());
-        let mut windowed = NetworkModel::new(
-            NetworkConfig {
-                adversaries: vec![AdversaryWindow {
-                    nodes: vec![],
-                    faults,
-                    from: TimeMs::from_secs(900),
-                    until: TimeMs::from_secs(1000),
-                }],
-                ..NetworkConfig::lossy(0.2)
-            },
-            rng(),
-        );
+        let plain = NetworkConfig::lossy(0.2);
+        let windowed = NetworkConfig {
+            adversaries: vec![AdversaryWindow {
+                nodes: vec![],
+                faults,
+                from: TimeMs::from_secs(900),
+                until: TimeMs::from_secs(1000),
+            }],
+            ..NetworkConfig::lossy(0.2)
+        };
+        let (mut plain_rng, mut windowed_rng) = (rng(), rng());
         for i in 0..5000u64 {
             let now = TimeMs::from_millis(i);
             assert_eq!(
-                plain.route_outcome(NodeId::new(0), NodeId::new(1), now),
-                windowed.route_outcome(NodeId::new(0), NodeId::new(1), now),
+                route(&plain, &mut plain_rng, 0, 1, now),
+                route(&windowed, &mut windowed_rng, 0, 1, now),
             );
         }
     }

@@ -81,16 +81,14 @@ impl<M> DeferredPush<M> {
 }
 
 /// Commutative counters accumulated during batch execution and folded
-/// into `NetStats`/`NetworkModel` at the merge barrier.
+/// into `NetStats` at the merge barrier.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Counts {
     pub sends: u64,
     pub deliveries: u64,
     pub drops: u64,
     pub timer_fires: u64,
-    /// Drops decided by the network model (subset of `drops`).
-    pub net_dropped: u64,
-    /// Frames destroyed by the byte adversary (subset of `net_dropped`).
+    /// Frames destroyed by the byte adversary (subset of `drops`).
     pub corrupted: u64,
 }
 
@@ -184,6 +182,9 @@ pub(crate) struct Lane<'a, N: SimNode> {
 /// Executes one shard's share of a parallel batch (see [`exec_events`]),
 /// recording its busy time when profiling.
 pub(crate) fn exec_shard<N: SimNode>(lane: &mut Lane<'_, N>, worker: &mut LaneScratch<N::Msg>) {
+    // Busy time only feeds the profiler's shard-balance stats, never a
+    // result.
+    #[allow(clippy::disallowed_methods)]
     let t0 = lane.profiling.then(Instant::now);
     exec_events(
         lane,
@@ -243,7 +244,7 @@ pub(crate) fn exec_events<N: SimNode>(
                 };
                 let slot = slots[pos].1;
                 if slot.gen != gen {
-                    // Stale: the timer was re-armed or cancelled.
+                    // Stale: the timer was re-armed.
                     buf.mark_event(false);
                     continue;
                 }
@@ -298,43 +299,35 @@ pub(crate) fn invoke_on<N: SimNode>(
         let mut ctx = SimCtx::new(lane.now, id, outbox, timer_reqs);
         g(&mut lane.nodes[local], &mut ctx);
     }
-    for req in timer_reqs.drain(..) {
-        match req {
-            TimerRequest::Set {
-                timer,
-                first_after,
-                kind,
-            } => {
-                lane.timer_gen[local] += 1;
-                let gen = lane.timer_gen[local];
-                let period = match kind {
-                    TimerKind::Once => None,
-                    TimerKind::Periodic(p) => Some(p),
-                };
-                let slots = &mut lane.timers[local];
-                match slots.iter_mut().find(|(t, _)| *t == timer) {
-                    Some((_, slot)) => *slot = TimerSlot { gen, period },
-                    None => slots.push((timer, TimerSlot { gen, period })),
-                }
-                buf.pushes.push(DeferredPush::Timer {
-                    at: lane.now + first_after,
-                    node: id,
-                    timer,
-                    gen,
-                });
-            }
-            TimerRequest::Cancel(timer) => {
-                let slots = &mut lane.timers[local];
-                if let Some(pos) = slots.iter().position(|&(t, _)| t == timer) {
-                    slots.swap_remove(pos);
-                }
-            }
+    for TimerRequest {
+        timer,
+        first_after,
+        kind,
+    } in timer_reqs.drain(..)
+    {
+        lane.timer_gen[local] += 1;
+        let gen = lane.timer_gen[local];
+        let period = match kind {
+            TimerKind::Once => None,
+            TimerKind::Periodic(p) => Some(p),
+        };
+        let slots = &mut lane.timers[local];
+        match slots.iter_mut().find(|(t, _)| *t == timer) {
+            Some((_, slot)) => *slot = TimerSlot { gen, period },
+            None => slots.push((timer, TimerSlot { gen, period })),
         }
+        buf.pushes.push(DeferredPush::Timer {
+            at: lane.now + first_after,
+            node: id,
+            timer,
+            gen,
+        });
     }
     // Routing time is measured per handler, not per send: one clock
     // read either side of the drain keeps profiling overhead off the
     // per-message path (and clocks never feed back into routing, so
     // results are identical profiling or not).
+    #[allow(clippy::disallowed_methods)]
     let route_t0 = lane.profiling.then(Instant::now);
     for (to, msg) in outbox.drain(..) {
         assert!(
@@ -381,13 +374,9 @@ pub(crate) fn invoke_on<N: SimNode>(
                     msg,
                 });
             }
-            RouteOutcome::Drop => {
-                buf.counts.drops += 1;
-                buf.counts.net_dropped += 1;
-            }
+            RouteOutcome::Drop => buf.counts.drops += 1,
             RouteOutcome::Corrupt => {
                 buf.counts.drops += 1;
-                buf.counts.net_dropped += 1;
                 buf.counts.corrupted += 1;
             }
         }

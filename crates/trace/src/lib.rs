@@ -10,8 +10,7 @@
 //!   Retransmit round-trips, view changes, crash/restart, buffer
 //!   occupancy), each stamped with time, gossip round, the observing
 //!   node, and — where applicable — peer, event id and hop count.
-//! * [`TraceSink`] + [`Recorder`] — the consumer interface and its
-//!   standard implementation: a bounded ring of raw records plus
+//! * [`Recorder`] — the consumer: a bounded ring of raw records plus
 //!   streaming aggregates (per-kind [`TraceCounts`], fixed-bucket
 //!   [`Histogram`](agb_types::Histogram)s for delivery latency in
 //!   rounds, hops-to-delivery, buffer occupancy and recovery RTT, and
@@ -44,7 +43,7 @@ mod tree;
 
 pub use config::TraceConfig;
 pub use probe::TraceProbe;
-pub use record::{DropCause, TraceKind, TraceRecord, TraceSink};
+pub use record::{DropCause, TraceKind, TraceRecord};
 pub use recorder::{Recorder, TraceCounts};
 pub use summary::{TraceSummary, TRACE_SCHEMA};
 pub use tree::{TreeBuilder, TreeStats};

@@ -6,7 +6,7 @@
 //! frames, drained [`ProtocolEvent`]s, detector verdicts, lifecycle
 //! transitions — into [`TraceRecord`]s. Records accumulate in a local
 //! buffer so nodes can stay `Send` and be driven on worker threads; the
-//! harness drains the buffer into a shared [`TraceSink`](crate::TraceSink)
+//! harness drains the buffer into a shared [`Recorder`](crate::Recorder)
 //! at its canonical merge point (the simulator's post-event hook), which
 //! is what keeps the trace stream deterministic under sharded execution.
 //!

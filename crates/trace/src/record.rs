@@ -279,28 +279,6 @@ pub struct TraceRecord {
     pub kind: TraceKind,
 }
 
-/// Consumer of trace records.
-///
-/// [`Recorder`](crate::Recorder) is the standard implementation;
-/// harnesses and tests can substitute their own (e.g. a line printer or
-/// a counting stub). Implementations must not feed back into protocol
-/// state: tracing is observational by contract, which is what keeps
-/// engine checksums identical with tracing on and off.
-pub trait TraceSink {
-    /// Consumes one record. Called in the engine's canonical merge order.
-    fn record(&mut self, record: TraceRecord);
-
-    /// Consumes a batch in order (override when batching is cheaper).
-    fn record_all(&mut self, records: impl IntoIterator<Item = TraceRecord>)
-    where
-        Self: Sized,
-    {
-        for r in records {
-            self.record(r);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@ use agb_types::json::Json;
 use agb_types::{DurationMs, FastHashMap, Histogram, NodeId, TimeMs};
 
 use crate::config::TraceConfig;
-use crate::record::{DropCause, TraceKind, TraceRecord, TraceSink};
+use crate::record::{DropCause, TraceKind, TraceRecord};
 use crate::tree::TreeBuilder;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -182,7 +182,7 @@ impl TraceCounts {
     }
 }
 
-/// The standard [`TraceSink`]: keeps the most recent raw records in a
+/// The trace consumer: keeps the most recent raw records in a
 /// bounded ring and folds *every* record — including ones later evicted
 /// from the ring — into streaming aggregates:
 ///
@@ -387,10 +387,11 @@ impl Recorder {
             _ => {}
         }
     }
-}
 
-impl TraceSink for Recorder {
-    fn record(&mut self, record: TraceRecord) {
+    /// Consumes one record, in the engine's canonical merge order.
+    /// Recording never feeds back into protocol state, which is what
+    /// keeps engine checksums identical with tracing on and off.
+    pub fn record(&mut self, record: TraceRecord) {
         self.fold_record(&record);
         self.counts.observe(&record.kind);
         self.trees.observe(&record);

@@ -164,7 +164,7 @@ pub(crate) fn fold_histogram(h: &Histogram, mix: &mut impl FnMut(u64)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{TraceKind, TraceRecord, TraceSink};
+    use crate::record::{TraceKind, TraceRecord};
     use crate::TraceConfig;
     use agb_types::{EventId, NodeId, TimeMs};
 

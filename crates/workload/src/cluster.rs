@@ -12,11 +12,10 @@ use agb_node::{Algorithm, Input, NodeShell, Overlay, StackSpec};
 use agb_profile::{MemReport, MemTable, ProfileConfig, Profiler, ProfilerSnapshot};
 use agb_recovery::RecoveryConfig;
 use agb_sim::{NetStats, NetworkConfig, SimCtx, SimNode, Simulation, SimulationBuilder, TimerId};
-use agb_trace::{Recorder, TraceConfig, TraceProbe, TraceSink, TraceSummary};
+use agb_trace::{Recorder, TraceConfig, TraceProbe, TraceSummary};
 use agb_types::{DetRng, DurationMs, NodeId, Payload, SeedSequence, TimeMs, Topology};
 use rand::RngExt;
 
-use crate::schedule::{ChurnEvent, ChurnSchedule, ResizeSchedule};
 use crate::senders::{SenderModel, SenderProcess};
 
 /// Which membership service nodes use.
@@ -72,8 +71,6 @@ pub struct ClusterConfig {
     pub n_senders: usize,
     /// Aggregate offered load, msgs/s, split evenly across senders.
     pub offered_rate: f64,
-    /// Use Poisson instead of constant inter-arrival times.
-    pub poisson_senders: bool,
     /// Payload bytes per message.
     pub payload_size: usize,
     /// Per-node buffer capacity overrides (heterogeneous groups).
@@ -142,7 +139,6 @@ impl ClusterConfig {
             network: NetworkConfig::perfect(DurationMs::from_millis(10)),
             n_senders: 0,
             offered_rate: 0.0,
-            poisson_senders: false,
             payload_size: 0,
             buffer_overrides: Vec::new(),
             metrics_bin: DurationMs::from_secs(1),
@@ -264,11 +260,6 @@ impl ClusterNode {
         }
     }
 
-    /// Feeds one input that sends nothing (a scheduled control).
-    fn control(&mut self, now: TimeMs, input: Input) {
-        self.shell.step(now, input, &mut Vec::new());
-    }
-
     /// Flushes buffered protocol events into the shared collector and
     /// trace records into the shared recorder, if tracing (called by the
     /// engine hook on the driving thread, in canonical order).
@@ -327,10 +318,10 @@ impl SimNode for ClusterNode {
                 let refused = sender.suppressed() - before;
                 ctx.set_timer(ARRIVAL, sender.next_at().since(now));
                 if refused > 0 {
-                    self.control(now, Input::Refused(refused));
+                    self.step(Input::Refused(refused), ctx);
                 }
                 for _ in 0..offers {
-                    self.control(now, Input::Offer(self.payload.clone()));
+                    self.step(Input::Offer(self.payload.clone()), ctx);
                 }
             }
             _ => {}
@@ -424,14 +415,8 @@ impl GossipCluster {
             let protocol = config.make_protocol(id, 0, None);
 
             let sender = if i < config.n_senders && per_sender_rate > 0.0 {
-                let model = if config.poisson_senders {
-                    SenderModel::Poisson {
-                        rate: per_sender_rate,
-                    }
-                } else {
-                    SenderModel::Constant {
-                        rate: per_sender_rate,
-                    }
+                let model = SenderModel::Constant {
+                    rate: per_sender_rate,
                 };
                 if matches!(config.algorithm, Algorithm::Adaptive) {
                     metrics
@@ -603,28 +588,12 @@ impl GossipCluster {
         table
     }
 
-    /// Schedules a buffer resize for one node.
+    /// Schedules a buffer resize for one node (the Figure 9 experiment
+    /// shrinks 20% of the nodes, later grows them again).
     pub fn schedule_resize(&mut self, at: TimeMs, node: NodeId, capacity: usize) {
-        self.sim.schedule_node_control(at, node, move |n, now| {
-            n.control(now, Input::Resize(capacity));
+        self.sim.schedule_node_action(at, node, move |n, ctx| {
+            n.step(Input::Resize(capacity), ctx);
         });
-    }
-
-    /// Schedules every event of a resize schedule.
-    pub fn apply_resizes(&mut self, schedule: &ResizeSchedule) {
-        for ev in schedule.events() {
-            self.schedule_resize(ev.at, ev.node, ev.capacity);
-        }
-    }
-
-    /// Schedules every event of a churn schedule (crashes/recoveries).
-    pub fn apply_churn(&mut self, schedule: &ChurnSchedule) {
-        for ev in schedule.events() {
-            match ev {
-                ChurnEvent::Crash { at, node } => self.schedule_crash(*at, *node),
-                ChurnEvent::Recover { at, node } => self.schedule_recover(*at, *node),
-            }
-        }
     }
 
     /// Schedules a crash: from `at` the node receives nothing and its
@@ -635,7 +604,7 @@ impl GossipCluster {
         // Controls are barrier events on the driving thread — no sends,
         // no RNG — so engine results are unchanged.
         self.sim
-            .schedule_node_control(at, node, |n, now| n.control(now, Input::Crash));
+            .schedule_node_action(at, node, |n, ctx| n.step(Input::Crash, ctx));
         self.sim.schedule_crash(at, node);
     }
 
@@ -644,7 +613,7 @@ impl GossipCluster {
         self.metrics.borrow_mut().record_membership(node, at, true);
         self.sim.schedule_recover(at, node);
         self.sim
-            .schedule_node_control(at, node, |n, now| n.control(now, Input::Recover));
+            .schedule_node_action(at, node, |n, ctx| n.step(Input::Recover, ctx));
     }
 
     /// Schedules a *restart with state loss* at `at`: the node comes back
@@ -655,8 +624,8 @@ impl GossipCluster {
     pub fn schedule_restart(&mut self, at: TimeMs, node: NodeId, epoch: u64) {
         self.metrics.borrow_mut().record_membership(node, at, true);
         let protocol = self.config.make_protocol(node, epoch, None);
-        self.sim.schedule_restart(at, node, move |n, now| {
-            n.control(now, Input::Restart(protocol));
+        self.sim.schedule_restart(at, node, move |n, ctx| {
+            n.step(Input::Restart(protocol), ctx);
         });
     }
 
@@ -668,8 +637,8 @@ impl GossipCluster {
     pub fn schedule_join(&mut self, at: TimeMs, node: NodeId, epoch: u64, contacts: Vec<NodeId>) {
         self.metrics.borrow_mut().record_membership(node, at, true);
         let protocol = self.config.make_protocol(node, epoch, Some(contacts));
-        self.sim.schedule_restart(at, node, move |n, now| {
-            n.control(now, Input::Join(protocol));
+        self.sim.schedule_restart(at, node, move |n, ctx| {
+            n.step(Input::Join(protocol), ctx);
         });
     }
 
@@ -690,17 +659,17 @@ impl GossipCluster {
     /// unsubscription) — the external-failure-detector hook of churn
     /// scenarios.
     pub fn schedule_evict(&mut self, at: TimeMs, at_node: NodeId, dead: NodeId) {
-        self.sim.schedule_node_control(at, at_node, move |n, now| {
-            n.control(now, Input::Evict(dead));
+        self.sim.schedule_node_action(at, at_node, move |n, ctx| {
+            n.step(Input::Evict(dead), ctx);
         });
     }
 
     /// Schedules a sender burst storm: `count` messages offered at once at
     /// `node` at time `at`.
     pub fn schedule_burst(&mut self, at: TimeMs, node: NodeId, count: usize) {
-        self.sim.schedule_node_control(at, node, move |n, now| {
+        self.sim.schedule_node_action(at, node, move |n, ctx| {
             for _ in 0..count {
-                n.control(now, Input::Offer(n.payload.clone()));
+                n.step(Input::Offer(n.payload.clone()), ctx);
             }
         });
     }

@@ -5,13 +5,15 @@
 //! sender population imposing an offered load, optional runtime resource
 //! changes, and metrics collection. This crate packages that anatomy:
 //!
-//! * [`SenderModel`] / [`SenderProcess`] — constant-rate, Poisson and
-//!   on-off offered-load generators with the blocking-sender semantics of
+//! * [`SenderModel`] / [`SenderProcess`] — constant-rate and Poisson
+//!   offered-load generators with the blocking-sender semantics of
 //!   Figure 3 (an application blocked on `BROADCAST` stops producing);
 //! * [`GossipCluster`] — builds `n` protocol nodes (baseline or adaptive)
 //!   into an [`agb_sim::Simulation`], wires the sender processes and a
-//!   shared [`MetricsCollector`](agb_metrics::MetricsCollector), and exposes scenario controls;
-//! * [`ResizeSchedule`] — the Figure 9 runtime buffer changes;
+//!   shared [`MetricsCollector`](agb_metrics::MetricsCollector), and
+//!   schedules scenario controls: buffer resizes (the Figure 9 runtime
+//!   changes), crashes, recoveries, restarts, joins, leaves, evictions and
+//!   sender bursts;
 //! * [`pubsub`] — the motivating publish/subscribe application: overlapping
 //!   topic groups splitting each node's buffer budget.
 //!
@@ -36,10 +38,8 @@
 
 mod cluster;
 pub mod pubsub;
-mod schedule;
 mod senders;
 
 pub use agb_node::Algorithm;
 pub use cluster::{ClusterConfig, GossipCluster, MembershipKind, PhaseModel};
-pub use schedule::{ChurnEvent, ChurnSchedule, ResizeEvent, ResizeSchedule};
 pub use senders::{SenderModel, SenderProcess};

@@ -10,7 +10,7 @@
 //! changes into runtime buffer resizes (and crash/recover for the joined /
 //! left group).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use agb_core::{AdaptationConfig, GossipConfig};
 use agb_metrics::MetricsCollector;
@@ -87,7 +87,7 @@ impl TopicCluster {
 /// A running multi-topic deployment.
 pub struct PubSubSystem {
     clusters: Vec<TopicCluster>,
-    subscriptions: HashMap<NodeId, HashSet<TopicId>>,
+    subscriptions: BTreeMap<NodeId, BTreeSet<TopicId>>,
     total_buffer: usize,
 }
 
@@ -100,7 +100,7 @@ impl PubSubSystem {
     /// Panics if a topic has no members or the buffer budget is zero.
     pub fn build(config: PubSubConfig) -> Self {
         assert!(config.total_buffer > 0, "buffer budget must be positive");
-        let mut subscriptions: HashMap<NodeId, HashSet<TopicId>> = HashMap::new();
+        let mut subscriptions: BTreeMap<NodeId, BTreeSet<TopicId>> = BTreeMap::new();
         for group in &config.topics {
             assert!(
                 !group.members.is_empty(),
@@ -152,11 +152,7 @@ impl PubSubSystem {
     pub fn subscriptions(&self, node: NodeId) -> Vec<TopicId> {
         self.subscriptions
             .get(&node)
-            .map(|s| {
-                let mut v: Vec<TopicId> = s.iter().copied().collect();
-                v.sort();
-                v
-            })
+            .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -200,9 +196,7 @@ impl PubSubSystem {
             if tc.topic == topic {
                 if let Some(local) = tc.local(node) {
                     // Leaving: stop participating in this group.
-                    let mut churn = crate::schedule::ChurnSchedule::new();
-                    churn.crash(at, local);
-                    tc.cluster.apply_churn(&churn);
+                    tc.cluster.schedule_crash(at, local);
                 }
             } else if remaining.contains(&tc.topic) {
                 if let Some(local) = tc.local(node) {
@@ -233,9 +227,7 @@ impl PubSubSystem {
                 continue;
             };
             if tc.topic == topic {
-                let mut churn = crate::schedule::ChurnSchedule::new();
-                churn.recover(at, local);
-                tc.cluster.apply_churn(&churn);
+                tc.cluster.schedule_recover(at, local);
             }
             tc.cluster.schedule_resize(at, local, new_cap);
         }

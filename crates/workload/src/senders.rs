@@ -11,37 +11,12 @@ pub enum SenderModel {
         /// Offered rate, msgs/s.
         rate: f64,
     },
-    /// Poisson arrivals with mean `rate` msgs/s.
+    /// Poisson arrivals with mean `rate` msgs/s, drawn from the process's
+    /// RNG stream.
     Poisson {
         /// Mean offered rate, msgs/s.
         rate: f64,
     },
-    /// Bursty on/off traffic: `rate` during `on`, silent during `off`.
-    OnOff {
-        /// Offered rate while on, msgs/s.
-        rate: f64,
-        /// Length of the on phase.
-        on: DurationMs,
-        /// Length of the off phase.
-        off: DurationMs,
-    },
-}
-
-impl SenderModel {
-    /// The long-run mean offered rate of this model, msgs/s.
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            SenderModel::Constant { rate } | SenderModel::Poisson { rate } => rate,
-            SenderModel::OnOff { rate, on, off } => {
-                let total = on.as_secs_f64() + off.as_secs_f64();
-                if total == 0.0 {
-                    rate
-                } else {
-                    rate * on.as_secs_f64() / total
-                }
-            }
-        }
-    }
 }
 
 /// Iterator-style arrival schedule for one sender.
@@ -71,7 +46,6 @@ pub struct SenderProcess {
     model: SenderModel,
     next_at: TimeMs,
     rng: DetRng,
-    generated: u64,
     suppressed: u64,
     /// Maximum protocol backlog before arrivals are suppressed.
     max_backlog: usize,
@@ -85,7 +59,6 @@ impl SenderProcess {
             model,
             next_at: start,
             rng,
-            generated: 0,
             suppressed: 0,
             max_backlog: 2,
         };
@@ -101,19 +74,9 @@ impl SenderProcess {
         self
     }
 
-    /// The arrival model.
-    pub fn model(&self) -> SenderModel {
-        self.model
-    }
-
     /// Time of the next scheduled arrival.
     pub fn next_at(&self) -> TimeMs {
         self.next_at
-    }
-
-    /// Arrivals generated (returned by `poll`) so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Arrivals suppressed because the application was blocked.
@@ -139,24 +102,6 @@ impl SenderProcess {
                     DurationMs::from_millis((gap_ms.round() as u64).max(1))
                 }
             }
-            SenderModel::OnOff { rate, on, off } => {
-                // Approximate: walk the deterministic on/off envelope.
-                if rate <= 0.0 {
-                    return DurationMs::from_secs(u64::MAX / 2_000);
-                }
-                let gap = DurationMs::from_millis(((1_000.0 / rate).round() as u64).max(1));
-                let cycle = on.as_millis() + off.as_millis();
-                if cycle == 0 {
-                    return gap;
-                }
-                let pos = (self.next_at + gap).as_millis() % cycle;
-                if pos < on.as_millis() {
-                    gap
-                } else {
-                    // Jump to the start of the next on phase.
-                    gap + DurationMs::from_millis(cycle - pos)
-                }
-            }
         }
     }
 
@@ -171,7 +116,6 @@ impl SenderProcess {
                 self.suppressed += 1;
             } else {
                 offered += 1;
-                self.generated += 1;
             }
             let gap = self.draw_gap();
             self.next_at += gap;
@@ -195,7 +139,6 @@ mod tests {
             .with_max_backlog(1000);
         let n = p.poll(TimeMs::from_secs(10), 0);
         assert_eq!(n, 100);
-        assert_eq!(p.generated(), 100);
         assert_eq!(p.suppressed(), 0);
     }
 
@@ -223,30 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn on_off_respects_duty_cycle() {
-        let model = SenderModel::OnOff {
-            rate: 10.0,
-            on: DurationMs::from_secs(1),
-            off: DurationMs::from_secs(1),
-        };
-        let mut p = SenderProcess::new(model, TimeMs::ZERO, rng()).with_max_backlog(100_000);
-        let n = p.poll(TimeMs::from_secs(60), 0);
-        let mean = f64::from(n) / 60.0;
-        // Duty cycle 50% of 10/s = ~5/s.
-        assert!((mean - 5.0).abs() < 1.0, "measured {mean}");
-        assert!((model.mean_rate() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_rate_never_fires() {
         let mut p = SenderProcess::new(SenderModel::Constant { rate: 0.0 }, TimeMs::ZERO, rng());
         assert_eq!(p.poll(TimeMs::from_secs(3600), 0), 0);
-    }
-
-    #[test]
-    fn mean_rate_accessor() {
-        assert_eq!(SenderModel::Constant { rate: 3.0 }.mean_rate(), 3.0);
-        assert_eq!(SenderModel::Poisson { rate: 7.0 }.mean_rate(), 7.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example custom_protocol`
 
 use adaptive_gossip::core::{
-    BuffAd, CongestionConfig, CongestionEstimator, Event, EventBuffer, MinBuffConfig,
+    BuffAd, CongestionConfig, CongestionEstimator, Event, EventBuffer, EventList, MinBuffConfig,
     MinBuffEstimator, RateConfig, RateController, TokenBucket,
 };
 use adaptive_gossip::types::{DetRng, EventId, NodeId, Payload, TimeMs};
@@ -34,7 +34,7 @@ struct FloodNode {
 struct FloodMessage {
     period: u64,
     min_buffs: Vec<BuffAd>,
-    events: Vec<Event>,
+    events: EventList,
 }
 
 impl FloodNode {
@@ -59,7 +59,7 @@ impl FloodNode {
         FloodMessage {
             period,
             min_buffs,
-            events: self.buffer.snapshot(),
+            events: self.buffer.snapshot_shared(),
         }
     }
 

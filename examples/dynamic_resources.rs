@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example dynamic_resources`
 
 use adaptive_gossip::types::{DurationMs, NodeId, TimeMs};
-use adaptive_gossip::workload::{Algorithm, ClusterConfig, GossipCluster, ResizeSchedule};
+use adaptive_gossip::workload::{Algorithm, ClusterConfig, GossipCluster};
 
 fn main() {
     let mut config = ClusterConfig::new(60, 7);
@@ -21,10 +21,12 @@ fn main() {
     // 20% of the group loses half its buffers at t=60 s, recovers to 60
     // events at t=150 s.
     let squeezed: Vec<NodeId> = (48..60).map(NodeId::new).collect();
-    let mut schedule = ResizeSchedule::new();
-    schedule.resize_group(TimeMs::from_secs(60), squeezed.iter().copied(), 45);
-    schedule.resize_group(TimeMs::from_secs(150), squeezed.iter().copied(), 60);
-    cluster.apply_resizes(&schedule);
+    for &node in &squeezed {
+        cluster.schedule_resize(TimeMs::from_secs(60), node, 45);
+    }
+    for &node in &squeezed {
+        cluster.schedule_resize(TimeMs::from_secs(150), node, 60);
+    }
 
     println!("time(s)  aggregate-allowed(msg/s)  min-buff-estimate@sender0");
     let mut t = TimeMs::ZERO;

@@ -24,7 +24,7 @@
 //! | [`chaos`] | `agb-chaos` | scripted churn & fault injection: crash/restart/join/leave, partitions, link faults, burst storms |
 //! | [`maelstrom`] | `agb-maelstrom` | Maelstrom line protocol, node adapter, deterministic workload harness + checker |
 //! | [`sim`] | `agb-sim` | deterministic discrete-event network simulator |
-//! | [`workload`] | `agb-workload` | sender models, cluster builder, pub/sub scenarios, schedules |
+//! | [`workload`] | `agb-workload` | sender models, cluster builder and its scheduled controls, pub/sub scenarios |
 //! | [`runtime`] | `agb-runtime` | threaded UDP/channel runtime (the paper's 60-workstation prototype) |
 //! | [`metrics`] | `agb-metrics` | delivery/atomicity/rate/drop-age measurement |
 //! | [`trace`] | `agb-trace` | deterministic causal dissemination tracing: typed events, histograms, per-event trees |

@@ -3,7 +3,7 @@
 
 use adaptive_gossip::experiments::common::paper_adaptation;
 use adaptive_gossip::types::{NodeId, TimeMs};
-use adaptive_gossip::workload::{Algorithm, ClusterConfig, GossipCluster, ResizeSchedule};
+use adaptive_gossip::workload::{Algorithm, ClusterConfig, GossipCluster};
 
 fn adaptive_config(n: usize, seed: u64, buffer: usize, offered: f64) -> ClusterConfig {
     let mut c = ClusterConfig::new(n, seed);
@@ -66,10 +66,12 @@ fn min_buff_estimate_recovers_after_window_when_capacity_grows() {
 fn shrink_throttles_then_grow_recovers() {
     let mut cluster = GossipCluster::build(adaptive_config(24, 3, 60, 40.0));
     let squeezed: Vec<NodeId> = (20..24).map(NodeId::new).collect();
-    let mut schedule = ResizeSchedule::new();
-    schedule.resize_group(TimeMs::from_secs(60), squeezed.iter().copied(), 15);
-    schedule.resize_group(TimeMs::from_secs(140), squeezed.iter().copied(), 45);
-    cluster.apply_resizes(&schedule);
+    for &node in &squeezed {
+        cluster.schedule_resize(TimeMs::from_secs(60), node, 15);
+    }
+    for &node in &squeezed {
+        cluster.schedule_resize(TimeMs::from_secs(140), node, 45);
+    }
 
     cluster.run_until(TimeMs::from_secs(55));
     let before = cluster.aggregate_allowed_rate(4);

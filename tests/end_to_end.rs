@@ -198,11 +198,9 @@ fn partition_heals_and_dissemination_resumes() {
 fn crashed_nodes_do_not_block_the_rest() {
     let mut cluster = GossipCluster::build(base(20, 10, Algorithm::Lpbcast, 60, 4.0));
     // Crash 3 nodes permanently at t=5s.
-    let mut churn = adaptive_gossip::workload::ChurnSchedule::new();
     for i in 17..20 {
-        churn.crash(TimeMs::from_secs(5), NodeId::new(i));
+        cluster.schedule_crash(TimeMs::from_secs(5), NodeId::new(i));
     }
-    cluster.apply_churn(&churn);
     cluster.run_until(TimeMs::from_secs(60));
     let m = cluster.metrics();
     let report = m.deliveries().atomicity(

@@ -1,6 +1,6 @@
 //! Scaled-down qualitative checks of every figure's *shape* — the
 //! assertions that make the reproduction regression-tested. Full-scale
-//! numbers come from `cargo bench`.
+//! numbers come from `repro fig2` … `repro fig9`.
 
 use adaptive_gossip::experiments::common::{paper_adaptation, Windows};
 use adaptive_gossip::types::{DurationMs, TimeMs};
@@ -120,6 +120,37 @@ fn fig8_shape_adaptive_beats_lpbcast_when_congested() {
         "adaptive receivers {} vs lpbcast {}",
         ad.avg_receiver_fraction,
         lp.avg_receiver_fraction
+    );
+}
+
+#[test]
+fn fig6_shape_allowed_rate_meets_offered_load_above_the_crossover() {
+    let offered = 40.0;
+    let lp = run(mini(Algorithm::Lpbcast, 15, offered, 6));
+    let allowed = |buffer| run(mini(Algorithm::Adaptive, buffer, offered, 6));
+    let (small, mid, large) = (allowed(15), allowed(30), allowed(120));
+    // Below the crossover the small buffer is congested: adaptive allows
+    // well under the offered load that lpbcast admits in full.
+    assert!(
+        small.mean_allowed < offered * 0.5 && small.mean_allowed < lp.input_rate * 0.5,
+        "adaptive must throttle below the crossover: allowed {} vs offered {offered}, lpbcast input {}",
+        small.mean_allowed,
+        lp.input_rate
+    );
+    // Above it the buffer's knee exceeds the offered load, which the
+    // adaptive senders are then allowed and admit.
+    assert!(
+        large.input_rate > offered * 0.8,
+        "adaptive must admit about the offered load above the crossover: {}",
+        large.input_rate
+    );
+    // In between, the allowed rate rises with the buffer.
+    assert!(
+        mid.mean_allowed > small.mean_allowed * 1.2 && large.mean_allowed > mid.mean_allowed * 1.2,
+        "allowed rate must rise with the buffer: {} -> {} -> {}",
+        small.mean_allowed,
+        mid.mean_allowed,
+        large.mean_allowed
     );
 }
 

@@ -9,16 +9,18 @@
 //! robustness studies of the gossip literature (tuneable gossip under
 //! adversarial conditions, flooding-vs-gossip resilience).
 //!
-//! * [`ChaosSchedule`] — the vocabulary: crashes, state-intact
-//!   recoveries, restarts with state loss, protocol-level joins and
-//!   graceful leaves, failure-detector evictions, partitions, per-link
-//!   latency/loss episodes, sender burst storms;
+//! * [`ChaosSchedule`] — the vocabulary: crashes, restarts with state
+//!   loss, protocol-level joins and graceful leaves, failure-detector
+//!   evictions, sender burst storms, and the simulator's own fault
+//!   windows (partitions, per-link latency/loss episodes, byte-adversary
+//!   episodes);
 //! * [`ChurnProfile`] — statistics-level scenario description compiled
 //!   into one concrete schedule per seed;
-//! * [`ChaosCluster`] — the executor: compiles a schedule into engine
-//!   actions on an [`agb_workload::GossipCluster`], probes membership
-//!   views for convergence, and produces a [`ChaosSummary`] with a
-//!   stable digest for determinism assertions.
+//! * [`ChaosCluster`] — the executor: compiles a schedule's fault
+//!   windows into the network configuration and its other events into
+//!   engine actions on an [`agb_workload::GossipCluster`], probes
+//!   membership views for convergence, and produces a [`ChaosSummary`]
+//!   with a stable digest for determinism assertions.
 //!
 //! Churned nodes re-enter through the membership protocol itself
 //! (bootstrap contact + subscription gossip), not by construction; with

@@ -1,6 +1,6 @@
 //! Seed-driven schedule generation: a [`ChurnProfile`] describes the
 //! *statistics* of the perturbation (churn rate, outage length, link
-//! flapping, burst storms) and compiles, for a given seed, into one
+//! flapping) and compiles, for a given seed, into one
 //! concrete deterministic [`ChaosSchedule`].
 
 use agb_types::{DetRng, DurationMs, NodeId, TimeMs};
@@ -23,11 +23,9 @@ pub struct ChurnProfile {
     pub end: TimeMs,
     /// Crash events per minute of virtual time.
     pub crashes_per_min: f64,
-    /// How long a crashed node stays down.
+    /// How long a crashed node stays down; it then restarts with state
+    /// loss, re-entering via the membership protocol.
     pub outage: DurationMs,
-    /// `true`: nodes come back with state loss (restart), re-entering via
-    /// the membership protocol. `false`: state-intact recovery.
-    pub restart_as_fresh: bool,
     /// Nodes never crashed (typically the senders, so offered load is
     /// constant across the sweep).
     pub protect: Vec<NodeId>,
@@ -44,10 +42,6 @@ pub struct ChurnProfile {
     pub flap_extra_latency: DurationMs,
     /// Loss spike during a flap.
     pub flap_extra_loss: f64,
-    /// Number of sender burst storms over the churn window.
-    pub bursts: usize,
-    /// Messages per burst.
-    pub burst_size: usize,
 }
 
 impl ChurnProfile {
@@ -67,7 +61,6 @@ impl ChurnProfile {
             end,
             crashes_per_min,
             outage,
-            restart_as_fresh: true,
             protect: (0..protect_first as u32).map(NodeId::new).collect(),
             detectors: 0,
             detect_after: DurationMs::from_secs(2),
@@ -75,8 +68,6 @@ impl ChurnProfile {
             flap_duration: DurationMs::from_secs(5),
             flap_extra_latency: DurationMs::from_millis(50),
             flap_extra_loss: 0.2,
-            bursts: 0,
-            burst_size: 0,
         }
     }
 
@@ -139,11 +130,7 @@ impl ChurnProfile {
                     }
                 }
             }
-            if self.restart_as_fresh {
-                schedule.restart(back_at, victim);
-            } else {
-                schedule.recover(back_at, victim);
-            }
+            schedule.restart(back_at, victim);
         }
 
         for _ in 0..self.link_flaps {
@@ -156,16 +143,6 @@ impl ChurnProfile {
                 vec![node],
                 self.flap_extra_latency,
                 self.flap_extra_loss,
-            );
-        }
-
-        for _ in 0..self.bursts {
-            let t = rng.random_range(0..window_ms);
-            let node = NodeId::new(rng.random_range(0..self.n_nodes as u32));
-            schedule.burst(
-                self.start + DurationMs::from_millis(t),
-                node,
-                self.burst_size,
             );
         }
 
@@ -260,24 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn flaps_and_bursts_generate_events() {
+    fn flaps_generate_events() {
         let mut p = profile(0.0);
         p.link_flaps = 3;
-        p.bursts = 2;
-        p.burst_size = 40;
         let s = p.generate(2);
         let flaps = s
             .events()
             .iter()
-            .filter(|e| matches!(e, ChaosEvent::LinkFault { .. }))
-            .count();
-        let bursts = s
-            .events()
-            .iter()
-            .filter(|e| matches!(e, ChaosEvent::Burst { .. }))
+            .filter(|e| matches!(e, ChaosEvent::LinkFault(_)))
             .count();
         assert_eq!(flaps, 3);
-        assert_eq!(bursts, 2);
         assert!(s.validate(20).is_ok());
     }
 }

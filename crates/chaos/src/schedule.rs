@@ -3,6 +3,7 @@
 //! the simulator by [`crate::ChaosCluster`].
 
 use agb_failure::AdversaryConfig;
+use agb_sim::{AdversaryWindow, LinkFault, Partition};
 use agb_types::{DurationMs, NodeId, TimeMs};
 
 /// One scripted fault or lifecycle action.
@@ -10,13 +11,6 @@ use agb_types::{DurationMs, NodeId, TimeMs};
 pub enum ChaosEvent {
     /// Crash-stop: the node goes silent, state kept.
     Crash {
-        /// When.
-        at: TimeMs,
-        /// Which node.
-        node: NodeId,
-    },
-    /// Recovery from a crash, state intact.
-    Recover {
         /// When.
         at: TimeMs,
         /// Which node.
@@ -60,29 +54,11 @@ pub enum ChaosEvent {
     },
     /// A clean network partition isolating `side_a` during
     /// `[from, until)`.
-    Partition {
-        /// Partition start.
-        from: TimeMs,
-        /// Partition heal.
-        until: TimeMs,
-        /// The isolated side.
-        side_a: Vec<NodeId>,
-    },
+    Partition(Partition),
     /// A link degradation episode: every message touching `nodes` suffers
     /// `extra_latency` and an extra `extra_loss` drop probability during
     /// `[from, until)`.
-    LinkFault {
-        /// Episode start.
-        from: TimeMs,
-        /// Episode end.
-        until: TimeMs,
-        /// The nodes with degraded links.
-        nodes: Vec<NodeId>,
-        /// Added latency per affected message.
-        extra_latency: DurationMs,
-        /// Added independent drop probability in `[0, 1]`.
-        extra_loss: f64,
-    },
+    LinkFault(LinkFault),
     /// A sender burst storm: `count` messages offered at once at `node`.
     Burst {
         /// When.
@@ -97,16 +73,7 @@ pub enum ChaosEvent {
     /// fault rates in `faults` — corruption and truncation destroy the
     /// frame (counted and dropped at the receiver's checksum), duplication
     /// delivers it twice, reordering delays it past later traffic.
-    Adversary {
-        /// Episode start.
-        from: TimeMs,
-        /// Episode end.
-        until: TimeMs,
-        /// The nodes whose links are attacked (empty: all links).
-        nodes: Vec<NodeId>,
-        /// Per-datagram fault rates.
-        faults: AdversaryConfig,
-    },
+    Adversary(AdversaryWindow),
 }
 
 impl ChaosEvent {
@@ -114,15 +81,14 @@ impl ChaosEvent {
     pub fn at(&self) -> TimeMs {
         match self {
             ChaosEvent::Crash { at, .. }
-            | ChaosEvent::Recover { at, .. }
             | ChaosEvent::Restart { at, .. }
             | ChaosEvent::Join { at, .. }
             | ChaosEvent::Leave { at, .. }
             | ChaosEvent::Evict { at, .. }
             | ChaosEvent::Burst { at, .. } => *at,
-            ChaosEvent::Partition { from, .. }
-            | ChaosEvent::LinkFault { from, .. }
-            | ChaosEvent::Adversary { from, .. } => *from,
+            ChaosEvent::Partition(p) => p.from,
+            ChaosEvent::LinkFault(f) => f.from,
+            ChaosEvent::Adversary(w) => w.from,
         }
     }
 
@@ -130,15 +96,12 @@ impl ChaosEvent {
     pub fn node(&self) -> Option<NodeId> {
         match self {
             ChaosEvent::Crash { node, .. }
-            | ChaosEvent::Recover { node, .. }
             | ChaosEvent::Restart { node, .. }
             | ChaosEvent::Join { node, .. }
             | ChaosEvent::Leave { node, .. }
             | ChaosEvent::Burst { node, .. } => Some(*node),
             ChaosEvent::Evict { at_node, .. } => Some(*at_node),
-            ChaosEvent::Partition { .. }
-            | ChaosEvent::LinkFault { .. }
-            | ChaosEvent::Adversary { .. } => None,
+            ChaosEvent::Partition(_) | ChaosEvent::LinkFault(_) | ChaosEvent::Adversary(_) => None,
         }
     }
 }
@@ -186,11 +149,6 @@ impl ChaosSchedule {
         self.push(ChaosEvent::Crash { at, node })
     }
 
-    /// Schedules a recovery (state intact).
-    pub fn recover(&mut self, at: TimeMs, node: NodeId) -> &mut Self {
-        self.push(ChaosEvent::Recover { at, node })
-    }
-
     /// Schedules a restart with state loss.
     pub fn restart(&mut self, at: TimeMs, node: NodeId) -> &mut Self {
         self.push(ChaosEvent::Restart { at, node })
@@ -213,11 +171,11 @@ impl ChaosSchedule {
 
     /// Schedules a partition of `side_a` during `[from, until)`.
     pub fn partition(&mut self, from: TimeMs, until: TimeMs, side_a: Vec<NodeId>) -> &mut Self {
-        self.push(ChaosEvent::Partition {
+        self.push(ChaosEvent::Partition(Partition {
+            side_a,
             from,
             until,
-            side_a,
-        })
+        }))
     }
 
     /// Schedules a link-degradation episode.
@@ -229,13 +187,13 @@ impl ChaosSchedule {
         extra_latency: DurationMs,
         extra_loss: f64,
     ) -> &mut Self {
-        self.push(ChaosEvent::LinkFault {
-            from,
-            until,
+        self.push(ChaosEvent::LinkFault(LinkFault {
             nodes,
             extra_latency,
             extra_loss,
-        })
+            from,
+            until,
+        }))
     }
 
     /// Schedules a sender burst storm.
@@ -252,12 +210,12 @@ impl ChaosSchedule {
         nodes: Vec<NodeId>,
         faults: AdversaryConfig,
     ) -> &mut Self {
-        self.push(ChaosEvent::Adversary {
-            from,
-            until,
+        self.push(ChaosEvent::Adversary(AdversaryWindow {
             nodes,
             faults,
-        })
+            from,
+            until,
+        }))
     }
 
     /// Appends every event of `other`.
@@ -324,11 +282,11 @@ impl ChaosSchedule {
                     }
                 }
                 ChaosEvent::Evict { dead, .. } => check_node(*dead)?,
-                ChaosEvent::Partition {
+                ChaosEvent::Partition(Partition {
+                    side_a,
                     from,
                     until,
-                    side_a,
-                } => {
+                }) => {
                     if until <= from {
                         return Err(format!("partition window inverted: {from} >= {until}"));
                     }
@@ -339,13 +297,13 @@ impl ChaosSchedule {
                         check_node(n)?;
                     }
                 }
-                ChaosEvent::LinkFault {
-                    from,
-                    until,
+                ChaosEvent::LinkFault(LinkFault {
                     nodes,
                     extra_loss,
+                    from,
+                    until,
                     ..
-                } => {
+                }) => {
                     if until <= from {
                         return Err(format!("link fault window inverted: {from} >= {until}"));
                     }
@@ -362,12 +320,12 @@ impl ChaosSchedule {
                 ChaosEvent::Burst { count, .. } if *count == 0 => {
                     return Err("zero-sized burst".into());
                 }
-                ChaosEvent::Adversary {
-                    from,
-                    until,
+                ChaosEvent::Adversary(AdversaryWindow {
                     nodes,
                     faults,
-                } => {
+                    from,
+                    until,
+                }) => {
                     if until <= from {
                         return Err(format!("adversary window inverted: {from} >= {until}"));
                     }
@@ -394,7 +352,7 @@ mod tests {
     fn builder_collects_events_in_order() {
         let mut s = ChaosSchedule::new();
         s.crash(TimeMs::from_secs(1), NodeId::new(0))
-            .recover(TimeMs::from_secs(2), NodeId::new(0))
+            .restart(TimeMs::from_secs(2), NodeId::new(0))
             .burst(TimeMs::from_secs(3), NodeId::new(1), 5);
         assert_eq!(s.len(), 3);
         assert_eq!(s.events()[0].at(), TimeMs::from_secs(1));
@@ -450,7 +408,7 @@ mod tests {
         let mut a = ChaosSchedule::new();
         a.crash(TimeMs::from_secs(1), NodeId::new(0));
         let mut b = ChaosSchedule::new();
-        b.recover(TimeMs::from_secs(2), NodeId::new(0));
+        b.restart(TimeMs::from_secs(2), NodeId::new(0));
         a.merge(&b);
         assert_eq!(a.len(), 2);
     }

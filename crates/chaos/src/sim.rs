@@ -1,9 +1,10 @@
 //! Executing a chaos schedule against the deterministic simulator.
 //!
-//! [`ChaosCluster`] compiles a [`ChaosSchedule`] into timed engine actions
-//! on an [`agb_workload::GossipCluster`] — crash/recover flags, protocol
-//! rebuilds for restarts and joins, farewell actions for leaves, live
-//! network-config mutations for partitions and link faults — and probes
+//! [`ChaosCluster`] compiles a [`ChaosSchedule`] onto an
+//! [`agb_workload::GossipCluster`]: partitions, link faults and adversary
+//! windows go into the cluster's network configuration before the build,
+//! and the rest become timed engine actions — crash flags, protocol
+//! rebuilds for restarts and joins, farewell actions for leaves. It probes
 //! membership views as virtual time advances to measure how fast the
 //! group re-converges around joins and restarts.
 
@@ -11,7 +12,7 @@ use std::cell::Ref;
 use std::collections::BTreeMap;
 
 use agb_metrics::{AtomicityReport, MetricsCollector};
-use agb_sim::{AdversaryWindow, LinkFault, NetStats, Partition};
+use agb_sim::NetStats;
 use agb_types::{DurationMs, NodeId, TimeMs};
 use agb_workload::{ClusterConfig, GossipCluster, MembershipKind};
 
@@ -116,10 +117,13 @@ impl ChaosCluster {
     /// their membership views for it to count as converged.
     pub const CONVERGENCE_QUORUM: f64 = 0.5;
 
-    /// Builds the cluster and compiles the schedule into engine actions.
+    /// Builds the cluster and compiles the schedule onto it.
     ///
-    /// Nodes that `Join` during the schedule are automatically kept out of
-    /// the group at start (added to
+    /// The schedule's partitions, link faults and adversary windows are
+    /// appended to [`ClusterConfig::network`]'s lists, stably sorted by
+    /// `from`: that order fixes the order of the loss and adversary draws
+    /// of overlapping windows. Nodes that `Join` during the schedule are
+    /// automatically kept out of the group at start (added to
     /// [`ClusterConfig::absent_at_start`]).
     ///
     /// # Panics
@@ -135,6 +139,17 @@ impl ChaosCluster {
                 config.absent_at_start.push(j);
             }
         }
+        let mut by_start: Vec<&ChaosEvent> = schedule.events().iter().collect();
+        by_start.sort_by_key(|e| e.at());
+        let network = &mut config.network;
+        for event in by_start {
+            match event {
+                ChaosEvent::Partition(p) => network.partitions.push(p.clone()),
+                ChaosEvent::LinkFault(f) => network.link_faults.push(f.clone()),
+                ChaosEvent::Adversary(w) => network.adversaries.push(w.clone()),
+                _ => {}
+            }
+        }
         let watch_views = matches!(config.membership, MembershipKind::Partial(_));
         let mut cluster = GossipCluster::build(config);
         let mut epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
@@ -142,7 +157,6 @@ impl ChaosCluster {
         for event in schedule.events() {
             match event.clone() {
                 ChaosEvent::Crash { at, node } => cluster.schedule_crash(at, node),
-                ChaosEvent::Recover { at, node } => cluster.schedule_recover(at, node),
                 ChaosEvent::Restart { at, node } => {
                     let epoch = epochs.entry(node).or_insert(0);
                     *epoch += 1;
@@ -163,64 +177,9 @@ impl ChaosCluster {
                 ChaosEvent::Evict { at, at_node, dead } => {
                     cluster.schedule_evict(at, at_node, dead)
                 }
-                ChaosEvent::Partition {
-                    from,
-                    until,
-                    side_a,
-                } => {
-                    let p = Partition {
-                        side_a,
-                        from,
-                        until,
-                    };
-                    cluster.schedule_network_control(from, move |config, _| {
-                        config.partitions.push(p);
-                    });
-                    cluster.schedule_network_control(until, move |config, now| {
-                        config.partitions.retain(|p| p.until > now);
-                    });
-                }
-                ChaosEvent::LinkFault {
-                    from,
-                    until,
-                    nodes,
-                    extra_latency,
-                    extra_loss,
-                } => {
-                    let f = LinkFault {
-                        nodes,
-                        extra_latency,
-                        extra_loss,
-                        from,
-                        until,
-                    };
-                    cluster.schedule_network_control(from, move |config, _| {
-                        config.link_faults.push(f);
-                    });
-                    cluster.schedule_network_control(until, move |config, now| {
-                        config.link_faults.retain(|f| f.until > now);
-                    });
-                }
                 ChaosEvent::Burst { at, node, count } => cluster.schedule_burst(at, node, count),
-                ChaosEvent::Adversary {
-                    from,
-                    until,
-                    nodes,
-                    faults,
-                } => {
-                    let w = AdversaryWindow {
-                        nodes,
-                        faults,
-                        from,
-                        until,
-                    };
-                    cluster.schedule_network_control(from, move |config, _| {
-                        config.adversaries.push(w);
-                    });
-                    cluster.schedule_network_control(until, move |config, now| {
-                        config.adversaries.retain(|w| w.until > now);
-                    });
-                }
+                // Already in the network configuration.
+                ChaosEvent::Partition(_) | ChaosEvent::LinkFault(_) | ChaosEvent::Adversary(_) => {}
             }
         }
         ChaosCluster {
@@ -554,6 +513,62 @@ mod tests {
         );
         assert!(s.validate(4).is_err(), "out-of-range node");
         assert!(s.validate(10).is_ok());
+    }
+
+    #[test]
+    fn chaos_windows_are_network_windows() {
+        use agb_failure::AdversaryConfig;
+        use agb_sim::{AdversaryWindow, LinkFault, Partition};
+
+        let secs = TimeMs::from_secs;
+        // Two overlapping faults on node 4: which one draws first decides
+        // which loss threshold a draw meets.
+        let early = LinkFault {
+            nodes: vec![NodeId::new(4)],
+            extra_latency: DurationMs::ZERO,
+            extra_loss: 0.1,
+            from: secs(4),
+            until: secs(14),
+        };
+        let late = LinkFault {
+            nodes: vec![NodeId::new(4), NodeId::new(5)],
+            extra_latency: DurationMs::from_millis(20),
+            extra_loss: 0.6,
+            from: secs(8),
+            until: secs(16),
+        };
+        let partition = Partition {
+            side_a: (10..15).map(NodeId::new).collect(),
+            from: secs(6),
+            until: secs(12),
+        };
+        let adversary = AdversaryWindow {
+            nodes: Vec::new(),
+            faults: AdversaryConfig::corrupting(0.2),
+            from: secs(5),
+            until: secs(10),
+        };
+        let mut scripted = ChaosSchedule::new();
+        scripted
+            .push(ChaosEvent::LinkFault(late.clone()))
+            .push(ChaosEvent::Partition(partition.clone()))
+            .push(ChaosEvent::LinkFault(early.clone()))
+            .push(ChaosEvent::Adversary(adversary.clone()));
+        let digest = |config: ClusterConfig, schedule: &ChaosSchedule| {
+            let mut chaos = ChaosCluster::new(config, schedule);
+            chaos.run_until(secs(30));
+            chaos
+                .summary((secs(2), secs(20)), DurationMs::from_secs(8))
+                .digest()
+        };
+        let mut configured = base_config(17);
+        configured.network.link_faults = vec![early, late];
+        configured.network.partitions = vec![partition];
+        configured.network.adversaries = vec![adversary];
+        assert_eq!(
+            digest(base_config(17), &scripted),
+            digest(configured, &ChaosSchedule::new())
+        );
     }
 
     #[test]

@@ -147,13 +147,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
 
     fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         // 1. Sample-period bookkeeping (Figure 5(a), local clock).
-        if self.min_buff.on_tick(now) {
-            self.inner.push_event(ProtocolEvent::PeriodRollover {
-                period: self.min_buff.current_period(),
-                estimate: self.min_buff.estimate(),
-                at: now,
-            });
-        }
+        self.min_buff.on_tick(now);
 
         // 2. Admit queued broadcasts as tokens allow (Figure 3).
         self.inner.admit_pending(now);
@@ -209,14 +203,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         // Figure 5(a): fold the sender's advertisement into the period
         // estimate (adopting a later period if the sender is ahead).
         if msg.is_adaptive() {
-            let rolled = self.min_buff.on_receive(msg.sample_period, &msg.min_buffs);
-            if rolled {
-                self.inner.push_event(ProtocolEvent::PeriodRollover {
-                    period: self.min_buff.current_period(),
-                    estimate: self.min_buff.estimate(),
-                    at: now,
-                });
-            }
+            self.min_buff.on_receive(msg.sample_period, &msg.min_buffs);
         }
         // Figure 1 receive path.
         self.inner.receive(from, msg, now);
@@ -473,40 +460,33 @@ mod tests {
     }
 
     #[test]
-    fn period_rollover_emits_event() {
+    fn period_rolls_over_on_the_local_clock() {
         let mut n = default_adaptive(0);
         // Default sample period: 6 s.
         n.on_round(TimeMs::from_secs(1));
-        let rollovers = n
-            .drain_events()
-            .iter()
-            .filter(|e| matches!(e, ProtocolEvent::PeriodRollover { .. }))
-            .count();
-        assert_eq!(rollovers, 0);
+        assert_eq!(n.min_buff.current_period(), 0);
         n.on_round(TimeMs::from_secs(6));
-        let rollovers = n
-            .drain_events()
-            .iter()
-            .filter(|e| matches!(e, ProtocolEvent::PeriodRollover { .. }))
-            .count();
-        assert_eq!(rollovers, 1);
         assert_eq!(n.min_buff.current_period(), 1);
     }
 
     #[test]
-    fn rollover_drains_before_the_same_rounds_age_cap_drop() {
-        let mut n = default_adaptive(0);
+    fn rate_change_drains_before_the_same_rounds_age_cap_drop() {
+        let mut adapt = AdaptationConfig::default();
+        // avgAge starts at 10, below L: the first round lowers the rate.
+        adapt.rate.low_age = 20.0;
+        adapt.rate.high_age = 30.0;
+        let mut n = adaptive(0, GossipConfig::default(), adapt);
         let cap = GossipConfig::default().age_cap;
         // An event at the age cap: the next round ages it past the cap.
         let old = Event::with_age(EventId::new(NodeId::new(7), 0), cap, Payload::new());
         n.on_receive(NodeId::new(7), remote_msg(0, 90, vec![old]), TimeMs::ZERO);
         n.drain_events();
-        // The round at 6 s starts sample period 1 (step 1), then purges
-        // the capped event (step 5).
-        n.on_round(TimeMs::from_secs(6));
+        // The round at 1 s retunes the rate (step 4), then purges the
+        // capped event (step 5).
+        n.on_round(TimeMs::from_secs(1));
         let events = n.drain_events();
         let at = |pred: fn(&ProtocolEvent) -> bool| events.iter().position(pred);
-        let rollover = at(|e| matches!(e, ProtocolEvent::PeriodRollover { .. }));
+        let changed = at(|e| matches!(e, ProtocolEvent::RateChanged { .. }));
         let dropped = at(|e| {
             matches!(
                 e,
@@ -516,8 +496,8 @@ mod tests {
                 }
             )
         });
-        assert!(rollover.is_some() && dropped.is_some(), "{events:?}");
-        assert!(rollover < dropped, "occurrence order: {events:?}");
+        assert!(changed.is_some() && dropped.is_some(), "{events:?}");
+        assert!(changed < dropped, "occurrence order: {events:?}");
     }
 
     #[test]
@@ -525,11 +505,6 @@ mod tests {
         let mut n = default_adaptive(0);
         n.on_receive(NodeId::new(7), remote_msg(5, 60, vec![]), TimeMs::ZERO);
         assert_eq!(n.min_buff.current_period(), 5);
-        let rolled = n
-            .drain_events()
-            .iter()
-            .any(|e| matches!(e, ProtocolEvent::PeriodRollover { period: 5, .. }));
-        assert!(rolled);
     }
 
     #[test]
@@ -565,16 +540,20 @@ mod tests {
 
     #[test]
     fn drain_merges_inner_and_adaptive_events() {
-        let mut n = default_adaptive(0);
+        let mut adapt = AdaptationConfig::default();
+        // avgAge starts at 10, below L: the first round lowers the rate.
+        adapt.rate.low_age = 20.0;
+        adapt.rate.high_age = 30.0;
+        let mut n = adaptive(0, GossipConfig::default(), adapt);
         n.offer(Payload::new(), TimeMs::ZERO);
-        n.on_round(TimeMs::from_secs(6));
+        n.on_round(TimeMs::from_secs(1));
         let events = n.drain_events();
         assert!(events
             .iter()
             .any(|e| matches!(e, ProtocolEvent::Delivered { .. })));
         assert!(events
             .iter()
-            .any(|e| matches!(e, ProtocolEvent::PeriodRollover { .. })));
+            .any(|e| matches!(e, ProtocolEvent::RateChanged { .. })));
         assert!(n.drain_events().is_empty());
     }
 }

@@ -99,11 +99,6 @@ impl CongestionEstimator {
     pub fn avg_age(&self) -> f64 {
         self.avg_age.value()
     }
-
-    /// Size of the already-counted set (diagnostics).
-    pub fn lost_len(&self) -> usize {
-        self.lost.len()
-    }
 }
 
 #[cfg(test)]
@@ -143,13 +138,13 @@ mod tests {
         buf.insert(ev(1, 2));
         est.scan(&buf, 1, false);
         assert_eq!(est.avg_age(), 6.5);
-        assert_eq!(est.lost_len(), 1);
+        assert_eq!(est.lost.len(), 1);
         // Second scan with the same state: the age-8 event is already in
         // `lost`, and the remaining single event fits in min_buff=1, so
         // no sample moves the average.
         est.scan(&buf, 1, false);
         assert_eq!(est.avg_age(), 6.5);
-        assert_eq!(est.lost_len(), 1);
+        assert_eq!(est.lost.len(), 1);
     }
 
     #[test]
@@ -162,7 +157,7 @@ mod tests {
         // min_buff = 1 -> two would-drops: ages 9 then 4; with alpha=0 the
         // average ends at the last sample.
         est.scan(&buf, 1, false);
-        assert_eq!(est.lost_len(), 2);
+        assert_eq!(est.lost.len(), 2);
         assert_eq!(est.avg_age(), 4.0);
     }
 
@@ -173,7 +168,7 @@ mod tests {
         buf.insert(ev(0, 8));
         buf.insert(ev(1, 2));
         est.scan(&buf, 1, false);
-        assert_eq!(est.lost_len(), 1);
+        assert_eq!(est.lost.len(), 1);
         assert_eq!(est.avg_age(), 8.0);
         // The event really leaves the buffer now: pruned from `lost`,
         // not double counted.
@@ -182,7 +177,7 @@ mod tests {
             age: 9,
             reason: crate::buffer::PurgeReason::Overflow,
         });
-        assert_eq!(est.lost_len(), 0);
+        assert_eq!(est.lost.len(), 0);
         assert_eq!(est.avg_age(), 8.0);
     }
 
@@ -234,7 +229,7 @@ mod tests {
         assert_eq!(est.avg_age(), 6.0);
         est.scan(&buf, 5, false);
         assert_eq!(est.avg_age(), 8.0);
-        assert_eq!(est.lost_len(), 0);
+        assert_eq!(est.lost.len(), 0);
     }
 
     #[test]

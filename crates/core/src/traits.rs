@@ -83,15 +83,6 @@ pub enum ProtocolEvent {
         /// Change time.
         at: TimeMs,
     },
-    /// A new sample period started in the min-buffer estimator.
-    PeriodRollover {
-        /// The new period index.
-        period: u64,
-        /// The windowed capacity estimate after the rollover.
-        estimate: u32,
-        /// Rollover time.
-        at: TimeMs,
-    },
     /// The recovery layer sent a `Graft` pull request for missing events
     /// (`agb-recovery`).
     RecoveryRequested {

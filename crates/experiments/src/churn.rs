@@ -103,7 +103,6 @@ pub fn churn_cluster(variant: Variant, seed: u64) -> ClusterConfig {
     c.gossip.max_events = CHURN_BUFFER;
     c.n_senders = CHURN_SENDERS;
     c.offered_rate = CHURN_RATE_MSGS;
-    c.metrics_bin = DurationMs::from_secs(1);
     match variant {
         Variant::Static => {
             c.algorithm = Algorithm::Lpbcast;

@@ -143,7 +143,6 @@ pub fn paper_cluster(
     c.n_senders = N_SENDERS;
     c.offered_rate = offered_rate;
     c.network = NetworkConfig::perfect(DurationMs::from_millis(10));
-    c.metrics_bin = DurationMs::from_secs(1);
     // A blocked publisher queues internally (Figure 3's BROADCAST blocks
     // the application): give each sender ~2 s of backlog so transient
     // throttle oscillations defer rather than destroy offered traffic.

@@ -69,7 +69,6 @@ pub fn profile_cluster(n_nodes: usize, profiled: bool, seed: u64) -> ClusterConf
     c.payload_size = 64;
     c.network = NetworkConfig::default();
     c.phases = PhaseModel::Synchronized;
-    c.metrics_bin = DurationMs::from_secs(1);
     c.recovery = Some(RecoveryConfig::default());
     if profiled {
         c.profile = ProfileConfig::enabled();

@@ -68,7 +68,6 @@ pub fn recovery_cluster(loss: f64, buffer: usize, with_recovery: bool, seed: u64
     c.gossip.age_cap = RECOVERY_AGE_CAP;
     c.n_senders = RECOVERY_SENDERS;
     c.offered_rate = RECOVERY_RATE;
-    c.metrics_bin = DurationMs::from_secs(1);
     if with_recovery {
         c.recovery = Some(RecoveryConfig::default());
     }

@@ -172,7 +172,6 @@ pub fn resilience_cluster(spec: &LegSpec, seed: u64) -> ClusterConfig {
     c.gossip.max_events = RES_BUFFER;
     c.n_senders = RES_SENDERS;
     c.offered_rate = RES_RATE;
-    c.metrics_bin = DurationMs::from_secs(1);
     c.algorithm = Algorithm::Adaptive;
     c.adaptation = paper_adaptation(RES_RATE / RES_SENDERS as f64);
     c.recovery = Some(RecoveryConfig::default());

@@ -123,7 +123,6 @@ pub fn topology_cluster(topo: Topology, flavor: &str, seed: u64) -> ClusterConfi
     c.n_senders = TOPOLOGY_SENDERS;
     c.offered_rate = TOPOLOGY_RATE;
     c.network = NetworkConfig::perfect(DurationMs::from_millis(10));
-    c.metrics_bin = DurationMs::from_secs(1);
     // Every leg carries the topology (it feeds the probes' region map);
     // only the biased and routing legs sample through it.
     c.topology = Some(topo);

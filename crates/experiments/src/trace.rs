@@ -17,7 +17,7 @@ use agb_metrics::{format_f64, Table};
 use agb_recovery::RecoveryConfig;
 use agb_sim::Partition;
 use agb_trace::{TraceConfig, TraceSummary, TRACE_SCHEMA};
-use agb_types::{fnv1a, json::Json, DurationMs, Histogram, NodeId, TimeMs};
+use agb_types::{fnv1a, json::Json, Histogram, NodeId, TimeMs};
 use agb_workload::{Algorithm, ClusterConfig, GossipCluster};
 
 use crate::common::quick_mode;
@@ -76,7 +76,6 @@ fn trace_cluster(
     c.gossip.age_cap = TRACE_AGE_CAP;
     c.n_senders = TRACE_SENDERS;
     c.offered_rate = TRACE_RATE;
-    c.metrics_bin = DurationMs::from_secs(1);
     // A partition isolating a third of the group mid-run: the minority
     // misses events, and the recovery leg repairs the gaps afterwards.
     c.network.partitions = vec![Partition {

@@ -20,13 +20,9 @@
 //! count — and folds into a stable FNV digest ([`WorkloadReport::digest`],
 //! [`MaelstromSummary::digest`]) that CI replays and compares.
 
-use agb_core::{AdaptationConfig, GossipConfig};
-use agb_membership::PartialViewConfig;
-use agb_recovery::RecoveryConfig;
 use agb_sim::{
     LatencyModel, NetworkConfig, Partition, SimCtx, SimNode, Simulation, SimulationBuilder, TimerId,
 };
-use agb_topology::RoutingConfig;
 use agb_trace::TraceCounts;
 use agb_types::{fnv1a, json::Json, DetRng, DurationMs, NodeId, SeedSequence, TimeMs};
 use rand::RngExt;
@@ -41,32 +37,17 @@ const TICK: TimerId = TimerId(1);
 pub struct HarnessConfig {
     /// Group size.
     pub n_nodes: usize,
-    /// Seed; the whole run (and its digest) is a pure function of it.
-    pub seed: u64,
-    /// Protocol stack under test.
-    pub flavor: Flavor,
-    /// Workload to script and check.
-    pub workload: WorkloadKind,
     /// Inter-node network: latency, loss, partition windows.
     pub network: NetworkConfig,
-    /// Gossip parameters shared by all nodes.
-    pub gossip: GossipConfig,
-    /// Adaptation parameters (adaptive flavors).
-    pub adaptation: AdaptationConfig,
-    /// Recovery parameters ([`Flavor::AdaptiveRecovery`]).
-    pub recovery: RecoveryConfig,
-    /// Partial-view hints (see [`NodeConfig::partial_view`]).
-    pub partial_view: Option<PartialViewConfig>,
-    /// Probabilistic-forwarding parameters ([`Flavor::Routing`]).
-    pub routing: RoutingConfig,
-    /// Locality-bias escape probability ([`NodeConfig::locality_escape`]).
-    pub locality_escape: f64,
-    /// Region label per dense node id. When set, nodes tally gossip
-    /// frames crossing a region boundary and the checker adds the
-    /// `cross_region_traffic` property.
-    pub regions: Option<Vec<u32>>,
+    /// The configuration every node starts from: the protocol stack
+    /// under test, the workload to script and check, the seed (the whole
+    /// run and its digest are a pure function of it), the gossip
+    /// parameters and the region map. With a region map, the checker
+    /// adds the `cross_region_traffic` property.
+    pub node: NodeConfig,
     /// Upper bound on the fraction of inter-node frames allowed to cross
-    /// a region boundary (only checked when [`Self::regions`] is set).
+    /// a region boundary (only checked when [`NodeConfig::regions`] is
+    /// set).
     pub max_cross_fraction: f64,
     /// Client operations to script (broadcasts / adds / generates).
     pub n_ops: usize,
@@ -95,17 +76,8 @@ impl HarnessConfig {
     pub fn new(workload: WorkloadKind, n_nodes: usize, seed: u64) -> Self {
         HarnessConfig {
             n_nodes,
-            seed,
-            flavor: Flavor::AdaptiveRecovery,
-            workload,
             network: NetworkConfig::default(),
-            gossip: GossipConfig::default(),
-            adaptation: AdaptationConfig::default(),
-            recovery: RecoveryConfig::default(),
-            partial_view: None,
-            routing: RoutingConfig::default(),
-            locality_escape: 0.1,
-            regions: None,
+            node: NodeConfig::new(Flavor::AdaptiveRecovery, workload, seed),
             max_cross_fraction: 1.0,
             n_ops: 20,
             ops_from: TimeMs::from_secs(5),
@@ -377,28 +349,17 @@ pub fn run_workload(config: &HarnessConfig) -> WorkloadReport {
             "crash of unknown node {node}"
         );
     }
-    let seeds = SeedSequence::new(config.seed);
+    let seeds = SeedSequence::new(config.node.seed);
     let roster: Vec<String> = (0..config.n_nodes).map(|i| format!("n{i}")).collect();
-    let node_config = NodeConfig {
-        flavor: config.flavor,
-        workload: config.workload,
-        seed: config.seed,
-        gossip: config.gossip.clone(),
-        adaptation: config.adaptation.clone(),
-        recovery: config.recovery.clone(),
-        partial_view: config.partial_view,
-        routing: config.routing,
-        locality_escape: config.locality_escape,
-        regions: config.regions.clone(),
-    };
     let period = config
+        .node
         .flavor
-        .algorithm(config.routing)
-        .round_period(&config.gossip);
+        .algorithm()
+        .round_period(&config.node.gossip);
     let nodes: Vec<HarnessNode> = roster
         .iter()
         .map(|me| HarnessNode {
-            inner: MaelstromNode::new(node_config.clone()),
+            inner: MaelstromNode::new(config.node.clone()),
             me: me.clone(),
             roster: roster.clone(),
             period,
@@ -433,7 +394,7 @@ pub fn run_workload(config: &HarnessConfig) -> WorkloadReport {
     for i in 0..config.n_ops {
         let msg_id = 1_000_000 + i as u64;
         let target = correct[i % correct.len()];
-        let op = match config.workload {
+        let op = match config.node.workload {
             WorkloadKind::Broadcast => Op::Broadcast(100 + i as i64),
             WorkloadKind::GCounter => Op::Add(delta_rng.random_range(1u64..=9) as i64),
             WorkloadKind::UniqueIds => Op::Generate,
@@ -462,7 +423,7 @@ pub fn run_workload(config: &HarnessConfig) -> WorkloadReport {
     }
 
     // Final reads from every correct node (unique-ids has no read op).
-    if config.workload != WorkloadKind::UniqueIds {
+    if config.node.workload != WorkloadKind::UniqueIds {
         for &node in &correct {
             let line = Message {
                 src: "c1".into(),
@@ -539,7 +500,7 @@ fn check(
         detail: format!("{}/{} client ops acknowledged", acked_ops.len(), ops.len()),
     });
 
-    match config.workload {
+    match config.node.workload {
         WorkloadKind::Broadcast => {
             let offered: Vec<i64> = ops
                 .iter()
@@ -688,7 +649,7 @@ fn check(
         }
     }
 
-    if config.regions.is_some() {
+    if config.node.regions.is_some() {
         // Region-labelled run: dissemination must actually bridge the
         // regions (a zero count with atomic delivery would mean the
         // counter is wired wrong), and the cross-region share of frames
@@ -716,11 +677,11 @@ fn check(
 
     // Fold the digest: scenario identity, checker outcome, engine
     // checksum, and the read-back state mixed above.
-    mix_str(&mut digest_buf, config.workload.name());
-    mix_str(&mut digest_buf, config.flavor.name());
+    mix_str(&mut digest_buf, config.node.workload.name());
+    mix_str(&mut digest_buf, config.node.flavor.name());
     mix_u64(&mut digest_buf, config.n_nodes as u64);
     mix_u64(&mut digest_buf, correct.len() as u64);
-    mix_u64(&mut digest_buf, config.seed);
+    mix_u64(&mut digest_buf, config.node.seed);
     mix_u64(&mut digest_buf, ops.len() as u64);
     mix_u64(&mut digest_buf, acked_ops.len() as u64);
     mix_u64(&mut digest_buf, (avg_fraction * 1e9).round() as u64);
@@ -740,11 +701,11 @@ fn check(
     let digest = fnv1a(&digest_buf);
 
     WorkloadReport {
-        workload: config.workload,
-        flavor: config.flavor,
+        workload: config.node.workload,
+        flavor: config.node.flavor,
         n_nodes: config.n_nodes,
         n_correct: correct.len(),
-        seed: config.seed,
+        seed: config.node.seed,
         ops: ops.len(),
         acked: acked_ops.len(),
         avg_fraction,
@@ -812,7 +773,7 @@ pub fn standard_suite_threads(seed: u64, quick: bool, threads: usize) -> Maelstr
     // atomicity gate (threshold 0 — the point is to *show* the loss the
     // recovery layer wins back), every other property still checked.
     let mut baseline = broadcast.clone();
-    baseline.flavor = Flavor::Lpbcast;
+    baseline.node.flavor = Flavor::Lpbcast;
     baseline.atomicity_threshold = 0.0;
     reports.push(run_workload(&baseline));
 
@@ -821,12 +782,12 @@ pub fn standard_suite_threads(seed: u64, quick: bool, threads: usize) -> Maelstr
     // broadcast checks plus bounded cross-region traffic.
     let routing_n = 20usize;
     let mut routing = HarnessConfig::new(WorkloadKind::Broadcast, routing_n, seed);
-    routing.flavor = Flavor::Routing;
+    routing.node.flavor = Flavor::Routing;
     routing.n_ops = if quick { 16 } else { 32 };
     routing.ops_from = TimeMs::from_secs(5);
     routing.ops_until = TimeMs::from_secs(if quick { 25 } else { 35 });
     routing.read_at = TimeMs::from_secs(if quick { 45 } else { 60 });
-    routing.regions = Some((0..routing_n).map(|i| (i * 4 / routing_n) as u32).collect());
+    routing.node.regions = Some((0..routing_n).map(|i| (i * 4 / routing_n) as u32).collect());
     routing.threads = threads;
     reports.push(run_workload(&routing));
 
@@ -904,8 +865,8 @@ mod tests {
     #[test]
     fn routing_broadcast_is_atomic_and_crosses_regions() {
         let mut config = small(WorkloadKind::Broadcast);
-        config.flavor = Flavor::Routing;
-        config.regions = Some(vec![0, 0, 0, 0, 1, 1, 1, 1]);
+        config.node.flavor = Flavor::Routing;
+        config.node.regions = Some(vec![0, 0, 0, 0, 1, 1, 1, 1]);
         let report = run_workload(&config);
         assert!(report.passed(), "properties: {:?}", report.properties);
         assert!(
@@ -934,7 +895,7 @@ mod tests {
     fn different_seeds_diverge() {
         let a = run_workload(&small(WorkloadKind::Broadcast));
         let mut config = small(WorkloadKind::Broadcast);
-        config.seed = 12;
+        config.node.seed = 12;
         let b = run_workload(&config);
         assert_ne!(a.digest, b.digest);
     }

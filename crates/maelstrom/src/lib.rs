@@ -16,8 +16,8 @@
 //!   [`agb_types::json`] model — no serde.
 //! * [`node`] — [`MaelstromNode`]: a sans-IO adapter that bridges the
 //!   line protocol onto any [`FrameProtocol`] (`init` → membership
-//!   bootstrap, `topology` → optional partial-view hints, client RPCs →
-//!   event injection, `tick` → gossip rounds). The same adapter runs
+//!   bootstrap, `topology` → the routing flavor's overlay hints, client
+//!   RPCs → event injection, `tick` → gossip rounds). The same adapter runs
 //!   under the in-process harness and — fed wall-clock ticks — as the
 //!   real `maelstrom_node` binary under the Maelstrom jar.
 //! * [`harness`] — [`run_workload`]/[`standard_suite`]: a deterministic

@@ -3,9 +3,10 @@
 //!
 //! The adapter is a *sans-IO state machine over text lines*: feed it one
 //! parsed [`Message`] (or a raw line) and it returns the messages to
-//! transmit. The `init` handshake bootstraps membership (the roster maps
-//! onto dense [`NodeId`]s by sorted position), `topology` optionally
-//! re-seeds a partial view from the neighbour hints, client RPCs
+//! transmit. The `init` handshake bootstraps a full membership view (the
+//! roster maps onto dense [`NodeId`]s by sorted position), `topology`
+//! hints become [`Flavor::Routing`]'s overlay (other flavors only record
+//! them), client RPCs
 //! (`broadcast`, `add`, `generate`, `read`) become inputs of the node's
 //! [`NodeShell`], and inter-node `gossip` payloads
 //! carry the protocol's own [`GossipFrame`](agb_core::GossipFrame) wire
@@ -19,7 +20,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use agb_core::{AdaptationConfig, GossipConfig, ProtocolEvent};
-use agb_membership::{FullView, PartialView, PartialViewConfig, PeerSampler};
+use agb_membership::FullView;
 use agb_node::{Algorithm, Input, NodeShell, Outgoing, Overlay, StackSpec};
 use agb_recovery::RecoveryConfig;
 use agb_runtime::wire::{decode_frame, encode_frame};
@@ -66,13 +67,12 @@ impl Flavor {
         }
     }
 
-    /// The protocol this flavor runs, with `routing` parameters for
-    /// [`Flavor::Routing`].
-    pub(crate) fn algorithm(self, routing: RoutingConfig) -> Algorithm {
+    /// The protocol this flavor runs, with default parameters.
+    pub(crate) fn algorithm(self) -> Algorithm {
         match self {
             Flavor::Lpbcast => Algorithm::Lpbcast,
             Flavor::Adaptive | Flavor::AdaptiveRecovery => Algorithm::Adaptive,
-            Flavor::Routing => Algorithm::Routing(routing),
+            Flavor::Routing => Algorithm::Routing(RoutingConfig::default()),
         }
     }
 }
@@ -111,6 +111,9 @@ impl WorkloadKind {
 }
 
 /// Everything a [`MaelstromNode`] needs before `init` arrives.
+///
+/// Every node runs a full membership view, and its adaptation, recovery
+/// and forwarding layers run with their default parameters.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Protocol stack selection.
@@ -121,20 +124,6 @@ pub struct NodeConfig {
     pub seed: u64,
     /// Base gossip parameters.
     pub gossip: GossipConfig,
-    /// Adaptation parameters (adaptive flavors).
-    pub adaptation: AdaptationConfig,
-    /// Recovery parameters ([`Flavor::AdaptiveRecovery`]).
-    pub recovery: RecoveryConfig,
-    /// `Some`: honour `topology` hints by re-seeding an lpbcast partial
-    /// view from the neighbour list. `None`: keep the full view built at
-    /// `init` (topology is acknowledged and recorded only —
-    /// [`Flavor::Routing`] always honours the hints).
-    pub partial_view: Option<PartialViewConfig>,
-    /// Probabilistic-forwarding parameters ([`Flavor::Routing`]).
-    pub routing: RoutingConfig,
-    /// Uniform escape-hatch probability of the locality bias applied to
-    /// [`Flavor::Routing`] once `topology` hints arrive.
-    pub locality_escape: f64,
     /// Region label per dense node id (same roster order as `init`).
     /// When set, each node's trace probe counts gossip frames crossing a
     /// region boundary (`cross_partition_msgs`).
@@ -142,23 +131,21 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Defaults: full view, paper-default gossip/adaptation/recovery
-    /// parameters.
+    /// Defaults: paper-default gossip parameters, no region map.
     pub fn new(flavor: Flavor, workload: WorkloadKind, seed: u64) -> Self {
         NodeConfig {
             flavor,
             workload,
             seed,
             gossip: GossipConfig::default(),
-            adaptation: AdaptationConfig::default(),
-            recovery: RecoveryConfig::default(),
-            partial_view: None,
-            routing: RoutingConfig::default(),
-            locality_escape: 0.1,
             regions: None,
         }
     }
 }
+
+/// Uniform escape-hatch probability of the locality bias that
+/// [`Flavor::Routing`] applies once `topology` hints arrive.
+const LOCALITY_ESCAPE: f64 = 0.1;
 
 /// Application payload tags (first byte of every event payload).
 const TAG_BROADCAST: u8 = 0;
@@ -240,27 +227,12 @@ impl MaelstromNode {
         }
     }
 
-    /// Whether `init` has been processed.
-    pub fn is_initialized(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// This node's dense id, once initialized.
-    pub fn node_index(&self) -> Option<NodeId> {
-        self.state.as_ref().map(|r| r.shell.protocol().node_id())
-    }
-
     /// Broadcast values delivered so far (ascending).
     pub fn seen(&self) -> Vec<i64> {
         self.state
             .as_ref()
             .map(|r| r.seen.iter().copied().collect())
             .unwrap_or_default()
-    }
-
-    /// Current grow-only counter value.
-    pub fn counter_value(&self) -> i64 {
-        self.state.as_ref().map_or(0, |r| r.counter)
     }
 
     /// Lines rejected by the protocol layer so far.
@@ -352,9 +324,7 @@ impl MaelstromNode {
             }
             Payload::Topology { topology } => {
                 let contacts = self.apply_topology(topology);
-                let honours_hints =
-                    self.config.partial_view.is_some() || self.config.flavor == Flavor::Routing;
-                if let (true, Some(contacts)) = (honours_hints, contacts) {
+                if let (Flavor::Routing, Some(contacts)) = (self.config.flavor, contacts) {
                     if let Some(r) = self.state.as_mut() {
                         // Re-seeding replaces the protocol wholesale, so
                         // it is only safe while the node is still fresh:
@@ -523,14 +493,14 @@ impl MaelstromNode {
     }
 }
 
-/// Builds the shell behind one Maelstrom node: its protocol under an
-/// always-on trace probe (armed with the region map, if any).
+/// Builds the shell behind one Maelstrom node: its protocol over a full
+/// view, under an always-on trace probe (armed with the region map, if
+/// any).
 ///
 /// `hints` carries this node's neighbour contacts when a `topology`
-/// message re-seeds the protocol; `None` builds the `init`-time view
-/// (full, or bootstrap-sampled partial when [`NodeConfig::partial_view`]
-/// is set). For [`Flavor::Routing`] the hints double as the overlay:
-/// they set the rescue-rule degree and feed the locality-biased sampler.
+/// message re-seeds a [`Flavor::Routing`] protocol: they are its overlay,
+/// setting the rescue-rule degree and feeding the locality-biased
+/// sampler. `None` builds the `init`-time protocol.
 fn make_shell(
     config: &NodeConfig,
     id: NodeId,
@@ -542,35 +512,21 @@ fn make_shell(
         probe.set_regions(Arc::from(regions.clone()));
     }
     let seeds = SeedSequence::new(config.seed);
-    let stream = u64::from(id.as_u32());
-    let proto_rng: DetRng = seeds.rng_for("maelstrom-protocol", stream);
-    let algorithm = config.flavor.algorithm(config.routing);
+    let proto_rng: DetRng = seeds.rng_for("maelstrom-protocol", u64::from(id.as_u32()));
+    let algorithm = config.flavor.algorithm();
     let spec = StackSpec {
         algorithm: &algorithm,
         gossip: config.gossip.clone(),
-        adaptation: &config.adaptation,
-        recovery: (config.flavor == Flavor::AdaptiveRecovery).then(|| config.recovery.clone()),
+        adaptation: &AdaptationConfig::default(),
+        recovery: (config.flavor == Flavor::AdaptiveRecovery).then(RecoveryConfig::default),
     };
     // Routing always biases towards the hints; before they arrive the
     // neighbour list is empty, so draws stay plain uniform.
     let overlay = (config.flavor == Flavor::Routing).then(|| Overlay {
-        neighbors: hints.clone().unwrap_or_default(),
-        escape: Some(config.locality_escape),
+        neighbors: hints.unwrap_or_default(),
+        escape: Some(LOCALITY_ESCAPE),
     });
-    let protocol = match config.partial_view {
-        None => spec.build(id, n, FullView::new(n), overlay, proto_rng),
-        Some(pv) => {
-            let contacts = hints.unwrap_or_else(|| {
-                // Bootstrap a partial view from a deterministic contact
-                // sample, as the harness join service would.
-                let mut boot: DetRng = seeds.rng_for("maelstrom-bootstrap", stream);
-                FullView::new(n).sample(&mut boot, pv.max_view.min(8), id)
-            });
-            let mut boot: DetRng = seeds.rng_for("maelstrom-view", stream);
-            let view = PartialView::with_initial_peers(id, pv, contacts, &mut boot);
-            spec.build(id, n, view, overlay, proto_rng)
-        }
-    };
+    let protocol = spec.build(id, n, FullView::new(n), overlay, proto_rng);
     NodeShell::new(protocol, None, n, probe)
 }
 
@@ -619,7 +575,8 @@ mod tests {
     fn init_assigns_dense_ids_by_numeric_order() {
         // 12 nodes: "n10" must sort after "n9", not between "n1" and "n2".
         let n = node(Flavor::Lpbcast, WorkloadKind::Broadcast, "n10", 12);
-        assert_eq!(n.node_index(), Some(NodeId::new(10)));
+        let r = n.state.as_ref().expect("initialized");
+        assert_eq!(r.shell.protocol().node_id(), NodeId::new(10));
     }
 
     #[test]
@@ -639,7 +596,7 @@ mod tests {
             out[0].body.payload,
             Payload::Error { code: 12, .. }
         ));
-        assert!(!n.is_initialized());
+        assert!(n.state.is_none());
         assert_eq!(n.proto_errors(), 1);
     }
 
@@ -683,8 +640,8 @@ mod tests {
                 a.handle(m);
             }
         }
-        assert_eq!(a.counter_value(), 7);
-        assert_eq!(b.counter_value(), 7);
+        assert_eq!(a.state.as_ref().map(|r| r.counter), Some(7));
+        assert_eq!(b.state.as_ref().map(|r| r.counter), Some(7));
         let out = a.handle(client("n0", 3, Payload::Read));
         assert_eq!(out[0].body.payload, Payload::ReadOkValue { value: 7 });
     }

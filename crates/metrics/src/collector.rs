@@ -89,7 +89,6 @@ impl MetricsCollector {
             ProtocolEvent::RateChanged { new, at, .. } => {
                 self.allowed.on_change(node, *new, *at);
             }
-            ProtocolEvent::PeriodRollover { .. } => {}
             ProtocolEvent::RecoveryRequested { ids, .. } => {
                 self.recovery.on_requested(*ids);
             }
@@ -307,19 +306,22 @@ mod tests {
     #[test]
     fn batch_dispatch() {
         let mut m = collector();
+        m.set_initial_rate(NodeId::new(0), 4.0);
         let events = vec![
             ProtocolEvent::Admitted {
                 id: id(0),
                 at: TimeMs::ZERO,
             },
-            ProtocolEvent::PeriodRollover {
-                period: 1,
-                estimate: 90,
+            ProtocolEvent::RateChanged {
+                old: 4.0,
+                new: 3.0,
+                reason: agb_core::RateChangeReason::Congestion,
                 at: TimeMs::ZERO,
             },
         ];
         m.on_events(NodeId::new(0), &events);
         assert_eq!(m.admitted().total(), 1);
+        assert_eq!(m.allowed().rate_at(NodeId::new(0), TimeMs::ZERO), 3.0);
         assert_eq!(m.n_nodes(), 4);
     }
 }

@@ -103,7 +103,6 @@ impl ScenarioSpec {
         c.payload_size = 64;
         c.network = NetworkConfig::default();
         c.phases = PhaseModel::Synchronized;
-        c.metrics_bin = DurationMs::from_secs(1);
         if self.recovery {
             c.recovery = Some(RecoveryConfig::default());
         }

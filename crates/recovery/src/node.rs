@@ -95,11 +95,6 @@ impl<P: FrameProtocol> RecoverableNode<P> {
         }
     }
 
-    /// Gaps currently tracked as missing.
-    pub fn missing_len(&self) -> usize {
-        self.missing.len()
-    }
-
     /// Drains the wrapped node's protocol events into `out_events`: each
     /// delivered event enters the retransmission cache and closes any
     /// matching gap.
@@ -454,7 +449,7 @@ mod tests {
         };
         assert_eq!(req.sender, NodeId::new(0));
         assert_eq!(req.ids, vec![eid(7, 0), eid(7, 1)]);
-        assert_eq!(n.missing_len(), 2);
+        assert_eq!(n.missing.len(), 2);
         let requested = n
             .drain_events()
             .iter()
@@ -474,7 +469,7 @@ mod tests {
             TimeMs::ZERO,
         );
         assert!(replies.is_empty(), "nothing is missing");
-        assert_eq!(n.missing_len(), 0);
+        assert_eq!(n.missing.len(), 0);
     }
 
     #[test]
@@ -515,7 +510,7 @@ mod tests {
             gossip_frame(3, vec![], vec![eid(7, 0)]),
             TimeMs::ZERO,
         );
-        assert_eq!(n.missing_len(), 1);
+        assert_eq!(n.missing.len(), 1);
         n.on_receive(
             NodeId::new(3),
             GossipFrame::Retransmit(Retransmission {
@@ -524,7 +519,7 @@ mod tests {
             }),
             TimeMs::from_secs(1),
         );
-        assert_eq!(n.missing_len(), 0);
+        assert_eq!(n.missing.len(), 0);
         let events = n.drain_events();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -579,7 +574,7 @@ mod tests {
             })
             .sum();
         assert_eq!(requested, 3, "round budget must bind");
-        assert_eq!(n.missing_len(), 10, "unrequested gaps stay tracked");
+        assert_eq!(n.missing.len(), 10, "unrequested gaps stay tracked");
         // Next round, the budget resets and the remaining gaps go out.
         let out = n.on_round(TimeMs::from_secs(1));
         let grafted: usize = out
@@ -612,7 +607,7 @@ mod tests {
             .filter(|e| matches!(e, ProtocolEvent::RecoveryAbandoned { .. }))
             .count();
         assert_eq!(abandoned, 1);
-        assert_eq!(n.missing_len(), 0);
+        assert_eq!(n.missing.len(), 0);
     }
 
     #[test]

@@ -174,7 +174,6 @@ impl Spawner<'_> {
                 shell: NodeShell::new(protocol, config.detector.as_ref(), config.n_nodes, observer),
                 offered_rate: if is_sender { self.per_sender } else { 0.0 },
                 payload: self.payload.clone(),
-                max_backlog: 2,
                 loss: config.loss,
                 loss_rng: seeds.rng_for("runtime-loss", i as u64),
                 adversary: config.adversary.clone().map(ByteAdversary::new),

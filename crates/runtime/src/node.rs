@@ -103,8 +103,6 @@ pub(crate) struct NodeRuntime {
     pub offered_rate: f64,
     /// Payload attached to offered messages.
     pub payload: Payload,
-    /// Blocking-application backlog bound.
-    pub max_backlog: usize,
     /// Sender-side injected datagram loss probability in `[0, 1)` — a
     /// deterministic harness for exercising the recovery plane over real
     /// transports.
@@ -132,6 +130,9 @@ const RETRY_CAP: Duration = Duration::from_millis(160);
 /// beyond it the egress queue sheds in priority order (control >
 /// recovery > app), so memory stays bounded under overload.
 const EGRESS_CAPACITY: usize = 1024;
+/// Blocking-application backlog bound: a paced offer is refused while
+/// this many offers wait in the protocol's queue.
+const MAX_BACKLOG: usize = 2;
 
 /// A frame awaiting a backed-off resend after an I/O send failure.
 struct Retry {
@@ -478,7 +479,7 @@ fn node_loop<T: Transport>(
         if let (Some(gap), Some(next)) = (offer_gap, next_offer) {
             let mut at = next;
             while at <= Instant::now() {
-                let input = if shell.protocol().pending_len() < runtime.max_backlog.max(1) {
+                let input = if shell.protocol().pending_len() < MAX_BACKLOG {
                     // Under telemetry, stamp the send time into the payload
                     // so the delivering node can measure end-to-end latency.
                     let payload = if shell.observer().enabled() {
@@ -600,7 +601,6 @@ mod tests {
                     shell: NodeShell::new(protocol, None, n, NodeTelemetry::disabled()),
                     offered_rate: 0.0,
                     payload: Payload::new(),
-                    max_backlog: 2,
                     loss: 0.0,
                     loss_rng: DetRng::seed_from_u64(0),
                     adversary: None,

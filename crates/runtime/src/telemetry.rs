@@ -407,7 +407,7 @@ impl NodeObserver for NodeTelemetry {
                 }
                 ProtocolEvent::RecoveryDuplicate { .. } => c.rec_duplicate.inc(),
                 ProtocolEvent::RecoveryAbandoned { .. } => c.rec_abandoned.inc(),
-                ProtocolEvent::RateChanged { .. } | ProtocolEvent::PeriodRollover { .. } => {}
+                ProtocolEvent::RateChanged { .. } => {}
             }
         }
     }

@@ -17,9 +17,11 @@
 //! * [`Simulation::schedule_restart`] clears a node's timers, marks it
 //!   up and runs its closure and then its `on_start` in one invocation;
 //! * [`Simulation::schedule_crash`] / [`Simulation::schedule_recover`]
-//!   flip a node's down flag;
-//! * [`Simulation::schedule_network_control`] mutates the live
-//!   [`NetworkConfig`].
+//!   flip a node's down flag.
+//!
+//! The [`NetworkConfig`] is fixed when the simulation is built: a
+//! partition, link fault or adversary window acts only inside its own
+//! `[from, until)`, so fault windows need no scheduled event.
 //!
 //! The post-event hook runs once after every handler invocation, the
 //! node actions and restarts included.
@@ -180,8 +182,6 @@ impl<'a, M> SimCtx<'a, M> {
 /// A scheduled action against one node (may send messages and arm
 /// timers through the context).
 type NodeActionFn<N, M> = Box<dyn FnOnce(&mut N, &mut SimCtx<'_, M>)>;
-/// A scheduled mutation of the live network configuration.
-type NetControlFn = Box<dyn FnOnce(&mut crate::network::NetworkConfig, TimeMs)>;
 /// A callback run after every node-handler invocation (see
 /// [`Simulation::set_post_event_hook`]).
 type PostEventHook<N> = Box<dyn FnMut(&mut N)>;
@@ -200,9 +200,6 @@ enum EventKind<N: SimNode> {
     NodeAction {
         node: NodeId,
         f: NodeActionFn<N, N::Msg>,
-    },
-    NetControl {
-        f: NetControlFn,
     },
     SetDown {
         node: NodeId,
@@ -562,18 +559,6 @@ impl<N: SimNode> Simulation<N> {
         );
     }
 
-    /// Schedules a mutation of the live network configuration (partitions
-    /// forming/healing, link faults flapping, loss spikes) at virtual time
-    /// `at`.
-    pub fn schedule_network_control(
-        &mut self,
-        at: TimeMs,
-        f: impl FnOnce(&mut NetworkConfig, TimeMs) + 'static,
-    ) {
-        self.queue
-            .push(at, EventKind::NetControl { f: Box::new(f) });
-    }
-
     /// Whether `node` is currently down (crashed or not yet spawned).
     pub fn is_down(&self, node: NodeId) -> bool {
         self.down[node.index()]
@@ -778,9 +763,6 @@ impl<N: SimNode> Simulation<N> {
             }
             EventKind::NodeAction { node, f } => {
                 self.invoke_with(node, |n, ctx| f(n, ctx));
-            }
-            EventKind::NetControl { f } => {
-                f(self.net.config_mut(), self.now);
             }
             EventKind::SetDown { node, down } => {
                 self.down[node.index()] = down;
@@ -1191,21 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn network_control_mutates_live_config() {
-        let mut sim = build(7);
-        sim.schedule_network_control(TimeMs::from_millis(150), |config, now| {
-            assert_eq!(now, TimeMs::from_millis(150));
-            config.loss = 1.0;
-        });
-        sim.run_until(TimeMs::from_secs(1));
-        let stats = sim.stats();
-        // The first send (t=100) got through; everything after t=150 drops.
-        assert!(stats.deliveries >= 1);
-        assert!(stats.drops > 0);
-        assert_eq!(stats.deliveries + stats.drops, stats.sends);
-    }
-
-    #[test]
     fn one_shot_timer_fires_once() {
         struct OneShot {
             fired: u32,
@@ -1340,6 +1307,15 @@ mod sharded_tests {
         } else {
             NetworkConfig::perfect(DurationMs::from_millis(3))
         };
+        chatty_sim_on(seed, n, threads, network)
+    }
+
+    fn chatty_sim_on(
+        seed: u64,
+        n: u32,
+        threads: usize,
+        network: NetworkConfig,
+    ) -> Simulation<Chatty> {
         let nodes = (0..n)
             .map(|_| Chatty {
                 digest: 0,
@@ -1427,7 +1403,16 @@ mod sharded_tests {
     #[test]
     fn sharded_run_respects_control_barriers() {
         let run = |k: usize| {
-            let mut sim = chatty_sim(13, 24, k, false);
+            // Every link loses 30% more from 300 ms on.
+            let mut network = NetworkConfig::perfect(DurationMs::from_millis(3));
+            network.link_faults.push(crate::network::LinkFault {
+                nodes: (0..24).map(NodeId::new).collect(),
+                extra_latency: DurationMs::ZERO,
+                extra_loss: 0.3,
+                from: TimeMs::from_millis(300),
+                until: TimeMs::from_millis(450),
+            });
+            let mut sim = chatty_sim_on(13, 24, k, network);
             sim.schedule_crash(TimeMs::from_millis(40), NodeId::new(3));
             sim.schedule_recover(TimeMs::from_millis(120), NodeId::new(3));
             sim.schedule_restart(TimeMs::from_millis(200), NodeId::new(7), |node, _| {
@@ -1436,9 +1421,6 @@ mod sharded_tests {
             });
             sim.schedule_node_action(TimeMs::from_millis(250), NodeId::new(1), |_, ctx| {
                 ctx.send(NodeId::new(2), 0xDEAD);
-            });
-            sim.schedule_network_control(TimeMs::from_millis(300), |config, _| {
-                config.loss = 0.3;
             });
             sim.run_until(TimeMs::from_millis(450));
             fingerprint(&sim)

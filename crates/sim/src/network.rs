@@ -308,9 +308,9 @@ pub(crate) fn route_decision(
     }
 }
 
-/// The network state the engine routes through: the live configuration
-/// and one deterministic RNG stream *per sending node*, all forked from a
-/// master seed drawn once at construction.
+/// The network state the engine routes through: the configuration fixed
+/// at build and one deterministic RNG stream *per sending node*, all
+/// forked from a master seed drawn once at construction.
 ///
 /// A sender's loss/latency draws therefore depend only on its own send
 /// sequence — never on how sends from different nodes interleave — which
@@ -350,13 +350,6 @@ impl NetworkModel {
     pub(crate) fn lanes(&mut self, n: usize) -> (&NetworkConfig, &mut [DetRng]) {
         self.ensure_streams(n);
         (&self.config, &mut self.streams)
-    }
-
-    /// Mutable access to the configuration (used by scheduled network
-    /// controls: partitions healing early, link faults flapping, loss
-    /// spikes).
-    pub(crate) fn config_mut(&mut self) -> &mut NetworkConfig {
-        &mut self.config
     }
 }
 

@@ -276,7 +276,7 @@ impl NodeObserver for TraceProbe {
                 }
                 // Rate/estimator adjustments are adaptation telemetry, not
                 // dissemination causality; the metrics layer owns them.
-                ProtocolEvent::RateChanged { .. } | ProtocolEvent::PeriodRollover { .. } => {}
+                ProtocolEvent::RateChanged { .. } => {}
             }
         }
     }

@@ -75,8 +75,6 @@ pub struct ClusterConfig {
     pub payload_size: usize,
     /// Per-node buffer capacity overrides (heterogeneous groups).
     pub buffer_overrides: Vec<(NodeId, usize)>,
-    /// Metrics time-bin width.
-    pub metrics_bin: DurationMs,
     /// Sender backlog bound (blocking-application window).
     pub max_backlog: usize,
     /// Gossip-round phasing (see [`PhaseModel`]).
@@ -141,7 +139,6 @@ impl ClusterConfig {
             offered_rate: 0.0,
             payload_size: 0,
             buffer_overrides: Vec::new(),
-            metrics_bin: DurationMs::from_secs(1),
             max_backlog: 2,
             phases: PhaseModel::Synchronized,
             recovery: None,
@@ -233,6 +230,8 @@ impl ClusterConfig {
 
 const ROUND: TimerId = TimerId(1);
 const ARRIVAL: TimerId = TimerId(2);
+/// Width of the metrics collector's time bins.
+const METRICS_BIN: DurationMs = DurationMs::from_secs(1);
 
 /// One simulated host: a [`NodeShell`] plus (optionally) a sender
 /// application.
@@ -385,7 +384,7 @@ impl GossipCluster {
         let seeds = SeedSequence::new(config.seed);
         let metrics = Rc::new(RefCell::new(MetricsCollector::new(
             config.n_nodes,
-            config.metrics_bin,
+            METRICS_BIN,
         )));
         let payload = Payload::from(vec![0u8; config.payload_size]);
         let per_sender_rate = config.per_sender_rate();
@@ -672,16 +671,6 @@ impl GossipCluster {
                 n.step(Input::Offer(n.payload.clone()), ctx);
             }
         });
-    }
-
-    /// Schedules a mutation of the live network configuration (partitions
-    /// forming/healing, link faults flapping).
-    pub fn schedule_network_control(
-        &mut self,
-        at: TimeMs,
-        f: impl FnOnce(&mut NetworkConfig, TimeMs) + 'static,
-    ) {
-        self.sim.schedule_network_control(at, f);
     }
 
     /// Whether `node` is currently down (crashed, left, or not yet

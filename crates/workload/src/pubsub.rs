@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use agb_core::{AdaptationConfig, GossipConfig};
 use agb_metrics::MetricsCollector;
-use agb_types::{DurationMs, NodeId, TimeMs, TopicId};
+use agb_types::{NodeId, TimeMs, TopicId};
 
 use crate::cluster::{ClusterConfig, GossipCluster};
 use crate::Algorithm;
@@ -48,8 +48,6 @@ pub struct PubSubConfig {
     pub publishers_per_topic: usize,
     /// Aggregate offered load per topic, msgs/s.
     pub offered_rate_per_topic: f64,
-    /// Metrics bin width.
-    pub metrics_bin: DurationMs,
 }
 
 impl PubSubConfig {
@@ -64,7 +62,6 @@ impl PubSubConfig {
             adaptation: AdaptationConfig::default(),
             publishers_per_topic: 1,
             offered_rate_per_topic: 1.0,
-            metrics_bin: DurationMs::from_secs(1),
         }
     }
 }
@@ -120,7 +117,6 @@ impl PubSubSystem {
             cc.adaptation = config.adaptation.clone();
             cc.n_senders = config.publishers_per_topic.min(group.members.len());
             cc.offered_rate = config.offered_rate_per_topic;
-            cc.metrics_bin = config.metrics_bin;
             cc.buffer_overrides = group
                 .members
                 .iter()
@@ -141,11 +137,6 @@ impl PubSubSystem {
             subscriptions,
             total_buffer: config.total_buffer,
         }
-    }
-
-    /// Number of topic groups.
-    pub fn topic_count(&self) -> usize {
-        self.clusters.len()
     }
 
     /// The topics a node currently subscribes to.
@@ -257,7 +248,7 @@ mod tests {
     #[test]
     fn buffer_budget_is_split_for_overlapping_nodes() {
         let sys = PubSubSystem::build(two_topic_config());
-        assert_eq!(sys.topic_count(), 2);
+        assert_eq!(sys.clusters.len(), 2);
         // Node 0 subscribes to one topic, node 4 to two.
         assert_eq!(sys.subscriptions(NodeId::new(0)), vec![TopicId::new(0)]);
         assert_eq!(

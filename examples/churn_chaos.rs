@@ -20,7 +20,6 @@ fn config(with_recovery: bool) -> ClusterConfig {
     c.gossip.max_events = 30;
     c.n_senders = 4;
     c.offered_rate = 8.0;
-    c.metrics_bin = DurationMs::from_secs(1);
     if with_recovery {
         c.algorithm = Algorithm::Adaptive;
         c.adaptation.initial_rate = 2.0;

@@ -7,7 +7,7 @@
 
 use adaptive_gossip::core::GossipConfig;
 use adaptive_gossip::recovery::RecoveryConfig;
-use adaptive_gossip::types::{DurationMs, TimeMs};
+use adaptive_gossip::types::TimeMs;
 use adaptive_gossip::workload::{Algorithm, ClusterConfig, GossipCluster};
 
 fn build(with_recovery: bool) -> GossipCluster {
@@ -24,7 +24,6 @@ fn build(with_recovery: bool) -> GossipCluster {
     };
     config.n_senders = 4;
     config.offered_rate = 8.0;
-    config.metrics_bin = DurationMs::from_secs(1);
     if with_recovery {
         config.recovery = Some(RecoveryConfig::default());
     }

@@ -19,7 +19,7 @@ use adaptive_gossip::types::{NodeId, TimeMs};
 
 fn scenario(flavor: Flavor) -> HarnessConfig {
     let mut config = HarnessConfig::new(WorkloadKind::Broadcast, 20, 42);
-    config.flavor = flavor;
+    config.node.flavor = flavor;
     config.network = NetworkConfig::lossy(0.10);
     config.network.partitions = vec![Partition {
         side_a: (0..7).map(NodeId::new).collect(),

@@ -17,7 +17,6 @@ fn cluster_config(seed: u64, adaptive_recovery: bool) -> ClusterConfig {
     c.gossip.max_events = 30;
     c.n_senders = 3;
     c.offered_rate = 6.0;
-    c.metrics_bin = DurationMs::from_secs(1);
     if adaptive_recovery {
         c.algorithm = Algorithm::Adaptive;
         c.adaptation.initial_rate = 2.0;

@@ -12,7 +12,7 @@ use adaptive_gossip::types::{NodeId, TimeMs};
 /// The acceptance scenario shape: loss + one partition window.
 fn contested_broadcast(flavor: Flavor) -> HarnessConfig {
     let mut config = HarnessConfig::new(WorkloadKind::Broadcast, 16, 42);
-    config.flavor = flavor;
+    config.node.flavor = flavor;
     config.network = NetworkConfig::lossy(0.10);
     config.network.partitions = vec![Partition {
         side_a: (0..5).map(NodeId::new).collect(),

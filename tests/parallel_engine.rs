@@ -56,21 +56,23 @@ fn run_cluster(
     recovery: bool,
     with_fault: bool,
 ) -> (NetStats, usize, u64, u64, u64, u64) {
-    let mut cluster = GossipCluster::build(cluster_config(seed, threads, loss, recovery));
-    // Tiny threshold: with 24 nodes the worker path must actually run,
-    // not fall back to inline batches.
-    cluster.set_parallel_threshold(2);
+    let mut config = cluster_config(seed, threads, loss, recovery);
     if with_fault {
-        cluster.schedule_network_control(TimeMs::from_secs(4), |config, _| {
-            config.link_faults.push(adaptive_gossip::sim::LinkFault {
+        config
+            .network
+            .link_faults
+            .push(adaptive_gossip::sim::LinkFault {
                 nodes: vec![NodeId::new(1), NodeId::new(5)],
                 extra_latency: DurationMs::from_millis(40),
                 extra_loss: 0.2,
                 from: TimeMs::from_secs(4),
                 until: TimeMs::from_secs(9),
             });
-        });
     }
+    let mut cluster = GossipCluster::build(config);
+    // Tiny threshold: with 24 nodes the worker path must actually run,
+    // not fall back to inline batches.
+    cluster.set_parallel_threshold(2);
     cluster.run_until(TimeMs::from_secs(15));
     fingerprint(&cluster)
 }

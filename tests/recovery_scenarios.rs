@@ -3,7 +3,7 @@
 
 use adaptive_gossip::core::GossipConfig;
 use adaptive_gossip::recovery::RecoveryConfig;
-use adaptive_gossip::types::{DurationMs, TimeMs};
+use adaptive_gossip::types::TimeMs;
 use adaptive_gossip::workload::{Algorithm, ClusterConfig, GossipCluster};
 use proptest::prelude::*;
 
@@ -21,7 +21,6 @@ fn lossy_config(n_nodes: usize, seed: u64, loss: f64, with_recovery: bool) -> Cl
     };
     c.n_senders = 3;
     c.offered_rate = 6.0;
-    c.metrics_bin = DurationMs::from_secs(1);
     if with_recovery {
         c.recovery = Some(RecoveryConfig::default());
     }

@@ -152,14 +152,11 @@ impl MinBuffEstimator {
     }
 
     /// Advances the local clock; rolls the period over when `now` enters a
-    /// new sample period. Returns `true` on rollover.
-    pub fn on_tick(&mut self, now: agb_types::TimeMs) -> bool {
+    /// new sample period.
+    pub fn on_tick(&mut self, now: agb_types::TimeMs) {
         let local = now.as_millis() / self.config.sample_period.as_millis().max(1);
         if local > self.current_period {
             self.rollover_to(local);
-            true
-        } else {
-            false
         }
     }
 
@@ -170,12 +167,10 @@ impl MinBuffEstimator {
     /// merged; stale messages are ignored. When a `floor` is configured
     /// (§6 extension), advertisements below it are discarded at ingestion,
     /// so pathological nodes neither influence the estimate nor propagate
-    /// further. Returns `true` if the period advanced.
-    pub fn on_receive(&mut self, period: u64, ads: &[BuffAd]) -> bool {
-        let mut rolled = false;
+    /// further.
+    pub fn on_receive(&mut self, period: u64, ads: &[BuffAd]) {
         if period > self.current_period {
             self.rollover_to(period);
-            rolled = true;
         }
         if period == self.current_period {
             let floor = self.config.floor.unwrap_or(0);
@@ -183,7 +178,6 @@ impl MinBuffEstimator {
                 self.current.merge(*ad);
             }
         }
-        rolled
     }
 
     fn rollover_to(&mut self, period: u64) {
@@ -273,8 +267,7 @@ mod tests {
     #[test]
     fn later_period_message_advances_period() {
         let mut est = MinBuffEstimator::new(NodeId::new(0), 90, config(2));
-        let rolled = est.on_receive(3, &[ad(5, 45)]);
-        assert!(rolled);
+        est.on_receive(3, &[ad(5, 45)]);
         assert_eq!(est.current_period(), 3);
         assert_eq!(est.estimate(), 45);
     }
@@ -283,20 +276,21 @@ mod tests {
     fn stale_period_message_is_ignored() {
         let mut est = MinBuffEstimator::new(NodeId::new(0), 90, config(2));
         est.on_receive(2, &[]);
-        let rolled = est.on_receive(1, &[ad(5, 10)]);
-        assert!(!rolled);
+        est.on_receive(1, &[ad(5, 10)]);
+        assert_eq!(est.current_period(), 2);
         assert_eq!(est.estimate(), 90);
     }
 
     #[test]
     fn tick_rolls_over_by_local_clock() {
         let mut est = MinBuffEstimator::new(NodeId::new(0), 90, config(2));
-        assert!(!est.on_tick(TimeMs::from_secs(5)));
-        assert!(est.on_tick(TimeMs::from_secs(6)));
+        est.on_tick(TimeMs::from_secs(5));
+        assert_eq!(est.current_period(), 0);
+        est.on_tick(TimeMs::from_secs(6));
         assert_eq!(est.current_period(), 1);
         // Clock does not move the period backwards after loose-sync advance.
         est.on_receive(9, &[]);
-        assert!(!est.on_tick(TimeMs::from_secs(12)));
+        est.on_tick(TimeMs::from_secs(12));
         assert_eq!(est.current_period(), 9);
     }
 

@@ -266,6 +266,7 @@ impl HarnessNode {
 
 impl SimNode for HarnessNode {
     type Msg = String;
+    type Slot = ();
 
     fn on_start(&mut self, ctx: &mut SimCtx<'_, String>) {
         // The Maelstrom handshake, over the wire format like everything
@@ -371,7 +372,7 @@ pub fn run_workload(config: &HarnessConfig) -> WorkloadReport {
     let mut sim = SimulationBuilder::new(seeds.seed_for("maelstrom-sim", 0))
         .network(config.network.clone())
         .threads(config.threads.max(1))
-        .build(nodes);
+        .build(nodes, ());
     if let Some(min_batch) = config.parallel_threshold {
         sim.set_parallel_threshold(min_batch);
     }

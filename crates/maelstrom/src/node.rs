@@ -5,8 +5,8 @@
 //! parsed [`Message`] (or a raw line) and it returns the messages to
 //! transmit. The `init` handshake bootstraps a full membership view (the
 //! roster maps onto dense [`NodeId`]s by sorted position), `topology`
-//! hints become [`Flavor::Routing`]'s overlay (other flavors only record
-//! them), client RPCs
+//! hints become [`Flavor::Routing`]'s overlay (other flavors only
+//! acknowledge them), client RPCs
 //! (`broadcast`, `add`, `generate`, `read`) become inputs of the node's
 //! [`NodeShell`], and inter-node `gossip` payloads
 //! carry the protocol's own [`GossipFrame`](agb_core::GossipFrame) wire
@@ -189,8 +189,8 @@ struct Running {
     counter: i64,
     /// Unique-id mint counter.
     generated: u64,
-    /// Last received topology hints, sorted by node.
-    topology: Vec<(String, Vec<String>)>,
+    /// Protocol-event scratch each step drains into.
+    events: Vec<ProtocolEvent>,
 }
 
 impl Running {
@@ -318,12 +318,12 @@ impl MaelstromNode {
                     seen: BTreeSet::new(),
                     counter: 0,
                     generated: 0,
-                    topology: Vec::new(),
+                    events: Vec::new(),
                 });
                 vec![self.reply(&src, msg_id, Payload::InitOk)]
             }
             Payload::Topology { topology } => {
-                let contacts = self.apply_topology(topology);
+                let contacts = self.topology_contacts(&topology);
                 if let (Flavor::Routing, Some(contacts)) = (self.config.flavor, contacts) {
                     if let Some(r) = self.state.as_mut() {
                         // Re-seeding replaces the protocol wholesale, so
@@ -417,13 +417,11 @@ impl MaelstromNode {
         }
     }
 
-    /// Stores topology hints; returns this node's neighbours as dense
-    /// ids when present.
-    fn apply_topology(&mut self, mut topology: Vec<(String, Vec<String>)>) -> Option<Vec<NodeId>> {
-        let r = self.state.as_mut()?;
-        topology.sort_by(|a, b| roster_key(&a.0).cmp(&roster_key(&b.0)));
-        r.topology = topology;
-        let (_, neighbours) = r.topology.iter().find(|(node, _)| *node == r.me)?;
+    /// This node's neighbours in the topology hints, as dense ids, when
+    /// present.
+    fn topology_contacts(&self, topology: &[(String, Vec<String>)]) -> Option<Vec<NodeId>> {
+        let r = self.state.as_ref()?;
+        let (_, neighbours) = topology.iter().find(|(node, _)| *node == r.me)?;
         let contacts: Vec<NodeId> = neighbours.iter().filter_map(|n| r.node_of(n)).collect();
         (!contacts.is_empty()).then_some(contacts)
     }
@@ -433,11 +431,11 @@ impl MaelstromNode {
     /// returns the frames to send.
     fn step(r: &mut Running, counts: &mut TraceCounts, input: Input) -> Vec<Outgoing> {
         let mut out = Vec::new();
-        r.shell.step(r.now, input, &mut out);
+        r.shell.step(r.now, input, &mut out, &mut r.events);
         for record in r.shell.observer_mut().drain_pending() {
             counts.observe(&record.kind);
         }
-        for event in r.shell.events() {
+        for event in r.events.drain(..) {
             if let ProtocolEvent::Delivered { event, .. } = event {
                 match decode_app(event.payload()) {
                     Some((TAG_BROADCAST, value)) => {
@@ -450,7 +448,6 @@ impl MaelstromNode {
                 }
             }
         }
-        r.shell.clear_events();
         out
     }
 

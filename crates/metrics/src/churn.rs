@@ -34,7 +34,7 @@ use agb_types::{DurationMs, NodeId, TimeMs};
 /// assert!(!tl.up_during(NodeId::new(1), TimeMs::from_secs(5), TimeMs::from_secs(25)));
 /// assert!(tl.up_during(NodeId::new(0), TimeMs::from_secs(5), TimeMs::from_secs(25)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MembershipTimeline {
     n_nodes: usize,
     /// Transition lists per node, time-ordered: `(at, up)`. Nodes with no
@@ -132,7 +132,7 @@ impl CatchUpRecord {
 /// Measures post-rejoin catch-up: for every marked restart, the time until
 /// the node delivers again (gossip has re-included it) and until the
 /// recovery layer repairs its first gap (it is pulling missed history).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatchUpTracker {
     records: Vec<CatchUpRecord>,
 }
@@ -146,6 +146,43 @@ impl CatchUpTracker {
             first_delivery: None,
             first_recovered: None,
         });
+    }
+
+    /// The same restart marks, with nothing observed after them yet.
+    pub fn partial(&self) -> CatchUpTracker {
+        let records = self
+            .records
+            .iter()
+            .map(|r| CatchUpRecord {
+                first_delivery: None,
+                first_recovered: None,
+                ..*r
+            })
+            .collect();
+        CatchUpTracker { records }
+    }
+
+    /// Folds in a tracker holding the same restart marks: each restart
+    /// keeps the earliest first delivery and first repair either saw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two trackers hold different restart marks.
+    pub fn merge(&mut self, other: &CatchUpTracker) {
+        assert_eq!(
+            self.records.len(),
+            other.records.len(),
+            "merged catch-up trackers with different restart marks"
+        );
+        for (mine, theirs) in self.records.iter_mut().zip(&other.records) {
+            assert_eq!(
+                (mine.node, mine.restarted_at),
+                (theirs.node, theirs.restarted_at),
+                "merged catch-up trackers with different restart marks"
+            );
+            mine.first_delivery = earliest(mine.first_delivery, theirs.first_delivery);
+            mine.first_recovered = earliest(mine.first_recovered, theirs.first_recovered);
+        }
     }
 
     /// Feeds a delivery observed at `node`.
@@ -200,6 +237,12 @@ impl CatchUpTracker {
             .filter(|r| r.first_delivery.is_none())
             .count()
     }
+}
+
+/// The earlier of two optional times (`None` is no time, not the
+/// earliest).
+pub(crate) fn earliest(a: Option<TimeMs>, b: Option<TimeMs>) -> Option<TimeMs> {
+    a.into_iter().chain(b).min()
 }
 
 #[cfg(test)]

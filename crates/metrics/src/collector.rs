@@ -13,6 +13,11 @@ use crate::recovery::RecoveryStats;
 /// Consumes every [`ProtocolEvent`] from every node and maintains all the
 /// aggregates the paper's figures need.
 ///
+/// A collector can also be split by node: each [`partial`](Self::partial)
+/// records the events of some of the nodes, and [`merge`](Self::merge)
+/// folds the partials back, in any order, into the collector that saw
+/// them all. The simulator keeps one partial per engine shard.
+///
 /// # Example
 ///
 /// ```
@@ -25,7 +30,7 @@ use crate::recovery::RecoveryStats;
 /// m.on_event(NodeId::new(0), &ProtocolEvent::Admitted { id, at: TimeMs::ZERO });
 /// assert_eq!(m.admitted().total(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsCollector {
     n_nodes: usize,
     deliveries: DeliveryTracker,
@@ -53,6 +58,46 @@ impl MetricsCollector {
             timeline: MembershipTimeline::new(n_nodes),
             catch_up: CatchUpTracker::default(),
         }
+    }
+
+    /// An empty collector for some of this collector's nodes: it tracks
+    /// the allowed rates of the same senders and holds the same restart
+    /// marks, but none of the membership transitions or initial rates,
+    /// which stay with `self`.
+    pub fn partial(&self) -> MetricsCollector {
+        MetricsCollector {
+            allowed: self.allowed.partial(),
+            catch_up: self.catch_up.partial(),
+            ..MetricsCollector::new(self.n_nodes, self.admitted.bin())
+        }
+    }
+
+    /// Folds in a [`partial`](Self::partial) that saw other nodes' events.
+    /// Every accumulator merges by set union, extremes, integer sums or
+    /// per-node concatenation, so partials that split the nodes between
+    /// them merge, in any order, to the collector that saw every event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the collectors differ in group size, bin width or
+    /// restart marks, or if `other` recorded membership transitions,
+    /// which only the collector merged into keeps.
+    pub fn merge(&mut self, other: &MetricsCollector) {
+        assert_eq!(
+            self.n_nodes, other.n_nodes,
+            "merged collectors of different groups"
+        );
+        assert!(
+            !other.timeline.has_churn(),
+            "a partial records no membership transitions"
+        );
+        self.deliveries.merge(&other.deliveries);
+        self.drop_ages.merge(&other.drop_ages);
+        self.admitted.merge(&other.admitted);
+        self.delivered.merge(&other.delivered);
+        self.allowed.merge(&other.allowed);
+        self.recovery.merge(&other.recovery);
+        self.catch_up.merge(&other.catch_up);
     }
 
     /// Group size.
@@ -154,8 +199,14 @@ impl MetricsCollector {
     pub fn record_membership(&mut self, node: NodeId, at: TimeMs, up: bool) {
         self.timeline.record(node, at, up);
         if up {
-            self.catch_up.mark_restart(node, at);
+            self.mark_restart(node, at);
         }
+    }
+
+    /// Marks a restart of `node` at `at` for catch-up measurement only:
+    /// how a partial learns of a restart the driver recorded.
+    pub fn mark_restart(&mut self, node: NodeId, at: TimeMs) {
+        self.catch_up.mark_restart(node, at);
     }
 
     /// Marks a node absent from the start of the run (late joiner).
@@ -300,6 +351,132 @@ mod tests {
         assert_eq!(
             m.allowed().rate_at(NodeId::new(2), TimeMs::from_secs(6)),
             3.0
+        );
+    }
+
+    /// A seeded stream over six nodes, in time order: admissions,
+    /// deliveries (node 2 re-delivers one id after its history forgot
+    /// it), drops of both kinds, rate changes of tracked and untracked
+    /// nodes, recovery traffic, and deliveries and repairs around node
+    /// 4's restart.
+    fn seeded_stream(seed: u64) -> Vec<(NodeId, ProtocolEvent)> {
+        let mut x = seed;
+        let mut next = move |bound: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % bound
+        };
+        let forgotten = EventId::new(NodeId::new(5), 77);
+        let mut stream = Vec::new();
+        for step in 0..400u64 {
+            let at = TimeMs::from_millis(step * 25);
+            let redelivery = match step {
+                80 => Some(1),
+                360 => Some(3),
+                _ => None,
+            };
+            if let Some(age) = redelivery {
+                let event = Event::with_age(forgotten, age, Payload::new());
+                let from = NodeId::new(5);
+                stream.push((NodeId::new(2), ProtocolEvent::Delivered { event, from, at }));
+            }
+            let node = NodeId::new(next(6) as u32);
+            let id = EventId::new(NodeId::new(next(6) as u32), next(40));
+            let event = match next(9) {
+                0 => ProtocolEvent::Admitted { id, at },
+                1..=3 => ProtocolEvent::Delivered {
+                    event: Event::with_age(id, next(8) as u32, Payload::new()),
+                    from: NodeId::new(0),
+                    at,
+                },
+                4 => ProtocolEvent::Dropped {
+                    id,
+                    age: next(12) as u32,
+                    reason: if next(2) == 0 {
+                        PurgeReason::Overflow
+                    } else {
+                        PurgeReason::AgeCap
+                    },
+                    at,
+                },
+                5 => ProtocolEvent::RateChanged {
+                    old: 4.0,
+                    new: 1.0 + next(8) as f64 / 2.0,
+                    reason: agb_core::RateChangeReason::Congestion,
+                    at,
+                },
+                6 => ProtocolEvent::RecoveryRequested {
+                    to: NodeId::new(1),
+                    ids: next(4) as usize,
+                    at,
+                },
+                7 => ProtocolEvent::RecoveryServed {
+                    to: NodeId::new(1),
+                    events: next(3) as usize,
+                    missed: 0,
+                    at,
+                },
+                _ => ProtocolEvent::Recovered {
+                    id,
+                    from: NodeId::new(1),
+                    at,
+                },
+            };
+            stream.push((node, event));
+        }
+        stream
+    }
+
+    #[test]
+    fn partials_split_by_node_merge_to_the_single_collector() {
+        let stream = seeded_stream(27);
+        let restart = (NodeId::new(4), TimeMs::from_secs(3), TimeMs::from_secs(5));
+        let driver = |c: &mut MetricsCollector| {
+            c.set_initial_rate(NodeId::new(0), 4.0);
+            c.set_initial_rate(NodeId::new(1), 4.0);
+        };
+
+        let mut single = MetricsCollector::new(6, DurationMs::from_secs(1));
+        driver(&mut single);
+        single.record_membership(restart.0, restart.1, false);
+        single.record_membership(restart.0, restart.2, true);
+        for (node, event) in &stream {
+            single.on_event(*node, event);
+        }
+
+        // The cluster's order: partials from the driver's registrations,
+        // then churn recorded on the driver and marked on every partial.
+        let mut base = MetricsCollector::new(6, DurationMs::from_secs(1));
+        driver(&mut base);
+        let mut partials = vec![base.partial(); 3];
+        base.record_membership(restart.0, restart.1, false);
+        base.record_membership(restart.0, restart.2, true);
+        for p in &mut partials {
+            p.mark_restart(restart.0, restart.2);
+        }
+        for (node, event) in &stream {
+            partials[node.index() % 3].on_event(*node, event);
+        }
+
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let mut merged = base.clone();
+            for i in order {
+                merged.merge(&partials[i]);
+            }
+            assert_eq!(merged, single, "merge order {order:?}");
+        }
+        let forgotten = single
+            .deliveries()
+            .record(EventId::new(NodeId::new(5), 77))
+            .expect("tracked");
+        assert_eq!((forgotten.receiver_count(), forgotten.age_sum), (1, 1));
+        assert!(single.catch_up().records()[0].first_delivery.is_some());
+        assert!(
+            single
+                .allowed()
+                .rate_at(NodeId::new(0), TimeMs::from_secs(9))
+                != 4.0
         );
     }
 

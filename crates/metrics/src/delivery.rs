@@ -4,6 +4,8 @@ use std::collections::BTreeMap;
 
 use agb_types::{EventId, FastHashMap, NodeId, TimeMs};
 
+use crate::churn::earliest;
+
 /// A dense set of node ids, stored as a lazily grown bitset.
 ///
 /// Delivery tracking inserts one entry per (message, receiver) pair —
@@ -60,10 +62,21 @@ impl NodeSet {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Adds every node of `other`.
+    pub fn union(&mut self, other: &NodeSet) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (mine, theirs) in self.words.iter_mut().zip(&other.words) {
+            *mine |= theirs;
+        }
+        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
 }
 
 /// Everything known about one broadcast message.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageRecord {
     /// When the origin admitted it (None if only deliveries were seen).
     pub admitted_at: Option<TimeMs>,
@@ -101,6 +114,16 @@ impl MessageRecord {
             self.age_sum as f64 / self.receivers.len() as f64
         }
     }
+
+    /// Folds in the record another tracker kept for the same message,
+    /// from receivers this one never saw.
+    fn merge(&mut self, other: &MessageRecord) {
+        self.admitted_at = earliest(self.admitted_at, other.admitted_at);
+        self.receivers.union(&other.receivers);
+        self.first_delivery = earliest(self.first_delivery, other.first_delivery);
+        self.last_delivery = self.last_delivery.max(other.last_delivery);
+        self.age_sum += other.age_sum;
+    }
 }
 
 /// Aggregate answer to "how reliable was the broadcast?".
@@ -134,7 +157,7 @@ pub struct AtomicityReport {
 /// assert_eq!(report.avg_receiver_fraction, 0.75);
 /// assert_eq!(report.atomic_fraction, 1.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryTracker {
     n_nodes: usize,
     records: FastHashMap<EventId, MessageRecord>,
@@ -180,6 +203,27 @@ impl DeliveryTracker {
                 rec.last_delivery
                     .map_or(at, |t| if at > t { at } else { t }),
             );
+        }
+    }
+
+    /// Folds in a tracker that saw other receivers of the same group:
+    /// receiver sets unite, age sums add, and admission and delivery
+    /// times keep their extremes, so trackers that split the receivers
+    /// between them merge, in any order, to the one that saw them all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group sizes differ.
+    pub fn merge(&mut self, other: &DeliveryTracker) {
+        assert_eq!(
+            self.n_nodes, other.n_nodes,
+            "merged trackers of different groups"
+        );
+        for (id, theirs) in &other.records {
+            self.records
+                .entry(*id)
+                .or_insert_with(MessageRecord::new)
+                .merge(theirs);
         }
     }
 
@@ -251,7 +295,8 @@ impl DeliveryTracker {
 
     /// Per-time-bin atomicity (the Fig. 9(b) time series): messages are
     /// bucketed by admission time; returns `(bin_start, report)` pairs in
-    /// time order. Bins with no messages are omitted.
+    /// time order. Bins with no messages are omitted. Each bin adds its
+    /// fractions in id order, as [`atomicity`](Self::atomicity) does.
     pub fn atomicity_series(
         &self,
         threshold: f64,
@@ -259,7 +304,7 @@ impl DeliveryTracker {
     ) -> Vec<(TimeMs, AtomicityReport)> {
         let bin_ms = bin.as_millis().max(1);
         let mut bins: BTreeMap<u64, (usize, f64, usize)> = BTreeMap::new();
-        for rec in self.records.values() {
+        for rec in self.windowed(None) {
             let Some(t) = rec.admitted_at.or(rec.first_delivery) else {
                 continue;
             };

@@ -28,7 +28,7 @@ use agb_types::{DurationMs, RunningStats, TimeMs};
 /// assert_eq!(d.mean_overflow_age(), Some(6.0));
 /// assert_eq!(d.overflow_count(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DropAgeStats {
     bin: DurationMs,
     overflow: RunningStats,
@@ -58,6 +58,20 @@ impl DropAgeStats {
         }
     }
 
+    /// Folds in another collector's drops. Ages are whole hops, so their
+    /// f64 sums are exact and merge in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bin widths differ.
+    pub fn merge(&mut self, other: &DropAgeStats) {
+        assert_eq!(self.bin, other.bin, "merged drop ages of different bins");
+        self.overflow.merge(&other.overflow);
+        for (&b, s) in &other.overflow_bins {
+            self.overflow_bins.entry(b).or_default().merge(s);
+        }
+    }
+
     /// Mean age of overflow (congestion) drops, `None` if none occurred.
     pub fn mean_overflow_age(&self) -> Option<f64> {
         (self.overflow.count() > 0).then(|| self.overflow.mean())
@@ -71,12 +85,15 @@ impl DropAgeStats {
     /// Mean overflow drop age over bins starting within `[from, to)`.
     pub fn mean_overflow_age_in(&self, from: TimeMs, to: TimeMs) -> Option<f64> {
         let bin_ms = self.bin.as_millis().max(1);
+        let mut inside: Vec<(&u64, &RunningStats)> = self
+            .overflow_bins
+            .iter()
+            .filter(|(&b, _)| b * bin_ms >= from.as_millis() && b * bin_ms < to.as_millis())
+            .collect();
+        inside.sort_by_key(|&(b, _)| *b);
         let mut acc = RunningStats::new();
-        for (&b, s) in &self.overflow_bins {
-            let start = b * bin_ms;
-            if start >= from.as_millis() && start < to.as_millis() {
-                acc.merge(s);
-            }
+        for (_, s) in inside {
+            acc.merge(s);
         }
         (acc.count() > 0).then(|| acc.mean())
     }

@@ -22,7 +22,7 @@ use agb_types::{DurationMs, FastHashMap, NodeId, TimeMs};
 /// assert_eq!(m.rate_in(TimeMs::ZERO, TimeMs::from_secs(1)), 2.0);
 /// assert_eq!(m.rate_in(TimeMs::from_secs(1), TimeMs::from_secs(2)), 1.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateMeter {
     bin: DurationMs,
     bins: FastHashMap<u64, u64>,
@@ -49,6 +49,24 @@ impl RateMeter {
         let b = at.as_millis() / self.bin.as_millis();
         *self.bins.entry(b).or_default() += 1;
         self.total += 1;
+    }
+
+    /// Folds in another meter's occurrences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bin widths differ.
+    pub fn merge(&mut self, other: &RateMeter) {
+        assert_eq!(self.bin, other.bin, "merged meters of different bins");
+        for (&b, &c) in &other.bins {
+            *self.bins.entry(b).or_default() += c;
+        }
+        self.total += other.total;
+    }
+
+    /// The bin width.
+    pub fn bin(&self) -> DurationMs {
+        self.bin
     }
 
     /// Total occurrences recorded.
@@ -91,7 +109,7 @@ impl RateMeter {
 /// assert_eq!(t.aggregate_at(TimeMs::from_secs(1)), 5.0);
 /// assert_eq!(t.aggregate_at(TimeMs::from_secs(3)), 10.0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AllowedRateTracker {
     // Per node, in node order so the aggregate sums its f64 rates in one
     // reproducible order: change points (time, new rate), kept sorted by
@@ -120,6 +138,25 @@ impl AllowedRateTracker {
     pub fn on_change(&mut self, node: NodeId, new_rate: f64, at: TimeMs) {
         if let Some(steps) = self.steps.get_mut(&node) {
             steps.push((at, new_rate));
+        }
+    }
+
+    /// An empty tracker registered for the same nodes, with no steps yet:
+    /// what one shard of the group records before [`merge`](Self::merge).
+    pub fn partial(&self) -> AllowedRateTracker {
+        AllowedRateTracker {
+            steps: self.steps.keys().map(|&n| (n, Vec::new())).collect(),
+        }
+    }
+
+    /// Appends another tracker's later steps of the nodes both track. A
+    /// node's steps must all come from one tracker, so they stay in time
+    /// order.
+    pub fn merge(&mut self, other: &AllowedRateTracker) {
+        for (node, theirs) in &other.steps {
+            if let Some(mine) = self.steps.get_mut(node) {
+                mine.extend_from_slice(theirs);
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 /// regular gossip. [`overhead_ratio`](RecoveryStats::overhead_ratio)
 /// normalizes it against deliveries so experiments can report repair cost
 /// per useful delivery.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     requests: u64,
     requested_ids: u64,
@@ -52,6 +52,18 @@ impl RecoveryStats {
     /// Records an abandoned recovery.
     pub fn on_abandoned(&mut self) {
         self.abandoned += 1;
+    }
+
+    /// Adds another node group's counters.
+    pub fn merge(&mut self, other: &RecoveryStats) {
+        self.requests += other.requests;
+        self.requested_ids += other.requested_ids;
+        self.serves += other.serves;
+        self.served_events += other.served_events;
+        self.recovered += other.recovered;
+        self.duplicates += other.duplicates;
+        self.abandoned += other.abandoned;
+        self.control_messages += other.control_messages;
     }
 
     /// Graft request frames sent.

@@ -12,7 +12,11 @@
 //!   detector with its ring monitors and heartbeat fallback, and a
 //!   [`NodeObserver`]. One [`NodeShell::step`] takes an [`Input`] and
 //!   returns the frames to send — the `step(event) -> outputs` shape of
-//!   a Maelstrom node. Drivers keep only their own I/O.
+//!   a Maelstrom node — and drains the protocol events it caused into a
+//!   scratch the driver owns. Drivers keep only their own I/O and decide
+//!   where events go: the simulator folds them into its shard's metrics
+//!   partial, the runtime into its shared collector, the Maelstrom
+//!   adapter into application state.
 //!
 //! The shell is generic over its observer, so no surface pays dynamic
 //! dispatch on its hot path. Each surface has one observer: the trace
@@ -39,13 +43,15 @@
 //!     NodeShell::new(spec.build(NodeId::new(i), 2, FullView::new(2), None, rng), None, 2, ())
 //! };
 //! let (mut a, mut b) = (shell(0), shell(1));
-//! let (now, mut out) = (TimeMs::from_secs(1), Vec::new());
-//! a.step(now, Input::Offer(Payload::from_static(b"hi")), &mut out);
-//! a.step(now, Input::Round, &mut out);
+//! let (now, mut out, mut events) = (TimeMs::from_secs(1), Vec::new(), Vec::new());
+//! a.step(now, Input::Offer(Payload::from_static(b"hi")), &mut out, &mut events);
+//! a.step(now, Input::Round, &mut out, &mut events);
+//! events.clear(); // a's own admission and delivery
 //! for (_, frame) in out {
-//!     b.step(now, Input::Frame { from: NodeId::new(0), frame }, &mut Vec::new());
+//!     let from = NodeId::new(0);
+//!     b.step(now, Input::Frame { from, frame }, &mut Vec::new(), &mut events);
 //! }
-//! assert!(matches!(b.events(), [ProtocolEvent::Delivered { .. }]));
+//! assert!(matches!(events[..], [ProtocolEvent::Delivered { .. }]));
 //! ```
 
 #![forbid(unsafe_code)]

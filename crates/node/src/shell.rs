@@ -86,9 +86,9 @@ pub trait NodeObserver {
     /// A frame is about to be handed to the protocol.
     fn on_message(&mut self, frame: &GossipFrame) {}
     /// The frame begun by [`on_message`](Self::on_message), sent by
-    /// `from`, has been handled; `events` are all the events drained
-    /// since the driver last cleared them, ending with this frame's.
-    fn on_received(&mut self, at: TimeMs, from: NodeId, events: &[ProtocolEvent]) {}
+    /// `from`, has been handled; its events have already gone to
+    /// [`on_events`](Self::on_events).
+    fn on_received(&mut self, at: TimeMs, from: NodeId) {}
     /// Protocol events drained after one input.
     fn on_events(&mut self, events: &[ProtocolEvent]) {}
     /// The blocked application refused `n` offers (congestion drops).
@@ -156,14 +156,14 @@ struct Liveness {
 ///
 /// The shell is sans-IO: a driver feeds it inputs with their timestamps
 /// and transmits the frames it returns. Drivers keep only their own I/O
-/// (timers, sockets, line protocols) and read the node's protocol
-/// events back with [`events`](Self::events).
+/// (timers, sockets, line protocols). The shell stages no protocol
+/// events either: each step drains them into a scratch the driver owns
+/// and clears, one per engine shard in the simulator and one per node in
+/// the runtime and Maelstrom drivers.
 pub struct NodeShell<O> {
     protocol: Box<dyn FrameProtocol + Send>,
     liveness: Option<Liveness>,
     observer: O,
-    /// Events drained since the driver last cleared them.
-    events: Vec<ProtocolEvent>,
 }
 
 impl<O: NodeObserver> NodeShell<O> {
@@ -193,7 +193,6 @@ impl<O: NodeObserver> NodeShell<O> {
             protocol,
             liveness,
             observer,
-            events: Vec::new(),
         }
     }
 
@@ -213,21 +212,19 @@ impl<O: NodeObserver> NodeShell<O> {
         &mut self.observer
     }
 
-    /// Protocol events drained since the last [`clear_events`](Self::clear_events).
-    pub fn events(&self) -> &[ProtocolEvent] {
-        &self.events
-    }
-
-    /// Forgets the drained events once the driver has consumed them.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-    }
-
     /// Handles one input at `now`, appending the frames to send to `out`
     /// in send order: a round's heartbeats come before its gossip, and a
-    /// frame's replies keep the protocol's order.
-    pub fn step(&mut self, now: TimeMs, input: Input, out: &mut Vec<Outgoing>) {
-        let start = self.events.len();
+    /// frame's replies keep the protocol's order. The protocol events the
+    /// input caused are appended to `events`, which the driver clears
+    /// once it has consumed them.
+    pub fn step(
+        &mut self,
+        now: TimeMs,
+        input: Input,
+        out: &mut Vec<Outgoing>,
+        events: &mut Vec<ProtocolEvent>,
+    ) {
+        let start = events.len();
         match input {
             Input::Round => self.round(now, out),
             Input::Frame { from, frame } => {
@@ -241,8 +238,8 @@ impl<O: NodeObserver> NodeShell<O> {
                     self.observer.on_rejoin(now, peer);
                 }
                 append(out, self.protocol.on_receive(from, frame, now));
-                self.drain(start);
-                self.observer.on_received(now, from, &self.events);
+                self.drain(events, start);
+                self.observer.on_received(now, from);
                 return;
             }
             Input::Offer(payload) => {
@@ -257,7 +254,7 @@ impl<O: NodeObserver> NodeShell<O> {
             }
             Input::Evict(peer) => {
                 self.protocol.evict_peer(peer);
-                self.drain(start);
+                self.drain(events, start);
                 self.view_changed(now);
                 return;
             }
@@ -280,7 +277,7 @@ impl<O: NodeObserver> NodeShell<O> {
                 self.view_changed(now);
             }
         }
-        self.drain(start);
+        self.drain(events, start);
     }
 
     fn round(&mut self, now: TimeMs, out: &mut Vec<Outgoing>) {
@@ -318,12 +315,12 @@ impl<O: NodeObserver> NodeShell<O> {
         }
     }
 
-    /// Drains the protocol's events and shows the new ones to the
-    /// observer.
-    fn drain(&mut self, start: usize) {
-        self.protocol.drain_events_into(&mut self.events);
-        if self.events.len() > start {
-            self.observer.on_events(&self.events[start..]);
+    /// Drains the protocol's events into `events` and shows the ones
+    /// from `start` on to the observer.
+    fn drain(&mut self, events: &mut Vec<ProtocolEvent>, start: usize) {
+        self.protocol.drain_events_into(events);
+        if events.len() > start {
+            self.observer.on_events(&events[start..]);
         }
     }
 

@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use agb_core::{Event, GossipFrame, GossipMessage, IHaveDigest};
 use agb_membership::MembershipDigest;
+use agb_metrics::AtomicityReport;
 use agb_profile::{ProfileConfig, PHASES};
 use agb_recovery::RecoveryConfig;
 use agb_runtime::wire;
@@ -137,6 +138,9 @@ pub struct ScenarioResult {
     pub allocs_per_round: u64,
     /// Engine determinism checksum at the end of the run.
     pub checksum: u64,
+    /// The merged collector's admitted and delivered totals and its
+    /// whole-run `atomicity_95` at the end of the run.
+    pub collected: (u64, u64, AtomicityReport),
     /// Engine shard/worker threads the measured run used.
     pub threads: usize,
     /// Wall-clock speedup versus a single-threaded run of the same
@@ -159,9 +163,10 @@ pub struct ScenarioResult {
 ///
 /// When the thread count exceeds 1, a single-threaded run of the same
 /// scenario is measured as well: its wall-clock anchors the reported
-/// `speedup`, and its determinism checksum (plus message counts and
-/// queue peak) must match the threaded run exactly — the engine's
-/// K-invariance, asserted on every harness run.
+/// `speedup`, and its determinism checksum (plus message counts, queue
+/// peak and the metrics merged from the shards' partial collectors)
+/// must match the threaded run exactly — the engine's K-invariance,
+/// asserted on every harness run.
 pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> ScenarioResult {
     let threads = harness_threads();
     let mut result = run_scenario_at(spec, seed, threads);
@@ -172,13 +177,15 @@ pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> ScenarioResult {
                 baseline.checksum,
                 baseline.sends,
                 baseline.deliveries,
-                baseline.peak_queue_depth
+                baseline.peak_queue_depth,
+                baseline.collected
             ),
             (
                 result.checksum,
                 result.sends,
                 result.deliveries,
-                result.peak_queue_depth
+                result.peak_queue_depth,
+                result.collected
             ),
             "scenario {} diverged between K=1 and K={threads}",
             spec.name
@@ -272,6 +279,12 @@ pub fn run_scenario_at(spec: &ScenarioSpec, seed: u64, threads: usize) -> Scenar
     let deliveries = stats.deliveries - deliveries_before;
     let events = cluster.events_processed() - events_before;
     let rounds = spec.measure_rounds;
+    let metrics = cluster.metrics();
+    let collected = (
+        metrics.admitted().total(),
+        metrics.delivered().total(),
+        metrics.atomicity_95(None),
+    );
 
     ScenarioResult {
         spec: spec.clone(),
@@ -286,6 +299,7 @@ pub fn run_scenario_at(spec: &ScenarioSpec, seed: u64, threads: usize) -> Scenar
         allocations,
         allocs_per_round: allocations / rounds.max(1),
         checksum: stats.checksum,
+        collected,
         threads: threads.max(1),
         speedup: None,
         phase_ns: Vec::new(),

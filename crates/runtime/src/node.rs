@@ -430,6 +430,9 @@ fn node_loop<T: Transport>(
     // loop-iteration histogram.
     let mut iter_started: Option<Instant> = None;
     let mut out = Vec::new();
+    // The iteration's protocol events, handed to the shared collector
+    // under one lock at its end.
+    let mut events = Vec::new();
 
     while !shutdown.load(Ordering::Relaxed) {
         if profiling {
@@ -459,7 +462,7 @@ fn node_loop<T: Transport>(
                 _ => {}
             }
             let now = now_ms(Instant::now());
-            shell.step(now, input, &mut out);
+            shell.step(now, input, &mut out, &mut events);
             egress.send_all(&mut out, now, shell.observer_mut(), &transport);
         }
 
@@ -492,7 +495,7 @@ fn node_loop<T: Transport>(
                 } else {
                     Input::Refused(1)
                 };
-                shell.step(now_ms(at), input, &mut out);
+                shell.step(now_ms(at), input, &mut out, &mut events);
                 at += gap;
             }
             next_offer = Some(at);
@@ -508,7 +511,7 @@ fn node_loop<T: Transport>(
                         shell.observer().on_received(&frame, bytes.len());
                         let at = now_ms(Instant::now());
                         let from = frame.sender();
-                        shell.step(at, Input::Frame { from, frame }, &mut out);
+                        shell.step(at, Input::Frame { from, frame }, &mut out, &mut events);
                         egress.send_all(&mut out, at, shell.observer_mut(), &transport);
                     }
                     // Corrupt datagram: drop, like the network would — but
@@ -530,16 +533,16 @@ fn node_loop<T: Transport>(
         // 4. Gossip round.
         if Instant::now() >= next_round {
             let at = now_ms(next_round);
-            shell.step(at, Input::Round, &mut out);
+            shell.step(at, Input::Round, &mut out, &mut events);
             egress.send_all(&mut out, at, shell.observer_mut(), &transport);
             next_round += period;
         }
 
         // 5. Hand the iteration's protocol events to the shared
         //    collector.
-        if !shell.events().is_empty() {
-            lock(&metrics).on_events(id, shell.events());
-            shell.clear_events();
+        if !events.is_empty() {
+            lock(&metrics).on_events(id, &events);
+            events.clear();
         }
         let backlog = cmd_rx.len() + shell.protocol().pending_len();
         shell.observer().set_queue_depth(backlog);

@@ -156,9 +156,9 @@ impl World {
     /// Steps node `i` (if up) and checks what it delivered.
     fn step(&mut self, i: usize, input: Input) {
         let node = &mut self.nodes[i];
-        let mut out = Vec::new();
-        node.shell.step(self.now, input, &mut out);
-        for event in node.shell.events() {
+        let (mut out, mut events) = (Vec::new(), Vec::new());
+        node.shell.step(self.now, input, &mut out, &mut events);
+        for event in &events {
             if let ProtocolEvent::Delivered { event, .. } = event {
                 assert!(
                     node.delivered
@@ -175,7 +175,6 @@ impl World {
                 );
             }
         }
-        node.shell.clear_events();
         node.shell.observer_mut().drain_pending().for_each(drop);
         let from = NodeId::new(i as u32);
         for (to, frame) in out {

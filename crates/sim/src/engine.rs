@@ -23,6 +23,12 @@
 //! partition, link fault or adversary window acts only inside its own
 //! `[from, until)`, so fault windows need no scheduled event.
 //!
+//! Each shard of the engine's [`ShardMap`] owns one driver slot of the
+//! node's [`SimNode::Slot`] type, fixed at build. A handler reaches its
+//! node's slot through [`SimCtx::slot`] whether its batch runs inline or
+//! on a worker, so a slot sees its nodes' facts in canonical order and
+//! facts that merge in any order need no barrier.
+//!
 //! The post-event hook runs once after every handler invocation, the
 //! node actions and restarts included.
 //!
@@ -65,18 +71,28 @@ pub trait SimNode {
     /// network's byte adversary deliver duplicated copies.
     type Msg: Clone;
 
+    /// Driver state shared by the nodes of one engine shard (`()` for
+    /// none), reached through [`SimCtx::slot`]; see
+    /// [`Simulation::slots`].
+    type Slot;
+
     /// Called once at simulation start (virtual time 0).
-    fn on_start(&mut self, ctx: &mut SimCtx<'_, Self::Msg>) {
+    fn on_start(&mut self, ctx: &mut SimCtx<'_, Self::Msg, Self::Slot>) {
         let _ = ctx;
     }
 
     /// Called when a timer previously set through the context fires.
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut SimCtx<'_, Self::Msg>) {
+    fn on_timer(&mut self, timer: TimerId, ctx: &mut SimCtx<'_, Self::Msg, Self::Slot>) {
         let _ = (timer, ctx);
     }
 
     /// Called when a message addressed to this node is delivered.
-    fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut SimCtx<'_, Self::Msg>) {
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: Self::Msg,
+        ctx: &mut SimCtx<'_, Self::Msg, Self::Slot>,
+    ) {
         let _ = (from, msg, ctx);
     }
 }
@@ -106,33 +122,41 @@ pub(crate) struct TimerSlot {
 ///
 /// Collects sends and timer requests during a handler invocation; the engine
 /// applies them (routing messages through the network model) when the
-/// handler returns.
+/// handler returns. `S` is the node's [`SimNode::Slot`].
 #[derive(Debug)]
-pub struct SimCtx<'a, M> {
+pub struct SimCtx<'a, M, S = ()> {
     now: TimeMs,
     self_id: NodeId,
     outbox: &'a mut Vec<(NodeId, M)>,
     timer_reqs: &'a mut Vec<TimerRequest>,
+    slot: &'a mut S,
 }
 
-impl<'a, M> SimCtx<'a, M> {
+impl<'a, M, S> SimCtx<'a, M, S> {
     pub(crate) fn new(
         now: TimeMs,
         self_id: NodeId,
         outbox: &'a mut Vec<(NodeId, M)>,
         timer_reqs: &'a mut Vec<TimerRequest>,
+        slot: &'a mut S,
     ) -> Self {
         SimCtx {
             now,
             self_id,
             outbox,
             timer_reqs,
+            slot,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> TimeMs {
         self.now
+    }
+
+    /// The driver slot of the invoked node's shard.
+    pub fn slot(&mut self) -> &mut S {
+        self.slot
     }
 
     /// The identity of the node being invoked.
@@ -181,7 +205,8 @@ impl<'a, M> SimCtx<'a, M> {
 
 /// A scheduled action against one node (may send messages and arm
 /// timers through the context).
-type NodeActionFn<N, M> = Box<dyn FnOnce(&mut N, &mut SimCtx<'_, M>)>;
+type NodeActionFn<N> =
+    Box<dyn FnOnce(&mut N, &mut SimCtx<'_, <N as SimNode>::Msg, <N as SimNode>::Slot>)>;
 /// A callback run after every node-handler invocation (see
 /// [`Simulation::set_post_event_hook`]).
 type PostEventHook<N> = Box<dyn FnMut(&mut N)>;
@@ -199,7 +224,7 @@ enum EventKind<N: SimNode> {
     },
     NodeAction {
         node: NodeId,
-        f: NodeActionFn<N, N::Msg>,
+        f: NodeActionFn<N>,
     },
     SetDown {
         node: NodeId,
@@ -207,7 +232,7 @@ enum EventKind<N: SimNode> {
     },
     Restart {
         node: NodeId,
-        f: NodeActionFn<N, N::Msg>,
+        f: NodeActionFn<N>,
     },
 }
 
@@ -332,14 +357,19 @@ impl SimulationBuilder {
         self
     }
 
-    /// Builds the simulation over the given nodes.
+    /// Builds the simulation over the given nodes, with a clone of `slot`
+    /// as each shard's driver slot.
     ///
     /// `nodes[i]` is addressed as `NodeId::new(i)`. Each node's `on_start`
     /// runs at virtual time zero during the first call to a `run_*` method.
-    pub fn build<N: SimNode>(self, nodes: Vec<N>) -> Simulation<N> {
+    pub fn build<N: SimNode>(self, nodes: Vec<N>, slot: N::Slot) -> Simulation<N>
+    where
+        N::Slot: Clone,
+    {
         let seeds = SeedSequence::new(self.seed);
         let net_rng: DetRng = seeds.rng_for("network", 0);
         let n = nodes.len();
+        let shards = ShardMap::new(n, self.threads);
         let mut down = vec![false; n];
         for id in &self.initially_down {
             down[id.index()] = true;
@@ -357,7 +387,8 @@ impl SimulationBuilder {
             stats: NetStats::default(),
             started: false,
             events_processed: 0,
-            threads: self.threads,
+            slots: vec![slot; shards.shards()],
+            shards,
             par_threshold: DEFAULT_PARALLEL_THRESHOLD,
             hook: None,
             scratch: EngineScratch::default(),
@@ -412,11 +443,13 @@ pub struct Simulation<N: SimNode> {
     stats: NetStats,
     started: bool,
     events_processed: u64,
-    /// Shard/worker count `K` for `run_until`.
-    threads: usize,
+    /// The node ranges of the `K` shards `run_until` fans batches out to.
+    shards: ShardMap,
+    /// One driver slot per shard.
+    slots: Vec<N::Slot>,
     /// Smallest batch worth fanning out to workers.
     par_threshold: usize,
-    /// Post-invocation callback (metrics flushing and the like).
+    /// Post-invocation callback (trace draining and the like).
     hook: Option<PostEventHook<N>>,
     scratch: EngineScratch<N::Msg>,
     /// Per-worker scratch, index-aligned with shard indices.
@@ -461,16 +494,31 @@ impl<N: SimNode> Simulation<N> {
         self.stats
     }
 
+    /// The driver slots, one per shard in shard order. Shard `s` holds a
+    /// contiguous range of nodes, and only their handlers reach its slot,
+    /// each node's in canonical order.
+    pub fn slots(&self) -> &[N::Slot] {
+        &self.slots
+    }
+
+    /// Mutable access to the driver slots between runs (e.g. to hand every
+    /// shard a fact the driver learnt).
+    pub fn slots_mut(&mut self) -> &mut [N::Slot] {
+        &mut self.slots
+    }
+
     /// Installs a callback invoked once after every node-handler
     /// invocation (message delivery, timer fire, node action, start, and
     /// a restart's closure with its `on_start`), with the invoked node, in
     /// canonical event order, always on the calling thread.
     ///
     /// This is the bridge for state that nodes must publish to a shared,
-    /// non-`Send` sink (e.g. the workload cluster's metrics collector):
-    /// nodes buffer locally during handler execution and the hook flushes
-    /// at the merge barrier, preserving the exact single-threaded
-    /// ordering.
+    /// non-`Send` sink in one global order (e.g. the workload cluster's
+    /// trace recorder, whose digest depends on it): nodes buffer locally
+    /// during handler execution and the hook drains them at the merge
+    /// barrier, preserving the exact single-threaded ordering. Facts that
+    /// merge in any order belong in the shard's slot instead, off the
+    /// barrier.
     pub fn set_post_event_hook(&mut self, hook: Box<dyn FnMut(&mut N)>) {
         self.hook = Some(hook);
     }
@@ -493,9 +541,10 @@ impl<N: SimNode> Simulation<N> {
         MemUsage::new(self.queue.estimated_bytes(), self.queue.len() as u64)
     }
 
-    /// The configured shard/worker-thread count.
+    /// The shard/worker-thread count `K`: the configured count, at most
+    /// one per node.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.shards.shards()
     }
 
     /// Lowers/raises the smallest batch that is fanned out to worker
@@ -528,7 +577,7 @@ impl<N: SimNode> Simulation<N> {
         &mut self,
         at: TimeMs,
         node: NodeId,
-        f: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg>) + 'static,
+        f: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg, N::Slot>) + 'static,
     ) {
         self.queue.push(
             at,
@@ -548,7 +597,7 @@ impl<N: SimNode> Simulation<N> {
         &mut self,
         at: TimeMs,
         node: NodeId,
-        f: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg>) + 'static,
+        f: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg, N::Slot>) + 'static,
     ) {
         self.queue.push(
             at,
@@ -645,6 +694,9 @@ impl<N: SimNode> Simulation<N> {
                 timers: &mut self.timers,
                 timer_gen: &mut self.timer_gen,
                 rngs,
+                shards: &self.shards,
+                first_shard: 0,
+                slots: &mut self.slots,
                 down: &self.down,
                 config,
                 now: self.now,
@@ -781,7 +833,11 @@ impl<N: SimNode> Simulation<N> {
     /// Invokes one handler outside a batch (start, restart, node action)
     /// and applies its effects immediately, including the post-event
     /// hook.
-    fn invoke_with(&mut self, id: NodeId, g: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg>)) {
+    fn invoke_with(
+        &mut self,
+        id: NodeId,
+        g: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg, N::Slot>),
+    ) {
         let mut inline = std::mem::take(&mut self.scratch.inline);
         {
             let n = self.nodes.len();
@@ -792,6 +848,9 @@ impl<N: SimNode> Simulation<N> {
                 timers: &mut self.timers,
                 timer_gen: &mut self.timer_gen,
                 rngs,
+                shards: &self.shards,
+                first_shard: 0,
+                slots: &mut self.slots,
                 down: &self.down,
                 config,
                 now: self.now,
@@ -817,6 +876,7 @@ impl<N> Simulation<N>
 where
     N: SimNode + Send,
     N::Msg: Send,
+    N::Slot: Send,
 {
     /// Runs the simulation until virtual time `t` (inclusive), then sets the
     /// clock to `t`.
@@ -860,7 +920,7 @@ where
             self.collect_run(t);
             let batch = self.scratch.batch_events.len();
             if batch > 0 {
-                if self.threads > 1 && batch >= self.par_threshold {
+                if self.shards.shards() > 1 && batch >= self.par_threshold {
                     self.exec_batch_parallel();
                 } else {
                     self.exec_batch_inline();
@@ -889,12 +949,8 @@ where
     /// cost mattering at scale.
     fn exec_batch_parallel(&mut self) {
         let n = self.nodes.len();
-        let map = ShardMap::new(n, self.threads);
+        let map = &self.shards;
         let k = map.shards();
-        if k <= 1 {
-            self.exec_batch_inline();
-            return;
-        }
 
         let mut workers = std::mem::take(&mut self.worker_scratch);
         if workers.len() < k {
@@ -918,6 +974,7 @@ where
             let mut timers_rest: &mut [TimerSlots] = &mut self.timers;
             let mut gens_rest: &mut [u64] = &mut self.timer_gen;
             let mut rngs_rest: &mut [DetRng] = rngs_all;
+            let mut slots_rest: &mut [N::Slot] = &mut self.slots;
             let mut lanes: Vec<Lane<'_, N>> = Vec::with_capacity(k);
             for s in 0..k {
                 let range = map.range(s);
@@ -929,12 +986,17 @@ where
                 gens_rest = rest;
                 let (rngs, rest) = rngs_rest.split_at_mut(range.len());
                 rngs_rest = rest;
+                let (slots, rest) = slots_rest.split_at_mut(1);
+                slots_rest = rest;
                 lanes.push(Lane {
                     base: range.start,
                     nodes,
                     timers,
                     timer_gen,
                     rngs,
+                    shards: map,
+                    first_shard: s,
+                    slots,
                     down,
                     config,
                     now,
@@ -1003,6 +1065,7 @@ mod tests {
 
     impl SimNode for Echo {
         type Msg = u64;
+        type Slot = ();
 
         fn on_start(&mut self, ctx: &mut SimCtx<'_, u64>) {
             ctx.set_periodic_timer(TICK, self.period, self.period);
@@ -1027,7 +1090,7 @@ mod tests {
     fn build(seed: u64) -> Simulation<Echo> {
         SimulationBuilder::new(seed)
             .network(NetworkConfig::perfect(DurationMs::from_millis(5)))
-            .build(vec![Echo::new(100), Echo::new(100)])
+            .build(vec![Echo::new(100), Echo::new(100)], ())
     }
 
     #[test]
@@ -1087,7 +1150,7 @@ mod tests {
                     link_faults: vec![],
                     adversaries: vec![],
                 })
-                .build(vec![Echo::new(100), Echo::new(100)])
+                .build(vec![Echo::new(100), Echo::new(100)], ())
         };
         let mut a = make(1);
         let mut b = make(2);
@@ -1145,7 +1208,7 @@ mod tests {
         let mut sim = SimulationBuilder::new(9)
             .network(NetworkConfig::perfect(DurationMs::from_millis(5)))
             .initially_down([NodeId::new(1)])
-            .build(vec![Echo::new(100), Echo::new(100)]);
+            .build(vec![Echo::new(100), Echo::new(100)], ());
         sim.schedule_restart(TimeMs::from_millis(500), NodeId::new(1), |_, _| {});
         sim.run_until(TimeMs::from_millis(1000));
         // Node 0 ran the whole time; node 1 only from t=500.
@@ -1179,6 +1242,7 @@ mod tests {
         }
         impl SimNode for OneShot {
             type Msg = ();
+            type Slot = ();
             fn on_start(&mut self, ctx: &mut SimCtx<'_, ()>) {
                 ctx.set_timer(TimerId(1), DurationMs::from_millis(10));
             }
@@ -1186,7 +1250,7 @@ mod tests {
                 self.fired += timer.0;
             }
         }
-        let mut sim = SimulationBuilder::new(1).build(vec![OneShot { fired: 0 }]);
+        let mut sim = SimulationBuilder::new(1).build(vec![OneShot { fired: 0 }], ());
         sim.run_until(TimeMs::from_secs(1));
         assert_eq!(sim.node(NodeId::new(0)).fired, 1);
     }
@@ -1198,6 +1262,7 @@ mod tests {
         }
         impl SimNode for Rearm {
             type Msg = ();
+            type Slot = ();
             fn on_start(&mut self, ctx: &mut SimCtx<'_, ()>) {
                 ctx.set_timer(TimerId(1), DurationMs::from_millis(100));
                 // Immediately re-arm with a different deadline.
@@ -1207,7 +1272,7 @@ mod tests {
                 self.fired_at.push(ctx.now());
             }
         }
-        let mut sim = SimulationBuilder::new(1).build(vec![Rearm { fired_at: vec![] }]);
+        let mut sim = SimulationBuilder::new(1).build(vec![Rearm { fired_at: vec![] }], ());
         sim.run_until(TimeMs::from_secs(1));
         assert_eq!(
             sim.node(NodeId::new(0)).fired_at,
@@ -1239,7 +1304,7 @@ mod tests {
                 link_faults: vec![],
                 adversaries: vec![],
             })
-            .build(vec![Echo::new(50), Echo::new(50)]);
+            .build(vec![Echo::new(50), Echo::new(50)], ());
         sim.run_until(TimeMs::from_secs(1));
         let stats = sim.stats();
         assert_eq!(stats.deliveries, 0);
@@ -1255,7 +1320,8 @@ mod sharded_tests {
 
     /// A chatty node: every tick it fans messages out to a deterministic
     /// set of peers; receipts are folded into a running digest so any
-    /// reordering or divergence changes observable state.
+    /// reordering or divergence changes observable state. Each receipt
+    /// also logs `(node, digest)` in the shard's slot.
     struct Chatty {
         digest: u64,
         fires: u64,
@@ -1267,13 +1333,14 @@ mod sharded_tests {
 
     impl SimNode for Chatty {
         type Msg = u64;
+        type Slot = Vec<(u32, u64)>;
 
-        fn on_start(&mut self, ctx: &mut SimCtx<'_, u64>) {
+        fn on_start(&mut self, ctx: &mut SimCtx<'_, u64, Self::Slot>) {
             let phase = DurationMs::from_millis(1 + u64::from(ctx.self_id().as_u32()) % 7);
             ctx.set_periodic_timer(TICK, phase, self.period);
         }
 
-        fn on_timer(&mut self, _t: TimerId, ctx: &mut SimCtx<'_, u64>) {
+        fn on_timer(&mut self, _t: TimerId, ctx: &mut SimCtx<'_, u64, Self::Slot>) {
             self.fires += 1;
             let me = ctx.self_id().as_u32();
             for i in 1..=3u32 {
@@ -1284,11 +1351,13 @@ mod sharded_tests {
             }
         }
 
-        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut SimCtx<'_, u64>) {
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut SimCtx<'_, u64, Self::Slot>) {
             self.digest = self
                 .digest
                 .wrapping_mul(0x100000001B3)
                 .wrapping_add(msg ^ u64::from(from.as_u32()) ^ ctx.now().as_millis());
+            let me = ctx.self_id().as_u32();
+            ctx.slot().push((me, self.digest));
         }
     }
 
@@ -1327,7 +1396,7 @@ mod sharded_tests {
         let mut sim = SimulationBuilder::new(seed)
             .network(network)
             .threads(threads)
-            .build(nodes);
+            .build(nodes, Vec::new());
         // Tiny threshold so small test populations exercise the worker
         // path for real.
         sim.set_parallel_threshold(2);
@@ -1377,6 +1446,7 @@ mod sharded_tests {
         }
         impl SimNode for Faulty {
             type Msg = ();
+            type Slot = ();
             fn on_start(&mut self, ctx: &mut SimCtx<'_, ()>) {
                 ctx.set_timer(TICK, DurationMs::from_millis(10));
             }
@@ -1390,7 +1460,7 @@ mod sharded_tests {
         let caller = std::thread::current().id();
         let mut sim = SimulationBuilder::new(3)
             .threads(2)
-            .build(vec![Faulty { caller }, Faulty { caller }]);
+            .build(vec![Faulty { caller }, Faulty { caller }], ());
         sim.set_parallel_threshold(1);
         let payload = catch_unwind(AssertUnwindSafe(|| sim.run_until(TimeMs::from_secs(1))))
             .expect_err("the worker's panic propagates");
@@ -1452,6 +1522,37 @@ mod sharded_tests {
     }
 
     #[test]
+    fn each_shard_slot_sees_its_nodes_in_canonical_order() {
+        let per_node = |k: usize| {
+            let mut sim = chatty_sim(9, 18, k, true);
+            sim.schedule_restart(TimeMs::from_millis(90), NodeId::new(11), |node, ctx| {
+                node.digest = 0;
+                ctx.slot().push((11, 0));
+            });
+            sim.run_until(TimeMs::from_millis(200));
+            let map = ShardMap::new(18, k);
+            assert_eq!(sim.slots().len(), map.shards());
+            let mut logs = vec![Vec::new(); 18];
+            for (s, slot) in sim.slots().iter().enumerate() {
+                for &(node, digest) in slot {
+                    assert_eq!(
+                        map.shard_of(node as usize),
+                        s,
+                        "K={k}: node {node} in slot {s}"
+                    );
+                    logs[node as usize].push(digest);
+                }
+            }
+            logs
+        };
+        let expected = per_node(1);
+        assert!(expected.iter().all(|log| !log.is_empty()));
+        for k in [2usize, 4] {
+            assert_eq!(per_node(k), expected, "K={k}");
+        }
+    }
+
+    #[test]
     fn profiler_never_changes_results_and_records_phases() {
         use agb_profile::{Phase, ProfileConfig};
         let profiled = |k: usize| {
@@ -1468,7 +1569,7 @@ mod sharded_tests {
                 .network(network)
                 .threads(k)
                 .profile(ProfileConfig::enabled())
-                .build(nodes);
+                .build(nodes, Vec::new());
             sim.set_parallel_threshold(2);
             sim.run_until(TimeMs::from_millis(300));
             sim

@@ -26,6 +26,7 @@
 //!
 //! impl SimNode for Ping {
 //!     type Msg = u32;
+//!     type Slot = ();
 //!     fn on_start(&mut self, ctx: &mut SimCtx<'_, u32>) {
 //!         if ctx.self_id() == NodeId::new(0) {
 //!             ctx.send(NodeId::new(1), 1);
@@ -41,7 +42,7 @@
 //! }
 //!
 //! let mut sim: Simulation<Ping> = SimulationBuilder::new(42)
-//!     .build(vec![Ping { got: 0 }, Ping { got: 0 }]);
+//!     .build(vec![Ping { got: 0 }, Ping { got: 0 }], ());
 //! sim.run_until(TimeMs::from_secs(10));
 //! assert_eq!(sim.node(NodeId::new(1)).got, 1 + 3);
 //! assert_eq!(sim.node(NodeId::new(0)).got, 2);

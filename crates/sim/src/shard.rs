@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use agb_types::{DetRng, NodeId, TimeMs};
+use agb_types::{DetRng, NodeId, ShardMap, TimeMs};
 
 use crate::engine::{SimCtx, SimNode, TimerId, TimerKind, TimerRequest, TimerSlot};
 use crate::network::{route_decision, NetworkConfig, RouteOutcome};
@@ -159,8 +159,9 @@ pub(crate) struct EffectCursor {
 }
 
 /// One worker's window onto the engine state: exclusive access to a
-/// contiguous range of nodes (and their timers, timer generations and
-/// network RNG streams), shared read access to everything else.
+/// contiguous range of nodes (and their timers, timer generations,
+/// network RNG streams and shard slots), shared read access to
+/// everything else.
 pub(crate) struct Lane<'a, N: SimNode> {
     /// First node index owned by this lane; `nodes[i - base]` is node `i`.
     pub base: usize,
@@ -169,6 +170,12 @@ pub(crate) struct Lane<'a, N: SimNode> {
     pub timer_gen: &'a mut [u64],
     /// Per-sender network RNG streams of the owned nodes.
     pub rngs: &'a mut [DetRng],
+    /// The engine's shard ranges.
+    pub shards: &'a ShardMap,
+    /// First shard owned by this lane; `slots[s - first_shard]` is shard
+    /// `s`'s slot.
+    pub first_shard: usize,
+    pub slots: &'a mut [N::Slot],
     /// Up/down flags of *all* nodes (only mutated at merge barriers).
     pub down: &'a [bool],
     pub config: &'a NetworkConfig,
@@ -289,14 +296,15 @@ pub(crate) fn exec_events<N: SimNode>(
 pub(crate) fn invoke_on<N: SimNode>(
     lane: &mut Lane<'_, N>,
     id: NodeId,
-    g: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg>),
+    g: impl FnOnce(&mut N, &mut SimCtx<'_, N::Msg, N::Slot>),
     outbox: &mut Vec<(NodeId, N::Msg)>,
     timer_reqs: &mut Vec<TimerRequest>,
     buf: &mut EffectBuf<N::Msg>,
 ) {
     let local = id.index() - lane.base;
     {
-        let mut ctx = SimCtx::new(lane.now, id, outbox, timer_reqs);
+        let slot = &mut lane.slots[lane.shards.shard_of(id.index()) - lane.first_shard];
+        let mut ctx = SimCtx::new(lane.now, id, outbox, timer_reqs, slot);
         g(&mut lane.nodes[local], &mut ctx);
     }
     for TimerRequest {

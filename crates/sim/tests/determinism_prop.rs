@@ -19,6 +19,7 @@ const TICK: TimerId = TimerId(1);
 
 impl SimNode for Ring {
     type Msg = u64;
+    type Slot = ();
 
     fn on_start(&mut self, ctx: &mut SimCtx<'_, u64>) {
         ctx.set_periodic_timer(TICK, self.period, self.period);
@@ -59,7 +60,7 @@ fn run(seed: u64, n: usize, period_ms: u64, loss: f64, horizon_s: u64) -> (u64, 
             link_faults: vec![],
             adversaries: vec![],
         })
-        .build(nodes);
+        .build(nodes, ());
     sim.run_until(TimeMs::from_secs(horizon_s));
     let stats = sim.stats();
     let received: u64 = sim.nodes().map(|r| r.received).sum();
@@ -109,7 +110,7 @@ proptest! {
             .collect();
         let mut sim = SimulationBuilder::new(seed)
             .network(NetworkConfig::perfect(DurationMs::from_millis(5)))
-            .build(nodes);
+            .build(nodes, ());
         sim.run_until(TimeMs::from_secs(10));
         // Stop ticking by crashing everyone, then flush in-flight messages.
         for i in 0..n {

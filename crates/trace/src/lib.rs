@@ -21,7 +21,7 @@
 //!   [`GossipFrame`](agb_core::GossipFrame)s into records, buffering
 //!   them locally so a `Send` node can be driven on worker threads and
 //!   flushed into the shared [`Recorder`] at the engine's canonical
-//!   merge point (the same post-event-hook path `agb-metrics` uses).
+//!   merge point, the post-event hook.
 //!   With the deterministic sharded engine this makes the trace stream —
 //!   and therefore the digest — bit-identical at every `AGB_THREADS`.
 //! * [`TraceSummary`] — the post-run report (schema `agb-trace/v1`),

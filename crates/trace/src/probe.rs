@@ -62,7 +62,9 @@ impl TraceProbe {
 
     /// Drains buffered records in observation order. The harness must
     /// call this at its canonical merge point and feed the records to
-    /// the shared sink in the returned order.
+    /// the shared sink in the returned order. Deliveries drained here no
+    /// longer excuse a later arrival of the same id from counting as
+    /// redundant.
     pub fn drain_pending(&mut self) -> impl Iterator<Item = TraceRecord> + '_ {
         self.pending.drain(..)
     }
@@ -174,17 +176,17 @@ impl NodeObserver for TraceProbe {
     }
 
     /// Finishes observing the frame begun by [`on_message`](Self::on_message)
-    /// (`from` = its sender): flags every incoming id that none
-    /// of `events` delivered as a redundant arrival.
-    fn on_received(&mut self, at: TimeMs, from: NodeId, events: &[ProtocolEvent]) {
+    /// (`from` = its sender): flags as a redundant arrival every incoming
+    /// id that no delivery or repair recorded since the harness last
+    /// drained the probe covers.
+    fn on_received(&mut self, at: TimeMs, from: NodeId) {
         if !self.config.enabled {
             return;
         }
         for idx in 0..self.incoming.len() {
             let (id, _) = self.incoming[idx];
-            let delivered = events.iter().any(|e| match e {
-                ProtocolEvent::Delivered { event, .. } => event.id() == id,
-                ProtocolEvent::Recovered { id: rid, at: _, .. } => *rid == id,
+            let delivered = self.pending.iter().any(|r| match r.kind {
+                TraceKind::Deliver { id: d, .. } | TraceKind::Recovered { id: d, .. } => d == id,
                 _ => false,
             });
             if !delivered {
@@ -445,7 +447,7 @@ mod tests {
             at: TimeMs::from_secs(2),
         }];
         p.on_events(&events);
-        p.on_received(TimeMs::from_secs(2), NodeId::new(1), &events);
+        p.on_received(TimeMs::from_secs(2), NodeId::new(1));
         let recs: Vec<TraceRecord> = p.drain_pending().collect();
         assert_eq!(recs.len(), 2);
         assert!(matches!(recs[0].kind, TraceKind::Deliver { id, .. } if id == fresh));

@@ -4,7 +4,7 @@ use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use agb_core::{AdaptationConfig, FrameProtocol, GossipConfig, GossipFrame};
+use agb_core::{AdaptationConfig, FrameProtocol, GossipConfig, GossipFrame, ProtocolEvent};
 use agb_failure::DetectorConfig;
 use agb_membership::{FullView, PartialView, PartialViewConfig, PeerSampler};
 use agb_metrics::MetricsCollector;
@@ -233,14 +233,25 @@ const ARRIVAL: TimerId = TimerId(2);
 /// Width of the metrics collector's time bins.
 const METRICS_BIN: DurationMs = DurationMs::from_secs(1);
 
+/// One engine shard's driver slot: the partial collector its nodes'
+/// protocol events fold into, and the scratch each step drains them
+/// into.
+#[derive(Debug, Clone)]
+pub struct ShardSlot {
+    metrics: MetricsCollector,
+    events: Vec<ProtocolEvent>,
+}
+
 /// One simulated host: a [`NodeShell`] plus (optionally) a sender
 /// application.
 ///
-/// The shell's protocol events and trace records stay buffered in the
-/// node, which holds no handle to the shared collector or recorder (so
-/// it stays `Send` for the sharded engine). The engine's post-event hook
-/// flushes them at the merge barrier, in canonical event order — the
-/// order the single-threaded engine produces.
+/// The node holds no handle to a shared collector or recorder (so it
+/// stays `Send` for the sharded engine). Each step folds its protocol
+/// events into the metrics partial of the node's engine shard, on
+/// whichever thread runs the batch. Trace records stay buffered in the
+/// node until the engine's post-event hook drains them at the merge
+/// barrier, in canonical event order — the order the single-threaded
+/// engine produces, which the trace digest depends on.
 pub struct ClusterNode {
     shell: NodeShell<TraceProbe>,
     sender: Option<SenderProcess>,
@@ -250,27 +261,17 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Feeds one input and sends what the shell emits.
-    fn step(&mut self, input: Input, ctx: &mut SimCtx<'_, GossipFrame>) {
+    /// Feeds one input, folds the events it caused into the shard's
+    /// metrics partial, and sends what the shell emits.
+    fn step(&mut self, input: Input, ctx: &mut SimCtx<'_, GossipFrame, ShardSlot>) {
         let mut out = Vec::new();
-        self.shell.step(ctx.now(), input, &mut out);
+        let (now, node) = (ctx.now(), ctx.self_id());
+        let slot = ctx.slot();
+        self.shell.step(now, input, &mut out, &mut slot.events);
+        slot.metrics.on_events(node, &slot.events);
+        slot.events.clear();
         for (to, frame) in out {
             ctx.send(to, frame);
-        }
-    }
-
-    /// Flushes buffered protocol events into the shared collector and
-    /// trace records into the shared recorder, if tracing (called by the
-    /// engine hook on the driving thread, in canonical order).
-    fn flush(&mut self, collector: &mut MetricsCollector, recorder: Option<&mut Recorder>) {
-        if !self.shell.events().is_empty() {
-            collector.on_events(self.shell.protocol().node_id(), self.shell.events());
-            self.shell.clear_events();
-        }
-        if let Some(recorder) = recorder {
-            for record in self.shell.observer_mut().drain_pending() {
-                recorder.record(record);
-            }
         }
     }
 
@@ -287,8 +288,9 @@ impl ClusterNode {
 
 impl SimNode for ClusterNode {
     type Msg = GossipFrame;
+    type Slot = ShardSlot;
 
-    fn on_start(&mut self, ctx: &mut SimCtx<'_, GossipFrame>) {
+    fn on_start(&mut self, ctx: &mut SimCtx<'_, GossipFrame, ShardSlot>) {
         ctx.set_periodic_timer(ROUND, self.phase, self.period);
         if let Some(sender) = &self.sender {
             let delay = sender.next_at().since(ctx.now());
@@ -296,7 +298,7 @@ impl SimNode for ClusterNode {
         }
     }
 
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut SimCtx<'_, GossipFrame>) {
+    fn on_timer(&mut self, timer: TimerId, ctx: &mut SimCtx<'_, GossipFrame, ShardSlot>) {
         let now = ctx.now();
         match timer {
             ROUND => {
@@ -327,7 +329,12 @@ impl SimNode for ClusterNode {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, frame: GossipFrame, ctx: &mut SimCtx<'_, GossipFrame>) {
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        frame: GossipFrame,
+        ctx: &mut SimCtx<'_, GossipFrame, ShardSlot>,
+    ) {
         self.step(Input::Frame { from, frame }, ctx);
     }
 }
@@ -336,7 +343,12 @@ impl SimNode for ClusterNode {
 /// network, metrics.
 pub struct GossipCluster {
     sim: Simulation<ClusterNode>,
-    metrics: Rc<RefCell<MetricsCollector>>,
+    /// The facts the driver records itself: initial rates, membership
+    /// transitions and restart marks.
+    driver: MetricsCollector,
+    /// `driver` with every shard's partial merged in, built by the first
+    /// [`metrics`](Self::metrics) read since the simulation last moved.
+    merged: RefCell<Option<MetricsCollector>>,
     trace: Option<Rc<RefCell<Recorder>>>,
     config: ClusterConfig,
     n_nodes: usize,
@@ -382,10 +394,7 @@ impl GossipCluster {
         );
 
         let seeds = SeedSequence::new(config.seed);
-        let metrics = Rc::new(RefCell::new(MetricsCollector::new(
-            config.n_nodes,
-            METRICS_BIN,
-        )));
+        let mut driver = MetricsCollector::new(config.n_nodes, METRICS_BIN);
         let payload = Payload::from(vec![0u8; config.payload_size]);
         let per_sender_rate = config.per_sender_rate();
         let period = config.round_period();
@@ -405,7 +414,7 @@ impl GossipCluster {
                 absent.index() < config.n_nodes,
                 "absent node {absent} out of range"
             );
-            metrics.borrow_mut().mark_absent_from_start(*absent);
+            driver.mark_absent_from_start(*absent);
         }
 
         let mut nodes = Vec::with_capacity(config.n_nodes);
@@ -418,9 +427,7 @@ impl GossipCluster {
                     rate: per_sender_rate,
                 };
                 if matches!(config.algorithm, Algorithm::Adaptive) {
-                    metrics
-                        .borrow_mut()
-                        .set_initial_rate(id, config.adaptation.initial_rate);
+                    driver.set_initial_rate(id, config.adaptation.initial_rate);
                 }
                 Some(
                     SenderProcess::new(model, TimeMs::ZERO, seeds.rng_for("sender", i as u64))
@@ -451,30 +458,38 @@ impl GossipCluster {
             });
         }
 
+        let slot = ShardSlot {
+            metrics: driver.partial(),
+            events: Vec::new(),
+        };
         let mut sim = SimulationBuilder::new(seeds.seed_for("sim", 0))
             .network(config.network.clone())
             .initially_down(config.absent_at_start.iter().copied())
             .threads(config.threads.max(1))
             .profile(config.profile)
-            .build(nodes);
+            .build(nodes, slot);
         let trace = config
             .trace
             .enabled
             .then(|| Rc::new(RefCell::new(Recorder::new(config.trace).with_round(period))));
-        // Nodes buffer their protocol events (and trace records) locally;
-        // this hook flushes them into the shared collector/recorder after
-        // every handler invocation, in canonical event order, always on
-        // the driving thread.
-        let hook_metrics = Rc::clone(&metrics);
+        // Probes buffer their trace records locally; this hook drains them
+        // into the shared recorder, if tracing, after every handler
+        // invocation, in canonical event order, always on the driving
+        // thread.
         let hook_trace = trace.clone();
         sim.set_post_event_hook(Box::new(move |node: &mut ClusterNode| {
-            let mut recorder = hook_trace.as_ref().map(|r| r.borrow_mut());
-            node.flush(&mut hook_metrics.borrow_mut(), recorder.as_deref_mut());
+            if let Some(recorder) = &hook_trace {
+                let mut recorder = recorder.borrow_mut();
+                for record in node.shell.observer_mut().drain_pending() {
+                    recorder.record(record);
+                }
+            }
         }));
 
         GossipCluster {
             sim,
-            metrics,
+            driver,
+            merged: RefCell::new(None),
             trace,
             n_nodes: config.n_nodes,
             config,
@@ -495,15 +510,16 @@ impl GossipCluster {
     /// shard count ([`ClusterConfig::threads`]); results are identical
     /// at every thread count.
     pub fn run_until(&mut self, t: TimeMs) {
+        *self.merged.get_mut() = None;
         self.sim.run_until(t);
     }
 
     /// Runs the simulation for a further `d`.
     pub fn run_for(&mut self, d: DurationMs) {
-        self.sim.run_for(d);
+        self.run_until(self.sim.now() + d);
     }
 
-    /// The configured shard/worker-thread count.
+    /// The engine's shard/worker-thread count.
     pub fn threads(&self) -> usize {
         self.sim.threads()
     }
@@ -515,9 +531,31 @@ impl GossipCluster {
         self.sim.set_parallel_threshold(min_batch);
     }
 
-    /// Read access to the collected metrics.
+    /// Read access to the collected metrics: the driver's own facts
+    /// merged with every shard's partial. The first read after the
+    /// simulation moved merges them; later reads reuse the merge.
     pub fn metrics(&self) -> Ref<'_, MetricsCollector> {
-        self.metrics.borrow()
+        if self.merged.borrow().is_none() {
+            let mut merged = self.driver.clone();
+            for slot in self.sim.slots() {
+                merged.merge(&slot.metrics);
+            }
+            *self.merged.borrow_mut() = Some(merged);
+        }
+        Ref::map(self.merged.borrow(), |m| m.as_ref().expect("merged above"))
+    }
+
+    /// Records a membership transition on the driver's collector, and a
+    /// restart mark on every shard's partial too, which the catch-up
+    /// tracker needs while the nodes run.
+    fn record_membership(&mut self, node: NodeId, at: TimeMs, up: bool) {
+        *self.merged.get_mut() = None;
+        self.driver.record_membership(node, at, up);
+        if up {
+            for slot in self.sim.slots_mut() {
+                slot.metrics.mark_restart(node, at);
+            }
+        }
     }
 
     /// Read access to the trace recorder, if tracing is enabled
@@ -599,7 +637,7 @@ impl GossipCluster {
     /// timers are suppressed; its state survives for a later
     /// [`schedule_recover`](Self::schedule_recover).
     pub fn schedule_crash(&mut self, at: TimeMs, node: NodeId) {
-        self.metrics.borrow_mut().record_membership(node, at, false);
+        self.record_membership(node, at, false);
         // Controls are barrier events on the driving thread — no sends,
         // no RNG — so engine results are unchanged.
         self.sim
@@ -609,7 +647,7 @@ impl GossipCluster {
 
     /// Schedules a recovery from a crash, state intact.
     pub fn schedule_recover(&mut self, at: TimeMs, node: NodeId) {
-        self.metrics.borrow_mut().record_membership(node, at, true);
+        self.record_membership(node, at, true);
         self.sim.schedule_recover(at, node);
         self.sim
             .schedule_node_action(at, node, |n, ctx| n.step(Input::Recover, ctx));
@@ -621,7 +659,7 @@ impl GossipCluster {
     /// start path. `epoch` must be unique per restart of this node (1, 2,
     /// …) so the rebuilt protocol draws fresh randomness.
     pub fn schedule_restart(&mut self, at: TimeMs, node: NodeId, epoch: u64) {
-        self.metrics.borrow_mut().record_membership(node, at, true);
+        self.record_membership(node, at, true);
         let protocol = self.config.make_protocol(node, epoch, None);
         self.sim.schedule_restart(at, node, move |n, ctx| {
             n.step(Input::Restart(protocol), ctx);
@@ -634,7 +672,7 @@ impl GossipCluster {
     /// announces itself through normal subscription gossip — nothing else
     /// in the group is told about it out of band.
     pub fn schedule_join(&mut self, at: TimeMs, node: NodeId, epoch: u64, contacts: Vec<NodeId>) {
-        self.metrics.borrow_mut().record_membership(node, at, true);
+        self.record_membership(node, at, true);
         let protocol = self.config.make_protocol(node, epoch, Some(contacts));
         self.sim.schedule_restart(at, node, move |n, ctx| {
             n.step(Input::Join(protocol), ctx);
@@ -645,7 +683,7 @@ impl GossipCluster {
     /// messages (flushing its buffer, carrying its own unsubscription for
     /// partial views) and then goes down for good.
     pub fn schedule_leave(&mut self, at: TimeMs, node: NodeId) {
-        self.metrics.borrow_mut().record_membership(node, at, false);
+        self.record_membership(node, at, false);
         self.sim
             .schedule_node_action(at, node, |n, ctx| n.step(Input::Leave, ctx));
         // Same instant, scheduled after the action: farewell first, then

@@ -9,11 +9,15 @@
 //!   offered-load generators with the blocking-sender semantics of
 //!   Figure 3 (an application blocked on `BROADCAST` stops producing);
 //! * [`GossipCluster`] — builds `n` protocol nodes (baseline or adaptive)
-//!   into an [`agb_sim::Simulation`], wires the sender processes and a
-//!   shared [`MetricsCollector`](agb_metrics::MetricsCollector), and
-//!   schedules scenario controls: buffer resizes (the Figure 9 runtime
-//!   changes), crashes, recoveries, restarts, joins, leaves, evictions and
-//!   sender bursts;
+//!   into an [`agb_sim::Simulation`], wires the sender processes and the
+//!   metrics, and schedules scenario controls: buffer resizes (the
+//!   Figure 9 runtime changes), crashes, recoveries, restarts, joins,
+//!   leaves, evictions and sender bursts. Each engine shard folds its
+//!   nodes' protocol events into its own partial
+//!   [`MetricsCollector`](agb_metrics::MetricsCollector) as the batch
+//!   runs; [`GossipCluster::metrics`] merges the partials with the facts
+//!   the cluster records itself (initial rates, membership transitions)
+//!   at the first read after the simulation moved;
 //! * [`pubsub`] — the motivating publish/subscribe application: overlapping
 //!   topic groups splitting each node's buffer budget.
 //!

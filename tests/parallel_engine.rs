@@ -6,9 +6,10 @@
 
 use adaptive_gossip::chaos::{ChaosCluster, ChaosSchedule};
 use adaptive_gossip::membership::PartialViewConfig;
+use adaptive_gossip::metrics::{AtomicityReport, MessageRecord, RecoveryStats};
 use adaptive_gossip::recovery::RecoveryConfig;
 use adaptive_gossip::sim::NetStats;
-use adaptive_gossip::types::{DurationMs, NodeId, TimeMs};
+use adaptive_gossip::types::{DurationMs, EventId, NodeId, TimeMs};
 use adaptive_gossip::workload::{Algorithm, ClusterConfig, GossipCluster, MembershipKind};
 use proptest::prelude::*;
 
@@ -34,19 +35,51 @@ fn cluster_config(seed: u64, threads: usize, loss: f64, recovery: bool) -> Clust
 }
 
 /// Everything observable about a run: engine stats (incl. the
-/// order-sensitive checksum), queue peak, and the metrics the collector
-/// accumulated through the flush hook.
-fn fingerprint(cluster: &GossipCluster) -> (NetStats, usize, u64, u64, u64, u64) {
-    let stats = cluster.sim_stats();
+/// order-sensitive checksum), queue peak, and the metrics merged from
+/// the shards' partial collectors, down to each message's receivers, so
+/// a merge that drops a partial or counts a receiver twice diverges.
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    stats: NetStats,
+    peak_queue_depth: usize,
+    events_processed: u64,
+    admitted: u64,
+    delivered: u64,
+    /// Every message's record in id order: admission, receiver set and
+    /// count, first and last delivery, and the sum of delivery ages.
+    messages: Vec<(EventId, MessageRecord)>,
+    atomicity: AtomicityReport,
+    /// Overflow drops: count and mean age.
+    overflow_drops: (u64, Option<f64>),
+    allowed_rates: Vec<(TimeMs, f64)>,
+    recovery: RecoveryStats,
+}
+
+fn fingerprint(cluster: &GossipCluster) -> Fingerprint {
     let m = cluster.metrics();
-    (
-        stats,
-        cluster.peak_queue_depth(),
-        cluster.events_processed(),
-        m.admitted().total(),
-        m.delivered().total(),
-        m.recovery().recovered(),
-    )
+    let mut messages: Vec<_> = m
+        .deliveries()
+        .iter()
+        .map(|(&id, r)| (id, r.clone()))
+        .collect();
+    messages.sort_by_key(|&(id, _)| id);
+    Fingerprint {
+        stats: cluster.sim_stats(),
+        peak_queue_depth: cluster.peak_queue_depth(),
+        events_processed: cluster.events_processed(),
+        admitted: m.admitted().total(),
+        delivered: m.delivered().total(),
+        messages,
+        atomicity: m.atomicity_95(None),
+        overflow_drops: (
+            m.drop_ages().overflow_count(),
+            m.drop_ages().mean_overflow_age(),
+        ),
+        allowed_rates: m
+            .allowed()
+            .aggregate_series(DurationMs::from_secs(1), cluster.now()),
+        recovery: m.recovery().clone(),
+    }
 }
 
 fn run_cluster(
@@ -55,7 +88,7 @@ fn run_cluster(
     loss: f64,
     recovery: bool,
     with_fault: bool,
-) -> (NetStats, usize, u64, u64, u64, u64) {
+) -> Fingerprint {
     let mut config = cluster_config(seed, threads, loss, recovery);
     if with_fault {
         config
@@ -91,7 +124,7 @@ proptest! {
         with_fault in any::<bool>(),
     ) {
         let oracle = run_cluster(seed, 1, loss, recovery, with_fault);
-        prop_assert!(oracle.0.deliveries > 0, "run too quiet to be a meaningful oracle");
+        prop_assert!(oracle.stats.deliveries > 0, "run too quiet to be a meaningful oracle");
         for k in [2usize, 4, 8] {
             let sharded = run_cluster(seed, k, loss, recovery, with_fault);
             prop_assert_eq!(

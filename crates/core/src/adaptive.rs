@@ -23,6 +23,7 @@
 use agb_membership::GossipMembership;
 use agb_types::{DetRng, DurationMs, EventId, Ewma, NodeId, Payload, TimeMs};
 
+use crate::buffer::{PurgeReason, PurgedEvent};
 use crate::config::{AdaptationConfig, GossipConfig};
 use crate::congestion::CongestionEstimator;
 use crate::header::GossipFrame;
@@ -118,15 +119,23 @@ impl<S: GossipMembership> AdaptiveNode<S> {
             .expect("AdaptiveNode::new installs the bucket")
     }
 
-    /// Routes real buffer removals into the congestion estimator; returns
-    /// whether any of them was an overflow eviction.
-    fn sync_removals(&mut self) -> bool {
+    /// Runs `call` on the wrapped node and routes the `Dropped` events it
+    /// appended into the congestion estimator; also returns whether any
+    /// of them was an overflow eviction.
+    fn inner_call<R>(&mut self, call: impl FnOnce(&mut LpbcastNode<S>) -> R) -> (R, bool) {
+        let start = self.inner.events().len();
+        let result = call(&mut self.inner);
         let mut overflow = false;
-        for purged in self.inner.take_removals() {
-            overflow |= purged.reason == crate::buffer::PurgeReason::Overflow;
-            self.congestion.on_purged(&purged);
+        for event in &self.inner.events()[start..] {
+            if let ProtocolEvent::Dropped {
+                id, age, reason, ..
+            } = *event
+            {
+                overflow |= reason == PurgeReason::Overflow;
+                self.congestion.on_purged(&PurgedEvent { id, age, reason });
+            }
         }
-        overflow
+        (result, overflow)
     }
 }
 
@@ -140,9 +149,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
     }
 
     fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
-        let outcome = self.inner.offer(payload, now);
-        self.sync_removals();
-        outcome
+        self.inner_call(|inner| inner.offer(payload, now)).0
     }
 
     fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
@@ -150,8 +157,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         self.min_buff.on_tick(now);
 
         // 2. Admit queued broadcasts as tokens allow (Figure 3).
-        self.inner.admit_pending(now);
-        self.sync_removals();
+        self.inner_call(|inner| inner.admit_pending(now));
 
         // 3. Sample allowance usage after admissions (Figure 5(c)'s
         //    avgTokens: full bucket = unused allowance).
@@ -169,7 +175,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
             &mut self.rng,
         ) {
             self.bucket().set_rate(change.new, now);
-            self.inner.push_event(ProtocolEvent::RateChanged {
+            self.inner.events().push(ProtocolEvent::RateChanged {
                 old: change.old,
                 new: change.new,
                 reason: change.reason,
@@ -179,8 +185,7 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
 
         // 5. Base-protocol round (ages, GC, emission), then stamp the
         //    adaptive header on the message in every outgoing frame.
-        let mut out = self.inner.on_round(now);
-        self.sync_removals();
+        let (mut out, _) = self.inner_call(|inner| inner.on_round(now));
         let (period, ads) = self.min_buff.advertisement();
         for (_, frame) in &mut out {
             if let GossipFrame::Gossip { msg, .. } = frame {
@@ -206,10 +211,9 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
             self.min_buff.on_receive(msg.sample_period, &msg.min_buffs);
         }
         // Figure 1 receive path.
-        self.inner.receive(from, msg, now);
-        let overflowed = self.sync_removals();
+        let ((), overflowed) = self.inner_call(|inner| inner.receive(from, msg, now));
         // Figure 5(b): would-drop accounting against the minBuff estimate.
-        // Real evictions already updated avgAge via sync_removals; they
+        // Real evictions already updated avgAge through inner_call; they
         // also suppress the no-drop relief for this message.
         self.congestion.scan(
             self.inner.buffer(),
@@ -219,15 +223,14 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         Vec::new()
     }
 
-    /// The wrapped node's queue holds this layer's events too, pushed as
-    /// they happen, so the drain keeps occurrence order.
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
-        self.inner.drain_events_into(out);
+    /// The wrapped node's queue, which holds this layer's events too,
+    /// pushed as they happen, so a drain keeps occurrence order.
+    fn events(&mut self) -> &mut Vec<ProtocolEvent> {
+        self.inner.events()
     }
 
     fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {
-        self.inner.set_buffer_capacity(capacity, now);
-        self.sync_removals();
+        self.inner_call(|inner| inner.set_buffer_capacity(capacity, now));
         self.min_buff.set_own_capacity(capacity as u32);
     }
 

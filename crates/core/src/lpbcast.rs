@@ -57,7 +57,6 @@ pub struct LpbcastNode<S> {
     bucket: Option<TokenBucket>,
     pending: VecDeque<Payload>,
     out_events: Vec<ProtocolEvent>,
-    removals: Vec<PurgedEvent>,
 }
 
 impl<S: GossipMembership> LpbcastNode<S> {
@@ -85,7 +84,6 @@ impl<S: GossipMembership> LpbcastNode<S> {
             bucket,
             pending: VecDeque::new(),
             out_events: Vec::new(),
-            removals: Vec::new(),
         }
     }
 
@@ -111,22 +109,6 @@ impl<S: GossipMembership> LpbcastNode<S> {
         self.bucket.as_mut()
     }
 
-    /// Drains every event removed from the buffer since the last call
-    /// (consumed by the adaptive wrapper's congestion accounting) in
-    /// place, keeping the vector's storage for the next frame. A drain
-    /// discards whatever is left, so an unwrapped node holds no purge
-    /// backlog.
-    pub fn take_removals(&mut self) -> std::vec::Drain<'_, PurgedEvent> {
-        self.removals.drain(..)
-    }
-
-    /// Queues an event a wrapping layer observed, after those this node
-    /// queued so far, so one drain reports the stack's events in
-    /// occurrence order.
-    pub(crate) fn push_event(&mut self, event: ProtocolEvent) {
-        self.out_events.push(event);
-    }
-
     /// Broadcasts unconditionally (no throttle): assigns the next sequence
     /// number, buffers, self-delivers.
     pub fn broadcast_now(&mut self, payload: Payload, now: TimeMs) -> EventId {
@@ -148,7 +130,6 @@ impl<S: GossipMembership> LpbcastNode<S> {
 
     fn record_purges(&mut self, purged: impl IntoIterator<Item = PurgedEvent>, now: TimeMs) {
         for p in purged {
-            self.removals.push(p);
             self.out_events.push(ProtocolEvent::Dropped {
                 id: p.id,
                 age: p.age,
@@ -187,25 +168,10 @@ impl<S: GossipMembership> LpbcastNode<S> {
         }
     }
 
-    /// Broadcasts queued offers while the throttle has tokens.
+    /// Broadcasts queued offers while the throttle has tokens (offers
+    /// queue only behind a throttle).
     pub(crate) fn admit_pending(&mut self, now: TimeMs) {
-        if self.bucket.is_none() {
-            // Unthrottled: pending is only populated when a bucket exists,
-            // but drain defensively.
-            while let Some(p) = self.pending.pop_front() {
-                self.broadcast_now(p, now);
-            }
-            return;
-        }
-        while !self.pending.is_empty() {
-            let admitted = self
-                .bucket
-                .as_mut()
-                .expect("bucket present")
-                .try_acquire(now);
-            if !admitted {
-                break;
-            }
+        while !self.pending.is_empty() && self.bucket.as_mut().is_some_and(|b| b.try_acquire(now)) {
             let payload = self.pending.pop_front().expect("non-empty");
             self.broadcast_now(payload, now);
         }
@@ -299,11 +265,8 @@ impl<S: GossipMembership> FrameProtocol for LpbcastNode<S> {
         Vec::new()
     }
 
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
-        // The purges were reported as `Dropped` events; only a wrapper
-        // that takes them between drains needs the raw records.
-        self.removals.clear();
-        out.append(&mut self.out_events);
+    fn events(&mut self) -> &mut Vec<ProtocolEvent> {
+        &mut self.out_events
     }
 
     fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {
@@ -514,18 +477,21 @@ mod tests {
             )]),
             TimeMs::ZERO,
         );
-        let removals: Vec<PurgedEvent> = n.take_removals().collect();
-        assert_eq!(removals.len(), 1);
-        assert_eq!(
-            (removals[0].age, removals[0].reason),
-            (6, PurgeReason::Overflow)
-        );
+        let drops: Vec<_> = n
+            .drain_events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                ProtocolEvent::Dropped { age, reason, .. } => Some((age, reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops, vec![(6, PurgeReason::Overflow)]);
     }
 
     #[test]
     fn drain_discards_the_purge_backlog() {
-        // An unwrapped node has nobody taking its removals: the drain
-        // that reports them as `Dropped` events must also forget them.
+        // Purges are reported only as `Dropped` events on the one queue:
+        // the drain that hands them out leaves nothing behind.
         let mut cfg = GossipConfig::default();
         cfg.age_cap = 2;
         let mut n = node(0, cfg);
@@ -535,13 +501,13 @@ mod tests {
             n.offer(Payload::new(), now);
             n.on_round(now);
             n.drain_events_into(&mut events);
+            assert!(n.events().is_empty());
         }
         let dropped = events
             .iter()
             .filter(|e| matches!(e, ProtocolEvent::Dropped { .. }))
             .count();
         assert!(dropped > 190, "{dropped} purges reported");
-        assert_eq!(n.take_removals().len(), 0);
     }
 
     #[test]

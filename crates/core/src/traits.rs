@@ -151,8 +151,10 @@ pub enum ProtocolEvent {
 ///    received from the network and transmit the returned replies (pull
 ///    requests and retransmissions are request/response traffic, not
 ///    periodic gossip);
-/// 3. periodically [`drain_events_into`](FrameProtocol::drain_events_into)
-///    and hand the events to the application/metrics.
+/// 3. hand the events each call pushed onto the stack's one queue,
+///    [`events`](FrameProtocol::events), to the application/metrics, by
+///    [`drain_events_into`](FrameProtocol::drain_events_into) or by
+///    lending the queue a scratch of the harness's for each call.
 ///
 /// A layer stacked on a node (the adaptive mechanism on lpbcast, the
 /// recovery wrapper on any flavor) asks the node it wraps for what that
@@ -189,11 +191,18 @@ pub trait FrameProtocol {
         now: TimeMs,
     ) -> Vec<(NodeId, GossipFrame)>;
 
+    /// The stack's one event queue, in occurrence order: the base flavor
+    /// owns it, and a wrapping layer returns its inner node's, pushes its
+    /// own events there as they happen, and reads only the tail a call on
+    /// its inner node appended, so a harness may lend a non-empty scratch.
+    fn events(&mut self) -> &mut Vec<ProtocolEvent>;
+
     /// Drains the protocol events accumulated since the last drain into a
-    /// reusable buffer (the harness hot path: one scratch vector instead
-    /// of an allocation per handler invocation). Appends without clearing
-    /// `out`.
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>);
+    /// reusable buffer (one scratch vector instead of an allocation per
+    /// handler invocation). Appends without clearing `out`.
+    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
+        out.append(self.events());
+    }
 
     /// Takes the protocol events accumulated since the last drain.
     fn drain_events(&mut self) -> Vec<ProtocolEvent> {

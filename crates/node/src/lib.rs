@@ -12,11 +12,11 @@
 //!   detector with its ring monitors and heartbeat fallback, and a
 //!   [`NodeObserver`]. One [`NodeShell::step`] takes an [`Input`] and
 //!   returns the frames to send — the `step(event) -> outputs` shape of
-//!   a Maelstrom node — and drains the protocol events it caused into a
-//!   scratch the driver owns. Drivers keep only their own I/O and decide
-//!   where events go: the simulator folds them into its shard's metrics
-//!   partial, the runtime into its shared collector, the Maelstrom
-//!   adapter into application state.
+//!   a Maelstrom node — and lends the stack a scratch the driver owns
+//!   as its one event queue for that step. Drivers keep only their own
+//!   I/O and decide where events go: the simulator folds them into its
+//!   shard's metrics partial, the runtime into its shared collector, the
+//!   Maelstrom adapter into application state.
 //!
 //! The shell is generic over its observer, so no surface pays dynamic
 //! dispatch on its hot path. Each surface has one observer: the trace

@@ -156,10 +156,10 @@ struct Liveness {
 ///
 /// The shell is sans-IO: a driver feeds it inputs with their timestamps
 /// and transmits the frames it returns. Drivers keep only their own I/O
-/// (timers, sockets, line protocols). The shell stages no protocol
-/// events either: each step drains them into a scratch the driver owns
-/// and clears, one per engine shard in the simulator and one per node in
-/// the runtime and Maelstrom drivers.
+/// (timers, sockets, line protocols). Neither the shell nor its protocol
+/// stack holds event-queue storage between steps: each step lends the
+/// stack a scratch the driver owns and clears, one per engine shard in
+/// the simulator and one per node in the runtime and Maelstrom drivers.
 pub struct NodeShell<O> {
     protocol: Box<dyn FrameProtocol + Send>,
     liveness: Option<Liveness>,
@@ -216,7 +216,9 @@ impl<O: NodeObserver> NodeShell<O> {
     /// in send order: a round's heartbeats come before its gossip, and a
     /// frame's replies keep the protocol's order. The protocol events the
     /// input caused are appended to `events`, which the driver clears
-    /// once it has consumed them.
+    /// once it has consumed them: for the step, behind any events queued
+    /// since the last one, `events` is lent to the stack as its queue
+    /// ([`FrameProtocol::events`]), so the stack keeps no queue storage.
     pub fn step(
         &mut self,
         now: TimeMs,
@@ -224,7 +226,8 @@ impl<O: NodeObserver> NodeShell<O> {
         out: &mut Vec<Outgoing>,
         events: &mut Vec<ProtocolEvent>,
     ) {
-        let start = events.len();
+        let (start, join) = (events.len(), matches!(input, Input::Join(_)));
+        self.lend(events);
         match input {
             Input::Round => self.round(now, out),
             Input::Frame { from, frame } => {
@@ -238,7 +241,7 @@ impl<O: NodeObserver> NodeShell<O> {
                     self.observer.on_rejoin(now, peer);
                 }
                 append(out, self.protocol.on_receive(from, frame, now));
-                self.drain(events, start);
+                self.reclaim(events, start);
                 self.observer.on_received(now, from);
                 return;
             }
@@ -254,7 +257,7 @@ impl<O: NodeObserver> NodeShell<O> {
             }
             Input::Evict(peer) => {
                 self.protocol.evict_peer(peer);
-                self.drain(events, start);
+                self.reclaim(events, start);
                 self.view_changed(now);
                 return;
             }
@@ -267,17 +270,18 @@ impl<O: NodeObserver> NodeShell<O> {
                 }
                 self.observer.on_lifecycle(now, LifecycleKind::Recover);
             }
-            Input::Restart(protocol) => {
+            Input::Restart(protocol) | Input::Join(protocol) => {
+                // The lent queue outlives the dropped protocol.
+                *events = std::mem::take(self.protocol.events());
                 self.protocol = protocol;
+                self.lend(events);
                 self.observer.on_lifecycle(now, LifecycleKind::Restart);
-            }
-            Input::Join(protocol) => {
-                self.protocol = protocol;
-                self.observer.on_lifecycle(now, LifecycleKind::Restart);
-                self.view_changed(now);
+                if join {
+                    self.view_changed(now);
+                }
             }
         }
-        self.drain(events, start);
+        self.reclaim(events, start);
     }
 
     fn round(&mut self, now: TimeMs, out: &mut Vec<Outgoing>) {
@@ -315,10 +319,18 @@ impl<O: NodeObserver> NodeShell<O> {
         }
     }
 
-    /// Drains the protocol's events into `events` and shows the ones
-    /// from `start` on to the observer.
-    fn drain(&mut self, events: &mut Vec<ProtocolEvent>, start: usize) {
-        self.protocol.drain_events_into(events);
+    /// Appends whatever the protocol queued outside a step to `events`,
+    /// then lends `events` to the protocol as its queue.
+    fn lend(&mut self, events: &mut Vec<ProtocolEvent>) {
+        let queue = self.protocol.events();
+        events.append(queue);
+        *queue = std::mem::take(events);
+    }
+
+    /// Takes the lent queue back into `events` and shows the events from
+    /// `start` on to the observer.
+    fn reclaim(&mut self, events: &mut Vec<ProtocolEvent>, start: usize) {
+        *events = std::mem::take(self.protocol.events());
         if events.len() > start {
             self.observer.on_events(&events[start..]);
         }
@@ -339,5 +351,273 @@ fn append(out: &mut Vec<Outgoing>, mut frames: Vec<Outgoing>) {
         *out = frames;
     } else {
         out.append(&mut frames);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Algorithm, StackSpec};
+    use agb_core::{
+        AdaptationConfig, Event, GossipConfig, GossipMessage, GraftRequest, IHaveDigest,
+        PurgeReason, Retransmission,
+    };
+    use agb_membership::FullView;
+    use agb_recovery::RecoveryConfig;
+    use agb_topology::RoutingConfig;
+    use agb_types::{DetRng, EventId};
+    use rand::SeedableRng;
+
+    const N: usize = 8;
+    const CAPACITY: usize = 30;
+    const BURST: u64 = 60;
+
+    /// Every stack [`StackSpec::build`] makes: each algorithm, with and
+    /// without the recovery layer, whose cache evicts and expires entries
+    /// during the burst.
+    fn stacks() -> Vec<(Algorithm, Option<RecoveryConfig>)> {
+        let recovery = RecoveryConfig {
+            cache_capacity: 16,
+            cache_rounds: 1,
+            ..RecoveryConfig::default()
+        };
+        let routing = RoutingConfig {
+            max_relay: CAPACITY,
+            ..RoutingConfig::default()
+        };
+        let static_rate = Algorithm::LpbcastStatic {
+            rate_per_sender: 2.0,
+        };
+        [
+            Algorithm::Lpbcast,
+            static_rate,
+            Algorithm::Adaptive,
+            Algorithm::Routing(routing),
+        ]
+        .into_iter()
+        .flat_map(|a| [(a, None), (a, Some(recovery.clone()))])
+        .collect()
+    }
+
+    fn build(
+        algorithm: &Algorithm,
+        recovery: Option<RecoveryConfig>,
+    ) -> Box<dyn FrameProtocol + Send> {
+        let spec = StackSpec {
+            algorithm,
+            gossip: GossipConfig {
+                max_events: CAPACITY,
+                ..GossipConfig::default()
+            },
+            adaptation: &AdaptationConfig::default(),
+            recovery,
+        };
+        spec.build(
+            NodeId::new(0),
+            N,
+            FullView::new(N),
+            None,
+            DetRng::seed_from_u64(3),
+        )
+    }
+
+    fn eid(seq: u64) -> EventId {
+        EventId::new(NodeId::new(1), seq)
+    }
+
+    /// A frame from node 1 carrying `count` unseen events from seq
+    /// `first` on, and advertising as many ids after them.
+    fn gossip(first: u64, count: u64) -> Input {
+        let events: Vec<Event> = (first..first + count)
+            .map(|s| Event::with_age(eid(s), (s % 2) as u32, Payload::new()))
+            .collect();
+        let msg = GossipMessage {
+            sender: NodeId::new(1),
+            sample_period: 0,
+            min_buffs: Vec::new(),
+            events: events.into(),
+            membership: Default::default(),
+        };
+        let ids = (first + count..first + 2 * count).map(eid).collect();
+        let frame = GossipFrame::Gossip {
+            msg,
+            ihave: Some(IHaveDigest { ids }),
+        };
+        let from = NodeId::new(1);
+        Input::Frame { from, frame }
+    }
+
+    /// Offers, a frame that fills the buffer, a frame of [`BURST`] unseen
+    /// events into the full buffer and a round; then a graft for cached
+    /// ids, a retransmission of two advertised ids and a seen one, and a
+    /// second round.
+    fn burst() -> Vec<(TimeMs, Input)> {
+        let first = CAPACITY as u64;
+        let graft = GraftRequest {
+            sender: NodeId::new(2),
+            ids: (first..first + 4).map(eid).collect(),
+        };
+        let retransmit = Retransmission {
+            sender: NodeId::new(1),
+            events: [first + BURST, first + BURST + 1, first]
+                .map(|s| Event::new(eid(s), Payload::new()))
+                .to_vec(),
+        };
+        let frame = |from: u32, frame| Input::Frame {
+            from: NodeId::new(from),
+            frame,
+        };
+        let inputs = vec![
+            Input::Offer(Payload::from_static(b"a")),
+            Input::Offer(Payload::from_static(b"b")),
+            gossip(0, first),
+            gossip(first, BURST),
+            Input::Round,
+            frame(2, GossipFrame::Graft(graft)),
+            frame(1, GossipFrame::Retransmit(retransmit)),
+            Input::Round,
+        ];
+        let at = |i: usize| TimeMs::from_secs(1 + i as u64 / 4);
+        inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| (at(i), x))
+            .collect()
+    }
+
+    /// What [`NodeShell::step`] does with `input`, as direct calls.
+    fn call(protocol: &mut dyn FrameProtocol, now: TimeMs, input: Input) -> Vec<Outgoing> {
+        match input {
+            Input::Offer(payload) => {
+                protocol.offer(payload, now);
+                Vec::new()
+            }
+            Input::Frame { from, frame } => protocol.on_receive(from, frame, now),
+            Input::Round => protocol.on_round(now),
+            _ => unreachable!("the burst has no other input"),
+        }
+    }
+
+    /// What a layer reading its inner node's events feeds on: a drop
+    /// counted twice moves `avg_age`.
+    fn state(p: &dyn FrameProtocol) -> impl PartialEq + std::fmt::Debug {
+        let rates = (p.allowed_rate(), p.avg_age(), p.avg_tokens());
+        (
+            p.buffer_len(),
+            p.pending_len(),
+            rates,
+            p.min_buff_estimate(),
+        )
+    }
+
+    fn assert_unallocated<O: NodeObserver>(shell: &mut NodeShell<O>) {
+        let queue = shell.protocol.events();
+        assert!(queue.is_empty() && queue.capacity() == 0, "{queue:?}");
+    }
+
+    #[test]
+    fn every_stack_pushes_into_the_lent_scratch_in_drain_order() {
+        for (algorithm, recovery) in stacks() {
+            let what = format!("{algorithm:?}, recovery {}", recovery.is_some());
+            let mut shell = NodeShell::new(build(&algorithm, recovery.clone()), None, N, ());
+            let mut direct = build(&algorithm, recovery.clone());
+            let (mut events, mut drained) = (Vec::new(), Vec::new());
+            for ((now, input), (_, same)) in burst().into_iter().zip(burst()) {
+                let mut out = Vec::new();
+                shell.step(now, input, &mut out, &mut events);
+                assert_unallocated(&mut shell);
+                assert!(out == call(direct.as_mut(), now, same), "{what}");
+                drained.extend(direct.drain_events());
+                assert_eq!(state(shell.protocol()), state(direct.as_ref()), "{what}");
+            }
+            assert!(events == drained, "{what}");
+            let overflows = events.iter().filter(|e| {
+                matches!(
+                    e,
+                    ProtocolEvent::Dropped {
+                        reason: PurgeReason::Overflow,
+                        ..
+                    }
+                )
+            });
+            assert!(overflows.count() >= BURST as usize, "{what}");
+            let recovered = events
+                .iter()
+                .any(|e| matches!(e, ProtocolEvent::Recovered { .. }));
+            assert_eq!(recovered, recovery.is_some(), "{what}");
+        }
+    }
+
+    /// Records every event the shell shows its observer.
+    #[derive(Default)]
+    struct Shown(Vec<ProtocolEvent>);
+
+    impl NodeObserver for Shown {
+        fn on_events(&mut self, events: &[ProtocolEvent]) {
+            self.0.extend_from_slice(events);
+        }
+    }
+
+    fn admitted_seqs(events: &[ProtocolEvent]) -> Vec<u64> {
+        let seq = |e: &ProtocolEvent| match e {
+            ProtocolEvent::Admitted { id, .. } => Some(id.seq()),
+            _ => None,
+        };
+        events.iter().filter_map(seq).collect()
+    }
+
+    #[test]
+    fn events_queued_between_steps_come_out_first() {
+        let recovery = Some(RecoveryConfig::default());
+        let protocol = build(&Algorithm::Adaptive, recovery);
+        let mut shell = NodeShell::new(protocol, None, N, Shown::default());
+        let (mut out, mut events) = (Vec::new(), Vec::new());
+        shell.protocol.offer(Payload::new(), TimeMs::ZERO);
+        shell.step(
+            TimeMs::ZERO,
+            Input::Offer(Payload::new()),
+            &mut out,
+            &mut events,
+        );
+        assert_unallocated(&mut shell);
+        assert_eq!(admitted_seqs(&events), [0, 1]);
+        assert!(matches!(events[0], ProtocolEvent::Admitted { .. }));
+        assert_eq!(shell.observer().0, events);
+    }
+
+    #[test]
+    fn restart_and_join_hand_the_lent_scratch_back() {
+        for join in [false, true] {
+            let recovery = Some(RecoveryConfig::default());
+            let protocol = build(&Algorithm::Lpbcast, recovery.clone());
+            let mut shell = NodeShell::new(protocol, None, N, Shown::default());
+            let (mut out, mut events) = (Vec::new(), Vec::new());
+            shell.step(
+                TimeMs::ZERO,
+                Input::Offer(Payload::new()),
+                &mut out,
+                &mut events,
+            );
+            // The new incarnation queued an admission before it was
+            // handed in; the driver has not consumed the first step's.
+            let mut fresh = build(&Algorithm::Lpbcast, recovery);
+            fresh.offer(Payload::new(), TimeMs::ZERO);
+            let input = if join {
+                Input::Join(fresh)
+            } else {
+                Input::Restart(fresh)
+            };
+            shell.step(TimeMs::from_secs(1), input, &mut out, &mut events);
+            assert_unallocated(&mut shell);
+            shell.step(
+                TimeMs::from_secs(1),
+                Input::Offer(Payload::new()),
+                &mut out,
+                &mut events,
+            );
+            assert_unallocated(&mut shell);
+            assert_eq!(admitted_seqs(&events), [0, 0, 1], "join {join}");
+            assert_eq!(shell.observer().0, events, "join {join}");
+        }
     }
 }

@@ -12,9 +12,10 @@
 //! A run that exits non-zero or prints `"correct": false` fails the
 //! gate. On a regression the gate runs one traced pair of each failing
 //! workload and prints its per-layer metrics, largest relative change
-//! first, so the failure names the layer that moved.
+//! first, so the failure names the layer that moved. Each table also
+//! says, unjudged, whether every run printed the same `env` checkpoint.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
@@ -94,12 +95,22 @@ fn parse_spec(text: &str) -> Result<Spec, String> {
     })
 }
 
-/// The result line of one benchmark run.
+/// The result line of one benchmark run, and its `env` `checkpoint`.
 #[derive(Debug, Clone)]
 struct RunResult {
     attempted: u64,
     failed: u64,
     metrics: BTreeMap<String, f64>,
+    checkpoint: Option<String>,
+}
+
+/// The `checkpoint` of an `env` line (`{"env": {...}}`), if it has one.
+fn env_checkpoint(line: &str) -> Option<String> {
+    let json = Json::parse(line).ok()?;
+    json.get("env")?
+        .get("checkpoint")?
+        .as_str()
+        .map(String::from)
 }
 
 /// Parses a result line; `"correct": false` is an error.
@@ -127,6 +138,7 @@ fn parse_result(line: &str) -> Result<RunResult, String> {
         attempted: count("attempted")?,
         failed: count("failed")?,
         metrics,
+        checkpoint: None,
     })
 }
 
@@ -241,8 +253,15 @@ fn table(workload: &str, runs: &Runs, rows: &[Row<'_>]) -> String {
         let (attempted, failed) = (sum(|r| r.attempted), sum(|r| r.failed));
         format!("{} attempted {attempted}, failed {failed}", SIDES[side])
     };
+    let each = |s: usize| Vec::from_iter(runs[s].iter().map(|r| r.checkpoint.as_deref()));
+    let seen = BTreeSet::from_iter(each(0).into_iter().chain(each(1)));
+    let checkpoint = match Vec::from_iter(seen)[..] {
+        [None] => "none reported".to_string(),
+        [Some(c)] => format!("the same in every run, {c}"),
+        _ => format!("differs; base {:?}; change {:?}", each(0), each(1)),
+    };
     let mut out = format!(
-        "{workload}: {}; {}\n  {:<26} {:>14} {:>14} {:>9} {:>9} {:>6}  verdict\n",
+        "{workload}: {}; {}\n  checkpoint: {checkpoint}\n  {:<26} {:>14} {:>14} {:>9} {:>9} {:>6}  verdict\n",
         ops(0),
         ops(1),
         "metric",
@@ -297,7 +316,9 @@ fn run_once(bin: &Path, side: usize, workload: &str, trace: &str) -> Result<RunR
         .map_err(|e| format!("cannot start {}: {e}", bin.display()))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
     let result = if out.status.success() {
+        let checkpoint = stdout.lines().find_map(env_checkpoint);
         parse_result(stdout.lines().last().unwrap_or_default())
+            .map(|r| RunResult { checkpoint, ..r })
     } else {
         Err(format!("exited with {}", out.status))
     };
@@ -517,6 +538,41 @@ mod tests {
         assert!(parse_result(&wrong).unwrap_err().contains("not correct"));
         assert!(parse_result("{\"env\": {}}").is_err());
         assert!(parse_result("").is_err());
+    }
+
+    #[test]
+    fn reads_and_compares_the_env_checkpoint() {
+        let with = r#"{"env": {"workload": "w1", "checkpoint": "checksum 0x1 sends 2"}}"#;
+        let without = r#"{"env": {"workload": "w1", "seed": "1"}}"#;
+        assert_eq!(
+            env_checkpoint(with).as_deref(),
+            Some("checksum 0x1 sends 2")
+        );
+        assert_eq!(env_checkpoint(without), None);
+        assert_eq!(env_checkpoint(&line(&[("rate", 1.0)])), None);
+        let (spec, mut w) = (spec(), runs(&[(1.0, 1.0); 2], &[(1.0, 1.0); 2]));
+        let rows = compare(
+            &spec,
+            &BTreeMap::from([("w1".into(), w.clone()), ("w2".into(), w.clone())]),
+        )
+        .unwrap()
+        .remove(0)
+        .1;
+        assert!(table("w1", &w, &rows).contains("checkpoint: none reported"));
+        for run in w.iter_mut().flatten() {
+            run.checkpoint = env_checkpoint(with);
+        }
+        let same = table("w1", &w, &rows);
+        assert!(
+            same.contains("checkpoint: the same in every run, checksum 0x1 sends 2"),
+            "{same}"
+        );
+        w[1][1].checkpoint = None;
+        let differs = table("w1", &w, &rows);
+        let expected =
+            "differs; base [Some(\"checksum 0x1 sends 2\"), Some(\"checksum 0x1 sends 2\")]; \
+                        change [Some(\"checksum 0x1 sends 2\"), None]\n";
+        assert!(differs.contains(expected), "{differs}");
     }
 
     #[test]

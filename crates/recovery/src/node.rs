@@ -31,8 +31,9 @@ use crate::missing::MissingTracker;
 ///   round-robin on retry;
 /// * recovered events are fed through the wrapped node's normal receive
 ///   path, so they are delivered once, re-buffered, and re-disseminated;
-/// * the wrapped node's protocol events drain straight into this layer's
-///   own event queue, where each delivery is cached as it is appended;
+/// * the stack has one event queue, the wrapped node's: this layer
+///   pushes its own events there as they happen, and caches each
+///   delivery a call on the wrapped node appended to it;
 /// * a recovery frame that names one id more than once is read as if it
 ///   named it once (the first occurrence wins).
 ///
@@ -69,7 +70,6 @@ pub struct RecoverableNode<P> {
     round: u64,
     graft_ids_this_round: usize,
     served_events_this_round: usize,
-    out_events: Vec<ProtocolEvent>,
 }
 
 impl<P: FrameProtocol> RecoverableNode<P> {
@@ -89,24 +89,23 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             round: 0,
             graft_ids_this_round: 0,
             served_events_this_round: 0,
-            out_events: Vec::new(),
             inner,
             config,
         }
     }
 
-    /// Drains the wrapped node's protocol events into `out_events`: each
-    /// delivered event enters the retransmission cache and closes any
-    /// matching gap.
-    fn sync(&mut self) {
-        let start = self.out_events.len();
-        self.inner.drain_events_into(&mut self.out_events);
-        for event in &self.out_events[start..] {
+    /// Runs `call` on the wrapped node: each delivery it appended to the
+    /// queue enters the retransmission cache and closes any matching gap.
+    fn inner_call<R>(&mut self, call: impl FnOnce(&mut P) -> R) -> R {
+        let start = self.inner.events().len();
+        let result = call(&mut self.inner);
+        for event in &self.inner.events()[start..] {
             if let ProtocolEvent::Delivered { event, .. } = event {
                 self.cache.insert(event.clone());
                 self.missing.resolve(event.id());
             }
         }
+        result
     }
 
     /// Emits due pull requests within the remaining round budget.
@@ -124,9 +123,9 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             self.config.graft_timeout_rounds,
             self.config.max_retries,
         );
+        let events = self.inner.events();
         for id in abandoned {
-            self.out_events
-                .push(ProtocolEvent::RecoveryAbandoned { id, at: now });
+            events.push(ProtocolEvent::RecoveryAbandoned { id, at: now });
         }
         self.graft_ids_this_round += due.len();
         // Group ids by advertiser, preserving discovery order.
@@ -141,7 +140,7 @@ impl<P: FrameProtocol> RecoverableNode<P> {
         requests
             .into_iter()
             .map(|(to, ids)| {
-                self.out_events.push(ProtocolEvent::RecoveryRequested {
+                self.inner.events().push(ProtocolEvent::RecoveryRequested {
                     to,
                     ids: ids.len(),
                     at: now,
@@ -173,7 +172,7 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             }
         }
         self.served_events_this_round += events.len();
-        self.out_events.push(ProtocolEvent::RecoveryServed {
+        self.inner.events().push(ProtocolEvent::RecoveryServed {
             to: request.sender,
             events: events.len(),
             missed,
@@ -192,7 +191,7 @@ impl<P: FrameProtocol> RecoverableNode<P> {
     /// Hands a gossip message to the wrapped node's receive path. A plain
     /// flavor answers nothing: the pull plane is this layer's.
     fn feed_inner(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) {
-        let replies = self.inner.on_receive(from, GossipFrame::plain(msg), now);
+        let replies = self.inner_call(|inner| inner.on_receive(from, GossipFrame::plain(msg), now));
         debug_assert!(replies.is_empty(), "the wrapped node must be plain");
     }
 
@@ -212,8 +211,8 @@ impl<P: FrameProtocol> RecoverableNode<P> {
         for event in retransmission.events {
             let id = event.id();
             if self.inner.has_seen(id) {
-                self.out_events
-                    .push(ProtocolEvent::RecoveryDuplicate { id, at: now });
+                let duplicate = ProtocolEvent::RecoveryDuplicate { id, at: now };
+                self.inner.events().push(duplicate);
             } else {
                 if self.missing.contains(id) {
                     recovered.push(id);
@@ -232,10 +231,9 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             membership: MembershipDigest::default(),
         };
         self.feed_inner(from, synthesized, now);
-        self.sync();
+        let events = self.inner.events();
         for id in recovered {
-            self.out_events
-                .push(ProtocolEvent::Recovered { id, from, at: now });
+            events.push(ProtocolEvent::Recovered { id, from, at: now });
         }
     }
 }
@@ -259,9 +257,7 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
     }
 
     fn offer(&mut self, payload: Payload, now: TimeMs) -> OfferOutcome {
-        let outcome = self.inner.offer(payload, now);
-        self.sync();
-        outcome
+        self.inner_call(|inner| inner.offer(payload, now))
     }
 
     fn on_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
@@ -270,8 +266,7 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
         self.served_events_this_round = 0;
         self.cache.on_round();
 
-        let mut out = self.inner.on_round(now);
-        self.sync();
+        let mut out = self.inner_call(|inner| inner.on_round(now));
         let digest = IHaveDigest {
             ids: self.cache.advertise(self.config.digest_size),
         };
@@ -293,7 +288,6 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
         match frame {
             GossipFrame::Gossip { msg, ihave } => {
                 self.feed_inner(from, msg, now);
-                self.sync();
                 if let Some(digest) = ihave {
                     for id in digest.ids {
                         if !self.inner.has_seen(id) {
@@ -313,14 +307,13 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
         }
     }
 
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
-        self.sync();
-        out.append(&mut self.out_events);
+    /// The wrapped node's queue, which holds this layer's events too.
+    fn events(&mut self) -> &mut Vec<ProtocolEvent> {
+        self.inner.events()
     }
 
     fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {
-        self.inner.set_buffer_capacity(capacity, now);
-        self.sync();
+        self.inner_call(|inner| inner.set_buffer_capacity(capacity, now));
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -362,9 +355,7 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
     fn leave(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         // Farewell frames pass through without a digest: the leaver will
         // not be around to serve grafts.
-        let farewells = self.inner.leave(now);
-        self.sync();
-        farewells
+        self.inner_call(|inner| inner.leave(now))
     }
 
     fn evict_peer(&mut self, node: NodeId) {

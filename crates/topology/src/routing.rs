@@ -260,8 +260,8 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
         Vec::new()
     }
 
-    fn drain_events_into(&mut self, out: &mut Vec<ProtocolEvent>) {
-        out.append(&mut self.out_events);
+    fn events(&mut self) -> &mut Vec<ProtocolEvent> {
+        &mut self.out_events
     }
 
     fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {

@@ -33,9 +33,8 @@
 //!
 //! ```
 //! use agb_chaos::{ChaosCluster, ChaosSchedule};
-//! use agb_membership::PartialViewConfig;
 //! use agb_types::{DurationMs, NodeId, TimeMs};
-//! use agb_workload::{Algorithm, ClusterConfig, MembershipKind};
+//! use agb_workload::{ClusterConfig, MembershipKind};
 //!
 //! let mut schedule = ChaosSchedule::new();
 //! schedule
@@ -43,7 +42,7 @@
 //!     .restart(TimeMs::from_secs(20), NodeId::new(7));
 //!
 //! let mut config = ClusterConfig::new(20, 42);
-//! config.membership = MembershipKind::Partial(PartialViewConfig::default());
+//! config.membership = MembershipKind::Partial;
 //! config.n_senders = 2;
 //! config.offered_rate = 4.0;
 //!

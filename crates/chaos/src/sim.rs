@@ -150,7 +150,7 @@ impl ChaosCluster {
                 _ => {}
             }
         }
-        let watch_views = matches!(config.membership, MembershipKind::Partial(_));
+        let watch_views = config.membership == MembershipKind::Partial;
         let mut cluster = GossipCluster::build(config);
         let mut epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut watches = Vec::new();
@@ -337,14 +337,13 @@ impl ChaosCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agb_membership::PartialViewConfig;
     use agb_types::TimeMs;
     use agb_workload::Algorithm;
 
     fn base_config(seed: u64) -> ClusterConfig {
         let mut c = ClusterConfig::new(20, seed);
         c.algorithm = Algorithm::Lpbcast;
-        c.membership = MembershipKind::Partial(PartialViewConfig::default());
+        c.membership = MembershipKind::Partial;
         c.n_senders = 2;
         c.offered_rate = 4.0;
         c

@@ -21,7 +21,7 @@
 //! (§3.2, validated by Figure 9's heterogeneous runs).
 
 use agb_membership::GossipMembership;
-use agb_types::{DetRng, DurationMs, EventId, Ewma, NodeId, Payload, TimeMs};
+use agb_types::{DetRng, EventId, Ewma, NodeId, Payload, TimeMs};
 
 use crate::buffer::{PurgeReason, PurgedEvent};
 use crate::config::{AdaptationConfig, GossipConfig};
@@ -32,6 +32,10 @@ use crate::minbuff::MinBuffEstimator;
 use crate::rate::RateController;
 use crate::token_bucket::TokenBucket;
 use crate::traits::{FrameProtocol, OfferOutcome, ProtocolEvent};
+
+/// EWMA weight for `avgTokens`: the paper's `α` (0.9), the same smoothing
+/// Figure 5(b) gives `avgAge` by default.
+const TOKEN_ALPHA: f64 = 0.9;
 
 /// The adaptive gossip broadcast state machine (lpbcast + Figure 5).
 ///
@@ -86,9 +90,6 @@ impl<S: GossipMembership> AdaptiveNode<S> {
         adaptation
             .validate()
             .unwrap_or_else(|e| panic!("invalid AdaptationConfig: {e}"));
-        let mut gossip = gossip;
-        // The adaptive throttle replaces any static rate limit.
-        gossip.static_rate = None;
         let capacity = gossip.max_events as u32;
         let inner_seed: u64 = rand::RngExt::random(&mut rng);
         let inner_rng = <DetRng as rand::SeedableRng>::seed_from_u64(inner_seed);
@@ -101,7 +102,7 @@ impl<S: GossipMembership> AdaptiveNode<S> {
             adaptation.bucket_capacity,
             TimeMs::ZERO,
         ));
-        let avg_tokens = Ewma::new(adaptation.token_alpha, 0.0);
+        let avg_tokens = Ewma::new(TOKEN_ALPHA, 0.0);
         AdaptiveNode {
             inner,
             min_buff,
@@ -250,10 +251,6 @@ impl<S: GossipMembership> FrameProtocol for AdaptiveNode<S> {
         self.inner.pending_len()
     }
 
-    fn gossip_period(&self) -> DurationMs {
-        self.inner.gossip_period()
-    }
-
     fn avg_age(&self) -> Option<f64> {
         Some(self.congestion.avg_age())
     }
@@ -371,9 +368,7 @@ mod tests {
         adapt.initial_rate = 10.0;
         adapt.congestion = CongestionConfig {
             alpha: 0.0, // track samples immediately
-            initial_age: 10.0,
             no_drop_relief: false,
-            relief_age: 10.0,
         };
         adapt.rate = RateConfig {
             low_age: 4.0,

@@ -3,6 +3,8 @@
 
 use agb_types::{ConfigError, ConfigResult, DurationMs};
 
+use crate::rate::MIN_RATE;
+
 /// Parameters of the base gossip algorithm (Figure 1).
 ///
 /// | Field           | Paper symbol      |
@@ -12,6 +14,12 @@ use agb_types::{ConfigError, ConfigResult, DurationMs};
 /// | `max_events`    | `|events|max`     |
 /// | `max_event_ids` | `|eventIds|max`   |
 /// | `age_cap`       | `k`               |
+///
+/// Every flavor reads `F`, `T`, its buffer bound (`max_events`) and its
+/// id window (`max_event_ids`) from here, and every execution surface
+/// times its rounds by `T`. Figure 3's static input rate is not a field: agb-node's
+/// `Algorithm::LpbcastStatic` installs it with
+/// [`LpbcastNode::with_static_rate`](crate::LpbcastNode::with_static_rate).
 ///
 /// # Example
 ///
@@ -33,10 +41,6 @@ pub struct GossipConfig {
     pub max_event_ids: usize,
     /// Maximum age before an event is garbage-collected (`k`).
     pub age_cap: u32,
-    /// Optional static input rate limit in msgs/s (the non-adaptive token
-    /// bucket of Figure 3). `None` leaves the baseline unthrottled, as in
-    /// the paper's lpbcast runs.
-    pub static_rate: Option<f64>,
 }
 
 impl Default for GossipConfig {
@@ -51,7 +55,6 @@ impl Default for GossipConfig {
             max_events: 90,
             max_event_ids: 50_000,
             age_cap: 10,
-            static_rate: None,
         }
     }
 }
@@ -80,14 +83,6 @@ impl GossipConfig {
         }
         if self.age_cap == 0 {
             return Err(ConfigError::new("age_cap", "must be at least 1"));
-        }
-        if let Some(rate) = self.static_rate {
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(ConfigError::new(
-                    "static_rate",
-                    "must be finite and positive when set",
-                ));
-            }
         }
         Ok(())
     }
@@ -140,29 +135,26 @@ impl MinBuffConfig {
 }
 
 /// Parameters of the congestion estimator (Figure 5(b)).
+///
+/// `avgAge` starts at `INITIAL_AGE` = 10 hops, optimistic at the default
+/// age cap `k` so a cold start decreases nothing, and the no-drop relief
+/// drifts it toward `RELIEF_AGE` = 10 hops, again `k`; both constants live
+/// beside [`CongestionEstimator`](crate::CongestionEstimator).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionConfig {
     /// EWMA weight `α` for `avgAge` (§3.4 recommends close to 1; the paper
     /// uses 0.9).
     pub alpha: f64,
-    /// Initial `avgAge` before any sample. Starting optimistic (at the
-    /// relief age) avoids a cold-start decrease.
-    pub initial_age: f64,
-    /// Drift `avgAge` toward `relief_age` on receives with nothing to drop
+    /// Drift `avgAge` toward `RELIEF_AGE` on receives with nothing to drop
     /// (see docs/ARCHITECTURE.md on why pure Figure 5(b) can wedge).
     pub no_drop_relief: bool,
-    /// The optimistic age used by the relief drift; a natural choice is the
-    /// age cap `k`.
-    pub relief_age: f64,
 }
 
 impl Default for CongestionConfig {
     fn default() -> Self {
         CongestionConfig {
             alpha: 0.9,
-            initial_age: 10.0,
             no_drop_relief: true,
-            relief_age: 10.0,
         }
     }
 }
@@ -177,17 +169,18 @@ impl CongestionConfig {
         if !self.alpha.is_finite() || !(0.0..=1.0).contains(&self.alpha) {
             return Err(ConfigError::new("alpha", "must be within [0, 1]"));
         }
-        if !self.initial_age.is_finite() || self.initial_age < 0.0 {
-            return Err(ConfigError::new("initial_age", "must be non-negative"));
-        }
-        if !self.relief_age.is_finite() || self.relief_age < 0.0 {
-            return Err(ConfigError::new("relief_age", "must be non-negative"));
-        }
         Ok(())
     }
 }
 
 /// Parameters of the rate controller (Figure 5(c)).
+///
+/// The controller keeps three constants beside
+/// [`RateController`](crate::RateController): the rate floor `MIN_RATE` =
+/// 0.05 msgs/s, which keeps senders probing under congestion, and the
+/// marks on the token bucket's depth `max` (§3.3's `avgTokens`): at most
+/// `TOKEN_LOW_FRAC` = 0.25 × `max` counts as a fully used allowance, at
+/// least `TOKEN_HIGH_FRAC` = 0.75 × `max` as an unused one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateConfig {
     /// Low-age mark `L`: decrease below this.
@@ -201,14 +194,8 @@ pub struct RateConfig {
     /// Probability `γ` that an eligible sender actually increases this
     /// round (de-synchronizes sender populations; the paper uses 0.1).
     pub gamma: f64,
-    /// Rate floor, msgs/s (keeps senders probing even under congestion).
-    pub min_rate: f64,
     /// Rate ceiling, msgs/s.
     pub max_rate: f64,
-    /// `avgTokens ≤ token_low_frac × max` counts as "allowance fully used".
-    pub token_low_frac: f64,
-    /// `avgTokens ≥ token_high_frac × max` counts as "allowance unused".
-    pub token_high_frac: f64,
 }
 
 impl Default for RateConfig {
@@ -221,10 +208,7 @@ impl Default for RateConfig {
             delta_dec: 0.25,
             delta_inc: 0.10,
             gamma: 0.1,
-            min_rate: 0.05,
             max_rate: 10_000.0,
-            token_low_frac: 0.25,
-            token_high_frac: 0.75,
         }
     }
 }
@@ -239,7 +223,6 @@ impl RateConfig {
         for (name, v) in [
             ("low_age", self.low_age),
             ("high_age", self.high_age),
-            ("min_rate", self.min_rate),
             ("max_rate", self.max_rate),
         ] {
             if !v.is_finite() || v < 0.0 {
@@ -260,21 +243,10 @@ impl RateConfig {
         if !self.gamma.is_finite() || !(0.0..=1.0).contains(&self.gamma) {
             return Err(ConfigError::new("gamma", "must be within [0, 1]"));
         }
-        if self.min_rate > self.max_rate {
-            return Err(ConfigError::new("min_rate", "must not exceed max_rate"));
-        }
-        if !(0.0..=1.0).contains(&self.token_low_frac)
-            || !(0.0..=1.0).contains(&self.token_high_frac)
-        {
+        if self.max_rate < MIN_RATE {
             return Err(ConfigError::new(
-                "token_low_frac/token_high_frac",
-                "must be within [0, 1]",
-            ));
-        }
-        if self.token_low_frac > self.token_high_frac {
-            return Err(ConfigError::new(
-                "token_low_frac",
-                "must not exceed token_high_frac",
+                "max_rate",
+                format!("must be at least the rate floor, {MIN_RATE} msgs/s"),
             ));
         }
         Ok(())
@@ -282,6 +254,9 @@ impl RateConfig {
 }
 
 /// Full configuration of the adaptive mechanism (Figure 5).
+///
+/// `avgTokens` is smoothed with `TOKEN_ALPHA` = 0.9, the paper's `α`,
+/// beside [`AdaptiveNode`](crate::AdaptiveNode).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationConfig {
     /// Distributed min-buffer estimation (Figure 5(a)).
@@ -294,8 +269,6 @@ pub struct AdaptationConfig {
     pub initial_rate: f64,
     /// Token bucket depth in messages (burst tolerance). The paper's `max`.
     pub bucket_capacity: f64,
-    /// EWMA weight for `avgTokens` (usually the same `α` as `avgAge`).
-    pub token_alpha: f64,
 }
 
 impl Default for AdaptationConfig {
@@ -306,7 +279,6 @@ impl Default for AdaptationConfig {
             rate: RateConfig::default(),
             initial_rate: 1.0,
             bucket_capacity: 4.0,
-            token_alpha: 0.9,
         }
     }
 }
@@ -326,9 +298,6 @@ impl AdaptationConfig {
         }
         if !self.bucket_capacity.is_finite() || self.bucket_capacity < 1.0 {
             return Err(ConfigError::new("bucket_capacity", "must be at least 1"));
-        }
-        if !self.token_alpha.is_finite() || !(0.0..=1.0).contains(&self.token_alpha) {
-            return Err(ConfigError::new("token_alpha", "must be within [0, 1]"));
         }
         Ok(())
     }
@@ -368,10 +337,6 @@ mod tests {
         let mut c = GossipConfig::default();
         c.age_cap = 0;
         assert_eq!(c.validate().unwrap_err().field(), "age_cap");
-
-        let mut c = GossipConfig::default();
-        c.static_rate = Some(0.0);
-        assert_eq!(c.validate().unwrap_err().field(), "static_rate");
     }
 
     #[test]
@@ -382,14 +347,8 @@ mod tests {
         assert_eq!(c.validate().unwrap_err().field(), "low_age");
 
         let mut c = RateConfig::default();
-        c.min_rate = 50.0;
-        c.max_rate = 10.0;
-        assert_eq!(c.validate().unwrap_err().field(), "min_rate");
-
-        let mut c = RateConfig::default();
-        c.token_low_frac = 0.9;
-        c.token_high_frac = 0.5;
-        assert!(c.validate().is_err());
+        c.max_rate = MIN_RATE / 2.0;
+        assert_eq!(c.validate().unwrap_err().field(), "max_rate");
 
         let mut c = RateConfig::default();
         c.delta_dec = 1.0;
@@ -405,9 +364,6 @@ mod tests {
         let mut c = CongestionConfig::default();
         c.alpha = 1.1;
         assert_eq!(c.validate().unwrap_err().field(), "alpha");
-        let mut c = CongestionConfig::default();
-        c.initial_age = f64::NAN;
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -431,8 +387,5 @@ mod tests {
         let mut c = AdaptationConfig::default();
         c.bucket_capacity = 0.0;
         assert_eq!(c.validate().unwrap_err().field(), "bucket_capacity");
-        let mut c = AdaptationConfig::default();
-        c.token_alpha = 2.0;
-        assert_eq!(c.validate().unwrap_err().field(), "token_alpha");
     }
 }

@@ -14,6 +14,13 @@ use agb_types::{EventId, Ewma};
 use crate::buffer::EventBuffer;
 use crate::config::CongestionConfig;
 
+/// `avgAge` before any sample, in hops: optimistic, at the default age cap
+/// `k`, so a cold start triggers no decrease.
+const INITIAL_AGE: f64 = 10.0;
+/// The optimistic age the no-drop relief drifts `avgAge` toward, in hops:
+/// the default age cap `k`, the age an undisturbed event dies at.
+const RELIEF_AGE: f64 = 10.0;
+
 /// The `avgAge` congestion estimator.
 ///
 /// # Example
@@ -39,10 +46,9 @@ pub struct CongestionEstimator {
 }
 
 impl CongestionEstimator {
-    /// Creates an estimator; `avgAge` starts at the configured initial
-    /// value.
+    /// Creates an estimator; `avgAge` starts at `INITIAL_AGE`.
     pub fn new(config: CongestionConfig) -> Self {
-        let avg_age = Ewma::new(config.alpha, config.initial_age);
+        let avg_age = Ewma::new(config.alpha, INITIAL_AGE);
         CongestionEstimator {
             config,
             avg_age,
@@ -59,7 +65,7 @@ impl CongestionEstimator {
     ///
     /// When there is nothing to drop (and `suppress_relief` is false, i.e.
     /// no real eviction just happened either) and `no_drop_relief` is
-    /// enabled, the average instead drifts toward `relief_age` — the escape
+    /// enabled, the average instead drifts toward `RELIEF_AGE` — the escape
     /// hatch that lets a sender rediscover headroom after congestion clears
     /// entirely (see docs/ARCHITECTURE.md for why the paper's verbatim rule can
     /// deadlock).
@@ -67,7 +73,7 @@ impl CongestionEstimator {
         let would = buffer.would_evict(min_buff, &self.lost);
         if would.is_empty() {
             if self.config.no_drop_relief && !suppress_relief && buffer.len() <= min_buff {
-                self.avg_age.update(self.config.relief_age);
+                self.avg_age.update(RELIEF_AGE);
             }
             return;
         }
@@ -104,6 +110,7 @@ impl CongestionEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::{PurgeReason, PurgedEvent};
     use crate::event::Event;
     use agb_types::{NodeId, Payload};
 
@@ -118,16 +125,24 @@ mod tests {
     fn config(alpha: f64) -> CongestionConfig {
         CongestionConfig {
             alpha,
-            initial_age: 5.0,
             no_drop_relief: false,
-            relief_age: 10.0,
         }
+    }
+
+    /// An overflow purge of an age-`age` event the estimator never
+    /// scanned: a genuine congestion sample.
+    fn overflow(est: &mut CongestionEstimator, s: u64, age: u32) {
+        est.on_purged(&PurgedEvent {
+            id: id(s),
+            age,
+            reason: PurgeReason::Overflow,
+        });
     }
 
     #[test]
     fn starts_at_initial_age() {
         let est = CongestionEstimator::new(config(0.9));
-        assert_eq!(est.avg_age(), 5.0);
+        assert_eq!(est.avg_age(), INITIAL_AGE);
     }
 
     #[test]
@@ -137,13 +152,13 @@ mod tests {
         buf.insert(ev(0, 8));
         buf.insert(ev(1, 2));
         est.scan(&buf, 1, false);
-        assert_eq!(est.avg_age(), 6.5);
+        assert_eq!(est.avg_age(), 9.0);
         assert_eq!(est.lost.len(), 1);
         // Second scan with the same state: the age-8 event is already in
         // `lost`, and the remaining single event fits in min_buff=1, so
         // no sample moves the average.
         est.scan(&buf, 1, false);
-        assert_eq!(est.avg_age(), 6.5);
+        assert_eq!(est.avg_age(), 9.0);
         assert_eq!(est.lost.len(), 1);
     }
 
@@ -172,11 +187,7 @@ mod tests {
         assert_eq!(est.avg_age(), 8.0);
         // The event really leaves the buffer now: pruned from `lost`,
         // not double counted.
-        est.on_purged(&crate::buffer::PurgedEvent {
-            id: id(0),
-            age: 9,
-            reason: crate::buffer::PurgeReason::Overflow,
-        });
+        overflow(&mut est, 0, 9);
         assert_eq!(est.lost.len(), 0);
         assert_eq!(est.avg_age(), 8.0);
     }
@@ -184,60 +195,57 @@ mod tests {
     #[test]
     fn real_overflow_purge_counts_when_not_prescanned() {
         let mut est = CongestionEstimator::new(config(0.0));
-        est.on_purged(&crate::buffer::PurgedEvent {
-            id: id(7),
-            age: 3,
-            reason: crate::buffer::PurgeReason::Overflow,
-        });
+        overflow(&mut est, 7, 3);
         assert_eq!(est.avg_age(), 3.0);
     }
 
     #[test]
     fn age_cap_purge_never_counts() {
         let mut est = CongestionEstimator::new(config(0.0));
-        est.on_purged(&crate::buffer::PurgedEvent {
+        est.on_purged(&PurgedEvent {
             id: id(7),
             age: 11,
-            reason: crate::buffer::PurgeReason::AgeCap,
+            reason: PurgeReason::AgeCap,
         });
-        assert_eq!(est.avg_age(), 5.0);
+        assert_eq!(est.avg_age(), INITIAL_AGE);
     }
 
     #[test]
     fn suppress_relief_blocks_drift() {
         let mut est = CongestionEstimator::new(CongestionConfig {
             alpha: 0.5,
-            initial_age: 2.0,
             no_drop_relief: true,
-            relief_age: 10.0,
         });
+        // Pull avgAge below the relief age first: 0.5 × 10 + 0.5 × 2.
+        overflow(&mut est, 7, 2);
+        assert_eq!(est.avg_age(), 6.0);
         let buf = EventBuffer::new(10);
         est.scan(&buf, 5, true);
-        assert_eq!(est.avg_age(), 2.0);
+        assert_eq!(est.avg_age(), 6.0);
     }
 
     #[test]
     fn relief_drifts_toward_relief_age() {
         let mut est = CongestionEstimator::new(CongestionConfig {
             alpha: 0.5,
-            initial_age: 2.0,
             no_drop_relief: true,
-            relief_age: 10.0,
         });
+        overflow(&mut est, 7, 2);
         let buf = EventBuffer::new(10); // empty: nothing to drop
         est.scan(&buf, 5, false);
-        assert_eq!(est.avg_age(), 6.0);
-        est.scan(&buf, 5, false);
         assert_eq!(est.avg_age(), 8.0);
+        est.scan(&buf, 5, false);
+        assert_eq!(est.avg_age(), 9.0);
         assert_eq!(est.lost.len(), 0);
     }
 
     #[test]
     fn no_relief_when_disabled() {
         let mut est = CongestionEstimator::new(config(0.5));
+        overflow(&mut est, 7, 2);
         let buf = EventBuffer::new(10);
         est.scan(&buf, 5, false);
-        assert_eq!(est.avg_age(), 5.0);
+        assert_eq!(est.avg_age(), 6.0);
     }
 
     #[test]
@@ -247,9 +255,7 @@ mod tests {
         // buffer.len() <= min_buff which is false -> no relief either.
         let mut est = CongestionEstimator::new(CongestionConfig {
             alpha: 0.0,
-            initial_age: 5.0,
             no_drop_relief: true,
-            relief_age: 10.0,
         });
         let mut buf = EventBuffer::new(10);
         for (s, age) in [(0, 9), (1, 8), (2, 1)] {
@@ -263,16 +269,11 @@ mod tests {
 
     #[test]
     fn ewma_smooths_with_alpha() {
-        let mut est = CongestionEstimator::new(CongestionConfig {
-            alpha: 0.9,
-            initial_age: 5.0,
-            no_drop_relief: false,
-            relief_age: 10.0,
-        });
+        let mut est = CongestionEstimator::new(config(0.9));
         let mut buf = EventBuffer::new(10);
-        buf.insert(ev(0, 10));
+        buf.insert(ev(0, 5));
         est.scan(&buf, 0, false);
-        // 0.9 * 5 + 0.1 * 10 = 5.5
-        assert!((est.avg_age() - 5.5).abs() < 1e-12);
+        // 0.9 * 10 + 0.1 * 5 = 9.5
+        assert!((est.avg_age() - 9.5).abs() < 1e-12);
     }
 }

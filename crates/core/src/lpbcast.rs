@@ -6,14 +6,15 @@
 //! peers. Buffer overflow evicts the highest-age events first. Duplicate
 //! delivery is suppressed with a bounded `eventIds` digest.
 //!
-//! Optionally, a *static* token bucket (Figure 3) throttles the local input
-//! rate — the naive a-priori calibration whose shortcomings motivate the
-//! adaptive mechanism.
+//! Optionally, a *static* token bucket (Figure 3,
+//! [`LpbcastNode::with_static_rate`]) throttles the local input rate — the
+//! naive a-priori calibration whose shortcomings motivate the adaptive
+//! mechanism.
 
 use std::collections::VecDeque;
 
 use agb_membership::{GossipMembership, MembershipDigest};
-use agb_types::{DetRng, DurationMs, EventId, NodeId, Payload, TimeMs};
+use agb_types::{DetRng, EventId, NodeId, Payload, TimeMs};
 
 use crate::buffer::{EventBuffer, PurgedEvent};
 use crate::config::GossipConfig;
@@ -70,9 +71,6 @@ impl<S: GossipMembership> LpbcastNode<S> {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid GossipConfig: {e}"));
-        let bucket = config
-            .static_rate
-            .map(|r| TokenBucket::new(r, (r * 2.0).max(2.0), TimeMs::ZERO));
         LpbcastNode {
             id,
             events: EventBuffer::new(config.max_events),
@@ -81,10 +79,21 @@ impl<S: GossipMembership> LpbcastNode<S> {
             membership,
             rng,
             next_seq: 0,
-            bucket,
+            bucket: None,
             pending: VecDeque::new(),
             out_events: Vec::new(),
         }
+    }
+
+    /// Throttles local offers with Figure 3's static token bucket: `rate`
+    /// msgs/s, `2 × rate` tokens deep (at least 2), starting full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is negative or not finite.
+    pub fn with_static_rate(mut self, rate: f64) -> Self {
+        self.install_bucket(TokenBucket::new(rate, (rate * 2.0).max(2.0), TimeMs::ZERO));
+        self
     }
 
     /// Immutable view of the event buffer (used by the congestion
@@ -283,15 +292,11 @@ impl<S: GossipMembership> FrameProtocol for LpbcastNode<S> {
     }
 
     fn allowed_rate(&self) -> Option<f64> {
-        self.config.static_rate
+        self.bucket.as_ref().map(TokenBucket::rate)
     }
 
     fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    fn gossip_period(&self) -> DurationMs {
-        self.config.gossip_period
     }
 
     fn membership_view(&self) -> Vec<NodeId> {
@@ -512,9 +517,8 @@ mod tests {
 
     #[test]
     fn static_rate_throttles_offers() {
-        let mut cfg = GossipConfig::default();
-        cfg.static_rate = Some(1.0); // 1 msg/s, bucket depth 2
-        let mut n = node(0, cfg);
+        let mut n = default_node(0).with_static_rate(1.0); // bucket depth 2
+        assert_eq!(n.allowed_rate(), Some(1.0));
         // Bucket starts full (2 tokens).
         assert!(matches!(
             n.offer(Payload::new(), TimeMs::ZERO),
@@ -552,9 +556,7 @@ mod tests {
 
     #[test]
     fn ordering_preserved_behind_throttle() {
-        let mut cfg = GossipConfig::default();
-        cfg.static_rate = Some(2.0);
-        let mut n = node(0, cfg);
+        let mut n = default_node(0).with_static_rate(2.0);
         let mut expected = Vec::new();
         for i in 0..10u8 {
             let payload = Payload::copy_from_slice(&[i]);
@@ -607,14 +609,10 @@ mod tests {
 
     #[test]
     fn leave_flushes_buffer_and_carries_own_unsubscription() {
-        use agb_membership::{PartialView, PartialViewConfig};
+        use agb_membership::PartialView;
         let mut rng = DetRng::seed_from_u64(9);
-        let view = PartialView::with_initial_peers(
-            NodeId::new(0),
-            PartialViewConfig::default(),
-            (1..=6u32).map(NodeId::new),
-            &mut rng,
-        );
+        let view =
+            PartialView::with_initial_peers(NodeId::new(0), (1..=6u32).map(NodeId::new), &mut rng);
         let mut n = LpbcastNode::new(
             NodeId::new(0),
             GossipConfig::default(),
@@ -636,11 +634,10 @@ mod tests {
 
     #[test]
     fn evict_peer_removes_from_partial_view() {
-        use agb_membership::{PartialView, PartialViewConfig};
+        use agb_membership::PartialView;
         let mut rng = DetRng::seed_from_u64(9);
         let view = PartialView::with_initial_peers(
             NodeId::new(0),
-            PartialViewConfig::default(),
             [NodeId::new(1), NodeId::new(2)],
             &mut rng,
         );
@@ -663,9 +660,9 @@ mod tests {
     fn membership_row_is_the_views_own_report() {
         // A partial view also holds its subscription buffer: the row must
         // count it, not just `view_size` node ids.
-        use agb_membership::{PartialView, PartialViewConfig};
+        use agb_membership::PartialView;
         use agb_profile::{MemReport, MemUsage};
-        let view = PartialView::new(NodeId::new(0), PartialViewConfig::default());
+        let view = PartialView::new(NodeId::new(0));
         let mut n = LpbcastNode::new(
             NodeId::new(0),
             GossipConfig::default(),
@@ -685,9 +682,8 @@ mod tests {
     }
 
     #[test]
-    fn gossip_period_accessor() {
+    fn node_id_and_capacity_accessors() {
         let n = default_node(0);
-        assert_eq!(n.gossip_period(), DurationMs::from_secs(1));
         assert_eq!(n.node_id(), NodeId::new(0));
         assert_eq!(n.buffer_capacity(), 90);
     }

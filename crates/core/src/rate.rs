@@ -18,6 +18,16 @@ use agb_types::{bernoulli, DetRng};
 
 use crate::config::RateConfig;
 
+/// Rate floor, msgs/s: keeps a throttled sender probing even under
+/// congestion.
+pub(crate) const MIN_RATE: f64 = 0.05;
+/// `avgTokens` at or below this fraction of the bucket depth `max` counts
+/// as a fully used allowance (§3.3).
+const TOKEN_LOW_FRAC: f64 = 0.25;
+/// `avgTokens` at or above this fraction of `max` counts as an unused
+/// allowance (§3.3).
+const TOKEN_HIGH_FRAC: f64 = 0.75;
+
 /// Why the controller changed (or refused to change) the rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateChangeReason {
@@ -70,20 +80,15 @@ pub struct RateController {
 
 impl RateController {
     /// Creates a controller starting at `initial_rate` messages/second
-    /// (clamped into the configured bounds).
+    /// (clamped into `[MIN_RATE, max_rate]`).
     pub fn new(initial_rate: f64, config: RateConfig) -> Self {
-        let rate = initial_rate.clamp(config.min_rate, config.max_rate);
+        let rate = initial_rate.clamp(MIN_RATE, config.max_rate);
         RateController { config, rate }
     }
 
     /// The current allowed rate, messages/second.
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RateConfig {
-        &self.config
     }
 
     /// Runs one adjustment round.
@@ -100,8 +105,8 @@ impl RateController {
         max_tokens: f64,
         rng: &mut DetRng,
     ) -> Option<RateChange> {
-        let unused = avg_tokens >= self.config.token_high_frac * max_tokens;
-        let fully_used = avg_tokens <= self.config.token_low_frac * max_tokens;
+        let unused = avg_tokens >= TOKEN_HIGH_FRAC * max_tokens;
+        let fully_used = avg_tokens <= TOKEN_LOW_FRAC * max_tokens;
 
         if avg_age <= self.config.low_age || unused {
             let reason = if avg_age <= self.config.low_age {
@@ -121,7 +126,7 @@ impl RateController {
     }
 
     fn apply(&mut self, target: f64, reason: RateChangeReason) -> Option<RateChange> {
-        let new = target.clamp(self.config.min_rate, self.config.max_rate);
+        let new = target.clamp(MIN_RATE, self.config.max_rate);
         if (new - self.rate).abs() < f64::EPSILON {
             return None;
         }
@@ -137,7 +142,7 @@ impl RateController {
     /// Overrides the rate directly (used by tests and by operators seeding
     /// a known-good rate).
     pub fn set_rate(&mut self, rate: f64) {
-        self.rate = rate.clamp(self.config.min_rate, self.config.max_rate);
+        self.rate = rate.clamp(MIN_RATE, self.config.max_rate);
     }
 }
 
@@ -157,10 +162,7 @@ mod tests {
             delta_dec: 0.25,
             delta_inc: 0.10,
             gamma: 1.0, // deterministic increase for tests
-            min_rate: 0.1,
             max_rate: 100.0,
-            token_low_frac: 0.25,
-            token_high_frac: 0.75,
         }
     }
 
@@ -208,9 +210,9 @@ mod tests {
 
     #[test]
     fn respects_min_and_max() {
-        let mut ctl = RateController::new(0.11, config());
+        let mut ctl = RateController::new(0.06, config());
         ctl.adjust(1.0, 0.0, 4.0, &mut rng());
-        assert_eq!(ctl.rate(), 0.1);
+        assert_eq!(ctl.rate(), MIN_RATE);
         // Already at floor: further decreases are no-ops.
         assert!(ctl.adjust(1.0, 0.0, 4.0, &mut rng()).is_none());
 
@@ -254,7 +256,6 @@ mod tests {
         let ctl = RateController::new(1_000_000.0, config());
         assert_eq!(ctl.rate(), 100.0);
         let low = RateController::new(0.0, config());
-        assert_eq!(low.rate(), 0.1);
-        assert_eq!(low.config().min_rate, 0.1);
+        assert_eq!(low.rate(), MIN_RATE);
     }
 }

@@ -8,7 +8,7 @@
 //! [`FrameProtocol`], which is how the reproduction keeps the paper's
 //! "simulation predicts the implementation" property.
 
-use agb_types::{DurationMs, EventId, NodeId, Payload, TimeMs};
+use agb_types::{EventId, NodeId, Payload, TimeMs};
 
 use crate::buffer::PurgeReason;
 use crate::event::Event;
@@ -144,9 +144,9 @@ pub enum ProtocolEvent {
 /// `Retransmit`) with nothing; the recovery wrapper adds the pull plane.
 ///
 /// The driving harness must:
-/// 1. call [`on_round`](FrameProtocol::on_round) every
-///    [`gossip_period`](FrameProtocol::gossip_period) and transmit the
-///    returned frames;
+/// 1. call [`on_round`](FrameProtocol::on_round) every gossip period `T`,
+///    the [`GossipConfig::gossip_period`](crate::GossipConfig::gossip_period)
+///    the stack was built with, and transmit the returned frames;
 /// 2. call [`on_receive`](FrameProtocol::on_receive) for every frame
 ///    received from the network and transmit the returned replies (pull
 ///    requests and retransmissions are request/response traffic, not
@@ -226,9 +226,6 @@ pub trait FrameProtocol {
 
     /// Messages waiting behind the throttle.
     fn pending_len(&self) -> usize;
-
-    /// The configured gossip period `T`.
-    fn gossip_period(&self) -> DurationMs;
 
     /// The current congestion signal `avgAge` (adaptive nodes only).
     fn avg_age(&self) -> Option<f64> {

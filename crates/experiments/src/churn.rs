@@ -14,7 +14,6 @@
 //! [`MembershipTimeline`]: agb_metrics::MembershipTimeline
 
 use agb_chaos::{ChaosCluster, ChaosSummary, ChurnProfile};
-use agb_membership::PartialViewConfig;
 use agb_metrics::Table;
 use agb_recovery::RecoveryConfig;
 use agb_types::{json::Json, DurationMs};
@@ -97,7 +96,7 @@ pub fn churn_windows() -> Windows {
 /// The cluster configuration of one sweep cell.
 pub fn churn_cluster(variant: Variant, seed: u64) -> ClusterConfig {
     let mut c = ClusterConfig::lossy(CHURN_NODES, seed, CHURN_LOSS);
-    c.membership = MembershipKind::Partial(PartialViewConfig::default());
+    c.membership = MembershipKind::Partial;
     c.gossip.fanout = CHURN_FANOUT;
     c.gossip.age_cap = CHURN_AGE_CAP;
     c.gossip.max_events = CHURN_BUFFER;

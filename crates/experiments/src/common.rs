@@ -102,7 +102,6 @@ pub fn paper_gossip(buffer: usize) -> GossipConfig {
         max_events: buffer,
         max_event_ids: 50_000,
         age_cap: 10,
-        static_rate: None,
     }
 }
 

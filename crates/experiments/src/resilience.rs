@@ -33,7 +33,6 @@
 
 use agb_chaos::{ChaosCluster, ChaosSchedule, ChaosSummary, ChurnProfile};
 use agb_failure::{AdversaryConfig, DetectorConfig};
-use agb_membership::PartialViewConfig;
 use agb_metrics::Table;
 use agb_recovery::RecoveryConfig;
 use agb_trace::{TraceConfig, TraceSummary};
@@ -94,10 +93,7 @@ pub fn resilience_windows() -> Windows {
 /// so it lands inside [`RES_OUTAGE`] with margin, while the fault-free
 /// leg still must stay completely quiet (gate 2).
 pub fn resilience_detector() -> DetectorConfig {
-    DetectorConfig {
-        evict_phi: 2.0,
-        ..DetectorConfig::default()
-    }
+    DetectorConfig { evict_phi: 2.0 }
 }
 
 /// The byte-adversary mix of the corruption legs.
@@ -166,7 +162,7 @@ pub fn legs() -> [LegSpec; 6] {
 /// The cluster configuration of one leg.
 pub fn resilience_cluster(spec: &LegSpec, seed: u64) -> ClusterConfig {
     let mut c = ClusterConfig::lossy(RES_NODES, seed, spec.loss);
-    c.membership = MembershipKind::Partial(PartialViewConfig::default());
+    c.membership = MembershipKind::Partial;
     c.gossip.fanout = RES_FANOUT;
     c.gossip.age_cap = RES_AGE_CAP;
     c.gossip.max_events = RES_BUFFER;
@@ -504,7 +500,7 @@ mod tests {
                 spec.crashes_per_min == 0.0 && spec.corruption == 0.0
             );
         }
-        assert!(!resilience_detector().heartbeat || resilience_detector().monitors > 0);
+        assert!(resilience_detector().validate().is_ok());
     }
 
     #[test]

@@ -110,11 +110,9 @@ pub fn topology_cluster(topo: Topology, flavor: &str, seed: u64) -> ClusterConfi
     c.algorithm = match flavor {
         "uniform" | "biased" => Algorithm::Lpbcast,
         "routing" => Algorithm::Routing(RoutingConfig {
-            fanout: TOPOLOGY_FANOUT,
             relay_probability: TOPOLOGY_RELAY_P,
             sure_hops: TOPOLOGY_SURE_HOPS,
             relay_rounds: TOPOLOGY_RELAY_ROUNDS,
-            ..RoutingConfig::default()
         }),
         other => panic!("unknown topology flavor {other:?}"),
     };

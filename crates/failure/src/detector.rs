@@ -15,7 +15,7 @@
 //!
 //! so φ = 1 means the silence is ~2.3× the learned mean, φ = 2 means
 //! ~4.6×, each unit another 10× drop in the probability that the peer is
-//! alive. Two thresholds split the scale: `suspect_phi` raises a
+//! alive. Two thresholds split the scale: `SUSPECT_PHI` raises a
 //! [`Verdict::Suspect`] (observable, reversible), `evict_phi` raises a
 //! [`Verdict::Evict`] (the caller routes it into
 //! `GossipMembership::evict`, which propagates a TTL'd unsubscription).
@@ -28,57 +28,48 @@ use agb_types::{FastHashMap, NodeId, TimeMs};
 /// under the exponential arrival model.
 const LOG10_E: f64 = core::f64::consts::LOG10_E;
 
-/// Tuning of one [`PhiDetector`].
+/// Inter-arrival samples kept per monitored peer.
+const WINDOW: usize = 16;
+/// Samples required before a peer can be judged at all: a fresh or
+/// rejoined peer gets this much grace.
+const MIN_SAMPLES: usize = 4;
+/// φ at which a peer becomes suspected (counted, traced, no action):
+/// ~2.9× the learned mean silence. With the heartbeat fallback the mean
+/// tracks one gossip period, so a handful of consecutive real losses
+/// stays below suspicion.
+const SUSPECT_PHI: f64 = 1.25;
+
+/// Tuning of one [`PhiDetector`]: its eviction threshold, the one
+/// detector setting that runs vary.
+///
+/// The rest are constants: each node watches [`MONITORS`](crate::MONITORS)
+/// ring predecessors and always owes its successors the heartbeat
+/// fallback, keeps `WINDOW` = 16 inter-arrival samples per peer, judges a
+/// peer only after `MIN_SAMPLES` = 4 of them, and suspects it from
+/// `SUSPECT_PHI` = 1.25 (Hayashibara et al.'s φ scale).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
-    /// Ring-monitor degree: each node watches this many id-ring
-    /// predecessors and owes heartbeats to as many successors.
-    pub monitors: usize,
-    /// Inter-arrival samples kept per monitored peer.
-    pub window: usize,
-    /// Samples required before a peer can be judged at all (a fresh or
-    /// rejoined peer gets this much grace).
-    pub min_samples: usize,
-    /// φ at which a peer becomes suspected (counted, traced, no action).
-    pub suspect_phi: f64,
     /// φ at which a peer is evicted from the local view.
     pub evict_phi: f64,
-    /// Send an empty-gossip heartbeat to ring successors the node did not
-    /// already gossip to this round.
-    pub heartbeat: bool,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            monitors: 2,
-            window: 16,
-            min_samples: 4,
-            // ~2.9× the learned mean silence → suspect; ~6.9× → evict.
-            // With the heartbeat fallback the mean tracks one gossip
-            // period, so eviction lands after ~7 silent rounds while a
-            // handful of consecutive real losses stays below suspicion.
-            suspect_phi: 1.25,
+            // ~6.9× the learned mean silence: with the heartbeat fallback
+            // eviction lands after ~7 silent rounds.
             evict_phi: 3.0,
-            heartbeat: true,
         }
     }
 }
 
 impl DetectorConfig {
-    /// Validates threshold ordering and window arithmetic.
+    /// Validates the threshold ordering.
     pub fn validate(&self) -> Result<(), String> {
-        if self.monitors == 0 {
-            return Err("detector monitors must be >= 1".into());
-        }
-        if self.window == 0 || self.min_samples == 0 {
-            return Err("detector window/min_samples must be >= 1".into());
-        }
-        if self.min_samples > self.window {
-            return Err("detector min_samples must fit in the window".into());
-        }
-        if !(self.suspect_phi > 0.0 && self.evict_phi > self.suspect_phi) {
-            return Err("detector thresholds must satisfy 0 < suspect_phi < evict_phi".into());
+        if self.evict_phi.is_nan() || self.evict_phi <= SUSPECT_PHI {
+            return Err(format!(
+                "detector evict_phi must exceed the suspect threshold {SUSPECT_PHI}"
+            ));
         }
         Ok(())
     }
@@ -89,7 +80,7 @@ impl DetectorConfig {
 pub enum SuspicionState {
     /// Arrivals within the learned rhythm.
     Alive,
-    /// φ crossed `suspect_phi`; an arrival clears it.
+    /// φ crossed `SUSPECT_PHI`; an arrival clears it.
     Suspect,
     /// φ crossed `evict_phi`; the caller evicted the peer. Only a fresh
     /// arrival (rejoin) leaves this state.
@@ -120,7 +111,7 @@ impl Verdict {
 #[derive(Debug, Clone)]
 struct PeerState {
     last: TimeMs,
-    /// Inter-arrival samples, ms; bounded ring of `window` entries.
+    /// Inter-arrival samples, ms; bounded ring of `WINDOW` entries.
     samples: Vec<u64>,
     next_slot: usize,
     sum: u64,
@@ -138,13 +129,13 @@ impl PeerState {
         }
     }
 
-    fn push(&mut self, sample: u64, window: usize) {
-        if self.samples.len() < window {
+    fn push(&mut self, sample: u64) {
+        if self.samples.len() < WINDOW {
             self.samples.push(sample);
         } else {
             self.sum -= self.samples[self.next_slot];
             self.samples[self.next_slot] = sample;
-            self.next_slot = (self.next_slot + 1) % window;
+            self.next_slot = (self.next_slot + 1) % WINDOW;
         }
         self.sum += sample;
     }
@@ -204,7 +195,6 @@ impl PhiDetector {
     /// Arrivals from unmonitored peers are ignored. Returns
     /// [`Verdict::Rejoin`] when the arrival resurrects an evicted peer.
     pub fn observe(&mut self, peer: NodeId, now: TimeMs) -> Option<Verdict> {
-        let window = self.config.window;
         let state = self.peers.get_mut(&peer)?;
         if state.state == SuspicionState::Evicted {
             // Back from the dead: restart the window so stale pre-crash
@@ -213,7 +203,7 @@ impl PhiDetector {
             return Some(Verdict::Rejoin(peer));
         }
         let gap = now.since(state.last).as_millis();
-        state.push(gap, window);
+        state.push(gap);
         state.last = now;
         state.state = SuspicionState::Alive;
         None
@@ -237,7 +227,7 @@ impl PhiDetector {
         let Some(state) = self.peers.get(&peer) else {
             return 0.0;
         };
-        if state.samples.len() < self.config.min_samples {
+        if state.samples.len() < MIN_SAMPLES {
             return 0.0;
         }
         let Some(mean) = state.mean() else {
@@ -263,7 +253,7 @@ impl PhiDetector {
                     verdicts.push(Verdict::Suspect(peer));
                     verdicts.push(Verdict::Evict(peer));
                 }
-                SuspicionState::Alive if phi >= self.config.suspect_phi => {
+                SuspicionState::Alive if phi >= SUSPECT_PHI => {
                     state.state = SuspicionState::Suspect;
                     verdicts.push(Verdict::Suspect(peer));
                 }
@@ -413,7 +403,7 @@ mod tests {
         let mut d = detector(&[1]);
         d.observe(NodeId::new(1), t(1_000));
         d.observe(NodeId::new(1), t(2_000));
-        // Two samples < min_samples(4): silence cannot be judged yet.
+        // Two samples < MIN_SAMPLES (4): silence cannot be judged yet.
         assert!(d.check(t(500_000)).is_empty());
     }
 
@@ -443,14 +433,9 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(DetectorConfig::default().validate().is_ok());
-        let mut c = DetectorConfig::default();
-        c.evict_phi = c.suspect_phi;
-        assert!(c.validate().is_err());
-        let mut c = DetectorConfig::default();
-        c.min_samples = c.window + 1;
-        assert!(c.validate().is_err());
-        let mut c = DetectorConfig::default();
-        c.monitors = 0;
+        let c = DetectorConfig {
+            evict_phi: SUSPECT_PHI,
+        };
         assert!(c.validate().is_err());
     }
 

@@ -35,6 +35,10 @@ pub use detector::{DetectorConfig, PhiDetector, SuspicionState, Verdict};
 
 use agb_types::NodeId;
 
+/// Ring-monitor degree: each node with a detector watches this many
+/// id-ring predecessors and owes heartbeats to as many successors.
+pub const MONITORS: usize = 2;
+
 /// The ring-monitor assignment: node `me` watches its `k` predecessors
 /// and owes heartbeats to its `k` successors on the dense id ring
 /// `0..n`.

@@ -352,11 +352,7 @@ pub fn run_workload(config: &HarnessConfig) -> WorkloadReport {
     }
     let seeds = SeedSequence::new(config.node.seed);
     let roster: Vec<String> = (0..config.n_nodes).map(|i| format!("n{i}")).collect();
-    let period = config
-        .node
-        .flavor
-        .algorithm()
-        .round_period(&config.node.gossip);
+    let period = config.node.gossip.gossip_period;
     let nodes: Vec<HarnessNode> = roster
         .iter()
         .map(|me| HarnessNode {

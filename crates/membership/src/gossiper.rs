@@ -75,7 +75,6 @@ impl GossipMembership for PartialView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PartialViewConfig;
     use rand::SeedableRng;
 
     #[test]
@@ -88,7 +87,7 @@ mod tests {
     #[test]
     fn evict_removes_and_propagates_on_partial_views() {
         let mut rng = DetRng::seed_from_u64(5);
-        let mut view = PartialView::new(NodeId::new(0), PartialViewConfig::default());
+        let mut view = PartialView::new(NodeId::new(0));
         view.observe_sender(NodeId::new(3), &mut rng);
         assert!(view.contains(NodeId::new(3)));
         GossipMembership::evict(&mut view, NodeId::new(3), &mut rng);
@@ -103,7 +102,7 @@ mod tests {
     #[test]
     fn partial_view_learns_from_gossip() {
         let mut rng = DetRng::seed_from_u64(0);
-        let mut view = PartialView::new(NodeId::new(0), PartialViewConfig::default());
+        let mut view = PartialView::new(NodeId::new(0));
         let digest = MembershipDigest {
             subs: vec![NodeId::new(2)],
             unsubs: vec![],

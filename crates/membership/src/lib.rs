@@ -47,5 +47,5 @@ pub use digest::{MembershipDigest, Unsubscription};
 pub use full::FullView;
 pub use gossiper::GossipMembership;
 pub use locality::LocalitySampler;
-pub use partial::{PartialView, PartialViewConfig};
+pub use partial::PartialView;
 pub use sampler::PeerSampler;

@@ -335,11 +335,10 @@ mod tests {
 
     #[test]
     fn gossip_membership_delegates_to_inner() {
-        use crate::{PartialView, PartialViewConfig};
+        use crate::PartialView;
         let mut rng = DetRng::seed_from_u64(4);
         let view = PartialView::with_initial_peers(
             NodeId::new(0),
-            PartialViewConfig::default(),
             [NodeId::new(1), NodeId::new(2)],
             &mut rng,
         );

@@ -13,53 +13,24 @@ use rand::RngExt;
 use crate::digest::{MembershipDigest, Unsubscription};
 use crate::sampler::PeerSampler;
 
-/// Size bounds for [`PartialView`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartialViewConfig {
-    /// Maximum number of peers in the view.
-    pub max_view: usize,
-    /// Maximum number of buffered subscriptions.
-    pub max_subs: usize,
-    /// Maximum number of buffered unsubscriptions.
-    pub max_unsubs: usize,
-    /// How many subscriptions / unsubscriptions to piggyback per gossip
-    /// message.
-    pub digest_subs: usize,
-    /// See `digest_subs`.
-    pub digest_unsubs: usize,
-    /// Lifetime of a locally-issued unsubscription rumor, in gossip
-    /// rounds. The remaining TTL travels on the wire and every holder ages
-    /// it per round, so the rumor is globally extinct after at most this
-    /// many rounds — long enough to inform the group, short enough that a
-    /// rejoining node is not ghost-evicted forever.
-    pub unsub_ttl: u32,
-}
-
-impl Default for PartialViewConfig {
-    /// lpbcast-like defaults for groups of a few hundred nodes.
-    fn default() -> Self {
-        PartialViewConfig {
-            max_view: 30,
-            max_subs: 20,
-            max_unsubs: 20,
-            digest_subs: 5,
-            digest_unsubs: 5,
-            unsub_ttl: 10,
-        }
-    }
-}
-
 /// Bounded partial view with subscription gossip (lpbcast §"membership").
+///
+/// Its bounds are lpbcast-like constants for groups of a few hundred
+/// nodes: [`MAX_VIEW`](Self::MAX_VIEW) peers,
+/// [`MAX_SUBS`](Self::MAX_SUBS) and [`MAX_UNSUBS`](Self::MAX_UNSUBS)
+/// buffered (un)subscriptions, [`DIGEST_SUBS`](Self::DIGEST_SUBS) and
+/// [`DIGEST_UNSUBS`](Self::DIGEST_UNSUBS) of them per digest, and
+/// [`UNSUB_TTL`](Self::UNSUB_TTL) rounds of life for a departure rumor.
 ///
 /// # Example
 ///
 /// ```
-/// use agb_membership::{MembershipDigest, PartialView, PartialViewConfig, PeerSampler};
+/// use agb_membership::{MembershipDigest, PartialView, PeerSampler};
 /// use agb_types::{DetRng, NodeId};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = DetRng::seed_from_u64(4);
-/// let mut view = PartialView::new(NodeId::new(0), PartialViewConfig::default());
+/// let mut view = PartialView::new(NodeId::new(0));
 /// view.merge_digest(
 ///     &MembershipDigest { subs: vec![NodeId::new(1), NodeId::new(2)], unsubs: vec![] },
 ///     &mut rng,
@@ -71,18 +42,34 @@ impl Default for PartialViewConfig {
 #[derive(Debug, Clone)]
 pub struct PartialView {
     self_id: NodeId,
-    config: PartialViewConfig,
     view: Vec<NodeId>,
     subs: Vec<NodeId>,
     unsubs: Vec<Unsubscription>,
 }
 
 impl PartialView {
+    /// Maximum number of peers in the view.
+    pub const MAX_VIEW: usize = 30;
+    /// Maximum number of buffered subscriptions.
+    pub const MAX_SUBS: usize = 20;
+    /// Maximum number of buffered unsubscriptions.
+    pub const MAX_UNSUBS: usize = 20;
+    /// Subscriptions piggybacked per gossip message, the node's own
+    /// included.
+    pub const DIGEST_SUBS: usize = 5;
+    /// Unsubscriptions piggybacked per gossip message.
+    pub const DIGEST_UNSUBS: usize = 5;
+    /// Lifetime of an unsubscription rumor this node starts, in gossip
+    /// rounds. The remaining TTL travels on the wire and every holder ages
+    /// it per round, so the rumor is globally extinct after at most this
+    /// many rounds — long enough to inform the group, short enough that a
+    /// rejoining node is not ghost-evicted forever.
+    pub const UNSUB_TTL: u32 = 10;
+
     /// Creates an empty view for `self_id`.
-    pub fn new(self_id: NodeId, config: PartialViewConfig) -> Self {
+    pub fn new(self_id: NodeId) -> Self {
         PartialView {
             self_id,
-            config,
             view: Vec::new(),
             subs: Vec::new(),
             unsubs: Vec::new(),
@@ -92,11 +79,10 @@ impl PartialView {
     /// Creates a view pre-seeded with known peers (bootstrap/contact list).
     pub fn with_initial_peers(
         self_id: NodeId,
-        config: PartialViewConfig,
         peers: impl IntoIterator<Item = NodeId>,
         rng: &mut DetRng,
     ) -> Self {
-        let mut pv = PartialView::new(self_id, config);
+        let mut pv = PartialView::new(self_id);
         for p in peers {
             pv.add_to_view(p, rng);
         }
@@ -108,32 +94,27 @@ impl PartialView {
         self.self_id
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> PartialViewConfig {
-        self.config
-    }
-
-    fn add_bounded(list: &mut Vec<NodeId>, bound: usize, node: NodeId, rng: &mut DetRng) {
-        if list.contains(&node) || bound == 0 {
+    fn add_to_subs(&mut self, node: NodeId, rng: &mut DetRng) {
+        if self.subs.contains(&node) {
             return;
         }
-        if list.len() >= bound {
-            let evict = rng.random_range(0..list.len());
-            list.swap_remove(evict);
+        if self.subs.len() >= Self::MAX_SUBS {
+            let evict = rng.random_range(0..self.subs.len());
+            self.subs.swap_remove(evict);
         }
-        list.push(node);
+        self.subs.push(node);
     }
 
     fn add_to_view(&mut self, node: NodeId, rng: &mut DetRng) {
         if node == self.self_id || self.view.contains(&node) {
             return;
         }
-        if self.view.len() >= self.config.max_view {
+        if self.view.len() >= Self::MAX_VIEW {
             // Evict a random peer but keep it circulating via subs, as in
             // lpbcast: eviction must not silently forget live members.
             let evict = rng.random_range(0..self.view.len());
             let evicted = self.view.swap_remove(evict);
-            Self::add_bounded(&mut self.subs, self.config.max_subs, evicted, rng);
+            self.add_to_subs(evicted, rng);
         }
         self.view.push(node);
     }
@@ -146,14 +127,14 @@ impl PartialView {
         }
         self.unsubs.retain(|u| u.node != node);
         self.add_to_view(node, rng);
-        Self::add_bounded(&mut self.subs, self.config.max_subs, node, rng);
+        self.add_to_subs(node, rng);
     }
 
     /// Records a locally-observed departure of `node` (graceful leave or
     /// failure-detector eviction): removed from view/subs, buffered in
     /// unsubs with a fresh TTL for further propagation.
     pub fn observe_unsubscription(&mut self, node: NodeId, rng: &mut DetRng) {
-        self.observe_unsubscription_with_ttl(node, self.config.unsub_ttl, rng);
+        self.observe_unsubscription_with_ttl(node, Self::UNSUB_TTL, rng);
     }
 
     fn observe_unsubscription_with_ttl(&mut self, node: NodeId, ttl: u32, rng: &mut DetRng) {
@@ -169,10 +150,7 @@ impl PartialView {
             existing.ttl = existing.ttl.max(ttl);
             return;
         }
-        if self.config.max_unsubs == 0 {
-            return;
-        }
-        if self.unsubs.len() >= self.config.max_unsubs {
+        if self.unsubs.len() >= Self::MAX_UNSUBS {
             let evict = rng.random_range(0..self.unsubs.len());
             self.unsubs.swap_remove(evict);
         }
@@ -216,9 +194,9 @@ impl PartialView {
     /// random bounded subsets of the subs/unsubs buffers, always including
     /// the node itself as a subscription (keeping itself known).
     pub fn make_digest(&self, rng: &mut DetRng) -> MembershipDigest {
-        let mut subs = sample_subset(&self.subs, self.config.digest_subs.saturating_sub(1), rng);
+        let mut subs = sample_subset(&self.subs, Self::DIGEST_SUBS - 1, rng);
         subs.push(self.self_id);
-        let unsubs = sample_unsubs(&self.unsubs, self.config.digest_unsubs, rng);
+        let unsubs = sample_unsubs(&self.unsubs, Self::DIGEST_UNSUBS, rng);
         MembershipDigest { subs, unsubs }
     }
 
@@ -229,7 +207,7 @@ impl PartialView {
             subs: Vec::new(),
             unsubs: vec![Unsubscription {
                 node: self.self_id,
-                ttl: self.config.unsub_ttl,
+                ttl: Self::UNSUB_TTL,
             }],
         }
     }
@@ -324,21 +302,10 @@ mod tests {
         DetRng::seed_from_u64(17)
     }
 
-    fn config(max_view: usize) -> PartialViewConfig {
-        PartialViewConfig {
-            max_view,
-            max_subs: 8,
-            max_unsubs: 8,
-            digest_subs: 3,
-            digest_unsubs: 3,
-            unsub_ttl: 10,
-        }
-    }
-
     #[test]
     fn view_is_bounded_under_merge_storm() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(10));
+        let mut pv = PartialView::new(NodeId::new(0));
         for i in 1..500u32 {
             pv.merge_digest(
                 &MembershipDigest {
@@ -347,16 +314,17 @@ mod tests {
                 },
                 &mut r,
             );
-            assert!(pv.view_size() <= 10);
-            assert!(pv.subs().len() <= 8);
+            assert!(pv.view_size() <= PartialView::MAX_VIEW);
+            assert!(pv.subs().len() <= PartialView::MAX_SUBS);
         }
-        assert_eq!(pv.view_size(), 10);
+        assert_eq!(pv.view_size(), PartialView::MAX_VIEW);
+        assert_eq!(pv.subs().len(), PartialView::MAX_SUBS);
     }
 
     #[test]
     fn never_contains_self() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(3), config(10));
+        let mut pv = PartialView::new(NodeId::new(3));
         pv.merge_digest(
             &MembershipDigest {
                 subs: vec![NodeId::new(3), NodeId::new(4)],
@@ -371,7 +339,7 @@ mod tests {
     #[test]
     fn unsubscription_removes_from_view_and_subs() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(10));
+        let mut pv = PartialView::new(NodeId::new(0));
         pv.observe_subscription(NodeId::new(5), &mut r);
         assert!(pv.contains(NodeId::new(5)));
         pv.observe_unsubscription(NodeId::new(5), &mut r);
@@ -383,7 +351,7 @@ mod tests {
     #[test]
     fn resubscription_clears_unsub_state() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(10));
+        let mut pv = PartialView::new(NodeId::new(0));
         pv.observe_unsubscription(NodeId::new(7), &mut r);
         assert!(pv.has_unsub(NodeId::new(7)));
         pv.observe_subscription(NodeId::new(7), &mut r);
@@ -394,7 +362,7 @@ mod tests {
     #[test]
     fn digest_includes_self_and_respects_bounds() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(9), config(10));
+        let mut pv = PartialView::new(NodeId::new(9));
         for i in 0..8u32 {
             pv.observe_subscription(NodeId::new(i), &mut r);
         }
@@ -403,25 +371,26 @@ mod tests {
         }
         let d = pv.make_digest(&mut r);
         assert!(d.subs.contains(&NodeId::new(9)));
-        assert!(d.subs.len() <= 3);
-        assert!(d.unsubs.len() <= 3);
+        assert!(d.subs.len() <= PartialView::DIGEST_SUBS);
+        assert!(d.unsubs.len() <= PartialView::DIGEST_UNSUBS);
     }
 
     #[test]
     fn eviction_moves_peer_to_subs_buffer() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(2));
-        pv.observe_sender(NodeId::new(1), &mut r);
-        pv.observe_sender(NodeId::new(2), &mut r);
-        pv.observe_sender(NodeId::new(3), &mut r);
-        assert_eq!(pv.view_size(), 2);
+        let mut pv = PartialView::new(NodeId::new(0));
+        let peers = 1..=PartialView::MAX_VIEW as u32 + 1;
+        for i in peers.clone() {
+            pv.observe_sender(NodeId::new(i), &mut r);
+        }
+        assert_eq!(pv.view_size(), PartialView::MAX_VIEW);
         // The evicted peer keeps circulating through subs.
         let total: Vec<NodeId> = pv
             .view()
             .into_iter()
             .chain(pv.subs().iter().copied())
             .collect();
-        for id in [NodeId::new(1), NodeId::new(2), NodeId::new(3)] {
+        for id in peers.map(NodeId::new) {
             assert!(total.contains(&id), "{id} lost entirely");
         }
     }
@@ -429,7 +398,7 @@ mod tests {
     #[test]
     fn sample_draws_from_view_only() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(5));
+        let mut pv = PartialView::new(NodeId::new(0));
         for i in 1..=5u32 {
             pv.observe_sender(NodeId::new(i), &mut r);
         }
@@ -445,21 +414,16 @@ mod tests {
     #[test]
     fn with_initial_peers_bootstrap() {
         let mut r = rng();
-        let pv = PartialView::with_initial_peers(
-            NodeId::new(0),
-            config(10),
-            (1..=4u32).map(NodeId::new),
-            &mut r,
-        );
+        let pv =
+            PartialView::with_initial_peers(NodeId::new(0), (1..=4u32).map(NodeId::new), &mut r);
         assert_eq!(pv.view_size(), 4);
         assert_eq!(pv.self_id(), NodeId::new(0));
-        assert_eq!(pv.config().max_view, 10);
     }
 
     #[test]
     fn merge_ignores_self_unsub() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(1), config(10));
+        let mut pv = PartialView::new(NodeId::new(1));
         pv.merge_digest(
             &MembershipDigest {
                 subs: vec![],
@@ -476,10 +440,10 @@ mod tests {
     #[test]
     fn unsub_ttl_ages_out_and_relays_remaining_budget() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(10));
+        let mut pv = PartialView::new(NodeId::new(0));
         pv.observe_unsubscription(NodeId::new(5), &mut r);
-        assert_eq!(pv.unsubs()[0].ttl, 10);
-        for expected in (1..10).rev() {
+        assert_eq!(pv.unsubs()[0].ttl, PartialView::UNSUB_TTL);
+        for expected in (1..PartialView::UNSUB_TTL).rev() {
             pv.on_round();
             assert_eq!(pv.unsubs()[0].ttl, expected, "ttl decrements per round");
             // Relayed digests carry the *remaining* budget, not a fresh one.
@@ -493,7 +457,7 @@ mod tests {
     #[test]
     fn merged_unsub_keeps_incoming_budget() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(10));
+        let mut pv = PartialView::new(NodeId::new(0));
         pv.merge_digest(
             &MembershipDigest {
                 subs: vec![],
@@ -524,7 +488,7 @@ mod tests {
     #[test]
     fn direct_contact_clears_stale_unsub() {
         let mut r = rng();
-        let mut pv = PartialView::new(NodeId::new(0), config(10));
+        let mut pv = PartialView::new(NodeId::new(0));
         pv.observe_unsubscription(NodeId::new(4), &mut r);
         assert!(pv.has_unsub(NodeId::new(4)));
         // The "departed" node gossips to us directly: the rumor is stale.

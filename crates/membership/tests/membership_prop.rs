@@ -1,8 +1,7 @@
 //! Property-based tests of the membership services.
 
 use agb_membership::{
-    FullView, GossipMembership, MembershipDigest, PartialView, PartialViewConfig, PeerSampler,
-    Unsubscription,
+    FullView, GossipMembership, MembershipDigest, PartialView, PeerSampler, Unsubscription,
 };
 use agb_types::{DetRng, NodeId};
 use proptest::prelude::*;
@@ -34,24 +33,16 @@ proptest! {
     /// Partial views never exceed their bounds and never contain self,
     /// under arbitrary interleavings of subscriptions, unsubscriptions,
     /// evictions, round aging and digest merges (randomized
-    /// join/leave/eviction sequences).
+    /// join/leave/eviction sequences). Three times as many node ids as
+    /// the view holds drive every buffer to its bound.
     #[test]
     fn partial_view_invariants(
         seed in any::<u64>(),
-        max_view in 1usize..16,
-        ops in proptest::collection::vec((0u8..5, 0u32..32, 1u32..11), 0..120),
+        ops in proptest::collection::vec((0u8..5, 0u32..96, 1u32..11), 0..240),
     ) {
         let me = NodeId::new(99);
-        let config = PartialViewConfig {
-            max_view,
-            max_subs: 8,
-            max_unsubs: 8,
-            digest_subs: 3,
-            digest_unsubs: 3,
-            unsub_ttl: 10,
-        };
         let mut rng = DetRng::seed_from_u64(seed);
-        let mut view = PartialView::new(me, config);
+        let mut view = PartialView::new(me);
         for (op, node, ttl) in ops {
             let node = NodeId::new(node);
             match op {
@@ -68,14 +59,14 @@ proptest! {
                     &mut rng,
                 ),
             }
-            prop_assert!(view.view_size() <= max_view);
+            prop_assert!(view.view_size() <= PartialView::MAX_VIEW);
             prop_assert!(!view.contains(me), "view must never contain self");
-            prop_assert!(view.subs().len() <= 8);
-            prop_assert!(view.unsubs().len() <= 8);
+            prop_assert!(view.subs().len() <= PartialView::MAX_SUBS);
+            prop_assert!(view.unsubs().len() <= PartialView::MAX_UNSUBS);
             // Unsub rumors never outlive their TTL budget and never name
             // self.
             for u in view.unsubs() {
-                prop_assert!(u.ttl >= 1 && u.ttl <= 10);
+                prop_assert!(u.ttl >= 1 && u.ttl <= PartialView::UNSUB_TTL);
                 prop_assert!(u.node != me);
             }
             // subs/unsubs are disjoint.
@@ -92,7 +83,8 @@ proptest! {
     /// A stable joiner that keeps gossiping is eventually included: no
     /// randomized prefix of join/leave/evict churn can lock it out
     /// forever, because direct liveness evidence clears stale rumors and
-    /// unsub TTLs expire.
+    /// unsub TTLs expire. The view starts full of other peers, so the
+    /// joiner also has to win a slot.
     #[test]
     fn stable_joiner_is_eventually_included(
         seed in any::<u64>(),
@@ -100,16 +92,10 @@ proptest! {
     ) {
         let me = NodeId::new(99);
         let joiner = NodeId::new(7);
-        let config = PartialViewConfig {
-            max_view: 12,
-            max_subs: 8,
-            max_unsubs: 8,
-            digest_subs: 3,
-            digest_unsubs: 3,
-            unsub_ttl: 10,
-        };
         let mut rng = DetRng::seed_from_u64(seed);
-        let mut view = PartialView::new(me, config);
+        let others = (100..100 + PartialView::MAX_VIEW as u32).map(NodeId::new);
+        let mut view = PartialView::with_initial_peers(me, others, &mut rng);
+        prop_assert_eq!(view.view_size(), PartialView::MAX_VIEW);
         // Arbitrary churn, including evictions of the joiner itself.
         for (op, node) in churn {
             let node = NodeId::new(node);
@@ -122,7 +108,7 @@ proptest! {
         // The joiner then gossips to us for enough rounds to outlive every
         // rumor; each round we also age buffers as the protocol does.
         let digest = MembershipDigest { subs: vec![joiner], unsubs: vec![] };
-        for _ in 0..11 {
+        for _ in 0..=PartialView::UNSUB_TTL {
             view.on_round();
             view.observe_gossip(joiner, &digest, &mut rng);
         }
@@ -135,20 +121,19 @@ proptest! {
         prop_assert!(!view.has_unsub(joiner));
     }
 
-    /// Unsubscription rumors die: after `unsub_ttl` rounds with no fresh
+    /// Unsubscription rumors die: after `UNSUB_TTL` rounds with no fresh
     /// evidence, the buffer is empty regardless of the churn prefix.
     #[test]
     fn unsub_rumors_expire_within_ttl(
         seed in any::<u64>(),
         departures in proptest::collection::vec(0u32..32, 1..16),
     ) {
-        let config = PartialViewConfig { unsub_ttl: 6, ..PartialViewConfig::default() };
         let mut rng = DetRng::seed_from_u64(seed);
-        let mut view = PartialView::new(NodeId::new(99), config);
+        let mut view = PartialView::new(NodeId::new(99));
         for d in departures {
             view.observe_unsubscription(NodeId::new(d), &mut rng);
         }
-        for _ in 0..6 {
+        for _ in 0..PartialView::UNSUB_TTL {
             view.on_round();
         }
         prop_assert!(view.unsubs().is_empty(), "rumors survived their TTL");
@@ -161,15 +146,14 @@ proptest! {
         subs in proptest::collection::vec(0u32..64, 0..20),
     ) {
         let me = NodeId::new(1_000);
-        let config = PartialViewConfig::default();
         let mut rng = DetRng::seed_from_u64(seed);
-        let mut view = PartialView::new(me, config);
+        let mut view = PartialView::new(me);
         for s in subs {
             view.observe_subscription(NodeId::new(s), &mut rng);
         }
         let digest = PartialView::make_digest(&view, &mut rng);
-        prop_assert!(digest.subs.len() <= config.digest_subs);
-        prop_assert!(digest.unsubs.len() <= config.digest_unsubs);
+        prop_assert!(digest.subs.len() <= PartialView::DIGEST_SUBS);
+        prop_assert!(digest.unsubs.len() <= PartialView::DIGEST_UNSUBS);
         prop_assert!(digest.subs.contains(&me));
     }
 }

@@ -1,7 +1,7 @@
 //! The one sans-IO node shell and the observer vocabulary it speaks.
 
 use agb_core::{FrameProtocol, GossipFrame, ProtocolEvent};
-use agb_failure::{ring_monitors, ring_successors, DetectorConfig, PhiDetector, Verdict};
+use agb_failure::{ring_monitors, ring_successors, DetectorConfig, PhiDetector, Verdict, MONITORS};
 use agb_types::{NodeId, Payload, TimeMs};
 
 /// A frame to send, addressed to a peer.
@@ -168,8 +168,8 @@ pub struct NodeShell<O> {
 
 impl<O: NodeObserver> NodeShell<O> {
     /// Wraps `protocol`, a node of an `n_nodes` group. With a `detector`
-    /// configuration the node watches its id-ring predecessors and owes
-    /// heartbeats to its successors.
+    /// configuration the node watches its [`MONITORS`] id-ring
+    /// predecessors and owes heartbeats to as many successors.
     pub fn new(
         protocol: Box<dyn FrameProtocol + Send>,
         detector: Option<&DetectorConfig>,
@@ -180,14 +180,10 @@ impl<O: NodeObserver> NodeShell<O> {
         let liveness = detector.map(|dc| Liveness {
             detector: PhiDetector::new(
                 dc.clone(),
-                ring_monitors(id, n_nodes, dc.monitors),
+                ring_monitors(id, n_nodes, MONITORS),
                 TimeMs::ZERO,
             ),
-            heartbeats: if dc.heartbeat {
-                ring_successors(id, n_nodes, dc.monitors)
-            } else {
-                Vec::new()
-            },
+            heartbeats: ring_successors(id, n_nodes, MONITORS),
         });
         NodeShell {
             protocol,
@@ -381,10 +377,6 @@ mod tests {
             cache_rounds: 1,
             ..RecoveryConfig::default()
         };
-        let routing = RoutingConfig {
-            max_relay: CAPACITY,
-            ..RoutingConfig::default()
-        };
         let static_rate = Algorithm::LpbcastStatic {
             rate_per_sender: 2.0,
         };
@@ -392,7 +384,7 @@ mod tests {
             Algorithm::Lpbcast,
             static_rate,
             Algorithm::Adaptive,
-            Algorithm::Routing(routing),
+            Algorithm::Routing(RoutingConfig::default()),
         ]
         .into_iter()
         .flat_map(|a| [(a, None), (a, Some(recovery.clone()))])

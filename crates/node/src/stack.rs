@@ -4,7 +4,7 @@ use agb_core::{AdaptationConfig, AdaptiveNode, FrameProtocol, GossipConfig, Lpbc
 use agb_membership::{GossipMembership, LocalitySampler};
 use agb_recovery::{RecoverableNode, RecoveryConfig};
 use agb_topology::{RoutingConfig, RoutingNode};
-use agb_types::{DetRng, DurationMs, NodeId};
+use agb_types::{DetRng, NodeId};
 
 /// Which protocol a node runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,19 +22,9 @@ pub enum Algorithm {
     /// GOSSIP3-style probabilistic forwarding (`agb-topology`): each rumor
     /// is relayed a bounded number of rounds with a degree- and age-aware
     /// relay gamble, instead of reshipping the whole buffer every round.
+    /// Like every flavor, it takes `F`, its buffer bound and its id window
+    /// from the [`StackSpec`]'s gossip parameters.
     Routing(RoutingConfig),
-}
-
-impl Algorithm {
-    /// The gossip-round period driving the round timer:
-    /// [`RoutingConfig::gossip_period`] for the routing flavor, the base
-    /// [`GossipConfig::gossip_period`] otherwise.
-    pub fn round_period(&self, gossip: &GossipConfig) -> DurationMs {
-        match self {
-            Algorithm::Routing(rc) => rc.gossip_period,
-            _ => gossip.gossip_period,
-        }
-    }
 }
 
 /// Overlay hints for one node.
@@ -53,7 +43,8 @@ pub struct Overlay {
 pub struct StackSpec<'a> {
     /// Protocol flavor.
     pub algorithm: &'a Algorithm,
-    /// Base gossip parameters, with any per-node override already applied.
+    /// Base gossip parameters, with any per-node override already applied:
+    /// every flavor reads `F`, its buffer bound and its id window here.
     pub gossip: GossipConfig,
     /// Adaptation parameters; only [`Algorithm::Adaptive`] reads them.
     pub adaptation: &'a AdaptationConfig,
@@ -96,16 +87,19 @@ impl StackSpec<'_> {
     where
         S: GossipMembership + Send + 'static,
     {
-        let (mut gossip, recovery) = (self.gossip, self.recovery);
+        let (gossip, recovery) = (self.gossip, self.recovery);
         match self.algorithm {
             Algorithm::Adaptive => {
                 let node = AdaptiveNode::new(id, gossip, self.adaptation.clone(), view, rng);
                 boxed(node, recovery)
             }
-            Algorithm::Routing(rc) => boxed(RoutingNode::new(id, *rc, view, degree, rng), recovery),
+            Algorithm::Routing(rc) => {
+                let node = RoutingNode::new(id, &gossip, *rc, view, degree, rng);
+                boxed(node, recovery)
+            }
             Algorithm::LpbcastStatic { rate_per_sender } => {
-                gossip.static_rate = Some(*rate_per_sender);
-                boxed(LpbcastNode::new(id, gossip, view, rng), recovery)
+                let node = LpbcastNode::new(id, gossip, view, rng);
+                boxed(node.with_static_rate(*rate_per_sender), recovery)
             }
             Algorithm::Lpbcast => boxed(LpbcastNode::new(id, gossip, view, rng), recovery),
         }

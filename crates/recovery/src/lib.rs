@@ -40,4 +40,4 @@ mod node;
 pub use cache::RetransmissionCache;
 pub use config::RecoveryConfig;
 pub use missing::{DueGraft, MissingTracker};
-pub use node::RecoverableNode;
+pub use node::{RecoverableNode, DIGEST_SIZE};

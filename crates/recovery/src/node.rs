@@ -6,11 +6,26 @@ use agb_core::{
     ProtocolEvent, Retransmission,
 };
 use agb_membership::MembershipDigest;
-use agb_types::{DurationMs, EventId, FastHashSet, NodeId, Payload, TimeMs};
+use agb_types::{EventId, FastHashSet, NodeId, Payload, TimeMs};
 
 use crate::cache::RetransmissionCache;
 use crate::config::RecoveryConfig;
 use crate::missing::MissingTracker;
+
+/// Ids advertised per piggybacked `IHave` digest, drawn in rotation from
+/// the retransmission cache (each round advertises the next slice of it):
+/// about 0.4 kB on a gossip frame.
+pub const DIGEST_SIZE: usize = 32;
+/// Rounds to wait for a retransmission before re-requesting a missing id
+/// from the next advertiser.
+const GRAFT_TIMEOUT_ROUNDS: u32 = 2;
+/// Pull attempts per missing id before its recovery is abandoned.
+const MAX_RETRIES: u32 = 4;
+/// Missing ids grafted per round at most (the request-side budget).
+const MAX_GRAFTS_PER_ROUND: usize = 64;
+/// Events served from the cache per round at most (the serve-side
+/// budget).
+const SERVE_BUDGET_PER_ROUND: usize = 128;
 
 /// A gossip node composed with the pull-based recovery layer.
 ///
@@ -64,7 +79,6 @@ use crate::missing::MissingTracker;
 #[derive(Debug)]
 pub struct RecoverableNode<P> {
     inner: P,
-    config: RecoveryConfig,
     cache: RetransmissionCache,
     missing: MissingTracker,
     round: u64,
@@ -90,7 +104,6 @@ impl<P: FrameProtocol> RecoverableNode<P> {
             graft_ids_this_round: 0,
             served_events_this_round: 0,
             inner,
-            config,
         }
     }
 
@@ -110,19 +123,13 @@ impl<P: FrameProtocol> RecoverableNode<P> {
 
     /// Emits due pull requests within the remaining round budget.
     fn poll_grafts(&mut self, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
-        let budget = self
-            .config
-            .max_grafts_per_round
-            .saturating_sub(self.graft_ids_this_round);
+        let budget = MAX_GRAFTS_PER_ROUND.saturating_sub(self.graft_ids_this_round);
         if budget == 0 {
             return Vec::new();
         }
-        let (due, abandoned) = self.missing.take_due(
-            self.round,
-            budget,
-            self.config.graft_timeout_rounds,
-            self.config.max_retries,
-        );
+        let (due, abandoned) =
+            self.missing
+                .take_due(self.round, budget, GRAFT_TIMEOUT_ROUNDS, MAX_RETRIES);
         let events = self.inner.events();
         for id in abandoned {
             events.push(ProtocolEvent::RecoveryAbandoned { id, at: now });
@@ -153,10 +160,7 @@ impl<P: FrameProtocol> RecoverableNode<P> {
     /// Serves a pull request from the retransmission cache.
     fn serve(&mut self, mut request: GraftRequest, now: TimeMs) -> Vec<(NodeId, GossipFrame)> {
         first_occurrences(&mut request.ids, |&id| id);
-        let budget = self
-            .config
-            .serve_budget_per_round
-            .saturating_sub(self.served_events_this_round);
+        let budget = SERVE_BUDGET_PER_ROUND.saturating_sub(self.served_events_this_round);
         let mut events = Vec::new();
         let mut missed = 0usize;
         for id in request.ids {
@@ -268,7 +272,7 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
 
         let mut out = self.inner_call(|inner| inner.on_round(now));
         let digest = IHaveDigest {
-            ids: self.cache.advertise(self.config.digest_size),
+            ids: self.cache.advertise(DIGEST_SIZE),
         };
         for (_, frame) in &mut out {
             if let GossipFrame::Gossip { ihave, .. } = frame {
@@ -330,10 +334,6 @@ impl<P: FrameProtocol> FrameProtocol for RecoverableNode<P> {
 
     fn pending_len(&self) -> usize {
         self.inner.pending_len()
-    }
-
-    fn gossip_period(&self) -> DurationMs {
-        self.inner.gossip_period()
     }
 
     fn avg_age(&self) -> Option<f64> {
@@ -550,63 +550,68 @@ mod tests {
             .any(|e| matches!(e, ProtocolEvent::Delivered { .. })));
     }
 
+    /// The grafts in `frames`, counted by id.
+    fn grafted(frames: &[(NodeId, GossipFrame)]) -> usize {
+        frames
+            .iter()
+            .filter_map(|(_, f)| match f {
+                GossipFrame::Graft(g) => Some(g.ids.len()),
+                _ => None,
+            })
+            .sum()
+    }
+
     #[test]
     fn graft_budget_bounds_requests_per_round() {
-        let mut config = RecoveryConfig::default();
-        config.max_grafts_per_round = 3;
-        let mut n = RecoverableNode::new(lpbcast(0), config);
-        let ids: Vec<EventId> = (0..10).map(|s| eid(7, s)).collect();
+        let mut n = recoverable(0);
+        let gaps = 2 * MAX_GRAFTS_PER_ROUND + 10;
+        let ids: Vec<EventId> = (0..gaps as u64).map(|s| eid(7, s)).collect();
         let replies = n.on_receive(NodeId::new(3), gossip_frame(3, vec![], ids), TimeMs::ZERO);
-        let requested: usize = replies
-            .iter()
-            .filter_map(|(_, f)| match f {
-                GossipFrame::Graft(g) => Some(g.ids.len()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(requested, 3, "round budget must bind");
-        assert_eq!(n.missing.len(), 10, "unrequested gaps stay tracked");
+        assert_eq!(
+            grafted(&replies),
+            MAX_GRAFTS_PER_ROUND,
+            "round budget must bind"
+        );
+        assert_eq!(n.missing.len(), gaps, "unrequested gaps stay tracked");
         // Next round, the budget resets and the remaining gaps go out.
         let out = n.on_round(TimeMs::from_secs(1));
-        let grafted: usize = out
-            .iter()
-            .filter_map(|(_, f)| match f {
-                GossipFrame::Graft(g) => Some(g.ids.len()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(grafted, 3);
+        assert_eq!(grafted(&out), MAX_GRAFTS_PER_ROUND);
     }
 
     #[test]
     fn abandoned_after_retry_budget() {
-        let mut config = RecoveryConfig::default();
-        config.max_retries = 1;
-        config.graft_timeout_rounds = 1;
-        let mut n = RecoverableNode::new(lpbcast(0), config);
-        n.on_receive(
+        let mut n = recoverable(0);
+        let first = n.on_receive(
             NodeId::new(3),
             gossip_frame(3, vec![], vec![eid(7, 0)]),
             TimeMs::ZERO,
         );
-        // One attempt was made on receive; the next due poll abandons.
-        n.on_round(TimeMs::from_secs(1));
-        n.on_round(TimeMs::from_secs(2));
-        let abandoned = n
-            .drain_events()
-            .iter()
-            .filter(|e| matches!(e, ProtocolEvent::RecoveryAbandoned { .. }))
-            .count();
-        assert_eq!(abandoned, 1);
+        // One attempt is made on receive, then one each time the timeout
+        // runs out, until the retry budget is spent; the next due poll
+        // abandons.
+        let mut attempts = grafted(&first);
+        let last_due = u64::from(MAX_RETRIES * GRAFT_TIMEOUT_ROUNDS);
+        for round in 1..last_due {
+            attempts += grafted(&n.on_round(TimeMs::from_secs(round)));
+            assert_eq!(n.missing.len(), 1, "round {round}: still tracked");
+        }
+        assert_eq!(attempts, MAX_RETRIES as usize);
+        let abandoned = |n: &mut RecoverableNode<_>| {
+            n.drain_events()
+                .iter()
+                .filter(|e| matches!(e, ProtocolEvent::RecoveryAbandoned { .. }))
+                .count()
+        };
+        assert_eq!(abandoned(&mut n), 0);
+        assert_eq!(grafted(&n.on_round(TimeMs::from_secs(last_due))), 0);
+        assert_eq!(abandoned(&mut n), 1);
         assert_eq!(n.missing.len(), 0);
     }
 
     #[test]
     fn digest_rotates_across_rounds() {
-        let mut config = RecoveryConfig::default();
-        config.digest_size = 2;
-        let mut n = RecoverableNode::new(lpbcast(0), config);
-        for _ in 0..4 {
+        let mut n = recoverable(0);
+        for _ in 0..2 * DIGEST_SIZE {
             n.offer(Payload::new(), TimeMs::ZERO);
         }
         let digest_of = |out: &Vec<(NodeId, GossipFrame)>| -> Vec<EventId> {
@@ -617,8 +622,13 @@ mod tests {
         };
         let first = digest_of(&n.on_round(TimeMs::from_secs(1)));
         let second = digest_of(&n.on_round(TimeMs::from_secs(2)));
-        assert_eq!(first, vec![eid(0, 0), eid(0, 1)]);
-        assert_eq!(second, vec![eid(0, 2), eid(0, 3)]);
+        let slice = |from: usize| -> Vec<EventId> {
+            (from..from + DIGEST_SIZE)
+                .map(|s| eid(0, s as u64))
+                .collect()
+        };
+        assert_eq!(first, slice(0));
+        assert_eq!(second, slice(DIGEST_SIZE));
     }
 
     #[test]
@@ -628,7 +638,6 @@ mod tests {
         assert_eq!(n.buffer_capacity(), 90);
         assert_eq!(n.allowed_rate(), None);
         assert_eq!(n.pending_len(), 0);
-        assert_eq!(n.gossip_period(), DurationMs::from_secs(1));
         assert_eq!(FrameProtocol::avg_age(&n), None);
         n.set_buffer_capacity(30, TimeMs::ZERO);
         assert_eq!(n.buffer_capacity(), 30);

@@ -9,7 +9,7 @@ use agb_core::{
     ProtocolEvent,
 };
 use agb_membership::FullView;
-use agb_recovery::{RecoverableNode, RecoveryConfig, RetransmissionCache};
+use agb_recovery::{RecoverableNode, RecoveryConfig, RetransmissionCache, DIGEST_SIZE};
 use agb_types::{DetRng, DurationMs, EventId, NodeId, Payload, TimeMs};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -148,16 +148,15 @@ proptest! {
     /// grafts that round's whole digest back.
     #[test]
     fn every_advertised_id_is_servable(
-        digest_size in 1usize..24,
-        cache_capacity in 1usize..40,
+        cache_capacity in 1usize..3 * DIGEST_SIZE,
         cache_rounds in 1u32..8,
-        steps in collection::vec((0u8..3, 1usize..6), 1..150),
+        steps in collection::vec((0u8..3, 1usize..24), 1..150),
     ) {
-        let mut config = RecoveryConfig::default();
-        config.digest_size = digest_size;
-        config.cache_capacity = cache_capacity;
-        config.cache_rounds = cache_rounds;
-        config.serve_budget_per_round = digest_size;
+        let config = RecoveryConfig {
+            cache_capacity,
+            cache_rounds,
+            ..RecoveryConfig::default()
+        };
         let inner = LpbcastNode::new(
             NodeId::new(0),
             GossipConfig::default(),
@@ -180,7 +179,7 @@ proptest! {
                 _ => {
                     now += DurationMs::from_secs(1);
                     let digest = digest_of(&node.on_round(now));
-                    prop_assert!(digest.len() <= digest_size);
+                    prop_assert!(digest.len() <= DIGEST_SIZE);
                     node.drain_events();
                     if digest.is_empty() {
                         continue;

@@ -172,6 +172,7 @@ impl Spawner<'_> {
             id,
             NodeRuntime {
                 shell: NodeShell::new(protocol, config.detector.as_ref(), config.n_nodes, observer),
+                period: config.gossip.gossip_period.to_std(),
                 offered_rate: if is_sender { self.per_sender } else { 0.0 },
                 payload: self.payload.clone(),
                 loss: config.loss,

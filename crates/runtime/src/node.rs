@@ -99,6 +99,8 @@ pub(crate) struct NodeRuntime {
     /// instance records nothing, and paced offers are latency-stamped
     /// only under telemetry.
     pub shell: NodeShell<NodeTelemetry>,
+    /// The gossip round period `T`, from the cluster's gossip parameters.
+    pub period: Duration,
     /// Offered load in msgs/s (0 = pure receiver), constant pacing.
     pub offered_rate: f64,
     /// Payload attached to offered messages.
@@ -365,7 +367,7 @@ fn send_raw<T: Transport>(
 /// Spawns the node's event loop on a dedicated OS thread.
 ///
 /// The loop multiplexes: datagram reception (bounded waits), the periodic
-/// gossip round at the protocol's configured period, control commands, and
+/// gossip round at the configured period, control commands, and
 /// constant-rate local offers. All protocol events are drained into the
 /// shared collector.
 pub(crate) fn spawn_node<T: Transport>(
@@ -393,8 +395,7 @@ fn node_loop<T: Transport>(
     shutdown: Arc<AtomicBool>,
     cmd_rx: CommandReceiver,
 ) {
-    let shell = &mut runtime.shell;
-    let period = shell.protocol().gossip_period().to_std();
+    let (shell, period) = (&mut runtime.shell, runtime.period);
     // Stagger rounds by node index to avoid synchronized bursts, like the
     // unsynchronized processes of the paper's testbed.
     let phase = period.mul_f64((id.index() % 16) as f64 / 16.0);
@@ -592,6 +593,7 @@ mod tests {
             let id = NodeId::new(i as u32);
             let mut gossip = GossipConfig::default();
             gossip.gossip_period = DurationMs::from_millis(30);
+            let gossip_period = gossip.gossip_period;
             let protocol = Box::new(LpbcastNode::new(
                 id,
                 gossip,
@@ -602,6 +604,7 @@ mod tests {
                 id,
                 NodeRuntime {
                     shell: NodeShell::new(protocol, None, n, NodeTelemetry::disabled()),
+                    period: gossip_period.to_std(),
                     offered_rate: 0.0,
                     payload: Payload::new(),
                     loss: 0.0,

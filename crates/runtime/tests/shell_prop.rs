@@ -15,7 +15,7 @@ use std::collections::HashSet;
 
 use agb_core::{AdaptationConfig, FrameProtocol, GossipConfig, GossipFrame, ProtocolEvent};
 use agb_failure::{AdversaryConfig, ByteAdversary, DetectorConfig};
-use agb_membership::{FullView, PartialView, PartialViewConfig};
+use agb_membership::{FullView, PartialView};
 use agb_node::{Algorithm, Input, NodeShell, StackSpec};
 use agb_recovery::RecoveryConfig;
 use agb_runtime::wire::{decode_frame, encode_frame};
@@ -66,8 +66,7 @@ impl Flavor {
         if self.partial {
             let peers = (0..N as u32).map(NodeId::new).filter(|&p| p != id);
             let mut boot = DetRng::seed_from_u64(seed ^ 0xB007);
-            let view =
-                PartialView::with_initial_peers(id, PartialViewConfig::default(), peers, &mut boot);
+            let view = PartialView::with_initial_peers(id, peers, &mut boot);
             spec.build(id, N, view, None, rng)
         } else {
             spec.build(id, N, FullView::new(N), None, rng)

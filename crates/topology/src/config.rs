@@ -1,33 +1,29 @@
 //! Tunables for the probabilistic forwarding flavor.
 
-use agb_types::{ConfigError, ConfigResult, DurationMs};
+use agb_types::{ConfigError, ConfigResult};
 
 /// Parameters of GOSSIP3-style probabilistic forwarding.
 ///
 /// The defaults are the conservative corner of the Haas/Halpern/Li sweep
 /// (`p = 0.65`, `k = 2`, four-neighbour rescue), which their evaluation
 /// shows reaches practically all nodes while cutting messages sharply
-/// versus flooding.
+/// versus flooding. The rescue degree is the constant `RESCUE_DEGREE` = 4
+/// beside [`RoutingNode`](crate::RoutingNode), the paper's value.
+///
+/// What every flavor shares comes from the `GossipConfig` the node is
+/// built with: the fanout `F` (targets per relay round), the relay
+/// buffer's bound (`max_events`; overflow evicts the highest age first,
+/// FIFO within equal ages) and the duplicate-suppression id window
+/// (`max_event_ids`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Relay probability `p` for rumors past the warm-up zone.
     pub relay_probability: f64,
     /// Rumors younger than this many hops are always relayed (`k`).
     pub sure_hops: u32,
-    /// Nodes with fewer overlay neighbours than this always relay (the
-    /// low-degree rescue rule; the paper uses 4).
-    pub rescue_degree: usize,
-    /// Targets sampled per relay round (`F`).
-    pub fanout: usize,
     /// Rounds an accepted rumor stays in the relay buffer, i.e. how many
     /// times it is re-emitted before retiring.
     pub relay_rounds: u32,
-    /// Relay-buffer capacity; overflow evicts the oldest rumors first.
-    pub max_relay: usize,
-    /// Size of the duplicate-suppression id window.
-    pub max_event_ids: usize,
-    /// Gossip round period `T`.
-    pub gossip_period: DurationMs,
 }
 
 impl Default for RoutingConfig {
@@ -35,12 +31,7 @@ impl Default for RoutingConfig {
         RoutingConfig {
             relay_probability: 0.65,
             sure_hops: 2,
-            rescue_degree: 4,
-            fanout: 4,
             relay_rounds: 2,
-            max_relay: 90,
-            max_event_ids: 50_000,
-            gossip_period: DurationMs::from_secs(1),
         }
     }
 }
@@ -58,20 +49,8 @@ impl RoutingConfig {
                 "must be within [0, 1]",
             ));
         }
-        if self.fanout == 0 {
-            return Err(ConfigError::new("fanout", "must be at least 1"));
-        }
         if self.relay_rounds == 0 {
             return Err(ConfigError::new("relay_rounds", "must be at least 1"));
-        }
-        if self.max_relay == 0 {
-            return Err(ConfigError::new("max_relay", "must be at least 1"));
-        }
-        if self.max_event_ids == 0 {
-            return Err(ConfigError::new("max_event_ids", "must be at least 1"));
-        }
-        if self.gossip_period.as_millis() == 0 {
-            return Err(ConfigError::new("gossip_period", "must be non-zero"));
         }
         Ok(())
     }
@@ -93,14 +72,7 @@ mod tests {
         let cases: Vec<(Mutation, &str)> = vec![
             (|c| c.relay_probability = 1.5, "relay_probability"),
             (|c| c.relay_probability = -0.1, "relay_probability"),
-            (|c| c.fanout = 0, "fanout"),
             (|c| c.relay_rounds = 0, "relay_rounds"),
-            (|c| c.max_relay = 0, "max_relay"),
-            (|c| c.max_event_ids = 0, "max_event_ids"),
-            (
-                |c| c.gossip_period = DurationMs::from_millis(0),
-                "gossip_period",
-            ),
         ];
         for (mutate, field) in cases {
             let mut c = RoutingConfig::default();

@@ -11,12 +11,15 @@
 //! * a rumor younger than [`sure_hops`](RoutingConfig::sure_hops) hops is
 //!   always relayed (GOSSIP3's warm-up zone: kill a rumor early and it dies
 //!   group-wide);
-//! * a node with fewer than
-//!   [`rescue_degree`](RoutingConfig::rescue_degree) overlay neighbours
-//!   always relays (the low-degree rescue rule: sparse corners cannot
-//!   afford to drop copies);
+//! * a node with fewer than four overlay neighbours always relays (the
+//!   low-degree rescue rule: sparse corners cannot afford to drop
+//!   copies);
 //! * everyone else relays with probability
 //!   [`relay_probability`](RoutingConfig::relay_probability).
+//!
+//! It reads the fanout, its relay buffer's bound and its id window from
+//! the same [`GossipConfig`](agb_core::GossipConfig) as every flavor, and
+//! only the relay gamble from [`RoutingConfig`].
 //!
 //! The node is a plain [`FrameProtocol`](agb_core::FrameProtocol): it
 //! emits plain gossip frames and answers recovery frames with nothing. So
@@ -28,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use agb_core::FrameProtocol;
+//! use agb_core::{FrameProtocol, GossipConfig};
 //! use agb_membership::{FullView, LocalitySampler};
 //! use agb_topology::{RoutingConfig, RoutingNode};
 //! use agb_types::topology::Topology;
@@ -40,6 +43,7 @@
 //! let sampler = LocalitySampler::new(FullView::new(16), grid.neighbors(me).to_vec(), 0.1);
 //! let mut node = RoutingNode::new(
 //!     me,
+//!     &GossipConfig::default(),
 //!     RoutingConfig::default(),
 //!     sampler,
 //!     grid.degree(me),

@@ -1,15 +1,20 @@
 //! The probabilistic-forwarding state machine.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use agb_core::{
-    Event, EventIdBuffer, EventList, FrameProtocol, GossipFrame, GossipMessage, OfferOutcome,
-    ProtocolEvent, PurgeReason,
+    Event, EventIdBuffer, EventList, FrameProtocol, GossipConfig, GossipFrame, GossipMessage,
+    OfferOutcome, ProtocolEvent, PurgeReason,
 };
 use agb_membership::{GossipMembership, MembershipDigest};
-use agb_types::{bernoulli, DetRng, DurationMs, EventId, NodeId, Payload, TimeMs};
+use agb_types::{bernoulli, DetRng, EventId, NodeId, Payload, TimeMs};
 
 use crate::config::RoutingConfig;
+
+/// Nodes with fewer overlay neighbours than this always relay: the
+/// low-degree rescue rule of Haas, Halpern and Li, at their value of 4.
+const RESCUE_DEGREE: usize = 4;
 
 /// A rumor accepted for relay, with its remaining emission budget.
 #[derive(Debug, Clone)]
@@ -28,6 +33,10 @@ struct RelaySlot {
 /// rumor is still *delivered* exactly once (duplicates are suppressed by a
 /// bounded id window); the gamble is only about forwarding.
 ///
+/// Like every flavor, it reads the fanout `F`, its buffer bound (here the
+/// relay buffer's) and its id window from the [`GossipConfig`] it is
+/// built with.
+///
 /// Generic over the membership service `S`, which is where topology bias
 /// plugs in: wrap the view in a
 /// [`LocalitySampler`](agb_membership::LocalitySampler) and relays go to
@@ -36,6 +45,10 @@ struct RelaySlot {
 pub struct RoutingNode<S> {
     id: NodeId,
     config: RoutingConfig,
+    /// Targets per relay round (`F`).
+    fanout: usize,
+    /// Relay-buffer bound (`|events|max`).
+    max_relay: usize,
     membership: S,
     /// Overlay degree, fixed at construction — the rescue-rule input.
     degree: usize,
@@ -51,22 +64,29 @@ impl<S: GossipMembership> RoutingNode<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails validation; construct configs through
-    /// [`RoutingConfig::validate`] first when handling untrusted input.
+    /// Panics if either configuration fails validation; validate
+    /// untrusted configs with [`GossipConfig::validate`] /
+    /// [`RoutingConfig::validate`] first.
     pub fn new(
         id: NodeId,
+        gossip: &GossipConfig,
         config: RoutingConfig,
         membership: S,
         degree: usize,
         rng: DetRng,
     ) -> Self {
+        gossip
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid GossipConfig: {e}"));
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid RoutingConfig: {e}"));
         RoutingNode {
             id,
-            ids: EventIdBuffer::new(config.max_event_ids),
+            ids: EventIdBuffer::new(gossip.max_event_ids),
             config,
+            fanout: gossip.fanout,
+            max_relay: gossip.max_events,
             membership,
             degree,
             rng,
@@ -78,12 +98,12 @@ impl<S: GossipMembership> RoutingNode<S> {
 
     /// The forwarding gamble for a rumor received at `age` hops: `true` in
     /// the warm-up zone (`age < sure_hops`), `true` on low-degree nodes
-    /// (`degree < rescue_degree`), otherwise Bernoulli(`relay_probability`).
+    /// (`degree < RESCUE_DEGREE`), otherwise Bernoulli(`relay_probability`).
     pub fn relay_decision(&mut self, age: u32) -> bool {
         if age < self.config.sure_hops {
             return true;
         }
-        if self.degree < self.config.rescue_degree {
+        if self.degree < RESCUE_DEGREE {
             return true;
         }
         bernoulli(&mut self.rng, self.config.relay_probability)
@@ -113,18 +133,18 @@ impl<S: GossipMembership> RoutingNode<S> {
             event,
             remaining: self.config.relay_rounds,
         });
-        self.enforce_capacity(self.config.max_relay, now);
+        self.enforce_capacity(now);
     }
 
-    /// Evicts the oldest rumors (highest age first, FIFO within equal ages)
-    /// until the relay buffer fits `capacity`.
-    fn enforce_capacity(&mut self, capacity: usize, now: TimeMs) {
-        while self.relay.len() > capacity {
+    /// Evicts the oldest rumors (highest age first, FIFO within equal ages,
+    /// as lpbcast's buffer does) until the relay buffer fits its bound.
+    fn enforce_capacity(&mut self, now: TimeMs) {
+        while self.relay.len() > self.max_relay {
             let victim = self
                 .relay
                 .iter()
                 .enumerate()
-                .max_by_key(|(i, s)| (s.event.age(), *i))
+                .max_by_key(|(i, s)| (s.event.age(), Reverse(*i)))
                 .map(|(i, _)| i)
                 .expect("relay buffer non-empty");
             let slot = self.relay.remove(victim).expect("victim index valid");
@@ -174,9 +194,7 @@ impl<S: GossipMembership> RoutingNode<S> {
     /// Sends the relay buffer to `F` sampled peers, one gossip frame each,
     /// all carrying `digest`.
     fn relay_to_sample(&mut self, digest: &MembershipDigest) -> Vec<(NodeId, GossipFrame)> {
-        let targets = self
-            .membership
-            .sample(&mut self.rng, self.config.fanout, self.id);
+        let targets = self.membership.sample(&mut self.rng, self.fanout, self.id);
         if targets.is_empty() {
             return Vec::new();
         }
@@ -265,12 +283,12 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
     }
 
     fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {
-        self.config.max_relay = capacity.max(1);
-        self.enforce_capacity(self.config.max_relay, now);
+        self.max_relay = capacity.max(1);
+        self.enforce_capacity(now);
     }
 
     fn buffer_capacity(&self) -> usize {
-        self.config.max_relay
+        self.max_relay
     }
 
     fn buffer_len(&self) -> usize {
@@ -283,10 +301,6 @@ impl<S: GossipMembership> FrameProtocol for RoutingNode<S> {
 
     fn pending_len(&self) -> usize {
         0
-    }
-
-    fn gossip_period(&self) -> DurationMs {
-        self.config.gossip_period
     }
 
     fn membership_view(&self) -> Vec<NodeId> {
@@ -331,13 +345,50 @@ mod tests {
     use rand::SeedableRng;
 
     fn node(id: u32, config: RoutingConfig, degree: usize) -> RoutingNode<FullView> {
+        node_with(id, &GossipConfig::default(), config, degree)
+    }
+
+    fn node_with(
+        id: u32,
+        gossip: &GossipConfig,
+        config: RoutingConfig,
+        degree: usize,
+    ) -> RoutingNode<FullView> {
         RoutingNode::new(
             NodeId::new(id),
+            gossip,
             config,
             FullView::new(8),
             degree,
             DetRng::seed_from_u64(u64::from(id) + 500),
         )
+    }
+
+    /// A node with a relay bound of 2 that relays every rumor it accepts.
+    fn two_slot_relay() -> RoutingNode<FullView> {
+        let gossip = GossipConfig {
+            max_events: 2,
+            ..GossipConfig::default()
+        };
+        let mut cfg = RoutingConfig::default();
+        cfg.sure_hops = 10; // accept everything
+        node_with(1, &gossip, cfg, 8)
+    }
+
+    /// `(seq, age)` of each rumor the relay buffer's overflow evicted.
+    fn overflow_drops(n: &mut RoutingNode<FullView>) -> Vec<(u64, u32)> {
+        n.drain_events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                ProtocolEvent::Dropped {
+                    id,
+                    age,
+                    reason: PurgeReason::Overflow,
+                    ..
+                } => Some((id.seq(), age)),
+                _ => None,
+            })
+            .collect()
     }
 
     fn msg_with(events: Vec<Event>) -> GossipMessage {
@@ -409,12 +460,11 @@ mod tests {
         let mut cfg = RoutingConfig::default();
         cfg.relay_probability = 0.0;
         cfg.sure_hops = 0;
-        cfg.rescue_degree = 4;
-        let mut sparse = node(1, cfg, 3);
+        let mut sparse = node(1, cfg, RESCUE_DEGREE - 1);
         let e = Event::with_age(EventId::new(NodeId::new(2), 0), 9, Payload::new());
         sparse.receive(NodeId::new(2), msg_with(vec![e.clone()]), TimeMs::ZERO);
         assert_eq!(sparse.buffer_len(), 1, "degree 3 < 4 rescues the rumor");
-        let mut dense = node(3, cfg, 4);
+        let mut dense = node(3, cfg, RESCUE_DEGREE);
         dense.receive(NodeId::new(2), msg_with(vec![e]), TimeMs::ZERO);
         assert_eq!(dense.buffer_len(), 0, "degree 4 with p=0 drops it");
     }
@@ -436,28 +486,24 @@ mod tests {
 
     #[test]
     fn overflow_evicts_oldest_first() {
-        let mut cfg = RoutingConfig::default();
-        cfg.max_relay = 2;
-        cfg.sure_hops = 10; // accept everything
-        let mut n = node(1, cfg, 8);
+        let mut n = two_slot_relay();
         for (seq, age) in [(0u64, 5u32), (1, 1), (2, 0)] {
             let e = Event::with_age(EventId::new(NodeId::new(2), seq), age, Payload::new());
             n.receive(NodeId::new(2), msg_with(vec![e]), TimeMs::ZERO);
         }
         assert_eq!(n.buffer_len(), 2);
-        let dropped: Vec<u32> = n
-            .drain_events()
-            .into_iter()
-            .filter_map(|ev| match ev {
-                ProtocolEvent::Dropped {
-                    age,
-                    reason: PurgeReason::Overflow,
-                    ..
-                } => Some(age),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(dropped, vec![5], "highest age evicted");
+        assert_eq!(overflow_drops(&mut n), vec![(0, 5)], "highest age evicted");
+    }
+
+    #[test]
+    fn overflow_evicts_the_earliest_of_equal_ages() {
+        let mut n = two_slot_relay();
+        for seq in 0..3u64 {
+            let e = Event::with_age(EventId::new(NodeId::new(2), seq), 3, Payload::new());
+            n.receive(NodeId::new(2), msg_with(vec![e]), TimeMs::ZERO);
+        }
+        assert_eq!(n.buffer_len(), 2);
+        assert_eq!(overflow_drops(&mut n), vec![(0, 3)], "FIFO within an age");
     }
 
     #[test]
@@ -467,6 +513,7 @@ mod tests {
         let sampler = LocalitySampler::new(FullView::new(9), topo.neighbors(me).to_vec(), 0.0);
         let mut n = RoutingNode::new(
             me,
+            &GossipConfig::default(),
             RoutingConfig::default(),
             sampler,
             topo.degree(me),
@@ -533,7 +580,6 @@ mod tests {
         assert_eq!(n.node_id(), NodeId::new(0));
         assert_eq!(n.allowed_rate(), None);
         assert_eq!(n.pending_len(), 0);
-        assert_eq!(n.gossip_period(), DurationMs::from_secs(1));
         assert_eq!(n.membership_view().len(), 8);
         assert!(matches!(
             n.offer(Payload::new(), TimeMs::ZERO),
@@ -547,6 +593,7 @@ mod tests {
         let run = |seed: u64| {
             let mut n = RoutingNode::new(
                 NodeId::new(0),
+                &GossipConfig::default(),
                 RoutingConfig::default(),
                 FullView::new(16),
                 8,

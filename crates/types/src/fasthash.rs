@@ -11,7 +11,6 @@
 //! The hash is fully deterministic (no per-process random state), which
 //! the reproducibility story relies on anyway.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
 /// The multiplier of FxHash (Firefox's hasher): a 64-bit odd constant
@@ -93,11 +92,16 @@ impl BuildHasher for FastHashState {
 
 /// `HashMap` keyed by small internal identifiers (deterministic fast
 /// hashing; construct with `FastHashMap::default()`).
-pub type FastHashMap<K, V> = HashMap<K, V, FastHashState>;
+// The determinism lint bars the std containers for their per-process
+// random hasher state; the fixed `FastHashState` is what makes them
+// allowed here.
+#[allow(clippy::disallowed_types)]
+pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastHashState>;
 
 /// `HashSet` of small internal identifiers (deterministic fast hashing;
 /// construct with `FastHashSet::default()`).
-pub type FastHashSet<K> = HashSet<K, FastHashState>;
+#[allow(clippy::disallowed_types)]
+pub type FastHashSet<K> = std::collections::HashSet<K, FastHashState>;
 
 #[cfg(test)]
 mod tests {
@@ -132,7 +136,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_rarely_collide() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..10_000u32 {
             let mut h = FastHasher::default();
             std::hash::Hash::hash(&EventId::new(NodeId::new(i % 64), u64::from(i)), &mut h);

@@ -126,7 +126,7 @@ impl fmt::Display for EventId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::FastHashSet;
 
     #[test]
     fn node_id_roundtrip_and_order() {
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn ids_are_hashable_and_distinct() {
-        let mut set = HashSet::new();
+        let mut set = FastHashSet::default();
         for origin in 0..4u32 {
             for seq in 0..16u64 {
                 set.insert(EventId::new(NodeId::new(origin), seq));

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use agb_core::{AdaptationConfig, FrameProtocol, GossipConfig, GossipFrame, ProtocolEvent};
 use agb_failure::DetectorConfig;
-use agb_membership::{FullView, PartialView, PartialViewConfig, PeerSampler};
+use agb_membership::{FullView, PartialView, PeerSampler};
 use agb_metrics::MetricsCollector;
 use agb_node::{Algorithm, Input, NodeShell, Overlay, StackSpec};
 use agb_profile::{MemReport, MemTable, ProfileConfig, Profiler, ProfilerSnapshot};
@@ -24,8 +24,12 @@ pub enum MembershipKind {
     /// Static full view (the paper's closed-group experiments).
     Full,
     /// lpbcast partial views bootstrapped with random contacts.
-    Partial(PartialViewConfig),
+    Partial,
 }
+
+/// Random contacts a partial view starts from without explicit ones, as a
+/// join service would hand out; fewer than the view holds.
+const BOOTSTRAP_CONTACTS: usize = 8;
 
 /// How gossip-round timers are phased across nodes.
 ///
@@ -209,22 +213,21 @@ impl ClusterConfig {
         let proto_rng: DetRng = seeds.rng_for(proto_label, stream);
         match &self.membership {
             MembershipKind::Full => spec.build(id, n, FullView::new(n), overlay, proto_rng),
-            MembershipKind::Partial(pv) => {
+            MembershipKind::Partial => {
                 let mut boot_rng: DetRng = seeds.rng_for(boot_label, stream);
-                // Without contacts, seed the view with a handful of random
-                // ones, as a join service would.
                 let contacts = contacts.unwrap_or_else(|| {
-                    FullView::new(n).sample(&mut boot_rng, pv.max_view.min(8), id)
+                    FullView::new(n).sample(&mut boot_rng, BOOTSTRAP_CONTACTS, id)
                 });
-                let view = PartialView::with_initial_peers(id, *pv, contacts, &mut boot_rng);
+                let view = PartialView::with_initial_peers(id, contacts, &mut boot_rng);
                 spec.build(id, n, view, overlay, proto_rng)
             }
         }
     }
 
-    /// The gossip-round period actually driving the round timers.
+    /// The gossip-round period driving the round timers: `T` of
+    /// [`Self::gossip`], for every flavor.
     pub fn round_period(&self) -> DurationMs {
-        self.algorithm.round_period(&self.gossip)
+        self.gossip.gossip_period
     }
 }
 
@@ -840,7 +843,7 @@ mod tests {
     #[test]
     fn partial_membership_cluster_works() {
         let mut config = small_config(Algorithm::Lpbcast);
-        config.membership = MembershipKind::Partial(PartialViewConfig::default());
+        config.membership = MembershipKind::Partial;
         let mut cluster = GossipCluster::build(config);
         cluster.run_until(TimeMs::from_secs(30));
         let m = cluster.metrics();
@@ -895,7 +898,7 @@ mod tests {
     #[test]
     fn join_through_contact_enters_partial_views() {
         let mut config = small_config(Algorithm::Lpbcast);
-        config.membership = MembershipKind::Partial(PartialViewConfig::default());
+        config.membership = MembershipKind::Partial;
         let joiner = NodeId::new(15);
         config.absent_at_start = vec![joiner];
         let mut cluster = GossipCluster::build(config);
@@ -921,7 +924,7 @@ mod tests {
     #[test]
     fn graceful_leave_propagates_unsubscription() {
         let mut config = small_config(Algorithm::Lpbcast);
-        config.membership = MembershipKind::Partial(PartialViewConfig::default());
+        config.membership = MembershipKind::Partial;
         let mut cluster = GossipCluster::build(config);
         let leaver = NodeId::new(5);
         // Let views converge, then leave.
@@ -959,7 +962,7 @@ mod tests {
     fn chaos_schedule_is_deterministic() {
         let run = || {
             let mut config = small_config(Algorithm::Lpbcast);
-            config.membership = MembershipKind::Partial(PartialViewConfig::default());
+            config.membership = MembershipKind::Partial;
             let mut cluster = GossipCluster::build(config);
             cluster.schedule_crash(TimeMs::from_secs(4), NodeId::new(2));
             cluster.schedule_restart(TimeMs::from_secs(9), NodeId::new(2), 1);

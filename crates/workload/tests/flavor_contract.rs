@@ -2,8 +2,9 @@
 //! the simulator builds them: a plain node ignores the recovery plane's
 //! frames, the recovery wrapper delivers a retransmitted event exactly
 //! once whatever flavor it wraps and reads an id a peer's frame repeats
-//! as if it were named once, and `has_seen` answers what a copy's
-//! delivery would.
+//! as if it were named once, `has_seen` answers what a copy's delivery
+//! would, and every flavor reads its fanout and buffer bound from the
+//! cluster's gossip parameters.
 
 use agb_core::{
     Event, FrameProtocol, GossipFrame, GossipMessage, GraftRequest, IHaveDigest, ProtocolEvent,
@@ -190,4 +191,20 @@ fn has_seen_answers_whether_a_copy_would_be_delivered() {
             }
         }
     }
+}
+
+#[test]
+fn routing_reads_fanout_and_buffer_bound_from_the_gossip_config() {
+    let mut config = ClusterConfig::new(8, 7);
+    config.algorithm = Algorithm::Routing(RoutingConfig::default());
+    config.gossip.max_events = 7;
+    config.gossip.fanout = 2;
+    let mut n = config.make_protocol(NodeId::new(0), 0, None);
+    assert_eq!(n.buffer_capacity(), 7);
+    n.offer(Payload::from_static(b"own"), TimeMs::ZERO);
+    assert_eq!(
+        n.on_round(TimeMs::from_secs(1)).len(),
+        2,
+        "one frame per target"
+    );
 }

@@ -7,14 +7,13 @@
 //! Run with: `cargo run --release --example churn_chaos`
 
 use adaptive_gossip::chaos::{ChaosCluster, ChurnProfile};
-use adaptive_gossip::membership::PartialViewConfig;
 use adaptive_gossip::recovery::RecoveryConfig;
 use adaptive_gossip::types::{DurationMs, TimeMs};
 use adaptive_gossip::workload::{Algorithm, ClusterConfig, MembershipKind};
 
 fn config(with_recovery: bool) -> ClusterConfig {
     let mut c = ClusterConfig::lossy(40, 42, 0.1);
-    c.membership = MembershipKind::Partial(PartialViewConfig::default());
+    c.membership = MembershipKind::Partial;
     c.gossip.fanout = 3;
     c.gossip.age_cap = 4;
     c.gossip.max_events = 30;

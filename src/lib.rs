@@ -101,7 +101,6 @@
 //!
 //! ```
 //! use adaptive_gossip::chaos::{ChaosCluster, ChaosSchedule};
-//! use adaptive_gossip::membership::PartialViewConfig;
 //! use adaptive_gossip::types::{DurationMs, NodeId, TimeMs};
 //! use adaptive_gossip::workload::{ClusterConfig, MembershipKind};
 //!
@@ -110,7 +109,7 @@
 //!     .crash(TimeMs::from_secs(10), NodeId::new(7))
 //!     .restart(TimeMs::from_secs(20), NodeId::new(7));
 //! let mut config = ClusterConfig::new(20, 42);
-//! config.membership = MembershipKind::Partial(PartialViewConfig::default());
+//! config.membership = MembershipKind::Partial;
 //! config.n_senders = 2;
 //! config.offered_rate = 4.0;
 //! let mut chaos = ChaosCluster::new(config, &schedule);

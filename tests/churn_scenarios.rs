@@ -3,7 +3,6 @@
 //! delivery among correct nodes where the static baseline degrades.
 
 use adaptive_gossip::chaos::{ChaosCluster, ChaosSummary, ChurnProfile};
-use adaptive_gossip::membership::PartialViewConfig;
 use adaptive_gossip::recovery::RecoveryConfig;
 use adaptive_gossip::types::{DurationMs, NodeId, TimeMs};
 use adaptive_gossip::workload::{Algorithm, ClusterConfig, MembershipKind};
@@ -11,7 +10,7 @@ use adaptive_gossip::workload::{Algorithm, ClusterConfig, MembershipKind};
 /// The perturbed regime: partial views, 10% loss, aggressive purging.
 fn cluster_config(seed: u64, adaptive_recovery: bool) -> ClusterConfig {
     let mut c = ClusterConfig::lossy(30, seed, 0.1);
-    c.membership = MembershipKind::Partial(PartialViewConfig::default());
+    c.membership = MembershipKind::Partial;
     c.gossip.fanout = 3;
     c.gossip.age_cap = 4;
     c.gossip.max_events = 30;

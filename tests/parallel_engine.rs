@@ -5,7 +5,6 @@
 //! churn.
 
 use adaptive_gossip::chaos::{ChaosCluster, ChaosSchedule};
-use adaptive_gossip::membership::PartialViewConfig;
 use adaptive_gossip::metrics::{AtomicityReport, MessageRecord, RecoveryStats};
 use adaptive_gossip::recovery::RecoveryConfig;
 use adaptive_gossip::sim::NetStats;
@@ -144,7 +143,7 @@ proptest! {
 fn chaos_schedule_digest_is_thread_count_invariant() {
     let run = |threads: usize| {
         let mut config = cluster_config(21, threads, 0.05, true);
-        config.membership = MembershipKind::Partial(PartialViewConfig::default());
+        config.membership = MembershipKind::Partial;
         let joiner = NodeId::new(23);
         let mut s = ChaosSchedule::new();
         s.crash(TimeMs::from_secs(4), NodeId::new(9))
